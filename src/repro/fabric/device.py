@@ -132,7 +132,7 @@ class Device:
 
         def deliver(_event=None):
             if port is not None:
-                Port._run_releases(packet)
+                Port.release_input(packet)
             if not self.active:
                 self.stats.incr("rx_dropped_inactive")
                 return

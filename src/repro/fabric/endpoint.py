@@ -39,6 +39,6 @@ class Endpoint(Device):
             # route.  Count and drop.
             self.stats.incr("header_errors")
             port.error_count += 1
-            Port._run_releases(packet)
+            Port.release_input(packet)
             return
         self.consume(packet, port, tail_lag)

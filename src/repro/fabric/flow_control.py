@@ -64,6 +64,22 @@ class CreditCounter:
             self._grant()
         return event
 
+    def take(self, units: int) -> None:
+        """Reserve ``units`` credits the caller has seen are available.
+
+        The arbiter's path: it only picks a packet whose credits are
+        free, so there is nothing to wait for and no grant event to
+        allocate.
+        """
+        if units < 1:
+            raise ValueError("must consume at least one credit")
+        if self._waiters or units > self.available:
+            raise CreditError(
+                f"take({units}) with {self.available} credits available "
+                f"and {len(self._waiters)} grants queued"
+            )
+        self.available -= units
+
     def release(self, units: int) -> None:
         """Return ``units`` credits (receiver freed buffer space)."""
         if units < 0:
@@ -74,7 +90,8 @@ class CreditCounter:
                 f"capacity {self.capacity}"
             )
         self.available += units
-        self._grant()
+        if self._waiters:
+            self._grant()
 
     def _grant(self) -> None:
         while self._waiters and self._waiters[0][0] <= self.available:

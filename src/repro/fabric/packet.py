@@ -56,48 +56,33 @@ class Packet:
     meta: Dict[str, Any] = field(default_factory=dict)
     #: Hop counter maintained by switches (diagnostics only).
     hops: int = 0
-    #: Memoized wire size / credit footprint.  A packet's payload is
-    #: immutable once in flight, but every port on the path asks for
-    #: these (send, arbitration pick, receive), so the answers are
-    #: cached per parameter set.  The payload length is part of the
-    #: cache key so a rebuilt packet can never serve a stale size.
-    _size_cache: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _credit_cache: Optional[tuple] = field(
+    #: Wire size and credit footprint under the parameters of the port
+    #: that queued the packet last (:meth:`Port.send` stamps them for
+    #: its arbitration and transmission).
+    wire_size: int = field(default=0, init=False, repr=False, compare=False)
+    wire_units: int = field(default=0, init=False, repr=False, compare=False)
+    #: The input buffer the packet occupies, as ``(port, vc, units,
+    #: epoch)``, from head arrival until it starts its next
+    #: transmission or is consumed (virtual cut-through); ``None``
+    #: while it holds none.  See :meth:`Port.release_input`.
+    rx_hold: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def size_bytes(self, framing_overhead: int = 8, pcrc_bytes: int = 4) -> int:
         """Total wire size: framing + route header + payload + PCRC."""
         length = len(self.payload)
-        cache = self._size_cache
-        if (
-            cache is not None
-            and cache[0] == framing_overhead
-            and cache[1] == pcrc_bytes
-            and cache[2] == length
-        ):
-            return cache[3]
-        size = framing_overhead + HEADER_BYTES + length + (
+        return framing_overhead + HEADER_BYTES + length + (
             pcrc_bytes if length else 0
         )
-        self._size_cache = (framing_overhead, pcrc_bytes, length, size)
-        return size
 
     def credit_units(self, credit_unit: int = 64,
                      framing_overhead: int = 8, pcrc_bytes: int = 4) -> int:
         """Number of flow-control credits the packet occupies."""
-        size = self.size_bytes(framing_overhead, pcrc_bytes)
-        cache = self._credit_cache
-        if cache is not None and cache[0] == credit_unit and cache[1] == size:
-            return cache[2]
         # Integer ceiling division; exact, unlike float math.ceil.
-        units = -(-size // credit_unit)
-        if units < 1:
-            units = 1
-        self._credit_cache = (credit_unit, size, units)
-        return units
+        units = -(-self.size_bytes(framing_overhead, pcrc_bytes)
+                  // credit_unit)
+        return units if units > 0 else 1
 
     def pcrc(self) -> int:
         """End-to-end CRC over the payload."""

@@ -1,15 +1,31 @@
 """Device ports: per-VC output queues, arbitration, and flow control.
 
-Each port owns the transmit side of its link direction.  A background
-process arbitrates among the port's virtual channels (strict priority:
-higher VC index first, and within a BVC the bypass queue first),
-reserves credits mirroring the far side's input buffer, serializes the
-packet on the link, and delivers the head to the remote port.
+Each port owns the transmit side of its link direction.  A
+callback-driven engine arbitrates among the port's virtual channels
+(strict priority: higher VC index first, and within a BVC the bypass
+queue first), reserves credits mirroring the far side's input buffer,
+serializes the packet on the link, and delivers the head to the remote
+port.
 
 The receive side accounts input-buffer occupancy and hands packets to
 the owning device; when the device releases the packet (forwards or
 consumes it), credits flow back to the sender after one propagation
 delay.
+
+Event economy.  A hop needs one heap event — the head's arrival at the
+far port.  The rest of the chain exists only to be observed, so it is
+materialised only when something can observe it, always in the heap
+slot (timestamp *and* sequence number) the eager event would have
+held, which keeps every run bit-identical:
+
+* the serialization-done timer matters only if a packet is queued
+  before the lane is free: with an empty queue its slot is reserved,
+  not pushed (:meth:`Port._tx_start`, :meth:`Port._wake`);
+* a credit return matters only to a sender blocked on credits: until
+  then it waits in the sender's ledger and is applied when the sender
+  next arbitrates (:meth:`Port._return_credits`, :meth:`Port._settle`);
+* a zero-delay kick that would be the very next pop runs inline, and
+  one that would find nothing queued is not scheduled at all.
 """
 
 from __future__ import annotations
@@ -17,20 +33,15 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from ..sim.core import Environment
+from ..sim.core import Environment, Infinity
 from ..sim.events import URGENT
 from ..sim.monitor import Counter
-from .flow_control import CreditCounter
+from .flow_control import CreditCounter, CreditError
 from .header import HeaderError
 from .packet import Packet, PacketError
 from .params import FabricParams
 from .phy import DELIVER_CORRUPT, DELIVER_OK
 from .vc import VCType, VirtualChannel, default_vc_types
-
-#: Key under which a packet carries its pending input-buffer release
-#: callbacks (virtual cut-through: the upstream buffer is freed when
-#: the packet starts its next transmission or is consumed).
-RX_RELEASE_KEY = "_rx_release"
 
 
 @lru_cache(maxsize=None)
@@ -52,7 +63,8 @@ class Port:
     __slots__ = (
         "device", "index", "params", "env", "link", "error_count",
         "_stats", "_tx_vcs", "_credits", "_rx_use", "_tx_busy",
-        "_tx_kick_scheduled", "_trace", "_vc_detail", "_credit_unit",
+        "_tx_kick_scheduled", "_queued", "_free_at", "_done_seq",
+        "_ledger", "_blocked", "_trace", "_vc_detail", "_credit_unit",
         "_framing", "_pcrc", "_prop", "_byte_time", "_rx_cap",
         "_tc_vc_map", "_pick_order", "_head_latency", "_remote",
         "_error_model",
@@ -75,10 +87,27 @@ class Port:
         #: Units currently held in our own input buffer, per VC
         #: (``None`` until this port receives).
         self._rx_use = None
-        #: Transmit-engine state (see ``_tx_start``): a serialization
-        #: timer is pending / a zero-delay kick is already on the heap.
+        #: Transmit-engine state (see ``_tx_start``): the lane is
+        #: serializing / a zero-delay kick is already on the heap /
+        #: packets waiting in the VC queues.
         self._tx_busy = False
         self._tx_kick_scheduled = False
+        self._queued = 0
+        #: While busy with nothing queued, the serialization-done timer
+        #: is not pushed: the lane is free at ``_free_at`` and
+        #: ``_done_seq`` is the timer's reserved sequence number (-1
+        #: whenever the timer is on the heap, or was never needed).
+        self._free_at = 0.0
+        self._done_seq = -1
+        #: Credit returns on their way to this transmitter, as
+        #: ``(due, reserved seq, vc, units, epoch)`` in due order — a
+        #: list, not a deque: it holds a handful of entries and every
+        #: transmitting port has one (``None`` until then).  While
+        #: ``_blocked`` — the last arbitration found packets but no
+        #: credits — returns are real events instead, so one of them
+        #: restarts the engine.
+        self._ledger = None
+        self._blocked = False
         #: Mirror of ``device.trace_hook`` (kept in sync by its setter)
         #: so the per-packet paths pay a single attribute load.  Ports
         #: are built before the device finishes initializing, hence the
@@ -116,7 +145,10 @@ class Port:
     @property
     def credits(self):
         """Remote input-buffer mirrors (empty until first transmit)."""
-        return self._credits if self._credits is not None else ()
+        if self._credits is None:
+            return ()
+        self._settle_for_read()
+        return self._credits
 
     @property
     def _rx_in_use(self):
@@ -140,6 +172,7 @@ class Port:
         self._pick_order = tuple(
             (vc, self._credits[vc.index]) for vc in reversed(self._tx_vcs)
         )
+        self._ledger = []
 
     # -- identity -------------------------------------------------------
     @property
@@ -169,9 +202,10 @@ class Port:
         self._head_latency = link.head_latency()
         self._remote = link.other(self)
         self._error_model = link.error_model
-        # Prime the transmit engine.  The urgent zero-delay kick
-        # occupies the scheduling slot the old generator-based loop's
-        # Initialize event used, so event ordering is unchanged.
+        # Prime the transmit engine.  The urgent zero-delay kick is what
+        # transmits packets queued before the run starts — ahead of
+        # every process, ports in attach order — so it stays a real
+        # event: one per port at build time, none per hop.
         self._tx_kick_scheduled = True
         self.env.schedule_callback(0.0, self._tx_kick, URGENT)
 
@@ -182,6 +216,9 @@ class Port:
             if self._credits is not None:
                 for counter in self._credits:
                     counter.reset()
+                # Returns still under way belong to the lost packets.
+                self._ledger.clear()
+                self._blocked = False
             if self._rx_use is not None:
                 self._rx_use = [0] * self.params.vc_count
             if self._tx_vcs is not None:
@@ -192,9 +229,10 @@ class Port:
                     for packet in list(vc):
                         # Forwarded packets still hold an input buffer
                         # on another port of this device; free it.
-                        self._run_releases(packet)
+                        self.release_input(packet)
                     vc.ordered.clear()
                     vc.bypass.clear()
+                self._queued = 0
         self._wake()
         self.device.on_port_state_change(self, up)
 
@@ -214,9 +252,7 @@ class Port:
             self._credit_unit, self._framing, self._pcrc
         )
         if units > self._rx_cap:
-            self._run_releases(packet)
-            from .flow_control import CreditError
-
+            self.release_input(packet)
             raise CreditError(
                 f"packet of {units} credit units exceeds the "
                 f"{self._rx_cap}-unit receive buffer; "
@@ -225,11 +261,14 @@ class Port:
         vc_index = self._tc_vc_map[packet.header.tc & 0x7]
         if self.link is None or not self.link.up or not self.device.active:
             self.stats.incr("tx_dropped_no_link")
-            self._run_releases(packet)
+            self.release_input(packet)
             return
         if self._tx_vcs is None:
             self._materialize_tx()
+        packet.wire_units = units
+        packet.wire_size = packet.size_bytes(self._framing, self._pcrc)
         self._tx_vcs[vc_index].push(packet)
+        self._queued += 1
         self.stats.incr("tx_queued")
         if self._trace is not None:
             self._trace("enqueue", self.device, self.index, packet,
@@ -237,12 +276,34 @@ class Port:
         self._wake()
 
     def _wake(self) -> None:
-        # Kick the transmit engine with a zero-delay callback unless a
-        # serialization is in flight (it re-arbitrates when the timer
-        # fires) or a kick is already on the heap.
-        if not self._tx_busy and not self._tx_kick_scheduled:
+        """Have the transmit engine arbitrate, unless it will anyway.
+
+        Nothing queued: a kick would find nothing, so none is
+        scheduled.  Serialization in flight: the done timer
+        re-arbitrates — pushed now, in its reserved slot, if it was
+        elided and has not logically fired.  Otherwise a zero-delay
+        kick, run inline when it would be the very next pop.
+        """
+        if not self._queued:
+            return
+        env = self.env
+        if self._tx_busy:
+            seq = self._done_seq
+            if seq < 0:
+                return
+            self._done_seq = -1
+            if not env.has_passed(self._free_at, seq):
+                env.schedule_at(self._free_at, seq, self._tx_done)
+                return
+            # The elided timer would have fired and found nothing.
+            self._tx_busy = False
+        if self._tx_kick_scheduled:
+            return
+        if env.quiet():
+            self._tx_start(inline=True)
+        else:
             self._tx_kick_scheduled = True
-            self.env.schedule_callback(0.0, self._tx_kick)
+            env.schedule_callback(0.0, self._tx_kick)
 
     def _pick(self):
         """Highest-priority VC whose head packet has credits available."""
@@ -252,9 +313,7 @@ class Port:
             packet = vc.peek()
             if packet is None:
                 continue
-            units = packet.credit_units(
-                self._credit_unit, self._framing, self._pcrc
-            )
+            units = packet.wire_units
             if credit.available >= units:
                 return vc, packet, units, credit
         return None
@@ -267,26 +326,33 @@ class Port:
         self._tx_busy = False
         self._tx_start()
 
-    def _tx_start(self) -> None:
+    def _tx_start(self, inline: bool = False) -> None:
         """Arbitrate, reserve credits, serialize, deliver (one packet).
 
         The transmit engine is a callback-driven state machine rather
-        than a generator process: per packet it costs one delivery
-        callback and one serialization timer, with no process-trampoline
-        resume, no wakeup events, and no Timeout construction.  It is
-        idle until :meth:`_wake` kicks it; while serializing it is
-        *busy* and re-arbitrates from :meth:`_tx_done`.
+        than a generator process.  It is idle until :meth:`_wake` kicks
+        it; while serializing it is *busy* and re-arbitrates from
+        :meth:`_tx_done`.  ``inline`` says the call stands in for a
+        zero-delay kick that would have been the next pop: it ranks
+        after every sequence number drawn so far.
         """
         link = self.link
         if link is None or not link.up:
             return
+        env = self.env
+        now = env.now
+        if self._ledger:
+            self._settle(now, inline)
         choice = self._pick()
         if choice is None:
+            if self._queued and not self._blocked:
+                self._block()
             return
+        self._blocked = False
         vc, packet, units, credit = choice
         vc.pop()
-        grant = credit.consume(units)
-        assert grant.triggered, "pick() guaranteed credits"
+        self._queued -= 1
+        credit.take(units)
         header = packet.header
         required = units if units < 31 else 31
         if header.credits_required != required:
@@ -295,9 +361,9 @@ class Port:
             header.credits_required = required
         # The packet leaves this device's buffer as its first bit
         # hits the wire: release the upstream input buffer now.
-        self._run_releases(packet)
+        self.release_input(packet)
 
-        size = packet.size_bytes(self._framing, self._pcrc)
+        size = packet.wire_size
         tx_time = size * self._byte_time
         head = self._head_latency
         prop = self._prop
@@ -313,9 +379,14 @@ class Port:
             self._trace("tx", self.device, self.index, packet,
                         detail=self._vc_detail[vc.index])
 
-        schedule_callback = self.env.schedule_callback
+        # The head arrives after the header's serialization, or with
+        # the tail if the packet is shorter than that.
+        arrival = tx_time + prop
+        if head < arrival:
+            arrival = head
+        schedule_callback = env.schedule_callback
         schedule_callback(
-            min(head, tx_time + prop),
+            arrival,
             lambda ev, r=self._remote, p=packet, v=vc.index, u=units,
             e=epoch, t=tail_lag, s=size: r._receive(p, v, u, t, e, s),
         )
@@ -331,21 +402,28 @@ class Port:
             # back-to-back.  The replay consumes its own credits (it
             # really occupies the remote buffer) and is skipped when
             # none are free.
-            credit.consume(units)
+            credit.take(units)
             replay = self._clone_for_replay(packet)
             stats.incr("tx_replays")
             if self._trace is not None:
                 self._trace("tx", self.device, self.index, replay,
                             detail="link replay")
             schedule_callback(
-                tx_time + min(head, tx_time + prop),
+                tx_time + arrival,
                 lambda ev, r=self._remote, p=replay, v=vc.index, u=units,
                 e=epoch, t=tail_lag, s=size: r._receive(p, v, u, t, e, s),
             )
             busy_time += tx_time
-        # Keep the lane busy for the full serialization time.
+        # Keep the lane busy for the full serialization time.  The
+        # done timer only matters if a packet is queued before it
+        # fires; with none queued now, reserve its slot and let
+        # ``_wake`` push it on demand.
         self._tx_busy = True
-        schedule_callback(busy_time, self._tx_done)
+        if self._queued:
+            schedule_callback(busy_time, self._tx_done)
+        else:
+            self._free_at = now + busy_time
+            self._done_seq = env.reserve()
 
     @staticmethod
     def _clone_for_replay(packet: Packet) -> Packet:
@@ -353,8 +431,8 @@ class Port:
 
         The header is copied (switches rewrite the turn pointer in
         place, so the two in-flight copies must not share one) and the
-        clone starts with fresh bookkeeping: no buffer-release
-        callbacks, its own hop counter.
+        clone starts with fresh bookkeeping: no input buffer held, its
+        own hop counter.
         """
         replay = Packet(
             header=packet.header.copy(),
@@ -367,9 +445,17 @@ class Port:
         return replay
 
     @staticmethod
-    def _run_releases(packet: Packet) -> None:
-        for release in packet.meta.pop(RX_RELEASE_KEY, []):
-            release()
+    def release_input(packet: Packet) -> None:
+        """Free the input buffer ``packet`` occupies, if any.
+
+        Virtual cut-through: called when the packet starts its next
+        transmission, is consumed, or is dropped.
+        """
+        hold = packet.rx_hold
+        if hold is not None:
+            packet.rx_hold = None
+            port, vc_index, units, epoch = hold
+            port._release_rx(vc_index, units, epoch)
 
     # -- receive side ---------------------------------------------------------
     def _receive(self, packet: Packet, vc_index: int, units: int,
@@ -396,14 +482,13 @@ class Port:
         if self._rx_use is None:
             self._rx_use = [0] * self.params.vc_count
         self._rx_use[vc_index] += units
-        self.stats.incr("rx_packets")
+        incr = self.stats.incr
+        incr("rx_packets")
         if self._trace is not None:
             self._trace("rx", self.device, self.index, packet,
                         detail=self._vc_detail[vc_index])
-        self.stats.incr("rx_bytes", size)
-        packet.meta.setdefault(RX_RELEASE_KEY, []).append(
-            lambda: self._release_rx(vc_index, units, epoch)
-        )
+        incr("rx_bytes", size)
+        packet.rx_hold = (self, vc_index, units, epoch)
         self.device.handle_rx(packet, self, vc_index, tail_lag)
 
     def _apply_channel_errors(self, packet: Packet, vc_index: int,
@@ -438,11 +523,7 @@ class Port:
         if self._trace is not None:
             self._trace("drop", self.device, self.index, packet,
                         detail=detail)
-        self.env.schedule_callback(
-            self._prop,
-            lambda ev, p=self._remote, v=vc_index, u=units, e=epoch:
-            p._credit_update(v, u, e),
-        )
+        self._return_credits(vc_index, units, epoch)
         return False
 
     def _release_rx(self, vc_index: int, units: int, epoch: int) -> None:
@@ -450,38 +531,110 @@ class Port:
         if self.link is None or self.link.epoch != epoch:
             return  # buffer already resynchronized by a down transition
         rx_use = self._rx_use
-        rx_use[vc_index] = max(0, rx_use[vc_index] - units)
-        peer = self._remote
-        self.env.schedule_callback(
-            self._prop,
-            lambda ev, p=peer, v=vc_index, u=units, e=epoch:
-            p._credit_update(v, u, e),
-        )
+        held = rx_use[vc_index] - units
+        rx_use[vc_index] = held if held > 0 else 0
+        self._return_credits(vc_index, units, epoch)
 
-    def _credit_update(self, vc_index: int, units: int, epoch: int) -> None:
-        if self.link is None or self.link.epoch != epoch or not self.link.up:
-            return
-        if self._credits is None:
-            return  # never transmitted: nothing outstanding to release
+    def _return_credits(self, vc_index: int, units: int, epoch: int) -> None:
+        """Hand ``units`` back to the transmitter at the far end.
+
+        They become visible there one propagation delay from now.  A
+        transmitter blocked on credits needs that as an event; any
+        other applies it from its ledger when it next arbitrates, and
+        only the heap slot the event would have held is reserved.
+        """
+        peer = self._remote
+        env = self.env
+        if peer._blocked:
+            env.schedule_callback(
+                self._prop,
+                lambda ev, p=peer, v=vc_index, u=units, e=epoch:
+                p._credit_event(v, u, e),
+            )
+        else:
+            peer._ledger.append(
+                (env.now + self._prop, env.reserve(), vc_index, units, epoch)
+            )
+
+    # -- credit returns (transmit side) -------------------------------------
+    def _credit_return(self, vc_index: int, units: int, epoch: int) -> bool:
+        """Apply one credit return; False if a link flap voided it."""
+        link = self.link
+        if link is None or link.epoch != epoch or not link.up:
+            return False
         self._credits[vc_index].release(units)
-        self._wake()
+        return True
+
+    def _credit_event(self, vc_index: int, units: int, epoch: int) -> None:
+        if self._credit_return(vc_index, units, epoch):
+            self._wake()
+
+    def _settle(self, now: float, inline: bool = False,
+                drained: bool = False) -> None:
+        """Apply the ledgered returns that have logically arrived.
+
+        ``inline``: on behalf of a kick that ranks after every sequence
+        number drawn so far, so everything due by now has arrived.
+        ``drained``: nothing else will ever run, so all of them have.
+        """
+        ledger = self._ledger
+        env = self.env
+        arrived = 0
+        for due, seq, vc_index, units, epoch in ledger:
+            if not drained and (
+                due > now or not (inline or env.has_passed(due, seq))
+            ):
+                break
+            arrived += 1
+            self._credit_return(vc_index, units, epoch)
+        del ledger[:arrived]
+
+    def _block(self) -> None:
+        """Packets queued, credits for none: wake on the next return.
+
+        The returns still under way become real events, each in its
+        reserved heap slot, so the engine restarts at exactly the
+        instant the first useful one arrives.
+        """
+        self._blocked = True
+        schedule_at = self.env.schedule_at
+        for due, seq, vc_index, units, epoch in self._ledger:
+            schedule_at(
+                due, seq,
+                lambda ev, v=vc_index, u=units, e=epoch:
+                self._credit_event(v, u, e),
+            )
+        self._ledger.clear()
+
+    def _settle_for_read(self) -> None:
+        """Bring the credit counters up to date for introspection.
+
+        Once the environment has no live event left nothing can
+        interleave with the returns still under way, and a drained
+        fabric should read as idle — every counter full — not as
+        whatever the last executed event happened to leave.
+        """
+        if self._ledger:
+            env = self.env
+            self._settle(env.now, drained=env.peek() == Infinity)
 
     # -- introspection ----------------------------------------------------
     def queued_packets(self) -> int:
         """Packets waiting in this port's output queues."""
-        if self._tx_vcs is None:
-            return 0
-        return sum(len(vc) for vc in self._tx_vcs)
+        return self._queued
 
     def vc_stats(self) -> list:
         """Read-only per-VC snapshot: queue depths and credit state.
 
-        A pure read of current state — it touches no counters and
-        schedules nothing, so calling it cannot perturb a golden run.
+        A pure read of current state — it touches no statistics and
+        schedules nothing, so calling it cannot perturb a golden run
+        (credit returns that have arrived but not yet been applied are
+        applied first; arbitration would do the same).
         Lazily-materialized state reads as empty/full (the port never
         transmitted, so nothing is queued and no credit is spent).
         """
         count = self.params.vc_count
+        self._settle_for_read()
         if self._tx_vcs is not None:
             types = [vc.vc_type for vc in self._tx_vcs]
         elif self.params.vc_types:

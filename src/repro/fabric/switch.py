@@ -45,7 +45,7 @@ class Switch(Device):
                   tail_lag: float) -> None:
         if not self.active:
             self.stats.incr("rx_dropped_inactive")
-            Port._run_releases(packet)
+            Port.release_input(packet)
             return
         if packet.header.pi == PI_MULTICAST:
             # The turn-pool field of a multicast packet carries the
@@ -75,7 +75,7 @@ class Switch(Device):
         """Pick the egress port and forward (or drop on route error)."""
         if not self.active:
             self.stats.incr("rx_dropped_inactive")
-            Port._run_releases(packet)
+            Port.release_input(packet)
             return
         header = packet.header
         nports = self._nports
@@ -96,7 +96,7 @@ class Switch(Device):
             if self._trace_hook is not None:
                 self._trace_hook("drop", self, in_port.index, packet,
                                  detail="turn pool error")
-            Port._run_releases(packet)
+            Port.release_input(packet)
             return
 
         out_port = self.ports[egress]
@@ -106,7 +106,7 @@ class Switch(Device):
             if self._trace_hook is not None:
                 self._trace_hook("drop", self, egress, packet,
                                  detail="egress port down")
-            Port._run_releases(packet)
+            Port.release_input(packet)
             return
 
         header.turn_pointer = new_pointer
@@ -121,7 +121,7 @@ class Switch(Device):
         """Hardware multicast: copy to every group port but the ingress."""
         if not self.active:
             self.stats.incr("rx_dropped_inactive")
-            Port._run_releases(packet)
+            Port.release_input(packet)
             return
         egresses = self.mcast_table.egress_ports(group, in_port.index)
         copies = 0
@@ -140,4 +140,4 @@ class Switch(Device):
             out_port.send(clone)
             copies += 1
         self.stats.incr("mcast_replicated", copies)
-        Port._run_releases(packet)
+        Port.release_input(packet)

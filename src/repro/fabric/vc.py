@@ -62,7 +62,10 @@ class VirtualChannel:
 
     def push(self, packet: Packet) -> None:
         """Enqueue a packet into the appropriate queue."""
-        if self.is_bypassable(packet):
+        header = packet.header
+        # ``is_bypassable``, spelled out: this runs once per hop.
+        if (self.vc_type is VCType.BVC and header.ts == 1
+                and header.oo == 0):
             self.bypass.append(packet)
         else:
             self.ordered.append(packet)

@@ -23,7 +23,7 @@ election protocol's controlled flood.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from itertools import count
 from typing import Callable, Optional
 
@@ -40,7 +40,6 @@ from ..fabric.packet import (
 from ..fabric.params import MANAGEMENT_TC
 from ..fabric.port import Port
 from ..sim.monitor import Counter
-from ..sim.resources import Store
 from . import pi4, pi5
 
 #: Default time a device's management entity spends on one PI-4 packet.
@@ -50,7 +49,13 @@ DEFAULT_DEVICE_PROCESSING_TIME = 2.5e-6
 
 
 class ManagementEntity:
-    """Serial management-packet processor attached to a device."""
+    """Serial management-packet processor attached to a device.
+
+    A backlog deque plus one cost timer per packet, the shape of the
+    port's transmit engine: an arriving packet is queued; when the
+    entity is free it decodes the head packet, charges its processing
+    time with a single timer, dispatches it and moves on.
+    """
 
     def __init__(self, device: Device,
                  processing_time: float = DEFAULT_DEVICE_PROCESSING_TIME,
@@ -73,7 +78,12 @@ class ManagementEntity:
         #: consumed by the host, not the management firmware.
         self.app_handler: Optional[Callable[[Packet, Optional[Port]], None]] = None
         self._event_seq = count(1)
-        self._inbox = Store(self.env)
+        #: Packets waiting for the serial processing slot, and whether
+        #: the slot is taken (a cost timer or a hand-over is pending).
+        self._backlog: deque = deque()
+        self._working = False
+        #: ``(packet, port, message)`` being charged its processing time.
+        self._current = None
         #: PI-5 recovery: events are fire-and-forget (no completion to
         #: retry on), so on a lossy fabric each one is blindly repeated
         #: — the CDP/LLDP periodic-advertisement idea.  The FM dedups
@@ -95,9 +105,6 @@ class ManagementEntity:
 
         device.local_handler = self._enqueue
         device.port_state_observer = self._on_port_state
-        self._proc = self.env.process(
-            self._loop(), name=f"mgmt:{device.name}"
-        )
 
     # -- costs -------------------------------------------------------------
     @property
@@ -130,23 +137,61 @@ class ManagementEntity:
             # Let the manager clear request timers at arrival time; the
             # packet still waits for its serial processing slot.
             self.manager.note_packet_arrival(packet)
-        self._inbox.put((packet, port))
+        self._backlog.append((packet, port))
+        if not self._working:
+            self._working = True
+            self._advance()
 
-    def _loop(self):
+    def _advance(self) -> None:
+        """Move on to the head of the backlog.
+
+        A zero-delay heap entry, so whatever else is due at this
+        instant runs first — unless it would be the very next pop
+        anyway, when it runs inline.
+        """
+        if self.env.quiet():
+            self._serve()
+        else:
+            self.env.schedule_callback(0.0, self._serve)
+
+    def _serve(self, _event=None) -> None:
+        """Take backlog packets until one has a processing time to wait
+        out (or something else is due first)."""
+        backlog = self._backlog
+        env = self.env
         while True:
-            packet, port = yield self._inbox.get()
+            packet, port = backlog.popleft()
             message = None
+            decoded = True
             if packet.header.pi == PI_DEVICE_MANAGEMENT:
                 try:
                     message = pi4.decode(packet.payload)
                 except pi4.Pi4Error:
                     self.stats.incr("pi4_decode_errors")
-                    continue
-                packet.meta["pi4_msg"] = message
-            cost = self._cost(packet, message)
-            if cost > 0:
-                yield self.env.timeout(cost)
-            self._dispatch(packet, port, message)
+                    decoded = False
+                else:
+                    packet.meta["pi4_msg"] = message
+            if decoded:
+                cost = self._cost(packet, message)
+                if cost > 0:
+                    self._current = (packet, port, message)
+                    env.schedule_callback(cost, self._complete)
+                    return
+                self._dispatch(packet, port, message)
+            if not backlog:
+                self._working = False
+                return
+            if not env.quiet():
+                env.schedule_callback(0.0, self._serve)
+                return
+
+    def _complete(self, _event=None) -> None:
+        """The current packet's processing time has elapsed."""
+        self._dispatch(*self._current)
+        if self._backlog:
+            self._advance()
+        else:
+            self._working = False
 
     def _dispatch(self, packet: Packet, port: Optional[Port],
                   message) -> None:
@@ -183,8 +228,8 @@ class ManagementEntity:
             # Duplicate of a request already served (the requester
             # retried while the original completion was in flight, or
             # the link layer replayed the request).  Resend the cached
-            # completion; the processing time was charged by the inbox
-            # loop exactly as for a first-time request.
+            # completion; the processing time was charged by ``_serve``
+            # exactly as for a first-time request.
             self.stats.incr("duplicate_requests")
             self._served_replies.move_to_end(message.tag)
             self._send_reply(packet, port, reply)
@@ -245,7 +290,7 @@ class ManagementEntity:
         A zero-turn route (``turn_pointer == 0``) is still a real route:
         it addresses the device directly attached to ``out_port``.  Pass
         ``out_port=None`` to address the *local* device instead — the
-        request is looped back through the inbox, modelling the FM
+        request is looped back through the backlog, modelling the FM
         reading its own endpoint's configuration space.
         """
         header = make_management_header(

@@ -77,6 +77,17 @@ class Pi4Message:
 
     msg_type = 0x00  # overridden
 
+    def with_tag(self, tag: int) -> "Pi4Message":
+        """A copy of this message carrying ``tag``.
+
+        The requester stamps every request once; the other fields were
+        validated when the message was built, so this copies them
+        as they are instead of going back through ``__init__``.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, tag=tag)
+        return clone
+
     def _head(self, count: int, status: int) -> bytes:
         return _HEAD.pack(
             self.msg_type, count, self.cap_id, status, self.offset,

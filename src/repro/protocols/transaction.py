@@ -33,7 +33,7 @@ configuration-space access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count
 from typing import Any, Callable, Dict, Optional
 
@@ -204,7 +204,7 @@ class TransactionEngine:
         observability span under the caller's span (tracing only).
         """
         tag = next(self._tags)
-        message = replace(message, tag=tag)
+        message = message.with_tag(tag)
         if timeout is not None:
             period, backoff = timeout, 1.0
         elif self.policy is not None:

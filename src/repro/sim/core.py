@@ -32,15 +32,31 @@ class Environment:
         Starting value of the simulation clock (seconds).
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_process", "_tombstones")
+    __slots__ = ("_now", "_queue", "_eid", "_active_process", "_tombstones",
+                 "_seq", "_dispatching", "_executed", "_high_water",
+                 "_compactions", "reserve")
 
     def __init__(self, initial_time: float = 0.0):
         self._now: float = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = count()
+        #: ``reserve() -> int``: draw the sequence number a push at this
+        #: point would get, without pushing (see "deferred
+        #: materialisation" below).  Bound straight to the counter: it
+        #: is called for every elided event.
+        self.reserve: Callable[[], int] = self._eid.__next__
         self._active_process: Optional[Process] = None
         #: Cancelled-but-not-yet-popped entries still on the heap.
         self._tombstones: int = 0
+        #: Sequence number of the last NORMAL entry popped at the
+        #: current instant (-1: none yet) — see :meth:`has_passed`.
+        self._seq: int = -1
+        #: True while :meth:`run` / :meth:`step` is executing callbacks.
+        self._dispatching: bool = False
+        #: Vitals (see :meth:`vitals`).
+        self._executed: int = 0
+        self._high_water: int = 0
+        self._compactions: int = 0
 
     def __repr__(self):  # pragma: no cover - debugging aid
         pending = len(self._queue) - self._tombstones
@@ -106,6 +122,74 @@ class Environment:
         )
         return handle
 
+    # -- deferred materialisation ----------------------------------------
+    # A caller whose timer would do nothing unless something else
+    # happens first (a port's serialization-done timer with an empty
+    # queue, a credit return to a sender with nothing to send) can
+    # *reserve* the timer's heap slot instead of pushing it, and push
+    # it later only if it turns out to matter.  ``reserve()`` and the
+    # three methods below make that order-exact: the late push lands exactly where the
+    # eager one would have, ties at equal timestamps included.
+
+    def schedule_at(self, time: float, seq: int,
+                    fn: Callable[[Event], None]) -> Deferred:
+        """Push ``fn`` at absolute ``time`` under a reserved ``seq``.
+
+        Raises :class:`SimulationError` once ``has_passed(time, seq)``:
+        the entry would run out of order (or move the clock back).
+        """
+        if self.has_passed(time, seq):
+            raise SimulationError(
+                f"slot ({time}, {seq}) has already passed at {self._now}"
+            )
+        handle = Deferred(fn)
+        heappush(self._queue, (time, NORMAL, seq, handle))
+        return handle
+
+    def has_passed(self, time: float, seq: int) -> bool:
+        """Whether a NORMAL entry ``(time, seq)`` would already have run.
+
+        Exact at equal timestamps: among same-instant NORMAL entries
+        the heap pops in sequence order, so the entry has run iff a
+        later-numbered one has been popped at this instant.
+        """
+        return time < self._now or (time == self._now and seq < self._seq)
+
+    def quiet(self) -> bool:
+        """True when a zero-delay callback scheduled now would be the
+        very next pop — no other heap entry at the current instant — so
+        a handler may run it inline instead.  Never true outside event
+        dispatch: code between runs is not a handler, and what it
+        schedules must wait for the run.
+        """
+        queue = self._queue
+        return self._dispatching and (
+            not queue or queue[0][0] > self._now
+        )
+
+    def vitals(self) -> dict:
+        """Snapshot of the kernel's own counters.
+
+        ``events_executed`` counts callbacks-run heap entries;
+        ``sequence_numbers_drawn`` also includes cancelled entries and
+        numbers reserved but never pushed, so it over-counts work done.
+        ``run`` keeps its counts in loop locals and stores them on
+        exit; inside a callback of a ``run`` in progress the executed
+        count and high-water mark are those at the start of that run.
+        ``run`` samples the heap depth every 64th event (``step``: every
+        event), so a peak shorter than that can escape
+        ``heap_high_water``.
+        """
+        return {
+            "events_executed": self._executed,
+            # ``count`` has no peek; its repr is ``count(n)``.
+            "sequence_numbers_drawn": int(repr(self._eid)[6:-1]),
+            "heap_depth": len(self._queue) - self._tombstones,
+            "heap_high_water": max(self._high_water, len(self._queue)),
+            "tombstones": self._tombstones,
+            "compactions": self._compactions,
+        }
+
     def cancel(self, event: Event) -> bool:
         """Cancel a scheduled-but-unprocessed event.
 
@@ -137,6 +221,7 @@ class Environment:
             ]
             heapq.heapify(self._queue)
             self._tombstones = 0
+            self._compactions += 1
         return True
 
     def peek(self) -> float:
@@ -159,19 +244,30 @@ class Environment:
             If no live events remain.
         """
         queue = self._queue
+        if len(queue) > self._high_water:
+            self._high_water = len(queue)
         while True:
             if not queue:
                 raise EmptySchedule("no scheduled events")
-            now, _, _, event = heappop(queue)
+            now, priority, seq, event = heappop(queue)
             if not event._cancelled:
                 break
             # Tombstone: discard without touching the clock.
             self._tombstones -= 1
+        if priority:
+            self._seq = seq
+        elif now != self._now:
+            self._seq = -1
         self._now = now
+        self._executed += 1
 
         callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
+        self._dispatching = True
+        try:
+            for callback in callbacks:
+                callback(event)
+        finally:
+            self._dispatching = False
 
         if not event._ok and not event._defused:
             # An unhandled failure crashes the run.
@@ -207,19 +303,32 @@ class Environment:
         # lookups saved per event is a measurable fraction of kernel
         # time at millions of events per run.  ``cancel`` compacts the
         # heap in place, so the local alias stays valid.
+        # The vitals are counted in locals too and stored on exit: one
+        # add and one mask test per event, the heap depth sampled every
+        # 64th (``len`` per event is a call the loop can do without).
         queue = self._queue
         pop = heappop
+        executed = 0
+        high = self._high_water
+        self._dispatching = True
         try:
             while True:
+                if not executed & 63 and len(queue) > high:
+                    high = len(queue)
                 while True:
                     if not queue:
                         raise EmptySchedule("no scheduled events")
-                    now, _, _, event = pop(queue)
+                    now, priority, seq, event = pop(queue)
                     if not event._cancelled:
                         break
                     # Tombstone: discard without touching the clock.
                     self._tombstones -= 1
+                if priority:
+                    self._seq = seq
+                elif now != self._now:
+                    self._seq = -1
                 self._now = now
+                executed += 1
 
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
@@ -234,6 +343,10 @@ class Environment:
                 raise SimulationError(
                     "no scheduled events left but 'until' event was not triggered"
                 ) from None
+        finally:
+            self._dispatching = False
+            self._executed += executed
+            self._high_water = high
         return None
 
 

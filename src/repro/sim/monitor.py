@@ -8,6 +8,7 @@ periods, event counts) with :class:`Monitor`, and aggregates them with
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 
@@ -70,24 +71,25 @@ class Counter:
     __slots__ = ("_counts", "_observer", "incr")
 
     def __init__(self):
-        self._counts: Dict[str, int] = {}
+        #: A defaultdict so the hot path is one in-place add, no lookup
+        #: call; reads go through ``get`` and never insert.
+        self._counts: Dict[str, int] = defaultdict(int)
         self._observer: Optional[Callable[[str, int], None]] = None
         self._rebind()
 
     def _rebind(self) -> None:
         """(Re)build the ``incr`` fast path for the current observer."""
         counts = self._counts
-        get = counts.get
         observer = self._observer
         if observer is None:
 
             def incr(key: str, amount: int = 1) -> None:
-                counts[key] = get(key, 0) + amount
+                counts[key] += amount
 
         else:
 
             def incr(key: str, amount: int = 1) -> None:
-                counts[key] = get(key, 0) + amount
+                counts[key] += amount
                 observer(key, amount)
 
         self.incr = incr

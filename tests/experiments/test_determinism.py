@@ -156,3 +156,60 @@ class TestGoldenLoadScenario:
         assert first == second
         assert first["packets_injected"] > 0
         assert first["database_correct"] is True
+
+
+class TestContendedOrderExactness:
+    """Runs whose ports are contended — queues non-empty, credits
+    blocking, same-instant ties everywhere — pinned to the values the
+    always-schedule event chain produced (recorded at PR 11's tree,
+    before the port and the management entity stopped scheduling
+    events nothing can observe).  An elision that keeps every
+    timestamp but reorders one tie moves these."""
+
+    def test_loaded_mesh_bit_identical(self):
+        result = Scenario(kind="load", topology="4x4 mesh",
+                          traffic={"load": 0.6}, seed=0).run()
+        assert result.discovery_time == 0.004340286862069136
+        assert result.assimilation_time == 0.004051717059895854
+        assert result.packets_injected == 78254
+        assert result.packets_delivered == 66934
+        assert result.database_correct is True
+
+    def test_bursty_hotspot_on_mixed_mapping_bit_identical(self):
+        """Management queues behind application packets on one VC."""
+        from dataclasses import replace
+
+        from repro.experiments.load import TC_MAPPINGS
+        from repro.fabric.params import DEFAULT_PARAMS
+
+        params = replace(DEFAULT_PARAMS, tc_vc_map=TC_MAPPINGS["mixed"])
+        result = Scenario(
+            kind="load", topology="4x4 mesh", seed=1, params=params,
+            traffic={"load": 0.5, "arrival": "bursty",
+                     "pattern": "hotspot"},
+        ).run()
+        assert result.mapping == "mixed"
+        assert result.discovery_time == 0.004336876410435322
+        assert result.assimilation_time == 0.004045535000000054
+        assert result.detection_latency == 1.5079999999887891e-05
+        assert result.packets_injected == 69399
+        assert result.packets_delivered == 18718
+        assert result.database_correct is True
+
+    def test_lossy_replaying_links_under_load_bit_identical(self):
+        """A link-layer replay holds the lane for two serializations
+        and takes a second set of credits."""
+        from dataclasses import replace
+
+        from repro.fabric.params import DEFAULT_PARAMS
+
+        params = replace(DEFAULT_PARAMS, duplicate_rate=0.05,
+                         packet_loss_rate=0.002, error_seed=5)
+        result = Scenario(kind="load", topology="3x3 mesh", seed=2,
+                          params=params, traffic={"load": 0.4}).run()
+        assert result.discovery_time == 0.0037726178809587055
+        assert result.assimilation_time == 0.003151647564533386
+        assert result.detection_latency == 1.363100000000006e-05
+        assert result.packets_injected == 23947
+        assert result.packets_delivered == 22429
+        assert result.database_correct is True

@@ -4,16 +4,25 @@ Pins the mega-scale contract at a size tier-1 can afford: the
 992-device ``dragonfly-k8m62`` builds, completes a full parallel
 discovery, and does so within a pinned kernel-event budget — so event
 blow-ups (accidental per-port work, retry storms, route churn) fail
-the suite instead of only showing up in the scale bench.
+the suite instead of only showing up in the scale bench.  A second
+budget pins the kernel events one packet hop costs.
 """
 
 from repro.experiments.runner import build_simulation, run_until_ready
-from repro.topology import resolve_topology
+from repro.topology import make_mesh, resolve_topology
 
-#: Kernel events scheduled for the whole run (measured 847,323 on the
-#: tree that introduced the generators; headroom for small refactors,
-#: tight enough to catch a per-device or per-port regression).
-EVENT_BUDGET = 950_000
+#: Kernel events executed for the whole run (measured 348,846 with the
+#: port's and the management entity's unobservable events elided —
+#: 847,323 were scheduled before; headroom for small refactors, tight
+#: enough to catch a per-device or per-port regression).
+EVENT_BUDGET = 380_000
+
+#: Kernel events executed per port transmission on a Fig. 6 mesh
+#: discovery: measured 2.243 (the head's arrival at the next port, the
+#: switch's routing latency, and the management entity's one timer per
+#: packet, spread over the hops), plus 5%.  The always-schedule chain
+#: ran 5.5, so one reintroduced per-hop event fails here.
+EVENTS_PER_TRANSMISSION_CEILING = 2.36
 
 
 class TestThousandDeviceDragonfly:
@@ -24,8 +33,25 @@ class TestThousandDeviceDragonfly:
         assert devices == 992
         stats = run_until_ready(setup)
         assert stats.devices_found == devices
-        events = next(setup.env._eid)
+        events = setup.env.vitals()["events_executed"]
         assert events <= EVENT_BUDGET, (
-            f"discovery of {devices} devices scheduled {events:,} events "
+            f"discovery of {devices} devices executed {events:,} events "
             f"(budget {EVENT_BUDGET:,})"
+        )
+
+
+class TestEventsPerHop:
+    def test_mesh_discovery_stays_under_the_per_transmission_ceiling(self):
+        setup = build_simulation(make_mesh(8, 8), algorithm="parallel")
+        run_until_ready(setup)
+        transmissions = sum(
+            port.stats["tx_packets"]
+            for device in setup.fabric.devices.values()
+            for port in device.ports
+        )
+        assert transmissions == 23_738
+        per_hop = setup.env.vitals()["events_executed"] / transmissions
+        assert per_hop <= EVENTS_PER_TRANSMISSION_CEILING, (
+            f"{per_hop:.3f} kernel events per port transmission "
+            f"(ceiling {EVENTS_PER_TRANSMISSION_CEILING})"
         )

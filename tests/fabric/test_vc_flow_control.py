@@ -95,6 +95,20 @@ class TestCreditCounter:
         assert big.triggered
         assert not small.triggered
 
+    def test_take_reserves_without_an_event_or_refuses(self):
+        env = Environment()
+        counter = CreditCounter(env, capacity=4)
+        assert counter.take(3) is None
+        assert counter.available == 1
+        with pytest.raises(CreditError, match="1 credits available"):
+            counter.take(2)
+        assert counter.available == 1
+        # It never jumps a queued grant either.
+        counter.consume(4)
+        with pytest.raises(CreditError, match="1 grants queued"):
+            counter.take(1)
+        assert env.vitals()["sequence_numbers_drawn"] == 0
+
     def test_oversized_request_rejected(self):
         env = Environment()
         counter = CreditCounter(env, capacity=4)

@@ -134,6 +134,50 @@ def test_device_processing_time_is_charged(rig):
     assert env.now >= t_device
 
 
+def test_backlog_is_served_serially_one_processing_time_each(rig):
+    """Five requests arrive within a microsecond; the switch's entity
+    serves them in order, one ``device_time`` apart, and an undecodable
+    packet in the middle costs nothing and wedges nothing."""
+    from repro.fabric.packet import (
+        PI_DEVICE_MANAGEMENT, Packet, make_management_header,
+    )
+
+    env, fabric, entities = rig
+    manager = Recorder()
+    entities["ep"].manager = manager
+    served = []
+    execute = entities["sw"]._execute_request
+
+    def spy(port, message):
+        served.append((env.now, message.tag))
+        return execute(port, message)
+    entities["sw"]._execute_request = spy
+
+    for tag in (1, 2):
+        entities["ep"].send_pi4(
+            pi4.ReadRequest(cap_id=BASELINE_CAP_ID, offset=0, tag=tag),
+            turn_pool=0, turn_pointer=0)
+    fabric.device("ep").inject(Packet(
+        header=make_management_header(0, 0, pi=PI_DEVICE_MANAGEMENT),
+        payload=b"\x01garbage",
+    ))
+    for tag in (3, 4):
+        entities["ep"].send_pi4(
+            pi4.ReadRequest(cap_id=BASELINE_CAP_ID, offset=0, tag=tag),
+            turn_pool=0, turn_pointer=0)
+    env.run()
+
+    assert [tag for _t, tag in served] == [1, 2, 3, 4]
+    t_device = entities["sw"].device_time
+    gaps = [b - a for (a, _), (b, _) in zip(served, served[1:])]
+    assert gaps == pytest.approx([t_device] * 3)
+    assert entities["sw"].stats["pi4_decode_errors"] == 1
+    assert entities["sw"].stats["rx_mgmt_packets"] == 5
+    assert [pi4.decode(p.payload).tag for p in manager.packets] == \
+        [1, 2, 3, 4]
+    assert not entities["sw"]._working and not entities["sw"]._backlog
+
+
 def test_processing_factor_speeds_up_device():
     env = Environment()
     fabric = Fabric(env)

@@ -31,6 +31,17 @@ class TestPi4Encoding:
         done = pi4.WriteCompletion(cap_id=5, offset=0, tag=3)
         assert pi4.decode(done.pack()) == done
 
+    def test_with_tag_copies_every_other_field(self):
+        for msg in (
+            pi4.ReadRequest(cap_id=2, offset=6, tag=0, count=8),
+            pi4.WriteRequest(cap_id=5, offset=1, tag=0, data=(7, 9)),
+        ):
+            stamped = msg.with_tag(0xBEEF)
+            assert msg.tag == 0  # the original is untouched
+            assert type(stamped) is type(msg)
+            assert stamped == type(msg)(**{**vars(msg), "tag": 0xBEEF})
+            assert pi4.decode(stamped.pack()) == stamped
+
     def test_count_bounds(self):
         with pytest.raises(pi4.Pi4Error):
             pi4.ReadRequest(cap_id=0, offset=0, tag=0, count=0)

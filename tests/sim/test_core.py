@@ -170,3 +170,89 @@ def test_cancel_preserves_heap_order():
     env.cancel(victim)
     env.run()
     assert stamps == [1.0, 3.0, 5.0]
+
+
+# -- deferred materialisation: reserve / schedule_at / has_passed / quiet ------
+
+def test_reserved_slot_pushed_late_runs_where_the_eager_push_would():
+    """Three timers tie at t=1; the middle one is reserved at its draw
+    point and only pushed later — it still runs in the middle."""
+    env = Environment()
+    order = []
+    env.schedule_callback(1.0, lambda ev: order.append("a"))
+    middle = env.reserve()
+    env.schedule_callback(1.0, lambda ev: order.append("c"))
+    env.schedule_callback(
+        0.5, lambda ev: env.schedule_at(
+            1.0, middle, lambda ev: order.append("b")))
+    env.run()
+    assert order == ["a", "b", "c"]
+
+
+def test_schedule_at_refuses_a_slot_that_has_passed():
+    env = Environment()
+    slot = env.reserve()
+    env.timeout(1.0)
+    env.run()
+    with pytest.raises(SimulationError, match="already passed"):
+        env.schedule_at(1.0, slot, lambda ev: None)
+    with pytest.raises(SimulationError, match="already passed"):
+        env.schedule_at(0.5, env.reserve(), lambda ev: None)
+
+
+def test_has_passed_is_exact_at_equal_timestamps():
+    env = Environment()
+    seen = {}
+    before = env.reserve()
+    env.schedule_callback(
+        1.0, lambda ev: seen.update(before=env.has_passed(1.0, before),
+                                    after=env.has_passed(1.0, after)))
+    after = env.reserve()
+    assert not env.has_passed(1.0, before)  # t=0: nothing at t=1 has run
+    env.run()
+    assert seen == {"before": True, "after": False}
+    assert env.has_passed(0.5, after)       # strictly earlier instant
+    assert not env.has_passed(1.5, before)  # strictly later instant
+
+
+def test_urgent_event_at_a_new_instant_means_no_normal_entry_has_run():
+    env = Environment()
+    slot = env.reserve()
+    env.run(until=1.0)  # stops on an URGENT marker, ahead of t=1's timers
+    assert env.now == 1.0
+    assert not env.has_passed(1.0, slot)
+
+
+def test_quiet_only_inside_dispatch_with_nothing_else_due_now():
+    env = Environment()
+    assert not env.quiet()  # between runs nothing is a handler
+    seen = []
+    env.schedule_callback(1.0, lambda ev: seen.append(env.quiet()))
+    env.schedule_callback(1.0, lambda ev: seen.append(env.quiet()))
+    env.schedule_callback(2.0, lambda ev: None)
+    env.run()
+    # First t=1 handler: its twin is still due.  Second: only t=2 left.
+    assert seen == [False, True]
+    assert not env.quiet()
+
+
+def test_vitals_counts_executed_events_not_drawn_numbers():
+    env = Environment()
+    assert env.vitals() == {
+        "events_executed": 0, "sequence_numbers_drawn": 0,
+        "heap_depth": 0, "heap_high_water": 0,
+        "tombstones": 0, "compactions": 0,
+    }
+    for i in range(5):
+        env.timeout(1.0 + i)
+    env.reserve()                 # drawn, never pushed
+    env.cancel(env.timeout(9.0))  # pushed, never executed
+    assert env.vitals() == env.vitals()  # reading draws nothing
+    env.run(until=3.5)
+    vitals = env.vitals()
+    assert vitals["events_executed"] == 4  # three timers + the marker
+    assert vitals["sequence_numbers_drawn"] == 8
+    assert vitals["heap_depth"] == 2 and vitals["tombstones"] == 1
+    assert vitals["heap_high_water"] == 7
+    env.step()
+    assert env.vitals()["events_executed"] == 5
