@@ -26,14 +26,12 @@ Quick start::
 
 from .experiments import (
     ExperimentResult,
-    Job,
     RunFailure,
+    Scenario,
     SweepError,
     SweepReport,
     build_simulation,
-    change_job,
     database_matches_fabric,
-    initial_job,
     run_many,
     run_sweep,
     run_until_discovery_count,
@@ -83,7 +81,6 @@ __all__ = [
     "FabricManager",
     "FaultInjector",
     "FabricParams",
-    "Job",
     "ManagementEntity",
     "PARALLEL",
     "PacketTracer",
@@ -93,6 +90,7 @@ __all__ = [
     "RunFailure",
     "SERIAL_DEVICE",
     "SERIAL_PACKET",
+    "Scenario",
     "StandbyManager",
     "SweepError",
     "SweepReport",
@@ -103,9 +101,7 @@ __all__ = [
     "Workload",
     "WorkloadSet",
     "build_simulation",
-    "change_job",
     "database_matches_fabric",
-    "initial_job",
     "make_fattree",
     "make_irregular",
     "make_mesh",

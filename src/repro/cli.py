@@ -71,6 +71,9 @@ import argparse
 import sys
 from typing import List, Optional, Tuple
 
+from .experiments.churn import DEFAULT_MEAN_INTERVAL
+from .experiments.executor import run_sweep
+from .experiments.family import ALGORITHM, MANAGER, Axis, Family, report
 from .experiments.figures import (
     figure4,
     figure6,
@@ -79,48 +82,12 @@ from .experiments.figures import (
     figure9,
     figure_table1,
 )
-from .experiments.churn import (
-    DEFAULT_FAULTS,
-    DEFAULT_MEAN_INTERVAL,
-    render_churn,
-    summarize_churn,
-    sweep_churn,
-)
-from .experiments.executor import run_many
-from .experiments.failover import (
-    DEFAULT_FAULTS as FAILOVER_FAULTS,
-    DEFAULT_HEARTBEAT,
-    DEFAULT_MISS_THRESHOLD,
-    render_failover,
-    summarize_failover,
-    sweep_failover,
-)
-from .experiments.load import (
-    DEFAULT_LOADS,
-    TC_MAPPINGS,
-    render_load,
-    summarize_load,
-    sweep_load,
-)
-from .experiments.reliability import (
-    DEFAULT_BIT_ERROR_RATES,
-    render_reliability,
-    summarize_reliability,
-    sweep_reliability,
-)
 from .experiments.report import render_kv, render_phase_breakdown
+from .experiments.scenario import FAMILIES, Scenario
 from .experiments.shrink import DEFAULT_MAX_ATTEMPTS
-from .experiments.scenario import Scenario
-from .manager.timing import ALGORITHMS, PARALLEL, ProcessingTimeModel
-from .topology.registry import (
-    GENERATOR_FAMILIES,
-    canonical_topology_name,
-)
-from .topology.table1 import ALIASES, TABLE1_NAMES
-
-#: ``--manager`` accepts the FM flavours plus, as a shorthand, the
-#: algorithm keys (resolved by :func:`resolve_variant`).
-MANAGER_CHOICES = ("full", "partial") + tuple(ALGORITHMS)
+from .experiments.sweep import plan, representative
+from .manager.timing import ALGORITHMS, PARALLEL
+from .topology.registry import canonical_topology_name, topology_catalog
 
 
 def resolve_variant(manager: str, algorithm: str) -> Tuple[str, str]:
@@ -155,30 +122,27 @@ def _topology_parent(default: str) -> argparse.ArgumentParser:
     return parent
 
 
-def _algorithm_parent() -> argparse.ArgumentParser:
+def _add_axis(parser: argparse.ArgumentParser, axis: Axis) -> None:
+    """One family setting as an argparse flag (``dest`` = axis name)."""
+    if axis.default is False:
+        parser.add_argument(axis.flag, dest=axis.name, help=axis.help,
+                            action="store_true")
+        return
+    kwargs = dict(dest=axis.name, help=axis.help, type=axis.type,
+                  choices=axis.choices, metavar=axis.metavar,
+                  default=axis.default)
+    if axis.every is not None:
+        kwargs.update(choices=(axis.every, *axis.default),
+                      default=axis.every)
+    elif axis.swept:
+        kwargs.update(action="append", default=None)
+    parser.add_argument(axis.flag, **kwargs)
+
+
+def _axes_parent(*axes: Axis) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--algorithm", default=PARALLEL,
-                        choices=list(ALGORITHMS))
-    return parent
-
-
-def _algorithms_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--algorithm", action="append", default=None,
-                        choices=list(ALGORITHMS), dest="algorithms",
-                        help="algorithm to sweep (repeatable; "
-                             "default: all three)")
-    return parent
-
-
-def _manager_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--manager", default="full", choices=MANAGER_CHOICES,
-        help="FM flavour (full/partial), or an algorithm key as "
-             "shorthand for the full FM running that algorithm "
-             "(default full)",
-    )
+    for axis in axes:
+        _add_axis(parent, axis)
     return parent
 
 
@@ -224,122 +188,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", help="print Table 1")
     sub.add_parser("list", help="list topologies and algorithms")
 
-    discover = sub.add_parser(
-        "discover", help="run one discovery",
-        parents=[_topology_parent("3x3 mesh"), _algorithm_parent(),
-                 _manager_parent(), _sweep_parent(), _trace_parent(),
-                 _profile_parent()],
-    )
-    discover.add_argument("--fm-factor", type=float, default=1.0)
-    discover.add_argument("--device-factor", type=float, default=1.0)
-
-    change = sub.add_parser(
-        "change", help="change-assimilation experiment",
-        parents=[_topology_parent("4x4 mesh"), _algorithm_parent(),
-                 _manager_parent(), _sweep_parent(), _trace_parent(),
-                 _profile_parent()],
-    )
-    change.add_argument("--kind", default="remove_switch",
-                        choices=("remove_switch", "add_switch"))
-
-    reliability = sub.add_parser(
-        "reliability", help="discovery-under-loss sweep",
-        parents=[_topology_parent("3x3 mesh"), _algorithms_parent(),
-                 _manager_parent(), _sweep_parent(), _trace_parent(),
-                 _profile_parent()],
-    )
-    reliability.add_argument("--ber", action="append", type=float,
-                             default=None, dest="bers", metavar="RATE",
-                             help="bit error rate to sweep (repeatable; "
-                                  "default: %s)" % (
-                                      ", ".join(
-                                          f"{r:g}"
-                                          for r in DEFAULT_BIT_ERROR_RATES
-                                      )))
-
-    churn = sub.add_parser(
-        "churn", help="mid-discovery churn soak",
-        parents=[_topology_parent("4x4 mesh"), _algorithms_parent(),
-                 _manager_parent(), _sweep_parent(), _trace_parent(),
-                 _profile_parent()],
-    )
-    churn.add_argument("--faults", type=int, default=DEFAULT_FAULTS,
-                       help="faults injected per run (default "
-                            f"{DEFAULT_FAULTS})")
-    churn.add_argument("--mean-interval", type=float,
-                       default=DEFAULT_MEAN_INTERVAL, metavar="SECONDS",
-                       help="mean seconds between faults (default "
-                            f"{DEFAULT_MEAN_INTERVAL:g})")
-
-    failover = sub.add_parser(
-        "failover", help="FM kill/takeover experiment",
-        parents=[_topology_parent("4x4 mesh"), _algorithm_parent(),
-                 _sweep_parent(), _trace_parent(), _profile_parent()],
-    )
-    failover.add_argument(
-        "--mode", default="both", choices=("both", "warm", "cold"),
-        help="standby takeover mode(s) to sweep (default both)")
-    failover.add_argument(
-        "--manager", default="partial", choices=("full", "partial"),
-        help="FM flavour for primary and standby (default partial; "
-             "warm takeover repairs via the partial manager's burst "
-             "machinery)")
-    failover.add_argument(
-        "--faults", type=int, default=None,
-        help="churn faults injected before the kill "
-             f"(default {FAILOVER_FAULTS})")
-    failover.add_argument(
-        "--mean-interval", type=float, default=DEFAULT_MEAN_INTERVAL,
-        metavar="SECONDS",
-        help="mean seconds between churn faults (default "
-             f"{DEFAULT_MEAN_INTERVAL:g})")
-    failover.add_argument(
-        "--heartbeat", type=float, default=DEFAULT_HEARTBEAT,
-        metavar="SECONDS", dest="heartbeat_interval",
-        help="standby heartbeat probe interval (default "
-             f"{DEFAULT_HEARTBEAT:g})")
-    failover.add_argument(
-        "--miss-threshold", type=int, default=DEFAULT_MISS_THRESHOLD,
-        help="consecutive missed heartbeats before takeover "
-             f"(default {DEFAULT_MISS_THRESHOLD})")
-    failover.add_argument(
-        "--restart-primary", action="store_true",
-        help="resurrect the old primary after takeover and verify "
-             "the ownership-epoch fence demotes it")
-
-    load = sub.add_parser(
-        "load", help="discovery-under-traffic sweep",
-        parents=[_topology_parent("4x4 mesh"), _algorithms_parent(),
-                 _manager_parent(), _sweep_parent(), _trace_parent(),
-                 _profile_parent()],
-    )
-    load.add_argument("--load", action="append", type=float,
-                      default=None, dest="loads", metavar="FRACTION",
-                      help="offered load per endpoint to sweep, in "
-                           "[0, 1] (repeatable; default: %s; keep 0 in "
-                           "the list — it is the inflation baseline)"
-                           % ", ".join(f"{x:g}" for x in DEFAULT_LOADS))
-    load.add_argument("--mapping", action="append", default=None,
-                      dest="mappings", choices=sorted(TC_MAPPINGS),
-                      help="TC->VC mapping to sweep: bvc = management "
-                           "on the strict-priority bypass VC, mixed = "
-                           "everything on one VC (repeatable; default "
-                           "both)")
-    load.add_argument("--arrival", default="poisson",
-                      choices=("poisson", "bursty", "constant"),
-                      help="traffic arrival process (default poisson)")
-    load.add_argument("--pattern", default="uniform",
-                      choices=("uniform", "permutation", "hotspot"),
-                      help="destination pattern (default uniform)")
+    for family in FAMILIES.values():
+        sub.add_parser(
+            family.kind, help=family.help,
+            parents=[_topology_parent(family.topology),
+                     _axes_parent(*family.axes), _sweep_parent(),
+                     _trace_parent(), _profile_parent()],
+        )
 
     trace = sub.add_parser(
         "trace", help="run one traced scenario, export its timeline",
-        parents=[_topology_parent("4x4 mesh"), _algorithm_parent(),
-                 _manager_parent(), _profile_parent()],
+        parents=[_topology_parent("4x4 mesh"),
+                 _axes_parent(ALGORITHM, MANAGER), _profile_parent()],
     )
     trace.add_argument("--kind", default="discover",
-                       choices=("discover", "change", "reliability",
-                                "churn"))
+                       choices=tuple(FAMILIES))
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument("--out", metavar="PATH", required=True,
                        help="Chrome-trace JSON output path")
@@ -351,7 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     figure = sub.add_parser(
         "figure", help="regenerate a paper figure",
-        parents=[_manager_parent(), _trace_parent(), _profile_parent()],
+        parents=[_axes_parent(MANAGER), _trace_parent(),
+                 _profile_parent()],
     )
     figure.add_argument("number", choices=("4", "6", "7", "8", "9"))
     figure.add_argument("--quick", action="store_true",
@@ -403,8 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve", help="host a live simulation behind a JSON API",
-        parents=[_topology_parent("4x4 mesh"), _algorithm_parent(),
-                 _manager_parent()],
+        parents=[_topology_parent("4x4 mesh"),
+                 _axes_parent(ALGORITHM, MANAGER)],
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
@@ -503,18 +367,6 @@ def _export_trace(scenario: Scenario, out: str,
     return 0 if not (tree_problems or schema_problems) else 1
 
 
-def _representative(args, kind: str, algorithm: str,
-                    **extra) -> Scenario:
-    """The single traced scenario a ``--trace PATH`` flag runs."""
-    manager, algorithm = resolve_variant(
-        getattr(args, "manager", "full"), algorithm
-    )
-    return Scenario(
-        kind=kind, topology=args.topology, algorithm=algorithm,
-        manager=manager, seed=getattr(args, "seed", 0), **extra,
-    )
-
-
 # -- commands -----------------------------------------------------------------
 
 def _cmd_table1(args) -> int:
@@ -523,16 +375,19 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _cmd_list(args) -> int:
-    print("Topologies (Table 1):")
-    reverse = {name: alias for alias, name in ALIASES.items()}
-    for name in TABLE1_NAMES:
-        alias = reverse.get(name)
-        suffix = f"  (alias: {alias})" if alias else ""
-        print(f"  {name}{suffix}")
+def _print_catalog(heading: str) -> None:
+    catalog = topology_catalog()
+    print(heading)
+    for entry in catalog["table1"]:
+        suffix = f"  (alias: {entry['alias']})" if entry["alias"] else ""
+        print(f"  {entry['name']}{suffix}")
     print("\nGenerator families (parameterised names):")
-    for line in GENERATOR_FAMILIES:
+    for line in catalog["families"]:
         print(f"  {line}")
+
+
+def _cmd_list(args) -> int:
+    _print_catalog("Topologies (Table 1):")
     print("\nDiscovery algorithms:")
     for algorithm in ALGORITHMS:
         print(f"  {algorithm}")
@@ -542,209 +397,46 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _cmd_discover(args) -> int:
-    manager, algorithm = resolve_variant(args.manager, args.algorithm)
-    timing = ProcessingTimeModel(fm_factor=args.fm_factor,
-                                 device_factor=args.device_factor)
+def _axis_values(family: Family, args) -> dict:
+    """The family's settings as parsed: swept flags as value tuples,
+    the ``--manager`` algorithm shorthand resolved."""
+    values = {}
+    for axis in family.axes:
+        value = getattr(args, axis.name)
+        if axis.every is not None:
+            value = axis.default if value == axis.every else (value,)
+        elif axis.swept:
+            value = axis.default if value is None else tuple(value)
+        values[axis.name] = value
+    values["manager"], algorithm = resolve_variant(values["manager"], None)
+    if algorithm is not None:
+        for axis in family.axes:
+            if axis.field == "algorithm":
+                values[axis.name] = (algorithm,) if axis.swept else algorithm
+    return values
+
+
+def _cmd_family(args) -> int:
+    """Every experiment family's command: sweep the declared axes over
+    the seeds, print the family's report, optionally trace the
+    representative run; exit 0 iff every run passes the family's
+    verdict (the fuzz oracle's)."""
+    family = FAMILIES[args.command]
+    values = _axis_values(family, args)
     seeds = range(args.seed, args.seed + max(1, args.seeds))
-    scenarios = [
-        Scenario(kind="discover", topology=args.topology,
-                 algorithm=algorithm, manager=manager, seed=seed,
-                 timing=timing)
-        for seed in seeds
-    ]
-    report = run_many([sc.job() for sc in scenarios], workers=args.jobs,
-                      progress=len(scenarios) > 1)
-    report.raise_if_failed()
-    for seed, stats in zip(seeds, report.results):
-        info = stats.asdict()
-        info["mean_fm_time"] = stats.mean_fm_time
-        info["database_correct"] = stats.database_correct
-        print(render_kv(
-            f"Discovery of {args.topology} [{algorithm}] (seed {seed})",
-            info,
-        ))
+    scenarios = plan(family, args.topology, seeds=seeds, **values)
+    results = run_sweep(scenarios, workers=args.jobs,
+                        progress=len(scenarios) > 1)
+    print(report(family, scenarios, results, topology=args.topology,
+                 **values))
     if args.trace:
         code = _export_trace(
-            _representative(args, "discover", args.algorithm,
-                            timing=timing),
+            representative(family, args.topology, seed=args.seed, **values),
             args.trace,
         )
         if code != 0:
             return code
-    return 0 if all(s.database_correct for s in report.results) else 1
-
-
-def _cmd_change(args) -> int:
-    manager, algorithm = resolve_variant(args.manager, args.algorithm)
-    jobs = [
-        Scenario(kind="change", topology=args.topology,
-                 algorithm=algorithm, manager=manager, seed=seed,
-                 change=args.kind).job()
-        for seed in range(args.seed, args.seed + max(1, args.seeds))
-    ]
-    report = run_many(jobs, workers=args.jobs, progress=len(jobs) > 1)
-    report.raise_if_failed()
-    for result in report.results:
-        print(render_kv(
-            f"Change assimilation on {args.topology} [{algorithm}] "
-            f"(seed {result.seed})",
-            result.asdict(),
-        ))
-    if args.trace:
-        code = _export_trace(
-            _representative(args, "change", args.algorithm,
-                            change=args.kind),
-            args.trace,
-        )
-        if code != 0:
-            return code
-    return 0 if all(r.database_correct for r in report.results) else 1
-
-
-def _cmd_reliability(args) -> int:
-    from .topology.registry import resolve_topology
-    manager, _ = resolve_variant(args.manager, PARALLEL)
-    spec = resolve_topology(args.topology)
-    algorithms = args.algorithms or list(ALGORITHMS)
-    if args.manager in ALGORITHMS:
-        algorithms = [args.manager]
-    bers = args.bers if args.bers is not None else DEFAULT_BIT_ERROR_RATES
-    seeds = range(args.seed, args.seed + max(1, args.seeds))
-    results = sweep_reliability(
-        spec, bit_error_rates=bers, algorithms=algorithms, seeds=seeds,
-        workers=args.jobs,
-    )
-    rows = summarize_reliability(results)
-    print(render_reliability(
-        rows, title=f"Discovery under loss on {spec.name} "
-                    f"({len(results)} runs)",
-    ))
-    if args.trace:
-        from dataclasses import replace as _replace
-        from .fabric.params import DEFAULT_PARAMS
-        params = _replace(DEFAULT_PARAMS, bit_error_rate=max(bers))
-        code = _export_trace(
-            _representative(args, "reliability", algorithms[0],
-                            params=params.to_dict()),
-            args.trace,
-        )
-        if code != 0:
-            return code
-    return 0 if all(r.database_correct for r in results) else 1
-
-
-def _cmd_churn(args) -> int:
-    from .topology.registry import resolve_topology
-    manager, _ = resolve_variant(args.manager, PARALLEL)
-    spec = resolve_topology(args.topology)
-    algorithms = args.algorithms or list(ALGORITHMS)
-    if args.manager in ALGORITHMS:
-        algorithms = [args.manager]
-    seeds = range(args.seed, args.seed + max(1, args.seeds))
-    results = sweep_churn(
-        spec, algorithms=algorithms, seeds=seeds, faults=args.faults,
-        mean_interval=args.mean_interval, manager=manager,
-        workers=args.jobs,
-    )
-    rows = summarize_churn(results)
-    print(render_churn(
-        rows, title=f"Mid-discovery churn soak on {spec.name} "
-                    f"({len(results)} runs, {args.faults} faults each)",
-    ))
-    if args.trace:
-        code = _export_trace(
-            _representative(args, "churn", algorithms[0],
-                            faults=args.faults,
-                            mean_interval=args.mean_interval),
-            args.trace,
-        )
-        if code != 0:
-            return code
-    return 0 if all(r.converged and r.audit_ok for r in results) else 1
-
-
-def _cmd_failover(args) -> int:
-    from .topology.registry import resolve_topology
-    spec = resolve_topology(args.topology)
-    modes = ("warm", "cold") if args.mode == "both" else (args.mode,)
-    faults = FAILOVER_FAULTS if args.faults is None else args.faults
-    seeds = range(args.seed, args.seed + max(1, args.seeds))
-    results = sweep_failover(
-        spec, modes=modes, seeds=seeds, algorithm=args.algorithm,
-        heartbeat_interval=args.heartbeat_interval,
-        miss_threshold=args.miss_threshold, faults=faults,
-        mean_interval=args.mean_interval,
-        restart_primary=args.restart_primary, manager=args.manager,
-        workers=args.jobs, progress=len(modes) * len(seeds) > 1,
-    )
-    rows = summarize_failover(results)
-    print(render_failover(
-        rows, title=f"FM failover on {spec.name} "
-                    f"({len(results)} runs, {faults} churn faults "
-                    f"before each kill)",
-    ))
-    if args.trace:
-        scenario = Scenario(
-            kind="failover", topology=args.topology,
-            algorithm=args.algorithm, manager=args.manager,
-            seed=args.seed, mode=modes[0], faults=faults,
-            mean_interval=args.mean_interval,
-            heartbeat_interval=args.heartbeat_interval,
-            miss_threshold=args.miss_threshold,
-            restart_primary=args.restart_primary or None,
-        )
-        code = _export_trace(scenario, args.trace)
-        if code != 0:
-            return code
-    safe = all(
-        r.converged and r.audit_ok
-        and r.old_primary_demoted in (True, None)
-        for r in results
-    )
-    return 0 if safe else 1
-
-
-def _cmd_load(args) -> int:
-    from .topology.registry import resolve_topology
-    manager, _ = resolve_variant(args.manager, PARALLEL)
-    spec = resolve_topology(args.topology)
-    algorithms = args.algorithms or [PARALLEL]
-    if args.manager in ALGORITHMS:
-        algorithms = [args.manager]
-    loads = tuple(args.loads) if args.loads is not None else DEFAULT_LOADS
-    mappings = (tuple(args.mappings) if args.mappings is not None
-                else ("bvc", "mixed"))
-    seeds = range(args.seed, args.seed + max(1, args.seeds))
-    results = sweep_load(
-        spec, loads=loads, mappings=mappings, algorithms=algorithms,
-        seeds=seeds, arrival=args.arrival, pattern=args.pattern,
-        workers=args.jobs,
-    )
-    rows = summarize_load(results)
-    print(render_load(
-        rows, title=f"Discovery under load on {spec.name} "
-                    f"({len(results)} runs, {args.arrival}/"
-                    f"{args.pattern} traffic)",
-    ))
-    if args.trace:
-        from dataclasses import replace as _replace
-        from .fabric.params import DEFAULT_PARAMS
-        from .workloads.traffic import TrafficSpec
-        peak = max(loads)
-        traffic = (TrafficSpec(load=peak, arrival=args.arrival,
-                               pattern=args.pattern).to_dict()
-                   if peak > 0 else None)
-        params = _replace(DEFAULT_PARAMS,
-                          tc_vc_map=TC_MAPPINGS[mappings[0]])
-        code = _export_trace(
-            _representative(args, "load", algorithms[0],
-                            traffic=traffic, params=params.to_dict()),
-            args.trace,
-        )
-        if code != 0:
-            return code
-    return 0 if all(r.database_correct for r in results) else 1
+    return 0 if all(family.verdict(r) is None for r in results) else 1
 
 
 def _parse_inject(pairs: Optional[List[str]]) -> Optional[dict]:
@@ -878,17 +570,9 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_topology(args) -> int:
-    from .topology.registry import describe_topology, topology_catalog
+    from .topology.registry import describe_topology
     if args.name is None:
-        catalog = topology_catalog()
-        print("Table 1 topologies:")
-        for entry in catalog["table1"]:
-            suffix = (f"  (alias: {entry['alias']})"
-                      if entry["alias"] else "")
-            print(f"  {entry['name']}{suffix}")
-        print("\nGenerator families (parameterised names):")
-        for line in catalog["families"]:
-            print(f"  {line}")
+        _print_catalog("Table 1 topologies:")
         return 0
     try:
         info = describe_topology(args.name)
@@ -899,9 +583,10 @@ def _cmd_topology(args) -> int:
     return 0
 
 
-#: Long-running commands where Ctrl-C means "stop gracefully": the
-#: handler (or this wrapper) prints a one-line summary and exits 130.
-INTERRUPTIBLE = frozenset({"serve", "churn", "failover", "fuzz", "load"})
+#: Commands where Ctrl-C means "stop gracefully": every sweep (an
+#: aborted worker pool or in-process run) plus the daemon.  The handler
+#: (or :func:`main`) prints a one-line summary and exits 130.
+INTERRUPTIBLE = frozenset(FAMILIES) | {"serve", "fuzz"}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -910,18 +595,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     commands = {
         "table1": _cmd_table1,
         "list": _cmd_list,
-        "discover": _cmd_discover,
-        "change": _cmd_change,
-        "churn": _cmd_churn,
-        "failover": _cmd_failover,
-        "load": _cmd_load,
         "figure": _cmd_figure,
-        "reliability": _cmd_reliability,
         "trace": _cmd_trace,
         "fuzz": _cmd_fuzz,
         "replay": _cmd_replay,
         "serve": _cmd_serve,
         "topology": _cmd_topology,
+        **dict.fromkeys(FAMILIES, _cmd_family),
     }
     command = commands.get(args.command)
     if command is None:
@@ -933,8 +613,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return command(args)
         except KeyboardInterrupt:
             # `serve` handles the interrupt itself (it must stop the
-            # injector and the driver thread); churn/fuzz sweeps land
-            # here when a worker pool or in-process run is aborted.
+            # injector and the driver thread); sweeps land here.
             print(f"\ninterrupted: {args.command} stopped early",
                   file=sys.stderr, flush=True)
             return 130

@@ -1,32 +1,20 @@
 """Experiment harness: runners, sweeps, and per-figure builders."""
 
 from .ascii_plot import render_plot
-from .churn import (
-    ChurnResult,
-    render_churn,
-    run_churn_experiment,
-    run_until_quiescent,
-    summarize_churn,
-    sweep_churn,
+from .churn import ChurnResult, run_churn_experiment, run_until_quiescent
+from .executor import (
+    RunFailure,
+    SweepError,
+    SweepReport,
+    run_many,
+    run_sweep,
 )
 from .failover import (
     FailoverResult,
     build_failover_pair,
-    render_failover,
     run_failover_experiment,
-    summarize_failover,
-    sweep_failover,
 )
-from .executor import (
-    Job,
-    RunFailure,
-    SweepError,
-    SweepReport,
-    change_job,
-    initial_job,
-    run_many,
-    run_sweep,
-)
+from .family import Family, render, summarize
 from .fuzz import (
     FuzzFailure,
     FuzzReport,
@@ -37,21 +25,11 @@ from .fuzz import (
     write_corpus,
 )
 from .io import load_results, load_spec, save_results, save_spec
-from .load import (
-    LoadResult,
-    TC_MAPPINGS,
-    render_load,
-    run_load_experiment,
-    summarize_load,
-    sweep_load,
-)
+from .load import LoadResult, TC_MAPPINGS, run_load_experiment
 from .reliability import (
     DEFAULT_BIT_ERROR_RATES,
     ReliabilityResult,
-    render_reliability,
     run_reliability_experiment,
-    summarize_reliability,
-    sweep_reliability,
 )
 from .report import render_kv, render_phase_breakdown, render_series, \
     render_table
@@ -63,83 +41,74 @@ from .runner import (
     run_until_discovery_count,
     run_until_ready,
 )
-from .scenario import Scenario, run_scenario
+from .scenario import FAMILIES, Scenario, run_scenario
 from .shrink import ShrinkResult, shrink_candidates, shrink_scenario
 from .sweep import (
     DEVICE_FACTORS,
     FM_FACTORS,
     fig4_measurements,
-    measure_initial_discovery,
+    plan,
     sweep_change_experiments,
     sweep_device_factor,
+    sweep_family,
     sweep_fm_factor,
 )
 
 __all__ = [
     "ChurnResult",
-    "render_churn",
-    "run_churn_experiment",
-    "run_until_quiescent",
-    "summarize_churn",
-    "sweep_churn",
-    "FailoverResult",
-    "build_failover_pair",
-    "render_failover",
-    "run_failover_experiment",
-    "summarize_failover",
-    "sweep_failover",
     "DEFAULT_BIT_ERROR_RATES",
     "DEVICE_FACTORS",
-    "Job",
-    "ReliabilityResult",
-    "render_reliability",
-    "run_reliability_experiment",
-    "summarize_reliability",
-    "sweep_reliability",
+    "ExperimentResult",
+    "FAMILIES",
+    "FM_FACTORS",
+    "FailoverResult",
+    "Family",
     "FuzzFailure",
     "FuzzReport",
-    "evaluate_scenario",
-    "replay_corpus",
-    "run_fuzz",
-    "sample_scenario",
-    "write_corpus",
+    "LoadResult",
+    "ReliabilityResult",
     "RunFailure",
+    "Scenario",
+    "ShrinkResult",
+    "SimulationSetup",
     "SweepError",
     "SweepReport",
-    "ShrinkResult",
-    "shrink_candidates",
-    "shrink_scenario",
-    "change_job",
-    "initial_job",
-    "run_many",
-    "run_sweep",
-    "load_results",
-    "LoadResult",
     "TC_MAPPINGS",
-    "render_load",
-    "run_load_experiment",
-    "summarize_load",
-    "sweep_load",
+    "build_failover_pair",
+    "build_simulation",
+    "database_matches_fabric",
+    "evaluate_scenario",
+    "fig4_measurements",
+    "load_results",
     "load_spec",
+    "plan",
+    "render",
     "render_kv",
     "render_phase_breakdown",
     "render_plot",
     "render_series",
     "render_table",
-    "Scenario",
+    "replay_corpus",
+    "run_churn_experiment",
+    "run_failover_experiment",
+    "run_fuzz",
+    "run_load_experiment",
+    "run_many",
+    "run_reliability_experiment",
     "run_scenario",
+    "run_sweep",
+    "run_until_discovery_count",
+    "run_until_quiescent",
+    "run_until_ready",
+    "sample_scenario",
     "save_results",
     "save_spec",
-    "ExperimentResult",
-    "FM_FACTORS",
-    "SimulationSetup",
-    "build_simulation",
-    "database_matches_fabric",
-    "fig4_measurements",
-    "measure_initial_discovery",
-    "run_until_discovery_count",
-    "run_until_ready",
+    "shrink_candidates",
+    "shrink_scenario",
+    "summarize",
     "sweep_change_experiments",
     "sweep_device_factor",
+    "sweep_family",
     "sweep_fm_factor",
+    "write_corpus",
 ]

@@ -21,20 +21,26 @@ results are bit-identical regardless of worker scheduling.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..fabric.params import DEFAULT_PARAMS, FabricParams
 from ..manager.consistency import audit_topology
 from ..manager.fm import DiscoveryAborted
-from ..manager.timing import ALGORITHMS, PARALLEL, ProcessingTimeModel
-from ..topology.spec import TopologySpec
 from ..workloads.faults import FaultInjector
-from .report import render_table
+from .family import (
+    ALGORITHMS_SWEPT,
+    MANAGER,
+    Axis,
+    Column,
+    Family,
+    all_of,
+    mean_of,
+    share_of,
+    total_of,
+)
 from .runner import (
     MAX_SIM_TIME,
     SimulationSetup,
-    build_simulation,
     database_matches_fabric,
     run_until_ready,
 )
@@ -147,64 +153,27 @@ class ChurnResult:
     audit_differences: int
     devices_found: int
 
-    def asdict(self) -> dict:
-        return {
-            "topology": self.topology,
-            "family": self.family,
-            "algorithm": self.algorithm,
-            "manager": self.manager,
-            "seed": self.seed,
-            "faults": self.faults,
-            "mid_discovery_faults": self.mid_discovery_faults,
-            "discoveries": self.discoveries,
-            "restarts": self.restarts,
-            "repairs": self.repairs,
-            "full_rediscoveries": self.full_rediscoveries,
-            "partial_bursts": self.partial_bursts,
-            "guard_probes": self.guard_probes,
-            "guard_mismatches": self.guard_mismatches,
-            "aborted_runs": self.aborted_runs,
-            "time_to_converge": self.time_to_converge,
-            "converged": self.converged,
-            "audit_ok": self.audit_ok,
-            "audit_differences": self.audit_differences,
-            "devices_found": self.devices_found,
-        }
+    asdict = dataclasses.asdict
 
 
-def run_churn_experiment(
-    spec: TopologySpec,
-    algorithm: str = PARALLEL,
-    seed: int = 0,
-    faults: int = DEFAULT_FAULTS,
-    mean_interval: float = DEFAULT_MEAN_INTERVAL,
-    manager: str = "full",
-    timing: Optional[ProcessingTimeModel] = None,
-    params: FabricParams = DEFAULT_PARAMS,
-    verify_sample: int = DEFAULT_VERIFY_SAMPLE,
-    max_discovery_restarts: int = 8,
-    restart_backoff: float = 0.0,
-    tracer=None,
-    fm_options: Optional[dict] = None,
-) -> ChurnResult:
-    """One churn soak: settle, inject ``faults`` mid-walk changes,
+def run_churn_experiment(scenario, tracer=None) -> ChurnResult:
+    """One churn soak: settle, inject the scenario's mid-walk faults,
     run to quiescence, audit.
 
-    ``seed`` drives both the fault schedule and the convergence-guard
-    sampling, so two runs with the same arguments are bit-for-bit
-    identical regardless of which sweep worker executes them.
-    ``fm_options`` are extra keyword arguments for the FM constructor
-    (ablation switches).
+    The scenario seed drives both the fault schedule and the
+    convergence-guard sampling, so two runs of the same scenario are
+    bit-for-bit identical regardless of which sweep worker executes
+    them.
     """
-    setup = build_simulation(
-        spec, algorithm=algorithm, timing=timing, params=params,
-        manager=manager,
-        max_discovery_restarts=max_discovery_restarts,
-        restart_backoff=restart_backoff,
-        verify_sample=verify_sample,
+    spec = scenario.spec()
+    seed = scenario.seed
+    mean_interval = scenario.get("mean_interval", DEFAULT_MEAN_INTERVAL)
+    setup = scenario.build(
+        spec, tracer,
+        max_discovery_restarts=scenario.get("max_discovery_restarts", 8),
+        restart_backoff=scenario.get("restart_backoff", 0.0),
+        verify_sample=scenario.get("verify_sample", DEFAULT_VERIFY_SAMPLE),
         verify_seed=seed,
-        tracer=tracer,
-        **dict(fm_options or {}),
     )
     run_until_ready(setup)
 
@@ -219,7 +188,7 @@ def run_churn_experiment(
         # walk; a fine hold-poll is needed to catch one in flight.
         poll_interval=mean_interval / 40,
     )
-    done = injector.run(faults=faults)
+    done = injector.run(faults=scenario.get("faults", DEFAULT_FAULTS))
     setup.env.run(until=done)
     run_until_quiescent(setup, raise_on_abort=False)
 
@@ -232,8 +201,8 @@ def run_churn_experiment(
     return ChurnResult(
         topology=spec.name,
         family=spec.family,
-        algorithm=algorithm,
-        manager=manager,
+        algorithm=scenario.algorithm,
+        manager=scenario.manager,
         seed=seed,
         faults=len(injector.log),
         mid_discovery_faults=injector.mid_discovery_faults,
@@ -257,91 +226,52 @@ def run_churn_experiment(
     )
 
 
-def sweep_churn(
-    spec: TopologySpec,
-    algorithms: Sequence[str] = ALGORITHMS,
-    seeds: Iterable[int] = (0,),
-    faults: int = DEFAULT_FAULTS,
-    mean_interval: float = DEFAULT_MEAN_INTERVAL,
-    manager: str = "full",
-    timing: Optional[ProcessingTimeModel] = None,
-    verify_sample: int = DEFAULT_VERIFY_SAMPLE,
-    workers: int = 1,
-    progress: Union[bool, None] = None,
-) -> List[ChurnResult]:
-    """Cross algorithms x seeds through the executor.
-
-    Results come back in job-submission order (algorithm-major, then
-    seed) — identical to a serial sweep.
-    """
-    # Imported late: executor.py imports this module at load time.
-    from .executor import run_many
-    from .io import spec_to_dict
-    from .scenario import Scenario
-
-    spec_doc = spec_to_dict(spec)
-    timing_doc = timing.to_dict() if timing is not None else None
-    jobs = [
-        Scenario(
-            kind="churn", topology=spec_doc, algorithm=algorithm,
-            manager=manager, seed=seed, timing=timing_doc,
-            faults=faults, mean_interval=mean_interval,
-            verify_sample=verify_sample,
-        ).job()
-        for algorithm in algorithms
-        for seed in seeds
-    ]
-    report = run_many(jobs, workers=workers, progress=progress)
-    report.raise_if_failed()
-    return list(report.results)
+def churn_verdict(result):
+    """The full oracle: bounded-restart abort, graph convergence, and
+    the consistency audit."""
+    if result.aborted_runs:
+        return ("aborted",
+                f"{result.aborted_runs} run(s) exhausted the "
+                f"restart budget")
+    if not result.converged:
+        return ("not_converged",
+                "database does not match reachable ground truth")
+    if not result.audit_ok:
+        return ("audit_dirty",
+                f"{result.audit_differences} auditor difference(s)")
+    return None
 
 
-def summarize_churn(results: Sequence[ChurnResult]) -> List[dict]:
-    """Aggregate per (manager, algorithm): recovery work, convergence
-    latency, and the audit pass rate."""
-    groups: Dict[Tuple[str, str], List[ChurnResult]] = {}
-    for result in results:
-        groups.setdefault(
-            (result.manager, result.algorithm), []
-        ).append(result)
-    rows = []
-    for (manager, algorithm) in sorted(groups):
-        bucket = groups[(manager, algorithm)]
-        n = len(bucket)
-        rows.append({
-            "manager": manager,
-            "algorithm": algorithm,
-            "runs": n,
-            "mean_faults": sum(r.faults for r in bucket) / n,
-            "mean_mid_discovery": sum(
-                r.mid_discovery_faults for r in bucket
-            ) / n,
-            "mean_restarts": sum(r.restarts for r in bucket) / n,
-            "mean_repairs": sum(r.repairs for r in bucket) / n,
-            "mean_time_to_converge": sum(
-                r.time_to_converge for r in bucket
-            ) / n,
-            "aborted_runs": sum(r.aborted_runs for r in bucket),
-            "audit_pass_rate": sum(
-                1 for r in bucket if r.audit_ok
-            ) / n,
-            "all_converged": all(r.converged for r in bucket),
-        })
-    return rows
+FAULTS = Axis("faults", "--faults", DEFAULT_FAULTS, "faults", type=int,
+              help=f"faults injected per run (default {DEFAULT_FAULTS})")
+MEAN_INTERVAL = Axis(
+    "mean_interval", "--mean-interval", DEFAULT_MEAN_INTERVAL,
+    "mean_interval", type=float, metavar="SECONDS",
+    help=f"mean seconds between faults (default {DEFAULT_MEAN_INTERVAL:g})",
+)
 
-
-def render_churn(rows: Sequence[dict], title: str = "") -> str:
-    """ASCII table of :func:`summarize_churn` rows."""
-    headers = ("manager", "algorithm", "runs", "mid-walk", "restarts",
-               "repairs", "t_converge", "aborted", "audit", "converged")
-    table = render_table(headers, [
-        (
-            row["manager"], row["algorithm"], row["runs"],
-            row["mean_mid_discovery"], row["mean_restarts"],
-            row["mean_repairs"], row["mean_time_to_converge"],
-            row["aborted_runs"], row["audit_pass_rate"],
-            row["all_converged"],
-        )
-        for row in rows
-    ])
-    return f"{title}\n{table}" if title else table
+FAMILY = Family(
+    kind="churn",
+    run=run_churn_experiment,
+    help="mid-discovery churn soak",
+    topology="4x4 mesh",
+    title="Mid-discovery churn soak on {topology} "
+          "({runs} runs, {faults} faults each)",
+    axes=(ALGORITHMS_SWEPT, MANAGER, FAULTS, MEAN_INTERVAL),
+    group_by=(Column("manager", "manager"),
+              Column("algorithm", "algorithm")),
+    columns=(
+        Column("mean_faults", None, mean_of("faults")),
+        Column("mean_mid_discovery", "mid-walk",
+               mean_of("mid_discovery_faults")),
+        Column("mean_restarts", "restarts", mean_of("restarts")),
+        Column("mean_repairs", "repairs", mean_of("repairs")),
+        Column("mean_time_to_converge", "t_converge",
+               mean_of("time_to_converge")),
+        Column("aborted_runs", "aborted", total_of("aborted_runs")),
+        Column("audit_pass_rate", "audit", share_of("audit_ok")),
+        Column("all_converged", "converged", all_of("converged")),
+    ),
+    verdict=churn_verdict,
+    label=lambda s: (f"manager={s.manager}", f"seed={s.seed}"),
+)

@@ -7,11 +7,12 @@ parallel.  This module fans runs out over a :mod:`multiprocessing`
 pool while keeping the results element-for-element identical to a
 serial sweep:
 
-* jobs are *descriptions* (topology spec dict, algorithm name, seed,
-  change kind, timing-model dict) — spawn-safe, no live simulator
-  objects cross the process boundary;
-* each run derives all randomness from its own job seed, so worker
-  scheduling cannot perturb outcomes;
+* a job is a :class:`~repro.experiments.scenario.Scenario` — a frozen
+  *description* (topology name or document, algorithm, seed, ...), so
+  it is spawn-safe and no live simulator object crosses the process
+  boundary;
+* each run derives all randomness from its own scenario seed, so
+  worker scheduling cannot perturb outcomes;
 * results are reordered back into job-submission order;
 * a failing run is captured as a :class:`RunFailure` carrying the
   originating job instead of poisoning the whole sweep;
@@ -28,148 +29,10 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
 
-from ..manager.timing import ProcessingTimeModel
-from ..topology.spec import TopologySpec
-from .io import spec_to_dict
-
-#: Job kinds.
-CHANGE = "change"
-INITIAL = "initial"
-RELIABILITY = "reliability"
-CHURN = "churn"
-FAILOVER = "failover"
-LOAD = "load"
+from .scenario import Scenario
 
 #: Start methods tried for the worker pool, cheapest first.
 _START_METHODS = ("fork", "spawn", "forkserver")
-
-
-# -- job descriptions ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class Job:
-    """A spawn-safe description of one experiment run.
-
-    Attributes
-    ----------
-    kind:
-        ``"change"`` (the Fig. 6/9 change-assimilation protocol) or
-        ``"initial"`` (a no-change discovery of the full fabric, as in
-        Figs. 4, 7(a), and 8).
-    spec:
-        The topology as a :func:`~repro.experiments.io.spec_to_dict`
-        document.
-    algorithm:
-        Discovery algorithm key.
-    seed:
-        Per-run random seed (selects the changed switch).
-    change:
-        ``"remove_switch"`` / ``"add_switch"`` for ``kind="change"``.
-    timing:
-        Optional :meth:`ProcessingTimeModel.to_dict` document.
-    params:
-        Optional :meth:`FabricParams.to_dict` document (the
-        ``"reliability"`` kind carries its link-error configuration
-        here).
-    max_retries:
-        Optional per-request retry budget override.
-    options:
-        Optional kind-specific keyword arguments (plain picklable
-        dict; the ``"churn"`` kind carries its fault schedule and
-        manager selection here).
-    scenario:
-        Optional :meth:`repro.experiments.scenario.Scenario.to_dict`
-        document.  When present it is the authoritative description
-        (the other fields exist for progress lines); legacy jobs leave
-        it ``None`` and are mapped field by field.
-    tag:
-        Opaque picklable caller bookkeeping, carried through untouched.
-    """
-
-    kind: str
-    spec: dict
-    algorithm: str
-    seed: int = 0
-    change: Optional[str] = None
-    timing: Optional[dict] = None
-    params: Optional[dict] = None
-    max_retries: Optional[int] = None
-    options: Optional[dict] = None
-    scenario: Optional[dict] = None
-    tag: Any = None
-
-    def describe(self) -> str:
-        """Short human-readable identity for progress/error lines."""
-        parts = [self.spec.get("name", "?"), self.algorithm]
-        if self.kind == CHANGE:
-            parts.append(f"seed={self.seed}")
-            if self.change:
-                parts.append(self.change)
-        elif self.kind == RELIABILITY:
-            ber = (self.params or {}).get("bit_error_rate", 0.0)
-            parts.append(f"ber={ber:g}")
-            parts.append(f"seed={self.seed}")
-        elif self.kind == CHURN:
-            manager = (self.options or {}).get("manager", "full")
-            parts.append(f"manager={manager}")
-            parts.append(f"seed={self.seed}")
-        elif self.kind == FAILOVER:
-            mode = (self.scenario or {}).get("mode") or "warm"
-            parts.append(f"mode={mode}")
-            parts.append(f"seed={self.seed}")
-        elif self.kind == LOAD:
-            traffic = (self.scenario or {}).get("traffic") or {}
-            parts.append(f"load={traffic.get('load', 0):g}")
-            mapping = (self.params or {}).get("tc_vc_map")
-            if mapping is not None and len(set(mapping)) == 1:
-                parts.append("mapping=mixed")
-            parts.append(f"seed={self.seed}")
-        return " ".join(parts)
-
-
-def _spec_document(spec: Union[TopologySpec, dict]) -> dict:
-    if isinstance(spec, TopologySpec):
-        return spec_to_dict(spec)
-    return dict(spec)
-
-
-def _timing_document(
-    timing: Union[ProcessingTimeModel, dict, None]
-) -> Optional[dict]:
-    if timing is None:
-        return None
-    if isinstance(timing, ProcessingTimeModel):
-        return timing.to_dict()
-    return dict(timing)
-
-
-def change_job(
-    spec: Union[TopologySpec, dict],
-    algorithm: str,
-    seed: int = 0,
-    change: str = "remove_switch",
-    timing: Union[ProcessingTimeModel, dict, None] = None,
-    manager: str = "full",
-    tag: Any = None,
-) -> Job:
-    """Describe one change-assimilation run (Fig. 6/9 protocol)."""
-    options = {"manager": manager} if manager != "full" else None
-    return Job(kind=CHANGE, spec=_spec_document(spec), algorithm=algorithm,
-               seed=seed, change=change, timing=_timing_document(timing),
-               options=options, tag=tag)
-
-
-def initial_job(
-    spec: Union[TopologySpec, dict],
-    algorithm: str,
-    timing: Union[ProcessingTimeModel, dict, None] = None,
-    manager: str = "full",
-    tag: Any = None,
-) -> Job:
-    """Describe one full-fabric initial discovery (Figs. 4/7/8)."""
-    options = {"manager": manager} if manager != "full" else None
-    return Job(kind=INITIAL, spec=_spec_document(spec), algorithm=algorithm,
-               timing=_timing_document(timing), options=options, tag=tag)
 
 
 # -- outcomes -----------------------------------------------------------------
@@ -178,7 +41,7 @@ def initial_job(
 class RunFailure:
     """A run that raised, with enough context to reproduce it."""
 
-    job: Job
+    job: Scenario
     index: int
     error: str
     traceback: str
@@ -206,7 +69,7 @@ class SweepReport:
     serial-execution estimate the speedup is computed against.
     """
 
-    jobs: List[Job]
+    jobs: List[Scenario]
     results: List[Any]
     failures: List[RunFailure] = field(default_factory=list)
     workers: int = 1
@@ -236,25 +99,13 @@ class SweepReport:
 
 # -- worker side --------------------------------------------------------------
 
-def _execute_job(job: Job):
-    """Run one described experiment (in the worker process).
-
-    Every job kind — legacy or scenario-carrying — routes through
-    :func:`repro.experiments.scenario.run_scenario`, so a sweep run
-    and a direct ``Scenario.run()`` share one code path.
-    """
-    # Imported late: scenario.py imports this module lazily too.
-    from .scenario import Scenario
-    return Scenario.from_job(job).run()
-
-
 def _run_indexed(indexed):
     """Pool entry point: never raises, so one bad run cannot kill the
     sweep; failures travel back as picklable strings."""
     index, job = indexed
     started = time.perf_counter()
     try:
-        result = _execute_job(job)
+        result = job.run()
         return index, result, None, time.perf_counter() - started
     except Exception as exc:
         failure = RunFailure(
@@ -285,7 +136,7 @@ def _format_eta(seconds: float) -> str:
 def _progress_printer(total: int, stream) -> Callable:
     started = time.perf_counter()
 
-    def emit(done: int, job: Job, failure: Optional[RunFailure],
+    def emit(done: int, job: Scenario, failure: Optional[RunFailure],
              duration: float) -> None:
         elapsed = time.perf_counter() - started
         eta = elapsed / done * (total - done)
@@ -303,7 +154,7 @@ def _progress_printer(total: int, stream) -> Callable:
 # -- the executor -------------------------------------------------------------
 
 def run_many(
-    jobs: Iterable[Job],
+    jobs: Iterable[Scenario],
     workers: int = 1,
     progress: Union[bool, Callable, None] = None,
     stream=None,
@@ -313,7 +164,7 @@ def run_many(
     Parameters
     ----------
     jobs:
-        Job descriptions (see :func:`change_job` / :func:`initial_job`).
+        The scenarios to run.
     workers:
         Worker processes.  ``1`` runs in-process (no pool); higher
         values fan out over a :mod:`multiprocessing` pool, degrading to
@@ -398,7 +249,7 @@ def run_many(
 
 
 def run_sweep(
-    jobs: Iterable[Job],
+    jobs: Iterable[Scenario],
     workers: int = 1,
     progress: Union[bool, Callable, None] = None,
 ) -> List[Any]:

@@ -22,8 +22,9 @@ sweep results are bit-identical regardless of worker scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+import dataclasses
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from ..fabric.params import DEFAULT_PARAMS, FabricParams
 from ..manager.consistency import audit_topology
@@ -33,14 +34,30 @@ from ..manager.timing import PARALLEL, ProcessingTimeModel
 from ..routing.paths import fabric_route
 from ..topology.spec import TopologySpec
 from ..workloads.faults import FaultInjector
-from .churn import DEFAULT_MEAN_INTERVAL, run_until_quiescent
-from .report import render_table
+from .churn import (
+    DEFAULT_MEAN_INTERVAL,
+    FAULTS,
+    MEAN_INTERVAL,
+    run_until_quiescent,
+)
+from .family import (
+    ALGORITHM,
+    Axis,
+    Column,
+    Family,
+    all_of,
+    mean_of,
+    share_of,
+)
 from .runner import (
     MAX_SIM_TIME,
     build_simulation,
     database_matches_fabric,
     run_until_ready,
 )
+
+#: Takeover mode of a scenario that names none.
+DEFAULT_MODE = "warm"
 
 #: Churn faults injected before the kill (they dirty the mirror).
 DEFAULT_FAULTS = 3
@@ -91,30 +108,7 @@ class FailoverResult:
     #: (``None`` when ``restart_primary`` is off.)
     old_primary_demoted: Optional[bool] = None
 
-    def asdict(self) -> dict:
-        return {
-            "topology": self.topology,
-            "family": self.family,
-            "algorithm": self.algorithm,
-            "manager": self.manager,
-            "mode": self.mode,
-            "seed": self.seed,
-            "heartbeat_interval": self.heartbeat_interval,
-            "miss_threshold": self.miss_threshold,
-            "faults": self.faults,
-            "takeover_mode": self.takeover_mode,
-            "missed_heartbeats": self.missed_heartbeats,
-            "detection_latency": self.detection_latency,
-            "recovery_time": self.recovery_time,
-            "repairs": self.repairs,
-            "mirror_syncs": self.mirror_syncs,
-            "devices_recovered": self.devices_recovered,
-            "converged": self.converged,
-            "audit_ok": self.audit_ok,
-            "audit_differences": self.audit_differences,
-            "restart_primary": self.restart_primary,
-            "old_primary_demoted": self.old_primary_demoted,
-        }
+    asdict = dataclasses.asdict
 
 
 def build_failover_pair(
@@ -171,34 +165,29 @@ def build_failover_pair(
     return setup, standby
 
 
-def run_failover_experiment(
-    spec: TopologySpec,
-    algorithm: str = PARALLEL,
-    seed: int = 0,
-    mode: str = "warm",
-    heartbeat_interval: float = DEFAULT_HEARTBEAT,
-    miss_threshold: int = DEFAULT_MISS_THRESHOLD,
-    faults: int = DEFAULT_FAULTS,
-    mean_interval: float = DEFAULT_MEAN_INTERVAL,
-    restart_primary: bool = False,
-    manager: str = "partial",
-    timing: Optional[ProcessingTimeModel] = None,
-    params: FabricParams = DEFAULT_PARAMS,
-    tracer=None,
-    fm_options: Optional[dict] = None,
-) -> FailoverResult:
+def run_failover_experiment(scenario, tracer=None) -> FailoverResult:
     """One failover run: settle, churn, kill the primary, take over.
 
     With ``restart_primary`` the old primary's host is resurrected
     after the takeover converges, and the result records whether the
-    ownership-epoch fencing demoted it.
+    ownership-epoch fencing demoted it.  The scenario's
+    ``faults``/``mean_interval`` are the pre-kill churn schedule.
     """
+    spec = scenario.spec()
+    seed = scenario.seed
+    mode = scenario.get("mode", DEFAULT_MODE)
+    heartbeat_interval = scenario.get("heartbeat_interval",
+                                      DEFAULT_HEARTBEAT)
+    miss_threshold = scenario.get("miss_threshold", DEFAULT_MISS_THRESHOLD)
+    faults = scenario.get("faults", DEFAULT_FAULTS)
+    mean_interval = scenario.get("mean_interval", DEFAULT_MEAN_INTERVAL)
+    restart_primary = bool(scenario.restart_primary)
     setup, standby = build_failover_pair(
-        spec, algorithm=algorithm, mode=mode,
+        spec, algorithm=scenario.algorithm, mode=mode,
         heartbeat_interval=heartbeat_interval,
-        miss_threshold=miss_threshold, manager=manager,
-        timing=timing, params=params, tracer=tracer,
-        fm_options=fm_options,
+        miss_threshold=miss_threshold, manager=scenario.manager,
+        timing=scenario.timing_model(), params=scenario.fabric_params(),
+        tracer=tracer, fm_options=scenario.fm_options,
     )
     primary = setup.fm
     run_until_ready(setup)
@@ -256,8 +245,8 @@ def run_failover_experiment(
     return FailoverResult(
         topology=spec.name,
         family=spec.family,
-        algorithm=algorithm,
-        manager=manager,
+        algorithm=scenario.algorithm,
+        manager=scenario.manager,
         mode=mode,
         seed=seed,
         heartbeat_interval=heartbeat_interval,
@@ -278,93 +267,77 @@ def run_failover_experiment(
     )
 
 
-def sweep_failover(
-    spec: TopologySpec,
-    modes: Sequence[str] = MODES,
-    seeds: Iterable[int] = (0,),
-    algorithm: str = PARALLEL,
-    heartbeat_interval: float = DEFAULT_HEARTBEAT,
-    miss_threshold: int = DEFAULT_MISS_THRESHOLD,
-    faults: int = DEFAULT_FAULTS,
-    mean_interval: float = DEFAULT_MEAN_INTERVAL,
-    restart_primary: bool = False,
-    manager: str = "partial",
-    timing: Optional[ProcessingTimeModel] = None,
-    workers: int = 1,
-    progress: Union[bool, None] = None,
-) -> List[FailoverResult]:
-    """Cross takeover modes x seeds through the executor."""
-    # Imported late: executor.py imports this module at load time.
-    from .executor import run_many
-    from .io import spec_to_dict
-    from .scenario import Scenario
-
-    spec_doc = spec_to_dict(spec)
-    timing_doc = timing.to_dict() if timing is not None else None
-    jobs = [
-        Scenario(
-            kind="failover", topology=spec_doc, algorithm=algorithm,
-            manager=manager, seed=seed, timing=timing_doc,
-            faults=faults, mean_interval=mean_interval,
-            mode=mode, heartbeat_interval=heartbeat_interval,
-            miss_threshold=miss_threshold,
-            restart_primary=restart_primary,
-        ).job()
-        for mode in modes
-        for seed in seeds
-    ]
-    report = run_many(jobs, workers=workers, progress=progress)
-    report.raise_if_failed()
-    return list(report.results)
+def failover_verdict(result):
+    """Post-takeover convergence, a clean audit, and no split brain."""
+    if not result.converged:
+        return ("not_converged",
+                "post-takeover database does not match reachable "
+                "ground truth")
+    if not result.audit_ok:
+        return ("audit_dirty",
+                f"{result.audit_differences} auditor difference(s) "
+                f"after takeover")
+    if result.old_primary_demoted is False:
+        return ("split_brain",
+                "resurrected old primary did not demote itself")
+    return None
 
 
-def summarize_failover(results: Sequence[FailoverResult]) -> List[dict]:
-    """Aggregate per requested mode: latency, recovery, safety."""
-    groups: Dict[Tuple[str, str], List[FailoverResult]] = {}
-    for result in results:
-        groups.setdefault((result.mode, result.manager), []).append(result)
-    rows = []
-    for (mode, manager) in sorted(groups):
-        bucket = groups[(mode, manager)]
-        n = len(bucket)
-        rows.append({
-            "mode": mode,
-            "manager": manager,
-            "runs": n,
-            "mean_detection_latency": sum(
-                r.detection_latency for r in bucket
-            ) / n,
-            "mean_recovery_time": sum(
-                r.recovery_time for r in bucket
-            ) / n,
-            "mean_repairs": sum(r.repairs for r in bucket) / n,
-            "cold_fallbacks": sum(
-                1 for r in bucket
-                if r.mode == "warm" and r.takeover_mode == "cold"
-            ),
-            "audit_pass_rate": sum(
-                1 for r in bucket if r.audit_ok
-            ) / n,
-            "all_converged": all(r.converged for r in bucket),
-            "all_fenced": all(
-                r.old_primary_demoted in (True, None) for r in bucket
-            ),
-        })
-    return rows
+def _cold_fallbacks(bucket) -> int:
+    return sum(1 for r in bucket
+               if r.mode == "warm" and r.takeover_mode == "cold")
 
 
-def render_failover(rows: Sequence[dict], title: str = "") -> str:
-    """ASCII table of :func:`summarize_failover` rows."""
-    headers = ("mode", "manager", "runs", "t_detect", "t_recover",
-               "repairs", "cold_fb", "audit", "converged", "fenced")
-    table = render_table(headers, [
-        (
-            row["mode"], row["manager"], row["runs"],
-            row["mean_detection_latency"], row["mean_recovery_time"],
-            row["mean_repairs"], row["cold_fallbacks"],
-            row["audit_pass_rate"], row["all_converged"],
-            row["all_fenced"],
-        )
-        for row in rows
-    ])
-    return f"{title}\n{table}" if title else table
+FAMILY = Family(
+    kind="failover",
+    run=run_failover_experiment,
+    help="FM kill/takeover experiment",
+    topology="4x4 mesh",
+    title="FM failover on {topology} ({runs} runs, {faults} churn "
+          "faults before each kill)",
+    axes=(
+        ALGORITHM,
+        Axis("modes", "--mode", ("warm", "cold"), "mode", swept=True,
+             every="both",
+             help="standby takeover mode(s) to sweep (default both)"),
+        Axis("manager", "--manager", "partial", "manager",
+             choices=("full", "partial"),
+             help="FM flavour for primary and standby (default partial; "
+                  "warm takeover repairs via the partial manager's burst "
+                  "machinery)"),
+        replace(FAULTS, default=DEFAULT_FAULTS,
+                help="churn faults injected before the kill "
+                     f"(default {DEFAULT_FAULTS})"),
+        replace(MEAN_INTERVAL,
+                help="mean seconds between churn faults (default "
+                     f"{DEFAULT_MEAN_INTERVAL:g})"),
+        Axis("heartbeat_interval", "--heartbeat", DEFAULT_HEARTBEAT,
+             "heartbeat_interval", type=float, metavar="SECONDS",
+             help="standby heartbeat probe interval (default "
+                  f"{DEFAULT_HEARTBEAT:g})"),
+        Axis("miss_threshold", "--miss-threshold", DEFAULT_MISS_THRESHOLD,
+             "miss_threshold", type=int,
+             help="consecutive missed heartbeats before takeover "
+                  f"(default {DEFAULT_MISS_THRESHOLD})"),
+        Axis("restart_primary", "--restart-primary", False,
+             "restart_primary",
+             help="resurrect the old primary after takeover and verify "
+                  "the ownership-epoch fence demotes it"),
+    ),
+    group_by=(Column("mode", "mode"), Column("manager", "manager")),
+    columns=(
+        Column("mean_detection_latency", "t_detect",
+               mean_of("detection_latency")),
+        Column("mean_recovery_time", "t_recover",
+               mean_of("recovery_time")),
+        Column("mean_repairs", "repairs", mean_of("repairs")),
+        Column("cold_fallbacks", "cold_fb", _cold_fallbacks),
+        Column("audit_pass_rate", "audit", share_of("audit_ok")),
+        Column("all_converged", "converged", all_of("converged")),
+        Column("all_fenced", "fenced", lambda bucket: all(
+            r.old_primary_demoted is not False for r in bucket)),
+    ),
+    verdict=failover_verdict,
+    label=lambda s: (f"mode={s.get('mode', DEFAULT_MODE)}",
+                     f"seed={s.seed}"),
+)

@@ -17,11 +17,11 @@ from ..topology.spec import TopologySpec
 from ..topology.table1 import table1_rows, table1_suite, table1_topology
 from .report import render_kv, render_series, render_table
 from .runner import ExperimentResult
+from .scenario import Scenario
 from .sweep import (
     DEVICE_FACTORS,
     FM_FACTORS,
     fig4_measurements,
-    measure_initial_discovery,
     sweep_change_experiments,
     sweep_device_factor,
     sweep_fm_factor,
@@ -132,7 +132,8 @@ def figure7(spec: Optional[TopologySpec] = None,
     timelines: Dict[str, List[Tuple[int, float]]] = {}
     slopes: Dict[str, float] = {}
     for algorithm in ALGORITHMS:
-        stats = measure_initial_discovery(spec, algorithm, timing)
+        stats = Scenario(kind="discover", topology=spec,
+                         algorithm=algorithm, timing=timing).run()
         timelines[algorithm] = stats.packet_timeline
         first_n, first_t = stats.packet_timeline[0]
         last_n, last_t = stats.packet_timeline[-1]
@@ -256,7 +257,8 @@ def overhead_comparison(
     for spec in topologies:
         per_algo = {}
         for algorithm in ALGORITHMS:
-            stats = measure_initial_discovery(spec, algorithm)
+            stats = Scenario(kind="discover", topology=spec,
+                             algorithm=algorithm).run()
             per_algo[algorithm] = stats
         expected = expected_packets(spec)
         rows.append([

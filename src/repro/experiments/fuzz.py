@@ -41,7 +41,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..manager.timing import ALGORITHMS, ProcessingTimeModel
 from ..topology.irregular import make_irregular
-from .scenario import CHANGE_KINDS, KINDS, Scenario
+from .executor import run_many
+from .scenario import CHANGE_KINDS, FAMILIES, KINDS, Scenario
 from .shrink import DEFAULT_MAX_ATTEMPTS, shrink_scenario
 
 PathLike = Union[str, Path]
@@ -206,41 +207,11 @@ def sample_scenario(seed: int, index: int,
 # -- the oracle ---------------------------------------------------------------
 
 def classify_result(scenario: Scenario, result) -> Optional[Tuple[str, str]]:
-    """``(reason, detail)`` when a *completed* run is still a failure.
-
-    Churn runs carry the full oracle verdict (bounded-restart abort,
-    graph convergence, and the consistency audit); every other kind
-    carries the ground-truth database comparison.
-    """
-    if scenario.kind == "churn":
-        if result.aborted_runs:
-            return ("aborted",
-                    f"{result.aborted_runs} run(s) exhausted the "
-                    f"restart budget")
-        if not result.converged:
-            return ("not_converged",
-                    "database does not match reachable ground truth")
-        if not result.audit_ok:
-            return ("audit_dirty",
-                    f"{result.audit_differences} auditor difference(s)")
-        return None
-    if scenario.kind == "failover":
-        if not result.converged:
-            return ("not_converged",
-                    "post-takeover database does not match reachable "
-                    "ground truth")
-        if not result.audit_ok:
-            return ("audit_dirty",
-                    f"{result.audit_differences} auditor difference(s) "
-                    f"after takeover")
-        if result.old_primary_demoted is False:
-            return ("split_brain",
-                    "resurrected old primary did not demote itself")
-        return None
-    if not result.database_correct:
-        return ("database_incorrect",
-                "database does not match reachable ground truth")
-    return None
+    """``(reason, detail)`` when a *completed* run is still a failure:
+    the verdict of the scenario's family (churn and failover carry the
+    full oracle — abort, graph convergence, audit, fencing; every
+    other kind the ground-truth database comparison)."""
+    return FAMILIES[scenario.kind].verdict(result)
 
 
 def evaluate_scenario(scenario: Scenario) -> Optional[Tuple[str, str]]:
@@ -334,14 +305,10 @@ def run_fuzz(
     minimal scenario is written there as canonical JSON (stable bytes
     for a stable failure).
     """
-    from .executor import run_many
     started = time.perf_counter()
     scenarios = [sample_scenario(seed, i, inject=inject)
                  for i in range(runs)]
-    report = run_many(
-        [scenario.job(tag=i) for i, scenario in enumerate(scenarios)],
-        workers=workers, progress=progress,
-    )
+    report = run_many(scenarios, workers=workers, progress=progress)
     errors: Dict[int, Tuple[str, str]] = {
         failure.index: _classify_error(failure.error)
         for failure in report.failures
@@ -462,15 +429,10 @@ def replay_corpus(directory: PathLike, workers: int = 1,
     entry to a pass: converged, correct database, clean audit.  A
     regression flips an outcome's ``reason`` back on.
     """
-    from .executor import run_many
     paths = iter_corpus(directory)
     entries = [load_corpus_entry(path) for path in paths]
     scenarios = [scenario for _, scenario in entries]
-    report = run_many(
-        [scenario.job(tag=str(path))
-         for path, (_, scenario) in zip(paths, entries)],
-        workers=workers, progress=progress,
-    )
+    report = run_many(scenarios, workers=workers, progress=progress)
     errors = {failure.index: _classify_error(failure.error)
               for failure in report.failures}
     outcomes = []

@@ -28,18 +28,30 @@ schedules no traffic processes, so it is bit-identical to the plain
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..fabric.params import DEFAULT_PARAMS, FabricParams
-from ..manager.timing import PARALLEL, ProcessingTimeModel
-from ..topology.spec import TopologySpec
-from ..workloads.traffic import TrafficGenerator, TrafficSpec
-from .report import render_table
+from ..manager.timing import PARALLEL
+from ..workloads.traffic import (
+    ARRIVALS,
+    PATTERNS,
+    TrafficGenerator,
+    TrafficSpec,
+)
+from .family import (
+    ALGORITHMS_SWEPT,
+    MANAGER,
+    Axis,
+    Column,
+    Family,
+    all_of,
+    mean_of,
+)
 from .runner import (
     _removable_switches,
-    build_simulation,
     database_matches_fabric,
     run_until_discovery_count,
     run_until_ready,
@@ -55,7 +67,7 @@ TC_MAPPINGS: Dict[str, Tuple[int, ...]] = {
 
 #: Offered loads swept by default (0 is the baseline the inflation
 #: factors are computed against).
-DEFAULT_LOADS: Tuple[float, ...] = (0.0, 0.3, 0.6, 0.9)
+DEFAULT_LOADS = (0.0, 0.3, 0.6, 0.9)
 
 
 def mapping_label(params: FabricParams) -> str:
@@ -97,56 +109,25 @@ class LoadResult:
     mean_delivery_latency: Optional[float]
     database_correct: bool
 
-    def asdict(self) -> dict:
-        return {
-            "topology": self.topology,
-            "family": self.family,
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "offered_load": self.offered_load,
-            "mapping": self.mapping,
-            "arrival": self.arrival,
-            "pattern": self.pattern,
-            "change": self.change,
-            "changed_device": self.changed_device,
-            "discovery_time": self.discovery_time,
-            "detection_latency": self.detection_latency,
-            "assimilation_time": self.assimilation_time,
-            "packets_injected": self.packets_injected,
-            "packets_delivered": self.packets_delivered,
-            "delivered_bytes_per_s": self.delivered_bytes_per_s,
-            "mean_delivery_latency": self.mean_delivery_latency,
-            "database_correct": self.database_correct,
-        }
+    asdict = dataclasses.asdict
 
 
-def run_load_experiment(
-    spec: TopologySpec,
-    algorithm: str = PARALLEL,
-    traffic: Optional[TrafficSpec] = None,
-    seed: int = 0,
-    manager: str = "full",
-    timing: Optional[ProcessingTimeModel] = None,
-    params: FabricParams = DEFAULT_PARAMS,
-    change: Optional[str] = None,
-    tracer=None,
-    fm_options: Optional[dict] = None,
-) -> LoadResult:
+def run_load_experiment(scenario, tracer=None) -> LoadResult:
     """The paper's change protocol, with application traffic flowing.
 
     The control flow — and, critically, the RNG draw order — mirrors
     the plain ``change`` scenario exactly: the victim switch is drawn
     from the same ``random.Random(seed)`` stream before the traffic
-    generator (seeded separately, also from ``seed``) touches any
-    randomness.  With ``traffic`` absent or at load 0 the run is
+    generator (seeded separately, also from the seed) touches any
+    randomness.  With no traffic or at load 0 the run is
     event-for-event identical to ``Scenario(kind="change").run()``.
     """
-    change = change or "remove_switch"
+    spec = scenario.spec()
+    seed = scenario.seed
+    traffic = scenario.traffic_spec()
+    change = scenario.get("change", "remove_switch")
     rng = random.Random(seed)
-    setup = build_simulation(
-        spec, algorithm=algorithm, timing=timing, params=params,
-        manager=manager, tracer=tracer, **dict(fm_options or {}),
-    )
+    setup = scenario.build(spec, tracer)
     candidates = _removable_switches(setup)
     if not candidates:
         raise ValueError(f"{spec.name}: no switch eligible for the change")
@@ -196,10 +177,10 @@ def run_load_experiment(
     return LoadResult(
         topology=spec.name,
         family=spec.family,
-        algorithm=algorithm,
+        algorithm=scenario.algorithm,
         seed=seed,
         offered_load=traffic.load if traffic is not None else 0.0,
-        mapping=mapping_label(params),
+        mapping=mapping_label(scenario.fabric_params()),
         arrival=traffic.arrival if traffic is not None else "poisson",
         pattern=traffic.pattern if traffic is not None else "uniform",
         change=change,
@@ -216,142 +197,102 @@ def run_load_experiment(
     )
 
 
-def sweep_load(
-    spec: TopologySpec,
-    loads: Sequence[float] = DEFAULT_LOADS,
-    mappings: Sequence[str] = ("bvc", "mixed"),
-    algorithms: Sequence[str] = (PARALLEL,),
-    seeds: Iterable[int] = (0,),
-    arrival: str = "poisson",
-    pattern: str = "uniform",
-    base_params: FabricParams = DEFAULT_PARAMS,
-    timing: Optional[ProcessingTimeModel] = None,
-    workers: int = 1,
-    progress: Union[bool, None] = None,
-) -> List[LoadResult]:
-    """Cross mappings x loads x algorithms x seeds via the executor.
-
-    Results come back in job-submission order (mapping-major, then
-    load, then algorithm, then seed) — identical to a serial sweep.
-    Always include load 0 in ``loads``: it is the baseline the
-    inflation factors in :func:`summarize_load` divide by.
-    """
-    # Imported late: executor.py imports this module at load time.
-    from .executor import run_many
-    from .io import spec_to_dict
-    from .scenario import Scenario
-
-    spec_doc = spec_to_dict(spec)
-    timing_doc = timing.to_dict() if timing is not None else None
-    jobs = []
-    for mapping in mappings:
-        if mapping not in TC_MAPPINGS:
-            raise ValueError(
-                f"unknown TC mapping {mapping!r} "
-                f"(expected one of {tuple(TC_MAPPINGS)})"
-            )
-        params_doc = replace(
-            base_params, tc_vc_map=TC_MAPPINGS[mapping]
-        ).to_dict()
-        for load in loads:
-            traffic_doc = None
-            if load > 0:
-                traffic_doc = TrafficSpec(
-                    load=load, arrival=arrival, pattern=pattern,
-                ).to_dict()
-            for algorithm in algorithms:
-                for seed in seeds:
-                    jobs.append(Scenario(
-                        kind="load", topology=spec_doc,
-                        algorithm=algorithm, seed=seed,
-                        timing=timing_doc, params=params_doc,
-                        traffic=traffic_doc,
-                    ).job())
-    report = run_many(jobs, workers=workers, progress=progress)
-    report.raise_if_failed()
-    return list(report.results)
-
-
-def summarize_load(results: Sequence[LoadResult]) -> List[dict]:
-    """Inflation vs the idle baseline per (mapping, algorithm, load).
-
-    Each row's ``discovery_inflation`` / ``detection_inflation`` is
-    the mean over that bucket divided by the same (mapping, algorithm)
-    bucket at load 0 (``None`` when no baseline was swept).
-    """
-    groups: Dict[Tuple[str, str, float], List[LoadResult]] = {}
-    for result in results:
-        groups.setdefault(
-            (result.mapping, result.algorithm, result.offered_load), []
-        ).append(result)
-
-    def mean(values: List[Optional[float]]) -> Optional[float]:
-        present = [v for v in values if v is not None]
-        return sum(present) / len(present) if present else None
-
-    baselines: Dict[Tuple[str, str], Tuple] = {}
-    for (mapping, algorithm, load), bucket in groups.items():
-        if load == 0:
-            baselines[(mapping, algorithm)] = (
-                mean([r.discovery_time for r in bucket]),
-                mean([r.detection_latency for r in bucket]),
-            )
-
-    rows = []
-    for (mapping, algorithm, load) in sorted(groups):
-        bucket = groups[(mapping, algorithm, load)]
-        t_disc = mean([r.discovery_time for r in bucket])
-        t_detect = mean([r.detection_latency for r in bucket])
-        base = baselines.get((mapping, algorithm))
-
-        def inflate(value, baseline):
-            if value is None or not baseline:
-                return None
-            return value / baseline
-
-        rows.append({
-            "mapping": mapping,
-            "algorithm": algorithm,
-            "offered_load": load,
-            "runs": len(bucket),
-            "mean_discovery_time": t_disc,
-            "discovery_inflation": (
-                inflate(t_disc, base[0]) if base else None
-            ),
-            "mean_detection_latency": t_detect,
-            "detection_inflation": (
-                inflate(t_detect, base[1]) if base else None
-            ),
-            "mean_delivered_bytes_per_s": mean(
-                [r.delivered_bytes_per_s for r in bucket]
-            ),
-            "all_correct": all(r.database_correct for r in bucket),
-        })
-    return rows
-
-
-def _fmt(value, precision=3, suffix="") -> str:
-    if value is None:
-        return "-"
-    return f"{value:.{precision}g}{suffix}"
-
-
-def render_load(rows: Sequence[dict], title: str = "") -> str:
-    """ASCII table of :func:`summarize_load` rows."""
-    headers = ("mapping", "algorithm", "load", "runs", "mean t_disc",
-               "t_disc infl", "mean t_detect", "t_detect infl",
-               "goodput B/s", "correct")
-    table = render_table(headers, [
-        (
-            row["mapping"], row["algorithm"],
-            f"{row['offered_load']:.0%}", row["runs"],
-            _fmt(row["mean_discovery_time"], 4),
-            _fmt(row["discovery_inflation"], 3, "x"),
-            _fmt(row["mean_detection_latency"], 4),
-            _fmt(row["detection_inflation"], 3, "x"),
-            _fmt(row["mean_delivered_bytes_per_s"], 4),
-            row["all_correct"],
+def _compose(point: dict) -> dict:
+    """Mapping -> the params document, load/arrival/pattern -> the
+    traffic document (``None`` at load 0: the idle baseline schedules
+    no traffic at all)."""
+    mapping = point["mappings"]
+    if mapping not in TC_MAPPINGS:
+        raise ValueError(
+            f"unknown TC mapping {mapping!r} "
+            f"(expected one of {tuple(TC_MAPPINGS)})"
         )
-        for row in rows
-    ])
-    return f"{title}\n{table}" if title else table
+    traffic = None
+    if point["loads"] > 0:
+        traffic = TrafficSpec(
+            load=point["loads"], arrival=point["arrival"],
+            pattern=point["pattern"],
+        ).to_dict()
+    return {
+        "params": replace(
+            DEFAULT_PARAMS, tc_vc_map=TC_MAPPINGS[mapping]
+        ).to_dict(),
+        "traffic": traffic,
+    }
+
+
+def _add_inflation(rows: List[dict]) -> None:
+    """Each row's mean over the same (mapping, algorithm) row at load
+    0; stays ``None`` when no baseline was swept."""
+    baselines = {(row["mapping"], row["algorithm"]): row
+                 for row in rows if row["offered_load"] == 0}
+    for row in rows:
+        base = baselines.get((row["mapping"], row["algorithm"]))
+        for key, source in (
+            ("discovery_inflation", "mean_discovery_time"),
+            ("detection_inflation", "mean_detection_latency"),
+        ):
+            if base and row[source] is not None and base[source]:
+                row[key] = row[source] / base[source]
+
+
+def _sig(precision: int, suffix: str = ""):
+    return lambda value: (
+        "-" if value is None else f"{value:.{precision}g}{suffix}"
+    )
+
+
+def _label(scenario):
+    parts = [f"load={(scenario.traffic or {}).get('load', 0):g}"]
+    mapping = (scenario.params or {}).get("tc_vc_map")
+    if mapping is not None and len(set(mapping)) == 1:
+        parts.append("mapping=mixed")
+    return (*parts, f"seed={scenario.seed}")
+
+
+#: Always keep load 0 among the swept loads: it is the baseline the
+#: inflation columns divide by.
+FAMILY = Family(
+    kind="load",
+    run=run_load_experiment,
+    help="discovery-under-traffic sweep",
+    topology="4x4 mesh",
+    title="Discovery under load on {topology} ({runs} runs, "
+          "{arrival}/{pattern} traffic)",
+    axes=(
+        Axis("mappings", "--mapping", ("bvc", "mixed"), None, swept=True,
+             choices=sorted(TC_MAPPINGS),
+             help="TC->VC mapping to sweep: bvc = management on the "
+                  "strict-priority bypass VC, mixed = everything on one "
+                  "VC (repeatable; default both)"),
+        Axis("loads", "--load", DEFAULT_LOADS, None, swept=True,
+             type=float, metavar="FRACTION", pick=max,
+             help="offered load per endpoint to sweep, in [0, 1] "
+                  "(repeatable; default: %s; keep 0 in the list — it is "
+                  "the inflation baseline)"
+                  % ", ".join(f"{x:g}" for x in DEFAULT_LOADS)),
+        replace(ALGORITHMS_SWEPT, default=(PARALLEL,)),
+        MANAGER,
+        Axis("arrival", "--arrival", "poisson", None, choices=ARRIVALS,
+             help="traffic arrival process (default poisson)"),
+        Axis("pattern", "--pattern", "uniform", None, choices=PATTERNS,
+             help="destination pattern (default uniform)"),
+    ),
+    compose=_compose,
+    group_by=(Column("mapping", "mapping"),
+              Column("algorithm", "algorithm"),
+              Column("offered_load", "load", format="{:.0%}".format)),
+    columns=(
+        Column("mean_discovery_time", "mean t_disc",
+               mean_of("discovery_time"), _sig(4)),
+        Column("discovery_inflation", "t_disc infl", None, _sig(3, "x")),
+        Column("mean_detection_latency", "mean t_detect",
+               mean_of("detection_latency"), _sig(4)),
+        Column("detection_inflation", "t_detect infl", None, _sig(3, "x")),
+        Column("mean_delivered_bytes_per_s", "goodput B/s",
+               mean_of("delivered_bytes_per_s"), _sig(4)),
+        Column("all_correct", "correct", all_of("database_correct")),
+    ),
+    derive=_add_inflation,
+    label=_label,
+)

@@ -18,22 +18,24 @@ the process-parallel executor.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..fabric.params import DEFAULT_PARAMS, FabricParams
-from ..manager.timing import ALGORITHMS, ProcessingTimeModel
-from ..topology.spec import TopologySpec
-from .report import render_table
-from .runner import (
-    build_simulation,
-    database_matches_fabric,
-    run_until_ready,
+from ..fabric.params import DEFAULT_PARAMS
+from .family import (
+    ALGORITHMS_SWEPT,
+    MANAGER,
+    Axis,
+    Column,
+    Family,
+    all_of,
+    mean_of,
 )
+from .runner import database_matches_fabric, run_until_ready
 
 #: Bit error rates swept by default: perfect channel, then two lossy
 #: points roughly at "a retry now and then" and "every few packets".
-DEFAULT_BIT_ERROR_RATES: Tuple[float, ...] = (0.0, 1e-5, 5e-5, 1e-4)
+DEFAULT_BIT_ERROR_RATES = (0.0, 1e-5, 5e-5, 1e-4)
 
 #: Retries per request used for reliability runs.  Deliberately higher
 #: than the FM default (3): at the highest swept loss rates a 4-hop
@@ -71,52 +73,22 @@ class ReliabilityResult:
     replayed_packets: int
     database_correct: bool
 
-    def asdict(self) -> dict:
-        return {
-            "topology": self.topology,
-            "family": self.family,
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "bit_error_rate": self.bit_error_rate,
-            "packet_loss_rate": self.packet_loss_rate,
-            "duplicate_rate": self.duplicate_rate,
-            "discovery_time": self.discovery_time,
-            "devices_found": self.devices_found,
-            "requests_sent": self.requests_sent,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "stale_completions": self.stale_completions,
-            "duplicate_requests": self.duplicate_requests,
-            "crc_drops": self.crc_drops,
-            "lost_packets": self.lost_packets,
-            "replayed_packets": self.replayed_packets,
-            "database_correct": self.database_correct,
-        }
+    asdict = dataclasses.asdict
 
 
-def run_reliability_experiment(
-    spec: TopologySpec,
-    algorithm: str,
-    params: FabricParams = DEFAULT_PARAMS,
-    seed: int = 0,
-    timing: Optional[ProcessingTimeModel] = None,
-    max_retries: int = RELIABILITY_MAX_RETRIES,
-    manager: str = "full",
-    tracer=None,
-    fm_options: Optional[dict] = None,
-) -> ReliabilityResult:
-    """One full discovery of ``spec`` under ``params``'s error model.
+def run_reliability_experiment(scenario, tracer=None) -> ReliabilityResult:
+    """One full discovery of the scenario's topology under its link
+    error model.
 
-    ``seed`` feeds the per-link RNG streams (``error_seed``), so two
-    runs with the same arguments are bit-for-bit identical regardless
-    of which sweep worker executes them.  ``fm_options`` are extra
-    keyword arguments for the FM constructor (ablation switches).
+    The scenario seed feeds the per-link RNG streams (``error_seed``),
+    so two runs of the same scenario are bit-for-bit identical
+    regardless of which sweep worker executes them.
     """
-    params = replace(params, error_seed=seed)
-    setup = build_simulation(
-        spec, algorithm=algorithm, timing=timing, params=params,
-        max_retries=max_retries, manager=manager, tracer=tracer,
-        **dict(fm_options or {}),
+    spec = scenario.spec()
+    params = replace(scenario.fabric_params(), error_seed=scenario.seed)
+    setup = scenario.build(
+        spec, tracer, params=params,
+        max_retries=scenario.get("max_retries", RELIABILITY_MAX_RETRIES),
     )
     stats = run_until_ready(setup)
     if tracer is not None:
@@ -132,8 +104,8 @@ def run_reliability_experiment(
     return ReliabilityResult(
         topology=spec.name,
         family=spec.family,
-        algorithm=algorithm,
-        seed=seed,
+        algorithm=scenario.algorithm,
+        seed=scenario.seed,
         bit_error_rate=params.bit_error_rate,
         packet_loss_rate=params.packet_loss_rate,
         duplicate_rate=params.duplicate_rate,
@@ -151,88 +123,39 @@ def run_reliability_experiment(
     )
 
 
-def sweep_reliability(
-    spec: TopologySpec,
-    bit_error_rates: Sequence[float] = DEFAULT_BIT_ERROR_RATES,
-    algorithms: Sequence[str] = ALGORITHMS,
-    seeds: Iterable[int] = (0,),
-    base_params: FabricParams = DEFAULT_PARAMS,
-    timing: Optional[ProcessingTimeModel] = None,
-    max_retries: int = RELIABILITY_MAX_RETRIES,
-    workers: int = 1,
-    progress: Union[bool, None] = None,
-) -> List[ReliabilityResult]:
-    """Cross loss rates x algorithms x seeds through the executor.
-
-    Results come back in job-submission order (rate-major, then
-    algorithm, then seed) — identical to a serial sweep.
-    """
-    # Imported late: executor.py imports this module at load time.
-    from .executor import run_many
-    from .io import spec_to_dict
-    from .scenario import Scenario
-
-    spec_doc = spec_to_dict(spec)
-    timing_doc = timing.to_dict() if timing is not None else None
-    jobs = [
-        Scenario(
-            kind="reliability", topology=spec_doc, algorithm=algorithm,
-            seed=seed, timing=timing_doc,
-            params=replace(base_params, bit_error_rate=rate).to_dict(),
-            max_retries=max_retries,
-        ).job()
-        for rate in bit_error_rates
-        for algorithm in algorithms
-        for seed in seeds
-    ]
-    report = run_many(jobs, workers=workers, progress=progress)
-    report.raise_if_failed()
-    return list(report.results)
+def _label(scenario):
+    rate = (scenario.params or {}).get("bit_error_rate", 0.0)
+    return (f"ber={rate:g}", f"seed={scenario.seed}")
 
 
-def summarize_reliability(
-    results: Sequence[ReliabilityResult],
-) -> List[dict]:
-    """Mean discovery time / recovery work per (algorithm, loss rate).
-
-    Rows are ordered by algorithm, then loss rate ascending, so a
-    glance down the column shows how each implementation degrades.
-    """
-    groups: Dict[Tuple[str, float], List[ReliabilityResult]] = {}
-    for result in results:
-        groups.setdefault(
-            (result.algorithm, result.bit_error_rate), []
-        ).append(result)
-    rows = []
-    for (algorithm, rate) in sorted(groups):
-        bucket = groups[(algorithm, rate)]
-        n = len(bucket)
-        rows.append({
-            "algorithm": algorithm,
-            "bit_error_rate": rate,
-            "runs": n,
-            "mean_discovery_time": sum(
-                r.discovery_time for r in bucket
-            ) / n,
-            "mean_retries": sum(r.retries for r in bucket) / n,
-            "mean_timeouts": sum(r.timeouts for r in bucket) / n,
-            "mean_crc_drops": sum(r.crc_drops for r in bucket) / n,
-            "all_correct": all(r.database_correct for r in bucket),
-        })
-    return rows
-
-
-def render_reliability(rows: Sequence[dict], title: str = "") -> str:
-    """ASCII table of :func:`summarize_reliability` rows."""
-    headers = ("algorithm", "BER", "runs", "mean t_disc", "retries",
-               "timeouts", "CRC drops", "correct")
-    table = render_table(headers, [
-        (
-            row["algorithm"], row["bit_error_rate"], row["runs"],
-            row["mean_discovery_time"], row["mean_retries"],
-            row["mean_timeouts"], row["mean_crc_drops"],
-            row["all_correct"],
-        )
-        for row in rows
-    ])
-    return f"{title}\n{table}" if title else table
+#: Rows are ordered by algorithm, then loss rate ascending, so a glance
+#: down the column shows how each implementation degrades.
+FAMILY = Family(
+    kind="reliability",
+    run=run_reliability_experiment,
+    help="discovery-under-loss sweep",
+    topology="3x3 mesh",
+    title="Discovery under loss on {topology} ({runs} runs)",
+    axes=(
+        Axis("bit_error_rates", "--ber", DEFAULT_BIT_ERROR_RATES, None,
+             swept=True, type=float, metavar="RATE", pick=max,
+             help="bit error rate to sweep (repeatable; default: %s)"
+                  % ", ".join(f"{r:g}" for r in DEFAULT_BIT_ERROR_RATES)),
+        ALGORITHMS_SWEPT,
+        MANAGER,
+    ),
+    compose=lambda point: {"params": replace(
+        DEFAULT_PARAMS, bit_error_rate=point["bit_error_rates"],
+    ).to_dict()},
+    group_by=(Column("algorithm", "algorithm"),
+              Column("bit_error_rate", "BER")),
+    columns=(
+        Column("mean_discovery_time", "mean t_disc",
+               mean_of("discovery_time")),
+        Column("mean_retries", "retries", mean_of("retries")),
+        Column("mean_timeouts", "timeouts", mean_of("timeouts")),
+        Column("mean_crc_drops", "CRC drops", mean_of("crc_drops")),
+        Column("all_correct", "correct", all_of("database_correct")),
+    ),
+    label=_label,
+)

@@ -12,31 +12,35 @@ typed description they all share now:
 * the **fault plan** (change kind, churn schedule), and
 * the **seed** every bit of per-run randomness derives from.
 
-``Scenario.run()`` executes it; ``Scenario.job()`` turns it into a
-spawn-safe :class:`~repro.experiments.executor.Job` for the parallel
-executor (which routes *all* job kinds back through
-:func:`run_scenario`, so a sweep and a single run share one code
-path).  ``to_dict``/``from_dict`` round-trip losslessly and reject
-unknown keys, so an archived sweep configuration cannot silently drop
-a misspelled error-model field.
+``Scenario.run()`` executes it, in process or — a scenario is a frozen,
+picklable value — in a worker of the parallel executor
+(:func:`repro.experiments.executor.run_many` takes scenarios directly,
+so a sweep and a single run share one code path).
+``to_dict``/``from_dict`` round-trip losslessly and reject unknown
+keys, so an archived sweep configuration cannot silently drop a
+misspelled error-model field.
 
-The legacy shim entry points (``run_change_experiment``,
-``reliability_job``, ``churn_job``) have been removed; everything
-routes through here now.
+Each kind is one :class:`~repro.experiments.family.Family`
+declaration; :data:`FAMILIES` is the registry every consumer of "what
+kinds are there and what does each need" reads (the CLI, the fuzz
+oracle, progress lines).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 from ..fabric.params import DEFAULT_PARAMS, FabricParams
 from ..manager.timing import ALGORITHMS, PARALLEL, ProcessingTimeModel
 from ..topology.spec import TopologySpec
+from . import churn, failover, load, reliability
+from .family import ALGORITHM, MANAGER, Axis, Family
 from .runner import (
     MANAGER_KINDS,
     ExperimentResult,
+    SimulationSetup,
     _removable_switches,
     build_simulation,
     database_matches_fabric,
@@ -131,7 +135,7 @@ class Scenario:
     """
 
     kind: str = "discover"
-    topology: Union[str, dict] = "4x4 mesh"
+    topology: Union[str, dict, TopologySpec] = "4x4 mesh"
     algorithm: str = PARALLEL
     manager: str = "full"
     seed: int = 0
@@ -204,12 +208,16 @@ class Scenario:
                 traffic = traffic.to_dict()
             else:
                 TrafficSpec.from_dict(traffic)  # strict, like params
+        topology = self.topology
+        if isinstance(topology, TopologySpec):
+            from .io import spec_to_dict
+            topology = spec_to_dict(topology)
         # Store every document field in JSON normal form (deep-copied,
         # tuples lowered to lists) so serialization round-trips are
         # exact and no stored container aliases caller state.
         for name, value in (("params", params), ("timing", timing),
                             ("traffic", traffic),
-                            ("topology", self.topology),
+                            ("topology", topology),
                             ("fm_options", self.fm_options)):
             if isinstance(value, dict) or value is not getattr(self, name):
                 object.__setattr__(self, name, _normalize_document(value))
@@ -239,6 +247,34 @@ class Scenario:
             return None
         from ..workloads.traffic import TrafficSpec
         return TrafficSpec.from_dict(self.traffic)
+
+    def get(self, name: str, default):
+        """Field ``name``, or ``default`` where the scenario leaves it
+        unset — the one place a run body resolves an absent knob."""
+        value = getattr(self, name)
+        return default if value is None else value
+
+    def build(self, spec: TopologySpec, tracer=None,
+              params: Optional[FabricParams] = None,
+              **fm_kwargs) -> SimulationSetup:
+        """Instantiate ``spec`` as this scenario describes: algorithm,
+        timing, fabric parameters (``params`` overrides them), manager
+        flavour and FM options, plus the run body's own ``fm_kwargs``.
+        """
+        return build_simulation(
+            spec, algorithm=self.algorithm, timing=self.timing_model(),
+            params=self.fabric_params() if params is None else params,
+            manager=self.manager, tracer=tracer,
+            **fm_kwargs, **dict(self.fm_options or {}),
+        )
+
+    def describe(self) -> str:
+        """Short human-readable identity for progress/error lines."""
+        topology = self.topology
+        if isinstance(topology, dict):
+            topology = topology.get("name", "?")
+        return " ".join((topology, self.algorithm,
+                         *FAMILIES[self.kind].label(self)))
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> dict:
@@ -278,104 +314,12 @@ class Scenario:
         """Execute this scenario (see :func:`run_scenario`)."""
         return run_scenario(self, tracer=tracer)
 
-    def job(self, tag: Any = None):
-        """Spawn-safe executor job for this scenario."""
-        from .executor import (
-            CHANGE,
-            CHURN,
-            FAILOVER,
-            INITIAL,
-            LOAD,
-            RELIABILITY,
-            Job,
-        )
-        from .io import spec_to_dict
-        kind = {
-            "discover": INITIAL,
-            "change": CHANGE,
-            "reliability": RELIABILITY,
-            "churn": CHURN,
-            "failover": FAILOVER,
-            "load": LOAD,
-        }[self.kind]
-        spec_doc = (
-            _normalize_document(self.topology)
-            if isinstance(self.topology, dict)
-            else spec_to_dict(self.spec())
-        )
-        options = None
-        if self.kind in ("churn", "failover"):
-            options = {"manager": self.manager}
-        return Job(
-            kind=kind, spec=spec_doc, algorithm=self.algorithm,
-            seed=self.seed, change=self.change, timing=self.timing,
-            params=self.params, max_retries=self.max_retries,
-            options=options, scenario=self.to_dict(), tag=tag,
-        )
 
-    @classmethod
-    def from_job(cls, job) -> "Scenario":
-        """A scenario equivalent to an executor :class:`Job`.
-
-        Jobs built by :meth:`job` carry their scenario verbatim;
-        legacy jobs (from ``change_job`` and friends) are mapped field
-        by field, preserving the historical defaults exactly.
-        """
-        if job.scenario is not None:
-            return cls.from_dict(job.scenario)
-        from .executor import CHANGE, CHURN, FAILOVER, INITIAL, RELIABILITY
-        options = dict(job.options or {})
-        common = dict(
-            topology=dict(job.spec), algorithm=job.algorithm,
-            seed=job.seed, timing=job.timing,
-        )
-        if job.kind == INITIAL:
-            return cls(kind="discover",
-                       manager=options.get("manager", "full"), **common)
-        if job.kind == CHANGE:
-            return cls(kind="change",
-                       change=job.change or "remove_switch",
-                       manager=options.get("manager", "full"), **common)
-        if job.kind == RELIABILITY:
-            return cls(kind="reliability", params=job.params,
-                       max_retries=job.max_retries, **common)
-        if job.kind == CHURN:
-            return cls(
-                kind="churn",
-                manager=options.get("manager", "full"),
-                faults=options.get("faults"),
-                mean_interval=options.get("mean_interval"),
-                verify_sample=options.get("verify_sample"),
-                max_discovery_restarts=options.get(
-                    "max_discovery_restarts"),
-                restart_backoff=options.get("restart_backoff"),
-                **common,
-            )
-        if job.kind == FAILOVER:
-            return cls(
-                kind="failover",
-                manager=options.get("manager", "partial"),
-                faults=options.get("faults"),
-                mean_interval=options.get("mean_interval"),
-                mode=options.get("mode"),
-                heartbeat_interval=options.get("heartbeat_interval"),
-                miss_threshold=options.get("miss_threshold"),
-                restart_primary=options.get("restart_primary"),
-                **common,
-            )
-        raise ValueError(f"unknown job kind {job.kind!r}")
-
-
-# -- the four canonical run bodies --------------------------------------------
+# -- the two run bodies that live here; the other families bring theirs ------
 
 def _run_discover(scenario: Scenario, tracer=None):
     """One full initial discovery (the Figs. 4/7/8 measurement)."""
-    setup = build_simulation(
-        scenario.spec(), algorithm=scenario.algorithm,
-        timing=scenario.timing_model(), params=scenario.fabric_params(),
-        manager=scenario.manager, auto_start=False, tracer=tracer,
-        **dict(scenario.fm_options or {}),
-    )
+    setup = scenario.build(scenario.spec(), tracer, auto_start=False)
     setup.fm.start_discovery()
     stats = run_until_ready(setup)
     # Attach the measured mean FM processing time for Fig. 4, and the
@@ -392,12 +336,7 @@ def _run_change(scenario: Scenario, tracer=None) -> ExperimentResult:
     change = scenario.change or "remove_switch"
     spec = scenario.spec()
     rng = random.Random(scenario.seed)
-    setup = build_simulation(
-        spec, algorithm=scenario.algorithm,
-        timing=scenario.timing_model(), params=scenario.fabric_params(),
-        manager=scenario.manager, tracer=tracer,
-        **dict(scenario.fm_options or {}),
-    )
+    setup = scenario.build(spec, tracer)
     candidates = _removable_switches(setup)
     if not candidates:
         raise ValueError(f"{spec.name}: no switch eligible for the change")
@@ -439,76 +378,60 @@ def _run_change(scenario: Scenario, tracer=None) -> ExperimentResult:
     )
 
 
-def _run_reliability(scenario: Scenario, tracer=None):
-    from .reliability import (
-        RELIABILITY_MAX_RETRIES,
-        run_reliability_experiment,
-    )
-    retries = (RELIABILITY_MAX_RETRIES if scenario.max_retries is None
-               else scenario.max_retries)
-    return run_reliability_experiment(
-        scenario.spec(), scenario.algorithm,
-        params=scenario.fabric_params(), seed=scenario.seed,
-        timing=scenario.timing_model(), max_retries=retries,
-        manager=scenario.manager, tracer=tracer,
-        fm_options=scenario.fm_options,
-    )
+def _discover_record(stats) -> dict:
+    return {**stats.asdict(), "mean_fm_time": stats.mean_fm_time,
+            "database_correct": stats.database_correct}
 
 
-def _run_churn(scenario: Scenario, tracer=None):
-    from .churn import run_churn_experiment
-    kwargs = {}
-    for name in ("faults", "mean_interval", "verify_sample",
-                 "max_discovery_restarts", "restart_backoff"):
-        value = getattr(scenario, name)
-        if value is not None:
-            kwargs[name] = value
-    return run_churn_experiment(
-        scenario.spec(), algorithm=scenario.algorithm,
-        seed=scenario.seed, manager=scenario.manager,
-        timing=scenario.timing_model(), params=scenario.fabric_params(),
-        tracer=tracer, fm_options=scenario.fm_options, **kwargs,
-    )
+def _discover_timing(point: dict) -> dict:
+    return {"timing": ProcessingTimeModel(
+        fm_factor=point["fm_factor"], device_factor=point["device_factor"],
+    )}
 
 
-def _run_failover(scenario: Scenario, tracer=None):
-    from .failover import run_failover_experiment
-    kwargs = {}
-    for name in ("faults", "mean_interval", "heartbeat_interval",
-                 "miss_threshold"):
-        value = getattr(scenario, name)
-        if value is not None:
-            kwargs[name] = value
-    return run_failover_experiment(
-        scenario.spec(), algorithm=scenario.algorithm,
-        seed=scenario.seed,
-        mode=scenario.mode or "warm",
-        restart_primary=bool(scenario.restart_primary),
-        manager=scenario.manager,
-        timing=scenario.timing_model(), params=scenario.fabric_params(),
-        tracer=tracer, fm_options=scenario.fm_options, **kwargs,
-    )
+def _change_label(scenario: Scenario):
+    parts = (f"seed={scenario.seed}",)
+    return parts + (scenario.change,) if scenario.change else parts
 
 
-def _run_load(scenario: Scenario, tracer=None):
-    from .load import run_load_experiment
-    return run_load_experiment(
-        scenario.spec(), algorithm=scenario.algorithm,
-        traffic=scenario.traffic_spec(), seed=scenario.seed,
-        manager=scenario.manager, timing=scenario.timing_model(),
-        params=scenario.fabric_params(), change=scenario.change,
-        tracer=tracer, fm_options=scenario.fm_options,
-    )
-
-
-_RUNNERS = {
-    "discover": _run_discover,
-    "change": _run_change,
-    "reliability": _run_reliability,
-    "churn": _run_churn,
-    "failover": _run_failover,
-    "load": _run_load,
-}
+#: Every scenario kind, in :data:`KINDS` order.
+FAMILIES = {family.kind: family for family in (
+    Family(
+        kind="discover",
+        run=_run_discover,
+        help="run one discovery",
+        topology="3x3 mesh",
+        title="Discovery of {topology} [{algorithm}] (seed {seed})",
+        axes=(
+            ALGORITHM,
+            MANAGER,
+            Axis("fm_factor", "--fm-factor", 1.0, None, type=float),
+            Axis("device_factor", "--device-factor", 1.0, None,
+                 type=float),
+        ),
+        compose=_discover_timing,
+        record=_discover_record,
+    ),
+    Family(
+        kind="change",
+        run=_run_change,
+        help="change-assimilation experiment",
+        topology="4x4 mesh",
+        title="Change assimilation on {topology} [{algorithm}] "
+              "(seed {seed})",
+        axes=(
+            ALGORITHM,
+            MANAGER,
+            Axis("change", "--kind", "remove_switch", "change",
+                 choices=CHANGE_KINDS),
+        ),
+        label=_change_label,
+    ),
+    reliability.FAMILY,
+    churn.FAMILY,
+    failover.FAMILY,
+    load.FAMILY,
+)}
 
 
 def run_scenario(scenario: Scenario, tracer=None):
@@ -519,4 +442,4 @@ def run_scenario(scenario: Scenario, tracer=None):
     the run ends.  Tracing never perturbs the simulation, so a traced
     run's measurements are bit-identical to an untraced one.
     """
-    return _RUNNERS[scenario.kind](scenario, tracer=tracer)
+    return FAMILIES[scenario.kind].run(scenario, tracer=tracer)

@@ -1,37 +1,77 @@
-"""Parameter sweeps behind the paper's evaluation figures."""
+"""Parameter sweeps: the generic family sweep and the paper's figures."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import itertools
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..manager.discovery.base import DiscoveryStats
 from ..manager.timing import ALGORITHMS, ProcessingTimeModel
 from ..topology.spec import TopologySpec
 from ..topology.table1 import table1_suite
-from .executor import change_job, initial_job, run_sweep
-from .runner import ExperimentResult, build_simulation, run_until_ready
+from .executor import run_sweep
+from .family import Family
+from .io import spec_to_dict
+from .runner import ExperimentResult
+from .scenario import Scenario
 
 #: Default FM processing factors swept in Fig. 8(a).
 FM_FACTORS = (0.25, 1 / 3, 0.5, 1.0, 2.0, 3.0, 4.0)
 #: Default device processing factors swept in Fig. 8(b).
 DEVICE_FACTORS = (0.05, 0.1, 0.2, 1 / 3, 0.5, 1.0, 2.0, 4.0)
 
+Topology = Union[str, dict, TopologySpec]
 
-def measure_initial_discovery(
-    spec: TopologySpec,
-    algorithm: str,
-    timing: Optional[ProcessingTimeModel] = None,
-) -> DiscoveryStats:
-    """Discovery time of a fully active fabric (no change), as used by
-    Figs. 4, 7(a), and 8 ("assuming that all fabric devices are
-    active")."""
-    setup = build_simulation(spec, algorithm=algorithm, timing=timing,
-                             auto_start=False)
-    setup.fm.start_discovery()
-    stats = run_until_ready(setup)
-    # Attach the measured mean FM processing time for Fig. 4.
-    stats.mean_fm_time = setup.fm.mean_processing_time()
-    return stats
+
+def plan(family: Family, topology: Topology,
+         seeds: Iterable[int] = (0,), **settings) -> List[Scenario]:
+    """The scenarios of one sweep of ``family`` over ``topology``.
+
+    ``settings`` are keyed by the family's axis names (absent ones take
+    the axis default); any other key is a Scenario field set on every
+    run (``timing=...``, ``max_retries=...``).  Swept axes are crossed
+    in declaration order, outermost first, seeds innermost — the order
+    the results come back in.
+    """
+    seeds = list(seeds)
+    if isinstance(topology, TopologySpec):
+        topology = spec_to_dict(topology)  # validate and render once
+    point = {axis.name: settings.pop(axis.name, axis.default)
+             for axis in family.axes}
+    swept = [axis for axis in family.axes if axis.swept]
+    scenarios = []
+    for combination in itertools.product(*(point[a.name] for a in swept)):
+        point.update(zip((a.name for a in swept), combination))
+        fields = {axis.field: point[axis.name]
+                  for axis in family.axes if axis.field is not None}
+        if family.compose is not None:
+            fields.update(family.compose(point))
+        fields.update(settings)
+        scenarios += [
+            Scenario(kind=family.kind, topology=topology, seed=seed,
+                     **fields)
+            for seed in seeds
+        ]
+    return scenarios
+
+
+def representative(family: Family, topology: Topology, seed: int = 0,
+                   **settings) -> Scenario:
+    """The one scenario of :func:`plan` a ``--trace`` flag runs: every
+    swept axis at its :attr:`~repro.experiments.family.Axis.pick`."""
+    for axis in family.axes:
+        if axis.swept:
+            values = settings.get(axis.name, axis.default)
+            settings[axis.name] = (axis.pick(values),)
+    return plan(family, topology, seeds=(seed,), **settings)[0]
+
+
+def sweep_family(family: Family, topology: Topology,
+                 seeds: Iterable[int] = (0,), workers: int = 1,
+                 progress=None, **settings) -> list:
+    """Run :func:`plan` through the executor; results in plan order —
+    identical to a serial sweep."""
+    return run_sweep(plan(family, topology, seeds=seeds, **settings),
+                     workers=workers, progress=progress)
 
 
 def sweep_change_experiments(
@@ -52,8 +92,8 @@ def sweep_change_experiments(
     """
     topologies = list(topologies) if topologies else table1_suite()
     joblist = [
-        change_job(
-            spec, algorithm, seed=seed,
+        Scenario(
+            kind="change", topology=spec, algorithm=algorithm, seed=seed,
             change="remove_switch" if seed % 2 == 0 else "add_switch",
             timing=timing,
         )
@@ -73,21 +113,18 @@ def _factor_sweep(
     jobs: int,
     progress,
 ) -> Dict[str, List[Tuple[float, float]]]:
+    grid = [(algorithm, factor)
+            for algorithm in algorithms for factor in factors]
     joblist = [
-        initial_job(
-            spec, algorithm,
-            timing=base.with_factors(**{which: factor}),
-            tag=(algorithm, factor),
-        )
-        for algorithm in algorithms
-        for factor in factors
+        Scenario(kind="discover", topology=spec, algorithm=algorithm,
+                 timing=base.with_factors(**{which: factor}))
+        for algorithm, factor in grid
     ]
     series: Dict[str, List[Tuple[float, float]]] = {
         algorithm: [] for algorithm in algorithms
     }
-    for job, stats in zip(joblist, run_sweep(joblist, workers=jobs,
-                                             progress=progress)):
-        algorithm, factor = job.tag
+    for (algorithm, factor), stats in zip(
+            grid, run_sweep(joblist, workers=jobs, progress=progress)):
         series[algorithm].append((factor, stats.discovery_time))
     return series
 
@@ -132,17 +169,17 @@ def fig4_measurements(
     The x axis is the switch count, as in the paper.
     """
     topologies = list(topologies) if topologies else table1_suite()
+    grid = [(spec, algorithm)
+            for spec in topologies for algorithm in algorithms]
     joblist = [
-        initial_job(spec, algorithm,
-                    timing=timing, tag=(algorithm, spec.num_switches))
-        for spec in topologies
-        for algorithm in algorithms
+        Scenario(kind="discover", topology=spec, algorithm=algorithm,
+                 timing=timing)
+        for spec, algorithm in grid
     ]
     series: Dict[str, List[Tuple[int, float]]] = {a: [] for a in algorithms}
-    for job, stats in zip(joblist, run_sweep(joblist, workers=jobs,
-                                             progress=progress)):
-        algorithm, num_switches = job.tag
-        series[algorithm].append((num_switches, stats.mean_fm_time))
+    for (spec, algorithm), stats in zip(
+            grid, run_sweep(joblist, workers=jobs, progress=progress)):
+        series[algorithm].append((spec.num_switches, stats.mean_fm_time))
     for points in series.values():
         points.sort()
     return series

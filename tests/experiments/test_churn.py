@@ -8,11 +8,10 @@ a single packet shows up here as a one-bit diff.
 """
 
 from repro.cli import main
-from repro.experiments.churn import (
-    run_churn_experiment,
-    summarize_churn,
-    sweep_churn,
-)
+from repro.experiments.churn import FAMILY
+from repro.experiments.family import summarize
+from repro.experiments.scenario import Scenario
+from repro.experiments.sweep import sweep_family
 from repro.manager import PARALLEL
 from repro.topology import make_mesh
 
@@ -42,18 +41,22 @@ GOLDEN_SEED0 = {
 }
 
 
+def run_churn(spec, **fields):
+    return Scenario(kind="churn", topology=spec, **fields).run()
+
+
 class TestGoldenChurn:
     def test_seed0_soak_bit_identical_to_golden(self):
-        result = run_churn_experiment(
+        result = run_churn(
             make_mesh(4, 4), algorithm=PARALLEL, seed=0,
         )
         assert result.asdict() == GOLDEN_SEED0
 
     def test_rerun_reproduces_every_field(self):
-        first = run_churn_experiment(
+        first = run_churn(
             make_mesh(4, 4), algorithm=PARALLEL, seed=1,
         )
-        second = run_churn_experiment(
+        second = run_churn(
             make_mesh(4, 4), algorithm=PARALLEL, seed=1,
         )
         assert first == second
@@ -65,7 +68,7 @@ class TestAcceptance:
 
     def test_full_manager_converges_and_audits_clean(self):
         for seed in range(3):
-            result = run_churn_experiment(
+            result = run_churn(
                 make_mesh(4, 4), algorithm=PARALLEL, seed=seed,
             )
             assert result.mid_discovery_faults >= 1, seed
@@ -75,7 +78,7 @@ class TestAcceptance:
             assert result.audit_differences == 0, seed
 
     def test_partial_manager_survives_churn(self):
-        result = run_churn_experiment(
+        result = run_churn(
             make_mesh(4, 4), algorithm=PARALLEL, seed=2, manager="partial",
         )
         assert result.converged
@@ -86,18 +89,18 @@ class TestAcceptance:
 class TestSweep:
     def test_workers_do_not_change_results(self):
         spec = make_mesh(3, 3)
-        serial = sweep_churn(spec, algorithms=(PARALLEL,), seeds=(0, 1),
-                             workers=1, progress=False)
-        forked = sweep_churn(spec, algorithms=(PARALLEL,), seeds=(0, 1),
-                             workers=2, progress=False)
+        serial = sweep_family(FAMILY, spec, algorithms=(PARALLEL,),
+                              seeds=(0, 1), workers=1, progress=False)
+        forked = sweep_family(FAMILY, spec, algorithms=(PARALLEL,),
+                              seeds=(0, 1), workers=2, progress=False)
         assert serial == forked
         assert [r.seed for r in serial] == [0, 1]
 
     def test_summary_aggregates_by_manager_and_algorithm(self):
         spec = make_mesh(3, 3)
-        results = sweep_churn(spec, algorithms=(PARALLEL,), seeds=(0, 1),
-                              progress=False)
-        rows = summarize_churn(results)
+        results = sweep_family(FAMILY, spec, algorithms=(PARALLEL,),
+                               seeds=(0, 1), progress=False)
+        rows = summarize(FAMILY, results)
         assert len(rows) == 1
         row = rows[0]
         assert row["manager"] == "full"

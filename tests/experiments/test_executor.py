@@ -3,17 +3,21 @@
 import pytest
 
 import repro.experiments.executor as executor_module
-from repro.experiments.executor import (
-    Job,
-    SweepError,
-    change_job,
-    initial_job,
-    run_many,
-    run_sweep,
-)
+from repro.experiments.executor import SweepError, run_many, run_sweep
+from repro.experiments.scenario import Scenario
 from repro.experiments.sweep import sweep_change_experiments, sweep_fm_factor
 from repro.manager.timing import ProcessingTimeModel
 from repro.topology import make_mesh, make_torus
+
+
+def _change(spec, algorithm, **fields):
+    return Scenario(kind="change", topology=spec, algorithm=algorithm,
+                    **fields)
+
+
+def _discover(spec, algorithm, **fields):
+    return Scenario(kind="discover", topology=spec, algorithm=algorithm,
+                    **fields)
 
 
 def _quick_jobs():
@@ -22,12 +26,12 @@ def _quick_jobs():
     mesh, torus = make_mesh(2, 2), make_torus(3, 3)
     timing = ProcessingTimeModel(fm_factor=2.0)
     return [
-        change_job(mesh, "parallel", seed=0, change="remove_switch"),
-        change_job(mesh, "serial_device", seed=1, change="add_switch"),
-        change_job(torus, "parallel", seed=2, change="remove_switch",
-                   timing=timing),
-        initial_job(mesh, "serial_packet"),
-        initial_job(torus, "parallel", timing=timing),
+        _change(mesh, "parallel", seed=0, change="remove_switch"),
+        _change(mesh, "serial_device", seed=1, change="add_switch"),
+        _change(torus, "parallel", seed=2, change="remove_switch",
+                timing=timing),
+        _discover(mesh, "serial_packet"),
+        _discover(torus, "parallel", timing=timing),
     ]
 
 
@@ -80,9 +84,9 @@ class TestDeterminism:
 
 class TestFailureHandling:
     def test_failure_carries_job_and_spares_the_rest(self):
-        good = change_job(make_mesh(2, 2), "parallel", seed=0)
-        bad = Job(kind="change", spec=good.spec, algorithm="parallel",
-                  seed=0, change="explode_switch")
+        good = _change(make_mesh(2, 2), "parallel", seed=0)
+        bad = _change(make_mesh(2, 2), "parallel", seed=0,
+                      fm_options={"explode_switch": True})
         report = run_many([good, bad, good], workers=2)
         assert report.results[0] is not None
         assert report.results[2] is not None
@@ -94,17 +98,15 @@ class TestFailureHandling:
         assert "Traceback" in failure.traceback
 
     def test_raise_if_failed_names_the_job(self):
-        bad = Job(kind="bogus", spec=change_job(
-            make_mesh(2, 2), "parallel").spec, algorithm="parallel")
+        bad = _change("bogus", "parallel")
         with pytest.raises(SweepError, match="bogus"):
             run_many([bad], workers=1).raise_if_failed()
 
     def test_run_sweep_raises_on_failure(self):
-        bad = Job(kind="change", spec=change_job(
-            make_mesh(2, 2), "parallel").spec, algorithm="parallel",
-            change="explode_switch")
+        bad = _change(make_mesh(2, 2), "parallel",
+                      fm_options={"explode_switch": True})
         with pytest.raises(SweepError):
-            run_sweep([bad, change_job(make_mesh(2, 2), "parallel")],
+            run_sweep([bad, _change(make_mesh(2, 2), "parallel")],
                       workers=2)
 
 
@@ -114,14 +116,14 @@ class TestFallbacks:
             raise AssertionError("workers=1 must not build a pool")
 
         monkeypatch.setattr(executor_module, "_pool_context", no_pool)
-        report = run_many([change_job(make_mesh(2, 2), "parallel")],
+        report = run_many([_change(make_mesh(2, 2), "parallel")],
                           workers=1)
         assert not report.failures
         assert report.workers == 1
 
     def test_degrades_when_no_start_method(self, monkeypatch):
         monkeypatch.setattr(executor_module, "_pool_context", lambda: None)
-        jobs = [change_job(make_mesh(2, 2), "parallel", seed=s)
+        jobs = [_change(make_mesh(2, 2), "parallel", seed=s)
                 for s in range(2)]
         report = run_many(jobs, workers=4)
         assert report.workers == 1
@@ -131,7 +133,7 @@ class TestFallbacks:
             assert _fingerprint(a) == _fingerprint(b)
 
     def test_workers_clamped_to_job_count(self):
-        report = run_many([change_job(make_mesh(2, 2), "parallel")],
+        report = run_many([_change(make_mesh(2, 2), "parallel")],
                           workers=16)
         assert report.workers == 1
         assert not report.failures
@@ -140,7 +142,7 @@ class TestFallbacks:
 class TestReporting:
     def test_progress_callback_and_summary(self):
         seen = []
-        jobs = [change_job(make_mesh(2, 2), "parallel", seed=s)
+        jobs = [_change(make_mesh(2, 2), "parallel", seed=s)
                 for s in range(2)]
         report = run_many(jobs, workers=1,
                           progress=lambda done, job, failure, duration:
@@ -156,15 +158,15 @@ class TestReporting:
         import io
 
         stream = io.StringIO()
-        run_many([change_job(make_mesh(2, 2), "parallel")],
+        run_many([_change(make_mesh(2, 2), "parallel")],
                  workers=1, progress=True, stream=stream)
         text = stream.getvalue()
         assert "[1/1]" in text and "eta" in text
         assert "runs (0 failed)" in text
 
     def test_job_describe_mentions_identity(self):
-        job = change_job(make_mesh(2, 2), "serial_device", seed=7,
-                         change="add_switch")
+        job = _change(make_mesh(2, 2), "serial_device", seed=7,
+                      change="add_switch")
         text = job.describe()
         assert "2x2 mesh" in text
         assert "serial_device" in text

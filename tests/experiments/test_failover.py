@@ -8,19 +8,22 @@ old primary demotes itself instead of split-braining the fabric.
 
 import pytest
 
-from repro.experiments.failover import (
-    render_failover,
-    run_failover_experiment,
-    summarize_failover,
-    sweep_failover,
-)
+from repro.experiments.failover import FAMILY
+from repro.experiments.family import render, summarize
 from repro.experiments.scenario import Scenario
+from repro.experiments.sweep import sweep_family
 from repro.topology.registry import resolve_topology
+
+
+def run_failover(spec, **fields):
+    """One failover run on the family's default (partial) manager."""
+    return Scenario(kind="failover", topology=spec, manager="partial",
+                    **fields).run()
 
 
 class TestColdTakeover:
     def test_converges_with_clean_audit_on_mesh16(self):
-        result = run_failover_experiment(
+        result = run_failover(
             resolve_topology("mesh16"), mode="cold", seed=0,
         )
         assert result.takeover_mode == "cold"
@@ -33,7 +36,7 @@ class TestColdTakeover:
 
 class TestWarmTakeover:
     def test_uses_the_mirror_and_converges_on_mesh16(self):
-        result = run_failover_experiment(
+        result = run_failover(
             resolve_topology("mesh16"), mode="warm", seed=0,
         )
         assert result.takeover_mode == "warm"
@@ -43,8 +46,8 @@ class TestWarmTakeover:
 
     def test_warm_recovery_beats_cold_on_churned_mesh64(self):
         spec = resolve_topology("mesh64")
-        cold = run_failover_experiment(spec, mode="cold", seed=3)
-        warm = run_failover_experiment(spec, mode="warm", seed=3)
+        cold = run_failover(spec, mode="cold", seed=3)
+        warm = run_failover(spec, mode="warm", seed=3)
         assert cold.converged and cold.audit_ok
         assert warm.converged and warm.audit_ok
         assert warm.takeover_mode == "warm"
@@ -56,7 +59,7 @@ class TestWarmTakeover:
 class TestFencing:
     @pytest.mark.parametrize("mode", ("warm", "cold"))
     def test_resurrected_primary_demotes_itself(self, mode):
-        result = run_failover_experiment(
+        result = run_failover(
             resolve_topology("mesh16"), mode=mode, seed=1,
             restart_primary=True,
         )
@@ -69,17 +72,17 @@ class TestFencing:
 class TestSweep:
     def test_sweep_summarize_render(self):
         spec = resolve_topology("mesh9")
-        results = sweep_failover(
-            spec, modes=("warm", "cold"), seeds=(0, 1), faults=1,
+        results = sweep_family(
+            FAMILY, spec, modes=("warm", "cold"), seeds=(0, 1), faults=1,
         )
         assert len(results) == 4
-        rows = summarize_failover(results)
+        rows = summarize(FAMILY, results)
         assert {row["mode"] for row in rows} == {"warm", "cold"}
         for row in rows:
             assert row["runs"] == 2
             assert row["all_converged"]
             assert row["audit_pass_rate"] == 1.0
-        text = render_failover(rows, title="failover")
+        text = render(FAMILY, rows, title="failover")
         assert "t_recover" in text and "failover" in text
 
 

@@ -14,7 +14,6 @@ from repro.experiments.figures import (
 from repro.experiments.io import spec_to_dict
 from repro.experiments.scenario import Scenario
 from repro.experiments.sweep import (
-    measure_initial_discovery,
     sweep_change_experiments,
     sweep_device_factor,
     sweep_fm_factor,
@@ -80,7 +79,8 @@ class TestSweeps:
         assert times[0.2] > times[1.0]
 
     def test_measure_attaches_mean_fm_time(self):
-        stats = measure_initial_discovery(make_mesh(2, 2), PARALLEL)
+        stats = Scenario(kind="discover", topology=make_mesh(2, 2),
+                         algorithm=PARALLEL).run()
         assert 5e-6 < stats.mean_fm_time < 30e-6
 
 

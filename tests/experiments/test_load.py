@@ -3,20 +3,24 @@
 import pytest
 
 from repro.cli import main
+from repro.experiments.family import render, summarize
 from repro.experiments.load import (
     DEFAULT_LOADS,
+    FAMILY,
     TC_MAPPINGS,
     LoadResult,
     mapping_label,
-    render_load,
-    run_load_experiment,
-    summarize_load,
-    sweep_load,
 )
+from repro.experiments.scenario import Scenario
+from repro.experiments.sweep import sweep_family
 from repro.fabric.params import DEFAULT_PARAMS
 from repro.manager import PARALLEL, SERIAL_PACKET
 from repro.topology import make_mesh
 from repro.workloads.traffic import TrafficSpec
+
+
+def run_load(spec, **fields):
+    return Scenario(kind="load", topology=spec, **fields).run()
 
 
 class TestMappingLabel:
@@ -35,7 +39,7 @@ class TestMappingLabel:
 
 class TestRunLoadExperiment:
     def test_loaded_run_measures_everything(self):
-        result = run_load_experiment(
+        result = run_load(
             make_mesh(3, 3),
             traffic=TrafficSpec(load=0.6, packet_bytes=256),
             seed=1,
@@ -54,7 +58,7 @@ class TestRunLoadExperiment:
         assert result.database_correct
 
     def test_idle_run_reports_no_traffic(self):
-        result = run_load_experiment(make_mesh(2, 2), seed=0)
+        result = run_load(make_mesh(2, 2), seed=0)
         assert result.offered_load == 0.0
         assert result.packets_injected == 0
         assert result.delivered_bytes_per_s == 0.0
@@ -63,7 +67,7 @@ class TestRunLoadExperiment:
 
     def test_asdict_is_json_shaped(self):
         import json
-        result = run_load_experiment(make_mesh(2, 2), seed=0)
+        result = run_load(make_mesh(2, 2), seed=0)
         doc = json.loads(json.dumps(result.asdict()))
         assert doc["mapping"] == "bvc"
         assert doc["changed_device"] == result.changed_device
@@ -71,8 +75,8 @@ class TestRunLoadExperiment:
 
 class TestSweepLoad:
     def test_sweep_shape_and_order(self):
-        results = sweep_load(
-            make_mesh(3, 3), loads=(0.0, 0.6),
+        results = sweep_family(
+            FAMILY, make_mesh(3, 3), loads=(0.0, 0.6),
             mappings=("bvc", "mixed"), workers=2,
         )
         assert len(results) == 4
@@ -86,14 +90,14 @@ class TestSweepLoad:
 
     def test_parallel_matches_serial(self):
         kwargs = dict(loads=(0.0, 0.5), mappings=("bvc",))
-        serial = sweep_load(make_mesh(2, 2), workers=1, **kwargs)
-        parallel = sweep_load(make_mesh(2, 2), workers=2, **kwargs)
+        serial = sweep_family(FAMILY, make_mesh(2, 2), workers=1, **kwargs)
+        parallel = sweep_family(FAMILY, make_mesh(2, 2), workers=2, **kwargs)
         assert [r.asdict() for r in serial] == \
             [r.asdict() for r in parallel]
 
     def test_unknown_mapping_rejected(self):
         with pytest.raises(ValueError, match="unknown TC mapping"):
-            sweep_load(make_mesh(2, 2), mappings=("warp",))
+            sweep_family(FAMILY, make_mesh(2, 2), mappings=("warp",))
 
 
 class TestSummarizeLoad:
@@ -111,7 +115,7 @@ class TestSummarizeLoad:
         )
 
     def test_inflation_against_idle_baseline(self):
-        rows = summarize_load([
+        rows = summarize(FAMILY, [
             self._result("bvc", 0.0, 2e-3, 1e-5),
             self._result("bvc", 0.9, 3e-3, 2e-5),
         ])
@@ -123,12 +127,12 @@ class TestSummarizeLoad:
         assert idle["discovery_inflation"] == pytest.approx(1.0)
 
     def test_no_baseline_means_no_inflation(self):
-        rows = summarize_load([self._result("mixed", 0.9, 3e-3, 2e-5)])
+        rows = summarize(FAMILY, [self._result("mixed", 0.9, 3e-3, 2e-5)])
         assert rows[0]["discovery_inflation"] is None
         assert rows[0]["detection_inflation"] is None
 
     def test_buckets_are_per_mapping(self):
-        rows = summarize_load([
+        rows = summarize(FAMILY, [
             self._result("bvc", 0.0, 2e-3, 1e-5),
             self._result("mixed", 0.0, 4e-3, 2e-5),
             self._result("mixed", 0.9, 8e-3, 6e-5),
@@ -139,11 +143,11 @@ class TestSummarizeLoad:
         assert mixed[0]["detection_inflation"] == pytest.approx(3.0)
 
     def test_render_table(self):
-        rows = summarize_load([
+        rows = summarize(FAMILY, [
             self._result("bvc", 0.0, 2e-3, 1e-5),
             self._result("bvc", 0.9, 3e-3, 2e-5),
         ])
-        table = render_load(rows, title="load sweep")
+        table = render(FAMILY, rows, title="load sweep")
         assert "load sweep" in table
         assert "t_detect infl" in table
         assert "90%" in table

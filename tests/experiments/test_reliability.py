@@ -4,14 +4,14 @@ from dataclasses import replace
 
 import pytest
 
+from repro.experiments.family import render, summarize
 from repro.experiments.reliability import (
     DEFAULT_BIT_ERROR_RATES,
+    FAMILY,
     ReliabilityResult,
-    render_reliability,
-    run_reliability_experiment,
-    summarize_reliability,
-    sweep_reliability,
 )
+from repro.experiments.scenario import Scenario
+from repro.experiments.sweep import sweep_family
 from repro.fabric.params import DEFAULT_PARAMS
 from repro.topology.table1 import table1_topology
 
@@ -19,9 +19,14 @@ MESH = table1_topology("3x3 mesh")
 RATES = (0.0, 5e-5, 1e-4)
 
 
+def run_reliability(spec, algorithm, **fields):
+    return Scenario(kind="reliability", topology=spec,
+                    algorithm=algorithm, **fields).run()
+
+
 class TestSingleRun:
     def test_perfect_channel_matches_golden_no_recovery(self):
-        result = run_reliability_experiment(MESH, "parallel")
+        result = run_reliability(MESH, "parallel")
         assert result.database_correct
         assert result.retries == 0
         assert result.timeouts == 0
@@ -31,7 +36,7 @@ class TestSingleRun:
 
     def test_lossy_run_recovers_via_retries(self):
         params = replace(DEFAULT_PARAMS, bit_error_rate=1e-4)
-        result = run_reliability_experiment(
+        result = run_reliability(
             MESH, "parallel", params=params, seed=0
         )
         assert result.database_correct
@@ -40,7 +45,7 @@ class TestSingleRun:
         assert result.devices_found == MESH.total_devices
 
     def test_asdict_round_trip(self):
-        result = run_reliability_experiment(MESH, "parallel")
+        result = run_reliability(MESH, "parallel")
         info = result.asdict()
         assert ReliabilityResult(**info) == result
 
@@ -48,8 +53,8 @@ class TestSingleRun:
 class TestSweep:
     @pytest.fixture(scope="class")
     def results(self):
-        return sweep_reliability(
-            MESH, bit_error_rates=RATES, algorithms=("parallel",),
+        return sweep_family(
+            FAMILY, MESH, bit_error_rates=RATES, algorithms=("parallel",),
         )
 
     def test_one_result_per_rate_in_submission_order(self, results):
@@ -64,8 +69,8 @@ class TestSweep:
         assert times[-1] > times[0]
 
     def test_parallel_workers_match_serial(self, results):
-        fanned = sweep_reliability(
-            MESH, bit_error_rates=RATES, algorithms=("parallel",),
+        fanned = sweep_family(
+            FAMILY, MESH, bit_error_rates=RATES, algorithms=("parallel",),
             workers=2, progress=False,
         )
         assert fanned == results
@@ -83,7 +88,7 @@ class TestSummaryAndRendering:
         )
 
     def test_summarize_groups_and_averages(self):
-        rows = summarize_reliability([
+        rows = summarize(FAMILY, [
             self._fake("parallel", 1e-5, 2.0),
             self._fake("parallel", 1e-5, 4.0),
             self._fake("parallel", 0.0, 1.0),
@@ -98,8 +103,8 @@ class TestSummaryAndRendering:
         assert rows[2]["all_correct"] is False
 
     def test_render_produces_table_with_title(self):
-        rows = summarize_reliability([self._fake("parallel", 0.0, 1.0)])
-        text = render_reliability(rows, title="Loss sweep")
+        rows = summarize(FAMILY, [self._fake("parallel", 0.0, 1.0)])
+        text = render(FAMILY, rows, title="Loss sweep")
         assert text.startswith("Loss sweep\n")
         assert "parallel" in text
         assert "CRC drops" in text

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.executor import CHANGE, CHURN, Job, run_many
+from repro.experiments.executor import run_many
 from repro.experiments.scenario import Scenario, run_scenario
 from repro.fabric.params import DEFAULT_PARAMS, FabricParams
 from repro.manager.timing import ProcessingTimeModel
@@ -110,33 +110,23 @@ class TestSerialization:
 
 class TestJobs:
     def test_job_carries_scenario_and_round_trips(self):
+        # A job *is* its scenario; it crosses the worker boundary pickled.
+        import pickle
         scenario = _full_scenario()
-        job = scenario.job(tag="t")
-        assert job.kind == CHURN
-        assert job.tag == "t"
-        assert Scenario.from_job(job) == scenario
-
-    def test_legacy_job_without_scenario_maps_field_by_field(self):
-        job = Job(kind=CHANGE, spec={"name": "x"}, algorithm="parallel",
-                  seed=4, change="add_switch",
-                  options={"manager": "partial"})
-        scenario = Scenario.from_job(job)
-        assert scenario.kind == "change"
-        assert scenario.change == "add_switch"
-        assert scenario.manager == "partial"
-        assert scenario.seed == 4
-        assert scenario.topology == {"name": "x"}
-
-    def test_unknown_job_kind_rejected(self):
-        job = Job(kind="teleport", spec={"name": "x"}, algorithm="parallel")
-        with pytest.raises(ValueError, match="job kind"):
-            Scenario.from_job(job)
+        assert pickle.loads(pickle.dumps(scenario)) == scenario
 
     def test_executor_routes_through_scenario(self):
         scenario = Scenario(kind="change", topology="mesh9", seed=0)
         direct = scenario.run().asdict()
-        via_executor = run_many([scenario.job()]).raise_if_failed()
+        via_executor = run_many([scenario]).raise_if_failed()
         assert via_executor.results[0].asdict() == direct
+
+    def test_topology_spec_normalizes_to_its_document(self):
+        from repro.experiments.io import spec_to_dict
+        from repro.topology import make_mesh
+        spec = make_mesh(2, 2)
+        assert Scenario(topology=spec) == Scenario(
+            topology=spec_to_dict(spec))
 
 
 class TestShimsRemoved:
@@ -153,7 +143,8 @@ class TestShimsRemoved:
     def test_job_shims_removed(self):
         import repro.experiments
         import repro.experiments.executor as executor
-        for name in ("reliability_job", "churn_job"):
+        for name in ("reliability_job", "churn_job", "Job", "change_job",
+                     "initial_job"):
             assert not hasattr(executor, name)
             assert not hasattr(repro.experiments, name)
 
@@ -222,18 +213,6 @@ class TestDocumentIsolation:
         topology["switches"].append(["rogue", 4])
         options["rogue"] = True
         assert scenario.to_dict() == before
-
-    def test_job_spec_does_not_alias_scenario_topology(self):
-        from repro.experiments.io import spec_to_dict
-        from repro.topology import make_irregular
-        scenario = Scenario(
-            kind="discover",
-            topology=spec_to_dict(make_irregular(4, extra_links=0,
-                                                 switch_ports=8, seed=1)),
-        )
-        job = scenario.job()
-        job.spec["switches"].append(["rogue", 4])
-        assert "rogue" not in str(scenario.topology)
 
 
 class TestJsonNormalForm:

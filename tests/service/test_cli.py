@@ -58,7 +58,7 @@ class TestInterruptHandling:
         def boom(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli_mod, "sweep_churn", boom)
+        monkeypatch.setattr(cli_mod, "run_sweep", boom)
         assert main(["churn", "--topology", "mesh9",
                      "--faults", "1"]) == 130
         assert "interrupted" in capsys.readouterr().err

@@ -1,0 +1,96 @@
+"""Source LOC as a tracked number: a ratchet, not a sentence in a PR.
+
+A *code line* is a line of ``src/**/*.py`` that carries at least one
+token other than a comment, with docstrings (module, class, function)
+excluded — so comments, blank lines and documentation are free, and
+reformatting a docstring never moves the number.  The ceilings below
+are the counts at the commit that last changed them; a PR that takes
+the tree above one fails here and has to either pay for the new lines
+by deleting others or raise the ceiling on purpose, in the diff, where
+a reviewer sees it.  Consolidation PRs lower them.
+
+``python tests/test_loc_budget.py`` prints the per-package table (CI
+does, so the trajectory is readable from the logs).
+"""
+
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Code lines in all of ``src/`` (13,240 before PR 13).
+TOTAL_CEILING = 12_641
+#: Code lines in ``repro/experiments/`` + ``repro/cli.py`` (3,666
+#: before PR 13).
+EXPERIMENTS_AND_CLI_CEILING = 3_071
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+             tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
+             tokenize.ENDMARKER}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef,
+               ast.AsyncFunctionDef)
+
+
+def code_lines(source: str) -> int:
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, _DOCUMENTED) or not node.body:
+            continue
+        first = node.body[0]
+        if (isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)):
+            lines.difference_update(
+                range(first.lineno, first.end_lineno + 1))
+    return len(lines)
+
+
+def count_by_package() -> dict:
+    """Code lines per ``repro`` sub-package; top-level modules
+    (``cli.py``, ``__init__.py``...) are listed by file name."""
+    counts: dict = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC / "repro").parts
+        counts[parts[0]] = counts.get(parts[0], 0) + code_lines(
+            path.read_text())
+    return counts
+
+
+def test_source_stays_under_the_ceilings():
+    counts = count_by_package()
+    total = sum(counts.values())
+    lab = counts["experiments"] + counts["cli.py"]
+    assert total <= TOTAL_CEILING, (
+        f"src/ has {total} code lines, ceiling {TOTAL_CEILING}")
+    assert lab <= EXPERIMENTS_AND_CLI_CEILING, (
+        f"experiments/ + cli.py have {lab} code lines, ceiling "
+        f"{EXPERIMENTS_AND_CLI_CEILING}")
+
+
+def test_counter_ignores_comments_blanks_and_docstrings():
+    source = (
+        '"""Module docstring,\nover two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):  # trailing comment: still a code line\n"
+        '    """Docstring."""\n'
+        "    return (x +\n"
+        "            1)\n"
+    )
+    assert code_lines(source) == 3
+
+
+if __name__ == "__main__":
+    table = count_by_package()
+    for name, count in sorted(table.items()):
+        print(f"{name:14s} {count:6d}")
+    print(f"{'total':14s} {sum(table.values()):6d}  "
+          f"(ceiling {TOTAL_CEILING})")
+    print(f"{'lab (exp+cli)':14s} "
+          f"{table['experiments'] + table['cli.py']:6d}  "
+          f"(ceiling {EXPERIMENTS_AND_CLI_CEILING})")
