@@ -538,35 +538,32 @@ def _cmd_figure(args) -> int:
 def _cmd_serve(args) -> int:
     from .service import start_service
     manager, algorithm = resolve_variant(args.manager, args.algorithm)
-    kwargs = {} if args.batch is None else {"batch": args.batch}
     handle = start_service(
         topology=args.topology, algorithm=algorithm, manager=manager,
         host=args.host, port=args.port, seed=args.seed,
         churn=args.churn, mean_interval=args.mean_interval,
-        standby=args.standby, **kwargs,
+        standby=args.standby, batch=args.batch,
     )
     churn_note = (f", churn mean_interval={args.mean_interval:g}s"
                   if args.churn else "")
     print(f"serving {args.topology} [{algorithm}/{manager}] on "
           f"{handle.host}:{handle.port}{churn_note}", flush=True)
     print("Ctrl-C to stop, or send the 'shutdown' op.", flush=True)
+    how, code = "shutdown", 0
     try:
         # The service loop thread exits when a client sends `shutdown`.
         while handle._thread.is_alive():
             handle._thread.join(timeout=0.2)
     except KeyboardInterrupt:
-        summary = handle.stop()
-        print(f"\ninterrupted: served {summary['requests']} requests "
-              f"over {summary['connections']} connections, "
-              f"{summary['events_published']} events published, "
-              f"{summary['errors']} errors", flush=True)
-        return 130
+        how, code = "\ninterrupted", 130
     summary = handle.stop()
-    print(f"shutdown: served {summary['requests']} requests over "
+    print(f"{how}: served {summary['requests']} requests over "
           f"{summary['connections']} connections, "
           f"{summary['events_published']} events published, "
-          f"{summary['errors']} errors", flush=True)
-    return 0
+          f"{summary['errors']} errors; snapshot version "
+          f"{summary['version']}, memo {summary['memo_hits']} hits / "
+          f"{summary['memo_misses']} misses", flush=True)
+    return code
 
 
 def _cmd_topology(args) -> int:

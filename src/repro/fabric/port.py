@@ -143,6 +143,12 @@ class Port:
         return stats
 
     @property
+    def stats_if_used(self) -> Optional[Counter]:
+        """The counters, or None on a port that never counted anything
+        (a read that does not materialize them)."""
+        return self._stats
+
+    @property
     def credits(self):
         """Remote input-buffer mirrors (empty until first transmit)."""
         if self._credits is None:

@@ -427,10 +427,23 @@ class TopologyDatabase:
         return g
 
     def summary(self) -> dict:
-        """Counts used by experiment reports."""
+        """Counts used by experiment reports.
+
+        ``links`` is :meth:`graph`'s edge count — distinct device
+        pairs joined by an up port, whichever side recorded it, the
+        neighbour known — counted without building the graph.
+        """
+        known = self._devices
+        links = {
+            (dsn, port.neighbor_dsn) if dsn < port.neighbor_dsn
+            else (port.neighbor_dsn, dsn)
+            for dsn, record in known.items()
+            for port in record.ports.values()
+            if port.up and port.neighbor_dsn in known
+        }
         return {
-            "devices": len(self._devices),
+            "devices": len(known),
             "switches": len(self.switches()),
             "endpoints": len(self.endpoints()),
-            "links": self.graph().number_of_edges(),
+            "links": len(links),
         }

@@ -224,7 +224,7 @@ class MetricsRegistry:
     def scrape_setup(self, setup) -> "MetricsRegistry":
         """Snapshot a finished simulation's scattered counters.
 
-        Aggregates every port's channel counters under ``port.*``,
+        Aggregates every used port's channel counters under ``port.*``,
         every management entity's under ``entity.*``, and the FM's own
         under ``fm.*``; adds database-size and discovery-time summary
         metrics.  Returns ``self`` for chaining.
@@ -232,7 +232,11 @@ class MetricsRegistry:
         self.scrape_counter(setup.fm.counters, "fm")
         for device in setup.fabric.devices.values():
             for port in device.ports:
-                self.scrape_counter(port.stats, "port")
+                # Most ports of a large fabric never count anything;
+                # reading must not materialize their counters.
+                stats = port.stats_if_used
+                if stats is not None:
+                    self.scrape_counter(stats, "port")
         for entity in setup.entities.values():
             self.scrape_counter(entity.stats, "entity")
         self.gauge(

@@ -9,12 +9,19 @@ registries and may run anywhere.
 
 Read operations
 ---------------
-``ping``        liveness + schema version
+``ping``        liveness + schema version + the driver's snapshot
+                ``version`` and memo counters (never memoised, never
+                on the sim thread: the O(1) "did anything change" probe)
 ``status``      FM status, discovery stats, driver/churn counters
 ``topology``    snapshot of the FM's :class:`~repro.manager.database.TopologyDatabase`
 ``path``        path + FM source route between two DSNs
 ``metrics``     end-of-scrape of the obs :class:`~repro.obs.metrics.MetricsRegistry`
 ``topologies``  registered topology families/aliases (+ describe)
+
+``status``/``topology``/``path``/``metrics`` are the :data:`READS`:
+pure functions of the state between two kernel events, answered
+through :meth:`~repro.service.driver.SimulationDriver.read` (see
+:func:`read_op`) and stamped with the ``version`` they were computed at.
 
 Mutation verbs
 --------------
@@ -51,8 +58,10 @@ from ..topology.registry import describe_topology, topology_catalog
 
 #: Wire schema version, announced in the hello banner and ``ping``.
 #: v1.1 added the ``start_traffic``/``stop_traffic`` verbs and the
-#: traffic gauges in ``metrics`` (purely additive; v1 clients work).
-SCHEMA = "repro/service/v1.1"
+#: traffic gauges in ``metrics``; v1.2 adds ``version`` to the four
+#: reads and ``version``/``memo_hits``/``memo_misses`` to ``ping``
+#: (both purely additive; v1 clients work).
+SCHEMA = "repro/service/v1.2"
 
 
 class ApiError(Exception):
@@ -68,7 +77,7 @@ def _require(params: dict, key: str, kind, kindname: str):
     value = params.get(key)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ApiError(
-            "bad-request", f"{key!r} must be a {kindname}, got {value!r}"
+            "bad-request", f"{key!r} must be {kindname}, got {value!r}"
         )
     return value
 
@@ -83,16 +92,15 @@ def _feed(driver, event: dict) -> None:
 # -- read operations ----------------------------------------------------------
 
 def op_ping(setup, driver, params) -> dict:
-    return {"schema": SCHEMA, "wall_time": time.time()}
+    return {"schema": SCHEMA, "wall_time": time.time(),
+            "version": driver.version, "memo_hits": driver.memo_hits,
+            "memo_misses": driver.memo_misses}
 
 
 def op_status(setup, driver, params) -> dict:
     fm = setup.fm
     ready = fm.ready_event is not None and fm.ready_event.triggered
-    last = None
-    if fm.history:
-        stats = fm.history[-1]
-        last = stats.asdict()
+    last = fm.history[-1].asdict() if fm.history else None
     injector = driver.injector
     manager = ("partial" if type(fm).__name__ == "PartialAssimilationManager"
                else "full")
@@ -109,7 +117,7 @@ def op_status(setup, driver, params) -> dict:
         "counters": fm.counters.asdict(),
         "driver": {
             "events_stepped": driver.events_stepped,
-            "commands_run": driver.commands_run,
+            "commands_run": driver.commands_at_version,
             "crashed": repr(driver.crashed) if driver.crashed else None,
         },
         "churn": None if injector is None else {
@@ -133,9 +141,7 @@ def op_topology(setup, driver, params) -> dict:
         })
         for index in sorted(record.ports):
             port = record.ports[index]
-            if port.neighbor_dsn is None or not port.up:
-                continue
-            if port.neighbor_dsn not in db:
+            if not port.up or port.neighbor_dsn not in db:
                 continue
             far = (port.neighbor_dsn,
                    -1 if port.neighbor_port is None else port.neighbor_port)
@@ -150,13 +156,13 @@ def op_topology(setup, driver, params) -> dict:
 
 
 def op_path(setup, driver, params) -> dict:
-    src = _require(params, "src", int, "DSN integer")
-    dst = _require(params, "dst", int, "DSN integer")
+    src = _require(params, "src", int, "a DSN integer")
+    dst = _require(params, "dst", int, "a DSN integer")
     db = setup.fm.database
-    if src not in db:
-        raise ApiError("unknown-dsn", f"DSN {src:#x} not in the database")
-    if dst not in db:
-        raise ApiError("unknown-dsn", f"DSN {dst:#x} not in the database")
+    for dsn in (src, dst):
+        if dsn not in db:
+            raise ApiError("unknown-dsn",
+                           f"DSN {dsn:#x} not in the database")
     graph = db.graph()
     try:
         hops = nx.shortest_path(graph, src, dst)
@@ -189,42 +195,36 @@ def op_path(setup, driver, params) -> dict:
 def op_metrics(setup, driver, params) -> dict:
     registry = MetricsRegistry()
     registry.scrape_setup(setup)
-    registry.gauge(
-        "service.events_stepped",
-        help="kernel events advanced by the driver",
-    ).set(driver.events_stepped)
-    registry.gauge(
-        "service.commands_run",
-        help="commands executed on the sim thread",
-    ).set(driver.commands_run)
+
+    def gauge(name: str, value, text: str = "") -> None:
+        registry.gauge(name, help=text).set(value)
+
+    gauge("service.events_stepped", driver.events_stepped,
+          "kernel events advanced by the driver")
+    gauge("service.commands_run", driver.commands_at_version,
+          "commands executed on the sim thread")
     tap = getattr(driver, "tap", None)
     if tap is not None:
-        registry.gauge("service.feed_pi5").set(tap.forwarded["pi5"])
-        registry.gauge("service.feed_spans").set(tap.forwarded["span"])
+        gauge("service.feed_pi5", tap.forwarded["pi5"])
+        gauge("service.feed_spans", tap.forwarded["span"])
     traffic = getattr(driver, "traffic", None)
     if traffic is not None:
         stats = traffic.stats()
-        registry.gauge(
-            "traffic.offered_load",
-            help="requested per-endpoint load fraction",
-        ).set(stats["offered_load"])
-        registry.gauge("traffic.packets_injected").set(
-            stats.get("packets_injected", 0))
-        registry.gauge("traffic.packets_delivered").set(
-            stats.get("packets_delivered", 0))
-        registry.gauge(
-            "traffic.delivered_bytes_per_s",
-            help="application goodput since the generator started",
-        ).set(stats.get("delivered_bytes_per_s", 0.0))
+        gauge("traffic.offered_load", stats["offered_load"],
+              "requested per-endpoint load fraction")
+        gauge("traffic.packets_injected", stats.get("packets_injected", 0))
+        gauge("traffic.packets_delivered",
+              stats.get("packets_delivered", 0))
+        gauge("traffic.delivered_bytes_per_s",
+              stats.get("delivered_bytes_per_s", 0.0),
+              "application goodput since the generator started")
     return {"sim_time": setup.env.now, "metrics": registry.collect()}
 
 
 def op_topologies(setup, driver, params) -> dict:
     result = {"catalog": topology_catalog()}
-    name = params.get("describe")
-    if name is not None:
-        if not isinstance(name, str):
-            raise ApiError("bad-request", "'describe' must be a name")
+    if params.get("describe") is not None:
+        name = _require(params, "describe", str, "a name")
         try:
             result["described"] = describe_topology(name)
         except ValueError as exc:
@@ -243,46 +243,30 @@ def _mutation_event(driver, setup, verb: str, target: str) -> None:
     })
 
 
-def op_remove_device(setup, driver, params) -> dict:
-    name = _require(params, "name", str, "device name")
-    try:
-        setup.fabric.remove_device(name)
-    except FabricError as exc:
-        raise ApiError("bad-mutation", str(exc)) from None
-    _mutation_event(driver, setup, "remove_device", name)
-    return {"removed": name, "sim_time": setup.env.now}
+#: verb (== the ``Fabric`` method) -> (device-name params, result key).
+FABRIC_VERBS = {
+    "remove_device": (("name",), "removed"),
+    "restore_device": (("name",), "restored"),
+    "fail_link": (("a", "b"), "failed"),
+    "restore_link": (("a", "b"), "restored"),
+}
 
 
-def op_restore_device(setup, driver, params) -> dict:
-    name = _require(params, "name", str, "device name")
-    try:
-        setup.fabric.restore_device(name)
-    except FabricError as exc:
-        raise ApiError("bad-mutation", str(exc)) from None
-    _mutation_event(driver, setup, "restore_device", name)
-    return {"restored": name, "sim_time": setup.env.now}
+def _fabric_verb(verb: str) -> Callable:
+    names, key = FABRIC_VERBS[verb]
 
+    def op(setup, driver, params) -> dict:
+        targets = [_require(params, name, str, "a device name")
+                   for name in names]
+        try:
+            getattr(setup.fabric, verb)(*targets)
+        except FabricError as exc:
+            raise ApiError("bad-mutation", str(exc)) from None
+        _mutation_event(driver, setup, verb, "<->".join(targets))
+        return {key: targets[0] if len(targets) == 1 else targets,
+                "sim_time": setup.env.now}
 
-def op_fail_link(setup, driver, params) -> dict:
-    a = _require(params, "a", str, "device name")
-    b = _require(params, "b", str, "device name")
-    try:
-        setup.fabric.fail_link(a, b)
-    except FabricError as exc:
-        raise ApiError("bad-mutation", str(exc)) from None
-    _mutation_event(driver, setup, "fail_link", f"{a}<->{b}")
-    return {"failed": [a, b], "sim_time": setup.env.now}
-
-
-def op_restore_link(setup, driver, params) -> dict:
-    a = _require(params, "a", str, "device name")
-    b = _require(params, "b", str, "device name")
-    try:
-        setup.fabric.restore_link(a, b)
-    except FabricError as exc:
-        raise ApiError("bad-mutation", str(exc)) from None
-    _mutation_event(driver, setup, "restore_link", f"{a}<->{b}")
-    return {"restored": [a, b], "sim_time": setup.env.now}
+    return op
 
 
 def op_rediscover(setup, driver, params) -> dict:
@@ -322,20 +306,14 @@ def op_kill_fm(setup, driver, params) -> dict:
     except FabricError as exc:
         raise ApiError("bad-mutation", str(exc)) from None
     standby.note_primary_failure(setup.env.now)
-    _feed(driver, {
-        "event": "failover",
-        "phase": "primary_killed",
-        "host": host,
-        "standby": standby.fm.endpoint.name,
-        "mode": standby.mode,
-        "sim_time": setup.env.now,
-    })
-    return {
-        "killed": host,
+    outcome = {
         "standby": standby.fm.endpoint.name,
         "mode": standby.mode,
         "sim_time": setup.env.now,
     }
+    _feed(driver, {"event": "failover", "phase": "primary_killed",
+                   "host": host, **outcome})
+    return {"killed": host, **outcome}
 
 
 def op_promote_standby(setup, driver, params) -> dict:
@@ -365,10 +343,7 @@ def op_start_traffic(setup, driver, params) -> dict:
     from dataclasses import fields as dc_fields
 
     from ..workloads.traffic import TrafficGenerator, TrafficSpec
-    seed = params.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ApiError("bad-request", f"'seed' must be an integer, "
-                       f"got {seed!r}")
+    seed = _require({"seed": 0, **params}, "seed", int, "an integer")
     known = {f.name for f in dc_fields(TrafficSpec)}
     spec_kwargs = {k: v for k, v in params.items() if k in known}
     try:
@@ -429,10 +404,7 @@ HANDLERS: Dict[str, Tuple[Callable, bool]] = {
     "path": (op_path, True),
     "metrics": (op_metrics, True),
     "topologies": (op_topologies, False),
-    "remove_device": (op_remove_device, True),
-    "restore_device": (op_restore_device, True),
-    "fail_link": (op_fail_link, True),
-    "restore_link": (op_restore_link, True),
+    **{verb: (_fabric_verb(verb), True) for verb in FABRIC_VERBS},
     "rediscover": (op_rediscover, True),
     "audit": (op_audit, True),
     "kill_fm": (op_kill_fm, True),
@@ -441,34 +413,70 @@ HANDLERS: Dict[str, Tuple[Callable, bool]] = {
     "stop_traffic": (op_stop_traffic, True),
 }
 
-#: Ops that mutate the simulation (reported apart in service stats).
-MUTATIONS = frozenset((
-    "remove_device", "restore_device", "fail_link", "restore_link",
-    "rediscover", "kill_fm", "promote_standby", "start_traffic",
-    "stop_traffic",
-))
+#: Ops that are pure functions of the between-events state.
+READS = frozenset(("status", "topology", "path", "metrics"))
+
+
+class Snapshot:
+    """One read's outcome at one version: its result document, or the
+    ``(code, message)`` of the :class:`ApiError` it answers with.
+    ``wire`` caches the result's JSON encoding (filled by the first
+    server response that needs it)."""
+
+    __slots__ = ("result", "error", "wire")
+
+    def __init__(self, result: Optional[dict], error: Optional[tuple]):
+        self.result, self.error, self.wire = result, error, None
+
+    def unwrap(self) -> dict:
+        if self.error is not None:
+            raise ApiError(*self.error)
+        return self.result
 
 
 def handler_for(op: str) -> Tuple[Callable, bool]:
     """Resolve an op name; raises :class:`ApiError` for unknown ops."""
-    entry = HANDLERS.get(op)
-    if entry is None:
+    if op not in HANDLERS:
         raise ApiError(
             "unknown-op",
             f"unknown op {op!r} (known: {', '.join(sorted(HANDLERS))}, "
             f"plus subscribe/unsubscribe/shutdown)",
         )
-    return entry
+    return HANDLERS[op]
+
+
+def read_op(driver, op: str, params: dict):
+    """Future of the :class:`Snapshot` of read ``op``: the one read
+    path of the TCP server and :func:`call_op`.  Answered from the
+    driver's memo when nothing changed since it was last computed."""
+    fn, _ = handler_for(op)
+    key = (op,)
+    if op == "path":
+        key = (op, _require(params, "src", int, "a DSN integer"),
+               _require(params, "dst", int, "a DSN integer"))
+
+    def snapshot(setup) -> Snapshot:
+        try:
+            result = fn(setup, driver, params)
+        except ApiError as exc:
+            return Snapshot(None, (exc.code, exc.message))
+        result["version"] = driver.version
+        return Snapshot(result, None)
+
+    return driver.read(key, snapshot)
 
 
 def call_op(driver, op: str, params: Optional[dict] = None):
     """Synchronous dispatch (tests and in-process tools).
 
-    Runs sim-thread ops through the driver's command queue exactly as
-    the server would.
+    Runs sim-thread ops through the driver exactly as the server
+    would; a read's result is the shared snapshot of its version, not
+    a private copy — treat it as read-only.
     """
     fn, needs_sim = handler_for(op)
     params = params or {}
+    if op in READS:
+        return read_op(driver, op, params).result(30.0).unwrap()
     if needs_sim:
         return driver.call(lambda setup: fn(setup, driver, params))
     return fn(None, driver, params)

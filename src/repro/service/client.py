@@ -125,14 +125,11 @@ class ServiceClient:
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
-        try:
-            self._file.close()
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        for close in (self._file.close, self._sock.close):
+            try:
+                close()
+            except OSError:
+                pass
 
     def __enter__(self) -> "ServiceClient":
         return self

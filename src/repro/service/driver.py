@@ -15,7 +15,10 @@ simulation directly.  :class:`SimulationDriver` enforces the split:
   between batches, so query latency stays bounded even while a
   discovery storm keeps the heap full;
 * when the heap drains (a quiescent fabric with no churn), the driver
-  blocks on the command queue instead of spinning.
+  blocks on the command queue instead of spinning;
+* everything a read can observe carries one monotone ``version``; a
+  :meth:`~SimulationDriver.read` whose memo entry is of the current
+  version is answered on the caller's thread, without the queue.
 
 Determinism: the simulation itself stays deterministic — same event
 order, same randomness — for a given sequence of submitted mutations
@@ -34,8 +37,14 @@ from ..experiments.runner import SimulationSetup
 
 Infinity = float("inf")
 
+_ABSENT = object()
+
 #: Kernel events advanced per command-queue check.
 DEFAULT_BATCH = 128
+
+#: Distinct reads memoised per version (further keys are computed on
+#: every request, as all reads were before the memo).
+MEMO_CAP = 64
 
 #: Seconds the driver blocks waiting for a command while idle.
 IDLE_WAIT = 0.02
@@ -75,6 +84,22 @@ class SimulationDriver:
         self.events_stepped = 0
         #: Commands executed on the sim thread (service metric).
         self.commands_run = 0
+        #: Bumped, on the sim thread only, wherever something a read
+        #: can observe may have changed: after a batch that executed an
+        #: event, before a non-read command runs, when the kernel dies.
+        self.version = 0
+        #: ``commands_run`` when ``version`` was last bumped — what read
+        #: documents report, so equal versions mean equal documents.
+        self.commands_at_version = 0
+        #: Reads answered from the memo (counted on the callers'
+        #: threads, hence the lock) / queued to the sim thread.
+        self.memo_hits = 0
+        self.memo_misses = 0
+        self._hits_lock = threading.Lock()
+        #: ``(version, {key: value})`` of the reads computed at that
+        #: version; written on the sim thread only, and replaced (never
+        #: cleared in place) once the version has moved.
+        self._memo: tuple = (0, {})
         self._commands: "queue.Queue" = queue.Queue()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -99,10 +124,9 @@ class SimulationDriver:
         if self._thread is None or self._stop.is_set():
             self._stop.set()
             return
-        workloads = [w for w in (self.injector,
-                                 getattr(self, "traffic", None))
-                     if w is not None]
-        for workload in workloads:
+        for workload in (self.injector, getattr(self, "traffic", None)):
+            if workload is None:
+                continue
             try:
                 self.call(lambda _setup, w=workload: w.stop(),
                           timeout=timeout)
@@ -120,23 +144,55 @@ class SimulationDriver:
         Returns a :class:`concurrent.futures.Future` with the result;
         exceptions raised by ``fn`` propagate through it.
         """
-        future: Future = Future()
-        if self._stop.is_set() or self._thread is None:
-            future.set_exception(DriverStopped("driver is not running"))
-            return future
-        self._commands.put((fn, future))
-        return future
+        return self._enqueue(fn, None)
 
     def call(self, fn: Callable[[SimulationSetup], object],
              timeout: float = 30.0):
         """Blocking :meth:`submit` (raises on timeout / fn error)."""
         return self.submit(fn).result(timeout)
 
+    def read(self, key, fn: Callable[[SimulationSetup], object]) -> Future:
+        """Future of ``fn(setup)``, a pure function of what the
+        simulation looks like between two kernel events.
+
+        If ``key`` was computed at the current :attr:`version` the
+        future is already resolved, on the caller's thread: nothing has
+        changed since, so the answer is the one a queued read would
+        get (while a batch is in flight it is the state before that
+        batch).  Otherwise the read is queued like a command — without
+        bumping the version — and its value kept for the next caller.
+        A read that raises is not kept.  ``key`` is any hashable
+        but ``None``.
+        """
+        version, values = self._memo
+        value = values.get(key, _ABSENT)
+        if (value is not _ABSENT and version == self.version
+                and not self._stop.is_set()):
+            with self._hits_lock:
+                self.memo_hits += 1
+            future: Future = Future()
+            future.set_result(value)
+            return future
+        return self._enqueue(fn, key)
+
+    def _enqueue(self, fn, key) -> Future:
+        future: Future = Future()
+        if self._stop.is_set() or self._thread is None:
+            future.set_exception(DriverStopped("driver is not running"))
+            return future
+        self._commands.put((fn, future, key))
+        return future
+
+    def _bump(self) -> None:
+        self.version += 1
+        self.commands_at_version = self.commands_run
+
     # -- loop ----------------------------------------------------------------
     def _loop(self) -> None:
         env = self.env
         while not self._stop.is_set():
-            self._run_pending_commands()
+            for item in self._pending():
+                self._run_command(item)
             if self._stop.is_set():
                 break
             if self.crashed is not None or env.peek() == Infinity:
@@ -153,39 +209,55 @@ class SimulationDriver:
                     env.step()
                     stepped += 1
             except BaseException as exc:  # kernel died: keep serving reads
+                self._bump()
                 self.crashed = exc
             self.events_stepped += stepped
+            if stepped:
+                self._bump()
         self._drain_rejected()
 
-    def _run_pending_commands(self) -> None:
+    def _pending(self):
+        """Queued items, until the queue is empty."""
         while True:
             try:
-                item = self._commands.get_nowait()
+                yield self._commands.get_nowait()
             except queue.Empty:
                 return
-            self._run_command(item)
 
     def _run_command(self, item) -> None:
         if item is None:  # stop() wake-up sentinel
             return
-        fn, future = item
+        fn, future, key = item
         if not future.set_running_or_notify_cancel():
             return
         self.commands_run += 1
         try:
-            future.set_result(fn(self.setup))
+            if key is None:
+                self._bump()
+                value = fn(self.setup)
+            else:
+                value = self._read_now(key, fn)
+            future.set_result(value)
         except BaseException as exc:
             future.set_exception(exc)
 
+    def _read_now(self, key, fn):
+        """Sim thread: the memo's value for ``key``, computed unless
+        another caller's queued read already did at this version."""
+        self.memo_misses += 1
+        version, values = self._memo
+        if version != self.version:
+            values = {}
+            self._memo = (self.version, values)
+        value = values.get(key, _ABSENT)
+        if value is _ABSENT:
+            value = fn(self.setup)
+            if len(values) < MEMO_CAP:
+                values[key] = value
+        return value
+
     def _drain_rejected(self) -> None:
         """Fail any commands left behind after the loop exits."""
-        while True:
-            try:
-                item = self._commands.get_nowait()
-            except queue.Empty:
-                return
-            if item is None:
-                continue
-            _fn, future = item
-            if future.set_running_or_notify_cancel():
-                future.set_exception(DriverStopped("driver stopped"))
+        for item in self._pending():
+            if item is not None and item[1].set_running_or_notify_cancel():
+                item[1].set_exception(DriverStopped("driver stopped"))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..experiments.failover import build_failover_pair
 from ..experiments.runner import SimulationSetup, build_simulation
@@ -21,7 +21,7 @@ from ..manager.failover import MODES, StandbyManager
 from ..topology.registry import resolve_topology
 from ..workloads.faults import FaultInjector
 from .client import ServiceClient
-from .driver import SimulationDriver
+from .driver import DEFAULT_BATCH, SimulationDriver
 from .server import FabricService
 from .tap import EventTap
 
@@ -45,10 +45,6 @@ class ServiceHandle:
     _loop: Optional[asyncio.AbstractEventLoop] = None
     _thread: Optional[threading.Thread] = None
     _stopped: bool = field(default=False, repr=False)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self.host, self.port)
 
     def client(self, timeout: float = 30.0) -> ServiceClient:
         """Open a new blocking client connection to this service."""
@@ -140,8 +136,8 @@ def start_service(
         else:
             standby_mgr.start()
 
-    driver_kwargs = {} if batch is None else {"batch": batch}
-    driver = SimulationDriver(setup, injector=injector, **driver_kwargs)
+    driver = SimulationDriver(
+        setup, injector, DEFAULT_BATCH if batch is None else batch)
     driver.tap = tap
     driver.standby = standby_mgr
     if standby_mgr is not None:

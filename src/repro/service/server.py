@@ -5,7 +5,7 @@ One :class:`FabricService` wraps one
 TCP and exchange newline-terminated JSON documents:
 
 * on connect the server sends a hello banner
-  ``{"event": "hello", "schema": "repro/service/v1.1", ...}``;
+  ``{"event": "hello", "schema": "repro/service/v1.2", ...}``;
 * each request line ``{"id": 7, "op": "topology", ...params}`` gets
   exactly one response line ``{"id": 7, "ok": true, "result": ...}``
   (or ``"ok": false`` with an ``error`` object — the connection
@@ -18,6 +18,9 @@ TCP and exchange newline-terminated JSON documents:
 Requests from many clients are serviced concurrently by the asyncio
 loop; the ones that touch simulation state await their turn on the
 driver's command queue, so the kernel itself stays single-threaded.
+A read (:data:`~repro.service.api.READS`) whose snapshot is of the
+driver's current ``version`` skips the queue: it is answered here, on
+the loop's thread, from bytes encoded once per version.
 """
 
 from __future__ import annotations
@@ -83,14 +86,23 @@ class FeedHub:
     def unsubscribe(self, queue: asyncio.Queue) -> None:
         self._subscribers.discard(queue)
 
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._subscribers)
+
+def _dumps(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
 
 
 def _encode(document: dict) -> bytes:
-    return (json.dumps(document, sort_keys=True, separators=(",", ":"))
-            + "\n").encode()
+    return _dumps(document) + b"\n"
+
+
+def _error_of(exc: Exception) -> dict:
+    """The ``error`` object of a failed request."""
+    if isinstance(exc, api.ApiError):
+        return {"code": exc.code, "message": exc.message}
+    if isinstance(exc, json.JSONDecodeError):
+        return {"code": "bad-json", "message": str(exc)}
+    # Handler bug: report, stay up.
+    return {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}
 
 
 class FabricService:
@@ -102,7 +114,6 @@ class FabricService:
         self.host = host
         self.port = port
         self.hub = FeedHub()
-        self.address: Optional[Tuple[str, int]] = None
         #: Service-level stats, reported by :meth:`summary`.
         self.requests = 0
         self.errors = 0
@@ -115,8 +126,7 @@ class FabricService:
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
         """Bind and start accepting; returns the bound ``(host, port)``."""
-        loop = asyncio.get_running_loop()
-        self.hub.bind(loop)
+        self.hub.bind(asyncio.get_running_loop())
         # Handlers publish mutations/audits through the same feed the
         # tap uses (see api._feed).
         self.driver.feed = self.hub.publish
@@ -127,8 +137,7 @@ class FabricService:
             self._handle_connection, self.host, self.port,
         )
         sockname = self._server.sockets[0].getsockname()
-        self.address = (sockname[0], sockname[1])
-        return self.address
+        return sockname[0], sockname[1]
 
     async def serve_until_shutdown(self) -> None:
         """Block until a ``shutdown`` op (or :meth:`request_shutdown`)."""
@@ -137,9 +146,7 @@ class FabricService:
         await self._server.wait_closed()
         for task in list(self._connections):
             task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections,
-                                 return_exceptions=True)
+        await asyncio.gather(*self._connections, return_exceptions=True)
 
     def request_shutdown(self) -> None:
         """Ask the serve loop to stop (safe from the loop's thread)."""
@@ -154,6 +161,9 @@ class FabricService:
             "events_published": self.hub.published,
             "events_dropped": self.hub.dropped,
             "by_op": dict(sorted(self.by_op.items())),
+            "version": self.driver.version,
+            "memo_hits": self.driver.memo_hits,
+            "memo_misses": self.driver.memo_misses,
         }
 
     # -- per-connection ------------------------------------------------------
@@ -161,25 +171,23 @@ class FabricService:
                                  writer: asyncio.StreamWriter) -> None:
         self.connections_accepted += 1
         task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
         write_lock = asyncio.Lock()
-        feed_queue: Optional[asyncio.Queue] = None
         pump_task: Optional[asyncio.Task] = None
 
-        async def send(document: dict) -> None:
+        async def send(line: bytes) -> None:
             async with write_lock:
-                writer.write(_encode(document))
+                writer.write(line)
                 await writer.drain()
 
         try:
-            await send({
+            await send(_encode({
                 "event": "hello",
                 "schema": api.SCHEMA,
                 "topology": self.driver.setup.spec.name,
                 "algorithm": self.driver.setup.fm.algorithm_key,
-            })
+            }))
             while True:
                 line = await reader.readline()
                 if not line:
@@ -187,7 +195,7 @@ class FabricService:
                 line = line.strip()
                 if not line:
                     continue
-                request_id, response = None, None
+                request_id = op = None
                 try:
                     document = json.loads(line)
                     if not isinstance(document, dict):
@@ -201,88 +209,67 @@ class FabricService:
                             "bad-request", "request needs a string 'op'"
                         )
                     if op == "subscribe":
-                        if feed_queue is None:
-                            feed_queue = self.hub.subscribe()
+                        if pump_task is None:
                             pump_task = asyncio.ensure_future(
-                                self._pump(feed_queue, send)
-                            )
-                        result = {"subscribed": True}
+                                self._pump(send))
+                        result = b'{"subscribed":true}'
                     elif op == "unsubscribe":
                         if pump_task is not None:
                             pump_task.cancel()
                             pump_task = None
-                        if feed_queue is not None:
-                            self.hub.unsubscribe(feed_queue)
-                            feed_queue = None
-                        result = {"subscribed": False}
+                        result = b'{"subscribed":false}'
                     elif op == "shutdown":
-                        result = {"stopping": True}
-                        self.requests += 1
-                        self.by_op[op] = self.by_op.get(op, 0) + 1
-                        await send({"id": request_id, "ok": True,
-                                    "result": result})
-                        self.request_shutdown()
-                        break
+                        result = b'{"stopping":true}'
                     else:
                         result = await self._dispatch(op, document)
                     self.requests += 1
                     self.by_op[op] = self.by_op.get(op, 0) + 1
-                    response = {"id": request_id, "ok": True,
-                                "result": result}
-                except api.ApiError as exc:
+                    # The key order sort_keys emits, around bytes that
+                    # are encoded once per snapshot.
+                    response = (b'{"id":' + _dumps(request_id)
+                                + b',"ok":true,"result":' + result + b"}\n")
+                except Exception as exc:
                     self.errors += 1
-                    response = {
-                        "id": request_id, "ok": False,
-                        "error": {"code": exc.code,
-                                  "message": exc.message},
-                    }
-                except json.JSONDecodeError as exc:
-                    self.errors += 1
-                    response = {
-                        "id": request_id, "ok": False,
-                        "error": {"code": "bad-json", "message": str(exc)},
-                    }
-                except Exception as exc:  # handler bug: report, stay up
-                    self.errors += 1
-                    response = {
-                        "id": request_id, "ok": False,
-                        "error": {"code": "internal",
-                                  "message": f"{type(exc).__name__}: "
-                                             f"{exc}"},
-                    }
+                    response = _encode({"id": request_id, "ok": False,
+                                        "error": _error_of(exc)})
                 await send(response)
+                if op == "shutdown":
+                    self.request_shutdown()
+                    break
         except (ConnectionResetError, BrokenPipeError,
                 asyncio.IncompleteReadError, asyncio.CancelledError):
             pass
         finally:
             if pump_task is not None:
                 pump_task.cancel()
-            if feed_queue is not None:
-                self.hub.unsubscribe(feed_queue)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _dispatch(self, op: str, params: dict):
+    async def _dispatch(self, op: str, params: dict) -> bytes:
+        """The encoded ``result`` of one request."""
+        if op in api.READS:
+            future = api.read_op(self.driver, op, params)
+            snapshot = (future.result() if future.done()
+                        else await asyncio.wrap_future(future))
+            if snapshot.wire is None:
+                snapshot.wire = _dumps(snapshot.unwrap())
+            return snapshot.wire
         fn, needs_sim = api.handler_for(op)
         if needs_sim:
-            future = self.driver.submit(
-                lambda setup: fn(setup, self.driver, params)
-            )
-            return await asyncio.wrap_future(future)
+            return _dumps(await asyncio.wrap_future(self.driver.submit(
+                lambda setup: fn(setup, self.driver, params))))
         # Registry-only ops may still build large specs; keep them off
         # the event loop.
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, lambda: fn(None, self.driver, params)
-        )
+        return _dumps(await asyncio.to_thread(fn, None, self.driver, params))
 
-    async def _pump(self, queue: asyncio.Queue, send) -> None:
+    async def _pump(self, send) -> None:
+        """Subscribed for as long as it runs; cancel to unsubscribe."""
+        queue = self.hub.subscribe()
         try:
             while True:
-                event = await queue.get()
-                await send(event)
-        except asyncio.CancelledError:
-            pass
+                await send(_encode(await queue.get()))
+        finally:
+            self.hub.unsubscribe(queue)

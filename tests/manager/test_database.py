@@ -113,6 +113,46 @@ class TestDatabase:
             "devices": 2, "switches": 1, "endpoints": 1, "links": 1,
         }
 
+    def test_summary_links_are_the_graph_edges_on_odd_databases(self):
+        """Parallel links collapse, a neighbour outside the database is
+        skipped, a one-sided record counts, a downed port does not."""
+        db = TopologyDatabase()
+        for dsn in (1, 2, 3, 4):
+            db.add_device(switch_record(dsn))
+        db.add_link(1, 0, 2, 0)
+        db.add_link(1, 1, 2, 1)            # parallel to the first
+        db.add_link(2, 2, 3, None)         # far port not known yet
+        db.add_link(3, 3, 4, 3)
+        db.add_link(4, 5, 4, 6)            # a loopback cable
+        dangling = db.device(1).port(7)    # neighbour never added
+        dangling.up, dangling.neighbor_dsn = True, 99
+        assert db.summary()["links"] == db.graph().number_of_edges() == 4
+        db.mark_port_down(3, 3)
+        assert db.summary()["links"] == db.graph().number_of_edges() == 3
+        db.prune_unreachable(1)
+        assert db.summary()["links"] == db.graph().number_of_edges() == 2
+
+    @pytest.mark.parametrize("topology", [
+        "3x3 mesh", "3x3 torus", "4-port 2-tree", "dragonfly-k2m3",
+        "fattree2-16", "irregular-8+4 (seed=1)",
+    ])
+    def test_summary_links_match_graph_on_every_family(self, topology):
+        from repro.experiments.runner import (
+            build_simulation,
+            run_until_ready,
+        )
+        from repro.topology.registry import resolve_topology
+        spec = resolve_topology(topology)
+        setup = build_simulation(spec)
+        run_until_ready(setup)
+        db = setup.fm.database
+        assert db.summary()["links"] == db.graph().number_of_edges()
+        assert db.summary()["devices"] == spec.total_devices
+        # ... and with a port of the first switch marked down.
+        switch = db.switches()[0]
+        db.mark_port_down(switch.dsn, min(switch.ports))
+        assert db.summary()["links"] == db.graph().number_of_edges()
+
 
 class TestRoutes:
     def test_extend_route_from_fm_endpoint(self):

@@ -107,3 +107,51 @@ class TestRegistry:
         text = registry.render(title="metrics")
         assert "fm.pi5" in text
         assert "fm.t" in text
+
+
+class TestScrapeSetup:
+    """``scrape_setup`` reads the fabric; it must not grow it."""
+
+    @staticmethod
+    def _discovered_mesh():
+        from repro.experiments.runner import (
+            build_simulation,
+            run_until_ready,
+        )
+        from repro.topology.registry import resolve_topology
+        setup = build_simulation(resolve_topology("4x4 mesh"))
+        run_until_ready(setup)
+        return setup
+
+    @staticmethod
+    def _materialised(setup):
+        return sum(port.stats_if_used is not None
+                   for device in setup.fabric.devices.values()
+                   for port in device.ports)
+
+    def test_scrape_materialises_no_port_counter(self):
+        setup = self._discovered_mesh()
+        ports = sum(len(d.ports) for d in setup.fabric.devices.values())
+        before = self._materialised(setup)
+        # Discovery used the route tree only: most ports never counted.
+        assert 0 < before < ports
+        MetricsRegistry().scrape_setup(setup)
+        MetricsRegistry().scrape_setup(setup)
+        assert self._materialised(setup) == before
+
+    def test_collect_equals_the_every_port_scrape(self):
+        """The parent's loop read ``port.stats`` (creating a counter on
+        every port); an empty counter contributes nothing, so skipping
+        the ports that never counted changes no value."""
+        setup = self._discovered_mesh()
+        scraped = MetricsRegistry().scrape_setup(setup).collect()
+        assert scraped["port.tx_packets"]["value"] > 0
+        reference = MetricsRegistry()
+        for device in setup.fabric.devices.values():
+            for port in device.ports:
+                reference.scrape_counter(port.stats, "port")
+        assert {name: doc for name, doc in scraped.items()
+                if name.startswith("port.")} == reference.collect()
+        # Now that every port carries a (mostly empty) counter, the
+        # whole document still reads the same.
+        assert MetricsRegistry().scrape_setup(setup).collect() == scraped

@@ -182,11 +182,11 @@ class TestTrafficVerbs:
         run_until_ready(setup)
         return setup, SimulationDriver(setup)
 
-    def test_schema_is_v1_1(self, fresh):
+    def test_schema_is_v1_2(self, fresh):
         setup, driver = fresh
-        assert api.SCHEMA == "repro/service/v1.1"
+        assert api.SCHEMA == "repro/service/v1.2"
         ping = api.op_ping(setup, driver, {})
-        assert ping["schema"] == "repro/service/v1.1"
+        assert ping["schema"] == "repro/service/v1.2"
 
     def test_stop_without_start(self, fresh):
         setup, driver = fresh

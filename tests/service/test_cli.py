@@ -101,7 +101,7 @@ class TestServeProcess:
             with socket.create_connection((host, port), timeout=10) as s:
                 stream = s.makefile("rwb")
                 hello = json.loads(stream.readline())
-                assert hello["schema"] == "repro/service/v1.1"
+                assert hello["schema"] == "repro/service/v1.2"
                 stream.write(b'{"id": 1, "op": "status"}\n')
                 stream.flush()
                 response = json.loads(stream.readline())

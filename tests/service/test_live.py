@@ -32,7 +32,7 @@ class TestHandshake:
     def test_hello_banner_and_ping(self):
         with start_service("mesh9") as handle:
             with handle.client() as client:
-                assert client.hello["schema"] == "repro/service/v1.1"
+                assert client.hello["schema"] == "repro/service/v1.2"
                 assert client.hello["topology"] == "3x3 mesh"
                 assert client.request("ping")["schema"] == client.schema
 

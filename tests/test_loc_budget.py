@@ -20,11 +20,12 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: Code lines in all of ``src/`` (13,240 before PR 13).
-TOTAL_CEILING = 12_641
+#: Code lines in all of ``src/`` (13,240 before PR 13; 12,641 after it
+#: — PR 14's read memo is paid for inside ``service/``).
+TOTAL_CEILING = 12_637
 #: Code lines in ``repro/experiments/`` + ``repro/cli.py`` (3,666
-#: before PR 13).
-EXPERIMENTS_AND_CLI_CEILING = 3_071
+#: before PR 13, 3,071 after it).
+EXPERIMENTS_AND_CLI_CEILING = 3_068
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
