@@ -6,7 +6,10 @@ hosting a fig-6-class topology with the fault injector continuously
 disturbing it, then hammers it with N concurrent client threads (each
 its own TCP connection) issuing a query mix of ``topology`` /
 ``status`` / ``path`` / ``metrics`` for a fixed wall-clock window.
-Every response is schema-checked; any error response fails the run.
+Every response is schema-checked; any error response fails the run,
+and so does a simulation kernel that died during the window
+(``driver.crashed``) — the clients alone would not notice: reads keep
+being answered from the last snapshot.
 
 Metrics recorded into ``BENCH_service.json``:
 
@@ -111,6 +114,13 @@ def run_bench(topology: str, clients: int, duration: float,
         elapsed = time.perf_counter() - t0
         events_after = handle.driver.events_stepped
 
+        crashed = handle.driver.crashed
+        if crashed is not None:
+            # Checked first: a dead kernel is what the client errors
+            # below would be symptoms of.
+            raise RuntimeError(
+                f"the simulation kernel died during the window: "
+                f"{crashed!r}") from crashed
         errors = [e for w in workers for e in w.errors]
         if errors:
             raise RuntimeError("client errors: " + "; ".join(errors[:5]))

@@ -28,11 +28,11 @@ from ..manager.consistency import audit_topology
 from ..manager.fm import DiscoveryAborted
 from ..workloads.faults import FaultInjector
 from .family import (
-    ALGORITHMS_SWEPT,
     MANAGER,
     Axis,
     Column,
     Family,
+    algorithms_swept,
     all_of,
     mean_of,
     share_of,
@@ -257,7 +257,7 @@ FAMILY = Family(
     topology="4x4 mesh",
     title="Mid-discovery churn soak on {topology} "
           "({runs} runs, {faults} faults each)",
-    axes=(ALGORITHMS_SWEPT, MANAGER, FAULTS, MEAN_INTERVAL),
+    axes=(algorithms_swept(), MANAGER, FAULTS, MEAN_INTERVAL),
     group_by=(Column("manager", "manager"),
               Column("algorithm", "algorithm")),
     columns=(

@@ -75,11 +75,16 @@ class Axis:
 #: The settings most families share, declared once.
 ALGORITHM = Axis("algorithm", "--algorithm", PARALLEL, "algorithm",
                  choices=ALGORITHMS)
-ALGORITHMS_SWEPT = Axis(
-    "algorithms", "--algorithm", ALGORITHMS, "algorithm", swept=True,
-    choices=ALGORITHMS,
-    help="algorithm to sweep (repeatable; default: all three)",
-)
+
+
+def algorithms_swept(default: Sequence[str] = ALGORITHMS) -> Axis:
+    """The swept ``--algorithm`` axis; its help names its own default."""
+    return Axis("algorithms", "--algorithm", default, "algorithm",
+                swept=True, choices=ALGORITHMS,
+                help="algorithm to sweep (repeatable; default: %s)"
+                     % ", ".join(default))
+
+
 #: ``--manager`` accepts the FM flavours plus, as a CLI shorthand, the
 #: algorithm keys (resolved by :func:`repro.cli.resolve_variant`).
 MANAGER = Axis(

@@ -42,11 +42,11 @@ from ..workloads.traffic import (
     TrafficSpec,
 )
 from .family import (
-    ALGORITHMS_SWEPT,
     MANAGER,
     Axis,
     Column,
     Family,
+    algorithms_swept,
     all_of,
     mean_of,
 )
@@ -271,7 +271,7 @@ FAMILY = Family(
                   "(repeatable; default: %s; keep 0 in the list — it is "
                   "the inflation baseline)"
                   % ", ".join(f"{x:g}" for x in DEFAULT_LOADS)),
-        replace(ALGORITHMS_SWEPT, default=(PARALLEL,)),
+        algorithms_swept((PARALLEL,)),
         MANAGER,
         Axis("arrival", "--arrival", "poisson", None, choices=ARRIVALS,
              help="traffic arrival process (default poisson)"),

@@ -23,11 +23,11 @@ from dataclasses import dataclass, replace
 
 from ..fabric.params import DEFAULT_PARAMS
 from .family import (
-    ALGORITHMS_SWEPT,
     MANAGER,
     Axis,
     Column,
     Family,
+    algorithms_swept,
     all_of,
     mean_of,
 )
@@ -141,7 +141,7 @@ FAMILY = Family(
              swept=True, type=float, metavar="RATE", pick=max,
              help="bit error rate to sweep (repeatable; default: %s)"
                   % ", ".join(f"{r:g}" for r in DEFAULT_BIT_ERROR_RATES)),
-        ALGORITHMS_SWEPT,
+        algorithms_swept(),
         MANAGER,
     ),
     compose=lambda point: {"params": replace(

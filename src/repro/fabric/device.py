@@ -129,28 +129,27 @@ class Device:
     def consume(self, packet: Packet, port: Optional[Port],
                 tail_lag: float) -> None:
         """Deliver ``packet`` locally once its tail has arrived."""
-
-        def deliver(_event=None):
-            if port is not None:
-                Port.release_input(packet)
-            if not self.active:
-                self.stats.incr("rx_dropped_inactive")
-                return
-            self.stats.incr("consumed")
-            if self._trace_hook is not None:
-                self._trace_hook(
-                    "deliver", self,
-                    port.index if port is not None else None, packet,
-                )
-            if self.local_handler is not None:
-                self.local_handler(packet, port)
-            else:
-                self.stats.incr("rx_no_handler")
-
         if tail_lag > 0:
-            self.env.schedule_callback(tail_lag, deliver)
+            self.env.call_later(tail_lag, self._deliver, packet, port)
         else:
-            deliver()
+            self._deliver(packet, port)
+
+    def _deliver(self, packet: Packet, port: Optional[Port]) -> None:
+        if port is not None:
+            Port.release_input(packet)
+        if not self.active:
+            self.stats.incr("rx_dropped_inactive")
+            return
+        self.stats.incr("consumed")
+        if self._trace_hook is not None:
+            self._trace_hook(
+                "deliver", self,
+                port.index if port is not None else None, packet,
+            )
+        if self.local_handler is not None:
+            self.local_handler(packet, port)
+        else:
+            self.stats.incr("rx_no_handler")
 
     # -- events ------------------------------------------------------------------
     def on_port_state_change(self, port: Port, up: bool) -> None:

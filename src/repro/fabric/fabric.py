@@ -103,21 +103,17 @@ class Fabric:
         rng = random.Random(seed)
 
         def activate(device):
-            def fire(_event=None):
-                device.power_on()
-                for port in device.ports:
-                    if port.link is not None:
-                        port.link.bring_up()
-
-            return fire
+            device.power_on()
+            for port in device.ports:
+                if port.link is not None:
+                    port.link.bring_up()
 
         for device in self.devices.values():
             delay = 0.0 if device.name == first else rng.uniform(0, stagger)
             if delay == 0.0:
-                activate(device)()
+                activate(device)
             else:
-                timer = self.env.timeout(delay)
-                timer.callbacks.append(activate(device))
+                self.env.call_later(delay, activate, device)
 
     # -- lookup ------------------------------------------------------------
     def device(self, name: str) -> Device:

@@ -25,7 +25,8 @@ other semantics follow the specification.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Optional
 
 from .._limits import TURN_POOL_BITS
 from .crc import crc8
@@ -34,6 +35,13 @@ from .crc import crc8
 HEADER_BYTES = 16
 
 _STRUCT = struct.Struct(">IIQ")  # dword0, dword1, 64-bit pool
+
+#: Largest value of each bit field, in the order ``validate`` names
+#: the first one out of range.
+_FIELD_MAX = (("pi", 0xFF), ("tc", 0x7), ("direction", 0x1), ("oo", 0x1),
+              ("ts", 0x1), ("credits_required", 0x1F),
+              ("turn_pointer", 0x7F), ("fecn", 0x1), ("perr", 0x1))
+_POOL_LIMIT = 1 << TURN_POOL_BITS
 
 
 class HeaderError(ValueError):
@@ -80,39 +88,40 @@ class RouteHeader:
     fecn: int = 0
     perr: int = 0
 
+    #: ``(fields, bytes)`` of the last :meth:`pack`, valid while the
+    #: fields still equal the key — plain attribute stores (the
+    #: switches rewrite ``turn_pointer`` at every hop) cost nothing.
+    _memo: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
     def __post_init__(self):
         self.validate()
 
-    def __setattr__(self, name, value):
-        # Dirty bit for the pack()/CRC memo: any field mutation (the
-        # switches rewrite ``turn_pointer`` at every hop) invalidates
-        # the cached serialization.
-        object.__setattr__(self, name, value)
-        if name != "_packed":
-            object.__setattr__(self, "_packed", None)
+    def _fields(self) -> tuple:
+        """The ten fields in constructor order."""
+        return (self.pi, self.tc, self.direction, self.oo, self.ts,
+                self.credits_required, self.turn_pointer, self.turn_pool,
+                self.fecn, self.perr)
 
     def validate(self) -> None:
         """Check every field is within its bit width."""
-        checks = [
-            ("pi", self.pi, 0xFF),
-            ("tc", self.tc, 0x7),
-            ("direction", self.direction, 0x1),
-            ("oo", self.oo, 0x1),
-            ("ts", self.ts, 0x1),
-            ("credits_required", self.credits_required, 0x1F),
-            ("turn_pointer", self.turn_pointer, 0x7F),
-            ("fecn", self.fecn, 0x1),
-            ("perr", self.perr, 0x1),
-        ]
-        for name, value, mask in checks:
-            if not 0 <= value <= mask:
-                raise HeaderError(f"{name}={value} outside [0, {mask}]")
+        if (0 <= self.pi <= 0xFF and 0 <= self.tc <= 0x7
+                and 0 <= self.direction <= 0x1 and 0 <= self.oo <= 0x1
+                and 0 <= self.ts <= 0x1
+                and 0 <= self.credits_required <= 0x1F
+                and 0 <= self.turn_pointer <= TURN_POOL_BITS
+                and 0 <= self.fecn <= 0x1 and 0 <= self.perr <= 0x1
+                and 0 <= self.turn_pool < _POOL_LIMIT):
+            return
+        for name, limit in _FIELD_MAX:
+            if not 0 <= (value := getattr(self, name)) <= limit:
+                raise HeaderError(f"{name}={value} outside [0, {limit}]")
         if self.turn_pointer > TURN_POOL_BITS:
             raise HeaderError(
                 f"turn_pointer={self.turn_pointer} exceeds pool width"
             )
-        if not 0 <= self.turn_pool < (1 << TURN_POOL_BITS):
-            raise HeaderError("turn_pool outside 64-bit range")
+        raise HeaderError("turn_pool outside 64-bit range")
 
     # -- serialization -----------------------------------------------------
     def _pack_words(self, hcrc: int) -> bytes:
@@ -136,16 +145,18 @@ class RouteHeader:
     def pack(self) -> bytes:
         """Serialize to ``HEADER_BYTES`` bytes, computing the header CRC.
 
-        The serialization (including the CRC-8) is memoized and
-        invalidated by the ``__setattr__`` dirty bit whenever a field
-        changes, so repeated packs of an unmodified header are free.
+        The serialization (including the CRC-8) is memoized under the
+        field values it was made from, so repeated packs of an
+        unmodified header cost one tuple comparison.
         """
-        packed = self._packed
-        if packed is None:
-            self.validate()
-            raw = self._pack_words(hcrc=0)
-            packed = self._pack_words(hcrc=crc8(raw))
-            object.__setattr__(self, "_packed", packed)
+        key = self._fields()
+        memo = self._memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        self.validate()
+        raw = self._pack_words(hcrc=0)
+        packed = self._pack_words(hcrc=crc8(raw))
+        self._memo = (key, packed)
         return packed
 
     @classmethod
@@ -179,9 +190,9 @@ class RouteHeader:
         return header
 
     # -- helpers -------------------------------------------------------------
-    def copy(self, **changes) -> "RouteHeader":
-        """Return a copy with ``changes`` applied."""
-        return replace(self, **changes)
+    def copy(self) -> "RouteHeader":
+        """Return an independent copy."""
+        return RouteHeader(*self._fields())
 
     def reversed(self) -> "RouteHeader":
         """Header for a completion traveling back along this route.
@@ -192,4 +203,6 @@ class RouteHeader:
         """
         if self.direction != 0:
             raise HeaderError("can only reverse a forward header")
-        return self.copy(direction=1, turn_pointer=0)
+        return RouteHeader(self.pi, self.tc, 1, self.oo, self.ts,
+                           self.credits_required, 0, self.turn_pool,
+                           self.fecn, self.perr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from .crc import crc32
 from .header import HEADER_BYTES, HeaderError, RouteHeader
@@ -47,7 +47,7 @@ class Packet:
     header: RouteHeader
     payload: bytes = b""
     #: Unique id for tracing and for matching requests to completions.
-    pkt_id: int = field(default_factory=lambda: next(_packet_ids))
+    pkt_id: int = field(default_factory=_packet_ids.__next__)
     #: Name of the originating device.
     src: str = ""
     #: Simulation time the packet was injected.
@@ -71,18 +71,25 @@ class Packet:
 
     def size_bytes(self, framing_overhead: int = 8, pcrc_bytes: int = 4) -> int:
         """Total wire size: framing + route header + payload + PCRC."""
+        return self.wire_footprint(1, framing_overhead, pcrc_bytes)[0]
+
+    def wire_footprint(self, credit_unit: int = 64, framing_overhead: int = 8,
+                       pcrc_bytes: int = 4) -> Tuple[int, int]:
+        """``(size_bytes, credit_units)`` in one call: what a port
+        needs of every packet it queues."""
         length = len(self.payload)
-        return framing_overhead + HEADER_BYTES + length + (
+        size = framing_overhead + HEADER_BYTES + length + (
             pcrc_bytes if length else 0
         )
+        # Integer ceiling division; exact, unlike float math.ceil.
+        units = -(-size // credit_unit)
+        return size, units if units > 0 else 1
 
     def credit_units(self, credit_unit: int = 64,
                      framing_overhead: int = 8, pcrc_bytes: int = 4) -> int:
         """Number of flow-control credits the packet occupies."""
-        # Integer ceiling division; exact, unlike float math.ceil.
-        units = -(-self.size_bytes(framing_overhead, pcrc_bytes)
-                  // credit_unit)
-        return units if units > 0 else 1
+        return self.wire_footprint(credit_unit, framing_overhead,
+                                   pcrc_bytes)[1]
 
     def pcrc(self) -> int:
         """End-to-end CRC over the payload."""

@@ -50,6 +50,12 @@ def _vc_details(vc_count: int) -> Tuple[str, ...]:
     return tuple(f"vc={i}" for i in range(vc_count))
 
 
+#: Counted once or more per hop, so kept as integer slots on the port
+#: (same names) instead of going through ``Counter.incr``.
+HOT_COUNTERS = ("tx_queued", "tx_packets", "tx_bytes", "rx_packets",
+                "rx_bytes")
+
+
 class Port:
     """One port of a fabric device.
 
@@ -62,7 +68,7 @@ class Port:
 
     __slots__ = (
         "device", "index", "params", "env", "link", "error_count",
-        "_stats", "_tx_vcs", "_credits", "_rx_use", "_tx_busy",
+        *HOT_COUNTERS, "_stats", "_tx_vcs", "_credits", "_rx_use", "_tx_busy",
         "_tx_kick_scheduled", "_queued", "_free_at", "_done_seq",
         "_ledger", "_blocked", "_trace", "_vc_detail", "_credit_unit",
         "_framing", "_pcrc", "_prop", "_byte_time", "_rx_cap",
@@ -77,7 +83,11 @@ class Port:
         self.env: Environment = device.env
         self.link = None
         self.error_count = 0
-        #: Lazily-built :class:`Counter` (see the ``stats`` property).
+        #: The per-hop counters are plain integers; the lazily-built
+        #: :class:`Counter` holding the rare ones catches up with them
+        #: whenever it is read (see the ``stats`` property).
+        self.tx_queued = self.tx_packets = self.tx_bytes = 0
+        self.rx_packets = self.rx_bytes = 0
         self._stats = None
         #: Per-VC output queues, remote input-buffer mirrors, and the
         #: arbitration order — all ``None`` until this port transmits.
@@ -136,17 +146,24 @@ class Port:
     # -- lazy structures -------------------------------------------------
     @property
     def stats(self) -> Counter:
-        """Per-port counters, created on first use."""
+        """Per-port counters, created on first use and brought up to
+        date with the integer hot counters on every read."""
         stats = self._stats
         if stats is None:
             stats = self._stats = Counter()
+        for key in HOT_COUNTERS:
+            behind = getattr(self, key) - stats[key]
+            if behind:
+                stats.incr(key, behind)
         return stats
 
     @property
     def stats_if_used(self) -> Optional[Counter]:
         """The counters, or None on a port that never counted anything
         (a read that does not materialize them)."""
-        return self._stats
+        if self._stats is None and not (self.tx_queued or self.rx_packets):
+            return None
+        return self.stats
 
     @property
     def credits(self):
@@ -213,7 +230,11 @@ class Port:
         # every process, ports in attach order — so it stays a real
         # event: one per port at build time, none per hop.
         self._tx_kick_scheduled = True
-        self.env.schedule_callback(0.0, self._tx_kick, URGENT)
+        self.env.schedule_callback(0.0, self._attach_kick, URGENT)
+
+    def _attach_kick(self, _handle) -> None:
+        """The URGENT kick: an argument entry is always NORMAL."""
+        self._tx_kick()
 
     def on_link_state(self, up: bool) -> None:
         """Called by the link on up/down transitions."""
@@ -254,7 +275,7 @@ class Port:
             queue forever (real links negotiate max payload against
             buffer size at training time).
         """
-        units = packet.credit_units(
+        size, units = packet.wire_footprint(
             self._credit_unit, self._framing, self._pcrc
         )
         if units > self._rx_cap:
@@ -272,10 +293,10 @@ class Port:
         if self._tx_vcs is None:
             self._materialize_tx()
         packet.wire_units = units
-        packet.wire_size = packet.size_bytes(self._framing, self._pcrc)
+        packet.wire_size = size
         self._tx_vcs[vc_index].push(packet)
         self._queued += 1
-        self.stats.incr("tx_queued")
+        self.tx_queued += 1
         if self._trace is not None:
             self._trace("enqueue", self.device, self.index, packet,
                         f"vc{vc_index}")
@@ -309,26 +330,13 @@ class Port:
             self._tx_start(inline=True)
         else:
             self._tx_kick_scheduled = True
-            env.schedule_callback(0.0, self._tx_kick)
+            env.call_later(0.0, self._tx_kick)
 
-    def _pick(self):
-        """Highest-priority VC whose head packet has credits available."""
-        if self._pick_order is None:
-            return None  # nothing was ever queued on this port
-        for vc, credit in self._pick_order:
-            packet = vc.peek()
-            if packet is None:
-                continue
-            units = packet.wire_units
-            if credit.available >= units:
-                return vc, packet, units, credit
-        return None
-
-    def _tx_kick(self, _event=None) -> None:
+    def _tx_kick(self) -> None:
         self._tx_kick_scheduled = False
         self._tx_start()
 
-    def _tx_done(self, _event=None) -> None:
+    def _tx_done(self) -> None:
         self._tx_busy = False
         self._tx_start()
 
@@ -343,28 +351,30 @@ class Port:
         after every sequence number drawn so far.
         """
         link = self.link
-        if link is None or not link.up:
+        if link is None or not link.up or not self._queued:
             return
         env = self.env
         now = env.now
         if self._ledger:
             self._settle(now, inline)
-        choice = self._pick()
-        if choice is None:
-            if self._queued and not self._blocked:
+        # Strict priority: the highest VC whose head packet (bypass
+        # queue first) has its credits available.
+        for vc, credit in self._pick_order:
+            queue = vc.bypass or vc.ordered
+            if queue:
+                packet = queue[0]
+                units = packet.wire_units
+                if credit.available >= units:
+                    break
+        else:
+            if not self._blocked:
                 self._block()
             return
         self._blocked = False
-        vc, packet, units, credit = choice
-        vc.pop()
+        queue.popleft()
         self._queued -= 1
         credit.take(units)
-        header = packet.header
-        required = units if units < 31 else 31
-        if header.credits_required != required:
-            # Skip the store when unchanged: RouteHeader invalidates
-            # its pack() memo on every field assignment.
-            header.credits_required = required
+        packet.header.credits_required = units if units < 31 else 31
         # The packet leaves this device's buffer as its first bit
         # hits the wire: release the upstream input buffer now.
         self.release_input(packet)
@@ -378,9 +388,8 @@ class Port:
         if tail_lag < 0.0:
             tail_lag = 0.0
 
-        stats = self.stats
-        stats.incr("tx_packets")
-        stats.incr("tx_bytes", size)
+        self.tx_packets += 1
+        self.tx_bytes += size
         if self._trace is not None:
             self._trace("tx", self.device, self.index, packet,
                         detail=self._vc_detail[vc.index])
@@ -390,12 +399,10 @@ class Port:
         arrival = tx_time + prop
         if head < arrival:
             arrival = head
-        schedule_callback = env.schedule_callback
-        schedule_callback(
-            arrival,
-            lambda ev, r=self._remote, p=packet, v=vc.index, u=units,
-            e=epoch, t=tail_lag, s=size: r._receive(p, v, u, t, e, s),
-        )
+        call_later = env.call_later
+        receive = self._remote._receive
+        call_later(arrival, receive, packet, vc.index, units, tail_lag,
+                   epoch, size)
         busy_time = tx_time
         error_model = self._error_model
         if (
@@ -410,15 +417,12 @@ class Port:
             # none are free.
             credit.take(units)
             replay = self._clone_for_replay(packet)
-            stats.incr("tx_replays")
+            self.stats.incr("tx_replays")
             if self._trace is not None:
                 self._trace("tx", self.device, self.index, replay,
                             detail="link replay")
-            schedule_callback(
-                tx_time + arrival,
-                lambda ev, r=self._remote, p=replay, v=vc.index, u=units,
-                e=epoch, t=tail_lag, s=size: r._receive(p, v, u, t, e, s),
-            )
+            call_later(tx_time + arrival, receive, replay, vc.index, units,
+                       tail_lag, epoch, size)
             busy_time += tx_time
         # Keep the lane busy for the full serialization time.  The
         # done timer only matters if a packet is queued before it
@@ -426,7 +430,7 @@ class Port:
         # ``_wake`` push it on demand.
         self._tx_busy = True
         if self._queued:
-            schedule_callback(busy_time, self._tx_done)
+            call_later(busy_time, self._tx_done)
         else:
             self._free_at = now + busy_time
             self._done_seq = env.reserve()
@@ -461,7 +465,13 @@ class Port:
         if hold is not None:
             packet.rx_hold = None
             port, vc_index, units, epoch = hold
-            port._release_rx(vc_index, units, epoch)
+            # After a down transition the buffer is already
+            # resynchronized: nothing to free, nothing to return.
+            if port.link.epoch == epoch:
+                rx_use = port._rx_use
+                held = rx_use[vc_index] - units
+                rx_use[vc_index] = held if held > 0 else 0
+                port._return_credits(vc_index, units, epoch)
 
     # -- receive side ---------------------------------------------------------
     def _receive(self, packet: Packet, vc_index: int, units: int,
@@ -488,12 +498,11 @@ class Port:
         if self._rx_use is None:
             self._rx_use = [0] * self.params.vc_count
         self._rx_use[vc_index] += units
-        incr = self.stats.incr
-        incr("rx_packets")
+        self.rx_packets += 1
+        self.rx_bytes += size
         if self._trace is not None:
             self._trace("rx", self.device, self.index, packet,
                         detail=self._vc_detail[vc_index])
-        incr("rx_bytes", size)
         packet.rx_hold = (self, vc_index, units, epoch)
         self.device.handle_rx(packet, self, vc_index, tail_lag)
 
@@ -532,15 +541,6 @@ class Port:
         self._return_credits(vc_index, units, epoch)
         return False
 
-    def _release_rx(self, vc_index: int, units: int, epoch: int) -> None:
-        """Free input-buffer space and return credits to the sender."""
-        if self.link is None or self.link.epoch != epoch:
-            return  # buffer already resynchronized by a down transition
-        rx_use = self._rx_use
-        held = rx_use[vc_index] - units
-        rx_use[vc_index] = held if held > 0 else 0
-        self._return_credits(vc_index, units, epoch)
-
     def _return_credits(self, vc_index: int, units: int, epoch: int) -> None:
         """Hand ``units`` back to the transmitter at the far end.
 
@@ -552,27 +552,19 @@ class Port:
         peer = self._remote
         env = self.env
         if peer._blocked:
-            env.schedule_callback(
-                self._prop,
-                lambda ev, p=peer, v=vc_index, u=units, e=epoch:
-                p._credit_event(v, u, e),
-            )
+            env.call_later(self._prop, peer._credit_event, vc_index, units,
+                           epoch)
         else:
             peer._ledger.append(
                 (env.now + self._prop, env.reserve(), vc_index, units, epoch)
             )
 
     # -- credit returns (transmit side) -------------------------------------
-    def _credit_return(self, vc_index: int, units: int, epoch: int) -> bool:
-        """Apply one credit return; False if a link flap voided it."""
-        link = self.link
-        if link is None or link.epoch != epoch or not link.up:
-            return False
-        self._credits[vc_index].release(units)
-        return True
-
     def _credit_event(self, vc_index: int, units: int, epoch: int) -> None:
-        if self._credit_return(vc_index, units, epoch):
+        """A credit return a blocked sender was waiting for."""
+        link = self.link
+        if link.epoch == epoch and link.up:  # else voided by a link flap
+            self._credits[vc_index].release(units)
             self._wake()
 
     def _settle(self, now: float, inline: bool = False,
@@ -584,15 +576,18 @@ class Port:
         ``drained``: nothing else will ever run, so all of them have.
         """
         ledger = self._ledger
-        env = self.env
+        has_passed = self.env.has_passed
+        link = self.link
+        credits = self._credits
         arrived = 0
         for due, seq, vc_index, units, epoch in ledger:
             if not drained and (
-                due > now or not (inline or env.has_passed(due, seq))
+                due > now or not (inline or has_passed(due, seq))
             ):
                 break
             arrived += 1
-            self._credit_return(vc_index, units, epoch)
+            if link.epoch == epoch and link.up:  # else voided by a flap
+                credits[vc_index].release(units)
         del ledger[:arrived]
 
     def _block(self) -> None:
@@ -605,11 +600,7 @@ class Port:
         self._blocked = True
         schedule_at = self.env.schedule_at
         for due, seq, vc_index, units, epoch in self._ledger:
-            schedule_at(
-                due, seq,
-                lambda ev, v=vc_index, u=units, e=epoch:
-                self._credit_event(v, u, e),
-            )
+            schedule_at(due, seq, self._credit_event, vc_index, units, epoch)
         self._ledger.clear()
 
     def _settle_for_read(self) -> None:

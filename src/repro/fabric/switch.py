@@ -54,10 +54,8 @@ class Switch(Device):
             # software flood (used by the election protocol).
             group = packet.header.turn_pool & 0xFFFF
             if group in self.mcast_table:
-                self.env.schedule_callback(
-                    self.params.routing_latency,
-                    lambda ev: self._replicate(packet, port, group),
-                )
+                self.env.call_later(self.params.routing_latency,
+                                    self._replicate, packet, port, group)
             else:
                 self.consume(packet, port, tail_lag)
             return
@@ -66,10 +64,8 @@ class Switch(Device):
             # Forward route exhausted: the packet is for this switch.
             self.consume(packet, port, tail_lag)
             return
-        self.env.schedule_callback(
-            self.params.routing_latency,
-            lambda ev: self._route(packet, port),
-        )
+        self.env.call_later(self.params.routing_latency, self._route,
+                            packet, port)
 
     def _route(self, packet: Packet, in_port: Port) -> None:
         """Pick the egress port and forward (or drop on route error)."""

@@ -38,7 +38,7 @@ from ...capability import (
     port_block_offset,
 )
 from ...protocols import pi4
-from ...routing.turnpool import Hop, build_turn_pool
+from ...routing.turnpool import Hop, TurnPoolError, build_turn_pool
 from ..database import DeviceRecord
 
 
@@ -200,7 +200,14 @@ class DiscoveryAlgorithm:
     # -- request plumbing ---------------------------------------------------
     def _send_general(self, target: Target) -> None:
         """Read a device's six general-information dwords."""
-        pool = build_turn_pool(target.hops)
+        try:
+            pool = build_turn_pool(target.hops)
+        except TurnPoolError:
+            # The route does not fit the header's turn pool: the device
+            # is beyond this FM's reach.  Skipped, and counted.
+            self.fm.counters.incr("targets_out_of_reach")
+            self.on_device_done()
+            return
         message = pi4.ReadRequest(
             cap_id=BASELINE_CAP_ID, offset=0, tag=0,
             count=GENERAL_INFO_DWORDS,

@@ -58,6 +58,7 @@ class _RegionExploration(ParallelDiscovery):
             return
         for target in targets:
             self._send_general(target)
+        self._maybe_finish()  # every target may have been out of reach
 
 
 class PartialAssimilationManager(FabricManager):

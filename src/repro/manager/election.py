@@ -125,12 +125,12 @@ class ElectionAgent:
         )
         self._record(candidacy)
 
-        def fire(_event=None):
+        def fire():
             self.seen.add((candidacy.dsn, candidacy.seq))
             self.entity.send_multicast(candidacy.pack())
 
         if self.jitter > 0:
-            self.env.timeout(self.jitter).callbacks.append(fire)
+            self.env.call_later(self.jitter, fire)
         else:
             fire()
 

@@ -152,9 +152,9 @@ class ManagementEntity:
         if self.env.quiet():
             self._serve()
         else:
-            self.env.schedule_callback(0.0, self._serve)
+            self.env.call_later(0.0, self._serve)
 
-    def _serve(self, _event=None) -> None:
+    def _serve(self) -> None:
         """Take backlog packets until one has a processing time to wait
         out (or something else is due first)."""
         backlog = self._backlog
@@ -175,17 +175,17 @@ class ManagementEntity:
                 cost = self._cost(packet, message)
                 if cost > 0:
                     self._current = (packet, port, message)
-                    env.schedule_callback(cost, self._complete)
+                    env.call_later(cost, self._complete)
                     return
                 self._dispatch(packet, port, message)
             if not backlog:
                 self._working = False
                 return
             if not env.quiet():
-                env.schedule_callback(0.0, self._serve)
+                env.call_later(0.0, self._serve)
                 return
 
-    def _complete(self, _event=None) -> None:
+    def _complete(self) -> None:
         """The current packet's processing time has elapsed."""
         self._dispatch(*self._current)
         if self._backlog:
@@ -313,25 +313,19 @@ class ManagementEntity:
 
     def report_port_event(self, port: Port, up: bool) -> None:
         """Send a PI-5 notification to the FM, if a route is known."""
-        if self.manager is not None:
-            # The FM endpoint observes its own port events directly.
-            event = pi5.PortEvent(
-                reporter_dsn=self.device.dsn, port=port.index, up=up,
-                seq=next(self._event_seq),
-            )
-            self.manager.handle_local_event(event)
-            return
         event = pi5.PortEvent(
             reporter_dsn=self.device.dsn, port=port.index, up=up,
             seq=next(self._event_seq),
         )
+        if self.manager is not None:
+            # The FM endpoint observes its own port events directly.
+            self.manager.handle_local_event(event)
+            return
         if not self._emit_event(event):
             return
         for attempt in range(1, self.event_repeats + 1):
-            self.env.schedule_callback(
-                attempt * self.event_repeat_interval,
-                lambda _ev, e=event: self._repeat_event(e),
-            )
+            self.env.call_later(attempt * self.event_repeat_interval,
+                                self._repeat_event, event)
 
     def _emit_event(self, event: pi5.PortEvent) -> bool:
         """Transmit one PI-5 notification along the programmed route."""

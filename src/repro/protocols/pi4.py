@@ -120,9 +120,8 @@ class ReadCompletion(Pi4Message):
     msg_type = MSG_READ_COMPLETION
 
     def pack(self) -> bytes:
-        return self._head(len(self.data), STATUS_OK) + b"".join(
-            struct.pack(">I", dword) for dword in self.data
-        )
+        return self._head(len(self.data), STATUS_OK) + struct.pack(
+            f">{len(self.data)}I", *self.data)
 
 
 @dataclass(frozen=True)
@@ -151,9 +150,8 @@ class WriteRequest(Pi4Message):
             )
 
     def pack(self) -> bytes:
-        return self._head(len(self.data), 0) + b"".join(
-            struct.pack(">I", dword) for dword in self.data
-        )
+        return self._head(len(self.data), 0) + struct.pack(
+            f">{len(self.data)}I", *self.data)
 
 
 @dataclass(frozen=True)
@@ -171,6 +169,16 @@ AnyPi4 = Union[ReadRequest, ReadCompletion, ReadError, WriteRequest,
                WriteCompletion]
 
 
+def _data_words(payload: bytes, n: int) -> tuple:
+    """The ``n`` data dwords following the head."""
+    if len(payload) < _HEAD.size + 4 * n:
+        raise Pi4DecodeError(
+            f"PI-4 payload truncated: {len(payload) - _HEAD.size} bytes "
+            f"for {n} dwords"
+        )
+    return struct.unpack_from(f">{n}I", payload, _HEAD.size)
+
+
 def decode(payload: bytes) -> AnyPi4:
     """Decode a PI-4 payload into its message object.
 
@@ -186,32 +194,17 @@ def decode(payload: bytes) -> AnyPi4:
          arrival_port) = _HEAD.unpack_from(payload)
     except struct.error as exc:  # pragma: no cover - length checked above
         raise Pi4DecodeError(f"PI-4 header unpack failed: {exc}") from exc
-    body = payload[_HEAD.size:]
-
-    def data_words(n: int) -> tuple:
-        if len(body) < 4 * n:
-            raise Pi4DecodeError(
-                f"PI-4 payload truncated: {len(body)} bytes for {n} dwords"
-            )
-        try:
-            return tuple(
-                struct.unpack_from(">I", body, 4 * i)[0] for i in range(n)
-            )
-        except struct.error as exc:  # pragma: no cover - length checked
-            raise Pi4DecodeError(f"PI-4 data unpack failed: {exc}") from exc
-
-    common = dict(cap_id=cap_id, offset=offset, tag=tag,
-                  arrival_port=arrival_port)
+    common = (cap_id, offset, tag, arrival_port)
     if msg_type == MSG_READ_REQUEST:
-        return ReadRequest(count=count, **common)
+        return ReadRequest(*common, count=count)
     if msg_type == MSG_READ_COMPLETION:
-        return ReadCompletion(data=data_words(count), **common)
+        return ReadCompletion(*common, data=_data_words(payload, count))
     if msg_type == MSG_READ_ERROR:
-        return ReadError(status=status, **common)
+        return ReadError(*common, status=status)
     if msg_type == MSG_WRITE_REQUEST:
-        return WriteRequest(data=data_words(count), **common)
+        return WriteRequest(*common, data=_data_words(payload, count))
     if msg_type == MSG_WRITE_COMPLETION:
-        return WriteCompletion(status=status, **common)
+        return WriteCompletion(*common, status=status)
     raise Pi4DecodeError(f"unknown PI-4 message type {msg_type:#04x}")
 
 

@@ -269,10 +269,7 @@ class TransactionEngine:
         self.counters.incr("requests_sent")
         if self.on_transmit is not None:
             self.on_transmit(entry, packet)
-        timer = self.env.timeout(entry.timeout)
-        timer.callbacks.append(
-            lambda ev, tag=entry.tag: self._on_timeout(tag)
-        )
+        self.env.call_later(entry.timeout, self._on_timeout, entry.tag)
 
     def _on_timeout(self, tag: int) -> None:
         entry = self.pending.get(tag)

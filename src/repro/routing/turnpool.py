@@ -38,6 +38,7 @@ class TurnPoolError(ValueError):
     """Raised when a route cannot be encoded or followed."""
 
 
+@lru_cache(maxsize=None)
 def turn_width(nports: int) -> int:
     """Bits needed for a turn value at a device with ``nports`` ports."""
     if nports < 2:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Generator, Iterable, List, Optional, Union
 
 from .errors import EmptySchedule, SimulationError, StopSimulation
 from .events import AllOf, AnyOf, Deferred, Event, NORMAL, PENDING, Timeout, URGENT
@@ -38,7 +38,11 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now: float = float(initial_time)
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        #: Heap entries are five wide: ``(time, priority, seq, event,
+        #: None)``, or ``(time, NORMAL, seq, fn, args)`` for an
+        #: argument entry (:meth:`call_later`), which the run loop
+        #: dispatches as ``fn(*args)``.
+        self._queue: List[tuple] = []
         self._eid = count()
         #: ``reserve() -> int``: draw the sequence number a push at this
         #: point would get, without pushing (see "deferred
@@ -99,12 +103,27 @@ class Environment:
                  priority: int = NORMAL) -> None:
         """Place a triggered event onto the heap ``delay`` from now."""
         heappush(
-            self._queue, (self._now + delay, priority, next(self._eid), event)
+            self._queue,
+            (self._now + delay, priority, next(self._eid), event, None),
+        )
+
+    def call_later(self, delay: float, fn: Callable[..., None],
+                   *args) -> None:
+        """Run ``fn(*args)`` after ``delay``: the per-packet timer.
+
+        The heap entry carries the arguments itself — no event object,
+        no callbacks list, nothing to cancel or to fail — and occupies
+        the slot a ``Timeout`` created at this point would (NORMAL
+        priority, same sequence number).
+        """
+        heappush(
+            self._queue,
+            (self._now + delay, NORMAL, next(self._eid), fn, args),
         )
 
     def schedule_callback(self, delay: float, fn: Callable[[Event], None],
                           priority: int = NORMAL) -> Deferred:
-        """Fast path for fire-and-forget timers: run ``fn`` after ``delay``.
+        """A cancellable timer: run ``fn(handle)`` after ``delay``.
 
         Equivalent to ``self.timeout(delay).callbacks.append(fn)`` but
         skips full :class:`~repro.sim.events.Timeout` construction — the
@@ -113,12 +132,12 @@ class Environment:
         a ``Timeout`` created at this point would (same priority, same
         sequence number), so event ordering is unchanged.  The handle
         can be passed to :meth:`cancel`; it cannot be yielded on by a
-        process.
+        process.  A timer nobody cancels is a :meth:`call_later`.
         """
         handle = Deferred(fn)
         heappush(
             self._queue,
-            (self._now + delay, priority, next(self._eid), handle),
+            (self._now + delay, priority, next(self._eid), handle, None),
         )
         return handle
 
@@ -131,9 +150,10 @@ class Environment:
     # three methods below make that order-exact: the late push lands exactly where the
     # eager one would have, ties at equal timestamps included.
 
-    def schedule_at(self, time: float, seq: int,
-                    fn: Callable[[Event], None]) -> Deferred:
-        """Push ``fn`` at absolute ``time`` under a reserved ``seq``.
+    def schedule_at(self, time: float, seq: int, fn: Callable[..., None],
+                    *args) -> None:
+        """Push ``fn(*args)`` at absolute ``time`` under a reserved
+        ``seq`` (an argument entry, like :meth:`call_later`'s).
 
         Raises :class:`SimulationError` once ``has_passed(time, seq)``:
         the entry would run out of order (or move the clock back).
@@ -142,9 +162,7 @@ class Environment:
             raise SimulationError(
                 f"slot ({time}, {seq}) has already passed at {self._now}"
             )
-        handle = Deferred(fn)
-        heappush(self._queue, (time, NORMAL, seq, handle))
-        return handle
+        heappush(self._queue, (time, NORMAL, seq, fn, args))
 
     def has_passed(self, time: float, seq: int) -> bool:
         """Whether a NORMAL entry ``(time, seq)`` would already have run.
@@ -217,7 +235,8 @@ class Environment:
         ):
             # In place: ``run`` holds a local alias of the heap list.
             self._queue[:] = [
-                entry for entry in self._queue if not entry[3]._cancelled
+                entry for entry in self._queue
+                if entry[4] is not None or not entry[3]._cancelled
             ]
             heapq.heapify(self._queue)
             self._tombstones = 0
@@ -229,7 +248,7 @@ class Environment:
         queue = self._queue
         while queue:
             entry = queue[0]
-            if not entry[3]._cancelled:
+            if entry[4] is not None or not entry[3]._cancelled:
                 return entry[0]
             heappop(queue)
             self._tombstones -= 1
@@ -249,8 +268,8 @@ class Environment:
         while True:
             if not queue:
                 raise EmptySchedule("no scheduled events")
-            now, priority, seq, event = heappop(queue)
-            if not event._cancelled:
+            now, priority, seq, event, args = heappop(queue)
+            if args is not None or not event._cancelled:
                 break
             # Tombstone: discard without touching the clock.
             self._tombstones -= 1
@@ -261,9 +280,12 @@ class Environment:
         self._now = now
         self._executed += 1
 
-        callbacks, event.callbacks = event.callbacks, None
         self._dispatching = True
         try:
+            if args is not None:
+                event(*args)
+                return
+            callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)
         finally:
@@ -315,14 +337,21 @@ class Environment:
             while True:
                 if not executed & 63 and len(queue) > high:
                     high = len(queue)
-                while True:
-                    if not queue:
-                        raise EmptySchedule("no scheduled events")
-                    now, priority, seq, event = pop(queue)
-                    if not event._cancelled:
-                        break
+                try:
+                    now, priority, seq, event, args = pop(queue)
+                except IndexError:
+                    raise EmptySchedule("no scheduled events") from None
+                if args is not None:
+                    # Argument entry: always NORMAL, never cancelled.
+                    self._seq = seq
+                    self._now = now
+                    executed += 1
+                    event(*args)
+                    continue
+                if event._cancelled:
                     # Tombstone: discard without touching the clock.
                     self._tombstones -= 1
+                    continue
                 if priority:
                     self._seq = seq
                 elif now != self._now:

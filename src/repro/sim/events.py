@@ -101,7 +101,7 @@ class Event:
         # Inlined ``env.schedule(self)`` — succeed() is the kernel's
         # hottest trigger path.
         env = self.env
-        heappush(env._queue, (env._now, NORMAL, next(env._eid), self))
+        heappush(env._queue, (env._now, NORMAL, next(env._eid), self, None))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -118,7 +118,7 @@ class Event:
         self._ok = False
         self._value = exception
         env = self.env
-        heappush(env._queue, (env._now, NORMAL, next(env._eid), self))
+        heappush(env._queue, (env._now, NORMAL, next(env._eid), self, None))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -160,7 +160,8 @@ class Timeout(Event):
         self._cancelled = False
         self.delay = delay
         heappush(
-            env._queue, (env._now + delay, NORMAL, next(env._eid), self)
+            env._queue,
+            (env._now + delay, NORMAL, next(env._eid), self, None),
         )
 
     def __repr__(self):  # pragma: no cover - debugging aid
@@ -168,23 +169,27 @@ class Timeout(Event):
 
 
 class Deferred:
-    """Minimal heap entry for a fire-and-forget callback.
+    """Minimal heap entry for a cancellable callback.
 
     Carries exactly the state ``Environment.step`` touches — a
     callbacks list plus the ok/defused/cancelled flags — and nothing
     else, so ``Environment.schedule_callback`` can skip the full
     :class:`Timeout` construction path.  A ``Deferred`` is a cancel
     handle, not an event: processes cannot yield on it and it has no
-    value accessors.
+    value accessors.  (A timer that is never cancelled needs no handle
+    at all: ``Environment.call_later``.)
     """
 
-    __slots__ = ("callbacks", "_value", "_ok", "_defused", "_cancelled")
+    __slots__ = ("callbacks", "_cancelled")
+
+    #: The rest of what ``Environment.step`` and ``cancel`` read of an
+    #: event: a ``Deferred`` has always succeeded, with no value.
+    _value = None
+    _ok = True
+    _defused = False
 
     def __init__(self, fn: Callable[["Deferred"], None]):
         self.callbacks: Optional[List[Callable]] = [fn]
-        self._value = None
-        self._ok = True
-        self._defused = False
         self._cancelled = False
 
     def __repr__(self):  # pragma: no cover - debugging aid

@@ -108,6 +108,23 @@ class TestCliIsDerived:
             lambda scenarios, **kwargs: [aborted] * len(scenarios))
         assert cli.main(["churn", "--algorithm", "parallel"]) == 1
 
+    @pytest.mark.parametrize("kind,default", (
+        ("load", "parallel"),
+        ("reliability", "serial_packet, serial_device, parallel"),
+        ("churn", "serial_packet, serial_device, parallel"),
+    ))
+    def test_swept_algorithm_help_states_the_real_default(
+            self, kind, default, capsys):
+        # Regression: `repro load --help` said "default: all three"
+        # while its sweep defaults to parallel alone.
+        axis = next(axis for axis in FAMILIES[kind].axes
+                    if axis.name == "algorithms")
+        assert ", ".join(axis.default) == default
+        with pytest.raises(SystemExit):
+            cli.main([kind, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"algorithm to sweep (repeatable; default: {default})" in text
+
     def test_list_and_topology_print_one_catalogue(self, capsys):
         assert cli.main(["list"]) == 0
         listed = capsys.readouterr().out.splitlines()

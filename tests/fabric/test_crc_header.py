@@ -70,6 +70,84 @@ class TestRouteHeader:
         with pytest.raises(HeaderError):
             RouteHeader(turn_pointer=TURN_POOL_BITS + 1)
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"pi": 256}, "pi=256 outside [0, 255]"),
+            ({"tc": -1}, "tc=-1 outside [0, 7]"),
+            ({"direction": 2}, "direction=2 outside [0, 1]"),
+            ({"oo": 2}, "oo=2 outside [0, 1]"),
+            ({"ts": 2}, "ts=2 outside [0, 1]"),
+            ({"credits_required": 32},
+             "credits_required=32 outside [0, 31]"),
+            ({"turn_pointer": 128}, "turn_pointer=128 outside [0, 127]"),
+            ({"fecn": 2}, "fecn=2 outside [0, 1]"),
+            ({"perr": -3}, "perr=-3 outside [0, 1]"),
+            ({"turn_pointer": TURN_POOL_BITS + 1},
+             f"turn_pointer={TURN_POOL_BITS + 1} exceeds pool width"),
+            ({"turn_pool": 1 << TURN_POOL_BITS},
+             "turn_pool outside 64-bit range"),
+            ({"turn_pool": -1}, "turn_pool outside 64-bit range"),
+            # Several at once: the first in field order is named.
+            ({"perr": 2, "tc": 9, "turn_pool": -1}, "tc=9 outside [0, 7]"),
+        ],
+    )
+    def test_out_of_range_message_names_the_field(self, fields, message):
+        with pytest.raises(HeaderError) as raised:
+            RouteHeader(**fields)
+        assert str(raised.value) == message
+        # A store is not checked; the next pack() is, the same way.
+        header = RouteHeader()
+        for name, value in fields.items():
+            setattr(header, name, value)
+        with pytest.raises(HeaderError) as raised:
+            header.pack()
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("pi", 5), ("tc", 2), ("direction", 1), ("oo", 1), ("ts", 0),
+         ("credits_required", 9), ("turn_pointer", 8), ("turn_pool", 0xABD),
+         ("fecn", 1), ("perr", 1)],
+    )
+    def test_a_store_to_any_field_after_pack_changes_the_bytes(
+            self, field, value):
+        fields = dict(pi=4, tc=7, direction=0, oo=0, ts=1,
+                      credits_required=3, turn_pointer=12, turn_pool=0xABC)
+        header = RouteHeader(**fields)
+        before = header.pack()
+        assert header.pack() is before  # memoised while unchanged
+        setattr(header, field, value)
+        after = header.pack()
+        assert after != before
+        assert after == RouteHeader(**{**fields, field: value}).pack()
+        assert RouteHeader.unpack(after) == header  # CRC verifies
+        setattr(header, field, fields.get(field, 0))
+        assert header.pack() == before
+
+    def test_plain_attribute_stores_need_no_hook(self):
+        """The switches rewrite ``turn_pointer`` with a plain store at
+        every hop; the memo must notice a store no ``__setattr__``
+        could have seen."""
+        assert "__setattr__" not in vars(RouteHeader)
+        header = RouteHeader(pi=4, tc=7, ts=1, turn_pointer=12,
+                             turn_pool=0xBEEF)
+        before = header.pack()
+        header.turn_pointer = 8
+        hop = header.pack()
+        vars(header)["turn_pointer"] = 4
+        assert len({before, hop, header.pack()}) == 3
+        assert RouteHeader.unpack(header.pack()).turn_pointer == 4
+
+    def test_copy_is_independent(self):
+        header = RouteHeader(pi=4, tc=7, ts=1, turn_pointer=12,
+                             turn_pool=0xBEEF, fecn=1)
+        clone = header.copy()
+        assert clone == header and clone is not header
+        clone.turn_pointer = 8
+        assert header.turn_pointer == 12
+        assert header.pack() != clone.pack()
+
     def test_reversed_flips_direction(self):
         header = RouteHeader(pi=4, tc=5, turn_pointer=0, turn_pool=0x55)
         back = header.reversed()

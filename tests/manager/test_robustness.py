@@ -112,3 +112,74 @@ class TestMidDiscoveryFailure:
             fm.start_discovery(trigger="manual")
             setup.env.run(until=fm.ready_event)
         assert database_matches_fabric(setup)
+
+
+class TestRouteBeyondTheTurnPool:
+    """A device whose route needs more than the header's 64 turn bits
+    is out of this FM's reach: skipped and counted, never an exception
+    through ``env.run()``."""
+
+    #: 1x19 mesh, FM on the first switch's endpoint: 16 four-bit turns
+    #: fit, so switches 0-16 and the endpoints of switches 0-15 do;
+    #: switch 17 and switch 16's endpoint are found active and skipped.
+    REACHABLE = 33
+
+    @pytest.mark.parametrize("manager", ["full", "partial"])
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_discovery_finishes_over_the_reachable_devices(
+            self, algorithm, manager):
+        setup = build_simulation(make_mesh(1, 19), algorithm=algorithm,
+                                 manager=manager)
+        stats = run_until_ready(setup)
+        assert len(setup.fabric.devices) == 38
+        assert stats.devices_found == self.REACHABLE
+        assert setup.fm.counters["targets_out_of_reach"] == 2
+        assert stats.abandoned_targets == 0 and stats.timeouts == 0
+        known = {record.dsn for record in setup.fm.database.devices()}
+        far = {setup.fabric.device(name).dsn
+               for name in ("sw_0_17", "sw_0_18", "ep_0_16", "ep_0_18")}
+        assert not known & far
+        assert setup.fabric.device("sw_0_16").dsn in known
+
+    def test_a_fitting_route_is_not_counted(self):
+        setup = build_simulation(make_mesh(1, 17), algorithm=PARALLEL)
+        stats = run_until_ready(setup)
+        assert stats.devices_found == len(setup.fabric.devices) - 1
+        assert setup.fm.counters["targets_out_of_reach"] == 1
+        setup = build_simulation(make_mesh(1, 16), algorithm=PARALLEL)
+        run_until_ready(setup)
+        assert database_matches_fabric(setup)
+        assert setup.fm.counters["targets_out_of_reach"] == 0
+
+    def test_port_up_at_the_edge_of_reach_ends_its_burst(self):
+        """The partial manager explores behind a port that came up; if
+        all that is there is out of reach, the burst still finishes."""
+        setup = build_simulation(make_mesh(1, 19), algorithm=PARALLEL,
+                                 manager="partial")
+        run_until_ready(setup)
+        fm, env = setup.fm, setup.env
+        link = next(link for link in setup.fabric.links
+                    if "sw_0_16" in repr(link) and "sw_0_17" in repr(link))
+        link.take_down()
+        env.run(until=env.now + 5e-3)
+        bursts = len(fm.history)
+        link.bring_up()
+        env.run(until=env.now + 5e-3)
+        assert fm.counters["targets_out_of_reach"] == 3
+        assert len(fm.history) == bursts + 1
+        assert fm._region is None and not fm._event_queue
+
+    def test_churn_that_stretches_a_route_past_the_pool(self):
+        """The service's churn on the 8x8 mesh, seed 1: after 11
+        faults ``TurnPoolError`` used to come out of ``env.run()``."""
+        from repro.topology import resolve_topology
+        from repro.workloads.faults import FaultInjector
+        spec = resolve_topology("mesh64")
+        setup = build_simulation(spec, algorithm=PARALLEL)
+        injector = FaultInjector(
+            setup.fabric, mean_interval=2e-3, protect=[spec.fm_host],
+            seed=1, fm=setup.fm,
+        )
+        setup.env.run(until=injector.run(faults=40))
+        assert len(injector.log) == 40
+        assert setup.fm.counters["targets_out_of_reach"] > 0

@@ -155,3 +155,92 @@ class TestScrapeSetup:
         # Now that every port carries a (mostly empty) counter, the
         # whole document still reads the same.
         assert MetricsRegistry().scrape_setup(setup).collect() == scraped
+
+
+class TestHotPortCounters:
+    """The five per-hop counters are integer slots on the port, folded
+    into its ``Counter`` on every read: every reader sees one set of
+    numbers, and a port that never counted still has no counter."""
+
+    #: sha256 of ``json.dumps(scrape_setup(...).collect(),
+    #: sort_keys=True)`` after a default discovery, recorded at the
+    #: commit before the counters became integers.
+    PARENT_SCRAPES = {
+        "torus64": "598f440376f26ef015ca69a0a85004718387e128"
+                   "6e449cb945cb3b0cac95a978",
+        "fattree2-1024": "28009b195c56ae5096f2ad50048dd91370a001fa"
+                         "d779ae00917e82024d9c2eb5",
+    }
+
+    @pytest.mark.parametrize("topology", sorted(PARENT_SCRAPES))
+    def test_scrape_is_sha_identical_to_the_parent(self, topology):
+        import hashlib
+        import json
+
+        from repro.experiments.runner import (
+            build_simulation,
+            run_until_ready,
+        )
+        from repro.topology.registry import resolve_topology
+        setup = build_simulation(resolve_topology(topology))
+        run_until_ready(setup)
+        document = MetricsRegistry().scrape_setup(setup).collect()
+        digest = hashlib.sha256(
+            json.dumps(document, sort_keys=True).encode()).hexdigest()
+        assert digest == self.PARENT_SCRAPES[topology]
+
+    @staticmethod
+    def _relay():
+        from repro.fabric.fabric import Fabric
+        from repro.fabric.header import RouteHeader
+        from repro.fabric.packet import PI_APPLICATION, Packet
+        from repro.sim.core import Environment
+        fabric = Fabric(Environment())
+        fabric.add_endpoint("A")
+        fabric.add_endpoint("B")
+        fabric.add_switch("sw")
+        fabric.connect("A", 0, "sw", 0)
+        fabric.connect("sw", 1, "B", 0)
+        fabric.power_up()
+        # One 4-bit turn: in at port 0, out at port 1.
+        header = RouteHeader(pi=PI_APPLICATION, turn_pointer=4, turn_pool=0)
+        fabric.devices["A"].inject(Packet(header=header, payload=b"x" * 40))
+        return fabric
+
+    def test_stats_read_the_integer_slots(self):
+        fabric = self._relay()
+        port = fabric.devices["A"].ports[0]
+        assert port.stats_if_used is not None  # queued, not yet sent
+        assert port.stats["tx_queued"] == 1 and port.stats["tx_packets"] == 0
+        fabric.env.run()
+        assert (port.tx_queued, port.tx_packets, port.tx_bytes) == (1, 1, 68)
+        assert port.stats.asdict() == {
+            "tx_queued": 1, "tx_packets": 1, "tx_bytes": 68}
+        far = fabric.devices["B"].ports[0]
+        assert far.stats_if_used.asdict() == {
+            "rx_packets": 1, "rx_bytes": 68}
+        # Reading twice adds nothing; rare counters share the bundle.
+        port.stats.incr("tx_replays")
+        assert port.stats.asdict() == {
+            "tx_queued": 1, "tx_packets": 1, "tx_bytes": 68,
+            "tx_replays": 1}
+
+    def test_an_observer_sees_the_folded_increments(self):
+        fabric = self._relay()
+        port = fabric.devices["A"].ports[0]
+        registry = MetricsRegistry()
+        registry.observe_counter(port.stats, "port")
+        fabric.env.run()
+        assert registry.value("port.tx_packets") == 0  # not read yet
+        port.stats
+        assert registry.value("port.tx_packets") == 1
+        assert registry.value("port.tx_bytes") == 68
+
+    def test_a_port_that_never_counted_has_no_counter(self):
+        fabric = self._relay()
+        fabric.env.run()
+        idle = fabric.devices["sw"].ports[5]
+        assert idle.stats_if_used is None
+        assert idle.stats_if_used is None  # and reading did not make one
+        assert idle.stats["tx_packets"] == 0
+        assert idle.stats_if_used is not None  # ``stats`` materialises

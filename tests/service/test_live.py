@@ -90,6 +90,56 @@ class TestConcurrentClients:
             assert handle.driver.events_stepped > 0
 
 
+class TestChurnBeyondTheTurnPool:
+    def test_mesh64_churn_does_not_kill_the_kernel(self):
+        """mesh64's far corner is one detour short of the 64 turn bits:
+        with churn seed 1 the faults after the 11th leave a device reachable only
+        by a 17-hop route, which used to end the driver thread with a
+        ``TurnPoolError``.  Such a target is now skipped and counted."""
+        with start_service("mesh64", churn=True, seed=1) as handle:
+            deadline = time.monotonic() + 60.0
+            while (len(handle.injector.log) < 40
+                   and handle.driver.crashed is None
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert handle.driver.crashed is None
+            assert len(handle.injector.log) >= 40
+            with handle.client() as client:
+                metrics = client.request("metrics")["metrics"]
+                assert metrics["fm.targets_out_of_reach"]["value"] > 0
+
+
+class TestServiceBenchNoticesADeadKernel:
+    def test_run_bench_raises_when_the_kernel_died_in_the_window(
+            self, monkeypatch):
+        """``benchmarks/bench_service.py`` used to report throughput
+        for a window in which the driver thread had ended: reads keep
+        being answered from the last snapshot, so no client errs."""
+        import importlib.util
+        from pathlib import Path
+        path = (Path(__file__).resolve().parents[2]
+                / "benchmarks" / "bench_service.py")
+        spec = importlib.util.spec_from_file_location("bench_service", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+
+        def boom():
+            raise RuntimeError("boom")
+
+        def doomed_service(topology, **kwargs):
+            handle = start_service(topology, **kwargs)
+            handle.driver.call(
+                lambda setup: setup.env.call_later(1e-6, boom))
+            return handle
+
+        monkeypatch.setattr(bench, "start_service", doomed_service)
+        with pytest.raises(RuntimeError, match="kernel died.*boom"):
+            bench.run_bench("mesh9", clients=2, duration=0.5, seed=0)
+        monkeypatch.setattr(bench, "start_service", start_service)
+        assert bench.run_bench(
+            "mesh9", clients=2, duration=0.5, seed=0)["queries"] > 0
+
+
 class TestMutationRoundTrip:
     def test_hot_remove_streams_events_and_audits_clean(self):
         with start_service("mesh9") as handle:

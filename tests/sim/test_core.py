@@ -183,8 +183,7 @@ def test_reserved_slot_pushed_late_runs_where_the_eager_push_would():
     middle = env.reserve()
     env.schedule_callback(1.0, lambda ev: order.append("c"))
     env.schedule_callback(
-        0.5, lambda ev: env.schedule_at(
-            1.0, middle, lambda ev: order.append("b")))
+        0.5, lambda ev: env.schedule_at(1.0, middle, order.append, "b"))
     env.run()
     assert order == ["a", "b", "c"]
 
@@ -256,3 +255,107 @@ def test_vitals_counts_executed_events_not_drawn_numbers():
     assert vitals["heap_high_water"] == 7
     env.step()
     assert env.vitals()["events_executed"] == 5
+
+
+# -- argument entries: call_later / schedule_at(fn, *args) ---------------------
+
+def test_argument_entries_run_in_sequence_order_among_every_entry_kind():
+    """One instant, five kinds of heap entry: URGENT first, then NORMAL
+    entries in the order their sequence numbers were drawn — whether
+    the entry is an event, a handle or a bare ``fn(*args)``."""
+    from repro.sim.events import URGENT
+    env = Environment()
+    order = []
+    env.call_later(1.0, order.append, "call-1")
+    env.timeout(1.0).callbacks.append(lambda ev: order.append("timeout"))
+    env.call_later(1.0, order.append, "call-2")
+    env.schedule_callback(1.0, lambda handle: order.append("handle"))
+    slot = env.reserve()
+    env.call_later(1.0, order.append, "call-3")
+    env.schedule_callback(1.0, lambda handle: order.append("urgent"), URGENT)
+    env.schedule_at(1.0, slot, order.append, "reserved")
+    env.run()
+    assert order == ["urgent", "call-1", "timeout", "call-2", "handle",
+                     "reserved", "call-3"]
+    assert env.now == 1.0
+
+
+def test_call_later_passes_its_arguments_and_draws_one_number_each():
+    env = Environment()
+    seen = []
+    env.call_later(2.0, lambda *args: seen.append((env.now, args)))
+    env.call_later(1.0, lambda *args: seen.append((env.now, args)), 1, "b")
+    assert env.vitals()["sequence_numbers_drawn"] == 2
+    env.run()
+    assert seen == [(1.0, (1, "b")), (2.0, ())]
+    assert env.vitals()["events_executed"] == 2
+
+
+def test_has_passed_sees_argument_entries_like_any_normal_entry():
+    env = Environment()
+    seen = {}
+    before = env.reserve()
+
+    def probe(tag_before, tag_after):
+        seen[tag_before] = env.has_passed(1.0, before)
+        seen[tag_after] = env.has_passed(1.0, after)
+
+    env.call_later(1.0, probe, "before", "after")
+    after = env.reserve()
+    env.run()
+    assert seen == {"before": True, "after": False}
+    # The slot after the probe is still open at t=1; the one before is not.
+    late = []
+    env.schedule_at(1.0, after, late.append, "ran")
+    with pytest.raises(SimulationError, match="already passed"):
+        env.schedule_at(1.0, before, late.append, "never")
+    env.run()
+    assert late == ["ran"]
+
+
+def test_cancel_compaction_and_peek_over_a_mixed_heap():
+    """Tombstones are event entries; argument entries beside them are
+    never mistaken for one, by ``peek`` or by the compaction."""
+    from repro.sim.core import COMPACT_THRESHOLD
+    env = Environment()
+    ran = []
+    victims = [env.timeout(1.0) for _ in range(COMPACT_THRESHOLD + 2)]
+    env.call_later(2.0, ran.append, "kept")
+    keeper = env.timeout(3.0)
+    assert env.cancel(victims[0])
+    assert env.peek() == 1.0                 # pops that one tombstone
+    for victim in victims[1:]:
+        assert env.cancel(victim)            # the last one compacts
+    vitals = env.vitals()
+    assert vitals["compactions"] == 1 and vitals["tombstones"] == 0
+    assert vitals["heap_depth"] == 2
+    assert env.peek() == 2.0                 # an argument entry is live
+    env.cancel(keeper)
+    env.run()
+    assert ran == ["kept"] and env.now == 2.0
+    assert env.peek() == Infinity
+
+
+def test_exception_from_an_argument_entry_leaves_the_kernel_consistent():
+    env = Environment()
+    ran = []
+
+    def boom(tag):
+        raise KeyError(tag)
+
+    env.call_later(1.0, ran.append, "first")
+    env.call_later(2.0, boom, "second")
+    env.call_later(3.0, ran.append, "third")
+    with pytest.raises(KeyError, match="second"):
+        env.run()
+    assert env.now == 2.0 and ran == ["first"]
+    assert not env.quiet()                   # dispatch flag was reset
+    vitals = env.vitals()
+    assert vitals["events_executed"] == 2 and vitals["heap_depth"] == 1
+    env.run()                                # and the run can go on
+    assert ran == ["first", "third"]
+    assert env.vitals()["events_executed"] == 3
+    with pytest.raises(KeyError):            # same through step()
+        env.call_later(1.0, boom, "again")
+        env.step()
+    assert not env.quiet() and env.vitals()["events_executed"] == 4

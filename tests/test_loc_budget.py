@@ -21,8 +21,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Code lines in all of ``src/`` (13,240 before PR 13; 12,641 after it
-#: — PR 14's read memo is paid for inside ``service/``).
-TOTAL_CEILING = 12_637
+#: — PR 14's read memo is paid for inside ``service/``; PR 15's
+#: ``call_later`` and integer counters by the lambdas, ``__setattr__``
+#: and closures they replace).
+TOTAL_CEILING = 12_633
 #: Code lines in ``repro/experiments/`` + ``repro/cli.py`` (3,666
 #: before PR 13, 3,071 after it).
 EXPERIMENTS_AND_CLI_CEILING = 3_068
