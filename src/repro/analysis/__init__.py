@@ -1,12 +1,8 @@
-"""Analytical models and profiling (paper Fig. 7(b), Fig. 4)."""
+"""Analytical models (paper Fig. 7(b))."""
 
 from .model import PipelineModel, expected_packets
-from .profiling import ProfiledTiming, profile_all_algorithms, profile_fm_processing
 
 __all__ = [
     "PipelineModel",
-    "ProfiledTiming",
     "expected_packets",
-    "profile_all_algorithms",
-    "profile_fm_processing",
 ]

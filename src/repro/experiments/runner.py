@@ -120,11 +120,15 @@ def run_until_discovery_count(setup: SimulationSetup, n: int,
         if len(fm.history) >= n and not marker.triggered:
             marker.succeed(stats)
 
+    def expire(_handle):
+        if not marker.triggered:
+            marker.succeed()
+
     fm.on_discovery_complete.append(check)
-    deadline = env.timeout(horizon)
-    env.run(until=env.any_of([marker, deadline]))
+    deadline = env.schedule_callback(horizon, expire)
+    env.run(until=marker)
     fm.on_discovery_complete.remove(check)
-    # On success the horizon Timeout is still scheduled; a later bare
+    # On success the horizon timer is still scheduled; a later bare
     # env.run() would spin the clock all the way to it.
     env.cancel(deadline)
     if len(fm.history) < n:

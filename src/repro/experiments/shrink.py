@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..topology.irregular import make_irregular, parse_irregular_name
-from .scenario import Scenario
+from .scenario import FAMILIES, Scenario
 
 #: An ``evaluate`` callable: run (or statically judge) a scenario and
 #: return ``None`` when it passes or ``(reason, detail)`` when it
@@ -125,14 +125,12 @@ def shrink_candidates(scenario: Scenario) -> Iterator[Scenario]:
         for name in _smaller_table1(scenario.topology):
             candidates.append(attempt(topology=name))
 
-    # 2. Drop faults from the churn (or pre-kill failover) plan.
-    if scenario.kind in ("churn", "failover"):
-        if scenario.kind == "churn":
-            from .churn import DEFAULT_FAULTS
-            default_faults = DEFAULT_FAULTS
-        else:
-            from .failover import DEFAULT_FAULTS as default_faults
-        effective = (default_faults if scenario.faults is None
+    # 2. Drop faults from the plan of a family that has one (churn, or
+    #    the churn before a failover's kill).
+    plan = next((axis for axis in FAMILIES[scenario.kind].axes
+                 if axis.field == "faults"), None)
+    if plan is not None:
+        effective = (plan.default if scenario.faults is None
                      else scenario.faults)
         if scenario.kind == "failover" and effective >= 1:
             # A kill with no preceding churn at all is the simplest

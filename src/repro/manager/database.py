@@ -9,7 +9,7 @@ as the topology information grows" (paper, section 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
@@ -73,6 +73,14 @@ class DeviceRecord:
                 f"with {self.nports} ports"
             )
         return self.ports.setdefault(index, PortRecord())
+
+    def copy(self) -> "DeviceRecord":
+        """A deep copy: own hop list, own port records."""
+        return replace(
+            self, route_hops=list(self.route_hops),
+            ports={index: replace(port)
+                   for index, port in self.ports.items()},
+        )
 
 
 class TopologyDatabase:

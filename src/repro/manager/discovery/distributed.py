@@ -29,6 +29,7 @@ path to every candidate); the coordinator provides them explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ...capability import CLAIM_CAP_ID, ClaimCapability
@@ -36,7 +37,7 @@ from ...protocols import pi4
 from ...routing.turnpool import TurnPool
 from ...sim.events import Event
 from ..database import DeviceRecord, TopologyDatabase
-from ..fm import FabricManager
+from ..fm import FabricManager, barrier
 from .base import DiscoveryStats
 from .parallel import ParallelDiscovery
 
@@ -150,8 +151,17 @@ class CollaborativeDiscovery:
         done = self.env.event()
         fms = [self.primary] + [fm for fm, _route in self.helpers]
         explorations: Dict[str, ClaimingParallelDiscovery] = {}
-        remaining = [len(fms)]
 
+        def explored(_event, name: str) -> None:
+            exp = explorations[name]
+            stats.per_fm[name] = exp.stats
+            stats.exploration_times[name] = exp.stats.discovery_time
+            stats.region_sizes[name] = len(exp.owned)
+
+        finished = barrier(
+            len(fms), explored,
+            lambda: self._merge(stats, explorations, done),
+        )
         for fm in fms:
             fm.database.clear()
             exploration = ClaimingParallelDiscovery(
@@ -159,17 +169,9 @@ class CollaborativeDiscovery:
             )
             fm.discovery = exploration
             explorations[fm.endpoint.name] = exploration
-
-            def finished(event, name=fm.endpoint.name):
-                exp = explorations[name]
-                stats.per_fm[name] = exp.stats
-                stats.exploration_times[name] = exp.stats.discovery_time
-                stats.region_sizes[name] = len(exp.owned)
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    self._merge(stats, explorations, done)
-
-            exploration.done_event.callbacks.append(finished)
+            exploration.done_event.callbacks.append(
+                partial(finished, ctx=fm.endpoint.name)
+            )
             exploration.start(trigger="collaborative")
         return done
 
@@ -178,37 +180,28 @@ class CollaborativeDiscovery:
                explorations: Dict[str, ClaimingParallelDiscovery],
                done: Event) -> None:
         merge_start = self.env.now
-        outstanding = [0]
-        all_sent = [False]
 
-        def on_ack(_completion, _ctx) -> None:
-            outstanding[0] -= 1
-            if all_sent[0] and outstanding[0] == 0:
-                self._assemble(stats, explorations)
-                stats.merge_duration = self.env.now - merge_start
-                stats.finished_at = self.env.now
-                if not done.triggered:
-                    done.succeed(stats)
+        def merged() -> None:
+            self._assemble(stats, explorations)
+            stats.merge_duration = self.env.now - merge_start
+            stats.finished_at = self.env.now
+            done.succeed(stats)
 
-        for fm, route in self.helpers:
-            pool, out_port = route
-            exploration = explorations[fm.endpoint.name]
-            for dsn in sorted(exploration.owned):
-                # One write per owned record models the transfer cost;
-                # content rides out-of-band (see module docstring).
-                message = pi4.WriteRequest(
-                    cap_id=CLAIM_CAP_ID, offset=0, tag=0,
-                    data=tuple(
-                        ClaimCapability.encode(dsn,
-                                               (self.generation + 1) & 0xFFFF)
-                    ),
-                )
-                outstanding[0] += 1
-                stats.merge_writes += 1
-                fm.send_request(message, pool, out_port, callback=on_ack)
-        all_sent[0] = True
-        if outstanding[0] == 0:
-            on_ack(None, None)
+        # One write per owned record models the transfer cost;
+        # content rides out-of-band (see module docstring).
+        generation = (self.generation + 1) & 0xFFFF
+        writes = [
+            (fm, pi4.WriteRequest(
+                cap_id=CLAIM_CAP_ID, offset=0, tag=0,
+                data=tuple(ClaimCapability.encode(dsn, generation)),
+            ), route)
+            for fm, route in self.helpers
+            for dsn in sorted(explorations[fm.endpoint.name].owned)
+        ]
+        stats.merge_writes += len(writes)
+        acked = barrier(len(writes), lambda _completion, _ctx: None, merged)
+        for fm, message, (pool, out_port) in writes:
+            fm.send_request(message, pool, out_port, callback=acked)
 
     def _assemble(self, stats: CollaborativeStats,
                   explorations: Dict[str, ClaimingParallelDiscovery]) -> None:
@@ -219,17 +212,7 @@ class CollaborativeDiscovery:
                 continue
             for record in exploration.fm.database.devices():
                 if record.dsn not in primary_db:
-                    clone = DeviceRecord(
-                        dsn=record.dsn,
-                        type_code=record.type_code,
-                        nports=record.nports,
-                        fm_capable=record.fm_capable,
-                        fm_priority=record.fm_priority,
-                        ingress_port=record.ingress_port,
-                        route_hops=list(record.route_hops),
-                        out_port=record.out_port,
-                    )
-                    primary_db.add_device(clone)
+                    primary_db.add_device(record.copy())
             for record in exploration.fm.database.devices():
                 target = primary_db.device(record.dsn)
                 for index, port in record.ports.items():

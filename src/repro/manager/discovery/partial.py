@@ -332,13 +332,7 @@ class PartialAssimilationManager(FabricManager):
         # preceding full run's ready) instead of orphaning its waiters.
         if self.ready_event is None or self.ready_event.triggered:
             self.ready_event = self.env.event()
-        if self.program_event_routes:
-            self.env.process(
-                self._program_event_routes(),
-                name=f"fm-routes:{self.endpoint.name}",
-            )
-        else:
-            self.ready_event.succeed(stats)
+        self._finish_ready(stats)
 
     # -- targeted subtree repair ---------------------------------------------
     def _attempt_repair(self, suspects: set) -> bool:

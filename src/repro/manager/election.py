@@ -209,8 +209,8 @@ class Election:
             if agent.is_candidate:
                 agent.announce(epoch=self.epoch)
         done = self.env.event()
-        timer = self.env.timeout(self.settle_time)
-        timer.callbacks.append(lambda _ev: done.succeed(self._tally()))
+        self.env.call_later(self.settle_time,
+                            lambda: done.succeed(self._tally()))
         return done
 
     def _tally(self) -> ElectionResult:

@@ -51,12 +51,7 @@ from ..capability import (
 from ..protocols import pi4, pi5
 from ..routing.turnpool import TurnPool
 from ..sim.events import Event
-from .database import (
-    DatabaseError,
-    DeviceRecord,
-    PortRecord,
-    TopologyDatabase,
-)
+from .database import DatabaseError, TopologyDatabase
 from .discovery.base import DiscoveryStats
 from .fm import FabricManager
 
@@ -341,23 +336,7 @@ class StandbyManager:
             return
         mirror = TopologyDatabase()
         for record in source.devices():
-            clone = DeviceRecord(
-                dsn=record.dsn,
-                type_code=record.type_code,
-                nports=record.nports,
-                fm_capable=record.fm_capable,
-                fm_priority=record.fm_priority,
-                ingress_port=record.ingress_port,
-                route_hops=list(record.route_hops),
-                out_port=record.out_port,
-            )
-            for index, port in record.ports.items():
-                clone.ports[index] = PortRecord(
-                    up=port.up,
-                    neighbor_dsn=port.neighbor_dsn,
-                    neighbor_port=port.neighbor_port,
-                )
-            mirror.add_device(clone)
+            mirror.add_device(record.copy())
         try:
             # Routes in the snapshot are relative to the *primary*;
             # rebase them to this standby's vantage point now, so the
@@ -436,7 +415,7 @@ class StandbyManager:
         if fm.ready_event is None or fm.ready_event.triggered:
             fm.ready_event = self.env.event()
 
-        mismatches, dead = yield from self._verify_ports()
+        mismatches, dead = yield self._verify_ports()
         for dsn in sorted(dead):
             if dsn not in fm.database:
                 continue
@@ -499,30 +478,14 @@ class StandbyManager:
         fm = self.fm
         fm.database.clear()
         for record in self.mirror.devices():
-            clone = DeviceRecord(
-                dsn=record.dsn,
-                type_code=record.type_code,
-                nports=record.nports,
-                fm_capable=record.fm_capable,
-                fm_priority=record.fm_priority,
-                ingress_port=record.ingress_port,
-                route_hops=list(record.route_hops),
-                out_port=record.out_port,
-            )
-            for index, port in record.ports.items():
-                clone.ports[index] = PortRecord(
-                    up=port.up,
-                    neighbor_dsn=port.neighbor_dsn,
-                    neighbor_port=port.neighbor_port,
-                )
-            fm.database.add_device(clone)
+            fm.database.add_device(record.copy())
         fm.database.recompute_routes(fm.endpoint.dsn)
 
-    def _verify_ports(self):
+    def _verify_ports(self) -> Event:
         """Re-read every mirrored device's port-status blocks.
 
-        Yields until all chunked reads settle; returns
-        ``(mismatches, dead)`` where mismatches are ``(dsn, port,
+        The returned event resolves, once all chunked reads settle,
+        with ``(mismatches, dead)`` where mismatches are ``(dsn, port,
         live_up)`` triples the mirror disagrees on and ``dead`` is the
         set of devices that answered nothing.
         """
@@ -534,8 +497,6 @@ class StandbyManager:
         dead: Set[int] = set()
         done = self.env.event()
         ports_per_read = MAX_READ_DWORDS // PORT_BLOCK_DWORDS
-        state = {"outstanding": 0}
-        all_sent = [False]
 
         def on_status(completion, ctx) -> None:
             record, first = ctx
@@ -544,47 +505,42 @@ class StandbyManager:
                               pi4.STATUS_OK) == pi4.STATUS_OK)
             if not ok:
                 dead.add(record.dsn)
-            else:
-                data = list(completion.data)
-                for i in range(len(data) // PORT_BLOCK_DWORDS):
-                    index = first + i
-                    live_up = decode_port_status(
-                        data[i * PORT_BLOCK_DWORDS]
-                    )["up"]
-                    known = record.ports.get(index)
-                    known_up = None if known is None else known.up
-                    if known_up is None:
-                        if live_up:
-                            mismatches.add((record.dsn, index, True))
-                    elif bool(known_up) != live_up:
-                        mismatches.add((record.dsn, index, live_up))
-            state["outstanding"] -= 1
-            if all_sent[0] and state["outstanding"] == 0 \
-                    and not done.triggered:
-                done.succeed()
+                return
+            data = list(completion.data)
+            for i in range(len(data) // PORT_BLOCK_DWORDS):
+                index = first + i
+                live_up = decode_port_status(
+                    data[i * PORT_BLOCK_DWORDS]
+                )["up"]
+                known = record.ports.get(index)
+                known_up = None if known is None else known.up
+                if known_up is None:
+                    if live_up:
+                        mismatches.add((record.dsn, index, True))
+                elif bool(known_up) != live_up:
+                    mismatches.add((record.dsn, index, live_up))
 
-        for record in records:
-            for first in range(0, record.nports, ports_per_read):
-                count = min(ports_per_read,
-                            record.nports - first) * PORT_BLOCK_DWORDS
-                message = pi4.ReadRequest(
-                    cap_id=BASELINE_CAP_ID,
-                    offset=port_block_offset(first), tag=0, count=count,
-                )
-                state["outstanding"] += 1
-                fm.send_request(
-                    message, record.route(), record.out_port,
-                    callback=on_status, ctx=(record, first),
-                )
-        all_sent[0] = True
-        if state["outstanding"] == 0:
-            done.succeed()
-        yield done
-        # Mismatches on dead reporters are handled by the prune path.
-        survivors = {
-            m for m in mismatches if m[0] not in dead
-        }
-        return survivors, dead
+        def request(record, first: int):
+            count = min(ports_per_read,
+                        record.nports - first) * PORT_BLOCK_DWORDS
+            message = pi4.ReadRequest(
+                cap_id=BASELINE_CAP_ID,
+                offset=port_block_offset(first), tag=0, count=count,
+            )
+            return message, record.route(), record.out_port, (record, first)
+
+        def settled() -> None:
+            # Mismatches on dead reporters are handled by the prune path.
+            done.succeed(
+                ({m for m in mismatches if m[0] not in dead}, dead)
+            )
+
+        fm.send_all(
+            (request(record, first) for record in records
+             for first in range(0, record.nports, ports_per_read)),
+            on_status, settled,
+        )
+        return done
 
     def __repr__(self):  # pragma: no cover - debugging aid
         state = "ACTIVE" if self.active else "standby"

@@ -59,6 +59,24 @@ class DiscoveryAborted(RuntimeError):
     """
 
 
+def barrier(count: int, each: Callable[[Any, Any], None],
+            then: Callable[[], None]) -> Callable[[Any, Any], None]:
+    """A callback that joins ``count`` arrivals: ``each(value, ctx)``
+    per arrival, then ``then()`` exactly once after the last — at
+    once, before this returns, when ``count`` is zero."""
+    if count == 0:
+        then()
+
+    def arrive(value, ctx=None) -> None:
+        nonlocal count
+        each(value, ctx)
+        count -= 1
+        if count == 0:
+            then()
+
+    return arrive
+
+
 class FabricManager:
     """The primary fabric manager, hosted on ``endpoint``."""
 
@@ -272,6 +290,20 @@ class FabricManager:
             span_parent=span_parent,
         )
 
+    def send_all(self, requests: Iterable[Tuple], each: Callable,
+                 then: Callable[[], None],
+                 span_parent: Optional[Any] = None) -> None:
+        """The request barrier: send every ``(message, pool, out_port,
+        ctx)`` of ``requests``, call ``each(completion_or_None, ctx)``
+        per completion and ``then()`` exactly once after the last (at
+        once when there are none).  Requests are materialised and
+        counted before the first is sent."""
+        requests = list(requests)
+        arrive = barrier(len(requests), each, then)
+        for message, pool, out_port, ctx in requests:
+            self.send_request(message, pool, out_port, arrive, ctx=ctx,
+                              span_parent=span_parent)
+
     def _on_request_transmitted(self, entry: Transaction, packet) -> None:
         """Engine hook: per-transmission byte accounting."""
         if entry.stats is not None:
@@ -477,10 +509,7 @@ class FabricManager:
     def _finish_ready(self, stats: DiscoveryStats) -> None:
         """Program event routes (or trigger ready immediately)."""
         if self.program_event_routes:
-            self.env.process(
-                self._program_event_routes(),
-                name=f"fm-routes:{self.endpoint.name}",
-            )
+            self._program_event_routes()
         else:
             self.ready_event.succeed(stats)
 
@@ -528,7 +557,6 @@ class FabricManager:
             self.start_discovery(trigger=trigger)
             return
         delay = self.restart_backoff * (2 ** (self._restart_streak - 1))
-        timer = self.env.timeout(delay)
         span = None
         if self.tracer is not None:
             span = self.tracer.begin(
@@ -536,7 +564,7 @@ class FabricManager:
                 trigger=trigger, streak=self._restart_streak,
             )
 
-        def fire(_event) -> None:
+        def fire() -> None:
             # A PI-5 event may have kicked off a discovery during the
             # backoff window; do not stack a second one.
             superseded = self.is_discovering or not self._enabled
@@ -546,7 +574,7 @@ class FabricManager:
                 return
             self.start_discovery(trigger=trigger)
 
-        timer.callbacks.append(fire)
+        self.env.call_later(delay, fire)
 
     # -- post-discovery convergence guard -----------------------------------
     def _start_convergence_guard(self, stats: DiscoveryStats) -> None:
@@ -570,30 +598,26 @@ class FabricManager:
         rng = random.Random((self.verify_seed << 16) ^ len(self.history))
         sample = rng.sample(candidates, count)
         self.counters.incr("guard_probes", count)
-        state = {"outstanding": count}
         mismatched: set = set()
 
         def on_reread(completion, dsn: int) -> None:
-            state["outstanding"] -= 1
             ok = isinstance(completion, pi4.ReadCompletion)
             if ok:
                 info = decode_general_info(list(completion.data))
                 ok = info["dsn"] == dsn
             if not ok:
                 mismatched.add(dsn)
-            if state["outstanding"] == 0:
-                self._guard_settled(stats, mismatched)
 
-        for dsn in sample:
+        def request(dsn: int):
             record = self.database.device(dsn)
             message = pi4.ReadRequest(
                 cap_id=BASELINE_CAP_ID, offset=0, tag=0,
                 count=GENERAL_INFO_DWORDS,
             )
-            self.send_request(
-                message, record.route(), record.out_port,
-                callback=on_reread, ctx=dsn,
-            )
+            return message, record.route(), record.out_port, dsn
+
+        self.send_all(map(request, sample), on_reread,
+                      lambda: self._guard_settled(stats, mismatched))
 
     def _guard_settled(self, stats: DiscoveryStats,
                        mismatched: set) -> None:
@@ -674,14 +698,10 @@ class FabricManager:
         records = [
             r for r in self.database.devices() if r.ingress_port is not None
         ]
-        if not records:
-            finish(stats)
-            return
         token = object()
         self._fence_token = token
         self.counters.incr("fence_passes")
         observed: Dict[int, Optional[Tuple[int, int]]] = {}
-        state = {"outstanding": len(records)}
         me = self.endpoint.dsn
 
         def claim_of(completion) -> Optional[Tuple[int, int]]:
@@ -691,14 +711,13 @@ class FabricManager:
             return self._decode_claim(list(completion.data)) if ok else None
 
         def on_read(completion, dsn: int) -> None:
-            if self._fence_token is not token or self.demoted:
-                return
             observed[dsn] = claim_of(completion)
-            state["outstanding"] -= 1
-            if state["outstanding"] == 0:
-                write_phase()
 
         def write_phase() -> None:
+            # A pass that was superseded (or whose FM was demoted)
+            # while its reads were in flight is abandoned.
+            if self._fence_token is not token or self.demoted:
+                return
             override = False
             for dsn in sorted(observed):
                 claim = observed[dsn]
@@ -776,30 +795,17 @@ class FabricManager:
                     callback=on_write, ctx=dsn,
                 )
 
-        for record in records:
-            self.send_request(
-                pi4.ReadRequest(cap_id=CLAIM_CAP_ID, offset=0, tag=0,
-                                count=3),
-                record.route(), record.out_port,
-                callback=on_read, ctx=record.dsn,
-            )
+        self.send_all(
+            ((pi4.ReadRequest(cap_id=CLAIM_CAP_ID, offset=0, tag=0,
+                              count=3),
+              record.route(), record.out_port, record.dsn)
+             for record in records),
+            on_read, write_phase,
+        )
 
-    def _program_event_routes(self):
+    def _program_event_routes(self) -> None:
         """Write every device's route back to the FM (PI-4 writes)."""
         ready = self.ready_event
-        outstanding = [0]
-        all_sent = [False]
-        done = self.env.event()
-
-        def on_write_done(completion, ctx) -> None:
-            outstanding[0] -= 1
-            if completion is None:
-                self.counters.incr("event_route_write_failures")
-            else:
-                self.counters.incr("event_routes_programmed")
-            if all_sent[0] and outstanding[0] == 0 and not done.triggered:
-                done.succeed()
-
         records = [
             r for r in self.database.devices() if r.ingress_port is not None
         ]
@@ -809,7 +815,8 @@ class FabricManager:
                 "route_distribution", "routes", self.env.now,
                 track="fm", devices=len(records),
             )
-        for record in records:
+
+        def request(record):
             pool, out_port = self.database.route_to_fm(record)
             values = EventRouteCapability.encode(
                 pool.pool, pool.bits, out_port
@@ -818,19 +825,27 @@ class FabricManager:
                 cap_id=EVENT_ROUTE_CAP_ID, offset=0, tag=0,
                 data=tuple(values),
             )
-            outstanding[0] += 1
-            self.send_request(
-                message, record.route(), record.out_port,
-                callback=on_write_done, span_parent=span,
-            )
-        all_sent[0] = True
-        if outstanding[0] == 0:
-            done.succeed()
-        yield done
-        if span is not None:
-            self.tracer.end(span, self.env.now)
-        if not ready.triggered:
-            ready.succeed(self.history[-1] if self.history else None)
+            return message, record.route(), record.out_port, None
+
+        def on_write_done(completion, _ctx) -> None:
+            if completion is None:
+                self.counters.incr("event_route_write_failures")
+            else:
+                self.counters.incr("event_routes_programmed")
+
+        def finish(_event) -> None:
+            if span is not None:
+                self.tracer.end(span, self.env.now)
+            if not ready.triggered:
+                ready.succeed(self.history[-1] if self.history else None)
+
+        # One event hop between the last completion and ``ready``, as
+        # waiters have always seen it: ``ready`` keeps its place among
+        # whatever else is due at that instant.
+        done = self.env.event()
+        done.callbacks.append(finish)
+        self.send_all(map(request, records), on_write_done, done.succeed,
+                      span_parent=span)
 
     # -- views -----------------------------------------------------------------
     def last_stats(self) -> DiscoveryStats:

@@ -98,20 +98,19 @@ class MulticastGroupManager:
             started_at=self.env.now,
         )
         done = self.env.event()
-        outstanding = [0]
-        all_sent = [False]
 
         def on_write(completion, _ctx) -> None:
-            outstanding[0] -= 1
             if not isinstance(completion, pi4.WriteCompletion) or \
                     completion.status != pi4.STATUS_OK:
                 stats.write_failures += 1
-            if all_sent[0] and outstanding[0] == 0 and not done.triggered:
-                stats.finished_at = self.env.now
-                self.groups[group] = list(dict.fromkeys(member_dsns))
-                done.succeed(stats)
+
+        def finish() -> None:
+            stats.finished_at = self.env.now
+            self.groups[group] = list(dict.fromkeys(member_dsns))
+            done.succeed(stats)
 
         db = self.fm.database
+        requests = []
         for dsn, port_set in sorted(tree.items()):
             record = db.device(dsn)
             if not record.is_switch:
@@ -126,14 +125,7 @@ class MulticastGroupManager:
                 message = pi4.WriteRequest(
                     cap_id=MULTICAST_CAP_ID, offset=0, tag=0, data=chunk,
                 )
-                outstanding[0] += 1
                 stats.writes_sent += 1
-                self.fm.send_request(
-                    message, record.route(), out, callback=on_write,
-                )
-        all_sent[0] = True
-        if outstanding[0] == 0:
-            stats.finished_at = self.env.now
-            self.groups[group] = list(dict.fromkeys(member_dsns))
-            done.succeed(stats)
+                requests.append((message, record.route(), out, None))
+        self.fm.send_all(requests, on_write, finish)
         return done

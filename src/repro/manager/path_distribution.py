@@ -64,27 +64,23 @@ class PathDistributor:
         """Start distribution; the event triggers with the stats."""
         stats = DistributionStats(started_at=self.env.now)
         done = self.env.event()
-        outstanding = [0]
-        all_sent = [False]
 
         def on_write(completion, _ctx) -> None:
-            outstanding[0] -= 1
             if isinstance(completion, pi4.WriteCompletion) and \
                     completion.status == pi4.STATUS_OK:
                 stats.entries_written += 1
             else:
                 stats.write_failures += 1
-            _finish_if_done()
 
-        def _finish_if_done() -> None:
-            if all_sent[0] and outstanding[0] == 0 and not done.triggered:
-                stats.finished_at = self.env.now
-                done.succeed(stats)
+        def finish() -> None:
+            stats.finished_at = self.env.now
+            done.succeed(stats)
 
         db = self.fm.database
         endpoints = db.endpoints()
         stats.endpoints = len(endpoints)
         fm_dsn = self.fm.endpoint.dsn
+        requests = []
         for record in endpoints:
             try:
                 routes = db_endpoint_routes(db, record.dsn)
@@ -108,12 +104,8 @@ class PathDistributor:
                     tag=0,
                     data=tuple(entry),
                 )
-                outstanding[0] += 1
                 stats.writes_sent += 1
                 stats.bytes_sent += 8 + 16 + 16 + 20 + 4  # framing+hdr+pi4+data+pcrc
-                self.fm.send_request(
-                    message, target_pool, target_out, callback=on_write,
-                )
-        all_sent[0] = True
-        _finish_if_done()
+                requests.append((message, target_pool, target_out, None))
+        self.fm.send_all(requests, on_write, finish)
         return done

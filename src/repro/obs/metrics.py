@@ -12,8 +12,7 @@ has so far looped over devices by hand (see the pre-registry
 type each:
 
 * :class:`CounterMetric` — monotonically increasing totals;
-* :class:`GaugeMetric` — point-in-time scalars, optionally sampled
-  over sim time through a :class:`~repro.sim.monitor.Monitor`;
+* :class:`GaugeMetric` — point-in-time scalars;
 * :class:`HistogramMetric` — bucketed distributions backed by a
   :class:`~repro.sim.monitor.Tally` (streaming mean/stdev/min/max).
 
@@ -28,9 +27,9 @@ optimization work introduced.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..sim.monitor import Counter, Monitor, Tally
+from ..sim.monitor import Counter, Tally
 
 #: Default histogram buckets: log-spaced seconds covering everything
 #: from a single link crossing to a horizon-scale soak.
@@ -60,32 +59,21 @@ class CounterMetric:
 
 
 class GaugeMetric:
-    """A point-in-time scalar, optionally sampled over sim time."""
+    """A point-in-time scalar."""
 
     kind = "gauge"
-    __slots__ = ("name", "help", "value", "series")
+    __slots__ = ("name", "help", "value")
 
     def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
         self.value: float = 0.0
-        self.series: Optional[Monitor] = None
 
     def set(self, value: float) -> None:
         self.value = value
 
-    def record(self, time: float, value: float) -> None:
-        """Set the gauge and keep the (time, value) sample."""
-        if self.series is None:
-            self.series = Monitor(self.name)
-        self.series.record(time, value)
-        self.value = value
-
     def asdict(self) -> dict:
-        doc = {"type": self.kind, "value": self.value}
-        if self.series is not None:
-            doc["samples"] = len(self.series)
-        return doc
+        return {"type": self.kind, "value": self.value}
 
 
 class HistogramMetric:

@@ -1,9 +1,10 @@
 """A self-contained discrete-event simulation kernel.
 
 This subpackage replaces the OPNET Modeler kernel used by the paper
-(and the ``simpy`` library, unavailable offline) with a minimal,
-well-tested equivalent: an event heap, generator-based processes, and
-queueing resources.
+(and the ``simpy`` library, unavailable offline) with the minimum the
+models need: an event heap with argument-carrying and cancellable
+timers, one-shot events, and generator processes for loop-shaped
+workloads.
 
 Quick example::
 
@@ -11,56 +12,29 @@ Quick example::
 
     env = Environment()
 
-    def clock(env, period):
-        while True:
-            yield env.timeout(period)
-            print(env.now)
+    def tick(period):
+        print(env.now)
+        env.call_later(period, tick, period)
 
-    env.process(clock(env, 1.0))
+    env.call_later(1.0, tick, 1.0)
     env.run(until=3.5)
 """
 
 from .core import Environment, Infinity
-from .errors import EmptySchedule, Interrupt, SimulationError
-from .events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Deferred,
-    Event,
-    Timeout,
-)
-from .monitor import Counter, Monitor, Tally
+from .errors import EmptySchedule, SimulationError
+from .events import Deferred, Event, Timeout
+from .monitor import Counter, Tally
 from .process import Process
-from .resources import (
-    FilterStore,
-    PriorityItem,
-    PriorityStore,
-    Resource,
-    Store,
-)
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "ConditionValue",
     "Counter",
     "Deferred",
     "EmptySchedule",
     "Environment",
     "Event",
-    "FilterStore",
     "Infinity",
-    "Interrupt",
-    "Monitor",
-    "PriorityItem",
-    "PriorityStore",
     "Process",
-    "Resource",
     "SimulationError",
-    "Store",
     "Tally",
     "Timeout",
 ]

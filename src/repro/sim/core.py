@@ -5,10 +5,10 @@ from __future__ import annotations
 import heapq
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Callable, Generator, Iterable, List, Optional, Union
+from typing import Any, Callable, Generator, List, Optional, Union
 
 from .errors import EmptySchedule, SimulationError, StopSimulation
-from .events import AllOf, AnyOf, Deferred, Event, NORMAL, PENDING, Timeout, URGENT
+from .events import Deferred, Event, NORMAL, PENDING, Timeout, URGENT
 from .process import Process
 
 Infinity = float("inf")
@@ -24,7 +24,9 @@ class Environment:
 
     Maintains the simulation clock and a priority heap of triggered
     events.  Entities interact with the environment through
-    :meth:`process`, :meth:`timeout`, :meth:`event`, and :meth:`run`.
+    :meth:`call_later`, :meth:`schedule_callback`, :meth:`event` and
+    :meth:`run`; loop-shaped workloads through :meth:`process` and
+    :meth:`timeout`.
 
     Parameters
     ----------
@@ -32,9 +34,9 @@ class Environment:
         Starting value of the simulation clock (seconds).
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_process", "_tombstones",
-                 "_seq", "_dispatching", "_executed", "_high_water",
-                 "_compactions", "reserve")
+    __slots__ = ("_now", "_queue", "_eid", "_tombstones", "_seq",
+                 "_dispatching", "_executed", "_high_water", "_compactions",
+                 "reserve")
 
     def __init__(self, initial_time: float = 0.0):
         self._now: float = float(initial_time)
@@ -49,7 +51,6 @@ class Environment:
         #: materialisation" below).  Bound straight to the counter: it
         #: is called for every elided event.
         self.reserve: Callable[[], int] = self._eid.__next__
-        self._active_process: Optional[Process] = None
         #: Cancelled-but-not-yet-popped entries still on the heap.
         self._tombstones: int = 0
         #: Sequence number of the last NORMAL entry popped at the
@@ -72,11 +73,6 @@ class Environment:
         """Current simulation time in seconds."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
     # -- event creation ----------------------------------------------------
     def event(self) -> Event:
         """Create a new, untriggered event."""
@@ -89,14 +85,6 @@ class Environment:
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process executing ``generator``."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that triggers once all of ``events`` have triggered."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that triggers once any of ``events`` has triggered."""
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0,

@@ -20,19 +20,3 @@ class StopSimulation(Exception):
     def __init__(self, value=None):
         super().__init__(value)
         self.value = value
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The interrupting party supplies an arbitrary ``cause`` that the
-    interrupted process can inspect to decide how to react.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-
-    @property
-    def cause(self):
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0]

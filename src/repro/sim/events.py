@@ -15,7 +15,7 @@ yielding events and by succeeding/failing them.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from .errors import SimulationError
 
@@ -121,24 +121,6 @@ class Event:
         heappush(env._queue, (env._now, NORMAL, next(env._eid), self, None))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another (processed) event.
-
-        Useful as a callback to chain events together.
-        """
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event.defused = True
-            self.fail(event._value)
-
-    # -- composition ----------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
-
 
 class Timeout(Event):
     """An event that triggers after a fixed simulated delay."""
@@ -208,141 +190,3 @@ class Initialize(Event):
         self._ok = True
         self._value = None
         env.schedule(self, priority=URGENT)
-
-
-class ConditionValue:
-    """Ordered mapping of events to values produced by :class:`Condition`.
-
-    Behaves like a read-only dict keyed by the original event objects,
-    preserving their creation order.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self):
-        self.events: List[Event] = []
-
-    def __getitem__(self, key: Event):
-        if key not in self.events:
-            raise KeyError(str(key))
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        return self.todict() == other
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"<ConditionValue {self.todict()}>"
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def keys(self):
-        return iter(self.events)
-
-    def values(self):
-        return (e._value for e in self.events)
-
-    def items(self):
-        return ((e, e._value) for e in self.events)
-
-    def todict(self) -> dict:
-        return {e: e._value for e in self.events}
-
-
-class Condition(Event):
-    """Waits for a boolean combination of events (``&``/``|``).
-
-    The condition's value is a :class:`ConditionValue` containing the
-    values of all events that had triggered by the time the condition
-    itself triggered.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(self, env, evaluate: Callable[[List[Event], int], bool],
-                 events: Iterable[Event]):
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("events belong to different environments")
-
-        # Evaluate immediately in case the events already triggered.
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-        if not self._events and self._value is PENDING:
-            self.succeed(ConditionValue())
-
-    def _populate_value(self, value: ConditionValue) -> None:
-        for event in self._events:
-            if isinstance(event, Condition):
-                event._populate_value(value)
-            elif event.callbacks is None:
-                value.events.append(event)
-
-    def _build_value(self, event: Event) -> None:
-        self._remove_check_callbacks()
-        if event._ok:
-            value = ConditionValue()
-            self._populate_value(value)
-            self.succeed(value)
-
-    def _remove_check_callbacks(self) -> None:
-        for event in self._events:
-            if event.callbacks is not None and self._check in event.callbacks:
-                event.callbacks.remove(self._check)
-
-    def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            return
-        self._count += 1
-        if not event._ok:
-            event.defused = True
-            self._remove_check_callbacks()
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            # Delay value construction until all currently-scheduled
-            # sibling events at this timestep have been processed.
-            urgent = Event(self.env)
-            urgent.callbacks.append(self._build_value)
-            urgent._ok = True
-            urgent._value = None
-            self.env.schedule(urgent, priority=URGENT)
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: List[Event], count: int) -> bool:
-        return count > 0 or len(events) == 0
-
-
-class AllOf(Condition):
-    """Condition that triggers when *all* the given events trigger."""
-
-    __slots__ = ()
-
-    def __init__(self, env, events: Iterable[Event]):
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition that triggers when *any* of the given events triggers."""
-
-    __slots__ = ()
-
-    def __init__(self, env, events: Iterable[Event]):
-        super().__init__(env, Condition.any_events, events)

@@ -1,60 +1,13 @@
-"""Lightweight instrumentation helpers for simulations.
-
-The experiment harness records scalar time series (queue depths, busy
-periods, event counts) with :class:`Monitor`, and aggregates them with
-:class:`Counter`/:class:`Tally` without storing full traces.
+"""Lightweight instrumentation helpers for simulations: named event
+counts (:class:`Counter`) and streaming summary statistics
+(:class:`Tally`), neither of which stores a trace.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
-
-
-class Monitor:
-    """Records ``(time, value)`` samples of a scalar quantity."""
-
-    __slots__ = ("name", "times", "values")
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        """Append a sample; times must be non-decreasing."""
-        if self.times and time < self.times[-1]:
-            raise ValueError(
-                f"monitor {self.name!r}: time {time} precedes last sample"
-            )
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __iter__(self) -> Iterator[Tuple[float, float]]:
-        return iter(zip(self.times, self.values))
-
-    def mean(self) -> float:
-        """Arithmetic mean of the sampled values."""
-        if not self.values:
-            raise ValueError("empty monitor")
-        return sum(self.values) / len(self.values)
-
-    def time_average(self, until: float) -> float:
-        """Time-weighted average assuming piecewise-constant values."""
-        if not self.times:
-            raise ValueError("empty monitor")
-        if until < self.times[-1]:
-            raise ValueError("'until' precedes last sample")
-        total = 0.0
-        for i, (t, v) in enumerate(zip(self.times, self.values)):
-            t_next = self.times[i + 1] if i + 1 < len(self.times) else until
-            total += v * (t_next - t)
-        span = until - self.times[0]
-        return total / span if span > 0 else self.values[-1]
+from typing import Callable, Dict, Optional
 
 
 class Counter:

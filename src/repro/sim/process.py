@@ -8,10 +8,10 @@ back into the generator (or its exception is thrown into it).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Generator, Optional
 
-from .errors import Interrupt, SimulationError
-from .events import Event, Initialize, PENDING, URGENT
+from .errors import SimulationError
+from .events import Event, Initialize, PENDING
 
 
 class Process(Event):
@@ -23,7 +23,7 @@ class Process(Event):
     wait for its completion.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env, generator: Generator, name: Optional[str] = None):
         if not hasattr(generator, "throw"):
@@ -31,9 +31,7 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event the process is currently waiting for (None if the
-        #: process is being initialized or has terminated).
-        self._target: Optional[Event] = Initialize(env, self)
+        Initialize(env, self)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<Process {self.name} ({'alive' if self.is_alive else 'dead'})>"
@@ -43,46 +41,10 @@ class Process(Event):
         """True while the generator has not exited."""
         return self._value is PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw an :class:`Interrupt` into the process.
-
-        The process may be interrupted at any time while alive; the
-        interrupt supersedes whatever event it was waiting for (the
-        event remains valid and may be re-yielded).
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise SimulationError("a process is not allowed to interrupt itself")
-
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event.defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.env.schedule(interrupt_event, priority=URGENT)
-
     # -- kernel interface -------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value/exception of ``event``."""
         env = self.env
-        env._active_process = self
-
-        # Detach from the previous target; an interrupt may arrive while
-        # we are still registered with another event.
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
-                try:
-                    self._target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-        self._target = None
-
         while True:
             try:
                 if event._ok:
@@ -93,20 +55,17 @@ class Process(Event):
                     next_event = self._generator.throw(event._value)
             except StopIteration as exc:
                 # Generator finished: the process event succeeds.
-                env._active_process = None
                 self._ok = True
                 self._value = exc.value
                 env.schedule(self)
                 return
             except BaseException as exc:
-                env._active_process = None
                 self._ok = False
                 self._value = exc
                 env.schedule(self)
                 return
 
             if not isinstance(next_event, Event):
-                env._active_process = None
                 error = SimulationError(
                     f"process {self.name!r} yielded non-event {next_event!r}"
                 )
@@ -118,8 +77,6 @@ class Process(Event):
             if next_event.callbacks is not None:
                 # Event not yet processed: register and suspend.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
-                env._active_process = None
                 return
 
             # Event already processed; continue immediately with its value.

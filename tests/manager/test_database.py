@@ -45,6 +45,20 @@ class TestRecords:
         pool = rec.route()
         assert pool.bits == 4
 
+    def test_copy_is_deep_ports_included(self):
+        rec = switch_record(1, route_hops=[Hop(16, 0, 5)], ingress_port=0,
+                            out_port=2, fm_capable=True, fm_priority=3)
+        rec.port(3).up = True
+        rec.port(3).neighbor_dsn = 9
+        clone = rec.copy()
+        assert clone == rec
+        assert clone.route_hops is not rec.route_hops
+        assert clone.ports[3] is not rec.ports[3]
+        clone.port(3).up = False
+        clone.route_hops.append(Hop(16, 1, 2))
+        assert rec.ports[3].up is True
+        assert len(rec.route_hops) == 1
+
 
 class TestDatabase:
     def test_add_and_lookup(self):

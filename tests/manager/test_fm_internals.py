@@ -95,6 +95,61 @@ class TestRequestLayer:
         assert fm.counters["unexpected_requests"] == 1
 
 
+class TestRequestBarrier:
+    """``send_all``: N requests, ``each`` per completion, ``then`` once."""
+
+    @staticmethod
+    def request(ctx, out_port=None):
+        """A loopback read (answered), or one out of ``out_port``."""
+        message = pi4.ReadRequest(cap_id=BASELINE_CAP_ID, offset=0, tag=0)
+        return message, build_turn_pool([]), out_port, ctx
+
+    def test_no_requests_runs_then_at_once(self, setup):
+        calls = []
+        setup.fm.send_all([], lambda c, ctx: calls.append(ctx),
+                          lambda: calls.append("then"))
+        assert calls == ["then"]
+        setup.env.run()
+        assert calls == ["then"]
+
+    def test_each_per_completion_none_for_the_lost_then_once_and_last(
+            self, setup):
+        fm = setup.fm
+        fm.max_retries = 0
+        setup.fabric.fail_link("ep_0_0", "sw_0_0")
+        setup.env.run()
+        calls = []
+        # Odd requests leave through the dead link and time out.  A
+        # generator: the barrier counts before it sends.
+        fm.send_all(
+            (self.request(ctx, 0 if ctx % 2 else None) for ctx in range(4)),
+            lambda c, ctx: calls.append((ctx, c is not None)),
+            lambda: calls.append("then"),
+        )
+        assert calls == []
+        setup.env.run()
+        assert calls == [(0, True), (2, True), (1, False), (3, False),
+                         "then"]
+        assert fm.counters["timeouts"] == 2
+
+    def test_a_second_barrier_opened_inside_then(self, setup):
+        fm = setup.fm
+        calls = []
+
+        def each(_completion, ctx):
+            calls.append(ctx)
+
+        def first_done():
+            calls.append("then-1")
+            fm.send_all([self.request("b1"), self.request("b2")], each,
+                        lambda: calls.append("then-2"))
+
+        fm.send_all([self.request("a1"), self.request("a2")], each,
+                    first_done)
+        setup.env.run()
+        assert calls == ["a1", "a2", "then-1", "b1", "b2", "then-2"]
+
+
 class TestEventHandling:
     def test_stale_event_is_ignored(self, setup):
         setup.fm.start_discovery()

@@ -32,13 +32,6 @@ class TestGaugeMetric:
         assert metric.value == 1.5
         assert metric.asdict() == {"type": "gauge", "value": 1.5}
 
-    def test_record_keeps_time_series(self):
-        metric = GaugeMetric("depth")
-        metric.record(0.0, 1.0)
-        metric.record(1.0, 4.0)
-        assert metric.value == 4.0
-        assert metric.asdict()["samples"] == 2
-
 
 class TestHistogramMetric:
     def test_buckets_are_cumulative_style_le(self):

@@ -1,4 +1,4 @@
-"""Unit tests for events, timeouts, and conditions."""
+"""Unit tests for events and timeouts."""
 
 import pytest
 
@@ -60,13 +60,6 @@ class TestEvent:
         ev.defused = True
         env.run()  # no exception
 
-    def test_trigger_copies_state(self, env):
-        a, b = env.event(), env.event()
-        a.succeed(99)
-        env.run()
-        b.trigger(a)
-        assert b.value == 99
-
 
 class TestTimeout:
     def test_negative_delay_rejected(self, env):
@@ -86,84 +79,3 @@ class TestTimeout:
             return env.now
 
         assert env.run(until=env.process(proc(env))) == 0.0
-
-
-class TestConditions:
-    def test_and_waits_for_both(self, env):
-        def proc(env):
-            t1 = env.timeout(1, value="a")
-            t2 = env.timeout(2, value="b")
-            result = yield t1 & t2
-            assert env.now == 2
-            return result
-
-        result = env.run(until=env.process(proc(env)))
-        assert list(result.values()) == ["a", "b"]
-
-    def test_or_returns_on_first(self, env):
-        def proc(env):
-            t1 = env.timeout(1, value="fast")
-            t2 = env.timeout(5, value="slow")
-            result = yield t1 | t2
-            assert env.now == 1
-            assert t1 in result
-            assert t2 not in result
-            return result[t1]
-
-        assert env.run(until=env.process(proc(env))) == "fast"
-
-    def test_all_of_empty_triggers_immediately(self, env):
-        cond = env.all_of([])
-        assert cond.triggered
-
-    def test_all_of_many(self, env):
-        def proc(env):
-            events = [env.timeout(i, value=i) for i in range(5)]
-            result = yield env.all_of(events)
-            return sorted(result.values())
-
-        assert env.run(until=env.process(proc(env))) == [0, 1, 2, 3, 4]
-
-    def test_any_of_failure_propagates(self, env):
-        def failer(env):
-            yield env.timeout(1)
-            raise ValueError("inner")
-
-        def proc(env):
-            p = env.process(failer(env))
-            with pytest.raises(ValueError, match="inner"):
-                yield env.any_of([p, env.timeout(10)])
-            return True
-
-        assert env.run(until=env.process(proc(env))) is True
-
-    def test_condition_value_mapping_interface(self, env):
-        def proc(env):
-            t1 = env.timeout(1, value="x")
-            t2 = env.timeout(1, value="y")
-            result = yield t1 & t2
-            assert result[t1] == "x"
-            assert result[t2] == "y"
-            assert result == {t1: "x", t2: "y"}
-            assert list(result.keys()) == [t1, t2]
-            assert dict(result.items()) == {t1: "x", t2: "y"}
-            with pytest.raises(KeyError):
-                _ = result[env.event()]
-            return len(result.todict())
-
-        assert env.run(until=env.process(proc(env))) == 2
-
-    def test_cross_environment_condition_rejected(self, env):
-        other = Environment()
-        with pytest.raises(ValueError):
-            env.all_of([env.timeout(1), other.timeout(1)])
-
-    def test_nested_conditions_flatten_values(self, env):
-        def proc(env):
-            t1 = env.timeout(1, value=1)
-            t2 = env.timeout(2, value=2)
-            t3 = env.timeout(3, value=3)
-            result = yield (t1 & t2) & t3
-            return sorted(result.values())
-
-        assert env.run(until=env.process(proc(env))) == [1, 2, 3]

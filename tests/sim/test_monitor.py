@@ -4,46 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import Counter, Monitor, Tally
-
-
-class TestMonitor:
-    def test_record_and_iterate(self):
-        m = Monitor("q")
-        m.record(0.0, 1)
-        m.record(1.0, 2)
-        assert list(m) == [(0.0, 1), (1.0, 2)]
-        assert len(m) == 2
-
-    def test_time_must_not_decrease(self):
-        m = Monitor()
-        m.record(5.0, 0)
-        with pytest.raises(ValueError):
-            m.record(4.0, 0)
-
-    def test_mean(self):
-        m = Monitor()
-        for t, v in enumerate([2, 4, 6]):
-            m.record(float(t), v)
-        assert m.mean() == 4
-
-    def test_mean_empty_raises(self):
-        with pytest.raises(ValueError):
-            Monitor().mean()
-
-    def test_time_average_piecewise_constant(self):
-        m = Monitor()
-        m.record(0.0, 0)  # 0 for [0, 2)
-        m.record(2.0, 10)  # 10 for [2, 4)
-        assert m.time_average(until=4.0) == pytest.approx(5.0)
-
-    def test_time_average_validations(self):
-        m = Monitor()
-        with pytest.raises(ValueError):
-            m.time_average(1.0)
-        m.record(2.0, 1)
-        with pytest.raises(ValueError):
-            m.time_average(1.0)
+from repro.sim import Counter, Tally
 
 
 class TestCounter:

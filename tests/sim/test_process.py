@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import Environment, SimulationError
 
 
 @pytest.fixture
@@ -77,86 +77,6 @@ def test_yield_non_event_fails_process(env):
     with pytest.raises(SimulationError, match="non-event"):
         env.run()
     assert not p.is_alive
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, env):
-        def victim(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt as exc:
-                return ("interrupted", exc.cause, env.now)
-
-        def attacker(env, victim_p):
-            yield env.timeout(5)
-            victim_p.interrupt(cause="stop it")
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        assert env.run(until=v) == ("interrupted", "stop it", 5.0)
-
-    def test_interrupted_event_can_be_reyielded(self, env):
-        def victim(env):
-            target = env.timeout(10)
-            try:
-                yield target
-            except Interrupt:
-                pass
-            yield target  # resume waiting for the original event
-            return env.now
-
-        def attacker(env, victim_p):
-            yield env.timeout(2)
-            victim_p.interrupt()
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        assert env.run(until=v) == 10.0
-
-    def test_cannot_interrupt_dead_process(self, env):
-        def quick(env):
-            yield env.timeout(0)
-
-        p = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_cannot_interrupt_self(self, env):
-        def selfish(env):
-            with pytest.raises(SimulationError):
-                env.active_process.interrupt()
-            yield env.timeout(0)
-            return True
-
-        assert env.run(until=env.process(selfish(env))) is True
-
-    def test_unhandled_interrupt_kills_process(self, env):
-        def victim(env):
-            yield env.timeout(100)
-
-        def attacker(env, victim_p):
-            yield env.timeout(1)
-            victim_p.interrupt("die")
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        with pytest.raises(Interrupt):
-            env.run()
-        assert not v.is_alive
-
-
-def test_active_process_visible_during_execution(env):
-    seen = []
-
-    def proc(env):
-        seen.append(env.active_process)
-        yield env.timeout(0)
-
-    p = env.process(proc(env))
-    env.run()
-    assert seen == [p]
-    assert env.active_process is None
 
 
 def test_many_concurrent_processes(env):

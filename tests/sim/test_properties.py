@@ -1,10 +1,8 @@
 """Property-based tests of the simulation kernel (hypothesis)."""
 
-import heapq
+from hypothesis import given, strategies as st
 
-from hypothesis import given, settings, strategies as st
-
-from repro.sim import Environment, PriorityItem, PriorityStore, Store
+from repro.sim import Environment
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6,
@@ -23,83 +21,6 @@ def test_timeouts_fire_in_sorted_order(delays):
     env.run()
     assert fired == sorted(delays)
     assert env.now == max(delays)
-
-
-@given(st.lists(st.integers(0, 100), min_size=1, max_size=50))
-def test_store_is_fifo_for_any_put_sequence(items):
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer(env):
-        for item in items:
-            yield store.put(item)
-
-    def consumer(env):
-        for _ in items:
-            value = yield store.get()
-            got.append(value)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == items
-
-
-@given(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 1000)),
-                min_size=1, max_size=50))
-def test_priority_store_is_a_stable_heap(pairs):
-    """PriorityStore pops items in (priority, insertion) order."""
-    env = Environment()
-    store = PriorityStore(env)
-    got = []
-
-    def runner(env):
-        # Load everything first so interleaving cannot reorder puts
-        # and gets; the property is about the queue discipline.
-        for priority, value in pairs:
-            yield store.put(PriorityItem(priority, value))
-        for _ in pairs:
-            item = yield store.get()
-            got.append((item.priority, item.item))
-
-    env.process(runner(env))
-    env.run()
-
-    expected = [
-        (priority, value)
-        for priority, _i, value in sorted(
-            (priority, i, value)
-            for i, (priority, value) in enumerate(pairs)
-        )
-    ]
-    assert got == expected
-
-
-@given(
-    st.lists(st.floats(min_value=1e-9, max_value=10.0, allow_nan=False),
-             min_size=2, max_size=20),
-)
-@settings(deadline=None)
-def test_all_of_triggers_at_max_any_of_at_min(delays):
-    env = Environment()
-    events = [env.timeout(d) for d in delays]
-    all_done = env.all_of(events)
-    any_done = env.any_of(events[:])
-
-    times = {}
-
-    def watch(name, event):
-        def record(_ev):
-            times[name] = env.now
-
-        event.callbacks.append(record)
-
-    watch("all", all_done)
-    watch("any", any_done)
-    env.run()
-    assert times["all"] == max(delays)
-    assert times["any"] == min(delays)
 
 
 @given(st.integers(1, 200), st.integers(0, 10_000))

@@ -23,8 +23,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: Code lines in all of ``src/`` (13,240 before PR 13; 12,641 after it
 #: — PR 14's read memo is paid for inside ``service/``; PR 15's
 #: ``call_later`` and integer counters by the lambdas, ``__setattr__``
-#: and closures they replace).
-TOTAL_CEILING = 12_633
+#: and closures they replace; 12,633 before PR 16's kernel diet and
+#: request barrier).
+TOTAL_CEILING = 12_111
+#: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
+#: (804 before PR 16; what is left is the callback kernel plus
+#: ``Process``/``Timeout`` for the five loop-shaped workloads).
+SIM_CEILING = 442
 #: Code lines in ``repro/experiments/`` + ``repro/cli.py`` (3,666
 #: before PR 13, 3,071 after it).
 EXPERIMENTS_AND_CLI_CEILING = 3_068
@@ -73,6 +78,8 @@ def test_source_stays_under_the_ceilings():
     assert lab <= EXPERIMENTS_AND_CLI_CEILING, (
         f"experiments/ + cli.py have {lab} code lines, ceiling "
         f"{EXPERIMENTS_AND_CLI_CEILING}")
+    assert counts["sim"] <= SIM_CEILING, (
+        f"sim/ has {counts['sim']} code lines, ceiling {SIM_CEILING}")
 
 
 def test_counter_ignores_comments_blanks_and_docstrings():
@@ -97,3 +104,4 @@ if __name__ == "__main__":
     print(f"{'lab (exp+cli)':14s} "
           f"{table['experiments'] + table['cli.py']:6d}  "
           f"(ceiling {EXPERIMENTS_AND_CLI_CEILING})")
+    print(f"{'sim':14s} {table['sim']:6d}  (ceiling {SIM_CEILING})")
