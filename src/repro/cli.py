@@ -284,9 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_MEAN_INTERVAL, metavar="SECONDS",
                        help="mean sim-seconds between churn faults "
                             f"(default {DEFAULT_MEAN_INTERVAL:g})")
-    serve.add_argument("--batch", type=int, default=None, metavar="N",
-                       help="kernel events advanced per command-queue "
-                            "check (latency/throughput knob)")
     serve.add_argument("--standby", default=None,
                        choices=("warm", "cold"),
                        help="run a standby FM on a second endpoint so "
@@ -542,7 +539,7 @@ def _cmd_serve(args) -> int:
         topology=args.topology, algorithm=algorithm, manager=manager,
         host=args.host, port=args.port, seed=args.seed,
         churn=args.churn, mean_interval=args.mean_interval,
-        standby=args.standby, batch=args.batch,
+        standby=args.standby,
     )
     churn_note = (f", churn mean_interval={args.mean_interval:g}s"
                   if args.churn else "")
@@ -561,8 +558,10 @@ def _cmd_serve(args) -> int:
           f"{summary['connections']} connections, "
           f"{summary['events_published']} events published, "
           f"{summary['errors']} errors; snapshot version "
-          f"{summary['version']}, memo {summary['memo_hits']} hits / "
-          f"{summary['memo_misses']} misses", flush=True)
+          f"{summary['version']}, {summary['events_stepped']} kernel "
+          f"events in {summary['batches']} batches, memo "
+          f"{summary['memo_hits']} hits / {summary['memo_misses']} misses",
+          flush=True)
     return code
 
 

@@ -16,18 +16,16 @@ type each:
 * :class:`HistogramMetric` — bucketed distributions backed by a
   :class:`~repro.sim.monitor.Tally` (streaming mean/stdev/min/max).
 
-Raw :class:`~repro.sim.monitor.Counter` bundles plug in two ways:
-``scrape_counter`` snapshots current values once (end-of-run
-collection), while ``observe_counter`` uses the counter's
-``attach_observer`` fast-path swap to mirror every increment live —
-the same zero-overhead-when-unobserved mechanism the kernel
-optimization work introduced.
+Raw :class:`~repro.sim.monitor.Counter` bundles are snapshotted, not
+mirrored: ``scrape_counter`` adds one bundle's current values,
+``scrape_counters`` the key-wise sum of many (what ``scrape_setup``
+does for a fabric's ports and entities).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from ..sim.monitor import Counter, Tally
 
@@ -97,10 +95,6 @@ class HistogramMetric:
         self.counts[bisect_left(self.buckets, x)] += 1
         self.tally.observe(x)
 
-    @property
-    def n(self) -> int:
-        return self.tally.n
-
     def asdict(self) -> dict:
         doc = {
             "type": self.kind,
@@ -156,17 +150,16 @@ class MetricsRegistry:
         for key, value in counter.asdict().items():
             self.counter(f"{prefix}.{key}").inc(value)
 
-    def observe_counter(self, counter: Counter, prefix: str) -> None:
-        """Mirror every future increment of ``counter`` live.
-
-        Uses :meth:`~repro.sim.monitor.Counter.attach_observer`, which
-        swaps the counter's pre-resolved ``incr`` closure — unobserved
-        counters keep their zero-overhead fast path.
-        """
-        def mirror(key: str, amount: int) -> None:
-            self.counter(f"{prefix}.{key}").inc(amount)
-
-        counter.attach_observer(mirror)
+    def scrape_counters(self, counters: Iterable[Counter],
+                        prefix: str) -> None:
+        """``scrape_counter`` of every bundle, summed key by key first:
+        one metric lookup per key, not one per bundle and key."""
+        totals: Dict[str, int] = {}
+        for counter in counters:
+            for key, value in counter.asdict().items():
+                totals[key] = totals.get(key, 0) + value
+        for key, total in totals.items():
+            self.counter(f"{prefix}.{key}").inc(total)
 
     # -- collection ----------------------------------------------------------
     def value(self, name: str):
@@ -179,34 +172,12 @@ class MetricsRegistry:
             return metric.value
         return metric.asdict()
 
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
-
     def collect(self) -> Dict[str, dict]:
         """All metrics as a sorted, JSON-ready mapping."""
         return {
             name: self._metrics[name].asdict()
             for name in sorted(self._metrics)
         }
-
-    def render(self, title: str = "") -> str:
-        """Plain-text dump, one metric per line."""
-        lines = [title] if title else []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if isinstance(metric, HistogramMetric):
-                doc = metric.asdict()
-                if doc["n"]:
-                    body = (
-                        f"n={doc['n']} mean={doc['mean']:.6g} "
-                        f"min={doc['min']:.6g} max={doc['max']:.6g}"
-                    )
-                else:
-                    body = "n=0"
-            else:
-                body = f"{metric.value:g}"
-            lines.append(f"  {name} [{metric.kind}] {body}")
-        return "\n".join(lines)
 
     # -- whole-simulation scrape ---------------------------------------------
     def scrape_setup(self, setup) -> "MetricsRegistry":
@@ -218,15 +189,14 @@ class MetricsRegistry:
         metrics.  Returns ``self`` for chaining.
         """
         self.scrape_counter(setup.fm.counters, "fm")
-        for device in setup.fabric.devices.values():
-            for port in device.ports:
-                # Most ports of a large fabric never count anything;
-                # reading must not materialize their counters.
-                stats = port.stats_if_used
-                if stats is not None:
-                    self.scrape_counter(stats, "port")
-        for entity in setup.entities.values():
-            self.scrape_counter(entity.stats, "entity")
+        # Most ports of a large fabric never count anything; reading
+        # must not materialize their counters.
+        self.scrape_counters(
+            (stats for device in setup.fabric.devices.values()
+             for port in device.ports
+             if (stats := port.stats_if_used) is not None), "port")
+        self.scrape_counters(
+            (entity.stats for entity in setup.entities.values()), "entity")
         self.gauge(
             "fm.devices_known",
             help="devices in the FM topology database",

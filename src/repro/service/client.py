@@ -118,11 +118,6 @@ class ServiceClient:
         finally:
             self._sock.settimeout(previous)
 
-    def drain_events(self) -> List[dict]:
-        """Return (and clear) the stash of already-received events."""
-        events, self._events = self._events, []
-        return events
-
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
         for close in (self._file.close, self._sock.close):

@@ -11,9 +11,11 @@ simulation directly.  :class:`SimulationDriver` enforces the split:
 * clients :meth:`submit` closures; the driver executes them **between
   kernel events**, so every query and mutation observes (or produces)
   a consistent simulation state;
-* the kernel advances in bounded batches, checking the command queue
-  between batches, so query latency stays bounded even while a
-  discovery storm keeps the heap full;
+* the kernel advances in batches that end as soon as a command is
+  queued (at the latest after :data:`BATCH` events), so a query waits
+  for one kernel event even while a discovery storm keeps the heap
+  full — and a flood of queries slows the kernel, never stops it: at
+  least one event runs between two drains of the queue;
 * when the heap drains (a quiescent fabric with no churn), the driver
   blocks on the command queue instead of spinning;
 * everything a read can observe carries one monotone ``version``; a
@@ -39,15 +41,14 @@ Infinity = float("inf")
 
 _ABSENT = object()
 
-#: Kernel events advanced per command-queue check.
-DEFAULT_BATCH = 128
+#: Kernel events after which a batch ends (and the version moves) even
+#: though nobody asked anything: the bump cadence of an unobserved
+#: kernel.  Not a latency knob — a queued command ends the batch.
+BATCH = 128
 
 #: Distinct reads memoised per version (further keys are computed on
 #: every request, as all reads were before the memo).
 MEMO_CAP = 64
-
-#: Seconds the driver blocks waiting for a command while idle.
-IDLE_WAIT = 0.02
 
 
 class DriverStopped(RuntimeError):
@@ -65,23 +66,19 @@ class SimulationDriver:
         Optional running :class:`~repro.workloads.faults.FaultInjector`
         providing background churn; :meth:`stop` stops it first (its
         pending timers are cancelled via ``Environment.cancel``).
-    batch:
-        Kernel events processed between command-queue checks — the
-        knob trading sim throughput against query latency.
     """
 
-    def __init__(self, setup: SimulationSetup, injector=None,
-                 batch: int = DEFAULT_BATCH):
-        if batch < 1:
-            raise ValueError("batch must be at least 1")
+    def __init__(self, setup: SimulationSetup, injector=None):
         self.setup = setup
         self.env = setup.env
         self.injector = injector
-        self.batch = batch
         #: Exception that killed the kernel, if any (queries still run).
         self.crashed: Optional[BaseException] = None
-        #: Kernel events stepped by this driver (service metric).
+        #: Kernel events stepped by this driver (service metric), and
+        #: the batches they ran in: events per batch falls below
+        #: :data:`BATCH` as readers cut the kernel short.
         self.events_stepped = 0
+        self.batches = 0
         #: Commands executed on the sim thread (service metric).
         self.commands_run = 0
         #: Bumped, on the sim thread only, wherever something a read
@@ -100,7 +97,7 @@ class SimulationDriver:
         #: version; written on the sim thread only, and replaced (never
         #: cleared in place) once the version has moved.
         self._memo: tuple = (0, {})
-        self._commands: "queue.Queue" = queue.Queue()
+        self._commands: "queue.SimpleQueue" = queue.SimpleQueue()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -190,29 +187,33 @@ class SimulationDriver:
     # -- loop ----------------------------------------------------------------
     def _loop(self) -> None:
         env = self.env
+        # SimpleQueue.empty() takes no lock: cheap enough to ask after
+        # every kernel event.
+        nobody_waits = self._commands.empty
         while not self._stop.is_set():
             for item in self._pending():
                 self._run_command(item)
             if self._stop.is_set():
                 break
             if self.crashed is not None or env.peek() == Infinity:
-                # Nothing to simulate: block briefly for a command.
-                try:
-                    item = self._commands.get(timeout=IDLE_WAIT)
-                except queue.Empty:
-                    continue
-                self._run_command(item)
+                # Nothing to simulate: sleep until a command arrives
+                # (stop() queues None to that end).
+                self._run_command(self._commands.get())
                 continue
             stepped = 0
             try:
-                while stepped < self.batch and env.peek() != Infinity:
+                while True:
                     env.step()
                     stepped += 1
+                    if (stepped == BATCH or not nobody_waits()
+                            or env.peek() == Infinity):
+                        break
             except BaseException as exc:  # kernel died: keep serving reads
                 self._bump()
                 self.crashed = exc
-            self.events_stepped += stepped
             if stepped:
+                self.events_stepped += stepped
+                self.batches += 1
                 self._bump()
         self._drain_rejected()
 

@@ -6,12 +6,21 @@ background thread, and hands back a :class:`ServiceHandle` that knows
 how to mint clients and how to tear everything down in the right
 order (server first, then driver — the driver stops the injector via
 ``Environment.cancel`` before the kernel thread exits).
+
+While a service runs, the interpreter's thread switch interval is
+:data:`SWITCH_INTERVAL`: a request is handed client → loop → driver →
+loop → client, and each hand-over to a thread that is waiting for the
+GIL costs up to one interval while the driver steps the kernel.  The
+interval only matters while a thread waits for the GIL, so an idle
+daemon pays nothing for it, and the batch simulator never sets it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,13 +30,22 @@ from ..manager.failover import MODES, StandbyManager
 from ..topology.registry import resolve_topology
 from ..workloads.faults import FaultInjector
 from .client import ServiceClient
-from .driver import DEFAULT_BATCH, SimulationDriver
+from .driver import SimulationDriver
 from .server import FabricService
 from .tap import EventTap
 
 #: Fault budget for "endless" churn: large enough that a serving
 #: session never exhausts it, small enough to bound the fault log.
 CHURN_FAULT_BUDGET = 1_000_000
+
+#: ``sys.setswitchinterval`` while at least one service runs (the
+#: interpreter's default is 5 ms); derivation in docs/SERVICE.md.
+SWITCH_INTERVAL = 0.001
+
+#: The interval each running service of this process found, oldest
+#: first; the lock makes read-append-set and pop-restore one step.
+_found_intervals: list = []
+_interval_lock = threading.Lock()
 
 
 @dataclass
@@ -51,7 +69,8 @@ class ServiceHandle:
         return ServiceClient(self.host, self.port, timeout=timeout)
 
     def stop(self, timeout: float = 10.0) -> dict:
-        """Stop server then driver; returns the service summary."""
+        """Stop server then driver, give the switch interval back if
+        this was the last service; returns the service summary."""
         if self._stopped:
             return self.service.summary()
         self._stopped = True
@@ -60,6 +79,12 @@ class ServiceHandle:
         if self._thread is not None:
             self._thread.join(timeout)
         self.driver.stop(timeout=timeout)
+        with _interval_lock:
+            # Services stop in any order; whichever is last pops the
+            # oldest entry, the interval before any of them started.
+            found = _found_intervals.pop()
+            if not _found_intervals:
+                sys.setswitchinterval(found)
         return self.service.summary()
 
     def __enter__(self) -> "ServiceHandle":
@@ -78,7 +103,6 @@ def start_service(
     seed: int = 0,
     churn: bool = False,
     mean_interval: float = 2e-3,
-    batch: Optional[int] = None,
     standby: Optional[str] = None,
     **fm_kwargs,
 ) -> ServiceHandle:
@@ -136,8 +160,7 @@ def start_service(
         else:
             standby_mgr.start()
 
-    driver = SimulationDriver(
-        setup, injector, DEFAULT_BATCH if batch is None else batch)
+    driver = SimulationDriver(setup, injector)
     driver.tap = tap
     driver.standby = standby_mgr
     if standby_mgr is not None:
@@ -165,18 +188,14 @@ def start_service(
     service = FabricService(driver, host=host, port=port)
 
     loop = asyncio.new_event_loop()
-    started = threading.Event()
-    failure = []
+    started: Future = Future()
 
     async def _serve():
         try:
-            address = await service.start()
+            started.set_result(await service.start())
         except Exception as exc:
-            failure.append(exc)
-            started.set()
+            started.set_exception(exc)
             return
-        handle.host, handle.port = address
-        started.set()
         await service.serve_until_shutdown()
 
     def _run_loop():
@@ -186,20 +205,21 @@ def start_service(
         finally:
             loop.close()
 
+    thread = threading.Thread(target=_run_loop, name="service-loop",
+                              daemon=True)
     handle = ServiceHandle(
         host=host, port=port, setup=setup, driver=driver,
         service=service, tap=tap, injector=injector,
-        standby=standby_mgr, _loop=loop,
+        standby=standby_mgr, _loop=loop, _thread=thread,
     )
+    with _interval_lock:
+        _found_intervals.append(sys.getswitchinterval())
+        sys.setswitchinterval(SWITCH_INTERVAL)
     driver.start()
-    thread = threading.Thread(target=_run_loop, name="service-loop",
-                              daemon=True)
-    handle._thread = thread
     thread.start()
-    if not started.wait(timeout=30.0):
-        driver.stop()
-        raise RuntimeError("service failed to start within 30s")
-    if failure:
-        driver.stop()
-        raise failure[0]
+    try:
+        handle.host, handle.port = started.result(timeout=30.0)
+    except BaseException:  # could not bind, or did not within 30 s
+        handle.stop()
+        raise
     return handle

@@ -9,7 +9,8 @@ TCP and exchange newline-terminated JSON documents:
 * each request line ``{"id": 7, "op": "topology", ...params}`` gets
   exactly one response line ``{"id": 7, "ok": true, "result": ...}``
   (or ``"ok": false`` with an ``error`` object — the connection
-  survives request errors);
+  survives request errors, a request line over :data:`FRAME_LIMIT`
+  included);
 * after a ``subscribe`` request the server additionally pushes feed
   events (``{"event": "pi5"|"span"|"mutation"|"audit", "seq": n,
   ...}``) as they happen; responses and events never interleave
@@ -36,14 +37,18 @@ from .driver import SimulationDriver
 #: Feed events buffered per subscriber before drops are counted.
 FEED_QUEUE_LIMIT = 4096
 
+#: Longest request line, in bytes (asyncio's default stream limit).
+FRAME_LIMIT = 2 ** 16
+
 
 class FeedHub:
     """Fan-out point between the sim thread and subscribed clients.
 
     ``publish`` is the only thread-safe entry point: it stamps a
-    sequence number and hops onto the asyncio loop, which distributes
-    the event to every subscriber queue.  A slow subscriber loses
-    events (counted in ``dropped``) rather than stalling the feed.
+    sequence number and — if anybody is subscribed — hops onto the
+    asyncio loop, which distributes the event to every subscriber
+    queue.  A slow subscriber loses events (counted in ``dropped``)
+    rather than stalling the feed.
     """
 
     def __init__(self):
@@ -64,10 +69,14 @@ class FeedHub:
             if loop is None or loop.is_closed():
                 return
             self._seq += 1
-            event = dict(event, seq=self._seq)
+            seq = self._seq
             self.published += 1
+        if not self._subscribers:
+            # The hop is a self-pipe write and a wake-up of the loop
+            # thread: one more GIL hand-over, for nobody.
+            return
         try:
-            loop.call_soon_threadsafe(self._fan_out, event)
+            loop.call_soon_threadsafe(self._fan_out, dict(event, seq=seq))
         except RuntimeError:  # loop shut down mid-publish
             pass
 
@@ -93,6 +102,22 @@ def _dumps(value) -> bytes:
 
 def _encode(document: dict) -> bytes:
     return _dumps(document) + b"\n"
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line (``b""`` at end of stream), or None once a
+    line longer than the stream limit has been discarded whole."""
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+            oversized = True
+            continue
+        return None if oversized else line
 
 
 def _error_of(exc: Exception) -> dict:
@@ -135,6 +160,7 @@ class FabricService:
             tap.sink = self.hub.publish
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
+            limit=FRAME_LIMIT,
         )
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
@@ -162,6 +188,8 @@ class FabricService:
             "events_dropped": self.hub.dropped,
             "by_op": dict(sorted(self.by_op.items())),
             "version": self.driver.version,
+            "events_stepped": self.driver.events_stepped,
+            "batches": self.driver.batches,
             "memo_hits": self.driver.memo_hits,
             "memo_misses": self.driver.memo_misses,
         }
@@ -189,14 +217,17 @@ class FabricService:
                 "algorithm": self.driver.setup.fm.algorithm_key,
             }))
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     break
-                line = line.strip()
-                if not line:
+                if line is not None and not line.strip():
                     continue
                 request_id = op = None
                 try:
+                    if line is None:
+                        raise api.ApiError(
+                            "frame-too-large",
+                            f"request line over {FRAME_LIMIT} bytes")
                     document = json.loads(line)
                     if not isinstance(document, dict):
                         raise api.ApiError(
@@ -212,6 +243,10 @@ class FabricService:
                         if pump_task is None:
                             pump_task = asyncio.ensure_future(
                                 self._pump(send))
+                            # Its first step subscribes; only then
+                            # answer, so no event published after the
+                            # answer finds the hub without subscriber.
+                            await asyncio.sleep(0)
                         result = b'{"subscribed":true}'
                     elif op == "unsubscribe":
                         if pump_task is not None:

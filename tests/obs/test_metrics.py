@@ -84,23 +84,6 @@ class TestRegistry:
         raw.incr("tx", 10)  # after the scrape: not reflected
         assert registry.value("port.tx") == 3
 
-    def test_observe_counter_mirrors_live(self):
-        raw = Counter()
-        registry = MetricsRegistry()
-        registry.observe_counter(raw, "port")
-        raw.incr("tx", 2)
-        raw.incr("rx")
-        assert registry.value("port.tx") == 2
-        assert registry.value("port.rx") == 1
-
-    def test_render_mentions_every_metric(self):
-        registry = MetricsRegistry()
-        registry.counter("fm.pi5").inc()
-        registry.histogram("fm.t").observe(1e-4)
-        text = registry.render(title="metrics")
-        assert "fm.pi5" in text
-        assert "fm.t" in text
-
 
 class TestScrapeSetup:
     """``scrape_setup`` reads the fabric; it must not grow it."""
@@ -148,6 +131,86 @@ class TestScrapeSetup:
         # Now that every port carries a (mostly empty) counter, the
         # whole document still reads the same.
         assert MetricsRegistry().scrape_setup(setup).collect() == scraped
+
+    @staticmethod
+    def _per_bundle(setup) -> dict:
+        """The reference: ``scrape_counter`` bundle by bundle, as
+        ``scrape_setup`` did before it summed plain ints."""
+        reference = MetricsRegistry()
+        reference.scrape_counter(setup.fm.counters, "fm")
+        for device in setup.fabric.devices.values():
+            for port in device.ports:
+                if port.stats_if_used is not None:
+                    reference.scrape_counter(port.stats_if_used, "port")
+        for entity in setup.entities.values():
+            reference.scrape_counter(entity.stats, "entity")
+        return reference.collect()
+
+    #: What ``scrape_setup`` adds that no raw counter bundle holds.
+    SUMMARIES = {"fm.devices_known", "fm.discoveries", "fm.discovery_time"}
+
+    def _check_against_reference(self, setup):
+        registry = CountingRegistry()
+        scraped = registry.scrape_setup(setup).collect()
+        assert self.SUMMARIES < set(scraped)
+        counters = {name: doc for name, doc in scraped.items()
+                    if name not in self.SUMMARIES}
+        assert counters == self._per_bundle(setup)
+        assert scraped["port.tx_packets"]["value"] > 0
+        assert scraped["entity.rx_mgmt_packets"]["value"] > 0
+        # One lookup per metric (the parent: one per bundle and key).
+        assert registry.lookups <= 2 * len(registry)
+        # A second simulation scraped into the same registry adds up
+        # (perf/ sums the three fig6 runs this way).
+        twice = registry.scrape_setup(setup).collect()
+        for name, doc in counters.items():
+            assert twice[name]["value"] == 2 * doc["value"]
+        return registry
+
+    def test_equals_the_per_bundle_reference_after_a_change_run(self):
+        from repro.experiments.scenario import Scenario
+
+        class Capture:
+            """Duck-typed tracer: keeps the simulation a run built."""
+
+            def install(self, setup):
+                self.setup = setup
+
+            def finalize(self, setup):
+                pass
+
+        capture = Capture()
+        result = Scenario(kind="change", topology="8x8 mesh",
+                          seed=0).run(tracer=capture)
+        assert result.database_correct
+        registry = self._check_against_reference(capture.setup)
+        # 64 switches x 5 ports: the parent paid a lookup for each.
+        assert registry.lookups < 64
+
+    def test_equals_the_per_bundle_reference_on_a_churned_service(self):
+        from repro.service import api, start_service
+
+        from ..service.test_memo import quiesce
+
+        with start_service("torus64") as handle:
+            quiesce(handle)
+            for verb in ("remove_device", "restore_device"):
+                api.call_op(handle.driver, verb, {"name": "sw_3_3"})
+                quiesce(handle)
+            assert api.call_op(handle.driver, "status")["discoveries"] == 3
+            # Both scrapes between the same two kernel events.
+            handle.driver.call(self._check_against_reference)
+            assert handle.driver.crashed is None
+
+
+class CountingRegistry(MetricsRegistry):
+    """Counts get-or-create lookups."""
+
+    lookups = 0
+
+    def _get(self, name, cls, **kwargs):
+        self.lookups += 1
+        return super()._get(name, cls, **kwargs)
 
 
 class TestHotPortCounters:
@@ -221,13 +284,14 @@ class TestHotPortCounters:
     def test_an_observer_sees_the_folded_increments(self):
         fabric = self._relay()
         port = fabric.devices["A"].ports[0]
-        registry = MetricsRegistry()
-        registry.observe_counter(port.stats, "port")
+        seen = {}
+        port.stats.attach_observer(
+            lambda key, amount: seen.update({key: seen.get(key, 0) + amount}))
         fabric.env.run()
-        assert registry.value("port.tx_packets") == 0  # not read yet
+        assert seen.get("tx_packets", 0) == 0  # not read yet
         port.stats
-        assert registry.value("port.tx_packets") == 1
-        assert registry.value("port.tx_bytes") == 68
+        assert seen["tx_packets"] == 1
+        assert seen["tx_bytes"] == 68
 
     def test_a_port_that_never_counted_has_no_counter(self):
         fabric = self._relay()

@@ -32,7 +32,7 @@ TOTAL_CEILING = 12_111
 SIM_CEILING = 442
 #: Code lines in ``repro/experiments/`` + ``repro/cli.py`` (3,666
 #: before PR 13, 3,071 after it).
-EXPERIMENTS_AND_CLI_CEILING = 3_068
+EXPERIMENTS_AND_CLI_CEILING = 3_067
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
