@@ -22,7 +22,6 @@ serial sweep:
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import time
 import traceback
@@ -120,6 +119,9 @@ def _run_indexed(indexed):
 
 def _pool_context():
     """A usable multiprocessing context, or ``None`` to run in-process."""
+    # Imported where the pool is made: only a ``jobs > 1`` sweep pays
+    # for it (and for ``socket`` and the pickling machinery behind it).
+    import multiprocessing
     for method in _START_METHODS:
         try:
             return multiprocessing.get_context(method)

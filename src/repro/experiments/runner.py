@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-import networkx as nx
-
 from ..fabric.fabric import Fabric
 from ..fabric.params import DEFAULT_PARAMS, FabricParams
 from ..manager.discovery.base import DiscoveryStats
@@ -142,16 +140,14 @@ def run_until_discovery_count(setup: SimulationSetup, n: int,
 def database_matches_fabric(setup: SimulationSetup) -> bool:
     """Whether the FM database equals the reachable ground truth."""
     fabric, fm = setup.fabric, setup.fm
-    reachable = set(fabric.reachable_devices(fm.endpoint.name))
-    truth = fabric.graph().subgraph(reachable)
-    truth_dsn = nx.relabel_nodes(
-        truth, {n: fabric.device(n).dsn for n in truth}
-    )
+    dsn = {name: fabric.device(name).dsn
+           for name in fabric.reachable_devices(fm.endpoint.name)}
     found = fm.database.graph()
     return (
-        set(found.nodes) == set(truth_dsn.nodes)
+        set(found.nodes) == set(dsn.values())
         and {frozenset(e) for e in found.edges}
-        == {frozenset(e) for e in truth_dsn.edges}
+        == {frozenset((dsn[a], dsn[b])) for a, b in fabric.graph().edges
+            if a in dsn and b in dsn}
     )
 
 

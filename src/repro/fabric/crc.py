@@ -2,16 +2,17 @@
 
 ASI protects the routing header with a header CRC and the payload with
 an end-to-end PCRC (inherited from PCI Express).  We model them with a
-table-driven CRC-8 (poly 0x07, as in ATM HEC) for the header and the
-standard reflected CRC-32 (poly 0x04C11DB7) for payloads.
+table-driven CRC-8 (poly 0x07, as in ATM HEC; the standard library has
+none) for the header and the standard reflected CRC-32 (poly
+0x04C11DB7) for payloads, which is exactly :func:`zlib.crc32`.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import List
 
 _CRC8_POLY = 0x07
-_CRC32_POLY_REFLECTED = 0xEDB88320
 
 
 def _build_crc8_table() -> List[int]:
@@ -27,21 +28,7 @@ def _build_crc8_table() -> List[int]:
     return table
 
 
-def _build_crc32_table() -> List[int]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ _CRC32_POLY_REFLECTED
-            else:
-                crc >>= 1
-        table.append(crc)
-    return table
-
-
 _CRC8_TABLE = _build_crc8_table()
-_CRC32_TABLE = _build_crc32_table()
 
 
 def crc8(data: bytes, initial: int = 0x00) -> int:
@@ -54,7 +41,4 @@ def crc8(data: bytes, initial: int = 0x00) -> int:
 
 def crc32(data: bytes) -> int:
     """Reflected CRC-32 (IEEE 802.3) over ``data``; 32-bit value."""
-    crc = 0xFFFFFFFF
-    for byte in data:
-        crc = _CRC32_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFF
+    return zlib.crc32(data)

@@ -1,9 +1,10 @@
 """The fabric container: devices, links, power-up, and hot changes.
 
 A :class:`Fabric` owns every simulated device and link.  It provides
-the ground-truth topology (as a :mod:`networkx` graph) that tests and
-experiments compare discovery results against, and the hot add/remove
-operations that trigger the topological changes the paper studies.
+the ground-truth topology (as a :class:`~repro.routing.graph.Graph`)
+that tests and experiments compare discovery results against, and the
+hot add/remove operations that trigger the topological changes the
+paper studies.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import random
 from itertools import count
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
+from ..routing.graph import Graph, component
 from ..sim.core import Environment
 from .device import Device
 from .endpoint import Endpoint
@@ -146,15 +146,15 @@ class Fabric:
         return None
 
     # -- ground truth ---------------------------------------------------------
-    def graph(self, active_only: bool = True) -> nx.Graph:
-        """The physical topology as a networkx graph.
+    def graph(self, active_only: bool = True) -> Graph:
+        """The physical topology as a name-keyed graph.
 
         Nodes are device names with ``kind``/``dsn`` attributes; edges
         carry the port numbers at each end.  With ``active_only`` the
         graph contains only active devices and up links — the topology
         a correct discovery must find.
         """
-        g = nx.Graph()
+        g = Graph()
         for device in self.devices.values():
             if active_only and not device.active:
                 continue
@@ -185,7 +185,7 @@ class Fabric:
         g = self.graph(active_only=True)
         if origin not in g:
             return []
-        return sorted(nx.node_connected_component(g, origin))
+        return sorted(component(g, origin))
 
     # -- hot changes (availability features, paper section 2) -----------------
     def remove_device(self, name: str) -> Device:

@@ -149,10 +149,10 @@ class TopologyAuditor:
             fabric.device(name).dsn: name for name in reachable
         }
         edges: Set[frozenset] = set()
-        truth = fabric.graph(active_only=True)
-        for a, b in truth.subgraph(reachable).edges:
-            edges.add(frozenset((fabric.device(a).dsn,
-                                 fabric.device(b).dsn)))
+        for a, b in fabric.graph(active_only=True).edges:
+            if a in reachable and b in reachable:
+                edges.add(frozenset((fabric.device(a).dsn,
+                                     fabric.device(b).dsn)))
         return names_by_dsn, edges
 
     @staticmethod

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ..capability import DEVICE_TYPE_ENDPOINT, DEVICE_TYPE_SWITCH
+from ..routing.graph import Graph, bfs_tree, component
 from ..routing.turnpool import Hop, TurnPool, build_turn_pool, intern_hop
 
 
@@ -231,7 +230,7 @@ class TopologyDatabase:
         graph = self.graph()
         if root_dsn not in graph:
             return []
-        keep = nx.node_connected_component(graph, root_dsn)
+        keep = component(graph, root_dsn)
         removed = [dsn for dsn in self._devices if dsn not in keep]
         for dsn in removed:
             del self._devices[dsn]
@@ -264,105 +263,35 @@ class TopologyDatabase:
         the changed region are rebuilt — records whose shortest-path
         parent, link ports, and full ancestor chain are untouched keep
         their stored hops.  The result is bit-identical to a full
-        recompute; when the canonical invariant does not hold (fresh
-        discovery output, merged databases), the call silently runs
-        the full recompute instead.
+        recompute — which is the same walk down the BFS tree
+        (:func:`~repro.routing.graph.bfs_tree`) with nothing to keep;
+        when the canonical invariant does not hold (fresh discovery
+        output, merged databases), the call silently runs the full
+        recompute instead.
 
         Returns ``{"mode", "rebuilt", "kept"}`` counters for
         diagnostics and benchmarks.
         """
-        if incremental and self._routes_canonical:
-            return self._recompute_incremental(fm_dsn)
-        return self._recompute_full(fm_dsn)
-
-    def _recompute_full(self, fm_dsn: int) -> dict:
+        incremental = incremental and self._routes_canonical
+        mode = "incremental" if incremental else "full"
         graph = self.graph()
         if fm_dsn not in graph:
-            return {"mode": "full", "rebuilt": 0, "kept": 0}
+            return {"mode": mode, "rebuilt": 0, "kept": 0}
+        # Parents come before their children, so a rebuilt route is
+        # its parent's plus one hop.  A full recompute is the walk
+        # with an empty old tree: every record is dirty.
+        parent = bfs_tree(graph, fm_dsn)
+        old_tree = self._route_tree if incremental else {}
+        touched = self._touched
         tree: Dict[int, Tuple] = {}
-        paths = nx.single_source_shortest_path(graph, fm_dsn)
-        for dsn, node_path in paths.items():
-            record = self._devices[dsn]
-            if dsn == fm_dsn:
+        dirty: set = set()
+        for v, p in parent.items():
+            record = self._devices[v]
+            if p is None:
                 record.route_hops = []
                 record.ingress_port = None
-                tree[dsn] = (None, None, None)
+                tree[v] = (None, None, None)
                 continue
-            hops: List[Hop] = []
-            for k in range(1, len(node_path) - 1):
-                _, in_port = self._link_ports(node_path[k - 1],
-                                              node_path[k])
-                out_port, _ = self._link_ports(node_path[k],
-                                               node_path[k + 1])
-                middle = self._devices[node_path[k]]
-                hops.append(intern_hop(middle.nports, in_port, out_port))
-            first_out, _ = self._link_ports(node_path[0], node_path[1])
-            _, ingress = self._link_ports(node_path[-2], node_path[-1])
-            record.route_hops = hops
-            record.out_port = first_out
-            record.ingress_port = ingress
-            # Parent-side egress of the last link: the final hop's
-            # out_port, or the FM-local port for direct neighbours.
-            tree[dsn] = (node_path[-2],
-                         hops[-1].out_port if hops else first_out,
-                         ingress)
-        self._route_tree = tree
-        self._touched = set()
-        self._routes_canonical = True
-        return {"mode": "full", "rebuilt": max(0, len(paths) - 1),
-                "kept": 0}
-
-    def _recompute_incremental(self, fm_dsn: int) -> dict:
-        """Deletion-safe incremental recompute (see recompute_routes).
-
-        Replays exactly the shortest-path-tree construction of the full
-        recompute — a level-synchronous BFS over the adjacency built in
-        :meth:`graph`'s insertion order, so parent tie-breaks match
-        networkx bit for bit — but materializes hops only for records
-        whose tree edge changed, whose endpoints saw port mutations, or
-        whose ancestors did.
-        """
-        if fm_dsn not in self._devices:
-            return {"mode": "incremental", "rebuilt": 0, "kept": 0}
-        # Adjacency in graph()'s construction order: devices in
-        # insertion order, ports in record order, both directions
-        # recorded when an edge is first seen (networkx add_edge).
-        adj: Dict[int, Dict[int, bool]] = {
-            dsn: {} for dsn in self._devices
-        }
-        for record in self._devices.values():
-            a = record.dsn
-            near = adj[a]
-            for port in record.ports.values():
-                b = port.neighbor_dsn
-                if b is not None and port.up and b in adj and b not in near:
-                    near[b] = True
-                    adj[b][a] = True
-        # Level-synchronous BFS, mirroring networkx's
-        # single_source_shortest_path discovery order.
-        parent: Dict[int, Optional[int]] = {fm_dsn: None}
-        order: List[int] = [fm_dsn]
-        thislevel: List[int] = [fm_dsn]
-        while thislevel:
-            nextlevel: List[int] = []
-            for v in thislevel:
-                for w in adj[v]:
-                    if w not in parent:
-                        parent[w] = v
-                        order.append(w)
-                        nextlevel.append(w)
-            thislevel = nextlevel
-
-        tree: Dict[int, Tuple] = {fm_dsn: (None, None, None)}
-        old_tree = self._route_tree
-        touched = self._touched
-        dirty: set = set()
-        rebuilt = 0
-        fm_record = self._devices[fm_dsn]
-        fm_record.route_hops = []
-        fm_record.ingress_port = None
-        for v in order[1:]:
-            p = parent[v]
             old = old_tree.get(v)
             if (old is not None and old[0] == p and p not in dirty
                     and p not in touched and v not in touched):
@@ -372,28 +301,24 @@ class TopologyDatabase:
                 tree[v] = old
                 continue
             out_port, in_port = self._link_ports(p, v)
-            entry = (p, out_port, in_port)
-            tree[v] = entry
+            tree[v] = entry = (p, out_port, in_port)
             if entry == old and p not in dirty:
                 continue
             dirty.add(v)
-            rebuilt += 1
-            record = self._devices[v]
             if p == fm_dsn:
                 record.route_hops = []
                 record.out_port = out_port
             else:
                 prec = self._devices[p]
-                hops = list(prec.route_hops)
-                hops.append(intern_hop(prec.nports, prec.ingress_port,
-                                       out_port))
-                record.route_hops = hops
+                record.route_hops = prec.route_hops + [intern_hop(
+                    prec.nports, prec.ingress_port, out_port)]
                 record.out_port = prec.out_port
             record.ingress_port = in_port
         self._route_tree = tree
         self._touched = set()
-        return {"mode": "incremental", "rebuilt": rebuilt,
-                "kept": len(order) - 1 - rebuilt}
+        self._routes_canonical = True
+        return {"mode": mode, "rebuilt": len(dirty),
+                "kept": len(parent) - 1 - len(dirty)}
 
     def _link_ports(self, dsn_a: int, dsn_b: int) -> Tuple[int, int]:
         """Ports wiring two adjacent known devices (lowest first)."""
@@ -418,9 +343,9 @@ class TopologyDatabase:
         )
 
     # -- views -----------------------------------------------------------------
-    def graph(self) -> nx.Graph:
-        """The discovered topology as a DSN-keyed networkx graph."""
-        g = nx.Graph()
+    def graph(self) -> Graph:
+        """The discovered topology as a DSN-keyed graph."""
+        g = Graph()
         for record in self._devices.values():
             g.add_node(
                 record.dsn,
@@ -428,10 +353,13 @@ class TopologyDatabase:
                 nports=record.nports,
             )
         for record in self._devices.values():
-            for index, port in record.ports.items():
-                if port.neighbor_dsn is not None and port.up:
-                    if port.neighbor_dsn in self._devices:
-                        g.add_edge(record.dsn, port.neighbor_dsn)
+            near = g.adj[record.dsn]
+            for port in record.ports.values():
+                # Both sides record a link, and parallel links repeat
+                # it: the first sighting alone decides the order.
+                if (port.up and port.neighbor_dsn in self._devices
+                        and port.neighbor_dsn not in near):
+                    g.add_edge(record.dsn, port.neighbor_dsn)
         return g
 
     def summary(self) -> dict:

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..capability.multicast import MULTICAST_CAP_ID, OP_ADD, encode_op
 from ..protocols import pi4
+from ..routing.graph import NoPath, shortest_path
 from ..sim.events import Event
 from .fm import FabricManager
 
@@ -66,8 +65,8 @@ def compute_group_tree(db, member_dsns: Sequence[int]) -> Dict[int, Set[int]]:
     edges: Set[Tuple[int, int]] = set()
     for member in members[1:]:
         try:
-            path = nx.shortest_path(graph, root, member)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            path = shortest_path(graph, root, member)
+        except NoPath:
             raise MulticastError(
                 f"member {member:#x} unreachable from {root:#x}"
             ) from None

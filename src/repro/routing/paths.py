@@ -9,10 +9,10 @@ and by the background-traffic workload).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Tuple
 
-import networkx as nx
-
+from .graph import Graph, NoPath, shortest_path
 from .turnpool import Hop, TurnPool, build_turn_pool
 
 
@@ -47,50 +47,62 @@ def _db_link_ports(db, dsn_a: int, dsn_b: int) -> Tuple[int, int]:
     raise PathError(f"no up link between {dsn_a:#x} and {dsn_b:#x}")
 
 
+def _label(node) -> str:
+    """A node as messages print it: DSNs in hex, device names quoted."""
+    return f"{node:#x}" if isinstance(node, int) else repr(node)
+
+
+def _route(graph: Graph, link_ports: Callable,
+           src, dst) -> Tuple[TurnPool, int]:
+    """Shortest route over ``graph``: ``(turn_pool, out_port_at_src)``.
+
+    ``link_ports(a, b)`` gives ``(port_on_a, port_on_b)`` for two
+    adjacent nodes; what sits in between is read off the node
+    attributes (``kind``, ``nports``).
+    """
+    if src == dst:
+        return build_turn_pool([]), 0
+    try:
+        node_path = shortest_path(graph, src, dst)
+    except NoPath:
+        raise PathError(
+            f"no path from {_label(src)} to {_label(dst)}") from None
+    wires = [link_ports(a, b) for a, b in zip(node_path, node_path[1:])]
+    hops: List[Hop] = []
+    for node, (_, in_port), (egress, _) in zip(
+            node_path[1:], wires, wires[1:]):
+        attrs = graph.nodes[node]
+        if attrs["kind"] != "switch":
+            raise PathError(f"path traverses endpoint {_label(node)}")
+        hops.append(Hop(attrs["nports"], in_port, egress))
+    return build_turn_pool(hops), wires[0][0]
+
+
 def db_route(db, src_dsn: int, dst_dsn: int) -> Tuple[TurnPool, int]:
     """Shortest route ``src -> dst`` over a discovered database.
 
     Returns ``(turn_pool, out_port_at_src)``.
     """
-    if src_dsn == dst_dsn:
-        return build_turn_pool([]), 0
-    graph = db.graph()
-    try:
-        node_path = nx.shortest_path(graph, src_dsn, dst_dsn)
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        raise PathError(
-            f"no path from {src_dsn:#x} to {dst_dsn:#x}"
-        ) from None
-    return _path_to_route(db, node_path)
-
-
-def _path_to_route(db, node_path: List[int]) -> Tuple[TurnPool, int]:
-    out_port, _ = _db_link_ports(db, node_path[0], node_path[1])
-    hops: List[Hop] = []
-    in_port = None
-    for k in range(1, len(node_path) - 1):
-        _, in_port = _db_link_ports(db, node_path[k - 1], node_path[k])
-        egress, _ = _db_link_ports(db, node_path[k], node_path[k + 1])
-        record = db.device(node_path[k])
-        if not record.is_switch:
-            raise PathError(
-                f"path traverses endpoint {node_path[k]:#x}"
-            )
-        hops.append(Hop(record.nports, in_port, egress))
-    return build_turn_pool(hops), out_port
+    return _route(db.graph(), partial(_db_link_ports, db), src_dsn, dst_dsn)
 
 
 def db_endpoint_routes(db, src_dsn: int) -> Dict[int, Tuple[TurnPool, int]]:
-    """Routes from ``src_dsn`` to every other endpoint in the database."""
-    routes: Dict[int, Tuple[TurnPool, int]] = {}
-    for record in db.endpoints():
-        if record.dsn == src_dsn:
-            continue
-        routes[record.dsn] = db_route(db, src_dsn, record.dsn)
-    return routes
+    """Routes from ``src_dsn`` to every other endpoint in the database
+    (one graph, one search per destination)."""
+    graph, link_ports = db.graph(), partial(_db_link_ports, db)
+    return {
+        record.dsn: _route(graph, link_ports, src_dsn, record.dsn)
+        for record in db.endpoints() if record.dsn != src_dsn
+    }
 
 
 # -- routes over fabric ground truth ----------------------------------------
+
+def _fabric_link_ports(graph: Graph, a: str, b: str) -> Tuple[int, int]:
+    """Ports wiring two adjacent devices of :meth:`Fabric.graph`."""
+    ports = graph.adj[a][b]["ports"]
+    return ports[a], ports[b]
+
 
 def fabric_route(fabric, src: str, dst: str) -> Tuple[TurnPool, int]:
     """Shortest route between two devices of a live fabric.
@@ -98,38 +110,22 @@ def fabric_route(fabric, src: str, dst: str) -> Tuple[TurnPool, int]:
     Uses the ground-truth graph (tests, traffic generation, failover
     bootstrap).  Returns ``(turn_pool, out_port_at_src)``.
     """
-    if src == dst:
-        return build_turn_pool([]), 0
     graph = fabric.graph(active_only=True)
-    try:
-        node_path = nx.shortest_path(graph, src, dst)
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        raise PathError(f"no path from {src!r} to {dst!r}") from None
-
-    def link_ports(a: str, b: str) -> Tuple[int, int]:
-        ports = graph.edges[a, b]["ports"]
-        return ports[a], ports[b]
-
-    out_port, _ = link_ports(node_path[0], node_path[1])
-    hops: List[Hop] = []
-    for k in range(1, len(node_path) - 1):
-        _, in_port = link_ports(node_path[k - 1], node_path[k])
-        egress, _ = link_ports(node_path[k], node_path[k + 1])
-        device = fabric.device(node_path[k])
-        if device.kind != "switch":
-            raise PathError(f"path traverses endpoint {node_path[k]!r}")
-        hops.append(Hop(device.nports, in_port, egress))
-    return build_turn_pool(hops), out_port
+    return _route(graph, partial(_fabric_link_ports, graph), src, dst)
 
 
 def fabric_endpoint_routes(fabric, src: str) -> Dict[str, Tuple[TurnPool, int]]:
-    """Ground-truth routes from endpoint ``src`` to all other endpoints."""
+    """Ground-truth routes from endpoint ``src`` to all other endpoints
+    (one graph, one search per destination)."""
+    graph = fabric.graph(active_only=True)
+    link_ports = partial(_fabric_link_ports, graph)
     routes: Dict[str, Tuple[TurnPool, int]] = {}
     for endpoint in fabric.endpoints():
         if endpoint.name == src or not endpoint.active:
             continue
         try:
-            routes[endpoint.name] = fabric_route(fabric, src, endpoint.name)
+            routes[endpoint.name] = _route(graph, link_ports, src,
+                                           endpoint.name)
         except PathError:
             continue  # unreachable after a change
     return routes

@@ -49,11 +49,10 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Optional, Tuple
 
-import networkx as nx
-
 from ..fabric.fabric import FabricError
 from ..manager.consistency import audit_topology
 from ..obs.metrics import MetricsRegistry
+from ..routing.graph import NoPath, shortest_path
 from ..topology.registry import describe_topology, topology_catalog
 
 #: Wire schema version, announced in the hello banner and ``ping``.
@@ -165,8 +164,8 @@ def op_path(setup, driver, params) -> dict:
                            f"DSN {dsn:#x} not in the database")
     graph = db.graph()
     try:
-        hops = nx.shortest_path(graph, src, dst)
-    except nx.NetworkXNoPath:
+        hops = shortest_path(graph, src, dst)
+    except NoPath:
         raise ApiError(
             "no-path", f"no path between {src:#x} and {dst:#x}"
         ) from None

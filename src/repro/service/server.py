@@ -201,6 +201,13 @@ class FabricService:
         task = asyncio.current_task()
         self._connections.add(task)
         task.add_done_callback(self._connections.discard)
+        # The selector transport reads with recv(max_size), 256 KiB by
+        # default: one fresh bytes object that size per request, above
+        # glibc's mmap threshold, so each read pays mmap + page faults
+        # + munmap under the GIL unless something else happened to
+        # raise the threshold (docs/SERVICE.md).  No frame is longer
+        # than FRAME_LIMIT, so no read needs to be either.
+        writer.transport.max_size = FRAME_LIMIT
         write_lock = asyncio.Lock()
         pump_task: Optional[asyncio.Task] = None
 

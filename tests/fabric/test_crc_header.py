@@ -1,6 +1,7 @@
 """Unit tests for CRC generators and route-header serialization."""
 
 import binascii
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,26 @@ class TestCRC:
     def test_crc32_matches_zlib(self):
         for data in (b"", b"a", b"123456789", bytes(range(256))):
             assert crc32(data) == binascii.crc32(data)
+
+    def test_crc32_known_vector(self):
+        # The CRC-32/ISO-HDLC check value.
+        assert crc32(b"123456789") == 0xCBF43926
+
+    def test_crc32_equals_the_bitwise_definition(self):
+        """``crc32`` delegates to zlib; the reference is the reflected
+        polynomial division itself (what the deleted table encoded)."""
+        def reference(data: bytes) -> int:
+            crc = 0xFFFFFFFF
+            for byte in data:
+                crc ^= byte
+                for _ in range(8):
+                    crc = (crc >> 1) ^ (0xEDB88320 if crc & 1 else 0)
+            return crc ^ 0xFFFFFFFF
+
+        rng = random.Random(18)
+        payloads = [b""] + [rng.randbytes(rng.randrange(301))
+                            for _ in range(2000)]
+        assert all(crc32(data) == reference(data) for data in payloads)
 
     def test_crc8_detects_single_bit_flip(self):
         data = bytearray(b"discovery packet")

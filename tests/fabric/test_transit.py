@@ -235,7 +235,8 @@ class TestFabricContainer:
         assert set(g.nodes) == {"ep0", "ep1", "sw0", "sw1"}
         assert g.number_of_edges() == 3
         assert g.nodes["sw0"]["kind"] == "switch"
-        edge = g.edges["ep0", "sw0"]
+        edge = g.adj["ep0"]["sw0"]
+        assert edge is g.adj["sw0"]["ep0"]
         assert edge["ports"]["ep0"] == 0
         assert edge["ports"]["sw0"] == 0
 

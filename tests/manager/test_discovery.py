@@ -1,6 +1,5 @@
 """Integration tests: the three discovery algorithms on live fabrics."""
 
-import networkx as nx
 import pytest
 
 from repro.experiments.runner import (
@@ -15,6 +14,7 @@ from repro.manager import (
     SERIAL_PACKET,
     ProcessingTimeModel,
 )
+from repro.routing.graph import bfs_tree
 from repro.topology import (
     make_fattree,
     make_irregular,
@@ -23,6 +23,14 @@ from repro.topology import (
 )
 
 ALL_ALGOS = list(ALGORITHMS)
+
+
+def hop_distances(fabric, source):
+    """BFS distance of every reachable device from ``source``."""
+    dist = {}
+    for node, parent in bfs_tree(fabric.graph(), source).items():
+        dist[node] = 0 if parent is None else dist[parent] + 1
+    return dist
 
 
 def discover(spec, algorithm, timing=None, **kwargs):
@@ -90,15 +98,12 @@ class TestCorrectness:
         spec = make_mesh(3, 3)
         setup, _ = discover(spec, algorithm)
         fabric = setup.fabric
+        dist = hop_distances(fabric, setup.fm.endpoint.name)
         for record in setup.fm.database.devices():
             device = fabric.device_by_dsn(record.dsn)
             # The route's hop count equals the BFS distance through
             # switches (each hop is one switch traversal).
-            g = fabric.graph()
-            dist = nx.shortest_path_length(
-                g, setup.fm.endpoint.name, device.name
-            )
-            assert len(record.route_hops) == max(0, dist - 1)
+            assert len(record.route_hops) == max(0, dist[device.name] - 1)
 
 
 class TestPacketAccounting:
@@ -230,8 +235,7 @@ class TestOrderingInvariants:
         setup.fm.start_discovery()
         run_until_ready(setup)
 
-        g = setup.fabric.graph()
-        dist = nx.shortest_path_length(g, setup.fm.endpoint.name)
+        dist = hop_distances(setup.fabric, setup.fm.endpoint.name)
         dsn_dist = {
             setup.fabric.device(name).dsn: d for name, d in dist.items()
         }

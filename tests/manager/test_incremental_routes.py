@@ -15,6 +15,7 @@ import pytest
 
 from repro.capability import DEVICE_TYPE_ENDPOINT, DEVICE_TYPE_SWITCH
 from repro.manager.database import DeviceRecord, TopologyDatabase
+from repro.routing.turnpool import intern_hop
 from repro.topology import (
     make_dragonfly,
     make_fat_tree2,
@@ -173,3 +174,68 @@ class TestCanonicalInvariant:
         db.recompute_routes(fm)
         db.clear()
         assert not db.routes_canonical
+
+
+# -- one tree builder, checked against the one it replaced --------------------
+
+def _pre_pr_routes(db, fm_dsn, monkeypatch):
+    """What PR 17's ``_recompute_full`` stored for every record but the
+    FM's, as ``(hops, out_port, ingress_port)``: networkx's
+    ``single_source_shortest_path`` tree over the same graph, every hop
+    of every path looked up through ``_link_ports``."""
+    nx = pytest.importorskip("networkx")
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.manager.database.Graph", nx.Graph)
+        graph = db.graph()
+    routes = {}
+    for dsn, path in nx.single_source_shortest_path(graph, fm_dsn).items():
+        if dsn == fm_dsn:
+            continue
+        wires = [db._link_ports(a, b) for a, b in zip(path, path[1:])]
+        hops = tuple(
+            intern_hop(db.device(node).nports, in_port, out_port)
+            for node, (_, in_port), (out_port, _)
+            in zip(path[1:], wires, wires[1:]))
+        routes[dsn] = (hops, wires[0][0], wires[-1][1])
+    return routes
+
+
+def _stored(db, dsns):
+    snapshot = _route_snapshot(db)
+    return {dsn: snapshot[dsn][:3] for dsn in dsns}
+
+
+@pytest.mark.parametrize("topology", [
+    "3x3 mesh", "3x3 torus", "4-port 2-tree", "dragonfly-k2m3",
+    "fattree2-16", "irregular-8+4 (seed=1)",
+])
+def test_full_equals_incremental_equals_the_replaced_builder(
+        topology, monkeypatch):
+    """The assertion ``perf/``'s ``probe_recompute`` makes, as tier-1:
+    fail one route-tree link of a discovered database, recompute both
+    ways — plus the routes the deleted networkx-based builder stored."""
+    from repro.experiments.runner import build_simulation, run_until_ready
+    from repro.topology import resolve_topology
+    setup = build_simulation(resolve_topology(topology))
+    run_until_ready(setup)
+    db, fm = setup.fm.database, setup.fm.endpoint.dsn
+    assert db.recompute_routes(fm) == {
+        "mode": "full", "rebuilt": len(db) - 1, "kept": 0}
+    switches = sorted((r for r in db.switches()
+                       if r.ingress_port is not None), key=lambda r: r.dsn)
+    victim = random.Random(18).choice(switches)
+    full = copy.deepcopy(db)
+    full.mark_port_down(victim.dsn, victim.ingress_port)
+    incremental = copy.deepcopy(full)
+    counts = incremental.recompute_routes(fm, incremental=True)
+    assert counts["mode"] == "incremental"
+    assert full.recompute_routes(fm)["mode"] == "full"
+    assert _route_snapshot(incremental) == _route_snapshot(full)
+    # From here on the library is needed (skips without it).
+    expected = _pre_pr_routes(db, fm, monkeypatch)
+    assert len(expected) == len(db) - 1
+    assert _stored(db, expected) == expected
+    # Records cut off by the failure keep their stale routes (nobody
+    # pruned here); the replaced builder did not visit them either.
+    expected = _pre_pr_routes(full, fm, monkeypatch)
+    assert _stored(full, expected) == expected

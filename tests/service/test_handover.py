@@ -8,7 +8,9 @@ as times, so the pins hold on any host.
   while at least one service runs;
 * the feed hub does not wake the loop thread for nobody;
 * a request line over the frame limit is answered, counted, and does
-  not cost the connection.
+  not cost the connection;
+* a request costs no allocation above glibc's mmap threshold: the
+  connection's receive buffer is bounded by the frame limit.
 """
 
 import json
@@ -16,6 +18,7 @@ import math
 import socket
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -25,7 +28,7 @@ from repro.service.driver import BATCH, SimulationDriver
 from repro.service.harness import SWITCH_INTERVAL
 from repro.service.server import FRAME_LIMIT, FeedHub
 
-from .test_memo import WAIT, _until, settle
+from .test_memo import WAIT, _until, quiesce, settle
 
 class StubKernel:
     """``peek``/``step`` of a kernel holding ``total`` events; the k-th
@@ -241,6 +244,41 @@ class TestFeedWithoutSubscribers:
                         event = client.next_event(timeout=WAIT)
                     assert event["round"] == i
             assert handle.service.hub.dropped == 0
+
+
+class TestReceiveBuffer:
+    """asyncio's selector transport reads with ``recv(max_size)`` —
+    256 KiB unless told otherwise, a fresh ``bytes`` that size per
+    request.  Above the allocator's 128 KiB mmap threshold that is an
+    mmap, its page faults and an munmap under the GIL every time; the
+    server bounds the read by the frame limit it enforces anyway."""
+
+    #: glibc's default M_MMAP_THRESHOLD.
+    MMAP_THRESHOLD = 128 * 1024
+
+    def test_the_transport_has_the_attribute_the_server_sets(self):
+        from asyncio.selector_events import _SelectorSocketTransport
+        assert _SelectorSocketTransport.max_size > self.MMAP_THRESHOLD
+        assert FRAME_LIMIT < self.MMAP_THRESHOLD
+
+    def test_fifty_requests_allocate_nothing_near_the_threshold(self):
+        with start_service("mesh9") as handle:
+            quiesce(handle)
+            with handle.client() as client:
+                client.request("ping")
+                tracemalloc.start()
+                try:
+                    client.request("ping")
+                    tracemalloc.reset_peak()
+                    held, _ = tracemalloc.get_traced_memory()
+                    for _ in range(50):
+                        assert "version" in client.request("ping")
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        assert peak - held < self.MMAP_THRESHOLD, (
+            f"{peak - held} bytes above the level held before: a "
+            f"receive buffer over the mmap threshold is back")
 
 
 class TestOversizedFrame:

@@ -1,9 +1,9 @@
 """Unit and property tests for topology generators."""
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.routing.graph import component
 from repro.sim import Environment
 from repro.topology import (
     TABLE1_NAMES,
@@ -23,6 +23,14 @@ def built_graph(spec):
     fabric = spec.build(env)
     fabric.power_up()
     return fabric.graph()
+
+
+def is_connected(g):
+    return len(component(g, next(iter(g.nodes)))) == len(g)
+
+
+def degree(g, node):
+    return len(g.adj[node])
 
 
 class TestSpecValidation:
@@ -73,9 +81,10 @@ class TestMesh:
 
     def test_connected_and_degrees(self):
         g = built_graph(make_mesh(4, 4))
-        assert nx.is_connected(g)
+        assert is_connected(g)
         switch_degrees = sorted(
-            d for n, d in g.degree() if g.nodes[n]["kind"] == "switch"
+            degree(g, n) for n, attrs in g.nodes.items()
+            if attrs["kind"] == "switch"
         )
         # Corner switches: 2 neighbours + endpoint = 3; centre: 5.
         assert switch_degrees[0] == 3
@@ -89,8 +98,8 @@ class TestMesh:
 
     def test_1xn_mesh_is_a_line(self):
         g = built_graph(make_mesh(1, 5))
-        assert nx.is_connected(g)
-        assert g.number_of_nodes() == 10
+        assert is_connected(g)
+        assert len(g) == 10
 
 
 class TestTorus:
@@ -102,9 +111,9 @@ class TestTorus:
 
     def test_all_switches_degree_5(self):
         g = built_graph(make_torus(4, 4))
-        for node, degree in g.degree():
-            if g.nodes[node]["kind"] == "switch":
-                assert degree == 5  # 4 neighbours + endpoint
+        for node, attrs in g.nodes.items():
+            if attrs["kind"] == "switch":
+                assert degree(g, node) == 5  # 4 neighbours + endpoint
 
     def test_dimension_minimum(self):
         with pytest.raises(ValueError):
@@ -114,7 +123,7 @@ class TestTorus:
         spec = make_torus(2, 2)
         spec.validate()
         g = built_graph(spec)
-        assert nx.is_connected(g)
+        assert is_connected(g)
 
 
 class TestFatTree:
@@ -136,21 +145,21 @@ class TestFatTree:
     def test_connected(self):
         for ports, levels in [(4, 2), (4, 3), (4, 4), (8, 2)]:
             g = built_graph(make_fattree(ports, levels))
-            assert nx.is_connected(g), f"{ports}-port {levels}-tree"
+            assert is_connected(g), f"{ports}-port {levels}-tree"
 
     def test_leaf_switches_fully_loaded(self):
         spec = make_fattree(4, 3)
         g = built_graph(spec)
-        leaf_switches = [n for n in g if n.startswith("sw_l0_")]
+        leaf_switches = [n for n in g.nodes if n.startswith("sw_l0_")]
         for sw in leaf_switches:
-            assert g.degree(sw) == 4  # 2 endpoints down + 2 up links
+            assert degree(g, sw) == 4  # 2 endpoints down + 2 up links
 
     def test_top_level_uses_only_down_ports(self):
         spec = make_fattree(4, 3)
         g = built_graph(spec)
-        top = [n for n in g if n.startswith("sw_l2_")]
+        top = [n for n in g.nodes if n.startswith("sw_l2_")]
         for sw in top:
-            assert g.degree(sw) == 2  # k down links, no up links
+            assert degree(g, sw) == 2  # k down links, no up links
 
     def test_odd_port_count_rejected(self):
         with pytest.raises(ValueError):
@@ -177,7 +186,7 @@ class TestIrregular:
     def test_connected(self):
         for seed in range(5):
             g = built_graph(make_irregular(12, extra_links=6, seed=seed))
-            assert nx.is_connected(g)
+            assert is_connected(g)
 
     def test_extra_links_add_cycles(self):
         tree = make_irregular(10, extra_links=0, seed=1)
@@ -251,8 +260,8 @@ class TestTable1:
     def test_every_topology_is_connected(self):
         for spec in table1_suite():
             g = built_graph(spec)
-            assert nx.is_connected(g), spec.name
-            assert g.number_of_nodes() == spec.total_devices
+            assert is_connected(g), spec.name
+            assert len(g) == spec.total_devices
 
 
 @settings(max_examples=20, deadline=None)
@@ -264,5 +273,5 @@ class TestTable1:
 def test_property_grid_topologies_always_connected(rows, cols, wrap):
     spec = make_torus(rows, cols) if wrap else make_mesh(rows, cols)
     g = built_graph(spec)
-    assert nx.is_connected(g)
-    assert g.number_of_nodes() == 2 * rows * cols
+    assert is_connected(g)
+    assert len(g) == 2 * rows * cols
