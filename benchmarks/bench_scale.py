@@ -14,7 +14,11 @@ full parallel discovery to completion, and records:
   of the kernel bench's raw events metric).  The recorded baseline
   counted events *scheduled* by a kernel that ran ~2.5x as many per
   packet hop, so compare ``discover_s`` with it, not this rate;
-* ``<point>_peak_rss_mb``  — peak resident set of the whole run.
+* ``<point>_build_rss_mb`` — peak resident set once the fabric is
+  built, so what the build holds and what the run adds read apart;
+* ``<point>_peak_rss_mb``  — peak resident set of the whole run;
+* ``<point>_heap_high_water`` — deepest the kernel's event heap got
+  (attached ports + 2 on an idle discovery: the attach kicks at t = 0).
 
 Every point runs in its own spawned child process so peak-RSS numbers
 are not polluted by earlier points, and an out-of-memory point cannot
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import multiprocessing
+import resource
 import sys
 import time
 from pathlib import Path
@@ -67,9 +72,12 @@ def _metric_key(name: str) -> str:
     return name.replace("-", "_")
 
 
+def _peak_rss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def _measure_point(name: str, queue) -> None:
     """Child-process body: build, discover, report one sweep point."""
-    import resource
 
     from repro.experiments.runner import build_simulation, run_until_ready
     from repro.topology import resolve_topology
@@ -78,6 +86,7 @@ def _measure_point(name: str, queue) -> None:
     spec = resolve_topology(name)
     setup = build_simulation(spec, algorithm="parallel")
     build_s = time.perf_counter() - t0
+    build_rss_mb = _peak_rss_mb()
 
     t1 = time.perf_counter()
     stats = run_until_ready(setup)
@@ -89,15 +98,17 @@ def _measure_point(name: str, queue) -> None:
             f"{name}: discovery found {stats.devices_found} of "
             f"{devices} devices"
         )
-    events = setup.env.vitals()["events_executed"]
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    vitals = setup.env.vitals()
+    events = vitals["events_executed"]
     queue.put({
         "devices": devices,
         "build_s": round(build_s, 3),
         "discover_s": round(discover_s, 3),
         "events": events,
         "events_per_s": round(events / discover_s, 1),
-        "peak_rss_mb": round(peak_rss_mb, 1),
+        "build_rss_mb": build_rss_mb,
+        "peak_rss_mb": _peak_rss_mb(),
+        "heap_high_water": vitals["heap_high_water"],
         "sim_time_ms": round(setup.env.now * 1e3, 3),
     })
 
@@ -148,7 +159,9 @@ def main(argv=None) -> int:
         metrics[f"{key}_build_s"] = result["build_s"]
         metrics[f"{key}_discover_s"] = result["discover_s"]
         metrics[f"{key}_events_per_s"] = result["events_per_s"]
+        metrics[f"{key}_build_rss_mb"] = result["build_rss_mb"]
         metrics[f"{key}_peak_rss_mb"] = result["peak_rss_mb"]
+        metrics[f"{key}_heap_high_water"] = result["heap_high_water"]
         units[f"{key}_build_s"] = (
             f"wall seconds to build {result['devices']} devices"
         )
@@ -156,12 +169,16 @@ def main(argv=None) -> int:
             f"wall seconds to discover {result['devices']} devices"
         )
         units[f"{key}_events_per_s"] = "kernel events per wall second"
+        units[f"{key}_build_rss_mb"] = "peak resident set after build (MiB)"
         units[f"{key}_peak_rss_mb"] = "peak resident set (MiB)"
+        units[f"{key}_heap_high_water"] = "deepest event heap (entries)"
         print(f"  {name:<22s} devices={result['devices']:>6,} "
               f"build={result['build_s']:>7.2f}s "
               f"discover={result['discover_s']:>7.2f}s "
               f"events/s={result['events_per_s']:>10,.0f} "
-              f"rss={result['peak_rss_mb']:>7.1f}MB")
+              f"rss={result['build_rss_mb']:>6.1f}->"
+              f"{result['peak_rss_mb']:.1f}MB "
+              f"heap={result['heap_high_water']:,}")
 
     if args.no_write:
         return 0

@@ -9,7 +9,6 @@ from .crc import crc8, crc32
 from .device import Device
 from .endpoint import Endpoint
 from .fabric import Fabric, FabricError
-from .flow_control import CreditCounter, CreditError
 from .header import HEADER_BYTES, TURN_POOL_BITS, HeaderError, RouteHeader
 from .packet import (
     PI_APPLICATION,
@@ -29,11 +28,10 @@ from .phy import Link, LinkError
 from .port import Port
 from .switch import Switch
 from .trace import PacketTracer, TraceEvent
-from .vc import VCType, VirtualChannel
+from .vc import CreditError, VCType, VirtualChannel
 
 __all__ = [
     "APPLICATION_TC",
-    "CreditCounter",
     "CreditError",
     "DEFAULT_PARAMS",
     "Device",

@@ -36,18 +36,29 @@ from typing import Optional, Tuple
 from ..sim.core import Environment, Infinity
 from ..sim.events import URGENT
 from ..sim.monitor import Counter
-from .flow_control import CreditCounter, CreditError
 from .header import HeaderError
 from .packet import Packet, PacketError
 from .params import FabricParams
 from .phy import DELIVER_CORRUPT, DELIVER_OK
-from .vc import VCType, VirtualChannel, default_vc_types
+from .vc import CreditError, VCType, VirtualChannel
 
 
 @lru_cache(maxsize=None)
 def _vc_details(vc_count: int) -> Tuple[str, ...]:
     """Flyweight trace detail strings, shared by every same-shaped port."""
     return tuple(f"vc={i}" for i in range(vc_count))
+
+
+@lru_cache(maxsize=None)
+def _vc_types(vc_count: int, names: Tuple[str, ...]) -> Tuple[VCType, ...]:
+    """Queue discipline per VC index, shared like the detail strings.
+
+    All BVCs unless ``FabricParams.vc_types`` names them: the paper's
+    management packets rely on bypass behaviour, and modeling every
+    unicast VC as a BVC gives them their priority path while keeping
+    the arbiter uniform.
+    """
+    return tuple(VCType(name) for name in names) or (VCType.BVC,) * vc_count
 
 
 #: Counted once or more per hop, so kept as integer slots on the port
@@ -59,16 +70,17 @@ HOT_COUNTERS = ("tx_queued", "tx_packets", "tx_bytes", "rx_packets",
 class Port:
     """One port of a fabric device.
 
-    The heavyweight per-port structures — VC queues, credit counters,
-    input-buffer accounting, the stats counter — are materialized
-    lazily on first use: a mega-scale fabric wires hundreds of
-    thousands of ports, but discovery traffic transits only the route
-    tree, so most ports never pay for them.
+    The heavyweight per-port structures — input-buffer accounting, the
+    stats counter, and one transmit record per virtual channel — are
+    materialized on first use.  A mega-scale fabric wires hundreds of
+    thousands of ports and a discovery sends out of every attached one,
+    but on the management VC only: a port pays for the VCs it has
+    used, not for the ones it implements.
     """
 
     __slots__ = (
         "device", "index", "params", "env", "link", "error_count",
-        *HOT_COUNTERS, "_stats", "_tx_vcs", "_credits", "_rx_use", "_tx_busy",
+        *HOT_COUNTERS, "_stats", "_folded", "_tx_vcs", "_rx_use", "_tx_busy",
         "_tx_kick_scheduled", "_queued", "_free_at", "_done_seq",
         "_ledger", "_blocked", "_trace", "_vc_detail", "_credit_unit",
         "_framing", "_pcrc", "_prop", "_byte_time", "_rx_cap",
@@ -89,11 +101,14 @@ class Port:
         self.tx_queued = self.tx_packets = self.tx_bytes = 0
         self.rx_packets = self.rx_bytes = 0
         self._stats = None
-        #: Per-VC output queues, remote input-buffer mirrors, and the
-        #: arbitration order — all ``None`` until this port transmits.
+        #: ``tx_queued + tx_packets + rx_packets`` at the last fold.
+        self._folded = 0
+        #: Transmit records (output queues + remote input-buffer
+        #: mirror) indexed by VC, ``None`` for a VC that never carried a
+        #: packet — and no list at all until this port transmits — and
+        #: the arbitration order: the records in use, highest VC first.
         self._tx_vcs = None
-        self._credits = None
-        self._pick_order = None
+        self._pick_order = ()
         #: Units currently held in our own input buffer, per VC
         #: (``None`` until this port receives).
         self._rx_use = None
@@ -151,10 +166,15 @@ class Port:
         stats = self._stats
         if stats is None:
             stats = self._stats = Counter()
-        for key in HOT_COUNTERS:
-            behind = getattr(self, key) - stats[key]
-            if behind:
-                stats.incr(key, behind)
+        # All five are monotone and the byte counters move only with
+        # their packet counter: an unchanged sum means nothing to fold.
+        moved = self.tx_queued + self.tx_packets + self.rx_packets
+        if moved != self._folded:
+            self._folded = moved
+            for key in HOT_COUNTERS:
+                behind = getattr(self, key) - stats[key]
+                if behind:
+                    stats.incr(key, behind)
         return stats
 
     @property
@@ -166,36 +186,31 @@ class Port:
         return self.stats
 
     @property
-    def credits(self):
-        """Remote input-buffer mirrors (empty until first transmit)."""
-        if self._credits is None:
-            return ()
+    def credits(self) -> Tuple[VirtualChannel, ...]:
+        """The transmit records of the VCs in use, lowest VC first,
+        their credit mirrors up to date (empty until first transmit;
+        a VC without a record holds every credit)."""
         self._settle_for_read()
-        return self._credits
+        return self._pick_order[::-1]
 
     @property
     def _rx_in_use(self):
         """Per-VC input-buffer occupancy (empty until first receive)."""
         return self._rx_use if self._rx_use is not None else ()
 
-    def _materialize_tx(self) -> None:
-        """Build the VC queues, credit mirrors, and arbitration order."""
+    def _open_vc(self, index: int) -> VirtualChannel:
+        """Create VC ``index``'s transmit record for its first packet."""
         params = self.params
-        if params.vc_types:
-            vc_types = [VCType(t) for t in params.vc_types]
-        else:
-            vc_types = default_vc_types(params.vc_count)
-        self._tx_vcs = [
-            VirtualChannel(i, vc_types[i]) for i in range(params.vc_count)
-        ]
-        self._credits = [
-            CreditCounter(self.env, params.rx_buffer_credits)
-            for _ in range(params.vc_count)
-        ]
+        if self._tx_vcs is None:
+            self._tx_vcs = [None] * params.vc_count
+            self._ledger = []
+        vc = self._tx_vcs[index] = VirtualChannel(
+            index, _vc_types(params.vc_count, params.vc_types)[index],
+            self._rx_cap)
+        # Strict priority goes by VC index, not by who sent first.
         self._pick_order = tuple(
-            (vc, self._credits[vc.index]) for vc in reversed(self._tx_vcs)
-        )
-        self._ledger = []
+            used for used in reversed(self._tx_vcs) if used is not None)
+        return vc
 
     # -- identity -------------------------------------------------------
     @property
@@ -239,27 +254,27 @@ class Port:
     def on_link_state(self, up: bool) -> None:
         """Called by the link on up/down transitions."""
         if not up:
-            # Lost packets' credits are resynchronized on retrain.
-            if self._credits is not None:
-                for counter in self._credits:
-                    counter.reset()
-                # Returns still under way belong to the lost packets.
+            used, self._pick_order = self._pick_order, ()
+            if self._tx_vcs is not None:
+                # Lost packets' credits are resynchronized on retrain
+                # and the returns still under way belong to them (a
+                # stale one is voided by its epoch): forget the records.
+                self._tx_vcs = None
                 self._ledger.clear()
                 self._blocked = False
+                self._queued = 0
             if self._rx_use is not None:
                 self._rx_use = [0] * self.params.vc_count
-            if self._tx_vcs is not None:
-                for vc in self._tx_vcs:
-                    dropped = len(vc)
-                    if dropped:
-                        self.stats.incr("tx_dropped_link_down", dropped)
-                    for packet in list(vc):
-                        # Forwarded packets still hold an input buffer
-                        # on another port of this device; free it.
-                        self.release_input(packet)
-                    vc.ordered.clear()
-                    vc.bypass.clear()
-                self._queued = 0
+            # Lowest VC first: a release draws a sequence number, and
+            # this is the order they have always been drawn in.
+            for vc in reversed(used):
+                dropped = len(vc)
+                if dropped:
+                    self.stats.incr("tx_dropped_link_down", dropped)
+                for packet in vc:
+                    # Forwarded packets still hold an input buffer
+                    # on another port of this device; free it.
+                    self.release_input(packet)
         self._wake()
         self.device.on_port_state_change(self, up)
 
@@ -290,11 +305,13 @@ class Port:
             self.stats.incr("tx_dropped_no_link")
             self.release_input(packet)
             return
-        if self._tx_vcs is None:
-            self._materialize_tx()
+        vcs = self._tx_vcs
+        vc = vcs[vc_index] if vcs is not None else None
+        if vc is None:
+            vc = self._open_vc(vc_index)
         packet.wire_units = units
         packet.wire_size = size
-        self._tx_vcs[vc_index].push(packet)
+        vc.push(packet)
         self._queued += 1
         self.tx_queued += 1
         if self._trace is not None:
@@ -359,12 +376,12 @@ class Port:
             self._settle(now, inline)
         # Strict priority: the highest VC whose head packet (bypass
         # queue first) has its credits available.
-        for vc, credit in self._pick_order:
+        for vc in self._pick_order:
             queue = vc.bypass or vc.ordered
             if queue:
                 packet = queue[0]
                 units = packet.wire_units
-                if credit.available >= units:
+                if vc.available >= units:
                     break
         else:
             if not self._blocked:
@@ -373,7 +390,7 @@ class Port:
         self._blocked = False
         queue.popleft()
         self._queued -= 1
-        credit.take(units)
+        vc.take(units)
         packet.header.credits_required = units if units < 31 else 31
         # The packet leaves this device's buffer as its first bit
         # hits the wire: release the upstream input buffer now.
@@ -409,13 +426,13 @@ class Port:
             error_model is not None
             and error_model.duplicate_rate > 0.0
             and error_model.duplicate()
-            and credit.available >= units
+            and vc.available >= units
         ):
             # Link-layer replay: the lane serializes a second copy
             # back-to-back.  The replay consumes its own credits (it
             # really occupies the remote buffer) and is skipped when
             # none are free.
-            credit.take(units)
+            vc.take(units)
             replay = self._clone_for_replay(packet)
             self.stats.incr("tx_replays")
             if self._trace is not None:
@@ -564,7 +581,7 @@ class Port:
         """A credit return a blocked sender was waiting for."""
         link = self.link
         if link.epoch == epoch and link.up:  # else voided by a link flap
-            self._credits[vc_index].release(units)
+            self._tx_vcs[vc_index].release(units)
             self._wake()
 
     def _settle(self, now: float, inline: bool = False,
@@ -578,7 +595,7 @@ class Port:
         ledger = self._ledger
         has_passed = self.env.has_passed
         link = self.link
-        credits = self._credits
+        vcs = self._tx_vcs
         arrived = 0
         for due, seq, vc_index, units, epoch in ledger:
             if not drained and (
@@ -587,7 +604,7 @@ class Port:
                 break
             arrived += 1
             if link.epoch == epoch and link.up:  # else voided by a flap
-                credits[vc_index].release(units)
+                vcs[vc_index].release(units)
         del ledger[:arrived]
 
     def _block(self) -> None:
@@ -604,7 +621,7 @@ class Port:
         self._ledger.clear()
 
     def _settle_for_read(self) -> None:
-        """Bring the credit counters up to date for introspection.
+        """Bring the credit mirrors up to date for introspection.
 
         Once the environment has no live event left nothing can
         interleave with the returns still under way, and a drained
@@ -627,33 +644,24 @@ class Port:
         schedules nothing, so calling it cannot perturb a golden run
         (credit returns that have arrived but not yet been applied are
         applied first; arbitration would do the same).
-        Lazily-materialized state reads as empty/full (the port never
-        transmitted, so nothing is queued and no credit is spent).
+        A VC without a record reads as empty/full (it never carried a
+        packet, so nothing is queued and no credit is spent), and the
+        read creates none.
         """
-        count = self.params.vc_count
+        params = self.params
         self._settle_for_read()
-        if self._tx_vcs is not None:
-            types = [vc.vc_type for vc in self._tx_vcs]
-        elif self.params.vc_types:
-            types = [VCType(t) for t in self.params.vc_types]
-        else:
-            types = default_vc_types(count)
+        types = _vc_types(params.vc_count, params.vc_types)
         rows = []
-        for index in range(count):
-            vc = self._tx_vcs[index] if self._tx_vcs is not None else None
-            credit = (self._credits[index]
-                      if self._credits is not None else None)
+        for index, vc in enumerate(self._tx_vcs or [None] * params.vc_count):
             rows.append({
                 "vc": index,
                 "type": types[index].value,
                 "tx_queued": 0 if vc is None else len(vc),
-                "tx_bypass_queued": 0 if vc is None else len(vc.bypass),
+                "tx_bypass_queued": 0 if vc is None else len(vc.bypass or ()),
                 "credits_available": (
-                    self._rx_cap if credit is None else credit.available
+                    self._rx_cap if vc is None else vc.available
                 ),
-                "credits_capacity": (
-                    self._rx_cap if credit is None else credit.capacity
-                ),
+                "credits_capacity": self._rx_cap,
                 "rx_units_in_use": (
                     0 if self._rx_use is None else self._rx_use[index]
                 ),

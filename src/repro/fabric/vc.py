@@ -1,4 +1,4 @@
-"""Virtual channels and TC/VC mapping.
+"""Virtual channels: per-VC transmit queues and credit flow control.
 
 The specification defines three VC types (section 2 of the paper):
 
@@ -11,6 +11,13 @@ The specification defines three VC types (section 2 of the paper):
 Arbiters serve VCs in strict priority order (higher VC index first in
 this model, so the management VC preempts application VCs) and serve a
 BVC's bypass queue ahead of its ordered queue.
+
+Flow control is credit based (PCI Express style): the transmitter
+mirrors the free space of the receiver's input buffer for each VC.
+Transmission of a packet takes ``credits_required`` units; the
+receiver returns them once the packet leaves its input buffer
+(forwarded by a switch or consumed by an endpoint), and the returned
+credits become visible to the sender one propagation delay later.
 """
 
 from __future__ import annotations
@@ -30,8 +37,18 @@ class VCType(Enum):
     MVC = "mvc"
 
 
+class CreditError(RuntimeError):
+    """Raised on credit-accounting violations (over-release, oversized)."""
+
+
 class VirtualChannel:
-    """One virtual channel's queue(s) at a port.
+    """One virtual channel's transmit state at a port: its queue(s) and
+    the credit mirror of the far side's input buffer for that VC.
+
+    A port creates the record for the first packet it queues on the
+    VC, and the record creates a queue at its first append (``None``
+    reads as empty): a discovery sends out of every attached port, but
+    through one queue of one VC, and an empty ``deque`` is 760 bytes.
 
     Parameters
     ----------
@@ -39,69 +56,80 @@ class VirtualChannel:
         VC number at the port.
     vc_type:
         Queue discipline; only :attr:`VCType.BVC` has a bypass queue.
+    capacity:
+        The far side's input buffer for this VC, in credit units.
     """
 
-    __slots__ = ("index", "vc_type", "ordered", "bypass")
+    __slots__ = ("index", "vc_type", "ordered", "bypass", "capacity",
+                 "available")
 
-    def __init__(self, index: int, vc_type: VCType = VCType.BVC):
+    def __init__(self, index: int, vc_type: VCType, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be at least 1 credit")
         self.index = index
         self.vc_type = vc_type
-        self.ordered: Deque[Packet] = deque()
-        self.bypass: Deque[Packet] = deque()
+        self.ordered: Optional[Deque[Packet]] = None
+        self.bypass: Optional[Deque[Packet]] = None
+        self.capacity = capacity
+        self.available = capacity
 
+    # -- queues ------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.ordered) + len(self.bypass)
-
-    def is_bypassable(self, packet: Packet) -> bool:
-        """Whether ``packet`` qualifies for this VC's bypass queue."""
-        return (
-            self.vc_type is VCType.BVC
-            and packet.header.ts == 1
-            and packet.header.oo == 0
-        )
+        return len(self.ordered or ()) + len(self.bypass or ())
 
     def push(self, packet: Packet) -> None:
         """Enqueue a packet into the appropriate queue."""
         header = packet.header
-        # ``is_bypassable``, spelled out: this runs once per hop.
         if (self.vc_type is VCType.BVC and header.ts == 1
                 and header.oo == 0):
-            self.bypass.append(packet)
+            queue = self.bypass
+            if queue is None:
+                queue = self.bypass = deque()
         else:
-            self.ordered.append(packet)
-
-    def peek(self) -> Optional[Packet]:
-        """Next packet that would be dequeued (bypass first)."""
-        if self.bypass:
-            return self.bypass[0]
-        if self.ordered:
-            return self.ordered[0]
-        return None
-
-    def pop(self) -> Packet:
-        """Dequeue the next packet (bypass queue has precedence)."""
-        if self.bypass:
-            return self.bypass.popleft()
-        if self.ordered:
-            return self.ordered.popleft()
-        raise IndexError("pop from empty virtual channel")
+            queue = self.ordered
+            if queue is None:
+                queue = self.ordered = deque()
+        queue.append(packet)
 
     def __iter__(self) -> Iterator[Packet]:
-        yield from self.bypass
-        yield from self.ordered
+        yield from self.bypass or ()
+        yield from self.ordered or ()
+
+    # -- credits -----------------------------------------------------------
+    def take(self, units: int) -> None:
+        """Reserve ``units`` credits the caller has seen are available.
+
+        The arbiter only picks a packet whose credits are free, so
+        there is nothing to wait for.
+        """
+        if units < 1:
+            raise ValueError("must take at least one credit")
+        if units > self.available:
+            raise CreditError(
+                f"take({units}) with {self.available} credits available"
+            )
+        self.available -= units
+
+    def release(self, units: int) -> None:
+        """Return ``units`` credits (receiver freed buffer space)."""
+        if units < 0:
+            raise ValueError("cannot release a negative credit count")
+        if self.available + units > self.capacity:
+            raise CreditError(
+                f"credit over-release: {self.available}+{units} exceeds "
+                f"capacity {self.capacity}"
+            )
+        self.available += units
+
+    @property
+    def in_use(self) -> int:
+        """Credits currently held by in-flight packets."""
+        return self.capacity - self.available
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (
             f"<VC{self.index} {self.vc_type.value} "
-            f"bypass={len(self.bypass)} ordered={len(self.ordered)}>"
+            f"bypass={len(self.bypass or ())} "
+            f"ordered={len(self.ordered or ())} "
+            f"credits={self.available}/{self.capacity}>"
         )
-
-
-def default_vc_types(vc_count: int) -> list:
-    """Default VC type assignment: all BVCs.
-
-    The paper's management packets rely on bypass behaviour; modeling
-    every unicast VC as a BVC gives management packets their priority
-    path while keeping the arbiter uniform.
-    """
-    return [VCType.BVC] * vc_count

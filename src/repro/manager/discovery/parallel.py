@@ -42,7 +42,10 @@ class ParallelDiscovery(DiscoveryAlgorithm):
             raise ValueError("parallel window must be at least 1")
         #: Maximum outstanding requests (None = unbounded, per Fig. 3).
         self.window = window
-        self._backlog: Deque[Tuple] = deque()
+        #: Dispatches waiting for the window (an unbounded one never
+        #: queues, and owns no deque).
+        self._backlog: Optional[Deque[Tuple]] = (
+            None if window is None else deque())
 
     # -- windowing ------------------------------------------------------
     def _can_send(self) -> bool:

@@ -315,9 +315,7 @@ class PartialAssimilationManager(FabricManager):
             self.tracer.end(self._burst_span, stats.finished_at,
                             devices=stats.devices_found)
         self._burst_span = None
-        self.history.append(stats)
-        for callback in list(self.on_discovery_complete):
-            callback(stats)
+        self._record(stats)
         suspects, self._burst_suspects = self._burst_suspects, set()
         if suspects:
             if self._resolve_inconsistency(suspects, stats):
@@ -402,9 +400,7 @@ class PartialAssimilationManager(FabricManager):
             stats.finished_at = self.env.now
             stats.devices_found = len(self.database)
             self.counters.incr("discovery_aborted")
-            self.history.append(stats)
-            for callback in list(self.on_discovery_complete):
-                callback(stats)
+            self._record(stats)
             if self.ready_event is None or self.ready_event.triggered:
                 self.ready_event = self.env.event()
             self._finish_ready(stats)

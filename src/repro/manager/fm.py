@@ -165,7 +165,8 @@ class FabricManager:
         self.tracer = None
         self.database = TopologyDatabase()
         self.discovery: Optional[DiscoveryAlgorithm] = None
-        #: Stats of every completed discovery, in order.
+        #: Stats of every completed discovery, in order (the Fig. 7(a)
+        #: timeline of the newest only, see :meth:`_record`).
         self.history: List[DiscoveryStats] = []
         #: Triggers when the current discovery's event routes are
         #: programmed (or immediately after discovery if disabled).
@@ -474,11 +475,22 @@ class FabricManager:
         # that the run missed.
         return not event.up
 
-    def _discovery_finished(self, event) -> None:
-        stats: DiscoveryStats = event.value
+    def _record(self, stats: DiscoveryStats) -> None:
+        """Enter a finished discovery in the history and announce it.
+
+        Every summary field of every run is kept; the per-completion
+        timeline only of the newest, or a long-lived FM under churn
+        grows by one tuple per packet it ever processed.
+        """
+        if self.history:
+            self.history[-1].packet_timeline = []
         self.history.append(stats)
         for callback in list(self.on_discovery_complete):
             callback(stats)
+
+    def _discovery_finished(self, event) -> None:
+        stats: DiscoveryStats = event.value
+        self._record(stats)
         deferred, self._deferred_events = self._deferred_events, []
         stale_deferred = any(
             not self._event_assimilated(e) for e in deferred

@@ -78,9 +78,10 @@ class ManagementEntity:
         #: consumed by the host, not the management firmware.
         self.app_handler: Optional[Callable[[Packet, Optional[Port]], None]] = None
         self._event_seq = count(1)
-        #: Packets waiting for the serial processing slot, and whether
-        #: the slot is taken (a cost timer or a hand-over is pending).
-        self._backlog: deque = deque()
+        #: Packets waiting for the serial processing slot (no deque
+        #: before the first one arrives), and whether the slot is taken
+        #: (a cost timer or a hand-over is pending).
+        self._backlog: Optional[deque] = None
         self._working = False
         #: ``(packet, port, message)`` being charged its processing time.
         self._current = None
@@ -137,6 +138,8 @@ class ManagementEntity:
             # Let the manager clear request timers at arrival time; the
             # packet still waits for its serial processing slot.
             self.manager.note_packet_arrival(packet)
+        if self._backlog is None:
+            self._backlog = deque()
         self._backlog.append((packet, port))
         if not self._working:
             self._working = True

@@ -1,0 +1,202 @@
+"""What a port costs, as counts: no host speed or allocator in them.
+
+A port's transmit state is one record per virtual channel it has sent
+on, and a record's queues exist from their first append.  These pins
+count objects (``gc.get_objects``) and read the records directly.
+"""
+
+import gc
+from collections import deque
+
+import pytest
+
+from repro.experiments.runner import build_simulation, run_until_ready
+from repro.fabric import CreditError, FabricParams
+from repro.fabric.params import MANAGEMENT_TC
+from repro.routing.turnpool import Hop, build_turn_pool
+from repro.topology import resolve_topology
+
+from .test_port_flow import data_packet, two_endpoints_one_switch
+
+POOL = build_turn_pool([Hop(16, 0, 1)])
+
+
+def live_deques():
+    gc.collect()
+    return [o for o in gc.get_objects() if type(o) is deque]
+
+
+@pytest.fixture(scope="module")
+def discovered():
+    """An idle parallel discovery of fattree2-256, and the deques that
+    building and running it left alive."""
+    before = live_deques()  # held, so no id below is a recycled one
+    known = set(map(id, before))
+    setup = build_simulation(resolve_topology("fattree2-256"))
+    run_until_ready(setup)
+    created = [d for d in live_deques() if id(d) not in known]
+    return setup, created
+
+
+def all_ports(setup):
+    return [port for device in setup.fabric.devices.values()
+            for port in device.ports]
+
+
+class TestDiscoveryFootprint:
+    def test_one_deque_per_transmitting_port_and_queried_entity(
+            self, discovered):
+        setup, created = discovered
+        transmitting = sum(1 for p in all_ports(setup) if p.credits)
+        queried = sum(1 for e in setup.entities.values()
+                      if e._backlog is not None)
+        assert transmitting > 500 and queried == len(setup.entities)
+        # The parent of this pin: 6 x transmitting + devices.
+        assert len(created) <= transmitting + queried
+
+    def test_a_discovery_uses_one_queue_of_the_management_vc(
+            self, discovered):
+        setup, _ = discovered
+        management = setup.fabric.params.tc_vc_map[MANAGEMENT_TC]
+        for port in all_ports(setup):
+            for vc in port.credits:
+                assert vc.index == management
+                assert vc.ordered is None and not vc.bypass
+                assert vc.available == vc.capacity
+
+    def test_heap_depth_is_the_attach_kicks(self, discovered):
+        """Heap depth candidates of ROADMAP item 3, measured: the
+        high-water mark is the URGENT attach kicks standing at t = 0,
+        not request timeouts.  Eliding the kicks moves this number."""
+        setup, _ = discovered
+        attached = sum(1 for p in all_ports(setup) if p.link is not None)
+        high_water = setup.env.vitals()["heap_high_water"]
+        assert 0 <= high_water - attached <= 64
+
+
+class TestRecordsFollowUse:
+    def test_a_wired_port_that_never_sent_owns_nothing(self):
+        env, fabric = two_endpoints_one_switch()
+        env.run()  # the attach kicks
+        for device in fabric.devices.values():
+            for port in device.ports:
+                rows = port.vc_stats()
+                assert port.credits == ()
+                assert port._tx_vcs is None and port._ledger is None
+                assert [r["credits_available"] for r in rows] == [
+                    r["credits_capacity"] for r in rows]
+
+    def test_only_the_vc_that_carried_a_packet_gets_a_record(self):
+        env, fabric = two_endpoints_one_switch()
+        fabric.device("ep1").local_handler = lambda p, port: None
+        fabric.device("ep0").inject(data_packet(POOL, tc=0))
+        env.run()
+        port = fabric.device("ep0").ports[0]
+        assert [vc.index for vc in port.credits] == [0]
+        assert port._tx_vcs[1] is None
+        assert port.vc_stats()[1]["credits_available"] == 16
+        assert port._tx_vcs[1] is None  # and reading made none
+
+    def test_a_failed_link_reads_idle_with_full_credits(self):
+        env, fabric = two_endpoints_one_switch()
+        ep0 = fabric.device("ep0")
+        for _ in range(6):
+            ep0.inject(data_packet(POOL, payload_bytes=400))
+        env.run(until=50e-9)  # first head on the wire, five queued
+        port = ep0.ports[0]
+        assert port.queued_packets() and port.credits[0].in_use
+        fabric.fail_link("ep0", "sw")
+        assert port.queued_packets() == 0
+        assert port.credits == ()
+        for row in port.vc_stats():
+            assert row["tx_queued"] == 0
+            assert row["credits_available"] == row["credits_capacity"]
+        env.run()  # stale returns and arrivals are voided, not applied
+        assert port.credits == ()
+        assert port.stats["tx_dropped_link_down"] > 0
+
+
+class TestStrictPriority:
+    """By VC index — not by which record a port happened to create
+    first, the one new way to get arbitration wrong."""
+
+    def arrivals(self, fabric):
+        got = []
+        fabric.device("ep1").local_handler = (
+            lambda packet, port: got.append(packet.header.tc))
+        return got
+
+    def test_higher_vc_leaves_first_though_created_second(self):
+        env, fabric = two_endpoints_one_switch()
+        got = self.arrivals(fabric)
+        ep0 = fabric.device("ep0")
+        ep0.inject(data_packet(POOL, tc=0))  # creates the VC0 record
+        ep0.inject(data_packet(POOL, tc=0))
+        ep0.inject(data_packet(POOL, tc=MANAGEMENT_TC))  # then VC1's
+        port = ep0.ports[0]
+        assert [vc.index for vc in port._pick_order] == [1, 0]
+        env.run()
+        assert got == [MANAGEMENT_TC, 0, 0]
+
+    def test_lower_vc_proceeds_while_the_higher_has_no_credits(self):
+        env, fabric = two_endpoints_one_switch()
+        got = self.arrivals(fabric)
+        ep0 = fabric.device("ep0")
+        ep0.inject(data_packet(POOL, tc=0))
+        ep0.inject(data_packet(POOL, tc=MANAGEMENT_TC))
+        port = ep0.ports[0]
+        high = port._tx_vcs[1]
+        spent = high.available
+        high.take(spent)  # the far buffer for VC1 is full
+        env.run()
+        assert got == [0]
+        assert port.vc_stats()[1]["tx_queued"] == 1
+        # The return a blocked sender waits for restarts it.
+        port._credit_event(1, spent, port.link.epoch)
+        env.run()
+        assert got == [0, MANAGEMENT_TC]
+
+
+class TestLinkDownReleaseOrder:
+    def test_dropped_packets_free_their_buffers_lowest_vc_first(self):
+        """Each release draws a sequence number for its credit return,
+        so the order is part of every golden: VC0's queue, then VC1's —
+        the reverse of the arbitration order the records are kept in."""
+        env, fabric = two_endpoints_one_switch()
+        ep0, sw = fabric.device("ep0"), fabric.device("sw")
+        for tc in (0, MANAGEMENT_TC):
+            ep0.inject(data_packet(POOL, tc=tc))
+        env.run()
+        egress = sw.ports[1]
+        for vc in egress.credits:
+            vc.take(vc.available)  # nothing leaves the switch any more
+        for tc in (MANAGEMENT_TC, 0, MANAGEMENT_TC, 0):
+            ep0.inject(data_packet(POOL, tc=tc))
+        env.run()
+        assert egress.queued_packets() == 4
+        returns = ep0.ports[0]._ledger
+        settled = len(returns)
+        fabric.fail_link("sw", "ep1")
+        assert [entry[2] for entry in returns[settled:]] == [0, 0, 1, 1]
+
+
+class TestConservationChecksStay:
+    def test_over_release_through_the_port_raises(self):
+        env, fabric = two_endpoints_one_switch(
+            FabricParams(rx_buffer_credits=8))
+        fabric.device("ep1").local_handler = lambda p, port: None
+        fabric.device("ep0").inject(data_packet(POOL))
+        env.run()
+        port = fabric.device("ep0").ports[0]
+        assert port.credits[0].available == 8
+        with pytest.raises(CreditError, match="over-release"):
+            port._credit_event(0, 1, port.link.epoch)
+
+    def test_take_beyond_available_through_the_port_raises(self):
+        env, fabric = two_endpoints_one_switch(
+            FabricParams(rx_buffer_credits=8))
+        fabric.device("ep0").inject(data_packet(POOL))
+        vc = fabric.device("ep0").ports[0].credits[0]
+        with pytest.raises(CreditError, match="8 credits available"):
+            vc.take(9)
+        assert vc.available == 8

@@ -2,58 +2,58 @@
 
 import pytest
 
-from repro.fabric.flow_control import CreditCounter, CreditError
 from repro.fabric.header import RouteHeader
 from repro.fabric.packet import Packet
-from repro.fabric.vc import VCType, VirtualChannel
-from repro.sim import Environment
+from repro.fabric.vc import CreditError, VCType, VirtualChannel
 
 
 def pkt(ts=0, oo=0, tc=0):
     return Packet(header=RouteHeader(pi=4, tc=tc, ts=ts, oo=oo))
 
 
+def channel(vc_type=VCType.BVC, capacity=4):
+    return VirtualChannel(0, vc_type, capacity)
+
+
 class TestVirtualChannel:
     def test_fifo_within_ordered_queue(self):
-        vc = VirtualChannel(0, VCType.BVC)
+        vc = channel()
         a, b = pkt(), pkt()
         vc.push(a)
         vc.push(b)
-        assert vc.pop() is a
-        assert vc.pop() is b
+        assert list(vc.ordered) == [a, b]
+        assert vc.bypass is None  # a queue exists once it is used
 
     def test_bypassable_packet_overtakes_ordered(self):
-        vc = VirtualChannel(0, VCType.BVC)
+        vc = channel()
         data = pkt(ts=0)
         mgmt = pkt(ts=1)
         vc.push(data)
         vc.push(mgmt)
-        assert vc.peek() is mgmt
-        assert vc.pop() is mgmt
-        assert vc.pop() is data
+        # The arbiter's pick: the bypass queue's head, if it has one.
+        assert (vc.bypass or vc.ordered)[0] is mgmt
+        assert list(vc) == [mgmt, data]
 
     def test_oo_bit_forbids_bypass(self):
-        vc = VirtualChannel(0, VCType.BVC)
+        vc = channel()
         first = pkt(ts=0)
         ordered_only = pkt(ts=1, oo=1)
         vc.push(first)
         vc.push(ordered_only)
-        assert vc.pop() is first
+        assert list(vc) == [first, ordered_only]
+        assert vc.bypass is None
 
     def test_ovc_has_no_bypass(self):
-        vc = VirtualChannel(0, VCType.OVC)
+        vc = channel(VCType.OVC)
         data = pkt(ts=0)
         mgmt = pkt(ts=1)
         vc.push(data)
         vc.push(mgmt)
-        assert vc.pop() is data
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            VirtualChannel(0).pop()
+        assert list(vc) == [data, mgmt]
 
     def test_len_and_iter(self):
-        vc = VirtualChannel(0, VCType.BVC)
+        vc = channel()
+        assert len(vc) == 0 and list(vc) == []  # no queue yet
         a, b, c = pkt(ts=1), pkt(), pkt()
         for p in (b, a, c):
             vc.push(p)
@@ -62,74 +62,43 @@ class TestVirtualChannel:
 
 
 class TestCreditCounter:
+    """The credit mirror half of the record."""
+
     def test_instant_grant_when_available(self):
-        env = Environment()
-        counter = CreditCounter(env, capacity=8)
-        grant = counter.consume(3)
-        assert grant.triggered
-        assert counter.available == 5
-        assert counter.in_use == 3
-
-    def test_blocks_until_release(self):
-        env = Environment()
-        counter = CreditCounter(env, capacity=4)
-        counter.consume(4)
-        waiting = counter.consume(2)
-        assert not waiting.triggered
-        counter.release(2)
-        assert waiting.triggered
-        assert counter.available == 0
-
-    def test_fifo_no_starvation_of_large_packet(self):
-        env = Environment()
-        counter = CreditCounter(env, capacity=4)
-        counter.consume(4)
-        big = counter.consume(4)
-        small = counter.consume(1)
-        counter.release(2)
-        # The big packet is first in line; the small one must wait even
-        # though 2 credits would satisfy it.
-        assert not big.triggered
-        assert not small.triggered
-        counter.release(2)
-        assert big.triggered
-        assert not small.triggered
+        vc = channel(capacity=8)
+        vc.take(3)
+        assert vc.available == 5
+        assert vc.in_use == 3
 
     def test_take_reserves_without_an_event_or_refuses(self):
-        env = Environment()
-        counter = CreditCounter(env, capacity=4)
-        assert counter.take(3) is None
-        assert counter.available == 1
+        vc = channel()
+        assert vc.take(3) is None
+        assert vc.available == 1
         with pytest.raises(CreditError, match="1 credits available"):
-            counter.take(2)
-        assert counter.available == 1
-        # It never jumps a queued grant either.
-        counter.consume(4)
-        with pytest.raises(CreditError, match="1 grants queued"):
-            counter.take(1)
-        assert env.vitals()["sequence_numbers_drawn"] == 0
+            vc.take(2)
+        assert vc.available == 1
+        vc.release(3)
+        assert vc.available == 4
 
     def test_oversized_request_rejected(self):
-        env = Environment()
-        counter = CreditCounter(env, capacity=4)
+        vc = channel()
         with pytest.raises(CreditError, match="credits"):
-            counter.consume(5)
+            vc.take(5)
+        assert vc.available == 4
 
     def test_over_release_rejected(self):
-        env = Environment()
-        counter = CreditCounter(env, capacity=4)
+        vc = channel()
         with pytest.raises(CreditError, match="over-release"):
-            counter.release(1)
+            vc.release(1)
 
     def test_validation(self):
-        env = Environment()
         with pytest.raises(ValueError):
-            CreditCounter(env, capacity=0)
-        counter = CreditCounter(env, capacity=4)
+            channel(capacity=0)
+        vc = channel()
         with pytest.raises(ValueError):
-            counter.consume(0)
+            vc.take(0)
         with pytest.raises(ValueError):
-            counter.release(-1)
+            vc.release(-1)
 
 
 class TestPacketSizing:

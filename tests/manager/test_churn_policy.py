@@ -175,6 +175,11 @@ class TestPartialMidAssimilation:
             + fm.counters["partial_fallbacks"]
         )
         assert recovery >= 1
+        # Bursts enter the history like full walks: every summary is
+        # kept, the per-packet timeline of the newest run only.
+        assert len(fm.history) >= 3
+        assert fm.history[0].completions_received > 0
+        assert not any(s.packet_timeline for s in fm.history[:-1])
 
     def test_repair_prefers_partial_machinery(self):
         # Force the repair path directly: mark a healthy subtree

@@ -293,6 +293,25 @@ class TestHotPortCounters:
         assert seen["tx_packets"] == 1
         assert seen["tx_bytes"] == 68
 
+    def test_an_unchanged_port_is_not_folded_again(self):
+        """A scrape reads every used port; most did not move since the
+        last one, and their bundle comes back without a lookup."""
+        fabric = self._relay()
+        fabric.env.run()
+        port = fabric.devices["A"].ports[0]
+        folded = port.stats
+
+        class Untouchable:
+            def __getitem__(self, key):
+                raise AssertionError(f"folded {key} though nothing moved")
+
+        port._stats = Untouchable()
+        assert port.stats is port._stats
+        port._stats = folded
+        port.tx_packets += 1  # movement is one of three packet counts
+        port.tx_bytes += 68
+        assert (port.stats["tx_packets"], port.stats["tx_bytes"]) == (2, 136)
+
     def test_a_port_that_never_counted_has_no_counter(self):
         fabric = self._relay()
         fabric.env.run()

@@ -181,6 +181,32 @@ class TestMutationRoundTrip:
                 assert err.value.code == "bad-mutation"
 
 
+class TestRetainedHistory:
+    def test_a_long_lived_fm_keeps_one_timeline(self):
+        """Every discovery is counted and summarised for good; the
+        per-packet Fig. 7(a) series only of the newest one, or the
+        daemon grows with every packet it ever processed."""
+        rounds = 32
+        with start_service("mesh9") as handle:
+            with handle.client() as client:
+                done = _wait_for(client, lambda s: s["ready"])["discoveries"]
+                largest = 0
+                for _ in range(rounds):
+                    client.request("rediscover", force=True)
+                    done += 1
+                    _wait_for(client, lambda s: s["ready"]
+                              and s["discoveries"] == done)
+                    kept = handle.driver.call(lambda setup: [
+                        len(stats.packet_timeline)
+                        for stats in setup.fm.history])
+                    largest = max(largest, kept[-1])
+                    assert kept[-1] > 0 and not any(kept[:-1])
+                status = client.request("status")
+                assert status["discoveries"] == done > rounds
+                assert status["last_discovery"]["completions_received"] \
+                    == kept[-1] <= largest
+
+
 class TestShutdown:
     def test_shutdown_op_stops_the_service(self):
         handle = start_service("mesh9")

@@ -26,8 +26,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: and closures they replace; 12,633 before PR 16's kernel diet and
 #: request barrier; 12,111 before PR 18, whose 60-line graph module is
 #: paid for by the second route-tree builder, the CRC-32 table and the
-#: duplicate hop builder it deleted).
-TOTAL_CEILING = 12_080
+#: duplicate hop builder it deleted; 12,080 before PR 19 merged
+#: ``VirtualChannel`` and ``CreditCounter`` into one transmit record and
+#: deleted the grant queue nothing called).
+TOTAL_CEILING = 12_011
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; what is left is the callback kernel plus
 #: ``Process``/``Timeout`` for the five loop-shaped workloads).
