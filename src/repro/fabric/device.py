@@ -20,7 +20,12 @@ from ..sim.core import Environment
 from ..sim.monitor import Counter
 from .packet import Packet
 from .params import FabricParams
-from .port import Port
+from .port import Port, fold_counters
+
+#: Counted once per hop or per packet, so kept as integer slots on the
+#: device (same names) and folded into ``stats`` on read, like the
+#: port's ``HOT_COUNTERS``.
+HOT_COUNTERS = ("forwarded", "injected", "consumed")
 
 
 class Device:
@@ -37,9 +42,9 @@ class Device:
     capability_version = 0x0100
 
     __slots__ = (
-        "env", "name", "dsn", "params", "active", "stats", "_nports",
+        "env", "name", "dsn", "params", "active", "_stats", "_nports",
         "ports", "config_space", "local_handler", "_trace_hook",
-        "port_state_observer",
+        "port_state_observer", *HOT_COUNTERS,
     )
 
     def __init__(self, env: Environment, name: str, dsn: int, nports: int,
@@ -51,7 +56,10 @@ class Device:
         self.dsn = dsn
         self.params = params
         self.active = False
-        self.stats = Counter()
+        #: The rare counters; read it through ``stats``, which folds
+        #: the hot ones in.
+        self._stats = Counter()
+        self.forwarded = self.injected = self.consumed = 0
         #: Port count, cached for the routing hot path (ports are fixed
         #: at construction).
         self._nports = nports
@@ -82,6 +90,12 @@ class Device:
     @property
     def nports(self) -> int:
         return self._nports
+
+    @property
+    def stats(self) -> Counter:
+        """Per-device counters, brought up to date with the integer
+        hot counters on every read."""
+        return fold_counters(self._stats, self, HOT_COUNTERS)
 
     # -- tracing -----------------------------------------------------------
     @property
@@ -121,7 +135,7 @@ class Device:
         """Send a locally generated packet out of ``port_index``."""
         packet.src = packet.src or self.name
         packet.created_at = self.env.now
-        self.stats.incr("injected")
+        self.injected += 1
         if self._trace_hook is not None:
             self._trace_hook("inject", self, port_index, packet)
         self.ports[port_index].send(packet)
@@ -138,9 +152,9 @@ class Device:
         if port is not None:
             Port.release_input(packet)
         if not self.active:
-            self.stats.incr("rx_dropped_inactive")
+            self._stats.incr("rx_dropped_inactive")
             return
-        self.stats.incr("consumed")
+        self.consumed += 1
         if self._trace_hook is not None:
             self._trace_hook(
                 "deliver", self,
@@ -149,12 +163,12 @@ class Device:
         if self.local_handler is not None:
             self.local_handler(packet, port)
         else:
-            self.stats.incr("rx_no_handler")
+            self._stats.incr("rx_no_handler")
 
     # -- events ------------------------------------------------------------------
     def on_port_state_change(self, port: Port, up: bool) -> None:
         """A local port changed state (link trained or failed)."""
-        self.stats.incr("port_up" if up else "port_down")
+        self._stats.incr("port_up" if up else "port_down")
         if self.port_state_observer is not None and self.active:
             self.port_state_observer(self, port, up)
 

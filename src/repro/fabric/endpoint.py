@@ -37,7 +37,7 @@ class Endpoint(Device):
             # A forward route should be exhausted on arrival at an
             # endpoint; leftover turn bits indicate a stale or corrupt
             # route.  Count and drop.
-            self.stats.incr("header_errors")
+            self._stats.incr("header_errors")
             port.error_count += 1
             Port.release_input(packet)
             return

@@ -56,11 +56,15 @@ class Packet:
     meta: Dict[str, Any] = field(default_factory=dict)
     #: Hop counter maintained by switches (diagnostics only).
     hops: int = 0
-    #: Wire size and credit footprint under the parameters of the port
-    #: that queued the packet last (:meth:`Port.send` stamps them for
-    #: its arbitration and transmission).
+    #: Wire size and credit footprint under ``wire_params``, the
+    #: ``FabricParams`` object of the port that stamped the packet
+    #: (:meth:`Port.send`, for its arbitration and transmission; a
+    #: payload is not resized once sent, so the next port with the
+    #: same parameters reuses the stamp).
     wire_size: int = field(default=0, init=False, repr=False, compare=False)
     wire_units: int = field(default=0, init=False, repr=False, compare=False)
+    wire_params: Any = field(default=None, init=False, repr=False,
+                             compare=False)
     #: The input buffer the packet occupies, as ``(port, vc, units,
     #: epoch)``, from head arrival until it starts its next
     #: transmission or is consumed (virtual cut-through); ``None``

@@ -23,9 +23,12 @@ held, which keeps every run bit-identical:
   not pushed (:meth:`Port._tx_start`, :meth:`Port._wake`);
 * a credit return matters only to a sender blocked on credits: until
   then it waits in the sender's ledger and is applied when the sender
-  next arbitrates (:meth:`Port._return_credits`, :meth:`Port._settle`);
+  next arbitrates (:meth:`Port.release_input`, :meth:`Port._settle`);
 * a zero-delay kick that would be the very next pop runs inline, and
-  one that would find nothing queued is not scheduled at all.
+  one that would find nothing queued is not scheduled at all;
+* a packet that inline kick would find alone — nothing queued, lane
+  free, credits in hand — is transmitted by :meth:`Port.send` itself
+  and never enters a queue.
 """
 
 from __future__ import annotations
@@ -65,6 +68,15 @@ def _vc_types(vc_count: int, names: Tuple[str, ...]) -> Tuple[VCType, ...]:
 #: (same names) instead of going through ``Counter.incr``.
 HOT_COUNTERS = ("tx_queued", "tx_packets", "tx_bytes", "rx_packets",
                 "rx_bytes")
+
+
+def fold_counters(stats: Counter, owner, keys: Tuple[str, ...]) -> Counter:
+    """Bring ``stats`` up to date with ``owner``'s integer slots."""
+    for key in keys:
+        behind = getattr(owner, key) - stats[key]
+        if behind:
+            stats.incr(key, behind)
+    return stats
 
 
 class Port:
@@ -171,10 +183,7 @@ class Port:
         moved = self.tx_queued + self.tx_packets + self.rx_packets
         if moved != self._folded:
             self._folded = moved
-            for key in HOT_COUNTERS:
-                behind = getattr(self, key) - stats[key]
-                if behind:
-                    stats.incr(key, behind)
+            fold_counters(stats, self, HOT_COUNTERS)
         return stats
 
     @property
@@ -280,7 +289,9 @@ class Port:
 
     # -- transmit side ------------------------------------------------------
     def send(self, packet: Packet) -> None:
-        """Queue a packet for transmission out of this port.
+        """Transmit a packet out of this port: at once if it meets a
+        free lane with credits in hand and nothing else is due at this
+        instant, through its VC's queue otherwise.
 
         Raises
         ------
@@ -290,9 +301,15 @@ class Port:
             queue forever (real links negotiate max payload against
             buffer size at training time).
         """
-        size, units = packet.wire_footprint(
-            self._credit_unit, self._framing, self._pcrc
-        )
+        params = self.params
+        if packet.wire_params is params:
+            units = packet.wire_units
+        else:
+            packet.wire_size, units = packet.wire_footprint(
+                self._credit_unit, self._framing, self._pcrc
+            )
+            packet.wire_units = units
+            packet.wire_params = params
         if units > self._rx_cap:
             self.release_input(packet)
             raise CreditError(
@@ -301,7 +318,8 @@ class Port:
                 f"lower max_payload or raise rx_buffer_credits"
             )
         vc_index = self._tc_vc_map[packet.header.tc & 0x7]
-        if self.link is None or not self.link.up or not self.device.active:
+        link = self.link
+        if link is None or not link.up or not self.device.active:
             self.stats.incr("tx_dropped_no_link")
             self.release_input(packet)
             return
@@ -309,14 +327,33 @@ class Port:
         vc = vcs[vc_index] if vcs is not None else None
         if vc is None:
             vc = self._open_vc(vc_index)
-        packet.wire_units = units
-        packet.wire_size = size
-        vc.push(packet)
-        self._queued += 1
         self.tx_queued += 1
         if self._trace is not None:
             self._trace("enqueue", self.device, self.index, packet,
                         f"vc{vc_index}")
+        # The uncontended packet: nothing queued, no kick pending, the
+        # lane free and nothing else due at this instant.  The kick
+        # ``_wake`` would run inline finds this packet alone, so it is
+        # transmitted without passing through a queue.
+        if not (self._queued or self._tx_kick_scheduled):
+            env = self.env
+            now = env.now
+            seq = self._done_seq
+            free_at = self._free_at
+            if seq >= 0 and (free_at < now or (
+                    free_at == now and env.has_passed(now, seq))):
+                # The elided done timer would have fired and found
+                # nothing (``_wake`` does the same).
+                self._done_seq = -1
+                self._tx_busy = False
+            if not self._tx_busy and env.quiet():
+                if self._ledger:
+                    self._settle(now, True)
+                if vc.available >= units:
+                    self._tx_start(True, packet, vc)
+                    return
+        vc.push(packet)
+        self._queued += 1
         self._wake()
 
     def _wake(self) -> None:
@@ -336,8 +373,9 @@ class Port:
             if seq < 0:
                 return
             self._done_seq = -1
-            if not env.has_passed(self._free_at, seq):
-                env.schedule_at(self._free_at, seq, self._tx_done)
+            free_at = self._free_at
+            if free_at > env.now or not env.has_passed(free_at, seq):
+                env.schedule_at(free_at, seq, self._tx_done)
                 return
             # The elided timer would have fired and found nothing.
             self._tx_busy = False
@@ -357,7 +395,9 @@ class Port:
         self._tx_busy = False
         self._tx_start()
 
-    def _tx_start(self, inline: bool = False) -> None:
+    def _tx_start(self, inline: bool = False,
+                  packet: Optional[Packet] = None,
+                  vc: Optional[VirtualChannel] = None) -> None:
         """Arbitrate, reserve credits, serialize, deliver (one packet).
 
         The transmit engine is a callback-driven state machine rather
@@ -365,32 +405,39 @@ class Port:
         it; while serializing it is *busy* and re-arbitrates from
         :meth:`_tx_done`.  ``inline`` says the call stands in for a
         zero-delay kick that would have been the next pop: it ranks
-        after every sequence number drawn so far.
+        after every sequence number drawn so far.  :meth:`send` passes
+        the ``packet`` it found uncontended and its ``vc`` record —
+        the ledger settled, the credits seen — and there is nothing to
+        arbitrate.
         """
         link = self.link
-        if link is None or not link.up or not self._queued:
-            return
         env = self.env
         now = env.now
-        if self._ledger:
-            self._settle(now, inline)
-        # Strict priority: the highest VC whose head packet (bypass
-        # queue first) has its credits available.
-        for vc in self._pick_order:
-            queue = vc.bypass or vc.ordered
-            if queue:
-                packet = queue[0]
-                units = packet.wire_units
-                if vc.available >= units:
-                    break
+        if packet is None:
+            if link is None or not link.up or not self._queued:
+                return
+            if self._ledger:
+                self._settle(now, inline)
+            # Strict priority: the highest VC whose head packet (bypass
+            # queue first) has its credits available.
+            for vc in self._pick_order:
+                queue = vc.bypass or vc.ordered
+                if queue:
+                    packet = queue[0]
+                    if vc.available >= packet.wire_units:
+                        break
+            else:
+                if not self._blocked:
+                    self._block()
+                return
+            self._blocked = False
+            queue.popleft()
+            self._queued -= 1
+        units = packet.wire_units
+        if 0 < units <= vc.available:
+            vc.available -= units
         else:
-            if not self._blocked:
-                self._block()
-            return
-        self._blocked = False
-        queue.popleft()
-        self._queued -= 1
-        vc.take(units)
+            vc.take(units)  # raises: the conservation check
         packet.header.credits_required = units if units < 31 else 31
         # The packet leaves this device's buffer as its first bit
         # hits the wire: release the upstream input buffer now.
@@ -488,7 +535,20 @@ class Port:
                 rx_use = port._rx_use
                 held = rx_use[vc_index] - units
                 rx_use[vc_index] = held if held > 0 else 0
-                port._return_credits(vc_index, units, epoch)
+                # The credits become visible to the transmitter at the
+                # far end one propagation delay from now.  Blocked on
+                # credits, it needs that as an event; otherwise it
+                # applies the return from its ledger when it next
+                # arbitrates, and only the heap slot the event would
+                # have held is reserved.
+                peer = port._remote
+                env = port.env
+                if peer._blocked:
+                    env.call_later(port._prop, peer._credit_event, vc_index,
+                                   units, epoch)
+                else:
+                    peer._ledger.append((env.now + port._prop, env.reserve(),
+                                         vc_index, units, epoch))
 
     # -- receive side ---------------------------------------------------------
     def _receive(self, packet: Packet, vc_index: int, units: int,
@@ -498,10 +558,11 @@ class Port:
         ``size`` is the wire size already computed by the transmitter,
         passed through so the receive path does not recompute it.
         """
+        link = self.link
         if (
-            self.link is None
-            or not self.link.up
-            or self.link.epoch != epoch
+            link is None
+            or not link.up
+            or link.epoch != epoch
             or not self.device.active
         ):
             self.stats.incr("rx_dropped")
@@ -509,29 +570,32 @@ class Port:
                 self._trace("drop", self.device, self.index, packet,
                             detail="link down / stale epoch")
             return
+        # The buffer was reserved at transmit time, so the packet holds
+        # it from here on — one lost on the channel too, until it is
+        # dropped.
+        rx_use = self._rx_use
+        if rx_use is None:
+            rx_use = self._rx_use = [0] * self.params.vc_count
+        rx_use[vc_index] += units
+        packet.rx_hold = (self, vc_index, units, epoch)
         if self._error_model is not None and not self._apply_channel_errors(
-                packet, vc_index, units, epoch, size):
+                packet, size):
             return
-        if self._rx_use is None:
-            self._rx_use = [0] * self.params.vc_count
-        self._rx_use[vc_index] += units
         self.rx_packets += 1
         self.rx_bytes += size
         if self._trace is not None:
             self._trace("rx", self.device, self.index, packet,
                         detail=self._vc_detail[vc_index])
-        packet.rx_hold = (self, vc_index, units, epoch)
         self.device.handle_rx(packet, self, vc_index, tail_lag)
 
-    def _apply_channel_errors(self, packet: Packet, vc_index: int,
-                              units: int, epoch: int, size: int) -> bool:
+    def _apply_channel_errors(self, packet: Packet, size: int) -> bool:
         """Subject an arriving packet to the link's error process.
 
         Returns True if the packet survives.  On loss or CRC failure
         the packet is dropped here (with a ``drop`` trace event and a
-        counter) and the consumed credits are returned to the sender —
-        the receive buffer was reserved at transmit time, so a silent
-        drop would leak flow-control credits.
+        counter) and the buffer it holds is released, which returns
+        the consumed credits to the sender — a silent drop would leak
+        flow-control credits.
         """
         error_model = self._error_model
         verdict = error_model.classify(size)
@@ -555,26 +619,8 @@ class Port:
         if self._trace is not None:
             self._trace("drop", self.device, self.index, packet,
                         detail=detail)
-        self._return_credits(vc_index, units, epoch)
+        self.release_input(packet)
         return False
-
-    def _return_credits(self, vc_index: int, units: int, epoch: int) -> None:
-        """Hand ``units`` back to the transmitter at the far end.
-
-        They become visible there one propagation delay from now.  A
-        transmitter blocked on credits needs that as an event; any
-        other applies it from its ledger when it next arbitrates, and
-        only the heap slot the event would have held is reserved.
-        """
-        peer = self._remote
-        env = self.env
-        if peer._blocked:
-            env.call_later(self._prop, peer._credit_event, vc_index, units,
-                           epoch)
-        else:
-            peer._ledger.append(
-                (env.now + self._prop, env.reserve(), vc_index, units, epoch)
-            )
 
     # -- credit returns (transmit side) -------------------------------------
     def _credit_event(self, vc_index: int, units: int, epoch: int) -> None:
@@ -593,18 +639,23 @@ class Port:
         ``drained``: nothing else will ever run, so all of them have.
         """
         ledger = self._ledger
-        has_passed = self.env.has_passed
         link = self.link
         vcs = self._tx_vcs
         arrived = 0
         for due, seq, vc_index, units, epoch in ledger:
-            if not drained and (
-                due > now or not (inline or has_passed(due, seq))
-            ):
+            # Earlier than now has passed whatever its number; only a
+            # tie needs the kernel's tie-break.
+            if not drained and (due > now or (
+                    due == now and not inline
+                    and not self.env.has_passed(due, seq))):
                 break
             arrived += 1
             if link.epoch == epoch and link.up:  # else voided by a flap
-                vcs[vc_index].release(units)
+                vc = vcs[vc_index]
+                total = vc.available + units
+                if units < 0 or total > vc.capacity:
+                    vc.release(units)  # raises: the conservation check
+                vc.available = total
         del ledger[:arrived]
 
     def _block(self) -> None:

@@ -14,13 +14,7 @@ from __future__ import annotations
 from ..capability import DEVICE_TYPE_SWITCH
 from ..capability.multicast import MulticastCapability
 from ..routing.tables import MulticastForwardingTable
-from ..routing.turnpool import (
-    TurnPoolError,
-    backward_egress,
-    forward_egress,
-    read_backward_turn,
-    read_forward_turn,
-)
+from ..routing.turnpool import TurnPoolError, route_step
 from .device import Device
 from .packet import PI_MULTICAST, Packet
 from .port import Port
@@ -44,7 +38,7 @@ class Switch(Device):
     def handle_rx(self, packet: Packet, port: Port, vc_index: int,
                   tail_lag: float) -> None:
         if not self.active:
-            self.stats.incr("rx_dropped_inactive")
+            self._stats.incr("rx_dropped_inactive")
             Port.release_input(packet)
             return
         if packet.header.pi == PI_MULTICAST:
@@ -70,24 +64,16 @@ class Switch(Device):
     def _route(self, packet: Packet, in_port: Port) -> None:
         """Pick the egress port and forward (or drop on route error)."""
         if not self.active:
-            self.stats.incr("rx_dropped_inactive")
+            self._stats.incr("rx_dropped_inactive")
             Port.release_input(packet)
             return
         header = packet.header
-        nports = self._nports
         try:
-            if header.direction == 0:
-                turn, new_pointer = read_forward_turn(
-                    header.turn_pool, header.turn_pointer, nports
-                )
-                egress = forward_egress(in_port.index, turn, nports)
-            else:
-                turn, new_pointer = read_backward_turn(
-                    header.turn_pool, header.turn_pointer, nports
-                )
-                egress = backward_egress(in_port.index, turn, nports)
+            egress, new_pointer = route_step(
+                header.direction, header.turn_pool, header.turn_pointer,
+                in_port.index, self._nports)
         except TurnPoolError:
-            self.stats.incr("route_errors")
+            self._stats.incr("route_errors")
             in_port.error_count += 1
             if self._trace_hook is not None:
                 self._trace_hook("drop", self, in_port.index, packet,
@@ -96,8 +82,9 @@ class Switch(Device):
             return
 
         out_port = self.ports[egress]
-        if not out_port.is_up:
-            self.stats.incr("forward_drops")
+        link = out_port.link
+        if link is None or not link.up:  # ``is_up`` of an active device
+            self._stats.incr("forward_drops")
             out_port.error_count += 1
             if self._trace_hook is not None:
                 self._trace_hook("drop", self, egress, packet,
@@ -107,7 +94,7 @@ class Switch(Device):
 
         header.turn_pointer = new_pointer
         packet.hops += 1
-        self.stats.incr("forwarded")
+        self.forwarded += 1
         if self._trace_hook is not None:
             self._trace_hook("forward", self, egress, packet,
                              detail=f"in={in_port.index}")
@@ -116,7 +103,7 @@ class Switch(Device):
     def _replicate(self, packet: Packet, in_port: Port, group: int) -> None:
         """Hardware multicast: copy to every group port but the ingress."""
         if not self.active:
-            self.stats.incr("rx_dropped_inactive")
+            self._stats.incr("rx_dropped_inactive")
             Port.release_input(packet)
             return
         egresses = self.mcast_table.egress_ports(group, in_port.index)
@@ -124,7 +111,7 @@ class Switch(Device):
         for index in egresses:
             out_port = self.ports[index]
             if not out_port.is_up:
-                self.stats.incr("forward_drops")
+                self._stats.incr("forward_drops")
                 continue
             clone = Packet(
                 header=packet.header.copy(),
@@ -135,5 +122,5 @@ class Switch(Device):
             )
             out_port.send(clone)
             copies += 1
-        self.stats.incr("mcast_replicated", copies)
+        self._stats.incr("mcast_replicated", copies)
         Port.release_input(packet)

@@ -34,11 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..routing.turnpool import (
-    TurnPoolError,
-    forward_egress,
-    read_forward_turn,
-)
+from ..routing.turnpool import TurnPoolError, route_step
 
 #: Difference kinds, in report order.
 MISSING_DEVICE = "missing_device"
@@ -285,11 +281,10 @@ class TopologyAuditor:
             if not current.active:
                 return f"route traverses dead switch {current.name}"
             try:
-                turn, pointer = read_forward_turn(
-                    pool.pool, pointer, current.nports)
+                egress, pointer = route_step(
+                    0, pool.pool, pointer, in_port, current.nports)
             except TurnPoolError as exc:
                 return f"turn pool exhausted at {current.name}: {exc}"
-            egress = forward_egress(in_port, turn, current.nports)
             current, in_port, problem = self._cross_link(current, egress)
             if problem is not None:
                 return f"at p{egress}: {problem}"

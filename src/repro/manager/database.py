@@ -300,7 +300,7 @@ class TopologyDatabase:
                 # recompute would rebuild.
                 tree[v] = old
                 continue
-            out_port, in_port = self._link_ports(p, v)
+            out_port, in_port = self.link_ports(p, v)
             tree[v] = entry = (p, out_port, in_port)
             if entry == old and p not in dirty:
                 continue
@@ -320,8 +320,12 @@ class TopologyDatabase:
         return {"mode": mode, "rebuilt": len(dirty),
                 "kept": len(parent) - 1 - len(dirty)}
 
-    def _link_ports(self, dsn_a: int, dsn_b: int) -> Tuple[int, int]:
-        """Ports wiring two adjacent known devices (lowest first)."""
+    def link_ports(self, dsn_a: int, dsn_b: int) -> Tuple[int, int]:
+        """Ports wiring two adjacent known devices.
+
+        Returns ``(port_on_a, port_on_b)``; picks the lowest-numbered
+        port when redundant links exist (deterministic).
+        """
         record_a = self.device(dsn_a)
         for index in sorted(record_a.ports):
             port = record_a.ports[index]

@@ -73,7 +73,7 @@ def compute_group_tree(db, member_dsns: Sequence[int]) -> Dict[int, Set[int]]:
         for a, b in zip(path, path[1:]):
             edges.add((min(a, b), max(a, b)))
     for a, b in edges:
-        port_a, port_b = db._link_ports(a, b)
+        port_a, port_b = db.link_ports(a, b)
         ports.setdefault(a, set()).add(port_a)
         ports.setdefault(b, set()).add(port_b)
     return ports

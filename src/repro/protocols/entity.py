@@ -51,10 +51,11 @@ DEFAULT_DEVICE_PROCESSING_TIME = 2.5e-6
 class ManagementEntity:
     """Serial management-packet processor attached to a device.
 
-    A backlog deque plus one cost timer per packet, the shape of the
-    port's transmit engine: an arriving packet is queued; when the
-    entity is free it decodes the head packet, charges its processing
-    time with a single timer, dispatches it and moves on.
+    One cost timer per packet and a backlog for the packets that
+    arrive meanwhile, the shape of the port's transmit engine: a
+    packet that finds the entity free is decoded, charged its
+    processing time with a single timer and dispatched; one that does
+    not waits in the backlog for its turn.
     """
 
     def __init__(self, device: Device,
@@ -79,8 +80,8 @@ class ManagementEntity:
         self.app_handler: Optional[Callable[[Packet, Optional[Port]], None]] = None
         self._event_seq = count(1)
         #: Packets waiting for the serial processing slot (no deque
-        #: before the first one arrives), and whether the slot is taken
-        #: (a cost timer or a hand-over is pending).
+        #: before the first one has to wait), and whether the slot is
+        #: taken (a cost timer or a hand-over is pending).
         self._backlog: Optional[deque] = None
         self._working = False
         #: ``(packet, port, message)`` being charged its processing time.
@@ -93,14 +94,15 @@ class ManagementEntity:
         self.event_repeats = 2 if device.params.lossy else 0
         #: Spacing between blind PI-5 retransmissions (seconds).
         self.event_repeat_interval = 2e-4
-        #: Bounded LRU of served completions, keyed by request tag.
+        #: Bounded LRU of served completions — packed, all a resend
+        #: needs of them — keyed by request tag.
         #: When a retried (or link-replayed) request arrives again, the
         #: cached completion is resent without re-executing the
         #: configuration-space access — config writes (event routes,
         #: FM claims) are not idempotent.  Tags are unique per request
         #: across requesters (the transaction engine salts them), so a
         #: tag hit really is the same transaction.
-        self._served_replies: "OrderedDict[int, object]" = OrderedDict()
+        self._served_replies: "OrderedDict[int, bytes]" = OrderedDict()
         #: Completions remembered for duplicate suppression.
         self.served_cache_limit = 256
 
@@ -138,32 +140,29 @@ class ManagementEntity:
             # Let the manager clear request timers at arrival time; the
             # packet still waits for its serial processing slot.
             self.manager.note_packet_arrival(packet)
+        if not self._working and self.env.quiet():
+            # Free, and a zero-delay hand-over would be the very next
+            # pop: serve it now, without a turn in the backlog.
+            self._working = True
+            self._serve(packet, port)
+            return
         if self._backlog is None:
             self._backlog = deque()
         self._backlog.append((packet, port))
         if not self._working:
+            # Whatever else is due at this instant runs first.
             self._working = True
-            self._advance()
-
-    def _advance(self) -> None:
-        """Move on to the head of the backlog.
-
-        A zero-delay heap entry, so whatever else is due at this
-        instant runs first — unless it would be the very next pop
-        anyway, when it runs inline.
-        """
-        if self.env.quiet():
-            self._serve()
-        else:
             self.env.call_later(0.0, self._serve)
 
-    def _serve(self) -> None:
-        """Take backlog packets until one has a processing time to wait
-        out (or something else is due first)."""
-        backlog = self._backlog
+    def _serve(self, packet: Optional[Packet] = None,
+               port: Optional[Port] = None) -> None:
+        """Take ``packet``, or the head of the backlog, and go on
+        through the backlog until a packet has a processing time to
+        wait out (or something else is due first)."""
         env = self.env
         while True:
-            packet, port = backlog.popleft()
+            if packet is None:
+                packet, port = self._backlog.popleft()
             message = None
             decoded = True
             if packet.header.pi == PI_DEVICE_MANAGEMENT:
@@ -181,20 +180,24 @@ class ManagementEntity:
                     env.call_later(cost, self._complete)
                     return
                 self._dispatch(packet, port, message)
-            if not backlog:
+            # Read again: a local loop-back reply may have created it.
+            if not self._backlog:
                 self._working = False
                 return
             if not env.quiet():
                 env.call_later(0.0, self._serve)
                 return
+            packet = None
 
     def _complete(self) -> None:
         """The current packet's processing time has elapsed."""
         self._dispatch(*self._current)
-        if self._backlog:
-            self._advance()
-        else:
+        if not self._backlog:
             self._working = False
+        elif self.env.quiet():
+            self._serve()
+        else:
+            self.env.call_later(0.0, self._serve)
 
     def _dispatch(self, packet: Packet, port: Optional[Port],
                   message) -> None:
@@ -226,8 +229,8 @@ class ManagementEntity:
     # -- PI-4 service (device side) ---------------------------------------
     def _serve_request(self, packet: Packet, port: Optional[Port],
                        message) -> None:
-        reply = self._served_replies.get(message.tag)
-        if reply is not None:
+        payload = self._served_replies.get(message.tag)
+        if payload is not None:
             # Duplicate of a request already served (the requester
             # retried while the original completion was in flight, or
             # the link layer replayed the request).  Resend the cached
@@ -235,13 +238,18 @@ class ManagementEntity:
             # exactly as for a first-time request.
             self.stats.incr("duplicate_requests")
             self._served_replies.move_to_end(message.tag)
-            self._send_reply(packet, port, reply)
-            return
-        reply = self._execute_request(port, message)
-        self._served_replies[message.tag] = reply
-        if len(self._served_replies) > self.served_cache_limit:
-            self._served_replies.popitem(last=False)
-        self._send_reply(packet, port, reply)
+        else:
+            payload = self._execute_request(port, message).pack()
+            self._served_replies[message.tag] = payload
+            if len(self._served_replies) > self.served_cache_limit:
+                self._served_replies.popitem(last=False)
+        reply = Packet(header=packet.header.reversed(), payload=payload)
+        if port is None:
+            # Request was issued locally (FM reading its own endpoint);
+            # deliver the completion locally too.
+            self._enqueue(reply, None)
+        else:
+            self.device.inject(reply, port.index)
 
     def _execute_request(self, port: Optional[Port], message):
         """Run the configuration-space access and build the completion."""
@@ -269,21 +277,6 @@ class ManagementEntity:
                 self.stats.incr("write_errors")
             reply = pi4.WriteCompletion(status=status, **common)
         return reply
-
-    def _send_reply(self, packet: Packet, port: Optional[Port],
-                    reply) -> None:
-        if port is None:
-            # Request was issued locally (FM reading its own endpoint);
-            # deliver the completion locally too.
-            self._enqueue(self._completion_packet(packet, reply), None)
-        else:
-            self.device.inject(
-                self._completion_packet(packet, reply), port.index
-            )
-
-    @staticmethod
-    def _completion_packet(request: Packet, reply) -> Packet:
-        return Packet(header=request.header.reversed(), payload=reply.pack())
 
     # -- PI-4 emission (manager side) ----------------------------------------
     def send_pi4(self, message, turn_pool: int, turn_pointer: int,

@@ -6,12 +6,9 @@ from .turnpool import (
     Hop,
     TurnPool,
     TurnPoolError,
-    backward_egress,
     build_turn_pool,
     encode_turn,
-    forward_egress,
-    read_backward_turn,
-    read_forward_turn,
+    route_step,
     turn_width,
     walk_forward,
 )
@@ -22,12 +19,9 @@ __all__ = [
     "MulticastTableError",
     "TurnPool",
     "TurnPoolError",
-    "backward_egress",
     "build_turn_pool",
     "encode_turn",
-    "forward_egress",
-    "read_backward_turn",
-    "read_forward_turn",
+    "route_step",
     "turn_width",
     "walk_forward",
 ]

@@ -22,29 +22,18 @@ class PathError(RuntimeError):
 
 # -- routes over the FM database ------------------------------------------
 
-def _db_link_ports(db, dsn_a: int, dsn_b: int) -> Tuple[int, int]:
-    """Ports wiring two adjacent devices in a topology database.
+def _db_link_ports(db) -> Callable:
+    """``db.link_ports`` for :func:`_route`: the database's own wiring
+    lookup, its ``DatabaseError`` raised as :class:`PathError`."""
+    # Imported here: ``manager`` builds on ``routing``, not the reverse.
+    from ..manager.database import DatabaseError
 
-    Returns ``(port_on_a, port_on_b)``; picks the lowest-numbered port
-    when redundant links exist (deterministic).
-    """
-    record_a = db.device(dsn_a)
-    for index in sorted(record_a.ports):
-        port = record_a.ports[index]
-        if port.neighbor_dsn == dsn_b and port.up:
-            far = port.neighbor_port
-            if far is None:
-                record_b = db.device(dsn_b)
-                for j in sorted(record_b.ports):
-                    if record_b.ports[j].neighbor_dsn == dsn_a:
-                        far = j
-                        break
-            if far is None:
-                raise PathError(
-                    f"far-side port of {dsn_a:#x}->{dsn_b:#x} unknown"
-                )
-            return index, far
-    raise PathError(f"no up link between {dsn_a:#x} and {dsn_b:#x}")
+    def link_ports(dsn_a: int, dsn_b: int) -> Tuple[int, int]:
+        try:
+            return db.link_ports(dsn_a, dsn_b)
+        except DatabaseError as exc:
+            raise PathError(str(exc)) from None
+    return link_ports
 
 
 def _label(node) -> str:
@@ -83,13 +72,13 @@ def db_route(db, src_dsn: int, dst_dsn: int) -> Tuple[TurnPool, int]:
 
     Returns ``(turn_pool, out_port_at_src)``.
     """
-    return _route(db.graph(), partial(_db_link_ports, db), src_dsn, dst_dsn)
+    return _route(db.graph(), _db_link_ports(db), src_dsn, dst_dsn)
 
 
 def db_endpoint_routes(db, src_dsn: int) -> Dict[int, Tuple[TurnPool, int]]:
     """Routes from ``src_dsn`` to every other endpoint in the database
     (one graph, one search per destination)."""
-    graph, link_ports = db.graph(), partial(_db_link_ports, db)
+    graph, link_ports = db.graph(), _db_link_ports(db)
     return {
         record.dsn: _route(graph, link_ports, src_dsn, record.dsn)
         for record in db.endpoints() if record.dsn != src_dsn

@@ -55,18 +55,6 @@ def encode_turn(in_port: int, out_port: int, nports: int) -> int:
     return (out_port - in_port - 1) % nports
 
 
-def forward_egress(in_port: int, turn: int, nports: int) -> int:
-    """Egress port of a forward packet entering at ``in_port``."""
-    _check_port(in_port, nports)
-    return (in_port + 1 + turn) % nports
-
-
-def backward_egress(in_port: int, turn: int, nports: int) -> int:
-    """Egress port of a backward packet entering at ``in_port``."""
-    _check_port(in_port, nports)
-    return (in_port - 1 - turn) % nports
-
-
 def _check_port(port: int, nports: int) -> None:
     if not 0 <= port < nports:
         raise TurnPoolError(f"port {port} outside device with {nports} ports")
@@ -153,34 +141,35 @@ def _pack_hops(hops: Tuple[Hop, ...]) -> TurnPool:
     return TurnPool(pool, total_bits)
 
 
-def read_forward_turn(pool: int, pointer: int, nports: int) -> Tuple[int, int]:
-    """Extract the next forward turn.
+def route_step(direction: int, pool: int, pointer: int, in_port: int,
+               nports: int) -> Tuple[int, int]:
+    """One switch traversal: ``(egress_port, new_pointer)``.
 
-    Returns ``(turn, new_pointer)``; raises if the pool is exhausted.
+    A forward packet (``direction == 0``) consumes the next turn
+    downward from ``pointer`` and leaves by ``(in + 1 + turn) mod N``;
+    a backward one consumes upward and leaves by ``(in - 1 - turn) mod
+    N``.  Raises :class:`TurnPoolError` when ``in_port`` is not a port
+    of the device, the forward pool is exhausted, or the backward
+    pointer would move past the top of the pool.
     """
-    width = turn_width(nports)
-    if pointer < width:
+    if not 0 <= in_port < nports:
         raise TurnPoolError(
-            f"forward pointer {pointer} has fewer than {width} bits left"
-        )
-    new_pointer = pointer - width
-    turn = (pool >> new_pointer) & ((1 << width) - 1)
-    return turn, new_pointer
-
-
-def read_backward_turn(pool: int, pointer: int, nports: int) -> Tuple[int, int]:
-    """Extract the next backward turn.
-
-    Returns ``(turn, new_pointer)``; raises if the pointer would move
-    past the top of the pool.
-    """
+            f"port {in_port} outside device with {nports} ports")
     width = turn_width(nports)
+    if direction == 0:
+        if pointer < width:
+            raise TurnPoolError(
+                f"forward pointer {pointer} has fewer than {width} bits left"
+            )
+        pointer -= width
+        turn = (pool >> pointer) & ((1 << width) - 1)
+        return (in_port + 1 + turn) % nports, pointer
     if pointer + width > TURN_POOL_BITS:
         raise TurnPoolError(
             f"backward pointer {pointer} + width {width} exceeds pool"
         )
     turn = (pool >> pointer) & ((1 << width) - 1)
-    return turn, pointer + width
+    return (in_port - 1 - turn) % nports, pointer + width
 
 
 def walk_forward(pool: TurnPool,
@@ -193,8 +182,8 @@ def walk_forward(pool: TurnPool,
     pointer = pool.bits
     egresses = []
     for nports, in_port in hops:
-        turn, pointer = read_forward_turn(pool.pool, pointer, nports)
-        egresses.append(forward_egress(in_port, turn, nports))
+        egress, pointer = route_step(0, pool.pool, pointer, in_port, nports)
+        egresses.append(egress)
     if pointer != 0:
         raise TurnPoolError(f"{pointer} turn bits left over after walk")
     return egresses

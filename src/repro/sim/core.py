@@ -34,12 +34,14 @@ class Environment:
         Starting value of the simulation clock (seconds).
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_tombstones", "_seq",
+    __slots__ = ("now", "_queue", "_eid", "_tombstones", "_seq",
                  "_dispatching", "_executed", "_high_water", "_compactions",
                  "reserve")
 
     def __init__(self, initial_time: float = 0.0):
-        self._now: float = float(initial_time)
+        #: Current simulation time in seconds: a plain slot, read on
+        #: every hop and written only by :meth:`run` / :meth:`step`.
+        self.now: float = float(initial_time)
         #: Heap entries are five wide: ``(time, priority, seq, event,
         #: None)``, or ``(time, NORMAL, seq, fn, args)`` for an
         #: argument entry (:meth:`call_later`), which the run loop
@@ -65,13 +67,7 @@ class Environment:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         pending = len(self._queue) - self._tombstones
-        return f"<Environment t={self._now:.9f} pending={pending}>"
-
-    # -- clock / state ----------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
+        return f"<Environment t={self.now:.9f} pending={pending}>"
 
     # -- event creation ----------------------------------------------------
     def event(self) -> Event:
@@ -92,7 +88,7 @@ class Environment:
         """Place a triggered event onto the heap ``delay`` from now."""
         heappush(
             self._queue,
-            (self._now + delay, priority, next(self._eid), event, None),
+            (self.now + delay, priority, next(self._eid), event, None),
         )
 
     def call_later(self, delay: float, fn: Callable[..., None],
@@ -106,7 +102,7 @@ class Environment:
         """
         heappush(
             self._queue,
-            (self._now + delay, NORMAL, next(self._eid), fn, args),
+            (self.now + delay, NORMAL, next(self._eid), fn, args),
         )
 
     def schedule_callback(self, delay: float, fn: Callable[[Event], None],
@@ -125,7 +121,7 @@ class Environment:
         handle = Deferred(fn)
         heappush(
             self._queue,
-            (self._now + delay, priority, next(self._eid), handle, None),
+            (self.now + delay, priority, next(self._eid), handle, None),
         )
         return handle
 
@@ -148,7 +144,7 @@ class Environment:
         """
         if self.has_passed(time, seq):
             raise SimulationError(
-                f"slot ({time}, {seq}) has already passed at {self._now}"
+                f"slot ({time}, {seq}) has already passed at {self.now}"
             )
         heappush(self._queue, (time, NORMAL, seq, fn, args))
 
@@ -159,7 +155,7 @@ class Environment:
         the heap pops in sequence order, so the entry has run iff a
         later-numbered one has been popped at this instant.
         """
-        return time < self._now or (time == self._now and seq < self._seq)
+        return time < self.now or (time == self.now and seq < self._seq)
 
     def quiet(self) -> bool:
         """True when a zero-delay callback scheduled now would be the
@@ -170,7 +166,7 @@ class Environment:
         """
         queue = self._queue
         return self._dispatching and (
-            not queue or queue[0][0] > self._now
+            not queue or queue[0][0] > self.now
         )
 
     def vitals(self) -> dict:
@@ -263,9 +259,9 @@ class Environment:
             self._tombstones -= 1
         if priority:
             self._seq = seq
-        elif now != self._now:
+        elif now != self.now:
             self._seq = -1
-        self._now = now
+        self.now = now
         self._executed += 1
 
         self._dispatching = True
@@ -296,12 +292,12 @@ class Environment:
         """
         if until is not None and not isinstance(until, Event):
             at = float(until)
-            if at <= self._now:
+            if at <= self.now:
                 raise ValueError(f"until ({at}) must be in the future")
             until = Event(self)
             until._ok = True
             until._value = None
-            self.schedule(until, delay=at - self._now, priority=URGENT)
+            self.schedule(until, delay=at - self.now, priority=URGENT)
 
         if isinstance(until, Event):
             if until.callbacks is None:
@@ -332,7 +328,7 @@ class Environment:
                 if args is not None:
                     # Argument entry: always NORMAL, never cancelled.
                     self._seq = seq
-                    self._now = now
+                    self.now = now
                     executed += 1
                     event(*args)
                     continue
@@ -342,9 +338,9 @@ class Environment:
                     continue
                 if priority:
                     self._seq = seq
-                elif now != self._now:
+                elif now != self.now:
                     self._seq = -1
-                self._now = now
+                self.now = now
                 executed += 1
 
                 callbacks, event.callbacks = event.callbacks, None

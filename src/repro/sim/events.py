@@ -101,7 +101,7 @@ class Event:
         # Inlined ``env.schedule(self)`` — succeed() is the kernel's
         # hottest trigger path.
         env = self.env
-        heappush(env._queue, (env._now, NORMAL, next(env._eid), self, None))
+        heappush(env._queue, (env.now, NORMAL, next(env._eid), self, None))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -118,7 +118,7 @@ class Event:
         self._ok = False
         self._value = exception
         env = self.env
-        heappush(env._queue, (env._now, NORMAL, next(env._eid), self, None))
+        heappush(env._queue, (env.now, NORMAL, next(env._eid), self, None))
         return self
 
 
@@ -143,7 +143,7 @@ class Timeout(Event):
         self.delay = delay
         heappush(
             env._queue,
-            (env._now + delay, NORMAL, next(env._eid), self, None),
+            (env.now + delay, NORMAL, next(env._eid), self, None),
         )
 
     def __repr__(self):  # pragma: no cover - debugging aid

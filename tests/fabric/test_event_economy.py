@@ -247,3 +247,201 @@ class TestIntrospectionIsInvisible:
         assert port._ledger  # still ledgered ...
         row = port.vc_stats()[0]
         assert row["credits_available"] == row["credits_capacity"]
+
+
+def log_port_events(fabric):
+    """``(kind, device, port, time, detail, packet id)`` per enqueue
+    and tx."""
+    log = []
+
+    def hook(kind, device, port_index, packet, detail=None):
+        if kind in ("enqueue", "tx"):
+            log.append((kind, device.name, port_index, device.env.now,
+                        detail, packet.pkt_id))
+    for device in fabric.devices.values():
+        device.trace_hook = hook
+    return log
+
+
+class TestDirectTransmit:
+    """A packet that meets a free lane with credits in hand, nothing
+    queued and nothing else due at its instant is transmitted by
+    ``send`` itself and never enters a queue.  That is the state in
+    which the parent's chain — push, ``_wake``, inline kick — popped
+    the packet it had just pushed, so every instant and order below is
+    the parent's; what is new is that no deque is involved.
+    """
+
+    def test_enqueue_then_tx_at_the_same_instant_and_no_deque(self):
+        env, fabric = star()
+        log = log_port_events(fabric)
+        ep0, sw = fabric.device("ep0"), fabric.device("sw")
+        port = ep0.ports[0]
+        packet = data_packet(FROM_EP0)
+        queued_during = []
+        fabric.device("ep1").local_handler = lambda p, port: None
+
+        def send(_event):
+            ep0.inject(packet)
+            queued_during.append(port.queued_packets())
+        env.schedule_callback(1e-6, send)
+        env.run()
+        forwarded = (1e-6 + port._head_latency) + fabric.params.routing_latency
+        pid = packet.pkt_id
+        assert log == [
+            ("enqueue", "ep0", 0, 1e-6, "vc0", pid),
+            ("tx", "ep0", 0, 1e-6, "vc=0", pid),
+            ("enqueue", "sw", 1, forwarded, "vc0", pid),
+            ("tx", "sw", 1, forwarded, "vc=0", pid),
+        ]
+        assert queued_during == [0]
+        for sender in (port, sw.ports[1]):
+            (vc,) = sender.credits
+            assert vc.ordered is None and vc.bypass is None
+            assert (sender.tx_queued, sender.tx_packets) == (1, 1)
+            assert sender.stats["tx_queued"] == 1
+
+    def test_reads_of_a_direct_transmission_in_flight(self):
+        env, fabric = star()
+        ep0 = fabric.device("ep0")
+        port = ep0.ports[0]
+        packet = data_packet(FROM_EP0)
+        env.schedule_callback(1e-6, lambda _event: ep0.inject(packet))
+        env.run(until=1e-6 + 20e-9)  # the head is still on the wire
+        row = port.vc_stats()[0]
+        assert port.queued_packets() == 0 and row["tx_queued"] == 0
+        assert row["credits_capacity"] - row["credits_available"] == \
+            packet.credit_units()
+        assert port.credits[0].in_use == packet.credit_units()
+        assert port._tx_busy and port._done_seq >= 0  # done slot elided
+
+    def test_credits_short_queues_blocks_and_leaves_on_the_credit_event(
+            self):
+        params = FabricParams(rx_buffer_credits=4,
+                              propagation_delay=400e-9)
+        env, fabric = star(params)
+        log = log_port_events(fabric)
+        ep0 = fabric.device("ep0")
+        port = ep0.ports[0]
+        first, second = data_packet(FROM_EP0), data_packet(FROM_EP0)
+        assert first.credit_units() == 4  # one packet fills the buffer
+        lane_free = 1e-6 + params.tx_time(first.size_bytes())
+        seen = []
+
+        def send_second(_event):
+            # Lane free, nothing queued, nothing else due — but the one
+            # return that matters is still 0.2 us away.
+            assert port._ledger and not port.queued_packets()
+            ep0.inject(second)
+            seen.append((port.queued_packets(), port._blocked,
+                         list(port._ledger)))
+        env.schedule_callback(1e-6, lambda _event: ep0.inject(first))
+        env.schedule_callback(lane_free + 10e-9, send_second)
+        env.run()
+        assert seen == [(1, True, [])]  # queued; returns became events
+        when = {(kind, name, pid): t for kind, name, _p, t, _d, pid in log}
+        released = when[("tx", "sw", first.pkt_id)]
+        assert when[("enqueue", "ep0", second.pkt_id)] == lane_free + 10e-9
+        assert when[("tx", "ep0", second.pkt_id)] == \
+            released + params.propagation_delay
+        assert port.credits[0].ordered is not None  # this port did queue
+
+    def test_send_while_serializing_pushes_the_timer_in_its_reserved_slot(
+            self):
+        env, fabric = star()
+        ep0 = fabric.device("ep0")
+        port = ep0.ports[0]
+        first, second = data_packet(FROM_EP0), data_packet(FROM_EP0)
+        order = []
+
+        def hook(kind, device, port_index, packet, detail=None):
+            if kind == "tx" and device is ep0:
+                order.append(("tx", packet.pkt_id, env.now))
+        ep0.trace_hook = hook
+        serialization = first.size_bytes() * 8.0 / fabric.params.data_rate
+
+        def rival(_event):
+            # Drawn after the first transmission reserved its done
+            # slot, before the second send pushes the timer into it.
+            assert port._done_seq >= 0
+            env.schedule_callback(port._free_at - env.now,
+                                  lambda _e: order.append("rival"))
+
+        def send_second(_event):
+            reserved, free_at = port._done_seq, port._free_at
+            ep0.inject(second)
+            assert port.queued_packets() == 1 and port._done_seq == -1
+            assert [entry[3] for entry in env._queue
+                    if entry[:3] == (free_at, 1, reserved)] == [port._tx_done]
+        env.schedule_callback(1e-6, lambda _event: ep0.inject(first))
+        env.schedule_callback(1e-6 + serialization / 4, rival)
+        env.schedule_callback(1e-6 + serialization / 2, send_second)
+        env.run()
+        free_at = 1e-6 + serialization
+        assert order == [("tx", first.pkt_id, 1e-6),
+                         ("tx", second.pkt_id, free_at), "rival"]
+
+    def test_sends_before_the_run_leave_in_attach_kick_order(self):
+        """Never direct outside dispatch: ep2 was wired first, so its
+        URGENT attach kick — and its packet — goes first, whichever
+        endpoint was handed its packet first."""
+        env, fabric = star(sources=("ep2", "ep0"))
+        log = log_port_events(fabric)
+        ep0, ep2 = fabric.device("ep0"), fabric.device("ep2")
+        ep0.inject(data_packet(FROM_EP0))
+        ep2.inject(data_packet(FROM_EP2))
+        assert [d.ports[0].queued_packets() for d in (ep0, ep2)] == [1, 1]
+        assert [entry[0] for entry in log] == ["enqueue", "enqueue"]
+        env.run(until=1e-9)
+        assert [entry[:4] for entry in log[2:]] == [
+            ("tx", "ep2", 0, 0.0), ("tx", "ep0", 0, 0.0)]
+
+    def test_a_send_between_runs_waits_for_the_run(self):
+        """The mutant that drops the ``quiet()`` condition transmits
+        here, from code that is not an event handler."""
+        env, fabric = star()
+        env.run()  # the attach kicks: no kick pending, lane free
+        log = log_port_events(fabric)
+        ep0 = fabric.device("ep0")
+        port = ep0.ports[0]
+        assert not port._tx_kick_scheduled and not port._tx_busy
+        ep0.inject(data_packet(FROM_EP0))
+        assert port.queued_packets() == 1 and port._tx_kick_scheduled
+        assert [entry[0] for entry in log] == ["enqueue"]
+        env.run()
+        assert [entry[0] for entry in log[:2]] == ["enqueue", "tx"]
+
+    def test_a_pending_kick_keeps_the_packet_for_itself(self):
+        """The mutant that drops the ``_tx_kick_scheduled`` condition.
+        In a run a pending kick is a heap entry at the current instant,
+        so ``quiet()`` is false as well; the flag is the state the port
+        can see without asking the kernel, set by hand here."""
+        env, fabric = star()
+        ep0 = fabric.device("ep0")
+        port = ep0.ports[0]
+        seen = []
+
+        def send(_event):
+            assert env.quiet() and not port._tx_busy
+            port._tx_kick_scheduled = True
+            ep0.inject(data_packet(FROM_EP0))
+            seen.append((port.queued_packets(), port.tx_packets))
+            port._tx_kick()
+            seen.append((port.queued_packets(), port.tx_packets))
+        env.schedule_callback(1e-6, send)
+        env.run()
+        assert seen == [(1, 0), (0, 1)]
+
+    def test_a_send_on_a_failed_link_is_dropped_and_counted_as_before(self):
+        env, fabric = star()
+        ep0 = fabric.device("ep0")
+        port = ep0.ports[0]
+        fabric.fail_link("ep0", "sw")
+
+        def send(_event):
+            ep0.inject(data_packet(FROM_EP0))
+        env.schedule_callback(1e-6, send)
+        env.run()
+        assert port.stats["tx_dropped_no_link"] == 1
+        assert (port.tx_queued, port.tx_packets) == (0, 0)
+        assert port.credits == () and port.queued_packets() == 0

@@ -1,8 +1,9 @@
 """What a port costs, as counts: no host speed or allocator in them.
 
 A port's transmit state is one record per virtual channel it has sent
-on, and a record's queues exist from their first append.  These pins
-count objects (``gc.get_objects``) and read the records directly.
+on, and a record's queues exist from their first append — which only a
+packet that had to wait makes.  These pins count objects
+(``gc.get_objects``) and read the records directly.
 """
 
 import gc
@@ -44,15 +45,20 @@ def all_ports(setup):
 
 
 class TestDiscoveryFootprint:
-    def test_one_deque_per_transmitting_port_and_queried_entity(
-            self, discovered):
+    def test_deques_only_where_something_had_to_wait(self, discovered):
         setup, created = discovered
-        transmitting = sum(1 for p in all_ports(setup) if p.credits)
-        queried = sum(1 for e in setup.entities.values()
-                      if e._backlog is not None)
-        assert transmitting > 500 and queried == len(setup.entities)
-        # The parent of this pin: 6 x transmitting + devices.
-        assert len(created) <= transmitting + queried
+        ports = all_ports(setup)
+        transmitting = sum(1 for p in ports if p.credits)
+        queues = sum(1 for p in ports for vc in p.credits
+                     for queue in (vc.ordered, vc.bypass)
+                     if queue is not None)
+        backed_up = sum(1 for e in setup.entities.values()
+                        if e._backlog is not None)
+        assert transmitting > 500
+        # The parent of this pin: one per transmitting port and one
+        # per entity (1,024 + 288); an uncontended packet needs none.
+        assert len(created) <= queues + backed_up
+        assert 0 < queues + backed_up < 0.15 * transmitting
 
     def test_a_discovery_uses_one_queue_of_the_management_vc(
             self, discovered):
@@ -200,3 +206,29 @@ class TestConservationChecksStay:
         with pytest.raises(CreditError, match="8 credits available"):
             vc.take(9)
         assert vc.available == 8
+
+    def test_the_inline_credit_arithmetic_keeps_both_checks(self):
+        """``_settle`` and ``_tx_start`` add and subtract in place; a
+        violation still goes to the method that raises."""
+        env, fabric = two_endpoints_one_switch(
+            FabricParams(rx_buffer_credits=8))
+        fabric.device("ep1").local_handler = lambda p, port: None
+        ep0 = fabric.device("ep0")
+        ep0.inject(data_packet(POOL))
+        env.run()
+        port = ep0.ports[0]
+        (vc,) = port.credits
+        assert vc.available == 8 and not port._ledger
+        # A return nobody owes, ledgered like a real one.
+        port._ledger.append((env.now, env.reserve(), 0, 1, port.link.epoch))
+        with pytest.raises(CreditError, match="over-release"):
+            port._settle(env.now, inline=True)
+        assert vc.available == 8
+        port._ledger.clear()
+        # A packet handed to the transmit body without its credits.
+        packet = data_packet(POOL)
+        packet.wire_size, packet.wire_units = packet.wire_footprint()
+        vc.take(6)
+        with pytest.raises(CreditError, match="2 credits available"):
+            port._tx_start(True, packet, vc)
+        assert vc.available == 2 and port.tx_packets == 1

@@ -182,7 +182,7 @@ def _pre_pr_routes(db, fm_dsn, monkeypatch):
     """What PR 17's ``_recompute_full`` stored for every record but the
     FM's, as ``(hops, out_port, ingress_port)``: networkx's
     ``single_source_shortest_path`` tree over the same graph, every hop
-    of every path looked up through ``_link_ports``."""
+    of every path looked up through ``link_ports``."""
     nx = pytest.importorskip("networkx")
     with monkeypatch.context() as patch:
         patch.setattr("repro.manager.database.Graph", nx.Graph)
@@ -191,7 +191,7 @@ def _pre_pr_routes(db, fm_dsn, monkeypatch):
     for dsn, path in nx.single_source_shortest_path(graph, fm_dsn).items():
         if dsn == fm_dsn:
             continue
-        wires = [db._link_ports(a, b) for a, b in zip(path, path[1:])]
+        wires = [db.link_ports(a, b) for a, b in zip(path, path[1:])]
         hops = tuple(
             intern_hop(db.device(node).nports, in_port, out_port)
             for node, (_, in_port), (out_port, _)

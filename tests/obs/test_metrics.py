@@ -312,6 +312,24 @@ class TestHotPortCounters:
         port.tx_bytes += 68
         assert (port.stats["tx_packets"], port.stats["tx_bytes"]) == (2, 136)
 
+    def test_device_stats_read_the_integer_slots(self):
+        """``forwarded`` / ``injected`` / ``consumed`` are counted in
+        slots per hop and folded into the bundle on read, with the
+        port's fold."""
+        fabric = self._relay()
+        a, sw, b = (fabric.devices[name] for name in ("A", "sw", "B"))
+        assert (a.injected, a.stats["injected"]) == (1, 1)
+        assert a._stats.asdict() == {"port_up": 1, "injected": 1}
+        fabric.env.run()
+        assert (sw.forwarded, b.consumed) == (1, 1)
+        assert sw._stats["forwarded"] == 0  # not read yet
+        assert sw.stats["forwarded"] == 1 and sw.stats is sw._stats
+        assert b.stats["consumed"] == b.consumed == 1
+        # Rare counters share the bundle; reading twice adds nothing.
+        assert b.stats.asdict() == {
+            "port_up": 1, "rx_no_handler": 1, "consumed": 1}
+        assert sw.stats.asdict() == {"port_up": 2, "forwarded": 1}
+
     def test_a_port_that_never_counted_has_no_counter(self):
         fabric = self._relay()
         fabric.env.run()

@@ -327,3 +327,91 @@ class TestEntityEdgeCases:
         # entity charges for management packets.
         assert got[0] - t0 < 1e-6
         assert entities["sw"].stats["app_packets"] == 1
+
+
+# -- direct serve: a packet that finds the entity free skips the backlog ----
+
+def test_a_request_at_an_idle_entity_creates_no_backlog(rig):
+    env, fabric, entities = rig
+    manager = Recorder()
+    entities["ep"].manager = manager
+    for tag in (1, 2):  # one at a time: the second finds it idle again
+        entities["ep"].send_pi4(
+            pi4.ReadRequest(cap_id=BASELINE_CAP_ID, offset=0, tag=tag),
+            turn_pool=0, turn_pointer=0)
+        env.run()
+    assert [pi4.decode(p.payload).tag for p in manager.packets] == [1, 2]
+    for entity in entities.values():
+        assert entity._backlog is None and not entity._working
+    assert entities["sw"].stats["rx_mgmt_packets"] == 2
+    assert entities["sw"].stats["reads_served"] == 2
+
+
+def test_loopback_reply_queues_behind_a_same_instant_arrival(rig):
+    """Two local reads in one handler.  The first is served on the
+    spot; the second waits its turn, and the first's loop-back reply —
+    created while it is dispatched — takes its place behind the second
+    in a backlog that did not exist when the dispatch began."""
+    env, fabric, entities = rig
+    entity = entities["ep"]
+    manager = Recorder()
+    entity.manager = manager
+    served = []
+    execute = entity._execute_request
+
+    def spy(port, message):
+        served.append((env.now, message.tag, len(entity._backlog or ())))
+        return execute(port, message)
+    entity._execute_request = spy
+
+    def send_both(_event):
+        for tag in (1, 2):
+            entity.send_pi4(
+                pi4.ReadRequest(cap_id=BASELINE_CAP_ID, offset=0, tag=tag),
+                turn_pool=0, turn_pointer=0, out_port=None)
+        # Inside dispatch with nothing else due: request 1 holds the
+        # slot (its cost timer runs), request 2 is the whole backlog.
+        assert entity._working and len(entity._backlog) == 1
+    env.schedule_callback(1e-6, send_both)
+    env.run()
+    t_device = entity.device_time
+    assert served == [(1e-6 + t_device, 1, 1),
+                      ((1e-6 + t_device) + t_device, 2, 1)]
+    assert [pi4.decode(p.payload).tag for p in manager.packets] == [1, 2]
+    assert entity.stats["rx_mgmt_packets"] == 4
+    assert not entity._working and not entity._backlog
+
+
+def test_an_arrival_outside_dispatch_waits_for_the_run(rig):
+    env, fabric, entities = rig
+    entity = entities["ep"]
+    entity.manager = Recorder()
+    entity.send_pi4(
+        pi4.ReadRequest(cap_id=BASELINE_CAP_ID, offset=0, tag=1),
+        turn_pool=0, turn_pointer=0, out_port=None)
+    assert entity._working and len(entity._backlog) == 1
+    assert entity._current is None  # not even decoded yet
+    env.run()
+    assert len(entity.manager.packets) == 1
+
+
+def test_served_replies_are_kept_packed(rig):
+    """The duplicate-suppression cache holds what a resend needs — the
+    completion's bytes — and a duplicate gets the same bytes again
+    without the access being executed twice."""
+    env, fabric, entities = rig
+    manager = Recorder()
+    entities["ep"].manager = manager
+    request = pi4.ReadRequest(cap_id=BASELINE_CAP_ID, offset=0, tag=7,
+                              count=GENERAL_INFO_DWORDS)
+    for _ in range(2):
+        entities["ep"].send_pi4(request, turn_pool=0, turn_pointer=0)
+        env.run()
+    sw = entities["sw"]
+    assert list(sw._served_replies) == [7]
+    assert type(sw._served_replies[7]) is bytes
+    first, second = (p.payload for p in manager.packets)
+    assert first == second == sw._served_replies[7]
+    assert pi4.decode(first).tag == 7
+    assert sw.stats["duplicate_requests"] == 1
+    assert sw.stats["reads_served"] == 1

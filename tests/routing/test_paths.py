@@ -88,6 +88,45 @@ class TestDbRoutes:
         assert pool.bits == 5 * 4
 
 
+class TestOneWiringLookup:
+    """``TopologyDatabase.link_ports`` is the only lookup of the ports
+    that wire two records; ``paths`` raises its ``DatabaseError`` as
+    ``PathError``, message kept."""
+
+    @staticmethod
+    def one_sided_database():
+        from repro.capability import (
+            DEVICE_TYPE_ENDPOINT,
+            DEVICE_TYPE_SWITCH,
+        )
+        from repro.manager.database import DeviceRecord, TopologyDatabase
+        db = TopologyDatabase()
+        for dsn in (10, 11):
+            db.add_device(DeviceRecord(
+                dsn=dsn, type_code=DEVICE_TYPE_ENDPOINT, nports=1))
+        for dsn in (1, 2):
+            db.add_device(DeviceRecord(
+                dsn=dsn, type_code=DEVICE_TYPE_SWITCH, nports=16))
+        db.add_link(10, 0, 1, 0)
+        db.add_link(1, 1, 2, None)  # far port not known yet
+        db.add_link(2, 2, 11, 0)
+        return db
+
+    def test_database_error_surfaces_as_path_error(self):
+        from repro.manager.database import DatabaseError
+        db = self.one_sided_database()
+        with pytest.raises(DatabaseError, match="far port of 0x1->0x2"):
+            db.link_ports(1, 2)
+        with pytest.raises(PathError, match="far port of 0x1->0x2 unknown"):
+            db_route(db, 10, 11)
+        with pytest.raises(PathError, match="no up link between 0x2 and"):
+            db_route(db, 11, 10)
+
+    def test_endpoint_routes_raise_at_the_first_unroutable_pair(self):
+        with pytest.raises(PathError, match="far port of 0x1->0x2 unknown"):
+            db_endpoint_routes(self.one_sided_database(), 10)
+
+
 class TestFabricRoutes:
     def test_ground_truth_route_delivers(self, discovered):
         pool, out_port = fabric_route(discovered.fabric, "ep_0_1", "ep_2_1")

@@ -7,12 +7,9 @@ from repro.routing.turnpool import (
     Hop,
     TurnPool,
     TurnPoolError,
-    backward_egress,
     build_turn_pool,
     encode_turn,
-    forward_egress,
-    read_backward_turn,
-    read_forward_turn,
+    route_step,
     turn_width,
     walk_forward,
 )
@@ -39,7 +36,9 @@ class TestTurnEncoding:
                 if in_port == out_port:
                     continue
                 turn = encode_turn(in_port, out_port, nports)
-                assert forward_egress(in_port, turn, nports) == out_port
+                # A one-turn pool: the step consumes all four bits.
+                assert route_step(0, turn, 4, in_port, nports) == (
+                    out_port, 0)
 
     def test_backward_undoes_forward(self):
         nports = 16
@@ -50,7 +49,8 @@ class TestTurnEncoding:
                 turn = encode_turn(in_port, out_port, nports)
                 # Backward packet enters at the forward egress and must
                 # leave through the forward ingress.
-                assert backward_egress(out_port, turn, nports) == in_port
+                assert route_step(1, turn, 0, out_port, nports) == (
+                    in_port, 4)
 
     def test_uturn_rejected(self):
         with pytest.raises(TurnPoolError):
@@ -59,8 +59,11 @@ class TestTurnEncoding:
     def test_port_bounds_checked(self):
         with pytest.raises(TurnPoolError):
             encode_turn(16, 0, 16)
-        with pytest.raises(TurnPoolError):
-            forward_egress(-1, 0, 16)
+        for direction in (0, 1):
+            with pytest.raises(TurnPoolError, match="port -1 outside"):
+                route_step(direction, 0, 4, -1, 16)
+            with pytest.raises(TurnPoolError, match="port 16 outside"):
+                route_step(direction, 0, 4, 16, 16)
 
 
 class TestBuildAndWalk:
@@ -72,9 +75,7 @@ class TestBuildAndWalk:
     def test_single_hop(self):
         pool = build_turn_pool([Hop(16, 2, 7)])
         assert pool.bits == 4
-        turn, pointer = read_forward_turn(pool.pool, pool.bits, 16)
-        assert pointer == 0
-        assert forward_egress(2, turn, 16) == 7
+        assert route_step(0, pool.pool, pool.bits, 2, 16) == (7, 0)
 
     def test_walk_matches_construction(self):
         hops = [Hop(16, 0, 5), Hop(16, 3, 9), Hop(4, 1, 2)]
@@ -89,13 +90,25 @@ class TestBuildAndWalk:
 
     def test_forward_read_exhaustion_detected(self):
         pool = build_turn_pool([Hop(16, 0, 5)])
-        _, pointer = read_forward_turn(pool.pool, pool.bits, 16)
-        with pytest.raises(TurnPoolError):
-            read_forward_turn(pool.pool, pointer, 16)
+        _, pointer = route_step(0, pool.pool, pool.bits, 0, 16)
+        with pytest.raises(TurnPoolError, match="fewer than 4 bits left"):
+            route_step(0, pool.pool, pointer, 0, 16)
 
     def test_backward_read_overflow_detected(self):
-        with pytest.raises(TurnPoolError):
-            read_backward_turn(0, 62, 16)  # 62 + 4 > 64
+        with pytest.raises(TurnPoolError, match="exceeds pool"):
+            route_step(1, 0, 62, 0, 16)  # 62 + 4 > 64
+        assert route_step(1, 0, 60, 0, 16) == (15, 64)  # the last turn
+
+    def test_walk_reports_leftover_bits_and_a_short_pool(self):
+        pool = build_turn_pool([Hop(16, 0, 5), Hop(16, 3, 9)])
+        with pytest.raises(TurnPoolError, match="4 turn bits left over"):
+            walk_forward(pool, [(16, 0)])
+        with pytest.raises(TurnPoolError, match="fewer than 4 bits left"):
+            walk_forward(pool, [(16, 0), (16, 3), (16, 1)])
+
+    def test_one_port_device_cannot_be_stepped_through(self):
+        with pytest.raises(TurnPoolError, match="1-port device"):
+            route_step(0, 0, 4, 0, 1)
 
     def test_turnpool_equality_and_hash(self):
         a = build_turn_pool([Hop(16, 0, 5)])
@@ -133,13 +146,15 @@ def test_property_forward_then_backward_returns_to_source(hops):
     # Forward traversal.
     pointer = pool.bits
     for hop in hops:
-        turn, pointer = read_forward_turn(pool.pool, pointer, hop.nports)
-        assert forward_egress(hop.in_port, turn, hop.nports) == hop.out_port
+        egress, pointer = route_step(0, pool.pool, pointer, hop.in_port,
+                                     hop.nports)
+        assert egress == hop.out_port
     assert pointer == 0
 
     # Backward traversal visits switches in reverse order, entering at
     # each hop's forward egress, and must exit at the forward ingress.
     for hop in reversed(hops):
-        turn, pointer = read_backward_turn(pool.pool, pointer, hop.nports)
-        assert backward_egress(hop.out_port, turn, hop.nports) == hop.in_port
+        egress, pointer = route_step(1, pool.pool, pointer, hop.out_port,
+                                     hop.nports)
+        assert egress == hop.in_port
     assert pointer == pool.bits

@@ -28,12 +28,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: paid for by the second route-tree builder, the CRC-32 table and the
 #: duplicate hop builder it deleted; 12,080 before PR 19 merged
 #: ``VirtualChannel`` and ``CreditCounter`` into one transmit record and
-#: deleted the grant queue nothing called).
-TOTAL_CEILING = 12_011
+#: deleted the grant queue nothing called; 12,011 before PR 20, whose
+#: direct transmit/serve paths and inline credit arithmetic are paid for
+#: by the four turn helpers, the second ``link_ports``, the ``now``
+#: property and the entity's reply helpers).
+TOTAL_CEILING = 12_005
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; what is left is the callback kernel plus
-#: ``Process``/``Timeout`` for the five loop-shaped workloads).
-SIM_CEILING = 442
+#: ``Process``/``Timeout`` for the five loop-shaped workloads; 442
+#: while ``Environment.now`` was a property).
+SIM_CEILING = 439
 #: Code lines in ``repro/experiments/`` + ``repro/cli.py`` (3,666
 #: before PR 13, 3,071 after it).
 EXPERIMENTS_AND_CLI_CEILING = 3_064
