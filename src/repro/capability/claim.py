@@ -68,12 +68,17 @@ class ClaimCapability:
             )
         self._block.write(0, values)
 
+    @staticmethod
+    def decode(values: Sequence[int]) -> Optional[Tuple[int, int]]:
+        """``(owner_dsn, generation)`` from the capability's dwords
+        (:meth:`encode` backwards); None if unclaimed or cut short."""
+        if len(values) < _SIZE or not get_field(values[0], 31, 1):
+            return None
+        return ((values[1] << 32) | values[2], get_field(values[0], 0, 16))
+
     def get_claim(self) -> Optional[Tuple[int, int]]:
         """Return ``(owner_dsn, generation)`` or None if unclaimed."""
-        d0, high, low = self._block.read(0, 3)
-        if not get_field(d0, 31, 1):
-            return None
-        return ((high << 32) | low, get_field(d0, 0, 16))
+        return self.decode(self._block.read(0, _SIZE))
 
     def clear(self) -> None:
         self._block.write(0, [0, 0, 0])

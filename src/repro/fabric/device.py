@@ -171,8 +171,3 @@ class Device:
         self._stats.incr("port_up" if up else "port_down")
         if self.port_state_observer is not None and self.active:
             self.port_state_observer(self, port, up)
-
-    # -- queries -------------------------------------------------------------
-    def active_ports(self) -> List[int]:
-        """Indices of ports whose links are currently up."""
-        return [p.index for p in self.ports if p.is_up]

@@ -95,9 +95,6 @@ class RouteHeader:
         default=None, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self):
-        self.validate()
-
     def _fields(self) -> tuple:
         """The ten fields in constructor order."""
         return (self.pi, self.tc, self.direction, self.oo, self.ts,
@@ -122,6 +119,9 @@ class RouteHeader:
                 f"turn_pointer={self.turn_pointer} exceeds pool width"
             )
         raise HeaderError("turn_pool outside 64-bit range")
+
+    #: Construction validates: the generated ``__init__`` calls this.
+    __post_init__ = validate
 
     # -- serialization -----------------------------------------------------
     def _pack_words(self, hcrc: int) -> bytes:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from .crc import crc32
 from .header import HEADER_BYTES, HeaderError, RouteHeader
@@ -52,10 +52,13 @@ class Packet:
     src: str = ""
     #: Simulation time the packet was injected.
     created_at: float = 0.0
-    #: Free-form per-packet annotations (e.g. decoded PI-4 message).
-    meta: Dict[str, Any] = field(default_factory=dict)
     #: Hop counter maintained by switches (diagnostics only).
     hops: int = 0
+    #: The decoded PI-4 message, set by the management entity the
+    #: packet reaches (its one decode); ``None`` on every other packet
+    #: and on one whose payload would not decode.
+    message: Any = field(default=None, init=False, repr=False,
+                         compare=False)
     #: Wire size and credit footprint under ``wire_params``, the
     #: ``FabricParams`` object of the port that stamped the packet
     #: (:meth:`Port.send`, for its arbitration and transmission; a
@@ -132,15 +135,6 @@ class Packet:
         else:
             payload = b""
         return cls(header=header, payload=payload)
-
-    @property
-    def pi(self) -> int:
-        return self.header.pi
-
-    @property
-    def is_management(self) -> bool:
-        """True for PI-4 / PI-5 fabric-management packets."""
-        return self.header.pi in (PI_DEVICE_MANAGEMENT, PI_EVENT)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (

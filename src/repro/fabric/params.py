@@ -145,10 +145,6 @@ class FabricParams:
         """Serialization time of ``nbytes`` on an x1 link."""
         return nbytes * 8.0 / self.data_rate
 
-    def vc_for_tc(self, tc: int) -> int:
-        """Resolve a traffic class to a virtual channel index."""
-        return self.tc_vc_map[tc & 0x7]
-
 
 #: Traffic class used by fabric-management packets.  Management and
 #: notification packets use the highest class, which maps to the

@@ -515,7 +515,6 @@ class Port:
             created_at=packet.created_at,
             hops=packet.hops,
         )
-        replay.meta["replay_of"] = packet.pkt_id
         return replay
 
     @staticmethod

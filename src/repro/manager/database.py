@@ -51,6 +51,10 @@ class DeviceRecord:
     #: FM-local egress port for the first link of the route.
     out_port: int = 0
     ports: Dict[int, PortRecord] = field(default_factory=dict)
+    #: ``route_hops`` packed, from the first :meth:`route` after they
+    #: were assigned until they are assigned again (below).
+    _route: Optional[TurnPool] = field(default=None, init=False,
+                                       repr=False, compare=False)
 
     @property
     def is_switch(self) -> bool:
@@ -62,7 +66,10 @@ class DeviceRecord:
 
     def route(self) -> TurnPool:
         """The FM -> device source route as a packed turn pool."""
-        return build_turn_pool(self.route_hops)
+        pool = self._route
+        if pool is None:
+            pool = self._route = build_turn_pool(self.route_hops)
+        return pool
 
     def port(self, index: int) -> PortRecord:
         """The record for port ``index`` (created on first access)."""
@@ -80,6 +87,21 @@ class DeviceRecord:
             ports={index: replace(port)
                    for index, port in self.ports.items()},
         )
+
+
+# A record's hops are assigned whole — a new route is a new list, here
+# and in the discovery walk — so the packed route belongs to the
+# assignment: storing hops forgets it, and every port read in between
+# reuses the one pack.
+_hops_slot = DeviceRecord.route_hops
+
+
+def _assign_hops(record: DeviceRecord, hops: List[Hop]) -> None:
+    _hops_slot.__set__(record, hops)
+    record._route = None
+
+
+DeviceRecord.route_hops = property(_hops_slot.__get__, _assign_hops)
 
 
 class TopologyDatabase:

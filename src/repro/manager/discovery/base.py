@@ -143,7 +143,8 @@ class DiscoveryAlgorithm:
         self.env = fm.env
         self.stats = DiscoveryStats(algorithm=self.key)
         self.done_event = self.env.event()
-        self._finished = False
+        #: Set once, when the run has nothing outstanding or deferred.
+        self.done = False
         self._outstanding = 0
         #: Top-level span covering this run.  Owned (begun/ended) by
         #: this instance unless a surrounding burst supplied it (see
@@ -163,38 +164,31 @@ class DiscoveryAlgorithm:
         """Begin discovery at the FM's own endpoint."""
         self.stats.trigger = trigger
         self.stats.started_at = self.env.now
-        if self._tracer is not None:
-            self.span = self._tracer.begin(
+        # Observability is ``self.fm.tracer`` (``None`` = disabled, the
+        # zero-overhead path), read on every use rather than
+        # snapshotted at construction: the FM builds its initial
+        # discovery object before a
+        # :class:`~repro.obs.session.TraceSession` is installed on the
+        # setup, and the session must still capture that run.
+        tracer = self.fm.tracer
+        if tracer is not None:
+            self.span = tracer.begin(
                 f"discovery:{self.key}", "discovery", self.env.now,
                 track="fm", algorithm=self.key, trigger=trigger,
             )
         self._send_general(Target(hops=[], out_port=None))
 
-    @property
-    def done(self) -> bool:
-        return self._finished
-
-    @property
-    def _tracer(self):
-        """Observability (``None`` = disabled, the zero-overhead path).
-
-        Read through to the FM on every use rather than snapshotted at
-        construction: the FM builds its initial discovery object before
-        a :class:`~repro.obs.session.TraceSession` is installed on the
-        setup, and the session must still capture that run.
-        """
-        return self.fm.tracer
-
     def _maybe_finish(self) -> None:
-        if self._finished or self._outstanding > 0 or self._has_backlog():
+        if self.done or self._outstanding > 0 or self._has_backlog():
             return
-        self._finished = True
+        self.done = True
         self.stats.finished_at = self.env.now
         self.stats.devices_found = len(self.db)
+        tracer = self.fm.tracer
         if (self.span is not None and self._span_owned
-                and self._tracer is not None):
-            self._tracer.end(self.span, self.stats.finished_at,
-                             devices=self.stats.devices_found)
+                and tracer is not None):
+            tracer.end(self.span, self.stats.finished_at,
+                       devices=self.stats.devices_found)
         self.done_event.succeed(self.stats)
 
     # -- request plumbing ---------------------------------------------------
@@ -213,8 +207,9 @@ class DiscoveryAlgorithm:
             count=GENERAL_INFO_DWORDS,
         )
         self._outstanding += 1
-        if self._tracer is not None:
-            target.span = self._tracer.begin(
+        tracer = self.fm.tracer
+        if tracer is not None:
+            target.span = tracer.begin(
                 "claim", "discovery", self.env.now,
                 parent=self.span, track="discovery",
                 via_dsn=target.via_dsn, via_port=target.via_port,
@@ -235,8 +230,9 @@ class DiscoveryAlgorithm:
         )
         self._outstanding += 1
         span = None
-        if self._tracer is not None:
-            span = self._tracer.begin(
+        tracer = self.fm.tracer
+        if tracer is not None:
+            span = tracer.begin(
                 "port_read", "discovery", self.env.now,
                 parent=self.span, track="discovery",
                 dsn=record.dsn, port=index,
@@ -251,13 +247,13 @@ class DiscoveryAlgorithm:
     # -- completion handling ---------------------------------------------------
     def _on_general(self, completion, target: Target) -> None:
         self._outstanding -= 1
-        if target.span is not None and self._tracer is not None:
-            ok = isinstance(completion, pi4.ReadCompletion)
-            self._tracer.end(target.span, self.env.now,
-                             outcome="claimed" if ok else "abandoned")
+        ok = isinstance(completion, pi4.ReadCompletion)
+        tracer = self.fm.tracer
+        if target.span is not None and tracer is not None:
+            tracer.end(target.span, self.env.now,
+                       outcome="claimed" if ok else "abandoned")
             target.span = None
-        if completion is None or not isinstance(completion,
-                                                pi4.ReadCompletion):
+        if not ok:
             # Timed out or completion-with-error: the device vanished
             # mid-discovery (or the route went stale).  Abandon.
             self.stats.abandoned_targets += 1
@@ -272,7 +268,7 @@ class DiscoveryAlgorithm:
             self._maybe_finish()
             return
 
-        info = decode_general_info(list(completion.data))
+        info = decode_general_info(completion.data)
         dsn = info["dsn"]
         arrival = (
             None if completion.arrival_port == pi4.NO_PORT
@@ -324,15 +320,15 @@ class DiscoveryAlgorithm:
     def _on_port(self, completion, ctx) -> None:
         self._outstanding -= 1
         record, index = ctx
-        if self._tracer is not None:
+        ok = isinstance(completion, pi4.ReadCompletion)
+        tracer = self.fm.tracer
+        if tracer is not None:
             span = self._port_spans.pop((record.dsn, index), None)
             if span is not None:
-                ok = isinstance(completion, pi4.ReadCompletion)
-                self._tracer.end(span, self.env.now,
-                                 outcome="read" if ok else "abandoned")
+                tracer.end(span, self.env.now,
+                           outcome="read" if ok else "abandoned")
         port = record.port(index)
-        if completion is None or not isinstance(completion,
-                                                pi4.ReadCompletion):
+        if not ok:
             port.up = False  # unknowable; treat as inactive
             self.stats.abandoned_targets += 1
             # The device itself was claimed (its general read answered

@@ -61,9 +61,6 @@ class ClaimingParallelDiscovery(ParallelDiscovery):
         #: DSNs seen but owned by another collaborator.
         self.foreign: set = set()
 
-    def packet_cost_key(self) -> str:
-        return "parallel"
-
     # A new device is claimed before its ports are read.
     def on_new_device(self, record: DeviceRecord) -> None:
         message = pi4.WriteRequest(

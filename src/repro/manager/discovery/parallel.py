@@ -48,17 +48,15 @@ class ParallelDiscovery(DiscoveryAlgorithm):
             None if window is None else deque())
 
     # -- windowing ------------------------------------------------------
-    def _can_send(self) -> bool:
-        return self.window is None or self._outstanding < self.window
-
     def _dispatch(self, fn, *args) -> None:
-        if self._can_send():
+        if self.window is None or self._outstanding < self.window:
             fn(*args)
         else:
             self._backlog.append((fn, args))
 
     def _drain(self) -> None:
-        while self._backlog and self._can_send():
+        # Only a windowed run has a backlog.
+        while self._backlog and self._outstanding < self.window:
             fn, args = self._backlog.popleft()
             fn(*args)
 

@@ -51,7 +51,7 @@ class _RegionExploration(ParallelDiscovery):
             self.stats.trigger = "change"
             self.stats.started_at = self.env.now
         if not targets:
-            self._finished = True
+            self.done = True
             self.stats.finished_at = self.env.now
             self.stats.devices_found = len(self.db)
             self.done_event.succeed(self.stats)
@@ -72,6 +72,9 @@ class PartialAssimilationManager(FabricManager):
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("algorithm", "parallel")
         super().__init__(*args, **kwargs)
+        # Partial assimilation shares the Parallel implementation's
+        # per-packet FM cost.
+        self.cost_key = "parallel"
         self._event_queue: Deque[pi5.PortEvent] = deque()
         self._burst_stats: Optional[DiscoveryStats] = None
         #: Open observability span covering the current burst (tracing
@@ -87,14 +90,6 @@ class PartialAssimilationManager(FabricManager):
         #: fed to the bounded restart/repair policy when the burst
         #: finishes.
         self._burst_suspects: set = set()
-
-    # -- cost model ---------------------------------------------------------
-    def packet_cost(self, packet) -> float:
-        # Partial assimilation shares the Parallel implementation's
-        # per-packet FM cost.
-        cost = self.timing.fm_time("parallel", len(self.database))
-        self._record_cost(cost)
-        return cost
 
     # -- event path ---------------------------------------------------------
     def _handle_event(self, event: pi5.PortEvent) -> None:

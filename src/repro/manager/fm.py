@@ -31,7 +31,6 @@ from ..capability import (
     EventRouteCapability,
     decode_general_info,
 )
-from ..capability.registers import get_field
 from ..fabric.endpoint import Endpoint
 from ..fabric.packet import PI_DEVICE_MANAGEMENT, PI_EVENT, Packet
 from ..protocols import pi4, pi5
@@ -102,6 +101,8 @@ class FabricManager:
         self.env = endpoint.env
         self.timing = timing or ProcessingTimeModel()
         self.algorithm_key = algorithm
+        #: The algorithm whose per-packet FM time is charged (Fig. 4).
+        self.cost_key = algorithm
         self.program_event_routes = program_event_routes
         #: Whether a completion reaching the FM endpoint clears its
         #: request timer even while it waits in the FM's serial
@@ -237,15 +238,12 @@ class FabricManager:
 
     # -- cost model (paper Fig. 4) -----------------------------------------
     def packet_cost(self, packet: Packet) -> float:
-        """FM time to process one management packet."""
-        cost = self.timing.fm_time(self.algorithm_key, len(self.database))
-        self._record_cost(cost)
-        return cost
-
-    def _record_cost(self, cost: float) -> None:
-        """Accumulate FM busy time (the measured Fig. 4 quantity)."""
+        """FM time to process one management packet, accumulated as
+        FM busy time (the measured Fig. 4 quantity)."""
+        cost = self.timing.fm_time(self.cost_key, len(self.database))
         self.processing_time_total += cost
         self.processing_packets += 1
+        return cost
 
     def mean_processing_time(self) -> float:
         """Average FM time per processed packet so far (Fig. 4)."""
@@ -305,31 +303,34 @@ class FabricManager:
             self.send_request(message, pool, out_port, arrive, ctx=ctx,
                               span_parent=span_parent)
 
+    def _wire_size(self, packet: Packet) -> int:
+        """Bytes ``packet`` takes on the wire: the size a port stamped
+        on it under this fabric's parameters, computed only for a
+        packet that met no port (a loop-back)."""
+        params = self.endpoint.params
+        if packet.wire_params is params:
+            return packet.wire_size
+        return packet.size_bytes(params.framing_overhead, params.pcrc_bytes)
+
     def _on_request_transmitted(self, entry: Transaction, packet) -> None:
         """Engine hook: per-transmission byte accounting."""
-        if entry.stats is not None:
-            entry.stats.requests_sent += 1
-            entry.stats.bytes_sent += packet.size_bytes(
-                self.endpoint.params.framing_overhead,
-                self.endpoint.params.pcrc_bytes,
-            )
+        stats = entry.stats
+        if stats is not None:
+            stats.requests_sent += 1
+            stats.bytes_sent += self._wire_size(packet)
 
     def note_packet_arrival(self, packet: Packet) -> None:
         """Called by the entity when a management packet is enqueued at
-        the FM endpoint (before the FM's serial processing)."""
-        if not self.arrival_clears_timeout:
-            return
-        if packet.header.pi != PI_DEVICE_MANAGEMENT:
-            return
-        try:
-            message = pi4.decode(packet.payload)
-        except pi4.Pi4Error:
-            return
-        self.engine.note_arrival(message.tag)
+        the FM endpoint (before the FM's serial processing), decoded:
+        an undecodable one names no request and clears no timer."""
+        message = packet.message
+        if message is not None and self.arrival_clears_timeout:
+            self.engine.note_arrival(message.tag)
 
     def _active_stats(self) -> Optional[DiscoveryStats]:
-        if self.discovery is not None and not self.discovery.done:
-            return self.discovery.stats
+        discovery = self.discovery
+        if discovery is not None and not discovery.done:
+            return discovery.stats
         return None
 
     # -- inbound management packets ---------------------------------------
@@ -361,14 +362,15 @@ class FabricManager:
         if packet.header.pi != PI_DEVICE_MANAGEMENT:
             self.counters.incr("unknown_pi")
             return
-        message = packet.meta.get("pi4_msg")
+        message = packet.message
         if message is None:
+            # Handed over by something other than the entity.
             try:
                 message = pi4.decode(packet.payload)
             except pi4.Pi4Error:
                 self.counters.incr("pi4_decode_errors")
                 return
-        if not pi4.is_completion(message):
+        if message.is_request:
             self.counters.incr("unexpected_requests")
             return
         entry = self.engine.complete(message)
@@ -380,10 +382,7 @@ class FabricManager:
         stats = entry.stats
         if stats is not None:
             stats.completions_received += 1
-            stats.bytes_received += packet.size_bytes(
-                self.endpoint.params.framing_overhead,
-                self.endpoint.params.pcrc_bytes,
-            )
+            stats.bytes_received += self._wire_size(packet)
             # Fig. 7(a): the simulation time at which the FM finished
             # processing each discovery packet.
             stats.packet_timeline.append(
@@ -671,16 +670,6 @@ class FabricManager:
             fallback = self.history[-1] if self.history else None
             ready.succeed(stats if stats is not None else fallback)
 
-    @staticmethod
-    def _decode_claim(data) -> Optional[Tuple[int, int]]:
-        """``(owner_dsn, generation)`` from a claim read, or ``None``."""
-        if len(data) < 3:
-            return None
-        d0, high, low = data[0], data[1], data[2]
-        if not get_field(d0, 31, 1):
-            return None
-        return ((high << 32) | low, get_field(d0, 0, 16))
-
     def _fence_then_finish(self, stats: DiscoveryStats) -> None:
         """Run the ownership-fencing pass before declaring ready."""
         if self.demoted:
@@ -717,10 +706,9 @@ class FabricManager:
         me = self.endpoint.dsn
 
         def claim_of(completion) -> Optional[Tuple[int, int]]:
-            ok = (isinstance(completion, pi4.ReadCompletion)
-                  and getattr(completion, "status",
-                              pi4.STATUS_OK) == pi4.STATUS_OK)
-            return self._decode_claim(list(completion.data)) if ok else None
+            if isinstance(completion, pi4.ReadCompletion):
+                return ClaimCapability.decode(completion.data)
+            return None
 
         def on_read(completion, dsn: int) -> None:
             observed[dsn] = claim_of(completion)

@@ -84,7 +84,8 @@ class ManagementEntity:
         #: taken (a cost timer or a hand-over is pending).
         self._backlog: Optional[deque] = None
         self._working = False
-        #: ``(packet, port, message)`` being charged its processing time.
+        #: ``(packet, port, is a request)`` being charged its processing
+        #: time; ``None`` whenever no cost timer runs.
         self._current = None
         #: PI-5 recovery: events are fire-and-forget (no completion to
         #: retry on), so on a lossy fabric each one is blindly repeated
@@ -120,22 +121,16 @@ class ManagementEntity:
         """
         return self.processing_time / self.processing_factor
 
-    def _cost(self, packet: Packet, message) -> float:
-        if packet.header.pi == PI_APPLICATION:
-            return 0.0
-        if packet.header.pi == PI_DEVICE_MANAGEMENT and message is not None:
-            if pi4.is_request(message):
-                return self.device_time
-            if self.manager is not None:
-                return self.manager.packet_cost(packet)
-            return self.device_time
-        if packet.header.pi == PI_EVENT and self.manager is not None:
-            return self.manager.packet_cost(packet)
-        return self.device_time
-
     # -- inbound path ------------------------------------------------------
     def _enqueue(self, packet: Packet, port: Optional[Port]) -> None:
         self.stats.incr("rx_mgmt_packets")
+        if packet.header.pi == PI_DEVICE_MANAGEMENT:
+            # The packet's one decode; a payload that fails it keeps
+            # ``message`` at ``None`` and is counted at its serve turn.
+            try:
+                packet.message = pi4.decode(packet.payload)
+            except pi4.Pi4Error:
+                pass
         if self.manager is not None:
             # Let the manager clear request timers at arrival time; the
             # packet still waits for its serial processing slot.
@@ -163,23 +158,33 @@ class ManagementEntity:
         while True:
             if packet is None:
                 packet, port = self._backlog.popleft()
-            message = None
-            decoded = True
-            if packet.header.pi == PI_DEVICE_MANAGEMENT:
-                try:
-                    message = pi4.decode(packet.payload)
-                except pi4.Pi4Error:
+            # What the packet is decides, here and once, what it costs
+            # and (``request``) who gets it: ``T_Device`` unless it is
+            # the manager's to hear of, which costs the manager's time,
+            # or application data — the host's business, and free.
+            pi = packet.header.pi
+            manager = self.manager
+            request = False
+            cost = self.processing_time / self.processing_factor
+            if pi == PI_DEVICE_MANAGEMENT:
+                message = packet.message
+                if message is None:
                     self.stats.incr("pi4_decode_errors")
-                    decoded = False
-                else:
-                    packet.meta["pi4_msg"] = message
-            if decoded:
-                cost = self._cost(packet, message)
+                    cost = None
+                elif message.is_request:
+                    request = True
+                elif manager is not None:
+                    cost = manager.packet_cost(packet)
+            elif pi == PI_APPLICATION:
+                cost = 0.0
+            elif pi == PI_EVENT and manager is not None:
+                cost = manager.packet_cost(packet)
+            if cost is not None:
                 if cost > 0:
-                    self._current = (packet, port, message)
+                    self._current = (packet, port, request)
                     env.call_later(cost, self._complete)
                     return
-                self._dispatch(packet, port, message)
+                self._dispatch(packet, port, request)
             # Read again: a local loop-back reply may have created it.
             if not self._backlog:
                 self._working = False
@@ -191,7 +196,10 @@ class ManagementEntity:
 
     def _complete(self) -> None:
         """The current packet's processing time has elapsed."""
-        self._dispatch(*self._current)
+        packet, port, request = self._current
+        # Out of the slot first: an idle entity holds no packet.
+        self._current = None
+        self._dispatch(packet, port, request)
         if not self._backlog:
             self._working = False
         elif self.env.quiet():
@@ -200,20 +208,18 @@ class ManagementEntity:
             self.env.call_later(0.0, self._serve)
 
     def _dispatch(self, packet: Packet, port: Optional[Port],
-                  message) -> None:
+                  request: bool) -> None:
+        if request:
+            self._serve_request(packet, port)
+            return
         pi = packet.header.pi
-        if pi == PI_DEVICE_MANAGEMENT:
-            if pi4.is_request(message):
-                self._serve_request(packet, port, message)
-            elif self.manager is not None:
-                self.manager.handle_management_packet(packet, port)
-            else:
-                self.stats.incr("unexpected_completions")
-        elif pi == PI_EVENT:
+        if pi == PI_DEVICE_MANAGEMENT or pi == PI_EVENT:
             if self.manager is not None:
                 self.manager.handle_management_packet(packet, port)
             else:
-                self.stats.incr("events_without_manager")
+                self.stats.incr("unexpected_completions"
+                                if pi == PI_DEVICE_MANAGEMENT
+                                else "events_without_manager")
         elif pi == PI_MULTICAST:
             if self.flood_handler is not None:
                 self.flood_handler(packet, port)
@@ -227,9 +233,10 @@ class ManagementEntity:
             self.stats.incr("unknown_pi")
 
     # -- PI-4 service (device side) ---------------------------------------
-    def _serve_request(self, packet: Packet, port: Optional[Port],
-                       message) -> None:
-        payload = self._served_replies.get(message.tag)
+    def _serve_request(self, packet: Packet, port: Optional[Port]) -> None:
+        message = packet.message
+        tag = message.tag
+        payload = self._served_replies.get(tag)
         if payload is not None:
             # Duplicate of a request already served (the requester
             # retried while the original completion was in flight, or
@@ -237,10 +244,10 @@ class ManagementEntity:
             # completion; the processing time was charged by ``_serve``
             # exactly as for a first-time request.
             self.stats.incr("duplicate_requests")
-            self._served_replies.move_to_end(message.tag)
+            self._served_replies.move_to_end(tag)
         else:
             payload = self._execute_request(port, message).pack()
-            self._served_replies[message.tag] = payload
+            self._served_replies[tag] = payload
             if len(self._served_replies) > self.served_cache_limit:
                 self._served_replies.popitem(last=False)
         reply = Packet(header=packet.header.reversed(), payload=payload)
@@ -255,45 +262,48 @@ class ManagementEntity:
         """Run the configuration-space access and build the completion."""
         space = self.device.config_space
         arrival = port.index if port is not None else pi4.NO_PORT
-        common = dict(cap_id=message.cap_id, offset=message.offset,
-                      tag=message.tag, arrival_port=arrival)
+        cap_id = message.cap_id
+        offset = message.offset
         if message.msg_type == pi4.MSG_READ_REQUEST:
             try:
-                data = space.read(message.cap_id, message.offset,
-                                  message.count)
-                reply = pi4.ReadCompletion(data=tuple(data), **common)
-                self.stats.incr("reads_served")
+                data = space.read(cap_id, offset, message.count)
             except ConfigSpaceError as exc:
-                reply = pi4.ReadError(status=exc.status, **common)
                 self.stats.incr("read_errors")
-        else:  # write request
-            try:
-                space.write(message.cap_id, message.offset,
-                            list(message.data))
-                status = pi4.STATUS_OK
-                self.stats.incr("writes_served")
-            except ConfigSpaceError as exc:
-                status = exc.status
-                self.stats.incr("write_errors")
-            reply = pi4.WriteCompletion(status=status, **common)
-        return reply
+                return pi4.ReadError(cap_id, offset, message.tag, arrival,
+                                     exc.status)
+            self.stats.incr("reads_served")
+            return pi4.ReadCompletion(cap_id, offset, message.tag, arrival,
+                                      tuple(data))
+        try:
+            space.write(cap_id, offset, list(message.data))
+        except ConfigSpaceError as exc:
+            self.stats.incr("write_errors")
+            status = exc.status
+        else:
+            self.stats.incr("writes_served")
+            status = pi4.STATUS_OK
+        return pi4.WriteCompletion(cap_id, offset, message.tag, arrival,
+                                   status)
 
     # -- PI-4 emission (manager side) ----------------------------------------
     def send_pi4(self, message, turn_pool: int, turn_pointer: int,
-                 out_port: Optional[int] = 0) -> Packet:
+                 out_port: Optional[int] = 0,
+                 tag: Optional[int] = None) -> Packet:
         """Send a PI-4 message along an explicit source route.
 
         A zero-turn route (``turn_pointer == 0``) is still a real route:
         it addresses the device directly attached to ``out_port``.  Pass
         ``out_port=None`` to address the *local* device instead — the
         request is looped back through the backlog, modelling the FM
-        reading its own endpoint's configuration space.
+        reading its own endpoint's configuration space.  The message
+        is packed under ``tag`` instead of its own when one is given
+        (the transaction engine's numbering).
         """
         header = make_management_header(
             turn_pool, turn_pointer, pi=PI_DEVICE_MANAGEMENT,
             tc=MANAGEMENT_TC,
         )
-        packet = Packet(header=header, payload=message.pack(),
+        packet = Packet(header=header, payload=message.pack(tag),
                         src=self.device.name, created_at=self.env.now)
         self.stats.incr("pi4_sent")
         if out_port is None:

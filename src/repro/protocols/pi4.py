@@ -26,8 +26,8 @@ the paper).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from operator import attrgetter
+from typing import Optional
 
 from ..capability.config_space import MAX_READ_DWORDS
 
@@ -46,6 +46,9 @@ STATUS_UNSUPPORTED = 0x03
 STATUS_CONFLICT = 0x04
 
 _HEAD = struct.Struct(">BBBBIIBxxx")
+_HEAD_BYTES = _HEAD.size
+#: The data dwords' codec for every value the head's count byte takes.
+_WORDS = tuple(struct.Struct(f">{n}I") for n in range(256))
 
 
 class Pi4Error(ValueError):
@@ -55,10 +58,10 @@ class Pi4Error(ValueError):
 class Pi4DecodeError(Pi4Error):
     """A PI-4 payload is truncated or structurally garbage.
 
-    Wraps the bare :class:`struct.error` the stdlib raises on malformed
-    buffers, so receive paths can drop undecodable management packets
-    (a real possibility once the link error model corrupts payload
-    bytes) by catching :class:`Pi4Error` instead of crashing.
+    Raised where the stdlib would raise a bare :class:`struct.error`,
+    so receive paths can drop undecodable management packets (a real
+    possibility once the link error model corrupts payload bytes) by
+    catching :class:`Pi4Error` instead of crashing.
     """
 
 
@@ -66,157 +69,198 @@ class Pi4DecodeError(Pi4Error):
 NO_PORT = 0xFF
 
 
-@dataclass(frozen=True)
 class Pi4Message:
-    """Common fields of every PI-4 message."""
+    """Common fields of every PI-4 message.
 
-    cap_id: int
-    offset: int
-    tag: int
-    arrival_port: int = NO_PORT
+    Messages are values: immutable, hashable, equal to a message of
+    the same type with the same fields.  One is built for every packet
+    decoded and every completion served, so they are slotted (no
+    instance ``__dict__``) and their constructors are written by hand.
+    """
+
+    __slots__ = ("cap_id", "offset", "tag", "arrival_port")
 
     msg_type = 0x00  # overridden
+    #: Whether the message expects a completion (else it is one).
+    is_request = False
 
-    def with_tag(self, tag: int) -> "Pi4Message":
-        """A copy of this message carrying ``tag``.
+    def __init_subclass__(cls):
+        #: Field names in constructor order, and one C-level read of
+        #: all their values.
+        cls._fields = Pi4Message.__slots__ + (
+            cls.__slots__ or cls.__base__.__slots__)
+        cls._values = attrgetter(*cls._fields)
 
-        The requester stamps every request once; the other fields were
-        validated when the message was built, so this copies them
-        as they are instead of going back through ``__init__``.
-        """
-        clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__, tag=tag)
-        return clone
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def _head(self, count: int, status: int) -> bytes:
-        return _HEAD.pack(
-            self.msg_type, count, self.cap_id, status, self.offset,
-            self.tag, self.arrival_port,
-        )
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
 
 
-@dataclass(frozen=True)
+# The slots' own setters: how the constructors get past __setattr__.
+_cap_id, _offset, _tag, _arrival_port = (
+    getattr(Pi4Message, name).__set__ for name in Pi4Message.__slots__)
+
+
 class ReadRequest(Pi4Message):
     """Request ``count`` dwords from a capability."""
 
-    count: int = 1
+    __slots__ = ("count",)
     msg_type = MSG_READ_REQUEST
+    is_request = True
 
-    def __post_init__(self):
-        if not 1 <= self.count <= MAX_READ_DWORDS:
+    def __init__(self, cap_id: int, offset: int, tag: int,
+                 arrival_port: int = NO_PORT, count: int = 1):
+        if not 1 <= count <= MAX_READ_DWORDS:
             raise Pi4Error(
-                f"read count {self.count} outside [1, {MAX_READ_DWORDS}]"
+                f"read count {count} outside [1, {MAX_READ_DWORDS}]"
             )
+        _cap_id(self, cap_id)
+        _offset(self, offset)
+        _tag(self, tag)
+        _arrival_port(self, arrival_port)
+        _count(self, count)
 
-    def pack(self) -> bytes:
-        return self._head(self.count, 0)
+    def pack(self, tag: Optional[int] = None) -> bytes:
+        """The payload; under ``tag`` instead of the message's own
+        when given (the transaction engine numbers a request as it
+        sends it, and does not copy the message to say so).  Every
+        message packs this way."""
+        return _HEAD.pack(MSG_READ_REQUEST, self.count, self.cap_id, 0,
+                          self.offset, self.tag if tag is None else tag,
+                          self.arrival_port)
 
 
-@dataclass(frozen=True)
-class ReadCompletion(Pi4Message):
+class _DataMessage(Pi4Message):
+    """A message that carries dwords."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, cap_id: int, offset: int, tag: int,
+                 arrival_port: int = NO_PORT, data: tuple = ()):
+        _cap_id(self, cap_id)
+        _offset(self, offset)
+        _tag(self, tag)
+        _arrival_port(self, arrival_port)
+        _data(self, data)
+
+    def pack(self, tag: Optional[int] = None) -> bytes:
+        data = self.data
+        return _HEAD.pack(self.msg_type, len(data), self.cap_id, 0,
+                          self.offset, self.tag if tag is None else tag,
+                          self.arrival_port) + _WORDS[len(data)].pack(*data)
+
+
+class ReadCompletion(_DataMessage):
     """Successful read: carries the requested dwords."""
 
-    data: tuple = ()
+    __slots__ = ()
     msg_type = MSG_READ_COMPLETION
 
-    def pack(self) -> bytes:
-        return self._head(len(self.data), STATUS_OK) + struct.pack(
-            f">{len(self.data)}I", *self.data)
 
-
-@dataclass(frozen=True)
-class ReadError(Pi4Message):
-    """Failed read: carries only a status code."""
-
-    status: int = STATUS_UNSUPPORTED
-    msg_type = MSG_READ_ERROR
-
-    def pack(self) -> bytes:
-        return self._head(0, self.status)
-
-
-@dataclass(frozen=True)
-class WriteRequest(Pi4Message):
+class WriteRequest(_DataMessage):
     """Write dwords into a capability."""
 
-    data: tuple = ()
+    __slots__ = ()
     msg_type = MSG_WRITE_REQUEST
+    is_request = True
 
-    def __post_init__(self):
-        if not 1 <= len(self.data) <= MAX_READ_DWORDS:
+    def __init__(self, cap_id: int, offset: int, tag: int,
+                 arrival_port: int = NO_PORT, data: tuple = ()):
+        if not 1 <= len(data) <= MAX_READ_DWORDS:
             raise Pi4Error(
-                f"write of {len(self.data)} dwords outside "
+                f"write of {len(data)} dwords outside "
                 f"[1, {MAX_READ_DWORDS}]"
             )
-
-    def pack(self) -> bytes:
-        return self._head(len(self.data), 0) + struct.pack(
-            f">{len(self.data)}I", *self.data)
+        _DataMessage.__init__(self, cap_id, offset, tag, arrival_port, data)
 
 
-@dataclass(frozen=True)
-class WriteCompletion(Pi4Message):
+class _StatusMessage(Pi4Message):
+    """A completion that carries only a status code."""
+
+    __slots__ = ("status",)
+
+    def __init__(self, cap_id: int, offset: int, tag: int,
+                 arrival_port: int = NO_PORT, status: int = STATUS_OK):
+        _cap_id(self, cap_id)
+        _offset(self, offset)
+        _tag(self, tag)
+        _arrival_port(self, arrival_port)
+        _status(self, status)
+
+    def pack(self, tag: Optional[int] = None) -> bytes:
+        return _HEAD.pack(self.msg_type, 0, self.cap_id, self.status,
+                          self.offset, self.tag if tag is None else tag,
+                          self.arrival_port)
+
+
+class ReadError(_StatusMessage):
+    """Failed read."""
+
+    __slots__ = ()
+    msg_type = MSG_READ_ERROR
+
+    def __init__(self, cap_id: int, offset: int, tag: int,
+                 arrival_port: int = NO_PORT,
+                 status: int = STATUS_UNSUPPORTED):
+        _StatusMessage.__init__(self, cap_id, offset, tag, arrival_port,
+                                status)
+
+
+class WriteCompletion(_StatusMessage):
     """Write acknowledgement (``status`` 0 on success)."""
 
-    status: int = STATUS_OK
+    __slots__ = ()
     msg_type = MSG_WRITE_COMPLETION
 
-    def pack(self) -> bytes:
-        return self._head(0, self.status)
+
+_count = ReadRequest.count.__set__
+_data = _DataMessage.data.__set__
+_status = _StatusMessage.status.__set__
 
 
-AnyPi4 = Union[ReadRequest, ReadCompletion, ReadError, WriteRequest,
-               WriteCompletion]
-
-
-def _data_words(payload: bytes, n: int) -> tuple:
-    """The ``n`` data dwords following the head."""
-    if len(payload) < _HEAD.size + 4 * n:
-        raise Pi4DecodeError(
-            f"PI-4 payload truncated: {len(payload) - _HEAD.size} bytes "
-            f"for {n} dwords"
-        )
-    return struct.unpack_from(f">{n}I", payload, _HEAD.size)
-
-
-def decode(payload: bytes) -> AnyPi4:
+def decode(payload: bytes) -> Pi4Message:
     """Decode a PI-4 payload into its message object.
 
     Raises :class:`Pi4DecodeError` (a :class:`Pi4Error`) on truncated
     or structurally invalid payloads — never a bare ``struct.error``.
     """
-    if len(payload) < _HEAD.size:
+    if len(payload) < _HEAD_BYTES:
         raise Pi4DecodeError(
             f"PI-4 payload of {len(payload)} bytes is too short"
         )
-    try:
-        (msg_type, count, cap_id, status, offset, tag,
-         arrival_port) = _HEAD.unpack_from(payload)
-    except struct.error as exc:  # pragma: no cover - length checked above
-        raise Pi4DecodeError(f"PI-4 header unpack failed: {exc}") from exc
-    common = (cap_id, offset, tag, arrival_port)
+    (msg_type, count, cap_id, status, offset, tag,
+     arrival_port) = _HEAD.unpack_from(payload)
     if msg_type == MSG_READ_REQUEST:
-        return ReadRequest(*common, count=count)
-    if msg_type == MSG_READ_COMPLETION:
-        return ReadCompletion(*common, data=_data_words(payload, count))
+        return ReadRequest(cap_id, offset, tag, arrival_port, count)
+    if msg_type == MSG_READ_COMPLETION or msg_type == MSG_WRITE_REQUEST:
+        if len(payload) < _HEAD_BYTES + 4 * count:
+            raise Pi4DecodeError(
+                f"PI-4 payload truncated: {len(payload) - _HEAD_BYTES} "
+                f"bytes for {count} dwords"
+            )
+        data = _WORDS[count].unpack_from(payload, _HEAD_BYTES)
+        if msg_type == MSG_READ_COMPLETION:
+            return ReadCompletion(cap_id, offset, tag, arrival_port, data)
+        return WriteRequest(cap_id, offset, tag, arrival_port, data)
     if msg_type == MSG_READ_ERROR:
-        return ReadError(*common, status=status)
-    if msg_type == MSG_WRITE_REQUEST:
-        return WriteRequest(*common, data=_data_words(payload, count))
+        return ReadError(cap_id, offset, tag, arrival_port, status)
     if msg_type == MSG_WRITE_COMPLETION:
-        return WriteCompletion(*common, status=status)
+        return WriteCompletion(cap_id, offset, tag, arrival_port, status)
     raise Pi4DecodeError(f"unknown PI-4 message type {msg_type:#04x}")
-
-
-def is_request(message: AnyPi4) -> bool:
-    """Whether a decoded message expects a completion."""
-    return message.msg_type in (MSG_READ_REQUEST, MSG_WRITE_REQUEST)
-
-
-def is_completion(message: AnyPi4) -> bool:
-    """Whether a decoded message answers a request."""
-    return message.msg_type in (
-        MSG_READ_COMPLETION,
-        MSG_READ_ERROR,
-        MSG_WRITE_COMPLETION,
-    )

@@ -63,10 +63,12 @@ MGMT_PACKET_ESTIMATE = 64
 TAG_SALT_SHIFT = 16
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     """One outstanding request awaiting its completion."""
 
+    #: The number the request travels under (the caller's message
+    #: keeps whatever tag it was built with; it is packed under this).
     tag: int
     message: Any
     pool: TurnPool
@@ -105,35 +107,32 @@ class TimeoutPolicy:
     of triggering spurious retries.
     """
 
-    __slots__ = ("params", "timing", "algorithm", "floor", "safety")
+    __slots__ = ("timing", "algorithm", "floor", "safety",
+                 "_turn_width", "_per_hop")
 
     def __init__(self, params, timing, algorithm: str,
                  floor: float = DEFAULT_TIMEOUT,
                  safety: float = DEFAULT_SAFETY):
-        self.params = params
         self.timing = timing
         self.algorithm = algorithm
         self.floor = floor
         self.safety = safety
-
-    def route_hops(self, pool: TurnPool) -> int:
-        """Number of switch hops encoded in a turn pool."""
-        width = turn_width(self.params.switch_ports)
-        if width <= 0:
-            return 0
-        return pool.bits // width
-
-    def timeout_for(self, pool: TurnPool, known_devices: int = 0) -> float:
-        """Timeout for one request along ``pool``'s route."""
-        params = self.params
-        per_hop = (
+        # All the policy needs of ``params`` (which are frozen): the
+        # width of one switch's turn, and the estimate of one link
+        # crossing — cut-through latency of a conservative packet.
+        self._turn_width = turn_width(params.switch_ports)
+        self._per_hop = (
             params.tx_time(MGMT_PACKET_ESTIMATE)
             + params.routing_latency
             + params.propagation_delay
         )
-        # Request and completion each cross every link of the route
-        # (hops switches + the two endpoint links).
-        round_trip = 2.0 * (self.route_hops(pool) + 2) * per_hop
+
+    def timeout_for(self, pool: TurnPool, known_devices: int = 0) -> float:
+        """Timeout for one request along ``pool``'s route."""
+        # Request and completion each cross every link of the route:
+        # one per switch hop the pool encodes + the two endpoint links.
+        hops = pool.bits // self._turn_width
+        round_trip = 2.0 * (hops + 2) * self._per_hop
         service = (
             self.timing.device_processing_time()
             + self.timing.fm_time(self.algorithm, known_devices)
@@ -204,7 +203,6 @@ class TransactionEngine:
         observability span under the caller's span (tracing only).
         """
         tag = next(self._tags)
-        message = message.with_tag(tag)
         if timeout is not None:
             period, backoff = timeout, 1.0
         elif self.policy is not None:
@@ -214,10 +212,9 @@ class TransactionEngine:
         else:
             period, backoff = self.default_timeout, self.backoff
         entry = Transaction(
-            tag=tag, message=message, pool=pool, out_port=out_port,
-            callback=callback, ctx=ctx,
-            retries_left=self.max_retries if retries is None else retries,
-            stats=stats, timeout=period, backoff=backoff,
+            tag, message, pool, out_port, callback, ctx,
+            self.max_retries if retries is None else retries,
+            stats, period, backoff,
         )
         tracer = self.tracer
         if tracer is not None:
@@ -263,8 +260,9 @@ class TransactionEngine:
 
     # -- internals ---------------------------------------------------------
     def _transmit(self, entry: Transaction) -> None:
+        pool = entry.pool
         packet = self.entity.send_pi4(
-            entry.message, entry.pool.pool, entry.pool.bits, entry.out_port
+            entry.message, pool.pool, pool.bits, entry.out_port, entry.tag
         )
         self.counters.incr("requests_sent")
         if self.on_transmit is not None:

@@ -44,6 +44,36 @@ class TestSingleRun:
         assert result.retries > 0
         assert result.devices_found == MESH.total_devices
 
+    def test_recovery_counters_of_a_lossy_replaying_run_are_pinned(self):
+        """Retries, link replays and CRC drops together exercise every
+        recovery counter the one-decode receive path passes: a request
+        seen twice, a completion nobody waits for.  The numbers are the
+        run's before that path was rewritten, kernel vitals included."""
+        from repro.experiments.runner import (
+            build_simulation,
+            run_until_ready,
+        )
+
+        params = replace(DEFAULT_PARAMS, bit_error_rate=5e-5,
+                         duplicate_rate=0.05, error_seed=0)
+        setup = build_simulation(MESH, algorithm="parallel", params=params,
+                                 max_retries=8)
+        stats = run_until_ready(setup)
+        totals = {}
+        for entity in setup.entities.values():
+            for key, count in entity.stats.asdict().items():
+                totals[key] = totals.get(key, 0) + count
+        assert totals["duplicate_requests"] == 42
+        assert totals.get("unexpected_completions", 0) == 0
+        assert totals.get("pi4_decode_errors", 0) == 0
+        assert totals["rx_mgmt_packets"] == 487
+        assert setup.fm.counters["stale_completions"] == 52
+        assert setup.fm.counters["retries"] == 23
+        assert (stats.stale_completions, stats.retries) == (46, 22)
+        vitals = setup.env.vitals()
+        assert (vitals["events_executed"],
+                vitals["sequence_numbers_drawn"]) == (4_149, 6_988)
+
     def test_asdict_round_trip(self):
         result = run_reliability(MESH, "parallel")
         info = result.asdict()

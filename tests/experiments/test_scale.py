@@ -8,11 +8,16 @@ the suite instead of only showing up in the scale bench.  Two more
 budgets pin what one packet hop costs: in kernel events, and in Python
 function calls (a count, so it reads the same on every host); and the
 share of sends that take the port's direct path is measured per
-benchmark workload, so the selection has a number on each side.
+benchmark workload, so the selection has a number on each side.  The
+same count, taken over the files a packet passes through *off* the
+wire and divided by the requests opened, is what a PI-4 transaction
+costs the host — with its two exact companions: one decode per
+delivered packet, four message objects per transaction.
 
 ``python tests/experiments/test_scale.py`` prints the calls per
-transmission function by function and the direct-send shares (CI does,
-so the trajectory is readable from the logs).
+transmission and per transaction function by function and the
+direct-send shares (CI does, so the trajectory is readable from the
+logs).
 """
 
 import os
@@ -26,6 +31,7 @@ from repro.experiments.runner import build_simulation, run_until_ready
 from repro.experiments.scenario import Scenario
 from repro.fabric.port import Port
 from repro.fabric.vc import VirtualChannel
+from repro.protocols import pi4
 from repro.topology import make_mesh, resolve_topology
 
 #: Kernel events executed for the whole run (measured 348,846 with the
@@ -43,13 +49,29 @@ EVENTS_PER_TRANSMISSION_CEILING = 2.36
 
 #: Python function calls inside ``repro`` per port transmission on the
 #: same discovery — what a hop costs the host, in a unit no host
-#: changes: measured 18.70 (443,882 calls for 23,738 transmissions with
-#: every memo cold; 31.39 before the uncontended packet got its direct
-#: path and the per-hop helpers were folded into their callers; 54.60
-#: before the argument-carrying heap entries, integer port counters and
-#: the hook-free header), plus 5%.  One more call per hop — a lambda
-#: around the receive, a ``Counter.incr`` — costs 1-2 here.
-PYTHON_CALLS_PER_TRANSMISSION_CEILING = 19.6
+#: changes: measured 16.59 (393,741 calls for 23,738 transmissions with
+#: every memo cold; 18.70 while a PI-4 transaction decoded every
+#: completion twice and rendered every config dword by its own call
+#: chain, which no hop saw; 31.39 before the uncontended packet got its
+#: direct path and the per-hop helpers were folded into their callers;
+#: 54.60 before the argument-carrying heap entries, integer port
+#: counters and the hook-free header), plus 5%.  One more call per hop
+#: — a lambda around the receive, a ``Counter.incr`` — costs 1-2 here.
+PYTHON_CALLS_PER_TRANSMISSION_CEILING = 17.4
+
+#: Where a management packet is between leaving its last port and
+#: entering its first: codec, configuration space, entity, transaction
+#: engine, FM and discovery callbacks, packet and header construction.
+OFF_WIRE = tuple(name.replace("/", os.sep) for name in (
+    "protocols/", "capability/", "manager/", "fabric/packet.py",
+    "fabric/header.py"))
+
+#: Python calls inside those files per request opened
+#: (``TransactionEngine.open``), same discovery: measured 58.55 (84,314
+#: calls for 1,440 transactions; 90.62 before each packet was decoded
+#: once, a read rendered in one pass and each question of the entity
+#: and the FM asked once), plus 5%.
+PYTHON_CALLS_PER_TRANSACTION_CEILING = 61.5
 
 #: Share of ``Port.send`` calls transmitted directly (not pushed onto a
 #: VC queue), as ``(at least, at most)`` per benchmark workload:
@@ -90,9 +112,42 @@ def mesh_discovery_calls():
     return calls, transmissions
 
 
+def off_wire_calls(calls) -> tuple:
+    """``(off-wire calls by (file, function), transactions)`` of a
+    table :func:`mesh_discovery_calls` returned."""
+    opened = calls["protocols" + os.sep + "transaction.py", "open"]
+    return Counter({key: count for key, count in calls.items()
+                    if key[0].startswith(OFF_WIRE)}), opened
+
+
 def _discover_1k():
-    run_until_ready(build_simulation(resolve_topology("fattree2-1024"),
-                                     algorithm="parallel"))
+    setup = build_simulation(resolve_topology("fattree2-1024"),
+                             algorithm="parallel")
+    run_until_ready(setup)
+    return setup
+
+
+#: The five concrete PI-4 message types.
+MESSAGES = (pi4.ReadRequest, pi4.ReadCompletion, pi4.ReadError,
+            pi4.WriteRequest, pi4.WriteCompletion)
+
+
+def count_codec_work(monkeypatch) -> Counter:
+    """Count, from the test side, every ``pi4.decode`` call and every
+    message object constructed until the patch is undone."""
+    counts = Counter()
+
+    def counted(name, function):
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return counting
+
+    monkeypatch.setattr(pi4, "decode", counted("decodes", pi4.decode))
+    for cls in MESSAGES:  # the concrete types' constructors only
+        monkeypatch.setattr(cls, "__init__",
+                            counted("messages", cls.__init__))
+    return counts
 
 
 #: The simulation workloads of ``perf/workloads.py`` at seed 0.
@@ -172,6 +227,37 @@ class TestEventsPerHop:
         )
 
 
+class TestTransactionCost:
+    def test_mesh_discovery_stays_under_the_per_transaction_ceiling(self):
+        calls, _ = mesh_discovery_calls()
+        off_wire, transactions = off_wire_calls(calls)
+        assert transactions == 1_440
+        per_transaction = sum(off_wire.values()) / transactions
+        assert per_transaction <= PYTHON_CALLS_PER_TRANSACTION_CEILING, (
+            f"{per_transaction:.2f} Python calls off the wire per "
+            f"transaction (ceiling {PYTHON_CALLS_PER_TRANSACTION_CEILING})")
+
+    def test_one_decode_per_packet_four_messages_per_transaction(
+            self, monkeypatch):
+        """Exact, not ceilings, on ``discover_1k``'s topology: a
+        delivered management packet is decoded where it reaches an
+        entity and nowhere else, and a transaction builds the request,
+        its decoded twin at the device, the completion, and its decoded
+        twin at the FM."""
+        counts = count_codec_work(monkeypatch)
+        setup = _discover_1k()
+        monkeypatch.undo()
+        decodes, messages = counts["decodes"], counts["messages"]
+        counters = setup.fm.counters
+        transactions = counters["requests_sent"]
+        assert transactions == 8_193 and counters["retries"] == 0
+        delivered = sum(entity.stats["rx_mgmt_packets"]
+                        for entity in setup.entities.values())
+        assert delivered == 2 * transactions
+        assert decodes == delivered
+        assert messages == 4 * transactions
+
+
 class TestDirectSendShare:
     @pytest.mark.parametrize("workload", sorted(DIRECT_SHARE))
     def test_share_of_sends_that_never_queue(self, workload):
@@ -192,6 +278,14 @@ if __name__ == "__main__":
             print(f"{count / sent:7.2f}  {filename}:{function}")
     print(f"{sum(table.values()) / sent:7.2f}  total "
           f"(ceiling {PYTHON_CALLS_PER_TRANSMISSION_CEILING})")
+    off_wire, opened = off_wire_calls(table)
+    print(f"Python calls off the wire per PI-4 transaction, same "
+          f"discovery ({opened:,} transactions)")
+    for (filename, function), count in off_wire.most_common():
+        if count * 100 >= opened:  # 0.01 per transaction and up
+            print(f"{count / opened:7.2f}  {filename}:{function}")
+    print(f"{sum(off_wire.values()) / opened:7.2f}  total "
+          f"(ceiling {PYTHON_CALLS_PER_TRANSACTION_CEILING})")
     print("Sends transmitted directly, per benchmark workload (seed 0)")
     for name in DIRECT_SHARE:
         sends, queued = direct_send_share(name)

@@ -12,7 +12,7 @@ from collections import deque
 import pytest
 
 from repro.experiments.runner import build_simulation, run_until_ready
-from repro.fabric import CreditError, FabricParams
+from repro.fabric import CreditError, FabricParams, Packet
 from repro.fabric.params import MANAGEMENT_TC
 from repro.routing.turnpool import Hop, build_turn_pool
 from repro.topology import resolve_topology
@@ -22,21 +22,22 @@ from .test_port_flow import data_packet, two_endpoints_one_switch
 POOL = build_turn_pool([Hop(16, 0, 1)])
 
 
-def live_deques():
+def live(*kinds):
     gc.collect()
-    return [o for o in gc.get_objects() if type(o) is deque]
+    return [o for o in gc.get_objects() if type(o) in kinds]
 
 
 @pytest.fixture(scope="module")
 def discovered():
-    """An idle parallel discovery of fattree2-256, and the deques that
-    building and running it left alive."""
-    before = live_deques()  # held, so no id below is a recycled one
+    """An idle parallel discovery of fattree2-256, and the deques and
+    packets that building and running it left alive."""
+    before = live(deque, Packet)  # held, so no id below is a recycled one
     known = set(map(id, before))
     setup = build_simulation(resolve_topology("fattree2-256"))
     run_until_ready(setup)
-    created = [d for d in live_deques() if id(d) not in known]
-    return setup, created
+    created = [o for o in live(deque, Packet) if id(o) not in known]
+    return (setup, [o for o in created if type(o) is deque],
+            [o for o in created if type(o) is Packet])
 
 
 def all_ports(setup):
@@ -46,7 +47,7 @@ def all_ports(setup):
 
 class TestDiscoveryFootprint:
     def test_deques_only_where_something_had_to_wait(self, discovered):
-        setup, created = discovered
+        setup, created, _ = discovered
         ports = all_ports(setup)
         transmitting = sum(1 for p in ports if p.credits)
         queues = sum(1 for p in ports for vc in p.credits
@@ -62,7 +63,7 @@ class TestDiscoveryFootprint:
 
     def test_a_discovery_uses_one_queue_of_the_management_vc(
             self, discovered):
-        setup, _ = discovered
+        setup, _, _ = discovered
         management = setup.fabric.params.tc_vc_map[MANAGEMENT_TC]
         for port in all_ports(setup):
             for vc in port.credits:
@@ -70,11 +71,20 @@ class TestDiscoveryFootprint:
                 assert vc.ordered is None and not vc.bypass
                 assert vc.available == vc.capacity
 
+    def test_a_finished_discovery_keeps_no_packet_alive(self, discovered):
+        """An entity takes a packet out of its slot before dispatching
+        it.  While ``_current`` kept the last one served, every device
+        pinned a packet, its header, payload and decoded message for
+        the rest of the run: 288 here, one per device."""
+        setup, _, packets = discovered
+        assert len(packets) <= 4
+        assert all(e._current is None for e in setup.entities.values())
+
     def test_heap_depth_is_the_attach_kicks(self, discovered):
         """Heap depth candidates of ROADMAP item 3, measured: the
         high-water mark is the URGENT attach kicks standing at t = 0,
         not request timeouts.  Eliding the kicks moves this number."""
-        setup, _ = discovered
+        setup, _, _ = discovered
         attached = sum(1 for p in all_ports(setup) if p.link is not None)
         high_water = setup.env.vitals()["heap_high_water"]
         assert 0 <= high_water - attached <= 64

@@ -141,9 +141,10 @@ class TestPriority:
         """With both VCs backlogged, the management VC drains first."""
         fabric = build_line(env, nswitches=1)
         arrivals = []
+        tags = {}  # by packet id
 
         def handler(packet, port):
-            arrivals.append(packet.meta["tag"])
+            arrivals.append(tags[packet.pkt_id])
 
         fabric.device("ep1").local_handler = handler
         pool = build_turn_pool([Hop(16, 0, 1)])
@@ -157,13 +158,13 @@ class TestPriority:
                 pi=8, tc=0, turn_pointer=pool.bits, turn_pool=pool.pool
             )
             pkt = Packet(header=header, payload=b"\x00" * 512)
-            pkt.meta["tag"] = f"app{i}"
+            tags[pkt.pkt_id] = f"app{i}"
             ep0.inject(pkt)
         mgmt_header = make_management_header(
             pool.pool, pool.bits, pi=PI_DEVICE_MANAGEMENT
         )
         mgmt = Packet(header=mgmt_header)
-        mgmt.meta["tag"] = "mgmt"
+        tags[mgmt.pkt_id] = "mgmt"
         ep0.inject(mgmt)
 
         env.run()

@@ -95,6 +95,79 @@ class TestRequestLayer:
         assert fm.counters["unexpected_requests"] == 1
 
 
+class TestGarbageAtTheFmEndpoint:
+    """An undecodable PI-4 payload delivered to the FM's own endpoint
+    raises nothing, is attempted and counted exactly once (by the
+    entity, at its serve turn), names no request and so clears no
+    timer: the request it might have been meant for is retried."""
+
+    @pytest.mark.parametrize("damage", ["noise", "truncated completion"])
+    def test_counted_once_and_the_timer_stays_armed(self, setup,
+                                                    monkeypatch, damage):
+        from repro.fabric.packet import Packet, make_management_header
+        from repro.routing.turnpool import Hop
+
+        fm, env = setup.fm, setup.env
+        env.run()  # attach kicks, power-up events
+        ep = fm.endpoint
+        entity = setup.entities[ep.name]
+        near = ep.ports[0].neighbor()
+        sw = near.device
+        unwired = next(p.index for p in sw.ports if p.link is None)
+        results = []
+        # A read sent down a port nothing is attached to: no answer.
+        tag = fm.send_request(
+            pi4.ReadRequest(cap_id=BASELINE_CAP_ID, offset=0, tag=0),
+            build_turn_pool([Hop(sw.nports, near.index, unwired)]), 0,
+            callback=lambda c, x: results.append(c),
+            retries=1, timeout=0.1e-3,
+        )
+        garbage = b"\x02\x01garbage" if damage == "noise" else (
+            pi4.ReadCompletion(cap_id=BASELINE_CAP_ID, offset=0, tag=tag,
+                               data=(1, 2)).pack()[:-1])
+        attempts = []
+        decode = pi4.decode
+
+        def counted(payload):
+            attempts.append(payload)
+            return decode(payload)
+        monkeypatch.setattr(pi4, "decode", counted)
+        sw.inject(Packet(header=make_management_header(0, 0, pi=4),
+                         payload=garbage), port_index=near.index)
+        env.run(until=env.now + 0.05e-3)  # delivered, served, dropped
+        assert attempts.count(garbage) == 1
+        assert entity.stats["pi4_decode_errors"] == 1
+        assert fm.counters["pi4_decode_errors"] == 0  # never handed over
+        assert fm.engine.pending[tag].arrived is False
+        assert fm.counters["retries"] == 0 and results == []
+        env.run()
+        assert fm.counters["retries"] == 1  # the timer fired
+        assert fm.counters["timeouts"] == 1 and results == [None]
+        assert entity.stats["pi4_decode_errors"] == 1
+        assert attempts.count(garbage) == 1
+
+    def test_a_decodable_completion_does_clear_it(self, setup):
+        """The other side of the same path: the tag of the message the
+        entity decoded on arrival marks the request as answered."""
+        fm = setup.fm
+        results = []
+        tag = fm.send_request(
+            pi4.ReadRequest(cap_id=BASELINE_CAP_ID, offset=0, tag=0),
+            build_turn_pool([]), 0, callback=lambda c, x: results.append(c),
+        )
+        arrived = []
+        note = fm.note_packet_arrival
+
+        def spy(packet):
+            note(packet)
+            arrived.append((packet.message.tag,
+                            fm.engine.pending[tag].arrived))
+        fm.note_packet_arrival = spy
+        setup.env.run()
+        assert arrived == [(tag, True)]
+        assert [c.tag for c in results] == [tag]
+
+
 class TestRequestBarrier:
     """``send_all``: N requests, ``each`` per completion, ``then`` once."""
 

@@ -390,7 +390,8 @@ def test_an_arrival_outside_dispatch_waits_for_the_run(rig):
         pi4.ReadRequest(cap_id=BASELINE_CAP_ID, offset=0, tag=1),
         turn_pool=0, turn_pointer=0, out_port=None)
     assert entity._working and len(entity._backlog) == 1
-    assert entity._current is None  # not even decoded yet
+    assert entity._current is None  # decoded on arrival, not yet served
+    assert entity._backlog[0][0].message.tag == 1
     env.run()
     assert len(entity.manager.packets) == 1
 
@@ -415,3 +416,102 @@ def test_served_replies_are_kept_packed(rig):
     assert pi4.decode(first).tag == 7
     assert sw.stats["duplicate_requests"] == 1
     assert sw.stats["reads_served"] == 1
+
+
+# -- one decode per packet; the error paths keep their counters --------------
+
+def decode_attempts(monkeypatch):
+    """The payloads ``pi4.decode`` is asked to decode, in order."""
+    attempts = []
+    decode = pi4.decode
+
+    def counted(payload):
+        attempts.append(payload)
+        return decode(payload)
+    monkeypatch.setattr(pi4, "decode", counted)
+    return attempts
+
+
+def test_a_packet_is_decoded_once_and_carries_its_message(rig, monkeypatch):
+    """Request at the device, completion at the requester: one decode
+    each, where the packet reaches the entity, and whoever is handed
+    the packet later finds the message on it."""
+    env, fabric, entities = rig
+    manager = Recorder()
+    entities["ep"].manager = manager
+    attempts = decode_attempts(monkeypatch)
+    request = pi4.ReadRequest(cap_id=BASELINE_CAP_ID, offset=0, tag=21,
+                              count=GENERAL_INFO_DWORDS)
+    sent = entities["ep"].send_pi4(request, turn_pool=0, turn_pointer=0)
+    assert sent.message is None  # the sender's object does not travel
+    env.run()
+    (completion,) = manager.packets
+    assert attempts == [request.pack(), completion.payload]
+    assert sent.message == request and sent.message is not request
+    assert isinstance(completion.message, pi4.ReadCompletion)
+    assert completion.message == pi4.decode(completion.payload)
+
+
+def test_garbage_at_a_device_is_attempted_once_and_counted_once(
+        rig, monkeypatch):
+    from repro.fabric.packet import Packet, make_management_header
+
+    env, fabric, entities = rig
+    manager = Recorder()
+    entities["ep"].manager = manager
+    attempts = decode_attempts(monkeypatch)
+    garbage = b"\x01garbage"
+    packet = Packet(header=make_management_header(0, 0, pi=4),
+                    payload=garbage)
+    fabric.device("ep").inject(packet)
+    env.run()  # raises nothing
+    sw = entities["sw"]
+    assert attempts == [garbage]
+    assert packet.message is None
+    assert sw.stats["pi4_decode_errors"] == 1
+    assert sw.stats["rx_mgmt_packets"] == 1
+    assert sw.stats["reads_served"] == 0 and not manager.packets
+    assert sw._current is None and not sw._working
+
+
+def test_a_link_replay_is_decoded_on_its_own_and_served_from_the_cache():
+    """Every transmission duplicated by the link (``_clone_for_replay``):
+    the device sees the request twice, decodes each copy for itself,
+    executes the access once and answers the second from the served
+    replies."""
+    from repro.fabric import FabricParams
+
+    env = Environment()
+    # As good as always: the rate must stay below 1.
+    fabric = Fabric(env, FabricParams(duplicate_rate=1 - 1e-9))
+    fabric.add_endpoint("ep")
+    fabric.add_switch("sw")
+    fabric.connect("ep", 0, "sw", 3)
+    entities = {name: ManagementEntity(dev)
+                for name, dev in fabric.devices.items()}
+    fabric.power_up()
+    manager = Recorder()
+    entities["ep"].manager = manager
+    seen = []
+    serve = entities["sw"]._serve_request
+
+    def spy(packet, port):
+        seen.append(packet)
+        serve(packet, port)
+    entities["sw"]._serve_request = spy
+    entities["ep"].send_pi4(
+        pi4.ReadRequest(cap_id=BASELINE_CAP_ID, offset=0, tag=7),
+        turn_pool=0, turn_pointer=0)
+    env.run()
+    sw = entities["sw"]
+    assert fabric.device("ep").ports[0].stats["tx_replays"] == 1
+    original, replay = seen
+    assert original is not replay and original.payload == replay.payload
+    assert original.message == replay.message
+    assert original.message is not replay.message
+    assert sw.stats["reads_served"] == 1
+    assert sw.stats["duplicate_requests"] == 1
+    assert sw.stats["pi4_decode_errors"] == 0
+    # Two answers, each replayed on its way back: four equal payloads.
+    assert len(manager.packets) == 4
+    assert {p.payload for p in manager.packets} == {sw._served_replies[7]}

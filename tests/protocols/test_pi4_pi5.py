@@ -31,16 +31,38 @@ class TestPi4Encoding:
         done = pi4.WriteCompletion(cap_id=5, offset=0, tag=3)
         assert pi4.decode(done.pack()) == done
 
-    def test_with_tag_copies_every_other_field(self):
+    def test_packing_under_a_tag_changes_the_tag_only(self):
+        """How the transaction engine numbers a request: the payload
+        carries the engine's tag, every other field is the message's,
+        and the message itself is untouched."""
         for msg in (
             pi4.ReadRequest(cap_id=2, offset=6, tag=0, count=8),
             pi4.WriteRequest(cap_id=5, offset=1, tag=0, data=(7, 9)),
         ):
-            stamped = msg.with_tag(0xBEEF)
-            assert msg.tag == 0  # the original is untouched
-            assert type(stamped) is type(msg)
-            assert stamped == type(msg)(**{**vars(msg), "tag": 0xBEEF})
-            assert pi4.decode(stamped.pack()) == stamped
+            fields = dict(zip(msg._fields, msg._values(msg)))
+            stamped = type(msg)(**{**fields, "tag": 0xBEEF})
+            assert msg.pack(0xBEEF) == stamped.pack()
+            assert pi4.decode(msg.pack(0xBEEF)) == stamped
+            assert msg.tag == 0 and msg.pack() == msg.pack(0)
+
+    def test_messages_are_immutable_slotted_values(self):
+        msg = pi4.ReadRequest(cap_id=2, offset=6, tag=1, count=8)
+        with pytest.raises(AttributeError, match="cannot assign"):
+            msg.tag = 2
+        with pytest.raises(AttributeError):
+            del msg.tag
+        with pytest.raises(AttributeError):
+            msg.extra = 1
+        assert not hasattr(msg, "__dict__")
+        same = pi4.ReadRequest(2, 6, 1, pi4.NO_PORT, 8)
+        assert msg == same and hash(msg) == hash(same)
+        assert {msg: "found"}[same] == "found"
+        # Same fields, another type: a different message.
+        error = pi4.ReadError(cap_id=0, offset=0, tag=0, status=0)
+        done = pi4.WriteCompletion(cap_id=0, offset=0, tag=0, status=0)
+        assert error != done
+        assert repr(msg) == ("ReadRequest(cap_id=2, offset=6, tag=1, "
+                             "arrival_port=255, count=8)")
 
     def test_count_bounds(self):
         with pytest.raises(pi4.Pi4Error):
@@ -71,11 +93,8 @@ class TestPi4Encoding:
         err = pi4.ReadError(cap_id=0, offset=0, tag=0)
         wreq = pi4.WriteRequest(cap_id=0, offset=0, tag=0, data=(1,))
         wcomp = pi4.WriteCompletion(cap_id=0, offset=0, tag=0)
-        assert [pi4.is_request(m) for m in (req, comp, err, wreq, wcomp)] == [
+        assert [m.is_request for m in (req, comp, err, wreq, wcomp)] == [
             True, False, False, True, False,
-        ]
-        assert [pi4.is_completion(m) for m in (req, comp, err, wreq, wcomp)] == [
-            False, True, True, False, True,
         ]
 
     @given(

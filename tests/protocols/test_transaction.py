@@ -22,9 +22,12 @@ class StubEntity:
 
     def __init__(self):
         self.sent = []
+        self.tags = []
 
-    def send_pi4(self, message, turn_pool, turn_pointer, out_port=None):
+    def send_pi4(self, message, turn_pool, turn_pointer, out_port=None,
+                 tag=None):
         self.sent.append(message)
+        self.tags.append(tag)
         return object()
 
 
@@ -40,15 +43,21 @@ def request(tag=0):
 
 
 class TestTagAllocation:
-    def test_tags_are_unique_and_retagged_onto_messages(self):
+    def test_tags_are_unique_and_packed_not_copied(self):
+        """The engine numbers each request and has it packed under
+        that number; the caller's message travels as it was built —
+        not copied, not written to."""
         env = Environment()
         engine, entity, _ = make_engine(env)
         pool = build_turn_pool([])
         results = []
-        t1 = engine.open(request(), pool, 0, lambda c, ctx: results.append(c))
-        t2 = engine.open(request(), pool, 0, lambda c, ctx: results.append(c))
+        first, second = request(), request()
+        t1 = engine.open(first, pool, 0, lambda c, ctx: results.append(c))
+        t2 = engine.open(second, pool, 0, lambda c, ctx: results.append(c))
         assert t1 != t2
-        assert [m.tag for m in entity.sent] == [t1, t2]
+        assert entity.tags == [t1, t2]
+        assert entity.sent[0] is first and entity.sent[1] is second
+        assert first.tag == second.tag == 0
 
     def test_salted_engines_use_disjoint_tag_spaces(self):
         env = Environment()
@@ -153,6 +162,13 @@ class TestTimeoutPolicy:
             build_turn_pool([Hop(16, 0, 1)] * 6)
         )
         assert long > short > 0.0
+        # Five more switch hops, crossed twice, at the per-hop estimate
+        # (64 bytes' cut-through latency), times the safety factor.
+        per_hop = (DEFAULT_PARAMS.tx_time(64) + DEFAULT_PARAMS.routing_latency
+                   + DEFAULT_PARAMS.propagation_delay)
+        assert long - short == pytest.approx(8.0 * 2.0 * 5 * per_hop)
+        assert policy.timeout_for(build_turn_pool([])) == pytest.approx(
+            short - 8.0 * 2.0 * per_hop)
 
     def test_policy_never_lowers_below_floor(self):
         policy = self._policy(floor=10.0)
@@ -160,10 +176,16 @@ class TestTimeoutPolicy:
             build_turn_pool([Hop(16, 0, 1)] * 6), known_devices=100
         ) == 10.0
 
-    def test_route_hops_decodes_pool_length(self):
-        policy = self._policy()
-        assert policy.route_hops(build_turn_pool([])) == 0
-        assert policy.route_hops(build_turn_pool([Hop(16, 0, 1)] * 3)) == 3
+    def test_the_policy_reads_its_timing_model_on_every_call(self):
+        """Only what the (frozen) fabric parameters fix is computed
+        once; slowed-down processing factors stretch the next timeout."""
+        timing = ProcessingTimeModel()
+        policy = TimeoutPolicy(DEFAULT_PARAMS, timing, PARALLEL, floor=0.0)
+        pool = build_turn_pool([Hop(16, 0, 1)])
+        before = policy.timeout_for(pool)
+        timing.device_factor = 0.5
+        assert policy.timeout_for(pool) == pytest.approx(
+            before + 8.0 * timing.device_time)
 
 
 @pytest.fixture

@@ -1,4 +1,11 @@
-"""The baseline capability: device control and status information.
+"""Reference oracle: the per-dword baseline capability as it stood in
+``src/repro/capability/baseline.py`` before PR 21 — ``read`` ->
+``_render`` -> ``set_field`` per dword, one ``get_field`` per decoded
+field — unchanged but for this paragraph and the absolute imports.
+``tests/capability/test_baseline_differential.py`` holds the one-pass
+forms in ``src/`` to it.
+
+The baseline capability: device control and status information.
 
 Per the specification (as summarized in section 2 of the paper), the
 baseline capability starts with six dwords of general device
@@ -26,7 +33,13 @@ from __future__ import annotations
 
 from typing import List
 
-from .registers import DWORD_MASK, RegisterError, pack_u64, set_field
+from repro.capability.registers import (
+    RegisterError,
+    get_field,
+    pack_u64,
+    set_field,
+    unpack_u64,
+)
 
 #: Capability identifier of the baseline capability.
 BASELINE_CAP_ID = 0x00
@@ -50,11 +63,6 @@ PORT_BLOCK_DWORDS = 2
 #: so the wire format is unaffected.
 MAX_PORT_BLOCKS = 128
 
-#: Port-status dword of a down port: x1 link width, speed code 1
-#: (2.5 Gbps); an up port adds the state bits on top.
-_PORT_DOWN = (PORT_STATE_DOWN << 30) | (1 << 24) | (1 << 16)
-_PORT_UP = (PORT_STATE_UP << 30) | (1 << 24) | (1 << 16)
-
 
 def port_block_offset(port_index: int) -> int:
     """Dword offset of the status block for ``port_index``."""
@@ -67,8 +75,7 @@ class BaselineCapability:
     """Computed view of a device's baseline capability.
 
     Reads are rendered on demand from the owning device's live state so
-    that port up/down transitions are immediately visible to PI-4:
-    nothing rendered outlives the read that asked for it.
+    that port up/down transitions are immediately visible to PI-4.
     """
 
     cap_id = BASELINE_CAP_ID
@@ -79,55 +86,56 @@ class BaselineCapability:
     def __len__(self) -> int:
         return GENERAL_INFO_DWORDS + PORT_BLOCK_DWORDS * len(self._device.ports)
 
+    # -- rendering ------------------------------------------------------
+    def _render(self, offset: int) -> int:
+        device = self._device
+        if offset == 0:
+            flags = (1 if device.active else 0) | (
+                2 if getattr(device, "fm_capable", False) else 0
+            )
+            dword = 0
+            dword = set_field(dword, 24, 8, device.type_code)
+            dword = set_field(dword, 16, 8, len(device.ports))
+            dword = set_field(dword, 8, 8, device.max_payload_code)
+            dword = set_field(dword, 0, 8, flags)
+            return dword
+        if offset in (1, 2):
+            high, low = pack_u64(device.dsn)
+            return high if offset == 1 else low
+        if offset == 3:
+            return (device.vendor_id << 16) | device.device_id
+        if offset == 4:
+            return device.capability_version
+        if offset == 5:
+            return getattr(device, "fm_priority", 0)
+        # Port blocks.
+        rel = offset - GENERAL_INFO_DWORDS
+        port_index, word = divmod(rel, PORT_BLOCK_DWORDS)
+        if port_index >= len(device.ports):
+            raise RegisterError(
+                f"baseline offset {offset} beyond {len(device.ports)} ports"
+            )
+        port = device.ports[port_index]
+        if word == 0:
+            dword = 0
+            dword = set_field(
+                dword, 30, 2, PORT_STATE_UP if port.is_up else PORT_STATE_DOWN
+            )
+            dword = set_field(dword, 24, 6, 1)  # x1 link width
+            dword = set_field(dword, 16, 8, 1)  # speed code: 2.5 Gbps
+            return dword
+        return port.error_count & 0xFFFFFFFF
+
     def read(self, offset: int, count: int) -> List[int]:
         """Read ``count`` dwords starting at ``offset``."""
-        device = self._device
-        ports = device.ports
-        nports = len(ports)
-        size = GENERAL_INFO_DWORDS + PORT_BLOCK_DWORDS * nports
         if count < 1:
             raise RegisterError("count must be positive")
-        end = offset + count
-        if offset < 0 or end > size:
+        if offset < 0 or offset + count > len(self):
             raise RegisterError(
-                f"access [{offset}, {end}) outside baseline "
-                f"capability of {size} dwords"
+                f"access [{offset}, {offset + count}) outside baseline "
+                f"capability of {len(self)} dwords"
             )
-        if offset >= GENERAL_INFO_DWORDS:
-            dwords = []
-        else:
-            type_code = device.type_code
-            payload_code = device.max_payload_code
-            dsn = device.dsn
-            # A field is held to its width when its dword is read, in
-            # dword order; the helpers name the first one that is not.
-            if offset == 0 and not (0 <= type_code <= 0xFF
-                                    and nports <= 0xFF
-                                    and 0 <= payload_code <= 0xFF):
-                for value in (type_code, nports, payload_code):
-                    set_field(0, 0, 8, value)
-            if offset <= 2 and end > 1 and not 0 <= dsn < 1 << 64:
-                pack_u64(dsn)
-            dwords = [
-                (type_code << 24) | (nports << 16) | (payload_code << 8)
-                | (1 if device.active else 0)
-                | (2 if getattr(device, "fm_capable", False) else 0),
-                (dsn >> 32) & DWORD_MASK,
-                dsn & DWORD_MASK,
-                (device.vendor_id << 16) | device.device_id,
-                device.capability_version,
-                getattr(device, "fm_priority", 0),
-            ][offset:end]
-        # Port blocks: status dword, then error counter, per port —
-        # read from the port as it is now.
-        for rel in range(max(offset - GENERAL_INFO_DWORDS, 0),
-                         end - GENERAL_INFO_DWORDS):
-            port = ports[rel >> 1]
-            if rel & 1:
-                dwords.append(port.error_count & DWORD_MASK)
-            else:
-                dwords.append(_PORT_UP if port.is_up else _PORT_DOWN)
-        return dwords
+        return [self._render(offset + i) for i in range(count)]
 
     def write(self, offset: int, values) -> None:
         raise RegisterError("baseline capability is read-only")
@@ -141,27 +149,26 @@ def decode_general_info(dwords: List[int]) -> dict:
         raise ValueError(
             f"need {GENERAL_INFO_DWORDS} dwords, got {len(dwords)}"
         )
-    d0, high, low, ids, version, priority = dwords[:GENERAL_INFO_DWORDS]
+    d0 = dwords[0]
     return {
-        "type_code": (d0 >> 24) & 0xFF,
-        "nports": (d0 >> 16) & 0xFF,
-        "max_payload_code": (d0 >> 8) & 0xFF,
-        "active": bool(d0 & 1),
-        "fm_capable": bool(d0 & 2),
-        "dsn": ((high & DWORD_MASK) << 32) | (low & DWORD_MASK),
-        "vendor_id": (ids >> 16) & 0xFFFF,
-        "device_id": ids & 0xFFFF,
-        "capability_version": version,
-        "fm_priority": priority,
+        "type_code": get_field(d0, 24, 8),
+        "nports": get_field(d0, 16, 8),
+        "max_payload_code": get_field(d0, 8, 8),
+        "active": bool(get_field(d0, 0, 1)),
+        "fm_capable": bool(get_field(d0, 1, 1)),
+        "dsn": unpack_u64(dwords[1], dwords[2]),
+        "vendor_id": get_field(dwords[3], 16, 16),
+        "device_id": get_field(dwords[3], 0, 16),
+        "capability_version": dwords[4],
+        "fm_priority": dwords[5],
     }
 
 
 def decode_port_status(dword: int) -> dict:
     """Decode a port-status dword into a dict."""
-    state = (dword >> 30) & 0x3
     return {
-        "state": state,
-        "up": state == PORT_STATE_UP,
-        "width": (dword >> 24) & 0x3F,
-        "speed_code": (dword >> 16) & 0xFF,
+        "state": get_field(dword, 30, 2),
+        "up": get_field(dword, 30, 2) == PORT_STATE_UP,
+        "width": get_field(dword, 24, 6),
+        "speed_code": get_field(dword, 16, 8),
     }

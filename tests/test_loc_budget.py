@@ -31,8 +31,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: deleted the grant queue nothing called; 12,011 before PR 20, whose
 #: direct transmit/serve paths and inline credit arithmetic are paid for
 #: by the four turn helpers, the second ``link_ports``, the ``now``
-#: property and the entity's reply helpers).
-TOTAL_CEILING = 12_005
+#: property and the entity's reply helpers; 12,004 before and after
+#: PR 21, whose hand-written PI-4 constructors and ``DeviceRecord``
+#: route memo are paid for by ``_render``, ``_cost``, ``with_tag``, the
+#: classification functions, the FM's second claim decoder and the
+#: callerless ``vc_for_tc`` / ``is_management`` / ``active_ports`` /
+#: ``packet_cost_key``).
+TOTAL_CEILING = 12_004
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; what is left is the callback kernel plus
 #: ``Process``/``Timeout`` for the five loop-shaped workloads; 442
