@@ -56,9 +56,7 @@ def _churn(setup, faults):
     done = injector.run(faults=faults)
     setup.env.run(until=done)
     for _ in range(80):
-        fm = setup.fm
-        busy = fm.is_discovering or getattr(fm, "is_assimilating", False)
-        if not busy:
+        if not setup.fm.busy:
             break
         setup.env.run(until=setup.env.now + 20e-3)
     setup.env.run(until=setup.env.now + 80e-3)

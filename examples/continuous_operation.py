@@ -57,7 +57,7 @@ def main() -> None:
           f"{setup.fm.counters['events_during_discovery']}")
 
     print("\nLast PI-5 notifications on the wire:")
-    deliveries = [e for e in tracer.events if e.kind == "deliver"]
+    deliveries = [e for e in tracer.hops if e.kind == "deliver"]
     for event in deliveries[-4:]:
         print(f"  {event.render()}")
 

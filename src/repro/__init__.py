@@ -64,7 +64,6 @@ from .topology import (
     table1_suite,
     table1_topology,
 )
-from .workloads.base import Workload, WorkloadSet
 from .workloads.faults import FaultInjector
 from .workloads.traffic import TrafficGenerator, TrafficSpec
 
@@ -98,8 +97,6 @@ __all__ = [
     "TopologySpec",
     "TrafficGenerator",
     "TrafficSpec",
-    "Workload",
-    "WorkloadSet",
     "build_simulation",
     "database_matches_fabric",
     "make_fattree",

@@ -59,12 +59,6 @@ DEFAULT_MEAN_INTERVAL = 2e-3
 DEFAULT_VERIFY_SAMPLE = 3
 
 
-def _fm_quiet(fm) -> bool:
-    return not (
-        fm.is_discovering or getattr(fm, "is_assimilating", False)
-    )
-
-
 def run_until_quiescent(
     setup: SimulationSetup,
     horizon: float = MAX_SIM_TIME,
@@ -92,7 +86,7 @@ def run_until_quiescent(
     quiet_since = None
     while True:
         ready = fm.ready_event is not None and fm.ready_event.triggered
-        if _fm_quiet(fm) and ready and fm.history:
+        if not fm.busy and ready and fm.history:
             if env.peek() == float("inf"):
                 break
             if quiet_since is None:

@@ -29,7 +29,6 @@ schedules no traffic processes, so it is bit-identical to the plain
 from __future__ import annotations
 
 import dataclasses
-import random
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -51,9 +50,9 @@ from .family import (
     mean_of,
 )
 from .runner import (
-    _removable_switches,
+    apply_change,
     database_matches_fabric,
-    run_until_discovery_count,
+    prepare_change,
     run_until_ready,
 )
 
@@ -122,18 +121,10 @@ def run_load_experiment(scenario, tracer=None) -> LoadResult:
     randomness.  With no traffic or at load 0 the run is
     event-for-event identical to ``Scenario(kind="change").run()``.
     """
-    spec = scenario.spec()
     seed = scenario.seed
     traffic = scenario.traffic_spec()
-    change = scenario.get("change", "remove_switch")
-    rng = random.Random(seed)
-    setup = scenario.build(spec, tracer)
-    candidates = _removable_switches(setup)
-    if not candidates:
-        raise ValueError(f"{spec.name}: no switch eligible for the change")
-    victim = rng.choice(candidates)
-    if change == "add_switch":
-        setup.fabric.remove_device(victim)
+    setup, change, victim = prepare_change(scenario, tracer)
+    spec = setup.spec
 
     generator = None
     if traffic is not None and traffic.enabled:
@@ -154,13 +145,7 @@ def run_load_experiment(scenario, tracer=None) -> LoadResult:
 
     fault_time = setup.env.now
     pi5_times.clear()
-    if change == "remove_switch":
-        setup.fabric.remove_device(victim)
-    else:
-        setup.fabric.restore_device(victim)
-
-    assimilation = run_until_discovery_count(setup, 2)
-    setup.env.run(until=setup.fm.ready_event)
+    assimilation = apply_change(setup, change, victim)
     if generator is not None:
         generator.stop()
     if tracer is not None:

@@ -93,14 +93,11 @@ def run_reliability_experiment(scenario, tracer=None) -> ReliabilityResult:
     stats = run_until_ready(setup)
     if tracer is not None:
         tracer.finalize(setup)
-    crc_drops = lost = replays = duplicates = 0
-    for device in setup.fabric.devices.values():
-        for port in device.ports:
-            crc_drops += port.stats["rx_crc_dropped"]
-            lost += port.stats["rx_lost"]
-            replays += port.stats["tx_replays"]
-    for entity in setup.entities.values():
-        duplicates += entity.stats["duplicate_requests"]
+    # Imported here: of all the families only this one reads the
+    # scrape, and ``repro.experiments`` does not import ``repro.obs``.
+    from ..obs.metrics import MetricsRegistry
+
+    totals = MetricsRegistry().scrape_setup(setup).counters
     return ReliabilityResult(
         topology=spec.name,
         family=spec.family,
@@ -115,10 +112,10 @@ def run_reliability_experiment(scenario, tracer=None) -> ReliabilityResult:
         retries=stats.retries,
         timeouts=stats.timeouts,
         stale_completions=stats.stale_completions,
-        duplicate_requests=duplicates,
-        crc_drops=crc_drops,
-        lost_packets=lost,
-        replayed_packets=replays,
+        duplicate_requests=totals["entity.duplicate_requests"],
+        crc_drops=totals["port.rx_crc_dropped"],
+        lost_packets=totals["port.rx_lost"],
+        replayed_packets=totals["port.tx_replays"],
         database_correct=database_matches_fabric(setup),
     )
 

@@ -10,8 +10,9 @@ detection of changes, we have implemented the event-reporting mechanism
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..fabric.fabric import Fabric
 from ..fabric.params import DEFAULT_PARAMS, FabricParams
@@ -206,3 +207,39 @@ def _removable_switches(setup: SimulationSetup) -> list:
         sw.name for sw in setup.fabric.switches() if sw.name != attached
     )
 
+
+
+def prepare_change(scenario, tracer=None) -> Tuple[SimulationSetup, str, str]:
+    """First half of the paper's change protocol: build the scenario's
+    simulation and draw the switch to change from
+    ``random.Random(seed)`` — the first and only draw of that stream,
+    so every family running the protocol changes the same switch.
+    Returns ``(setup, change, victim)``; the caller runs the transient
+    period (``run_until_ready``), then :func:`apply_change`.
+    """
+    change = scenario.get("change", "remove_switch")
+    spec = scenario.spec()
+    rng = random.Random(scenario.seed)
+    setup = scenario.build(spec, tracer)
+    candidates = _removable_switches(setup)
+    if not candidates:
+        raise ValueError(f"{spec.name}: no switch eligible for the change")
+    victim = rng.choice(candidates)
+    if change == "add_switch":
+        # Keep the victim out of the initial topology.
+        setup.fabric.remove_device(victim)
+    return setup, change, victim
+
+
+def apply_change(setup: SimulationSetup, change: str,
+                 victim: str) -> DiscoveryStats:
+    """Second half: the programmed change on a settled fabric.  PI-5
+    detection triggers the change assimilation; returns its stats once
+    the event-route reprogramming has finished too."""
+    if change == "remove_switch":
+        setup.fabric.remove_device(victim)
+    else:
+        setup.fabric.restore_device(victim)
+    assimilation = run_until_discovery_count(setup, 2)
+    setup.env.run(until=setup.fm.ready_event)
+    return assimilation

@@ -28,7 +28,6 @@ oracle, progress lines).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
@@ -41,10 +40,10 @@ from .runner import (
     MANAGER_KINDS,
     ExperimentResult,
     SimulationSetup,
-    _removable_switches,
+    apply_change,
     build_simulation,
     database_matches_fabric,
-    run_until_discovery_count,
+    prepare_change,
     run_until_ready,
 )
 
@@ -333,32 +332,11 @@ def _run_discover(scenario: Scenario, tracer=None):
 
 def _run_change(scenario: Scenario, tracer=None) -> ExperimentResult:
     """The paper's protocol: settle, change, measure rediscovery."""
-    change = scenario.change or "remove_switch"
-    spec = scenario.spec()
-    rng = random.Random(scenario.seed)
-    setup = scenario.build(spec, tracer)
-    candidates = _removable_switches(setup)
-    if not candidates:
-        raise ValueError(f"{spec.name}: no switch eligible for the change")
-    victim = rng.choice(candidates)
-
-    if change == "add_switch":
-        # Keep the victim out of the initial topology.
-        setup.fabric.remove_device(victim)
-
+    setup, change, victim = prepare_change(scenario, tracer)
+    spec = setup.spec
     # Transient period: initial discovery + event-route programming.
     initial = run_until_ready(setup)
-
-    # The programmed change.
-    if change == "remove_switch":
-        setup.fabric.remove_device(victim)
-    else:
-        setup.fabric.restore_device(victim)
-
-    # PI-5 detection triggers the change assimilation; wait for it.
-    assimilation = run_until_discovery_count(setup, 2)
-    # Let the event-route reprogramming finish too.
-    setup.env.run(until=setup.fm.ready_event)
+    assimilation = apply_change(setup, change, victim)
 
     active = len(setup.fabric.reachable_devices(setup.fm.endpoint.name))
     if tracer is not None:

@@ -27,7 +27,7 @@ from .params import (
 from .phy import Link, LinkError
 from .port import Port
 from .switch import Switch
-from .trace import PacketTracer, TraceEvent
+from .trace import PacketHop, PacketTracer
 from .vc import CreditError, VCType, VirtualChannel
 
 __all__ = [
@@ -49,12 +49,12 @@ __all__ = [
     "PI_EVENT",
     "PI_MULTICAST",
     "Packet",
+    "PacketHop",
     "PacketTracer",
     "Port",
     "RouteHeader",
     "Switch",
     "TURN_POOL_BITS",
-    "TraceEvent",
     "VCType",
     "VirtualChannel",
     "crc32",

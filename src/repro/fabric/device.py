@@ -20,11 +20,11 @@ from ..sim.core import Environment
 from ..sim.monitor import Counter
 from .packet import Packet
 from .params import FabricParams
-from .port import Port, fold_counters
+from .port import Port, read_counters
 
 #: Counted once per hop or per packet, so kept as integer slots on the
-#: device (same names) and folded into ``stats`` on read, like the
-#: port's ``HOT_COUNTERS``.
+#: device (same names) that ``stats`` reads beside the rare bundle,
+#: like the port's ``HOT_COUNTERS``.
 HOT_COUNTERS = ("forwarded", "injected", "consumed")
 
 
@@ -56,8 +56,8 @@ class Device:
         self.dsn = dsn
         self.params = params
         self.active = False
-        #: The rare counters; read it through ``stats``, which folds
-        #: the hot ones in.
+        #: The rare counters; ``stats`` reads them beside the hot
+        #: slots.
         self._stats = Counter()
         self.forwarded = self.injected = self.consumed = 0
         #: Port count, cached for the routing hot path (ports are fixed
@@ -93,9 +93,8 @@ class Device:
 
     @property
     def stats(self) -> Counter:
-        """Per-device counters, brought up to date with the integer
-        hot counters on every read."""
-        return fold_counters(self._stats, self, HOT_COUNTERS)
+        """Snapshot of this device's counters (see ``read_counters``)."""
+        return read_counters((self,), HOT_COUNTERS)
 
     # -- tracing -----------------------------------------------------------
     @property

@@ -15,10 +15,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..routing.graph import Graph, component
 from ..sim.core import Environment
+from ..sim.monitor import Counter
 from .device import Device
 from .endpoint import Endpoint
 from .params import DEFAULT_PARAMS, FabricParams
 from .phy import Link, LinkError
+from .port import HOT_COUNTERS, read_counters
 from .switch import Switch
 
 
@@ -179,6 +181,18 @@ class Fabric:
                 },
             )
         return g
+
+    def port_stats(self) -> Counter:
+        """Every port's counters summed key by key, without a snapshot
+        per port.  Most ports of a large fabric never counted anything
+        and are passed over at the cost of three loads each (a port
+        transmits only what it queued and counts bytes only with their
+        packet, so two of its five slots tell whether any moved)."""
+        return read_counters(
+            (port for device in self.devices.values()
+             for port in device.ports
+             if port.tx_queued or port.rx_packets
+             or port._stats is not None), HOT_COUNTERS)
 
     def reachable_devices(self, origin: str) -> List[str]:
         """Active devices reachable from ``origin`` over up links."""

@@ -70,12 +70,24 @@ HOT_COUNTERS = ("tx_queued", "tx_packets", "tx_bytes", "rx_packets",
                 "rx_bytes")
 
 
-def fold_counters(stats: Counter, owner, keys: Tuple[str, ...]) -> Counter:
-    """Bring ``stats`` up to date with ``owner``'s integer slots."""
-    for key in keys:
-        behind = getattr(owner, key) - stats[key]
-        if behind:
-            stats.incr(key, behind)
+def read_counters(owners, keys: Tuple[str, ...]) -> Counter:
+    """The counters of ``owners`` summed key by key: those of their
+    integer slots ``keys`` that have counted, beside their rare
+    bundles ``_stats``.
+
+    Every counter has one home and this only reads it — nothing is
+    written to or created on an owner, so no copy exists that could go
+    stale, and changing the result changes nothing.
+    """
+    stats = Counter()
+    for owner in owners:
+        for key in keys:
+            value = getattr(owner, key)
+            if value:
+                stats[key] += value
+        if owner._stats is not None:
+            for key, value in owner._stats.items():
+                stats[key] += value
     return stats
 
 
@@ -92,7 +104,7 @@ class Port:
 
     __slots__ = (
         "device", "index", "params", "env", "link", "error_count",
-        *HOT_COUNTERS, "_stats", "_folded", "_tx_vcs", "_rx_use", "_tx_busy",
+        *HOT_COUNTERS, "_stats", "_tx_vcs", "_rx_use", "_tx_busy",
         "_tx_kick_scheduled", "_queued", "_free_at", "_done_seq",
         "_ledger", "_blocked", "_trace", "_vc_detail", "_credit_unit",
         "_framing", "_pcrc", "_prop", "_byte_time", "_rx_cap",
@@ -107,14 +119,12 @@ class Port:
         self.env: Environment = device.env
         self.link = None
         self.error_count = 0
-        #: The per-hop counters are plain integers; the lazily-built
-        #: :class:`Counter` holding the rare ones catches up with them
-        #: whenever it is read (see the ``stats`` property).
+        #: The per-hop counters are plain integers; the rare ones live
+        #: in a :class:`Counter` that the first rare event creates
+        #: (``_count``).  ``stats`` reads both.
         self.tx_queued = self.tx_packets = self.tx_bytes = 0
         self.rx_packets = self.rx_bytes = 0
-        self._stats = None
-        #: ``tx_queued + tx_packets + rx_packets`` at the last fold.
-        self._folded = 0
+        self._stats: Optional[Counter] = None
         #: Transmit records (output queues + remote input-buffer
         #: mirror) indexed by VC, ``None`` for a VC that never carried a
         #: packet — and no list at all until this port transmits — and
@@ -173,26 +183,15 @@ class Port:
     # -- lazy structures -------------------------------------------------
     @property
     def stats(self) -> Counter:
-        """Per-port counters, created on first use and brought up to
-        date with the integer hot counters on every read."""
+        """Snapshot of this port's counters (see ``read_counters``)."""
+        return read_counters((self,), HOT_COUNTERS)
+
+    def _count(self, key: str, amount: int = 1) -> None:
+        """Count a rare event; the first one creates the bundle."""
         stats = self._stats
         if stats is None:
             stats = self._stats = Counter()
-        # All five are monotone and the byte counters move only with
-        # their packet counter: an unchanged sum means nothing to fold.
-        moved = self.tx_queued + self.tx_packets + self.rx_packets
-        if moved != self._folded:
-            self._folded = moved
-            fold_counters(stats, self, HOT_COUNTERS)
-        return stats
-
-    @property
-    def stats_if_used(self) -> Optional[Counter]:
-        """The counters, or None on a port that never counted anything
-        (a read that does not materialize them)."""
-        if self._stats is None and not (self.tx_queued or self.rx_packets):
-            return None
-        return self.stats
+        stats.incr(key, amount)
 
     @property
     def credits(self) -> Tuple[VirtualChannel, ...]:
@@ -279,7 +278,7 @@ class Port:
             for vc in reversed(used):
                 dropped = len(vc)
                 if dropped:
-                    self.stats.incr("tx_dropped_link_down", dropped)
+                    self._count("tx_dropped_link_down", dropped)
                 for packet in vc:
                     # Forwarded packets still hold an input buffer
                     # on another port of this device; free it.
@@ -320,7 +319,7 @@ class Port:
         vc_index = self._tc_vc_map[packet.header.tc & 0x7]
         link = self.link
         if link is None or not link.up or not self.device.active:
-            self.stats.incr("tx_dropped_no_link")
+            self._count("tx_dropped_no_link")
             self.release_input(packet)
             return
         vcs = self._tx_vcs
@@ -481,7 +480,7 @@ class Port:
             # none are free.
             vc.take(units)
             replay = self._clone_for_replay(packet)
-            self.stats.incr("tx_replays")
+            self._count("tx_replays")
             if self._trace is not None:
                 self._trace("tx", self.device, self.index, replay,
                             detail="link replay")
@@ -564,7 +563,7 @@ class Port:
             or link.epoch != epoch
             or not self.device.active
         ):
-            self.stats.incr("rx_dropped")
+            self._count("rx_dropped")
             if self._trace is not None:
                 self._trace("drop", self.device, self.index, packet,
                             detail="link down / stale epoch")
@@ -607,13 +606,13 @@ class Port:
             try:
                 Packet.from_bytes(corrupted)
             except (HeaderError, PacketError):
-                self.stats.incr("rx_crc_dropped")
+                self._count("rx_crc_dropped")
                 detail = f"CRC check failed ({flips} flipped bit(s))"
             else:  # pragma: no cover - needs a CRC-32 collision
-                self.stats.incr("rx_undetected_errors")
+                self._count("rx_undetected_errors")
                 return True
         else:
-            self.stats.incr("rx_lost")
+            self._count("rx_lost")
             detail = "packet lost on link"
         if self._trace is not None:
             self._trace("drop", self.device, self.index, packet,

@@ -157,6 +157,19 @@ class PartialAssimilationManager(FabricManager):
         """Whether a partial assimilation burst is in progress."""
         return self._burst_stats is not None
 
+    @property
+    def busy(self) -> bool:
+        return self.is_discovering or self.is_assimilating
+
+    def start_discovery(self, trigger: str = "initial",
+                        force: bool = False):
+        """A forced start in the middle of a burst drops the burst
+        first: its completions would otherwise land on the database
+        the full run has just cleared."""
+        if force and self.is_assimilating:
+            self._drop_burst()
+        return super().start_discovery(trigger, force)
+
     # -- burst processing -----------------------------------------------------
     def _next_event(self) -> None:
         while self._event_queue and \
@@ -339,7 +352,7 @@ class PartialAssimilationManager(FabricManager):
         the reporter itself is gone.  Much cheaper than discarding the
         whole database when only one branch is in doubt.
         """
-        if self.is_discovering or self._burst_stats is not None:
+        if self.busy:
             return False
         events = []
         seen = set()
@@ -370,15 +383,15 @@ class PartialAssimilationManager(FabricManager):
         self._next_event()
         return True
 
-    def _abort_burst_to_full(self) -> None:
-        """Give up on partial assimilation; run a full discovery."""
+    def _drop_burst(self) -> DiscoveryStats:
+        """Forget the burst in progress and whatever it has in flight;
+        returns its ledger."""
         self._event_queue.clear()
         self._burst_seen = set()
         self._burst_suspects = set()
         stats = self._burst_stats
         self._burst_stats = None
-        if self._region is not None:
-            self._region = None
+        self._region = None
         if self._burst_span is not None and self.tracer is not None:
             self.tracer.end(self._burst_span, self.env.now,
                             aborted_to_full=True)
@@ -386,6 +399,11 @@ class PartialAssimilationManager(FabricManager):
         # cancel_all == the historical ``_pending.clear()`` (no
         # callbacks fire) plus closure of the orphaned spans.
         self.engine.cancel_all()
+        return stats
+
+    def _abort_burst_to_full(self) -> None:
+        """Give up on partial assimilation; run a full discovery."""
+        stats = self._drop_burst()
         if (stats.trigger == "repair"
                 and self._restart_streak >= self.max_discovery_restarts):
             # A failed *repair* escalation is an automatic recovery

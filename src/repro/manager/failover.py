@@ -197,7 +197,7 @@ class StandbyManager:
         self._unsubscribe()
 
     def stats(self) -> dict:
-        """Monitoring counters (Workload protocol)."""
+        """Monitoring counters (workload lifecycle)."""
         return {
             "active": self.active,
             "misses": self.misses,
@@ -466,10 +466,8 @@ class StandbyManager:
         """Poll until the FM is quiet and its ready_event resolved."""
         fm = self.fm
         while True:
-            busy = fm.is_discovering or getattr(fm, "is_assimilating",
-                                                False)
             ready = fm.ready_event is not None and fm.ready_event.triggered
-            if (not busy and ready) or fm.demoted:
+            if (not fm.busy and ready) or fm.demoted:
                 return
             yield self.env.timeout(self.heartbeat_interval / 4)
 

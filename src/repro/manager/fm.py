@@ -433,17 +433,26 @@ class FabricManager:
     def is_discovering(self) -> bool:
         return self.discovery is not None and not self.discovery.done
 
+    @property
+    def busy(self) -> bool:
+        """Whether a walk that owns the database is in progress: what
+        a caller tests before starting another (a manager with more
+        kinds of walk than the full discovery extends it)."""
+        return self.is_discovering
+
     def start_discovery(self, trigger: str = "initial",
                         force: bool = False) -> DiscoveryAlgorithm:
         """Discard the database and run a full discovery.
 
-        Returns the algorithm instance; wait on its ``done_event`` for
-        the :class:`DiscoveryStats`.
+        Refused with ``RuntimeError`` while ``busy`` unless ``force``,
+        which aborts the walk in progress first.  Returns the algorithm
+        instance; wait on its ``done_event`` for the
+        :class:`DiscoveryStats`.
         """
         self._enabled = True
+        if self.busy and not force:
+            raise RuntimeError("discovery already in progress")
         if self.is_discovering:
-            if not force:
-                raise RuntimeError("discovery already in progress")
             old = self.discovery
             if (self.tracer is not None and old is not None
                     and old.span is not None and old._span_owned):

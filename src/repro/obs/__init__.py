@@ -1,5 +1,5 @@
 """Structured observability: span tracing, packet lifecycle capture,
-a typed metrics registry, and timeline exporters.
+a metrics registry, and timeline exporters.
 
 The paper's figures are all *time* measurements, but end totals alone
 cannot show *where* a Serial Packet walk spends its time versus a
@@ -8,11 +8,12 @@ Parallel walk.  This package records that structure:
 * :class:`~repro.obs.span.SpanTracer` — nested spans for every PI-4
   transaction, discovery phase (claim, port read, assimilation burst,
   repair), restart/backoff episode, and route-distribution pass;
-* :class:`~repro.obs.packets.PacketFlightRecorder` — per-hop packet
-  lifecycle events (enqueue/tx/rx/drop/deliver) with sim timestamps;
-* :class:`~repro.obs.metrics.MetricsRegistry` — typed
-  Counter/Gauge/Histogram objects unifying the scattered stats
-  counters of ports, entities, and the FM;
+* :class:`~repro.fabric.trace.PacketTracer` (installed by the
+  session) — per-hop packet lifecycle events
+  (enqueue/tx/rx/drop/deliver) with sim timestamps;
+* :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
+  histograms unifying the scattered stats counters of ports, entities,
+  and the FM;
 * :mod:`~repro.obs.export` — Chrome-trace (Perfetto-compatible) JSON
   and JSONL writers, plus a schema validator used by CI;
 * :mod:`~repro.obs.breakdown` — per-phase discovery-time attribution
@@ -33,18 +34,14 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .metrics import CounterMetric, GaugeMetric, HistogramMetric, MetricsRegistry
-from .packets import PacketFlightRecorder
+from .metrics import Histogram, MetricsRegistry
 from .session import TraceSession
 from .span import Instant, Span, SpanTracer
 
 __all__ = [
-    "CounterMetric",
-    "GaugeMetric",
-    "HistogramMetric",
+    "Histogram",
     "Instant",
     "MetricsRegistry",
-    "PacketFlightRecorder",
     "Span",
     "SpanTracer",
     "TraceSession",

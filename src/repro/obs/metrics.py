@@ -1,33 +1,30 @@
-"""Typed metrics registry over the simulator's raw counters.
+"""One metrics registry over the simulator's raw counters.
 
 The fabric scatters its statistics across dozens of anonymous
-:class:`~repro.sim.monitor.Counter` bundles — every port counts
-``rx_crc_dropped``/``tx_replays``, every management entity counts
-``duplicate_requests``, the FM counts ``pi5_duplicates`` and
-``suspect_subtrees``.  Experiment code that wants "total CRC drops"
-has so far looped over devices by hand (see the pre-registry
-:mod:`repro.experiments.reliability`).
+:class:`~repro.sim.monitor.Counter` bundles and integer slots — every
+port counts ``rx_crc_dropped``/``tx_replays``, every management entity
+counts ``duplicate_requests``, the FM counts ``pi5_duplicates`` and
+``suspect_subtrees``.  :class:`MetricsRegistry` gives those quantities
+one namespace, as three mappings:
 
-:class:`MetricsRegistry` gives those quantities one namespace and a
-type each:
+* ``counters`` — totals, in the same :class:`Counter` type the model
+  counts with; they add up across scrapes;
+* ``gauges`` — point-in-time scalars, latest value wins;
+* ``histograms`` — bucketed distributions with streaming
+  mean/stdev/min/max (:class:`Histogram`).
 
-* :class:`CounterMetric` — monotonically increasing totals;
-* :class:`GaugeMetric` — point-in-time scalars;
-* :class:`HistogramMetric` — bucketed distributions backed by a
-  :class:`~repro.sim.monitor.Tally` (streaming mean/stdev/min/max).
-
-Raw :class:`~repro.sim.monitor.Counter` bundles are snapshotted, not
-mirrored: ``scrape_counter`` adds one bundle's current values,
-``scrape_counters`` the key-wise sum of many (what ``scrape_setup``
-does for a fabric's ports and entities).
+Raw bundles are snapshotted, not mirrored: ``scrape_counters`` adds the
+key-wise sum of the bundles it is given (what ``scrape_setup`` does for
+a fabric's ports and entities).
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from ..sim.monitor import Counter, Tally
+from ..sim.monitor import Counter
 
 #: Default histogram buckets: log-spaced seconds covering everything
 #: from a single link crossing to a horizon-scale soak.
@@ -36,186 +33,138 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class CounterMetric:
-    """A monotonically increasing total."""
+class Histogram:
+    """A bucketed distribution with streaming summary statistics
+    (Welford's update: no observation is stored)."""
 
-    kind = "counter"
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("buckets", "counts", "n", "mean", "_m2", "min", "max")
 
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r}: negative increment")
-        self.value += amount
-
-    def asdict(self) -> dict:
-        return {"type": self.kind, "value": self.value}
-
-
-class GaugeMetric:
-    """A point-in-time scalar."""
-
-    kind = "gauge"
-    __slots__ = ("name", "help", "value")
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def asdict(self) -> dict:
-        return {"type": self.kind, "value": self.value}
-
-
-class HistogramMetric:
-    """A bucketed distribution with streaming summary statistics."""
-
-    kind = "histogram"
-    __slots__ = ("name", "help", "buckets", "counts", "tally")
-
-    def __init__(self, name: str, help: str = "",
-                 buckets: Sequence[float] = DEFAULT_BUCKETS):
-        self.name = name
-        self.help = help
+    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS):
         self.buckets = tuple(sorted(buckets))
         if not self.buckets:
-            raise ValueError(f"histogram {self.name!r}: no buckets")
+            raise ValueError("a histogram needs at least one bucket")
         # counts[i] observes x <= buckets[i]; the final slot is +Inf.
         self.counts = [0] * (len(self.buckets) + 1)
-        self.tally = Tally()
+        self.n = 0
+        self.mean = self._m2 = 0.0
+        self.min = math.inf
+        self.max = -math.inf
 
     def observe(self, x: float) -> None:
         self.counts[bisect_left(self.buckets, x)] += 1
-        self.tally.observe(x)
+        self.n += 1
+        delta = x - self.mean
+        self.mean += delta / self.n
+        self._m2 += delta * (x - self.mean)
+        if x < self.min:
+            self.min = x
+        if x > self.max:
+            self.max = x
+
+    @property
+    def stdev(self) -> float:
+        """Sample standard deviation (n-1 denominator; 0 below two
+        observations)."""
+        return math.sqrt(self._m2 / (self.n - 1)) if self.n > 1 else 0.0
 
     def asdict(self) -> dict:
         doc = {
-            "type": self.kind,
-            "n": self.tally.n,
+            "type": "histogram",
+            "n": self.n,
             "buckets": {
                 f"le_{bound:g}": count
                 for bound, count in zip(self.buckets, self.counts)
             },
             "overflow": self.counts[-1],
         }
-        if self.tally.n:
-            doc.update(
-                mean=self.tally.mean,
-                stdev=self.tally.stdev,
-                min=self.tally.min,
-                max=self.tally.max,
-            )
+        if self.n:
+            doc.update(mean=self.mean, stdev=self.stdev,
+                       min=self.min, max=self.max)
         return doc
 
 
 class MetricsRegistry:
-    """Get-or-create registry of named, typed metrics."""
+    """Named metrics of three kinds, rendered as one document.
+
+    Write ``registry.counters.incr(name, amount)``,
+    ``registry.gauges[name] = value`` and
+    ``registry.histogram(name).observe(x)``.
+    """
 
     def __init__(self):
-        self._metrics: Dict[str, object] = {}
+        self.counters = Counter()
+        self.gauges: Dict[str, float] = {}
+        self.histograms: Dict[str, Histogram] = {}
 
-    def _get(self, name: str, cls, **kwargs):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name, **kwargs)
-            self._metrics[name] = metric
-        elif not isinstance(metric, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(metric).__name__}, requested {cls.__name__}"
-            )
-        return metric
-
-    def counter(self, name: str, help: str = "") -> CounterMetric:
-        return self._get(name, CounterMetric, help=help)
-
-    def gauge(self, name: str, help: str = "") -> GaugeMetric:
-        return self._get(name, GaugeMetric, help=help)
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: Sequence[float] = DEFAULT_BUCKETS,
-                  ) -> HistogramMetric:
-        return self._get(name, HistogramMetric, help=help, buckets=buckets)
+    def histogram(self, name: str,
+                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
+        """Get or create the histogram ``name``."""
+        histogram = self.histograms.get(name)
+        if histogram is None:
+            histogram = self.histograms[name] = Histogram(buckets)
+        return histogram
 
     # -- raw-counter integration --------------------------------------------
-    def scrape_counter(self, counter: Counter, prefix: str) -> None:
-        """Add a raw counter bundle's current values (one-shot)."""
-        for key, value in counter.asdict().items():
-            self.counter(f"{prefix}.{key}").inc(value)
-
-    def scrape_counters(self, counters: Iterable[Counter],
+    def scrape_counters(self, counters: Iterable[Mapping[str, int]],
                         prefix: str) -> None:
-        """``scrape_counter`` of every bundle, summed key by key first:
-        one metric lookup per key, not one per bundle and key."""
-        totals: Dict[str, int] = {}
+        """Add the current values of raw counter bundles (one-shot),
+        summed key by key first: one name built per key, not one per
+        bundle and key."""
+        totals = Counter()
         for counter in counters:
-            for key, value in counter.asdict().items():
-                totals[key] = totals.get(key, 0) + value
+            for key, value in counter.items():
+                totals[key] += value
         for key, total in totals.items():
-            self.counter(f"{prefix}.{key}").inc(total)
+            self.counters.incr(f"{prefix}.{key}", total)
 
     # -- collection ----------------------------------------------------------
     def value(self, name: str):
-        """Current value of a registered metric (0 for an absent
-        counter-style lookup, so sums over sparse scrapes stay easy)."""
-        metric = self._metrics.get(name)
-        if metric is None:
-            return 0
-        if isinstance(metric, (CounterMetric, GaugeMetric)):
-            return metric.value
-        return metric.asdict()
+        """Current value of a metric (a histogram's is its document;
+        an absent name reads 0, so sums over sparse scrapes stay
+        easy)."""
+        if name in self.histograms:
+            return self.histograms[name].asdict()
+        return self.gauges.get(name, self.counters[name])
 
     def collect(self) -> Dict[str, dict]:
-        """All metrics as a sorted, JSON-ready mapping."""
-        return {
-            name: self._metrics[name].asdict()
-            for name in sorted(self._metrics)
-        }
+        """All metrics as a sorted, JSON-ready mapping (``TypeError``
+        if one name was written as two kinds: a document has room for
+        one of them)."""
+        docs = {name: {"type": "counter", "value": value}
+                for name, value in self.counters.items()}
+        docs.update((name, {"type": "gauge", "value": value})
+                    for name, value in self.gauges.items())
+        docs.update((name, histogram.asdict())
+                    for name, histogram in self.histograms.items())
+        if len(docs) != len(self):
+            raise TypeError("a metric name is in use under two kinds")
+        return dict(sorted(docs.items()))
 
     # -- whole-simulation scrape ---------------------------------------------
     def scrape_setup(self, setup) -> "MetricsRegistry":
         """Snapshot a finished simulation's scattered counters.
 
-        Aggregates every used port's channel counters under ``port.*``,
+        Aggregates every port's channel counters under ``port.*``,
         every management entity's under ``entity.*``, and the FM's own
-        under ``fm.*``; adds database-size and discovery-time summary
-        metrics.  Returns ``self`` for chaining.
+        under ``fm.*``; adds the database size (``fm.devices_known``),
+        the completed discoveries, initial + assimilations
+        (``fm.discoveries``) and their durations in sim seconds
+        (``fm.discovery_time``).  Returns ``self`` for chaining.
         """
-        self.scrape_counter(setup.fm.counters, "fm")
-        # Most ports of a large fabric never count anything; reading
-        # must not materialize their counters.
-        self.scrape_counters(
-            (stats for device in setup.fabric.devices.values()
-             for port in device.ports
-             if (stats := port.stats_if_used) is not None), "port")
+        self.scrape_counters((setup.fm.counters,), "fm")
+        self.scrape_counters((setup.fabric.port_stats(),), "port")
         self.scrape_counters(
             (entity.stats for entity in setup.entities.values()), "entity")
-        self.gauge(
-            "fm.devices_known",
-            help="devices in the FM topology database",
-        ).set(len(setup.fm.database))
-        self.gauge(
-            "fm.discoveries",
-            help="completed discoveries (initial + assimilations)",
-        ).set(len(setup.fm.history))
-        times = self.histogram(
-            "fm.discovery_time",
-            help="per-discovery wall time (sim seconds)",
-        )
+        self.gauges["fm.devices_known"] = len(setup.fm.database)
+        self.gauges["fm.discoveries"] = len(setup.fm.history)
+        times = self.histogram("fm.discovery_time")
         for stats in setup.fm.history:
             if stats.started_at is not None and stats.finished_at is not None:
                 times.observe(stats.discovery_time)
         return self
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self.counters) + len(self.gauges) + len(self.histograms)
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return f"<MetricsRegistry {len(self._metrics)} metrics>"
+        return f"<MetricsRegistry {len(self)} metrics>"

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..fabric.trace import DEFAULT_LIMIT, PacketTracer
 from .metrics import MetricsRegistry
-from .packets import DEFAULT_LIMIT, PacketFlightRecorder
 from .span import SpanTracer
 
 
@@ -24,15 +24,15 @@ class TraceSession:
         Capture per-hop packet lifecycle events (costs one hook call
         per hop while enabled; spans alone are much cheaper).
     packet_limit:
-        Capture capacity for packet hops; overflow is counted, not
-        silently dropped.
+        Capture capacity for packet hops; the oldest fall off beyond
+        it and are counted, not silently dropped.
     """
 
     def __init__(self, packets: bool = True,
                  packet_limit: int = DEFAULT_LIMIT):
         self.spans = SpanTracer()
-        self.packets: Optional[PacketFlightRecorder] = (
-            PacketFlightRecorder(limit=packet_limit) if packets else None
+        self.packets: Optional[PacketTracer] = (
+            PacketTracer(limit=packet_limit) if packets else None
         )
         self.metrics = MetricsRegistry()
         #: Free-form run description carried into exporter output
@@ -44,8 +44,7 @@ class TraceSession:
         """Attach to a built simulation (idempotent)."""
         setup.fm.attach_tracer(self.spans)
         if self.packets is not None:
-            for device in setup.fabric.devices.values():
-                device.trace_hook = self.packets
+            self.packets.attach(setup.fabric)
         self.meta.setdefault("topology", setup.spec.name)
         self.meta.setdefault("algorithm", setup.fm.algorithm_key)
         return self

@@ -192,31 +192,27 @@ def op_path(setup, driver, params) -> dict:
 
 
 def op_metrics(setup, driver, params) -> dict:
-    registry = MetricsRegistry()
-    registry.scrape_setup(setup)
-
-    def gauge(name: str, value, text: str = "") -> None:
-        registry.gauge(name, help=text).set(value)
-
-    gauge("service.events_stepped", driver.events_stepped,
-          "kernel events advanced by the driver")
-    gauge("service.commands_run", driver.commands_at_version,
-          "commands executed on the sim thread")
+    registry = MetricsRegistry().scrape_setup(setup)
+    gauges = registry.gauges
+    # Kernel events advanced by the driver.
+    gauges["service.events_stepped"] = driver.events_stepped
+    # Commands executed on the sim thread.
+    gauges["service.commands_run"] = driver.commands_at_version
     tap = getattr(driver, "tap", None)
     if tap is not None:
-        gauge("service.feed_pi5", tap.forwarded["pi5"])
-        gauge("service.feed_spans", tap.forwarded["span"])
+        gauges["service.feed_pi5"] = tap.forwarded["pi5"]
+        gauges["service.feed_spans"] = tap.forwarded["span"]
     traffic = getattr(driver, "traffic", None)
     if traffic is not None:
         stats = traffic.stats()
-        gauge("traffic.offered_load", stats["offered_load"],
-              "requested per-endpoint load fraction")
-        gauge("traffic.packets_injected", stats.get("packets_injected", 0))
-        gauge("traffic.packets_delivered",
-              stats.get("packets_delivered", 0))
-        gauge("traffic.delivered_bytes_per_s",
-              stats.get("delivered_bytes_per_s", 0.0),
-              "application goodput since the generator started")
+        # The requested per-endpoint load fraction.
+        gauges["traffic.offered_load"] = stats["offered_load"]
+        gauges["traffic.packets_injected"] = stats.get("packets_injected", 0)
+        gauges["traffic.packets_delivered"] = stats.get(
+            "packets_delivered", 0)
+        # Application goodput since the generator started.
+        gauges["traffic.delivered_bytes_per_s"] = stats.get(
+            "delivered_bytes_per_s", 0.0)
     return {"sim_time": setup.env.now, "metrics": registry.collect()}
 
 
@@ -271,10 +267,10 @@ def _fabric_verb(verb: str) -> Callable:
 def op_rediscover(setup, driver, params) -> dict:
     force = bool(params.get("force", False))
     fm = setup.fm
-    if fm.is_discovering and not force:
+    if fm.busy and not force:
         raise ApiError(
-            "busy", "a discovery is already running (pass force=true "
-            "to abort it and restart)"
+            "busy", "a discovery or assimilation is already running "
+            "(pass force=true to abort it and restart)"
         )
     fm.start_discovery(trigger="change" if fm.history else "initial",
                        force=force)

@@ -23,7 +23,7 @@ Quick example::
 from .core import Environment, Infinity
 from .errors import EmptySchedule, SimulationError
 from .events import Deferred, Event, Timeout
-from .monitor import Counter, Tally
+from .monitor import Counter
 from .process import Process
 
 __all__ = [
@@ -35,6 +35,5 @@ __all__ = [
     "Infinity",
     "Process",
     "SimulationError",
-    "Tally",
     "Timeout",
 ]

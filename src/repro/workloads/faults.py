@@ -40,13 +40,6 @@ class FaultEvent:
     mid_discovery: bool = False
 
 
-def _fm_busy(fm) -> bool:
-    """Whether ``fm`` is currently walking or assimilating."""
-    return bool(
-        fm.is_discovering or getattr(fm, "is_assimilating", False)
-    )
-
-
 class FaultInjector:
     """Injects random topology changes at exponential intervals.
 
@@ -183,7 +176,7 @@ class FaultInjector:
 
     # -- schedule -----------------------------------------------------------
     def start(self) -> None:
-        """:class:`~repro.workloads.base.Workload` entry point.
+        """The workload lifecycle's entry point (:mod:`repro.workloads`).
 
         Equivalent to ``run(self.fault_budget)`` with the completion
         event ignored — for callers that manage lifecycles uniformly
@@ -209,7 +202,7 @@ class FaultInjector:
             self._wait = None
             if self._stopping:
                 break
-            if self.during_discovery and not _fm_busy(self.fm):
+            if self.during_discovery and not self.fm.busy:
                 # Hold the fault until the FM is mid-walk, bounded by
                 # an env-time deadline so a quiet fabric cannot stall
                 # the schedule forever.  Measuring against env.now
@@ -217,7 +210,7 @@ class FaultInjector:
                 # max_hold exactly even when a wait completes early or
                 # is interrupted.
                 deadline = self.env.now + self.max_hold
-                while self.env.now < deadline and not _fm_busy(self.fm):
+                while self.env.now < deadline and not self.fm.busy:
                     self._wait = self.env.timeout(
                         min(self.poll_interval, deadline - self.env.now)
                     )
@@ -331,8 +324,7 @@ class FaultInjector:
         self._log(kind, target if isinstance(target, str) else str(target))
 
     def _log(self, kind: str, target: str) -> None:
-        mid = (self.fm is not None and not self.fm_down
-               and _fm_busy(self.fm))
+        mid = self.fm is not None and not self.fm_down and self.fm.busy
         if mid:
             self.mid_discovery_faults += 1
         event = FaultEvent(self.env.now, kind, target, mid_discovery=mid)
@@ -355,7 +347,7 @@ class FaultInjector:
             return
         # Mid-walk flag is sampled before the kill lands (the whole
         # point of killing mid-discovery is that the FM *was* busy).
-        mid = _fm_busy(self.fm)
+        mid = self.fm.busy
         self.fm_down = True
         self.fabric.remove_device(self._fm_host())
         if mid:
@@ -400,7 +392,7 @@ class FaultInjector:
         return counts
 
     def stats(self) -> dict:
-        """Per-kind fault counts plus totals (Workload protocol)."""
+        """Per-kind fault counts plus totals (workload lifecycle)."""
         result = dict(self.summary())
         result["faults_injected"] = len(self.log)
         result["mid_discovery_faults"] = self.mid_discovery_faults

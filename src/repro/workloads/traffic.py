@@ -147,7 +147,7 @@ class TrafficSpec:
 class TrafficGenerator:
     """Realize a :class:`TrafficSpec` as per-endpoint flow processes.
 
-    Implements the :class:`~repro.workloads.base.Workload` lifecycle
+    Implements the workload lifecycle of :mod:`repro.workloads`
     (``start``/``stop``/``stats``/``describe``).  Legacy keyword
     construction (``TrafficGenerator(fabric, load=0.4, seed=7)``) still
     works: any :class:`TrafficSpec` field passed as a keyword overrides

@@ -72,7 +72,7 @@ def test_traced_paths_match_database_routes(num_switches, extra_links, seed):
 
     fm_name = setup.fm.endpoint.name
     injected = {
-        e.packet_id for e in tracer.events
+        e.packet_id for e in tracer.hops
         if e.kind == "inject" and e.device == fm_name
     }
     delivered = 0

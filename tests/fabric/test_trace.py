@@ -5,7 +5,7 @@ import pytest
 from repro.experiments.runner import build_simulation, run_until_ready
 from repro.fabric import Packet, make_management_header
 from repro.fabric.packet import PI_DEVICE_MANAGEMENT, PI_EVENT
-from repro.fabric.trace import PacketTracer, TraceEvent
+from repro.fabric.trace import PacketTracer
 from repro.manager import PARALLEL
 from repro.routing.turnpool import Hop, build_turn_pool
 from repro.topology import make_mesh
@@ -57,10 +57,32 @@ class TestTracer:
         assert devices == {"sw_0_0"}
 
     def test_ring_buffer_bounded(self, setup):
+        full = PacketTracer().attach(setup.fabric)
+        send_one(setup, [Hop(16, 4, 1)])
+        per_packet = len(full)
         tracer = PacketTracer(limit=10).attach(setup.fabric)
         for _ in range(8):
             send_one(setup, [Hop(16, 4, 1)])
         assert len(tracer) == 10
+        # One retention policy: the newest ten are kept, the ones that
+        # fell off are counted, and ``seq`` keeps counting across them.
+        assert tracer.overflowed == 8 * per_packet - 10
+        seqs = [hop.seq for hop in tracer.hops]
+        assert seqs == list(range(tracer.overflowed, 8 * per_packet))
+        assert tracer.hops[-1].kind == "deliver"
+
+    def test_filtered_hops_are_counted_not_kept(self, setup):
+        everything = PacketTracer().attach(setup.fabric)
+        send_one(setup, [Hop(16, 4, 1)])
+        total = len(everything)
+        tracer = PacketTracer(
+            device_filter={"sw_0_0"}, limit=2).attach(setup.fabric)
+        send_one(setup, [Hop(16, 4, 1)])
+        at_switch = sum(hop.device == "sw_0_0" for hop in everything.hops)
+        # A filtered hop takes no sequence number and no room.
+        assert tracer.dropped_by_filter == total - at_switch
+        assert len(tracer) + tracer.overflowed == at_switch
+        assert tracer.devices() == ["sw_0_0"]
 
     def test_drop_recorded(self, setup):
         tracer = PacketTracer().attach(setup.fabric)
@@ -80,6 +102,14 @@ class TestTracer:
         text = tracer.render(last=5)
         assert f"pkt#{packet.pkt_id}" in text
         assert "deliver" in text
+        assert len(text.splitlines()) == 5
+
+    def test_render_of_an_empty_tail_is_empty(self, setup):
+        tracer = PacketTracer().attach(setup.fabric)
+        send_one(setup, [Hop(16, 4, 1)])
+        assert tracer.render(last=0) == ""
+        assert tracer.render(last=1) == tracer.hops[-1].render()
+        assert tracer.render(last=10 ** 6) == tracer.render()
 
     def test_counts_and_detach(self, setup):
         tracer = PacketTracer().attach(setup.fabric)

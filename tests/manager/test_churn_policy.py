@@ -181,6 +181,43 @@ class TestPartialMidAssimilation:
         assert fm.history[0].completions_received > 0
         assert not any(s.packet_timeline for s in fm.history[:-1])
 
+    @staticmethod
+    def _mid_burst():
+        """A partial manager in the middle of a burst: ``sw_2_2`` is
+        gone and the confirm read of the first report is in flight."""
+        setup = build_simulation(make_mesh(4, 4), manager="partial")
+        run_until_ready(setup)
+        setup.fabric.remove_device("sw_2_2")
+        while not setup.fm.is_assimilating:
+            setup.env.step()
+        assert setup.fm.busy and not setup.fm.is_discovering
+        return setup
+
+    def test_rediscover_mid_burst_is_refused(self):
+        """It used to be granted: the database was cleared under the
+        burst, whose next completion then raised ``DatabaseError:
+        unknown device`` out of ``env.run``."""
+        setup = self._mid_burst()
+        with pytest.raises(RuntimeError, match="in progress"):
+            setup.fm.start_discovery(trigger="change")
+        assert setup.fm.is_assimilating and len(setup.fm.database) > 1
+        stats = run_until_quiescent(setup)
+        assert stats.algorithm == "partial" and not stats.aborted
+        assert database_matches_fabric(setup)
+
+    def test_forced_rediscover_mid_burst_drops_the_burst(self):
+        setup = self._mid_burst()
+        fm = setup.fm
+        fm.start_discovery(trigger="change", force=True)
+        assert fm.is_discovering and not fm.is_assimilating
+        assert not fm._event_queue and fm._region is None
+        stats = run_until_quiescent(setup)
+        assert stats.algorithm != "partial" and not stats.aborted
+        assert database_matches_fabric(setup)
+        # The dropped burst left no history entry and no ready_event
+        # resolved early: two full runs, the second one complete.
+        assert [s.algorithm for s in fm.history] == ["parallel"] * 2
+
     def test_repair_prefers_partial_machinery(self):
         # Force the repair path directly: mark a healthy subtree
         # suspect after a converged run and let the policy resolve it.

@@ -1,11 +1,12 @@
-"""Tests for the timeline exporters and the packet flight recorder."""
+"""Tests for the timeline exporters and for the packet recorder as
+they use it (``fabric.trace.PacketTracer``, driven through fakes)."""
 
 import json
 
 import pytest
 
+from repro.fabric.trace import PacketTracer
 from repro.obs import (
-    PacketFlightRecorder,
     TraceSession,
     chrome_trace_document,
     dump_chrome_trace,
@@ -53,7 +54,7 @@ def _session():
     session.packets(
         "tx", _FakeDevice("sw_0_0", env), 1, _FakePacket(7), "vc0"
     )
-    session.metrics.counter("fm.pi5").inc(3)
+    session.metrics.counters.incr("fm.pi5", 3)
     session.meta["topology"] = "synthetic"
     return session
 
@@ -142,25 +143,37 @@ class TestJsonl:
 
 class TestPacketFlightRecorder:
     def test_records_hop_fields(self):
-        recorder = PacketFlightRecorder()
+        recorder = PacketTracer()
         env = _FakeEnv(now=2.5)
         recorder("rx", _FakeDevice("ep_0", env), 3, _FakePacket(9, pi=5))
         hop = recorder.hops[0]
         assert (hop.time, hop.kind, hop.device, hop.port) == \
             (2.5, "rx", "ep_0", 3)
-        assert (hop.packet_id, hop.pi) == (9, 5)
+        assert (hop.packet_id, hop.pi, hop.detail, hop.seq) == (9, 5, "", 0)
         assert recorder.devices() == ["ep_0"]
         assert recorder.counts() == {"rx": 1}
 
     def test_overflow_is_counted_not_silent(self):
-        recorder = PacketFlightRecorder(limit=1)
+        recorder = PacketTracer(limit=1)
         env = _FakeEnv()
         device = _FakeDevice("sw", env)
         recorder("tx", device, 0, _FakePacket(1))
         recorder("tx", device, 0, _FakePacket(2))
         assert len(recorder) == 1
         assert recorder.overflowed == 1
+        # The newest hop is the one kept, under the number it was
+        # given: a gap in ``seq`` is where the capture was cut.
+        assert [(hop.packet_id, hop.seq) for hop in recorder.hops] == [(2, 1)]
+
+    def test_a_truncated_capture_says_so_in_the_export(self):
+        session = TraceSession(packet_limit=2)
+        device = _FakeDevice("sw", _FakeEnv())
+        for pkt_id in range(5):
+            session.packets("tx", device, 0, _FakePacket(pkt_id))
+        doc = chrome_trace_document(session)
+        assert doc["otherData"]["packet_hops_dropped"] == 3
+        assert sum(e.get("cat") == "packet" for e in doc["traceEvents"]) == 2
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
-            PacketFlightRecorder(limit=0)
+            PacketTracer(limit=0)

@@ -6,6 +6,7 @@ the event stream, and the consistency auditor confirming the FM
 reconverged afterwards.
 """
 
+import json
 import threading
 import time
 
@@ -179,6 +180,53 @@ class TestMutationRoundTrip:
                 with pytest.raises(ServiceError) as err:
                     client.request("remove_device", name="no_such")
                 assert err.value.code == "bad-mutation"
+
+
+class TestRediscoverDuringABurst:
+    """A ``PartialAssimilationManager`` burst is a walk ``rediscover``
+    must not start a discovery on top of (it answered
+    ``{"started": true}``, cleared the database under the burst, and
+    the driver then read ``crashed == DatabaseError('unknown device
+    ...')`` and served a frozen simulation from there on)."""
+
+    @staticmethod
+    def _start_burst(setup):
+        setup.fabric.remove_device("sw_2_2")
+        while not setup.fm.is_assimilating:
+            setup.env.step()
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_the_op_is_answered_and_the_kernel_survives(self, force):
+        from repro.experiments.runner import database_matches_fabric
+
+        from .test_memo import Park, _until, quiesce, wires
+
+        with start_service("mesh16", manager="partial") as handle, \
+                wires(handle, 1) as (wire,):
+            quiesce(handle)
+            driver = handle.driver
+            # The op queues behind the parked thread and runs before
+            # the next kernel event: in the middle of the burst.
+            with Park(driver, first=self._start_burst):
+                wire.send("rediscover", force=force)
+                _until(lambda: driver._commands.qsize() == 1,
+                       "the op to queue")
+            answer = json.loads(wire.recv())
+            if force:
+                assert answer["ok"] and answer["result"]["started"]
+            else:
+                assert not answer["ok"]
+                assert answer["error"]["code"] == "busy"
+            quiesce(handle)
+            assert driver.crashed is None
+            status = wire.result("status")
+            assert status["ready"] and status["driver"]["crashed"] is None
+            assert status["discoveries"] == 2
+            assert status["last_discovery"]["algorithm"] == (
+                "parallel" if force else "partial")
+            assert len(wire.result("topology")["devices"]) \
+                == status["devices_known"] == 30  # sw_2_2 and its endpoint
+            assert driver.call(database_matches_fabric)
 
 
 class TestRetainedHistory:

@@ -1,10 +1,6 @@
-"""Unit tests for instrumentation helpers."""
+"""Unit tests for the one counter type."""
 
-import math
-
-import pytest
-
-from repro.sim import Counter, Tally
+from repro.sim import Counter
 
 
 class TestCounter:
@@ -22,28 +18,18 @@ class TestCounter:
         d["x"] = 99
         assert c["x"] == 1
 
+    def test_a_key_that_never_counted_stays_absent(self):
+        c = Counter()
+        assert c["missing"] == 0
+        assert "missing" not in c and c == {} and c.asdict() == {}
+        # The trap this type sets: an empty bundle is falsy, so "does
+        # it exist" is an ``is None`` test, never a truth test.
+        assert not c and c is not None
+        c.incr("x", 0)  # a counted zero is a count
+        assert c == {"x": 0}
 
-class TestTally:
-    def test_streaming_stats_match_batch(self):
-        data = [1.0, 2.0, 3.0, 4.0, 100.0]
-        t = Tally()
-        for x in data:
-            t.observe(x)
-        mean = sum(data) / len(data)
-        var = sum((x - mean) ** 2 for x in data) / (len(data) - 1)
-        assert t.n == 5
-        assert t.mean == pytest.approx(mean)
-        assert t.variance == pytest.approx(var)
-        assert t.stdev == pytest.approx(math.sqrt(var))
-        assert t.min == 1.0
-        assert t.max == 100.0
-
-    def test_empty_tally_raises_on_mean(self):
-        with pytest.raises(ValueError):
-            _ = Tally().mean
-
-    def test_single_observation_zero_variance(self):
-        t = Tally()
-        t.observe(7.0)
-        assert t.variance == 0.0
-        assert t.stdev == 0.0
+    def test_is_a_plain_mapping_without_per_instance_state(self):
+        c = Counter(tx=2)
+        c.incr("rx")
+        assert dict(c) == {"tx": 2, "rx": 1} and list(c) == ["tx", "rx"]
+        assert not hasattr(c, "__dict__")

@@ -10,18 +10,19 @@ from repro.sim import Environment, Event, Process
 SRC = Path(repro.sim.__file__).resolve().parent.parent
 
 #: Names the kernel used to ship (resources, conditions, interrupts,
-#: Monitor) and the module that held most of them.
+#: Monitor, and Tally — now part of ``obs.metrics.Histogram``, its only
+#: user) and the module that held most of them.
 REMOVED = {
     "AllOf", "AnyOf", "Condition", "ConditionValue", "FilterStore",
     "Interrupt", "Monitor", "PriorityItem", "PriorityStore", "Resource",
-    "Store", "resources",
+    "Store", "Tally", "resources",
 }
 
 
 def test_all_is_the_reduced_list():
     assert repro.sim.__all__ == [
         "Counter", "Deferred", "EmptySchedule", "Environment", "Event",
-        "Infinity", "Process", "SimulationError", "Tally", "Timeout",
+        "Infinity", "Process", "SimulationError", "Timeout",
     ]
     assert not REMOVED & set(dir(repro.sim))
 

@@ -36,16 +36,21 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: route memo are paid for by ``_render``, ``_cost``, ``with_tag``, the
 #: classification functions, the FM's second claim decoder and the
 #: callerless ``vc_for_tc`` / ``is_management`` / ``active_ports`` /
-#: ``packet_cost_key``).
-TOTAL_CEILING = 12_004
+#: ``packet_cost_key``; 11,796 after PR 22 made the observation plane
+#: one of each — one counter type, a registry of three mappings, one
+#: packet recorder — and deleted ``workloads/base.py`` and the second
+#: copy of the change protocol).
+TOTAL_CEILING = 11_796
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; what is left is the callback kernel plus
 #: ``Process``/``Timeout`` for the five loop-shaped workloads; 442
-#: while ``Environment.now`` was a property).
-SIM_CEILING = 439
+#: while ``Environment.now`` was a property; 439 while ``Counter``
+#: built closures and ``Tally`` lived here).
+SIM_CEILING = 379
 #: Code lines in ``repro/experiments/`` + ``repro/cli.py`` (3,666
-#: before PR 13, 3,071 after it).
-EXPERIMENTS_AND_CLI_CEILING = 3_064
+#: before PR 13, 3,071 after it; 3,064 before PR 22 shared the change
+#: protocol and the reliability totals).
+EXPERIMENTS_AND_CLI_CEILING = 3_048
 
 #: Code lines in ``repro/routing/graph.py``: the whole graph library
 #: of this code base, and meant to stay one screen of code.

@@ -11,15 +11,13 @@ from repro.workloads.faults import FaultInjector
 class _QuietFM:
     """An FM stub that never discovers (forces the full hold)."""
 
-    is_discovering = False
-    is_assimilating = False
+    busy = False
 
 
 class _BusyFM:
     """An FM stub that is always mid-walk (no hold at all)."""
 
-    is_discovering = True
-    is_assimilating = False
+    busy = True
 
 
 def _first_interval(seed: int, mean_interval: float) -> float:
