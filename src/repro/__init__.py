@@ -24,89 +24,78 @@ Quick start::
     print(stats.discovery_time, "seconds,", stats.devices_found, "devices")
 """
 
-from .experiments import (
-    ExperimentResult,
-    RunFailure,
-    Scenario,
-    SweepError,
-    SweepReport,
-    build_simulation,
-    database_matches_fabric,
-    run_many,
-    run_sweep,
-    run_until_discovery_count,
-    run_until_ready,
-)
-from .fabric import Fabric, FabricParams, PacketTracer
-from .manager import (
-    ALGORITHMS,
-    PARALLEL,
-    SERIAL_DEVICE,
-    SERIAL_PACKET,
-    CollaborativeDiscovery,
-    DiscoveryStats,
-    Election,
-    FabricManager,
-    PartialAssimilationManager,
-    PathDistributor,
-    ProcessingTimeModel,
-    StandbyManager,
-)
-from .protocols import ManagementEntity
-from .sim import Environment
-from .topology import (
-    TABLE1_NAMES,
-    TopologySpec,
-    make_fattree,
-    make_irregular,
-    make_mesh,
-    make_torus,
-    table1_suite,
-    table1_topology,
-)
-from .workloads.faults import FaultInjector
-from .workloads.traffic import TrafficGenerator, TrafficSpec
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "CollaborativeDiscovery",
-    "DiscoveryStats",
-    "Election",
-    "Environment",
-    "ExperimentResult",
-    "Fabric",
-    "FabricManager",
-    "FaultInjector",
-    "FabricParams",
-    "ManagementEntity",
-    "PARALLEL",
-    "PacketTracer",
-    "PartialAssimilationManager",
-    "PathDistributor",
-    "ProcessingTimeModel",
-    "RunFailure",
-    "SERIAL_DEVICE",
-    "SERIAL_PACKET",
-    "Scenario",
-    "StandbyManager",
-    "SweepError",
-    "SweepReport",
-    "TABLE1_NAMES",
-    "TopologySpec",
-    "TrafficGenerator",
-    "TrafficSpec",
-    "build_simulation",
-    "database_matches_fabric",
-    "make_fattree",
-    "make_irregular",
-    "make_mesh",
-    "make_torus",
-    "run_many",
-    "run_sweep",
-    "run_until_discovery_count",
-    "run_until_ready",
-    "table1_suite",
-    "table1_topology",
-]
+
+def _surface(namespace: dict, table: dict):
+    """A package ``__init__`` as a surface, not a loader.
+
+    Returns ``(__getattr__, __dir__, __all__)`` for the package whose
+    ``globals()`` are ``namespace``; ``table`` maps each public name to
+    the submodule, relative to the package, that defines it.  The
+    submodule is imported the first time one of its names is touched
+    (PEP 562) and the value cached in the package namespace, so
+    ``import repro.experiments.runner`` loads what a discovery executes
+    and ``from repro import make_mesh`` still works.  Code inside
+    ``src/`` imports from the concrete submodule, never through a
+    table.  docs/SIMULATION.md, "Import surface", has the numbers.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        if name not in table:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(
+            import_module(f"{package}.{table[name]}"), name)
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *table})
+
+    return __getattr__, __dir__, sorted(table)
+
+
+__getattr__, __dir__, __all__ = _surface(globals(), {
+    "ALGORITHMS": "manager.timing",
+    "CollaborativeDiscovery": "manager.discovery.distributed",
+    "DiscoveryStats": "manager.discovery.base",
+    "Election": "manager.election",
+    "Environment": "sim.core",
+    "ExperimentResult": "experiments.runner",
+    "Fabric": "fabric.fabric",
+    "FabricManager": "manager.fm",
+    "FabricParams": "fabric.params",
+    "FaultInjector": "workloads.faults",
+    "ManagementEntity": "protocols.entity",
+    "PARALLEL": "manager.timing",
+    "PacketTracer": "fabric.trace",
+    "PartialAssimilationManager": "manager.discovery.partial",
+    "PathDistributor": "manager.path_distribution",
+    "ProcessingTimeModel": "manager.timing",
+    "RunFailure": "experiments.executor",
+    "SERIAL_DEVICE": "manager.timing",
+    "SERIAL_PACKET": "manager.timing",
+    "Scenario": "experiments.scenario",
+    "StandbyManager": "manager.failover",
+    "SweepError": "experiments.executor",
+    "SweepReport": "experiments.executor",
+    "TABLE1_NAMES": "topology.table1",
+    "TopologySpec": "topology.spec",
+    "TrafficGenerator": "workloads.traffic",
+    "TrafficSpec": "workloads.traffic",
+    "build_simulation": "experiments.runner",
+    "database_matches_fabric": "experiments.runner",
+    "make_fattree": "topology.fattree",
+    "make_irregular": "topology.irregular",
+    "make_mesh": "topology.mesh",
+    "make_torus": "topology.torus",
+    "run_many": "experiments.executor",
+    "run_sweep": "experiments.executor",
+    "run_until_discovery_count": "experiments.runner",
+    "run_until_ready": "experiments.runner",
+    "table1_suite": "topology.table1",
+    "table1_topology": "topology.table1",
+})

@@ -1,8 +1,8 @@
 """Analytical models (paper Fig. 7(b))."""
 
-from .model import PipelineModel, expected_packets
+from .. import _surface
 
-__all__ = [
-    "PipelineModel",
-    "expected_packets",
-]
+__getattr__, __dir__, __all__ = _surface(globals(), {
+    "PipelineModel": "model",
+    "expected_packets": "model",
+})

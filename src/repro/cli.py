@@ -323,14 +323,13 @@ def _export_trace(scenario: Scenario, out: str,
                   jsonl: Optional[str] = None,
                   packets: bool = True) -> int:
     """Run ``scenario`` traced; export and summarize the timeline."""
-    from .obs import (
-        TraceSession,
-        discovery_phase_breakdown,
-        discovery_spans,
+    from .obs.breakdown import discovery_phase_breakdown, discovery_spans
+    from .obs.export import (
         validate_chrome_trace,
         write_chrome_trace,
         write_jsonl,
     )
+    from .obs.session import TraceSession
     session = TraceSession(packets=packets)
     scenario.run(tracer=session)
     label = f"{session.meta.get('topology', '?')} [{scenario.kind}]"
@@ -533,7 +532,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .service import start_service
+    from .service.harness import start_service
     manager, algorithm = resolve_variant(args.manager, args.algorithm)
     handle = start_service(
         topology=args.topology, algorithm=algorithm, manager=manager,

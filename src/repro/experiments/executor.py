@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import sys
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
 
@@ -107,6 +106,7 @@ def _run_indexed(indexed):
         result = job.run()
         return index, result, None, time.perf_counter() - started
     except Exception as exc:
+        import traceback  # only a failed job pays for it
         failure = RunFailure(
             job=job, index=index,
             error=f"{type(exc).__name__}: {exc}",

@@ -28,13 +28,14 @@ oracle, progress lines).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from importlib import import_module
 from typing import Optional, Union
 
 from ..fabric.params import DEFAULT_PARAMS, FabricParams
 from ..manager.timing import ALGORITHMS, PARALLEL, ProcessingTimeModel
 from ..topology.spec import TopologySpec
-from . import churn, failover, load, reliability
 from .family import ALGORITHM, MANAGER, Axis, Family
 from .runner import (
     MANAGER_KINDS,
@@ -372,8 +373,32 @@ def _change_label(scenario: Scenario):
     return parts + (scenario.change,) if scenario.change else parts
 
 
+class _Families(Mapping):
+    """``kind -> Family``.  A family declared in its own module is
+    entered by its kind, which is that module's name, and imported the
+    first time the kind is looked up: a run loads the one family it
+    runs, a sweep worker the families of the jobs it was handed."""
+
+    def __init__(self, *families):
+        self._families = {getattr(family, "kind", family): family
+                          for family in families}
+
+    def __getitem__(self, kind: str) -> Family:
+        family = self._families[kind]
+        if isinstance(family, str):
+            family = self._families[kind] = import_module(
+                f"{__package__}.{kind}").FAMILY
+        return family
+
+    def __iter__(self):
+        return iter(self._families)
+
+    def __len__(self):
+        return len(self._families)
+
+
 #: Every scenario kind, in :data:`KINDS` order.
-FAMILIES = {family.kind: family for family in (
+FAMILIES = _Families(
     Family(
         kind="discover",
         run=_run_discover,
@@ -405,11 +430,8 @@ FAMILIES = {family.kind: family for family in (
         ),
         label=_change_label,
     ),
-    reliability.FAMILY,
-    churn.FAMILY,
-    failover.FAMILY,
-    load.FAMILY,
-)}
+    "reliability", "churn", "failover", "load",
+)
 
 
 def run_scenario(scenario: Scenario, tracer=None):

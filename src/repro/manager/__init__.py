@@ -6,71 +6,40 @@ and the availability machinery (election, failover, path distribution,
 plus the future-work partial and collaborative discovery extensions).
 """
 
-from .consistency import (
-    ConsistencyReport,
-    Difference,
-    TopologyAuditor,
-    audit_topology,
-)
-from .database import DatabaseError, DeviceRecord, PortRecord, TopologyDatabase
-from .discovery import (
-    ALGORITHM_CLASSES,
-    DiscoveryStats,
-    ParallelDiscovery,
-    SerialDeviceDiscovery,
-    SerialPacketDiscovery,
-    make_algorithm,
-)
-from .discovery.distributed import (
-    ClaimingParallelDiscovery,
-    CollaborativeDiscovery,
-    CollaborativeStats,
-)
-from .discovery.partial import PartialAssimilationManager
-from .election import Candidacy, Election, ElectionAgent, ElectionResult
-from .failover import FailoverReport, StandbyManager
-from .fm import DiscoveryAborted, FabricManager
-from .path_distribution import DistributionStats, PathDistributor
-from .timing import (
-    ALGORITHMS,
-    PARALLEL,
-    SERIAL_DEVICE,
-    SERIAL_PACKET,
-    ProcessingTimeModel,
-)
+from .. import _surface
 
-__all__ = [
-    "ALGORITHMS",
-    "ALGORITHM_CLASSES",
-    "Candidacy",
-    "ClaimingParallelDiscovery",
-    "CollaborativeDiscovery",
-    "CollaborativeStats",
-    "ConsistencyReport",
-    "DatabaseError",
-    "DeviceRecord",
-    "Difference",
-    "DiscoveryAborted",
-    "DiscoveryStats",
-    "TopologyAuditor",
-    "audit_topology",
-    "DistributionStats",
-    "Election",
-    "ElectionAgent",
-    "ElectionResult",
-    "FabricManager",
-    "FailoverReport",
-    "PARALLEL",
-    "ParallelDiscovery",
-    "PartialAssimilationManager",
-    "PathDistributor",
-    "PortRecord",
-    "ProcessingTimeModel",
-    "SERIAL_DEVICE",
-    "SERIAL_PACKET",
-    "SerialDeviceDiscovery",
-    "SerialPacketDiscovery",
-    "StandbyManager",
-    "TopologyDatabase",
-    "make_algorithm",
-]
+__getattr__, __dir__, __all__ = _surface(globals(), {
+    "ALGORITHMS": "timing",
+    "ALGORITHM_CLASSES": "discovery",
+    "Candidacy": "election",
+    "ClaimingParallelDiscovery": "discovery.distributed",
+    "CollaborativeDiscovery": "discovery.distributed",
+    "CollaborativeStats": "discovery.distributed",
+    "ConsistencyReport": "consistency",
+    "DatabaseError": "database",
+    "DeviceRecord": "database",
+    "Difference": "consistency",
+    "DiscoveryAborted": "fm",
+    "DiscoveryStats": "discovery.base",
+    "DistributionStats": "path_distribution",
+    "Election": "election",
+    "ElectionAgent": "election",
+    "ElectionResult": "election",
+    "FabricManager": "fm",
+    "FailoverReport": "failover",
+    "PARALLEL": "timing",
+    "ParallelDiscovery": "discovery.parallel",
+    "PartialAssimilationManager": "discovery.partial",
+    "PathDistributor": "path_distribution",
+    "PortRecord": "database",
+    "ProcessingTimeModel": "timing",
+    "SERIAL_DEVICE": "timing",
+    "SERIAL_PACKET": "timing",
+    "SerialDeviceDiscovery": "discovery.serial_device",
+    "SerialPacketDiscovery": "discovery.serial_packet",
+    "StandbyManager": "failover",
+    "TopologyAuditor": "consistency",
+    "TopologyDatabase": "database",
+    "audit_topology": "consistency",
+    "make_algorithm": "discovery",
+})

@@ -26,30 +26,20 @@ simulation events or touches any RNG, so enabling it leaves discovery
 times and stats digests bit-identical.
 """
 
-from .breakdown import discovery_phase_breakdown, discovery_spans
-from .export import (
-    chrome_trace_document,
-    dump_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .metrics import Histogram, MetricsRegistry
-from .session import TraceSession
-from .span import Instant, Span, SpanTracer
+from .. import _surface
 
-__all__ = [
-    "Histogram",
-    "Instant",
-    "MetricsRegistry",
-    "Span",
-    "SpanTracer",
-    "TraceSession",
-    "chrome_trace_document",
-    "discovery_phase_breakdown",
-    "discovery_spans",
-    "dump_chrome_trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+__getattr__, __dir__, __all__ = _surface(globals(), {
+    "Histogram": "metrics",
+    "Instant": "span",
+    "MetricsRegistry": "metrics",
+    "Span": "span",
+    "SpanTracer": "span",
+    "TraceSession": "session",
+    "chrome_trace_document": "export",
+    "discovery_phase_breakdown": "breakdown",
+    "discovery_spans": "breakdown",
+    "dump_chrome_trace": "export",
+    "validate_chrome_trace": "export",
+    "write_chrome_trace": "export",
+    "write_jsonl": "export",
+})

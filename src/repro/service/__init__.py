@@ -26,22 +26,17 @@ The wire schema is versioned (:data:`~repro.service.api.SCHEMA`); see
 ``docs/SERVICE.md`` for the API reference and determinism caveats.
 """
 
-from .api import SCHEMA, ApiError
-from .client import ServiceClient, ServiceError
-from .driver import DriverStopped, SimulationDriver
-from .harness import ServiceHandle, start_service
-from .server import FabricService
-from .tap import EventTap
+from .. import _surface
 
-__all__ = [
-    "ApiError",
-    "DriverStopped",
-    "EventTap",
-    "FabricService",
-    "SCHEMA",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceHandle",
-    "SimulationDriver",
-    "start_service",
-]
+__getattr__, __dir__, __all__ = _surface(globals(), {
+    "ApiError": "api",
+    "DriverStopped": "driver",
+    "EventTap": "tap",
+    "FabricService": "server",
+    "SCHEMA": "api",
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "ServiceHandle": "harness",
+    "SimulationDriver": "driver",
+    "start_service": "harness",
+})

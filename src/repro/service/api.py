@@ -198,6 +198,9 @@ def op_metrics(setup, driver, params) -> dict:
     gauges["service.events_stepped"] = driver.events_stepped
     # Commands executed on the sim thread.
     gauges["service.commands_run"] = driver.commands_at_version
+    # The event kernel's own counters (Environment.vitals).
+    for key, value in setup.env.vitals().items():
+        gauges[f"kernel.{key}"] = value
     tap = getattr(driver, "tap", None)
     if tap is not None:
         gauges["service.feed_pi5"] = tap.forwarded["pi5"]

@@ -22,17 +22,18 @@ import sys
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..experiments.failover import build_failover_pair
 from ..experiments.runner import SimulationSetup, build_simulation
-from ..manager.failover import MODES, StandbyManager
 from ..topology.registry import resolve_topology
-from ..workloads.faults import FaultInjector
 from .client import ServiceClient
 from .driver import SimulationDriver
 from .server import FabricService
 from .tap import EventTap
+
+if TYPE_CHECKING:  # imported on the branches of start_service that use them
+    from ..manager.failover import StandbyManager
+    from ..workloads.faults import FaultInjector
 
 #: Fault budget for "endless" churn: large enough that a serving
 #: session never exhausts it, small enough to bound the fault log.
@@ -121,6 +122,8 @@ def start_service(
     tap = EventTap()
     standby_mgr = None
     if standby is not None:
+        from ..experiments.failover import build_failover_pair
+        from ..manager.failover import MODES
         if standby not in MODES:
             raise ValueError(
                 f"standby must be one of {MODES}, got {standby!r}"
@@ -142,6 +145,7 @@ def start_service(
                                     if spec.endpoints else None)]
         if standby_mgr is not None:
             protect.append(standby_mgr.fm.endpoint.name)
+        from ..workloads.faults import FaultInjector
         injector = FaultInjector(
             setup.fabric, mean_interval=mean_interval,
             protect=[p for p in protect if p],

@@ -15,14 +15,13 @@ the same four-method lifecycle, a convention rather than a type:
   (its ``"workload"`` key names the kind).
 """
 
-from .faults import FaultEvent, FaultInjector
-from .traffic import ARRIVALS, PATTERNS, TrafficGenerator, TrafficSpec
+from .. import _surface
 
-__all__ = [
-    "ARRIVALS",
-    "FaultEvent",
-    "FaultInjector",
-    "PATTERNS",
-    "TrafficGenerator",
-    "TrafficSpec",
-]
+__getattr__, __dir__, __all__ = _surface(globals(), {
+    "ARRIVALS": "traffic",
+    "FaultEvent": "faults",
+    "FaultInjector": "faults",
+    "PATTERNS": "traffic",
+    "TrafficGenerator": "traffic",
+    "TrafficSpec": "traffic",
+})

@@ -116,6 +116,16 @@ class TestMetrics:
         assert "service.commands_run" in names
         assert result["metrics"]["service.events_stepped"]["value"] == 0
 
+    def test_kernel_gauges_are_the_environments_vitals(self, ready_setup,
+                                                       driver):
+        metrics = _json_roundtrip(
+            api.op_metrics(ready_setup, driver, {}))["metrics"]
+        vitals = ready_setup.env.vitals()
+        assert vitals["events_executed"] > 0
+        assert {name: metrics[name]["value"] for name in metrics
+                if name.startswith("kernel.")} == {
+            f"kernel.{key}": value for key, value in vitals.items()}
+
 
 class TestTopologies:
     def test_catalog_and_describe(self, driver):

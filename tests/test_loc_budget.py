@@ -39,8 +39,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: ``packet_cost_key``; 11,796 after PR 22 made the observation plane
 #: one of each — one counter type, a registry of three mappings, one
 #: packet recorder — and deleted ``workloads/base.py`` and the second
-#: copy of the change protocol).
-TOTAL_CEILING = 11_796
+#: copy of the change protocol; 11,684 after PR 24 replaced the package
+#: import lists and ``__all__`` lists by one table each — the tables,
+#: ``repro._surface`` and the lazy ``FAMILIES`` mapping together cost 112
+#: lines fewer than the lists).
+TOTAL_CEILING = 11_684
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; what is left is the callback kernel plus
 #: ``Process``/``Timeout`` for the five loop-shaped workloads; 442
@@ -49,8 +52,9 @@ TOTAL_CEILING = 11_796
 SIM_CEILING = 379
 #: Code lines in ``repro/experiments/`` + ``repro/cli.py`` (3,666
 #: before PR 13, 3,071 after it; 3,064 before PR 22 shared the change
-#: protocol and the reliability totals).
-EXPERIMENTS_AND_CLI_CEILING = 3_048
+#: protocol and the reliability totals; 3,048 before PR 24 made
+#: ``experiments/__init__.py`` a table).
+EXPERIMENTS_AND_CLI_CEILING = 3_007
 
 #: Code lines in ``repro/routing/graph.py``: the whole graph library
 #: of this code base, and meant to stay one screen of code.
