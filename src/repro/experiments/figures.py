@@ -134,10 +134,10 @@ def figure7(spec: Optional[TopologySpec] = None,
     for algorithm in ALGORITHMS:
         stats = Scenario(kind="discover", topology=spec,
                          algorithm=algorithm, timing=timing).run()
-        timelines[algorithm] = stats.packet_timeline
-        first_n, first_t = stats.packet_timeline[0]
-        last_n, last_t = stats.packet_timeline[-1]
-        slopes[algorithm] = (last_t - first_t) / max(1, last_n - first_n)
+        times = stats.packet_timeline
+        first_n = stats.completions_received - len(times) + 1
+        timelines[algorithm] = list(enumerate(times, first_n))
+        slopes[algorithm] = (times[-1] - times[0]) / max(1, len(times) - 1)
 
     sampled = {
         name: [p for i, p in enumerate(points)

@@ -123,13 +123,24 @@ class TopologyDatabase:
         #: their (and their children's) hops must be re-derived.
         self._touched: set = set()
 
+    def copy(self) -> "TopologyDatabase":
+        """A snapshot: own records, the same interned hops, and the
+        route-recompute state, so an incremental recompute on the copy
+        runs exactly as it would on this database."""
+        clone = TopologyDatabase()
+        clone._devices = {dsn: r.copy() for dsn, r in self._devices.items()}
+        clone._routes_canonical = self._routes_canonical
+        clone._route_tree = dict(self._route_tree)
+        clone._touched = set(self._touched)
+        return clone
+
+    def __deepcopy__(self, memo) -> "TopologyDatabase":
+        return self.copy()
+
     # -- mutation ------------------------------------------------------------
     def clear(self) -> None:
         """Discard everything (the paper's full-rediscovery assumption)."""
-        self._devices.clear()
-        self._routes_canonical = False
-        self._route_tree = {}
-        self._touched = set()
+        self.__init__()
 
     def touch(self, dsn: int) -> None:
         """Note an out-of-band port mutation on ``dsn``.

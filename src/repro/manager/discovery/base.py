@@ -27,8 +27,9 @@ Subclasses implement the four scheduling hooks at the bottom of
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from ...capability import (
     BASELINE_CAP_ID,
@@ -78,9 +79,12 @@ class DiscoveryStats:
     #: terminated — this flag replaces hanging on the horizon timeout).
     aborted: bool = False
     devices_found: int = 0
-    #: ``(packet_number, fm_time)`` per completion processed at the FM —
-    #: the Fig. 7(a) series.
-    packet_timeline: List[Tuple[int, float]] = field(default_factory=list)
+    #: FM time of each completion processed — the Fig. 7(a) series, 8
+    #: bytes a packet.  Entry ``i`` is packet number
+    #: ``completions_received - len(packet_timeline) + i + 1``: ``i + 1``
+    #: unless a partial manager's change-fallback carried the completions
+    #: of the burst it abandoned into this run's count.
+    packet_timeline: array = field(default_factory=lambda: array("d"))
 
     @property
     def discovery_time(self) -> float:

@@ -334,9 +334,7 @@ class StandbyManager:
         source = self.primary.database
         if self.fm.endpoint.dsn not in source:
             return
-        mirror = TopologyDatabase()
-        for record in source.devices():
-            mirror.add_device(record.copy())
+        mirror = source.copy()
         try:
             # Routes in the snapshot are relative to the *primary*;
             # rebase them to this standby's vantage point now, so the
@@ -474,9 +472,9 @@ class StandbyManager:
     def _install_mirror(self) -> None:
         """Make the mirror the live database (already rebased)."""
         fm = self.fm
-        fm.database.clear()
-        for record in self.mirror.devices():
-            fm.database.add_device(record.copy())
+        # Into the FM's own database object: its discovery algorithms
+        # and its transaction policy's ``known_devices`` hold it.
+        vars(fm.database).update(vars(self.mirror.copy()))
         fm.database.recompute_routes(fm.endpoint.dsn)
 
     def _verify_ports(self) -> Event:

@@ -385,9 +385,7 @@ class FabricManager:
             stats.bytes_received += self._wire_size(packet)
             # Fig. 7(a): the simulation time at which the FM finished
             # processing each discovery packet.
-            stats.packet_timeline.append(
-                (stats.completions_received, self.env.now)
-            )
+            stats.packet_timeline.append(self.env.now)
         entry.callback(message, entry.ctx)
 
     # -- PI-5 events / change assimilation ----------------------------------
@@ -488,10 +486,10 @@ class FabricManager:
 
         Every summary field of every run is kept; the per-completion
         timeline only of the newest, or a long-lived FM under churn
-        grows by one tuple per packet it ever processed.
+        grows by 8 bytes per packet it ever processed.
         """
         if self.history:
-            self.history[-1].packet_timeline = []
+            del self.history[-1].packet_timeline[:]
         self.history.append(stats)
         for callback in list(self.on_discovery_complete):
             callback(stats)

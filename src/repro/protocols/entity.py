@@ -23,7 +23,7 @@ election protocol's controlled flood.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from itertools import count
 from typing import Callable, Optional
 
@@ -102,8 +102,10 @@ class ManagementEntity:
         #: configuration-space access — config writes (event routes,
         #: FM claims) are not idempotent.  Tags are unique per request
         #: across requesters (the transaction engine salts them), so a
-        #: tag hit really is the same transaction.
-        self._served_replies: "OrderedDict[int, bytes]" = OrderedDict()
+        #: tag hit really is the same transaction.  A plain dict kept in
+        #: LRU order: a hit re-inserts its tag at the end, eviction takes
+        #: the first.
+        self._served_replies: "dict[int, bytes]" = {}
         #: Completions remembered for duplicate suppression.
         self.served_cache_limit = 256
 
@@ -244,12 +246,12 @@ class ManagementEntity:
             # completion; the processing time was charged by ``_serve``
             # exactly as for a first-time request.
             self.stats.incr("duplicate_requests")
-            self._served_replies.move_to_end(tag)
+            self._served_replies[tag] = self._served_replies.pop(tag)
         else:
             payload = self._execute_request(port, message).pack()
             self._served_replies[tag] = payload
             if len(self._served_replies) > self.served_cache_limit:
-                self._served_replies.popitem(last=False)
+                del self._served_replies[next(iter(self._served_replies))]
         reply = Packet(header=packet.header.reversed(), payload=payload)
         if port is None:
             # Request was issued locally (FM reading its own endpoint);

@@ -117,14 +117,11 @@ def build_turn_pool(hops: Sequence[Hop]) -> TurnPool:
     traversal (pointer counting down from ``bits``) consumes hops in
     path order.  An empty hop list is the self-route (pointer 0).
 
-    Results are memoized per hop sequence: the fabric manager packs the
-    route to a device on every management packet it sends there.
+    Nothing is memoized here: the FM packs a device's route once per
+    route assignment and keeps it on the record
+    (:meth:`repro.manager.database.DeviceRecord.route`), so a
+    process-wide table would only keep dead routes alive.
     """
-    return _pack_hops(tuple(hops))
-
-
-@lru_cache(maxsize=65536)
-def _pack_hops(hops: Tuple[Hop, ...]) -> TurnPool:
     total_bits = sum(turn_width(h.nports) for h in hops)
     if total_bits > TURN_POOL_BITS:
         raise TurnPoolError(

@@ -123,6 +123,26 @@ class TestFigureBuilders:
         )
         assert "Fig. 7(b)" in text
 
+    def test_figure7_reads_the_flat_timeline_as_before(self):
+        """The timeline is an array of FM times; the ``(n, t)`` pairs
+        and the slopes ``figure7`` derives from it are those it read
+        when the timeline stored the pairs themselves."""
+        data, _ = figure7()
+        assert data["slopes"] == {
+            "serial_packet": 2.269611235955155e-05,
+            "serial_device": 1.708560674157341e-05,
+            "parallel": 1.3308842696629246e-05,
+        }
+        ends = {name: (len(points), points[0], points[-1])
+                for name, points in data["timelines"].items()}
+        assert ends == {
+            "serial_packet":
+                (179, (1, 2.15e-05), (179, 0.004061408000000176)),
+            "serial_device":
+                (179, (1, 1.85e-05), (179, 0.0030597380000000666)),
+            "parallel": (179, (1, 1.55e-05), (179, 0.0023844740000000058)),
+        }
+
     def test_figure8_small(self):
         data, text = figure8(
             spec=make_mesh(2, 2),

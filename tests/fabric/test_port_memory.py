@@ -3,10 +3,16 @@
 A port's transmit state is one record per virtual channel it has sent
 on, and a record's queues exist from their first append — which only a
 packet that had to wait makes.  These pins count objects
-(``gc.get_objects``) and read the records directly.
+(``gc.get_objects``) and read the records directly.  So do those of
+what a discovery keeps once it is over: no process-wide route cache,
+an 8-byte-a-packet Fig. 7(a) timeline.
+
+``PYTHONPATH=src python -m tests.fabric.test_port_memory`` prints the
+retained-object counts :class:`TestWhatOutlivesARun` pins.
 """
 
 import gc
+from array import array
 from collections import deque
 
 import pytest
@@ -14,7 +20,7 @@ import pytest
 from repro.experiments.runner import build_simulation, run_until_ready
 from repro.fabric import CreditError, FabricParams, Packet
 from repro.fabric.params import MANAGEMENT_TC
-from repro.routing.turnpool import Hop, build_turn_pool
+from repro.routing.turnpool import Hop, TurnPool, build_turn_pool
 from repro.topology import resolve_topology
 
 from .test_port_flow import data_packet, two_endpoints_one_switch
@@ -38,6 +44,34 @@ def discovered():
     created = [o for o in live(deque, Packet) if id(o) not in known]
     return (setup, [o for o in created if type(o) is deque],
             [o for o in created if type(o) is Packet])
+
+
+def retained(topology="fattree2-256"):
+    """Discover ``topology`` and count what the run keeps alive: turn
+    pools while it lives, and turn pools and tuples of hops once it is
+    deleted.  Objects alive before the build are not counted."""
+    known = live(TurnPool, tuple)  # held, so no id below is recycled
+    ids = set(map(id, known))
+
+    def built(kinds):
+        return [o for o in live(*kinds) if id(o) not in ids
+                and (type(o) is TurnPool or (o and type(o[0]) is Hop))]
+
+    setup = build_simulation(resolve_topology(topology))
+    stats = run_until_ready(setup)
+    counts = {
+        "devices_known": len(setup.fm.database),
+        "turn_pools_while_alive": len(built((TurnPool,))),
+        "completions_received": stats.completions_received,
+        "timeline_entries": len(stats.packet_timeline),
+        "timeline_is_array": type(stats.packet_timeline) is array,
+    }
+    del setup, stats
+    after = built((TurnPool, tuple))
+    counts["turn_pools_after_del"] = sum(
+        type(o) is TurnPool for o in after)
+    counts["hop_tuples_after_del"] = sum(type(o) is tuple for o in after)
+    return counts
 
 
 def all_ports(setup):
@@ -88,6 +122,30 @@ class TestDiscoveryFootprint:
         attached = sum(1 for p in all_ports(setup) if p.link is not None)
         high_water = setup.env.vitals()["heap_high_water"]
         assert 0 <= high_water - attached <= 64
+
+
+class TestWhatOutlivesARun:
+    """A record keeps its own packed route; nothing keeps a route for
+    the process.  While the lookup table on route packing lived, a
+    ``fattree2-1024`` discovery left 4,094 turn pools and 8,189 tuples
+    of hops behind it after ``del setup``."""
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        return retained()
+
+    def test_no_route_survives_the_run(self, counts):
+        assert counts["turn_pools_after_del"] == 0
+        assert counts["hop_tuples_after_del"] == 0
+
+    def test_one_turn_pool_per_record_at_most(self, counts):
+        assert 0 < counts["turn_pools_while_alive"] <= counts[
+            "devices_known"]
+
+    def test_the_timeline_is_a_flat_array_of_every_completion(
+            self, counts):
+        assert counts["timeline_is_array"]
+        assert counts["timeline_entries"] == counts["completions_received"]
 
 
 class TestRecordsFollowUse:
@@ -242,3 +300,10 @@ class TestConservationChecksStay:
         with pytest.raises(CreditError, match="2 credits available"):
             port._tx_start(True, packet, vc)
         assert vc.available == 2 and port.tx_packets == 1
+
+
+if __name__ == "__main__":
+    print("What a fattree2-256 parallel discovery keeps alive "
+          "(gc.get_objects, objects built by the run)")
+    for key, value in retained().items():
+        print(f"  {key:<24} {value}")

@@ -1,5 +1,7 @@
 """Tests for the future-work extensions: partial and distributed discovery."""
 
+import hashlib
+
 import pytest
 
 from repro.capability import CLAIM_CAP_ID
@@ -139,6 +141,32 @@ class TestPartialAssimilation:
         stats = run_until_discovery_count(setup, 2)
         assert stats.algorithm != "partial"  # full fallback ran
         assert setup.fm.counters["partial_fallbacks"] >= 1
+
+    def test_change_fallback_timeline_numbers(self):
+        """A burst abandoned for a full walk carries its completions
+        into the full run's count but not into its timeline, so the
+        timeline's packet numbers start past them.  The numbers derived
+        from the flat timeline, and its times, are the ``(n, t)`` pairs
+        the timeline stored when it was a list of them."""
+        setup = build_simulation(make_mesh(4, 4), manager="partial")
+        run_until_ready(setup)
+        start = setup.env.now
+        setup.fabric.remove_device("sw_1_1")
+        setup.env.run(until=start + 2e-5)
+        setup.fabric.remove_device("sw_1_2")
+        setup.env.run(until=start + 0.05)
+        stats = setup.fm.history[-1]
+        assert stats.trigger == "change-fallback"
+        times = stats.packet_timeline
+        assert (stats.completions_received, len(times)) == (276, 274)
+        first = stats.completions_received - len(times) + 1
+        pairs = list(enumerate(times, first))
+        assert pairs[:2] == [(3, 0.020854054999999965),
+                             (4, 0.020869579999999964)]
+        assert pairs[-2:] == [(275, 0.024497240999999986),
+                              (276, 0.024515792999999963)]
+        assert hashlib.sha256(repr(list(times)).encode()).hexdigest() == (
+            "81a21fd929844a1670b497b7904755d740d0f22fdc3c937e8ec0f27d37cddd17")
 
 
 class TestCollaborativeDiscovery:

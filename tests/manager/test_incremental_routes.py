@@ -176,6 +176,63 @@ class TestCanonicalInvariant:
         assert not db.routes_canonical
 
 
+class TestSnapshot:
+    """``TopologyDatabase.copy()`` (and ``copy.deepcopy``, which calls
+    it): own records, the same interned hops, the recompute state."""
+
+    @pytest.fixture
+    def touched(self):
+        spec = make_fat_tree2(64)
+        db, dsn_of = _db_from_spec(spec)
+        fm = dsn_of[spec.fm_host]
+        db.recompute_routes(fm)
+        victim = sorted((r for r in db.switches()
+                         if r.ingress_port is not None),
+                        key=lambda r: r.dsn)[-1]
+        db.mark_port_down(victim.dsn, victim.ingress_port)
+        return db, fm
+
+    @pytest.mark.parametrize("take", [TopologyDatabase.copy, copy.deepcopy])
+    def test_equal_by_value_sharing_hops(self, touched, take):
+        db, _ = touched
+        clone = take(db)
+        assert type(clone) is TopologyDatabase
+        assert clone._devices == db._devices
+        assert clone._route_tree == db._route_tree
+        assert clone._touched == db._touched and clone._touched
+        assert clone.routes_canonical == db.routes_canonical
+        hops = 0
+        for record in db.devices():
+            mine = clone.device(record.dsn)
+            assert mine is not record and mine.ports is not record.ports
+            assert mine.route_hops is not record.route_hops
+            for a, b in zip(mine.route_hops, record.route_hops):
+                assert a is b
+                hops += 1
+        assert hops > len(db)
+
+    def test_the_copy_is_independent(self, touched):
+        db, fm = touched
+        before = _route_snapshot(db)
+        clone = db.copy()
+        clone.recompute_routes(fm)
+        some = next(r for r in clone.devices()
+                    if any(p.up for p in r.ports.values()))
+        index = next(i for i, p in some.ports.items() if p.up)
+        some.port(index).up = False
+        assert _route_snapshot(db) == before
+        assert db._touched and not clone._touched
+        assert db.device(some.dsn).ports[index].up is True
+
+    def test_incremental_on_the_copy_equals_full(self, touched):
+        db, fm = touched
+        incremental, full = db.copy(), db.copy()
+        assert incremental.recompute_routes(
+            fm, incremental=True)["mode"] == "incremental"
+        assert full.recompute_routes(fm)["mode"] == "full"
+        assert _route_snapshot(incremental) == _route_snapshot(full)
+
+
 # -- one tree builder, checked against the one it replaced --------------------
 
 def _pre_pr_routes(db, fm_dsn, monkeypatch):

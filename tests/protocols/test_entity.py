@@ -515,3 +515,34 @@ def test_a_link_replay_is_decoded_on_its_own_and_served_from_the_cache():
     # Two answers, each replayed on its way back: four equal payloads.
     assert len(manager.packets) == 4
     assert {p.payload for p in manager.packets} == {sw._served_replies[7]}
+
+
+def test_served_replies_evict_least_recently_used(rig):
+    """The cache is a plain dict kept in LRU order.  A duplicate hit
+    moves its tag to the end, so tag 1 — served first — survives the
+    arrival of tag 4 and tag 2 is evicted instead.  The snapshots,
+    evictions and counts are those of the ``OrderedDict`` form
+    (``move_to_end`` on a hit, ``popitem(last=False)`` on overflow)
+    this replaced."""
+    env, fabric, entities = rig
+    entities["ep"].manager = Recorder()
+    sw = entities["sw"]
+    sw.served_cache_limit = 3
+    snapshots = []
+    for tag in (1, 2, 3, 1, 4, 2, 1, 3):
+        entities["ep"].send_pi4(
+            pi4.ReadRequest(cap_id=BASELINE_CAP_ID, offset=0, tag=tag),
+            turn_pool=0, turn_pointer=0)
+        env.run()
+        snapshots.append(list(sw._served_replies))
+    assert type(sw._served_replies) is dict
+    assert snapshots == [
+        [1], [1, 2], [1, 2, 3], [2, 3, 1], [3, 1, 4], [1, 4, 2],
+        [4, 2, 1], [2, 1, 3],
+    ]
+    evicted = [(set(before) - set(after)).pop()
+               for before, after in zip(snapshots, snapshots[1:])
+               if set(before) - set(after)]
+    assert evicted == [2, 3, 4]
+    assert sw.stats["duplicate_requests"] == 2
+    assert sw.stats["reads_served"] == 6
