@@ -18,7 +18,7 @@ from repro.experiments.runner import (
     run_until_discovery_count,
     run_until_ready,
 )
-from repro.manager import PARALLEL, PartialAssimilationManager
+from repro.manager import PARALLEL, FabricManager
 from repro.protocols.entity import ManagementEntity
 from repro.sim import Environment
 from repro.topology import table1_topology
@@ -37,9 +37,9 @@ def _partial(spec, victim):
     env = Environment()
     fabric = spec.build(env)
     entities = {n: ManagementEntity(d) for n, d in fabric.devices.items()}
-    fm = PartialAssimilationManager(
+    fm = FabricManager(
         fabric.device(spec.fm_host), entities[spec.fm_host],
-        auto_start=False,
+        auto_start=False, assimilation="partial",
     )
     fabric.power_up()
 

@@ -16,8 +16,7 @@ from repro.experiments.runner import (
     database_matches_fabric,
     run_until_ready,
 )
-from repro.manager import PARALLEL
-from repro.manager.discovery.partial import PartialAssimilationManager
+from repro.manager import PARALLEL, FabricManager
 from repro.protocols.entity import ManagementEntity
 from repro.sim import Environment
 from repro.topology import table1_topology
@@ -38,8 +37,9 @@ def _build_partial(spec):
         name: ManagementEntity(device)
         for name, device in fabric.devices.items()
     }
-    fm = PartialAssimilationManager(
+    fm = FabricManager(
         fabric.device(spec.fm_host), entities[spec.fm_host],
+        assimilation="partial",
     )
     fabric.power_up()
     setup = _Setup()

@@ -14,8 +14,8 @@ Run:  python examples/custom_topology.py
 
 from repro import (
     Environment,
+    FabricManager,
     ManagementEntity,
-    PartialAssimilationManager,
     TopologySpec,
     TrafficGenerator,
     run_until_discovery_count,
@@ -59,9 +59,9 @@ def main() -> None:
     spec = build_spec()
     fabric = spec.build(env)
     entities = {n: ManagementEntity(d) for n, d in fabric.devices.items()}
-    fm = PartialAssimilationManager(
+    fm = FabricManager(
         fabric.device(spec.fm_host), entities[spec.fm_host],
-        auto_start=False,
+        auto_start=False, assimilation="partial",
     )
     fabric.power_up()
 

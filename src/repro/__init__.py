@@ -7,9 +7,9 @@ credit-based flow control, cut-through switches, turn-pool source
 routing, device configuration spaces, and the PI-4/PI-5 management
 protocols — plus the fabric-management layer the paper studies: three
 discovery implementations (Serial Packet, Serial Device, Parallel),
-PI-5-driven change assimilation, FM election and failover, path
-distribution, and the paper's future-work extensions (partial and
-collaborative discovery).
+PI-5-driven change assimilation, FM election and failover, and the
+paper's future-work extensions (partial assimilation and collaborative
+discovery).
 
 Quick start::
 
@@ -72,8 +72,6 @@ __getattr__, __dir__, __all__ = _surface(globals(), {
     "ManagementEntity": "protocols.entity",
     "PARALLEL": "manager.timing",
     "PacketTracer": "fabric.trace",
-    "PartialAssimilationManager": "manager.discovery.partial",
-    "PathDistributor": "manager.path_distribution",
     "ProcessingTimeModel": "manager.timing",
     "RunFailure": "experiments.executor",
     "SERIAL_DEVICE": "manager.timing",

@@ -145,14 +145,14 @@ def build_failover_pair(
         manager=manager, tracer=tracer, **options,
     )
     standby_host = sorted(candidates)[-1]
-    standby_class = type(setup.fm) if mode == "warm" else FabricManager
-    standby_fm = standby_class(
+    standby_fm = FabricManager(
         setup.fabric.device(standby_host),
         setup.entities[standby_host],
         timing=setup.fm.timing, algorithm=algorithm,
         auto_start=False,
         request_timeout=min(0.3e-3, heartbeat_interval / 2),
         max_retries=0,
+        assimilation=setup.fm.assimilation if mode == "warm" else "full",
         **options,
     )
     route = fabric_route(setup.fabric, standby_host, setup.fm.endpoint.name)

@@ -38,23 +38,6 @@ class SimulationSetup:
     fm: FabricManager
 
 
-#: Manager kinds :func:`build_simulation` can instantiate.
-MANAGER_KINDS = ("full", "partial")
-
-
-def _manager_class(manager: str):
-    if manager == "full":
-        return FabricManager
-    if manager == "partial":
-        # Imported late: partial.py pulls in the whole discovery stack.
-        from ..manager.discovery.partial import PartialAssimilationManager
-        return PartialAssimilationManager
-    raise ValueError(
-        f"unknown manager kind {manager!r} (expected one of "
-        f"{MANAGER_KINDS})"
-    )
-
-
 def build_simulation(
     spec: TopologySpec,
     algorithm: str = PARALLEL,
@@ -69,8 +52,8 @@ def build_simulation(
     """Instantiate a topology with a management entity per device and a
     fabric manager on ``fm_host`` (default: the spec's designated host).
 
-    ``manager`` selects the FM flavour: ``"full"`` (every change is a
-    full rediscovery, the paper's assumption) or ``"partial"`` (the
+    ``manager`` is the FM's ``assimilation``: ``"full"`` (every change
+    is a full rediscovery, the paper's assumption) or ``"partial"`` (the
     burst-based partial change assimilation extension).  ``tracer`` is
     an optional :class:`repro.obs.session.TraceSession`, installed
     before anything runs; tracing never perturbs the simulation.
@@ -87,9 +70,10 @@ def build_simulation(
         for name, device in fabric.devices.items()
     }
     host = fm_host or spec.fm_host or spec.endpoints[0]
-    fm = _manager_class(manager)(
+    fm = FabricManager(
         fabric.device(host), entities[host],
-        timing=timing, algorithm=algorithm, **fm_kwargs,
+        timing=timing, algorithm=algorithm, assimilation=manager,
+        **fm_kwargs,
     )
     if power_up:
         fabric.power_up()

@@ -34,11 +34,11 @@ from importlib import import_module
 from typing import Optional, Union
 
 from ..fabric.params import DEFAULT_PARAMS, FabricParams
+from ..manager.fm import MANAGER_KINDS
 from ..manager.timing import ALGORITHMS, PARALLEL, ProcessingTimeModel
 from ..topology.spec import TopologySpec
 from .family import ALGORITHM, MANAGER, Axis, Family
 from .runner import (
-    MANAGER_KINDS,
     ExperimentResult,
     SimulationSetup,
     apply_change,

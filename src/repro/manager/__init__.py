@@ -2,8 +2,10 @@
 
 Provides the fabric manager, its topology database, the processing
 time model of Fig. 4, the three discovery implementations of section 3,
-and the availability machinery (election, failover, path distribution,
-plus the future-work partial and collaborative discovery extensions).
+and the availability machinery (election, failover), plus the
+future-work collaborative discovery extension.  Partial assimilation
+is a value the fabric manager is built with
+(``FabricManager(assimilation="partial")``).
 """
 
 from .. import _surface
@@ -21,7 +23,6 @@ __getattr__, __dir__, __all__ = _surface(globals(), {
     "Difference": "consistency",
     "DiscoveryAborted": "fm",
     "DiscoveryStats": "discovery.base",
-    "DistributionStats": "path_distribution",
     "Election": "election",
     "ElectionAgent": "election",
     "ElectionResult": "election",
@@ -29,8 +30,6 @@ __getattr__, __dir__, __all__ = _surface(globals(), {
     "FailoverReport": "failover",
     "PARALLEL": "timing",
     "ParallelDiscovery": "discovery.parallel",
-    "PartialAssimilationManager": "discovery.partial",
-    "PathDistributor": "path_distribution",
     "PortRecord": "database",
     "ProcessingTimeModel": "timing",
     "SERIAL_DEVICE": "timing",

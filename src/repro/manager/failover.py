@@ -410,8 +410,7 @@ class StandbyManager:
             started_at=self._detected_at,
         )
         fm.history.append(stats)
-        if fm.ready_event is None or fm.ready_event.triggered:
-            fm.ready_event = self.env.event()
+        fm._arm_ready()
 
         mismatches, dead = yield self._verify_ports()
         for dsn in sorted(dead):

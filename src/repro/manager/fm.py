@@ -10,11 +10,39 @@ This class implements the management behaviour the paper studies:
   :class:`~repro.protocols.entity.ManagementEntity`);
 * it reacts to PI-5 events by starting the change assimilation process
   — a full rediscovery that discards all previously collected
-  information (the paper's stated assumption);
+  information (the paper's stated assumption), or, built with
+  ``assimilation="partial"``, a *burst* that explores only the portion
+  of the network affected by the change (section 5, future work; see
+  "Partial assimilation" below);
 * after a discovery it programs every device's event-route capability
   so future PI-5 notifications can reach it;
 * it retries requests that time out, so discovery terminates even if a
   device dies mid-discovery.
+
+Partial assimilation
+--------------------
+"Another possibility is to explore only the portion of the network
+affected by the change [2], instead of the entire fabric" (section 5;
+reference [2] is the authors' InfiniBand subnet-discovery study).  A
+partial FM keeps the database across changes.  Its initial discovery
+runs the configured full algorithm; on a later PI-5 event it:
+
+1. confirms the reported port's state with a single PI-4 read of that
+   port's status block;
+2. on a *down* transition, removes the link, prunes any region that
+   became unreachable, and recomputes the routes of surviving devices
+   (their discovered paths may have crossed the removed region) — no
+   further packets;
+3. on an *up* transition, runs a propagation-order exploration rooted
+   at the reported port only, merging new devices into the database.
+
+A burst of events (every neighbour of a hot-removed switch reports its
+own port) is processed sequentially and accounted as *one* assimilation
+in the FM history (algorithm ``"partial"``), so its cost is directly
+comparable to one full rediscovery; its packets cost the FM what
+Parallel's do.  Events naming unknown reporters, and bursts whose
+reporter has vanished, fall back to a full rediscovery.  The same
+machinery repairs suspect subtrees (:meth:`FabricManager._attempt_repair`).
 """
 
 from __future__ import annotations
@@ -30,6 +58,8 @@ from ..capability import (
     ClaimCapability,
     EventRouteCapability,
     decode_general_info,
+    decode_port_status,
+    port_block_offset,
 )
 from ..fabric.endpoint import Endpoint
 from ..fabric.packet import PI_DEVICE_MANAGEMENT, PI_EVENT, Packet
@@ -42,10 +72,19 @@ from ..protocols.transaction import (
 )
 from ..routing.turnpool import TurnPool
 from ..sim.monitor import Counter
-from .database import TopologyDatabase
+from .database import DatabaseError, TopologyDatabase
 from .discovery import make_algorithm
-from .discovery.base import DiscoveryAlgorithm, DiscoveryStats
+from .discovery.base import DiscoveryAlgorithm, DiscoveryStats, Target
+from .discovery.parallel import ParallelDiscovery
 from .timing import PARALLEL, ProcessingTimeModel
+
+#: What an FM does with a change (``FabricManager(assimilation=...)``,
+#: the ``manager`` value of the experiments): ``"full"`` rediscovers
+#: the fabric, ``"partial"`` assimilates it in a burst.
+MANAGER_KINDS = ("full", "partial")
+
+#: Algorithm label of a partial-assimilation burst in the FM history.
+PARTIAL = "partial"
 
 
 class DiscoveryAborted(RuntimeError):
@@ -93,16 +132,22 @@ class FabricManager:
                  verify_sample: int = 0,
                  verify_seed: int = 0,
                  epoch: int = 1,
-                 fence_ownership: bool = False):
+                 fence_ownership: bool = False,
+                 assimilation: str = "full"):
         if not endpoint.fm_capable:
             raise ValueError(f"{endpoint.name} is not FM capable")
+        if assimilation not in MANAGER_KINDS:
+            raise ValueError(
+                f"unknown manager kind {assimilation!r} (expected one of "
+                f"{MANAGER_KINDS})"
+            )
         self.endpoint = endpoint
         self.entity = entity
         self.env = endpoint.env
         self.timing = timing or ProcessingTimeModel()
         self.algorithm_key = algorithm
-        #: The algorithm whose per-packet FM time is charged (Fig. 4).
-        self.cost_key = algorithm
+        #: ``"full"`` or ``"partial"`` (see :data:`MANAGER_KINDS`).
+        self.assimilation = assimilation
         self.program_event_routes = program_event_routes
         #: Whether a completion reaching the FM endpoint clears its
         #: request timer even while it waits in the FM's serial
@@ -194,9 +239,6 @@ class FabricManager:
             on_transmit=self._on_request_transmitted,
             known_devices=self.database.__len__,
         )
-        #: Alias of the engine's outstanding map (legacy name; the
-        #: partial-assimilation subclass clears it directly).
-        self._pending = self.engine.pending
         #: Highest PI-5 sequence number processed per reporter: lossy
         #: fabrics blindly repeat event notifications, and the repeats
         #: must not be double-assimilated.
@@ -207,6 +249,24 @@ class FabricManager:
         #: (a change in a region the run had already read would
         #: otherwise be lost forever).
         self._deferred_events: List[pi5.PortEvent] = []
+
+        # -- the partial-assimilation burst (idle on a full FM) ------------
+        #: Stats of the burst in progress; ``None`` between bursts.
+        self._burst_stats: Optional[DiscoveryStats] = None
+        #: Events the burst has still to confirm, in order (a list: a
+        #: full FM holds no deque).
+        self._event_queue: List[pi5.PortEvent] = []
+        #: ``(reporter_dsn, port)`` pairs confirmed (or queued) in the
+        #: current burst, synthesized repair events included.
+        self._burst_seen: set = set()
+        #: Suspect roots found by this burst's region explorations; fed
+        #: to the bounded restart/repair policy when the burst finishes.
+        self._burst_suspects: set = set()
+        #: Open span covering the current burst (tracing only; region
+        #: explorations share it instead of opening their own).
+        self._burst_span = None
+        #: The region exploration in flight, if any.
+        self._region: Optional[ParallelDiscovery] = None
 
         entity.manager = self
 
@@ -239,8 +299,11 @@ class FabricManager:
     # -- cost model (paper Fig. 4) -----------------------------------------
     def packet_cost(self, packet: Packet) -> float:
         """FM time to process one management packet, accumulated as
-        FM busy time (the measured Fig. 4 quantity)."""
-        cost = self.timing.fm_time(self.cost_key, len(self.database))
+        FM busy time (the measured Fig. 4 quantity): a burst's packets
+        cost what Parallel's do, every other one what the configured
+        algorithm's do."""
+        key = self.algorithm_key if self._burst_stats is None else PARALLEL
+        cost = self.timing.fm_time(key, len(self.database))
         self.processing_time_total += cost
         self.processing_packets += 1
         return cost
@@ -252,24 +315,6 @@ class FabricManager:
         return self.processing_time_total / self.processing_packets
 
     # -- request layer ------------------------------------------------------
-    @property
-    def request_timeout(self) -> float:
-        """Base (and floor) request timeout of the transaction layer."""
-        return self.engine.default_timeout
-
-    @request_timeout.setter
-    def request_timeout(self, value: float) -> None:
-        self.engine.default_timeout = value
-        self.engine.policy.floor = value
-
-    @property
-    def max_retries(self) -> int:
-        return self.engine.max_retries
-
-    @max_retries.setter
-    def max_retries(self, value: int) -> None:
-        self.engine.max_retries = value
-
     def send_request(self, message, pool: TurnPool,
                      out_port: Optional[int], callback: Callable,
                      ctx: Any = None, retries: Optional[int] = None,
@@ -328,10 +373,11 @@ class FabricManager:
             self.engine.note_arrival(message.tag)
 
     def _active_stats(self) -> Optional[DiscoveryStats]:
+        """The stats of the walk or burst in progress (never both)."""
         discovery = self.discovery
         if discovery is not None and not discovery.done:
             return discovery.stats
-        return None
+        return self._burst_stats
 
     # -- inbound management packets ---------------------------------------
     def handle_management_packet(self, packet: Packet,
@@ -416,15 +462,36 @@ class FabricManager:
             self.counters.incr("events_during_discovery")
             self._deferred_events.append(event)
             return
-        if event.reporter_dsn in self.database:
-            record = self.database.device(event.reporter_dsn)
-            known = record.ports.get(event.port)
-            if known is not None and known.up == event.up:
+        key = (event.reporter_dsn, event.port)
+        if self._burst_stats is not None:
+            # A burst is already assimilating: queue everything into it
+            # — even events from reporters the database does not (yet)
+            # know.  The in-flight region exploration may discover
+            # them; if not, they are safely skippable (any reachable
+            # change is also reported by a known boundary device, and
+            # an unreachable one is invisible to the FM regardless).
+            if key in self._burst_seen:
                 self.counters.incr("events_stale")
                 return
-        self.counters.incr("changes_assimilated")
-        trigger = "initial" if not self.history else "change"
-        self.start_discovery(trigger=trigger)
+            self._burst_seen.add(key)
+            self._event_queue.append(event)
+            return
+        known = event.reporter_dsn in self.database
+        if known and self._event_assimilated(event):
+            self.counters.incr("events_stale")
+            return
+        partial = self.assimilation == "partial"
+        if not partial or not self.history:
+            self.counters.incr("changes_assimilated")
+            # A partial FM labels even its first walk a change.
+            trigger = "change" if partial or self.history else "initial"
+            self.start_discovery(trigger=trigger)
+        elif not known:
+            self.counters.incr("partial_fallbacks")
+            self.start_discovery(trigger="change")
+        else:
+            self.counters.incr("changes_assimilated")
+            self._begin_burst([event], "change")
 
     # -- discovery ------------------------------------------------------------
     @property
@@ -432,24 +499,32 @@ class FabricManager:
         return self.discovery is not None and not self.discovery.done
 
     @property
+    def is_assimilating(self) -> bool:
+        """Whether a partial-assimilation burst is in progress."""
+        return self._burst_stats is not None
+
+    @property
     def busy(self) -> bool:
-        """Whether a walk that owns the database is in progress: what
-        a caller tests before starting another (a manager with more
-        kinds of walk than the full discovery extends it)."""
-        return self.is_discovering
+        """Whether a walk that owns the database is in progress — a
+        discovery or a burst: what a caller tests before starting
+        another."""
+        return self.is_discovering or self._burst_stats is not None
 
     def start_discovery(self, trigger: str = "initial",
                         force: bool = False) -> DiscoveryAlgorithm:
         """Discard the database and run a full discovery.
 
         Refused with ``RuntimeError`` while ``busy`` unless ``force``,
-        which aborts the walk in progress first.  Returns the algorithm
-        instance; wait on its ``done_event`` for the
+        which aborts the walk in progress first (a burst's completions
+        would otherwise land on the database this run clears).  Returns
+        the algorithm instance; wait on its ``done_event`` for the
         :class:`DiscoveryStats`.
         """
         self._enabled = True
         if self.busy and not force:
             raise RuntimeError("discovery already in progress")
+        if self._burst_stats is not None:
+            self._drop_burst()
         if self.is_discovering:
             old = self.discovery
             if (self.tracer is not None and old is not None
@@ -460,10 +535,7 @@ class FabricManager:
             # callbacks fire) plus closure of the orphaned spans.
             self.engine.cancel_all()
         self.database.clear()
-        if self.ready_event is None or self.ready_event.triggered:
-            # Keep a pending ready_event across immediate restarts so
-            # waiters see "ready" only once the fabric is quiescent.
-            self.ready_event = self.env.event()
+        self._arm_ready()
         algorithm = make_algorithm(self.algorithm_key, self)
         self.discovery = algorithm
         algorithm.done_event.callbacks.append(self._discovery_finished)
@@ -524,6 +596,13 @@ class FabricManager:
             self._restart_streak = 0
         self._fence_then_finish(stats)
 
+    def _arm_ready(self) -> None:
+        """A fresh ``ready_event`` unless one is still pending: it is
+        kept across immediate restarts and repair bursts, so waiters
+        see "ready" only once the fabric is quiescent."""
+        if self.ready_event is None or self.ready_event.triggered:
+            self.ready_event = self.env.event()
+
     def _finish_ready(self, stats: DiscoveryStats) -> None:
         """Program event routes (or trigger ready immediately)."""
         if self.program_event_routes:
@@ -536,22 +615,16 @@ class FabricManager:
                                stats: DiscoveryStats) -> bool:
         """React to a possibly-divergent database after a run.
 
-        Prefers a targeted subtree repair (see the partial-assimilation
-        subclass), escalates to a full rediscovery, and gives up once
+        Prefers a targeted subtree repair (:meth:`_attempt_repair`),
+        escalates to a full rediscovery, and gives up once
         ``max_discovery_restarts`` consecutive automatic restarts have
         not produced a clean run.  Returns ``True`` when repair or
         restart was initiated (the caller must not finish the run);
         ``False`` when the budget is exhausted — ``stats.aborted`` is
         set and the caller finishes normally so nothing hangs.
         """
-        if self._restart_streak >= self.max_discovery_restarts:
-            stats.aborted = True
-            self.counters.incr("discovery_aborted")
+        if not self._spend_restart(stats):
             return False
-        # Repairs and restarts share the budget: every automatic
-        # recovery action consumes one slot, so a pathological fabric
-        # cannot alternate repair/restart forever.
-        self._restart_streak += 1
         suspects = {dsn for dsn in suspects if dsn in self.database}
         if suspects and self._attempt_repair(suspects):
             self.counters.incr("subtree_repairs")
@@ -560,14 +633,254 @@ class FabricManager:
         self._schedule_restart("restart")
         return True
 
+    def _spend_restart(self, stats: DiscoveryStats) -> bool:
+        """Take one slot of the restart budget for an automatic
+        recovery action; ``False``, with the abort surfaced in
+        ``stats``, once it is exhausted.  Repairs and restarts share
+        the budget, so a pathological fabric cannot alternate them
+        forever."""
+        if self._restart_streak >= self.max_discovery_restarts:
+            stats.aborted = True
+            self.counters.incr("discovery_aborted")
+            return False
+        self._restart_streak += 1
+        return True
+
     def _attempt_repair(self, suspects: set) -> bool:
         """Repair suspect subtrees without a full rediscovery.
 
-        The base FM has no partial machinery — every discovery discards
-        the database — so it always escalates; the partial-assimilation
-        subclass overrides this with a targeted region re-exploration.
+        A full FM has no such machinery and always escalates.  A
+        partial FM synthesizes an *up* event for every recorded-up,
+        non-ingress port of each suspect and runs them as one burst:
+        the confirm read re-checks the reporter's liveness and port
+        state, the region exploration re-walks whatever hangs behind
+        it, and the fallback path escalates to a full rediscovery if
+        the reporter itself is gone.
         """
-        return False
+        if self.assimilation == "full" or self.busy:
+            return False
+        events = []
+        for dsn in sorted(suspects):
+            record = self.database.device(dsn)
+            for index, port in sorted(record.ports.items()):
+                if port.up and index != record.ingress_port:
+                    events.append(pi5.PortEvent(
+                        reporter_dsn=dsn, port=index, up=True, seq=0,
+                    ))
+        if not events:
+            return False
+        self._begin_burst(events, "repair")
+        return True
+
+    # -- partial assimilation: the burst ---------------------------------------
+    def _begin_burst(self, events: List[pi5.PortEvent], trigger: str) -> None:
+        """Open a burst that confirms ``events`` one after another."""
+        self._burst_seen = {(e.reporter_dsn, e.port) for e in events}
+        self._event_queue.extend(events)
+        self._burst_stats = DiscoveryStats(
+            algorithm=PARTIAL, trigger=trigger, started_at=self.env.now,
+        )
+        if self.tracer is not None:
+            name = "assimilation" if trigger == "change" else trigger
+            self._burst_span = self.tracer.begin(
+                f"{name}:partial", "discovery", self.env.now,
+                track="fm", algorithm=PARTIAL, trigger=trigger,
+            )
+        self._next_event()
+
+    def _next_event(self) -> None:
+        queue = self._event_queue
+        while queue and queue[0].reporter_dsn not in self.database:
+            # The reporter itself was pruned by an earlier step of this
+            # burst; nothing left to confirm there.
+            queue.pop(0)
+        if not queue:
+            self._finish_burst()
+            return
+        event = queue.pop(0)
+        record = self.database.device(event.reporter_dsn)
+        # Step 1: confirm the reported port state with one read.
+        message = pi4.ReadRequest(
+            cap_id=0, offset=port_block_offset(event.port), tag=0, count=1,
+        )
+        out = record.out_port if record.ingress_port is not None else None
+        self.send_request(
+            message, record.route(), out,
+            callback=self._on_confirm, ctx=(event, record),
+            span_parent=self._burst_span,
+        )
+
+    def _on_confirm(self, completion, ctx) -> None:
+        event, record = ctx
+        if not isinstance(completion, pi4.ReadCompletion):
+            # The reporter itself is unreachable: the change is bigger
+            # than the event suggests.  Full rediscovery.
+            self.counters.incr("partial_fallbacks")
+            self._abort_burst_to_full()
+        elif decode_port_status(completion.data[0])["up"]:
+            self._assimilate_up(event, record)
+        else:
+            self._assimilate_down(event, record)
+
+    def _assimilate_down(self, event: pi5.PortEvent, record) -> None:
+        port = record.ports.get(event.port)
+        suspect = port.neighbor_dsn if port is not None else None
+        self.database.mark_port_down(record.dsn, event.port)
+
+        # A down port could be a single link failure (the far device is
+        # still alive) or the visible edge of a device removal whose
+        # other PI-5 events were lost (their event routes may cross the
+        # failed region).  Distinguish with one liveness probe of the
+        # far device over an alternate route — the affected-region
+        # strategy of the paper's reference [2].
+        if suspect is not None and suspect in self.database:
+            from ..routing.paths import PathError, db_route
+
+            try:
+                pool, out_port = db_route(
+                    self.database, self.endpoint.dsn, suspect
+                )
+            except PathError:
+                # No alternate route: the suspect region hangs off the
+                # failed link and pruning below removes it.
+                pool = None
+            if pool is not None:
+                probe = pi4.ReadRequest(cap_id=0, offset=0, tag=0, count=1)
+                self.send_request(
+                    probe, pool, out_port,
+                    callback=self._on_liveness_probe, ctx=suspect,
+                    retries=0, span_parent=self._burst_span,
+                )
+                return  # continue in the probe callback
+
+        self._settle_down_event()
+
+    def _on_liveness_probe(self, completion, suspect: int) -> None:
+        if completion is None and suspect in self.database:
+            # The device is gone: take all its links down so pruning
+            # removes its region in one step.
+            suspect_record = self.database.device(suspect)
+            for index, far_port in list(suspect_record.ports.items()):
+                if far_port.up:
+                    self.database.mark_port_down(suspect, index)
+        self._settle_down_event()
+
+    def _settle_down_event(self) -> None:
+        self.database.prune_unreachable(self.endpoint.dsn)
+        self._burst_stats.devices_found = len(self.database)
+        try:
+            self.database.recompute_routes(self.endpoint.dsn,
+                                           incremental=True)
+        except DatabaseError:
+            self.counters.incr("partial_fallbacks")
+            self._abort_burst_to_full()
+            return
+        self._next_event()
+
+    def _assimilate_up(self, event: pi5.PortEvent, record) -> None:
+        if event.port == record.ingress_port:
+            # The reported port is the one the FM's own route enters
+            # the reporter through — the confirm read just traversed
+            # it, so the link is alive and its far side is the already
+            # known path parent (a restored-link flap).  Re-record the
+            # link; exploring "through" it would be a U-turn.
+            port = record.port(event.port)
+            port.up = True
+            self.database.touch(record.dsn)
+            if port.neighbor_dsn is not None and \
+                    port.neighbor_dsn in self.database:
+                self.database.add_link(record.dsn, event.port,
+                                       port.neighbor_dsn,
+                                       port.neighbor_port)
+            self._next_event()
+            return
+        try:
+            hops, out_port = self.database.extend_route(record, event.port)
+        except DatabaseError:
+            self.counters.incr("partial_fallbacks")
+            self._abort_burst_to_full()
+            return
+        # A propagation-order exploration rooted at the reported port,
+        # aggregating into the burst's stats; its claim/port-read spans
+        # nest under the burst's span, which the burst closes.
+        region = ParallelDiscovery(self)
+        region.stats = self._burst_stats
+        region.span = self._burst_span
+        region._span_owned = False
+        region.done_event.callbacks.append(self._region_done)
+        self._region = region
+        region._send_general(Target(hops=hops, out_port=out_port,
+                                    via_dsn=record.dsn, via_port=event.port))
+        region._maybe_finish()  # the target may have been out of reach
+
+    def _region_done(self, _event) -> None:
+        if self._region is not None:
+            # Mid-walk failures inside the region re-read leave the
+            # same silent holes a full walk can suffer; carry them to
+            # the burst-level repair policy.
+            self._burst_suspects |= self._region.suspect_roots
+        self._region = None
+        self._next_event()
+
+    def _finish_burst(self) -> None:
+        stats = self._burst_stats
+        self._burst_stats = None
+        stats.finished_at = self.env.now
+        stats.devices_found = len(self.database)
+        if self._burst_span is not None and self.tracer is not None:
+            self.tracer.end(self._burst_span, stats.finished_at,
+                            devices=stats.devices_found)
+        self._burst_span = None
+        self._record(stats)
+        suspects, self._burst_suspects = self._burst_suspects, set()
+        if suspects:
+            if self._resolve_inconsistency(suspects, stats):
+                # A follow-up repair burst or full rediscovery will
+                # program the event routes once it converges.
+                return
+        else:
+            self._restart_streak = 0
+        # Reprogram event routes: pruning/exploration may have changed
+        # them for part of the fabric.  (Writes are idempotent.)
+        self._arm_ready()
+        self._finish_ready(stats)
+
+    def _drop_burst(self) -> DiscoveryStats:
+        """Forget the burst in progress and whatever it has in flight;
+        returns its ledger."""
+        self._event_queue.clear()
+        self._burst_suspects = set()
+        stats, self._burst_stats = self._burst_stats, None
+        self._region = None
+        if self._burst_span is not None and self.tracer is not None:
+            self.tracer.end(self._burst_span, self.env.now,
+                            aborted_to_full=True)
+        self._burst_span = None
+        self.engine.cancel_all()
+        return stats
+
+    def _abort_burst_to_full(self) -> None:
+        """Give up on partial assimilation; run a full discovery."""
+        stats = self._drop_burst()
+        if stats.trigger == "repair":
+            # A failed *repair* escalation is an automatic recovery
+            # action like any other: past the budget, surface the
+            # abort instead of launching yet another full walk.
+            if not self._spend_restart(stats):
+                stats.finished_at = self.env.now
+                stats.devices_found = len(self.database)
+                self._record(stats)
+                self._arm_ready()
+                self._finish_ready(stats)
+                return
+            self.counters.incr("discovery_restarts")
+        full = self.start_discovery(trigger="change-fallback", force=True)
+        # Carry the packets already spent into the full run's ledger.
+        full.stats.requests_sent += stats.requests_sent
+        full.stats.completions_received += stats.completions_received
+        full.stats.bytes_sent += stats.bytes_sent
+        full.stats.bytes_received += stats.bytes_received
+        full.stats.started_at = stats.started_at
 
     def _schedule_restart(self, trigger: str) -> None:
         """Start the next automatic rediscovery, after optional backoff."""

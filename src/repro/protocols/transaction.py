@@ -175,9 +175,7 @@ class TransactionEngine:
         #: Size of the requester's topology database, fed to the
         #: timeout policy (FM processing time grows with it).
         self.known_devices = known_devices
-        #: Outstanding transactions by tag.  Shared by reference with
-        #: the owning manager (``fm._pending``), so callers clearing
-        #: one clear the other.
+        #: Outstanding transactions by tag (``cancel_all`` clears it).
         self.pending: Dict[int, Transaction] = {}
         self._tags = count((tag_salt << TAG_SALT_SHIFT) + 1)
         #: Optional :class:`repro.obs.span.SpanTracer`.  ``None`` (the

@@ -101,13 +101,11 @@ def op_status(setup, driver, params) -> dict:
     ready = fm.ready_event is not None and fm.ready_event.triggered
     last = fm.history[-1].asdict() if fm.history else None
     injector = driver.injector
-    manager = ("partial" if type(fm).__name__ == "PartialAssimilationManager"
-               else "full")
     return {
         "sim_time": setup.env.now,
         "topology": setup.spec.name,
         "algorithm": fm.algorithm_key,
-        "manager": manager,
+        "manager": fm.assimilation,
         "ready": ready,
         "is_discovering": fm.is_discovering,
         "discoveries": len(fm.history),

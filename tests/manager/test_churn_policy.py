@@ -188,7 +188,7 @@ class TestPartialMidAssimilation:
         setup = build_simulation(make_mesh(4, 4), manager="partial")
         run_until_ready(setup)
         setup.fabric.remove_device("sw_2_2")
-        while not setup.fm.is_assimilating:
+        while not setup.fm.busy:
             setup.env.step()
         assert setup.fm.busy and not setup.fm.is_discovering
         return setup

@@ -170,7 +170,7 @@ class TestOrderingInvariants:
             nonlocal max_pending
             tag = original(*args, **kwargs)
             if fm.is_discovering:  # exclude post-discovery route writes
-                max_pending = max(max_pending, len(fm._pending))
+                max_pending = max(max_pending, len(fm.engine.pending))
             return tag
 
         fm.send_request = counting_send
@@ -190,7 +190,7 @@ class TestOrderingInvariants:
             nonlocal max_pending
             tag = original(*args, **kwargs)
             if fm.is_discovering:  # exclude post-discovery route writes
-                max_pending = max(max_pending, len(fm._pending))
+                max_pending = max(max_pending, len(fm.engine.pending))
             return tag
 
         fm.send_request = counting_send
@@ -212,7 +212,7 @@ class TestOrderingInvariants:
                 nonlocal max_pending
                 tag = __orig(*args, **kwargs)
                 if __fm.is_discovering:
-                    max_pending = max(max_pending, len(__fm._pending))
+                    max_pending = max(max_pending, len(__fm.engine.pending))
                 return tag
 
             fm.send_request = counting_send
@@ -370,7 +370,7 @@ class TestParallelWindow:
             nonlocal max_pending
             tag = original(*args, **kwargs)
             if fm.is_discovering:
-                max_pending = max(max_pending, len(fm._pending))
+                max_pending = max(max_pending, len(fm.engine.pending))
             return tag
 
         fm.send_request = counting_send

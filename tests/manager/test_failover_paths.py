@@ -1,8 +1,7 @@
-"""Tests for FM failover and path distribution."""
+"""Tests for FM failover."""
 
 import pytest
 
-from repro.capability import PATH_TABLE_CAP_ID
 from repro.experiments.runner import (
     build_simulation,
     database_matches_fabric,
@@ -10,7 +9,6 @@ from repro.experiments.runner import (
 )
 from repro.manager import PARALLEL, FabricManager
 from repro.manager.failover import StandbyManager
-from repro.manager.path_distribution import PathDistributor
 from repro.routing.paths import fabric_route
 from repro.topology import make_mesh
 
@@ -79,52 +77,6 @@ class TestFailover:
         standby.start()
         with pytest.raises(RuntimeError):
             standby.start()
-
-
-class TestPathDistribution:
-    @pytest.fixture(scope="class")
-    def distributed(self):
-        setup = build_simulation(make_mesh(3, 3), algorithm=PARALLEL,
-                                 auto_start=False)
-        setup.fm.start_discovery()
-        run_until_ready(setup)
-        distributor = PathDistributor(setup.fm)
-        stats = setup.env.run(until=distributor.distribute())
-        return setup, stats
-
-    def test_every_pair_distributed(self, distributed):
-        setup, stats = distributed
-        n = 9  # endpoints in a 3x3 mesh
-        assert stats.endpoints == n
-        assert stats.entries_written == n * (n - 1)
-        assert stats.write_failures == 0
-        assert stats.duration > 0
-
-    def test_tables_loaded_on_devices(self, distributed):
-        setup, _ = distributed
-        for endpoint in setup.fabric.endpoints():
-            table = endpoint.config_space.capability(PATH_TABLE_CAP_ID)
-            entries = table.entries()
-            assert len(entries) == 8
-
-    def test_distributed_routes_actually_deliver(self, distributed):
-        """Endpoints can use their tables to reach each other."""
-        from repro.fabric import Packet, make_management_header
-        from repro.fabric.packet import PI_DEVICE_MANAGEMENT
-
-        setup, _ = distributed
-        src = setup.fabric.device("ep_1_1")
-        dst = setup.fabric.device("ep_2_0")
-        table = src.config_space.capability(PATH_TABLE_CAP_ID)
-        pool, pointer = table.lookup(dst.dsn)
-
-        got = []
-        dst.local_handler = lambda packet, port: got.append(packet)
-        header = make_management_header(pool, pointer,
-                                        pi=PI_DEVICE_MANAGEMENT)
-        src.inject(Packet(header=header), port_index=0)
-        setup.env.run(until=setup.env.now + 1e-4)
-        assert len(got) == 1
 
 
 class TestStandbyShutdown:

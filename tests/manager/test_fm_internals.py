@@ -188,7 +188,7 @@ class TestRequestBarrier:
     def test_each_per_completion_none_for_the_lost_then_once_and_last(
             self, setup):
         fm = setup.fm
-        fm.max_retries = 0
+        fm.engine.max_retries = 0
         setup.fabric.fail_link("ep_0_0", "sw_0_0")
         setup.env.run()
         calls = []

@@ -7,8 +7,7 @@ from repro.experiments.runner import (
     database_matches_fabric,
     run_until_ready,
 )
-from repro.manager import PARALLEL
-from repro.manager.discovery.partial import PartialAssimilationManager
+from repro.manager import PARALLEL, FabricManager
 from repro.protocols.entity import ManagementEntity
 from repro.sim import Environment
 from repro.topology import make_mesh, make_torus
@@ -146,8 +145,9 @@ class TestSoakPartialAssimilation:
             name: ManagementEntity(device)
             for name, device in fabric.devices.items()
         }
-        fm = PartialAssimilationManager(
+        fm = FabricManager(
             fabric.device(spec.fm_host), entities[spec.fm_host],
+            assimilation="partial",
         )
         fabric.power_up()
 
@@ -166,7 +166,7 @@ class TestSoakPartialAssimilation:
         env.run(until=done)
         # Let the last burst finish.
         for _ in range(60):
-            if not fm.is_discovering and not fm.is_assimilating:
+            if not fm.busy:
                 break
             env.run(until=env.now + 20e-3)
         env.run(until=env.now + 50e-3)

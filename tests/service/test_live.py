@@ -183,7 +183,7 @@ class TestMutationRoundTrip:
 
 
 class TestRediscoverDuringABurst:
-    """A ``PartialAssimilationManager`` burst is a walk ``rediscover``
+    """A partial manager's burst is a walk ``rediscover``
     must not start a discovery on top of (it answered
     ``{"started": true}``, cleared the database under the burst, and
     the driver then read ``crashed == DatabaseError('unknown device
@@ -192,7 +192,7 @@ class TestRediscoverDuringABurst:
     @staticmethod
     def _start_burst(setup):
         setup.fabric.remove_device("sw_2_2")
-        while not setup.fm.is_assimilating:
+        while not setup.fm.busy:
             setup.env.step()
 
     @pytest.mark.parametrize("force", [False, True])

@@ -36,7 +36,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: route memo are paid for by ``_render``, ``_cost``, ``with_tag``, the
 #: classification functions, the FM's second claim decoder and the
 #: callerless ``vc_for_tc`` / ``is_management`` / ``active_ports`` /
-#: ``packet_cost_key``; 11,796 after PR 22 made the observation plane
+#: the packet-cost key helper; 11,796 after PR 22 made the observation plane
 #: one of each — one counter type, a registry of three mappings, one
 #: packet recorder — and deleted ``workloads/base.py`` and the second
 #: copy of the change protocol; 11,684 after PR 24 replaced the package
@@ -44,8 +44,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: ``repro._surface`` and the lazy ``FAMILIES`` mapping together cost 112
 #: lines fewer than the lists; 11,682 once the process-wide
 #: route-packing cache was deleted and the warm standby's record loops
-#: became ``TopologyDatabase.copy()``).
-TOTAL_CEILING = 11_682
+#: became ``TopologyDatabase.copy()``; 11,498 once partial assimilation
+#: became a value the one ``FabricManager`` is built with and the
+#: test-only path distributor was deleted).
+TOTAL_CEILING = 11_498
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; what is left is the callback kernel plus
 #: ``Process``/``Timeout`` for the five loop-shaped workloads; 442
@@ -56,7 +58,7 @@ SIM_CEILING = 379
 #: before PR 13, 3,071 after it; 3,064 before PR 22 shared the change
 #: protocol and the reliability totals; 3,048 before PR 24 made
 #: ``experiments/__init__.py`` a table).
-EXPERIMENTS_AND_CLI_CEILING = 3_007
+EXPERIMENTS_AND_CLI_CEILING = 2_997
 
 #: Code lines in ``repro/routing/graph.py``: the whole graph library
 #: of this code base, and meant to stay one screen of code.

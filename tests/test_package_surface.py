@@ -19,14 +19,15 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 #: ``sorted(__all__)`` of every package with a table, at the commit
-#: before the tables (PR 22).
+#: before the tables (PR 22), less the partial-assimilation manager class,
+#: ``PathDistributor`` and ``DistributionStats`` (deleted since: partial
+#: assimilation is ``FabricManager(assimilation="partial")``).
 SURFACE_AT_PARENT = {
     "repro": [
         "ALGORITHMS", "CollaborativeDiscovery", "DiscoveryStats",
         "Election", "Environment", "ExperimentResult", "Fabric",
         "FabricManager", "FabricParams", "FaultInjector",
         "ManagementEntity", "PARALLEL", "PacketTracer",
-        "PartialAssimilationManager", "PathDistributor",
         "ProcessingTimeModel", "RunFailure", "SERIAL_DEVICE",
         "SERIAL_PACKET", "Scenario", "StandbyManager", "SweepError",
         "SweepReport", "TABLE1_NAMES", "TopologySpec", "TrafficGenerator",
@@ -60,10 +61,10 @@ SURFACE_AT_PARENT = {
         "ClaimingParallelDiscovery", "CollaborativeDiscovery",
         "CollaborativeStats", "ConsistencyReport", "DatabaseError",
         "DeviceRecord", "Difference", "DiscoveryAborted",
-        "DiscoveryStats", "DistributionStats", "Election",
+        "DiscoveryStats", "Election",
         "ElectionAgent", "ElectionResult", "FabricManager",
         "FailoverReport", "PARALLEL", "ParallelDiscovery",
-        "PartialAssimilationManager", "PathDistributor", "PortRecord",
+        "PortRecord",
         "ProcessingTimeModel", "SERIAL_DEVICE", "SERIAL_PACKET",
         "SerialDeviceDiscovery", "SerialPacketDiscovery",
         "StandbyManager", "TopologyAuditor", "TopologyDatabase",
