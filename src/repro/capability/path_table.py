@@ -1,9 +1,10 @@
 """The path-table capability of fabric endpoints.
 
-After discovery, the fabric manager computes a set of source routes
-between endpoints and distributes them (section 1 of the paper; path
-*distribution* is studied as an extension here).  Each endpoint stores
-the routes in this capability and uses them to address unicast packets.
+After discovery, a fabric manager may compute source routes between
+endpoints and distribute them (section 1 of the paper).  Each endpoint
+exposes this capability in its configuration space for those routes;
+this model does not distribute paths, so the table is only read and
+written as raw dwords.
 
 Layout (entries of 5 dwords each)::
 
@@ -14,16 +15,9 @@ Layout (entries of 5 dwords each)::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from .registers import (
-    RegisterBlock,
-    RegisterError,
-    get_field,
-    pack_u64,
-    set_field,
-    unpack_u64,
-)
+from .registers import RegisterBlock
 
 #: Capability identifier of the path-table capability.
 PATH_TABLE_CAP_ID = 0x06
@@ -50,39 +44,3 @@ class PathTableCapability:
 
     def write(self, offset: int, values: Sequence[int]) -> None:
         self._block.write(offset, values)
-
-    # -- typed accessors --------------------------------------------------
-    @staticmethod
-    def encode_entry(dsn: int, turn_pool: int, turn_pointer: int) -> List[int]:
-        """Render one valid table entry as 5 dwords."""
-        d0 = set_field(set_field(0, 31, 1, 1), 0, 7, turn_pointer)
-        return [d0, *pack_u64(dsn), *pack_u64(turn_pool)]
-
-    def set_entry(self, index: int, dsn: int, turn_pool: int,
-                  turn_pointer: int) -> None:
-        """Store a route to ``dsn`` at table slot ``index``."""
-        if not 0 <= index < self.max_entries:
-            raise RegisterError(f"entry {index} outside path table")
-        self._block.write(
-            index * ENTRY_DWORDS,
-            self.encode_entry(dsn, turn_pool, turn_pointer),
-        )
-
-    def clear(self) -> None:
-        """Invalidate every entry."""
-        self._block.write(0, [0] * len(self._block))
-
-    def entries(self) -> Dict[int, Tuple[int, int]]:
-        """All valid entries as ``{dsn: (turn_pool, turn_pointer)}``."""
-        result: Dict[int, Tuple[int, int]] = {}
-        for index in range(self.max_entries):
-            entry = self._block.read(index * ENTRY_DWORDS, ENTRY_DWORDS)
-            if get_field(entry[0], 31, 1):
-                dsn = unpack_u64(entry[1], entry[2])
-                pool = unpack_u64(entry[3], entry[4])
-                result[dsn] = (pool, get_field(entry[0], 0, 7))
-        return result
-
-    def lookup(self, dsn: int) -> Optional[Tuple[int, int]]:
-        """Route to ``dsn`` as ``(turn_pool, turn_pointer)`` or None."""
-        return self.entries().get(dsn)

@@ -1,29 +1,20 @@
-"""JSON import/export of topologies and experiment results.
+"""JSON form of topology specifications.
 
-Downstream users can archive sweeps, share topologies, or feed the
-series into their own plotting stacks without touching the simulator.
+A :class:`~repro.experiments.scenario.Scenario` carrying a custom
+topology stores it in this form, so a scenario (and a corpus entry)
+stays one JSON document.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import List, Union
-
 from ..topology.spec import TopologySpec
-from .runner import ExperimentResult
-
-PathLike = Union[str, Path]
 
 _SPEC_SCHEMA = "repro/topology-spec/v1"
-_RESULTS_SCHEMA = "repro/experiment-results/v1"
 
 
 class IoError(ValueError):
     """Raised on malformed documents."""
 
-
-# -- topology specifications -------------------------------------------------
 
 def spec_to_dict(spec: TopologySpec) -> dict:
     """Render a specification as a JSON-ready dict."""
@@ -61,46 +52,3 @@ def spec_from_dict(document: dict) -> TopologySpec:
         raise IoError(f"malformed topology document: {exc}") from exc
     spec.validate()
     return spec
-
-
-def save_spec(spec: TopologySpec, path: PathLike) -> Path:
-    """Write a specification to a JSON file."""
-    path = Path(path)
-    path.write_text(json.dumps(spec_to_dict(spec), indent=2) + "\n")
-    return path
-
-
-def load_spec(path: PathLike) -> TopologySpec:
-    """Read a specification from a JSON file."""
-    return spec_from_dict(json.loads(Path(path).read_text()))
-
-
-# -- experiment results -----------------------------------------------------
-
-def results_to_dict(results: List[ExperimentResult]) -> dict:
-    """Render change-experiment results as a JSON-ready dict."""
-    return {
-        "schema": _RESULTS_SCHEMA,
-        "runs": [result.asdict() for result in results],
-    }
-
-
-def save_results(results: List[ExperimentResult], path: PathLike) -> Path:
-    """Archive a sweep's results as JSON."""
-    path = Path(path)
-    path.write_text(json.dumps(results_to_dict(results), indent=2) + "\n")
-    return path
-
-
-def load_results(path: PathLike) -> List[dict]:
-    """Load archived results (as plain dicts, one per run)."""
-    document = json.loads(Path(path).read_text())
-    if document.get("schema") != _RESULTS_SCHEMA:
-        raise IoError(
-            f"expected schema {_RESULTS_SCHEMA!r}, "
-            f"got {document.get('schema')!r}"
-        )
-    runs = document.get("runs")
-    if not isinstance(runs, list):
-        raise IoError("malformed results document: 'runs' must be a list")
-    return runs

@@ -80,21 +80,15 @@ class PacketTracer:
         in ``overflowed``.
     pi_filter:
         If given, only packets with these PI values are recorded.
-    device_filter:
-        If given, only events at these device names are recorded.
     """
 
     def __init__(self, limit: int = DEFAULT_LIMIT,
-                 pi_filter: Optional[Iterable[int]] = None,
-                 device_filter: Optional[Iterable[str]] = None):
+                 pi_filter: Optional[Iterable[int]] = None):
         if limit < 1:
             raise ValueError("tracer needs room for at least one hop")
         self.hops: Deque[PacketHop] = deque(maxlen=limit)
         self.pi_filter: Optional[Set[int]] = (
             set(pi_filter) if pi_filter is not None else None
-        )
-        self.device_filter: Optional[Set[str]] = (
-            set(device_filter) if device_filter is not None else None
         )
         self.dropped_by_filter = 0
         self.overflowed = 0
@@ -103,17 +97,14 @@ class PacketTracer:
     def __call__(self, kind: str, device, port_index: Optional[int],
                  packet: Packet, detail: str = "") -> None:
         pi = packet.header.pi
-        name = device.name
-        if (self.pi_filter is not None and pi not in self.pi_filter
-                or self.device_filter is not None
-                and name not in self.device_filter):
+        if self.pi_filter is not None and pi not in self.pi_filter:
             self.dropped_by_filter += 1
             return
         hops = self.hops
         seq = len(hops) + self.overflowed
         if len(hops) == hops.maxlen:
             self.overflowed += 1
-        hops.append(PacketHop(device.env.now, kind, name, port_index,
+        hops.append(PacketHop(device.env.now, kind, device.name, port_index,
                               packet.pkt_id, pi, detail, seq))
 
     # -- attachment -----------------------------------------------------------

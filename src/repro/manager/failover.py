@@ -99,8 +99,7 @@ class StandbyManager:
                  heartbeat_interval: float = 2e-3,
                  miss_threshold: int = 3,
                  mode: str = "cold",
-                 primary: Optional[FabricManager] = None,
-                 sync_interval: Optional[float] = None):
+                 primary: Optional[FabricManager] = None):
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat interval must be positive")
         if miss_threshold < 1:
@@ -120,12 +119,7 @@ class StandbyManager:
         self.miss_threshold = miss_threshold
         self.mode = mode
         self.primary = primary
-        self.sync_interval = (
-            sync_interval if sync_interval is not None
-            else 5 * heartbeat_interval
-        )
-        if self.sync_interval <= 0:
-            raise ValueError("sync interval must be positive")
+        self.sync_interval = 5 * heartbeat_interval
 
         self.active = False
         self.misses = 0
@@ -195,31 +189,6 @@ class StandbyManager:
                 self.env.cancel(wait)
                 setattr(self, attr, None)
         self._unsubscribe()
-
-    def stats(self) -> dict:
-        """Monitoring counters (workload lifecycle)."""
-        return {
-            "active": self.active,
-            "misses": self.misses,
-            "heartbeats_sent": self.heartbeats_sent,
-            "heartbeats_answered": self.heartbeats_answered,
-            "sync_reads": self.sync_reads,
-            "mirror_syncs": self.mirror_syncs,
-            "mirror_events": self.mirror_events,
-            "mirror_devices": len(self.mirror),
-            "primary_failed_at": self.primary_failed_at,
-        }
-
-    def describe(self) -> dict:
-        return {
-            "workload": "standby",
-            "endpoint": self.fm.endpoint.name,
-            "mode": self.mode,
-            "heartbeat_interval": self.heartbeat_interval,
-            "miss_threshold": self.miss_threshold,
-            "sync_interval": self.sync_interval,
-            "running": self._proc is not None and not self._stopping,
-        }
 
     def note_primary_failure(self, time: Optional[float] = None) -> None:
         """Record when the primary died (fault plane hook)."""
@@ -444,13 +413,13 @@ class StandbyManager:
             # routes and resolves ready_event when it converges.
             yield from self._wait_converged()
         else:
-            fm._finish_ready(stats)
+            fm._program_event_routes()
             yield from self._wait_converged()
 
         if fm.fence_ownership and not fm.demoted and len(fm.database) > 1:
             state = {"done": False}
             fm._stamp_ownership(
-                stats, then=lambda _s: state.__setitem__("done", True),
+                stats, then=lambda: state.__setitem__("done", True),
             )
             while not state["done"] and not fm.demoted:
                 yield self.env.timeout(self.heartbeat_interval / 4)

@@ -123,7 +123,6 @@ class FabricManager:
                  algorithm: str = PARALLEL,
                  request_timeout: float = 1e-3,
                  max_retries: int = 3,
-                 program_event_routes: bool = True,
                  auto_start: bool = True,
                  arrival_clears_timeout: bool = True,
                  parallel_window: Optional[int] = None,
@@ -131,7 +130,6 @@ class FabricManager:
                  restart_backoff: float = 0.0,
                  verify_sample: int = 0,
                  verify_seed: int = 0,
-                 epoch: int = 1,
                  fence_ownership: bool = False,
                  assimilation: str = "full"):
         if not endpoint.fm_capable:
@@ -148,7 +146,6 @@ class FabricManager:
         self.algorithm_key = algorithm
         #: ``"full"`` or ``"partial"`` (see :data:`MANAGER_KINDS`).
         self.assimilation = assimilation
-        self.program_event_routes = program_event_routes
         #: Whether a completion reaching the FM endpoint clears its
         #: request timer even while it waits in the FM's serial
         #: processing queue.  Disabling this reproduces a retry storm
@@ -188,7 +185,7 @@ class FabricManager:
         #: Ownership epoch (the claim-capability generation this FM
         #: stamps when fencing is on).  A promoted standby runs at the
         #: old primary's epoch + 1; see :mod:`repro.manager.election`.
-        self.epoch = epoch
+        self.epoch = 1
         #: Split-brain fencing: after every clean full discovery, read
         #: each device's claim capability and stamp it with this FM's
         #: epoch.  Observing a *newer* epoch means a later election was
@@ -603,13 +600,6 @@ class FabricManager:
         if self.ready_event is None or self.ready_event.triggered:
             self.ready_event = self.env.event()
 
-    def _finish_ready(self, stats: DiscoveryStats) -> None:
-        """Program event routes (or trigger ready immediately)."""
-        if self.program_event_routes:
-            self._program_event_routes()
-        else:
-            self.ready_event.succeed(stats)
-
     # -- bounded restart / repair policy ------------------------------------
     def _resolve_inconsistency(self, suspects: Iterable[int],
                                stats: DiscoveryStats) -> bool:
@@ -843,7 +833,7 @@ class FabricManager:
         # Reprogram event routes: pruning/exploration may have changed
         # them for part of the fabric.  (Writes are idempotent.)
         self._arm_ready()
-        self._finish_ready(stats)
+        self._program_event_routes()
 
     def _drop_burst(self) -> DiscoveryStats:
         """Forget the burst in progress and whatever it has in flight;
@@ -871,7 +861,7 @@ class FabricManager:
                 stats.devices_found = len(self.database)
                 self._record(stats)
                 self._arm_ready()
-                self._finish_ready(stats)
+                self._program_event_routes()
                 return
             self.counters.incr("discovery_restarts")
         full = self.start_discovery(trigger="change-fallback", force=True)
@@ -996,14 +986,13 @@ class FabricManager:
             return
         if (not self.fence_ownership or stats.aborted
                 or len(self.database) <= 1):
-            self._finish_ready(stats)
+            self._program_event_routes()
             return
         self._stamp_ownership(stats)
 
     def _stamp_ownership(self, stats: DiscoveryStats,
                          attempt: int = 0,
-                         then: Optional[Callable[[DiscoveryStats],
-                                                 None]] = None) -> None:
+                         then: Optional[Callable[[], None]] = None) -> None:
         """Serially re-read every device's claim, then stamp our epoch.
 
         Two phases, on purpose: *all* claims are read before *any* is
@@ -1015,7 +1004,7 @@ class FabricManager:
         new election round) and re-stamps, which overwrites the loser's
         claims everywhere.
         """
-        finish = then if then is not None else self._finish_ready
+        finish = then if then is not None else self._program_event_routes
         records = [
             r for r in self.database.devices() if r.ingress_port is not None
         ]
@@ -1063,14 +1052,14 @@ class FabricManager:
                 if observed[dsn] != (me, self.epoch)
             ]
             if not need:
-                finish(stats)
+                finish()
                 return
             wstate = {"outstanding": len(need)}
 
             def settle() -> None:
                 wstate["outstanding"] -= 1
                 if wstate["outstanding"] == 0:
-                    finish(stats)
+                    finish()
 
             def on_conflict_read(completion, dsn: int) -> None:
                 if self._fence_token is not token or self.demoted:
@@ -1124,7 +1113,8 @@ class FabricManager:
         )
 
     def _program_event_routes(self) -> None:
-        """Write every device's route back to the FM (PI-4 writes)."""
+        """Write every device's route back to the FM (PI-4 writes);
+        ``ready_event`` fires once they are all answered."""
         ready = self.ready_event
         records = [
             r for r in self.database.devices() if r.ingress_port is not None

@@ -75,16 +75,6 @@ def db_route(db, src_dsn: int, dst_dsn: int) -> Tuple[TurnPool, int]:
     return _route(db.graph(), _db_link_ports(db), src_dsn, dst_dsn)
 
 
-def db_endpoint_routes(db, src_dsn: int) -> Dict[int, Tuple[TurnPool, int]]:
-    """Routes from ``src_dsn`` to every other endpoint in the database
-    (one graph, one search per destination)."""
-    graph, link_ports = db.graph(), _db_link_ports(db)
-    return {
-        record.dsn: _route(graph, link_ports, src_dsn, record.dsn)
-        for record in db.endpoints() if record.dsn != src_dsn
-    }
-
-
 # -- routes over fabric ground truth ----------------------------------------
 
 def _fabric_link_ports(graph: Graph, a: str, b: str) -> Tuple[int, int]:

@@ -9,7 +9,8 @@ through three states:
 * *processed* — popped from the heap; all callbacks have run.
 
 Processes (see :mod:`repro.sim.process`) communicate exclusively by
-yielding events and by succeeding/failing them.
+yielding events and by succeeding them; a process whose generator
+raises fails, and its exception reaches whoever waits on it.
 """
 
 from __future__ import annotations
@@ -100,23 +101,6 @@ class Event:
         self._value = value
         # Inlined ``env.schedule(self)`` — succeed() is the kernel's
         # hottest trigger path.
-        env = self.env
-        heappush(env._queue, (env.now, NORMAL, next(env._eid), self, None))
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception.
-
-        Waiting processes will see the exception re-raised at their
-        ``yield`` statement.  If nobody handles it, the simulation run
-        crashes (unless the event is *defused*).
-        """
-        if not isinstance(exception, BaseException):
-            raise TypeError(f"{exception!r} is not an exception")
-        if self._value is not PENDING:
-            raise SimulationError(f"{self!r} has already been triggered")
-        self._ok = False
-        self._value = exception
         env = self.env
         heappush(env._queue, (env.now, NORMAL, next(env._eid), self, None))
         return self

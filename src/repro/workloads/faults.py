@@ -16,16 +16,12 @@ from typing import List, Optional, Sequence, Set
 from ..fabric.fabric import Fabric
 from ..sim.events import Event
 
-#: Fault kinds the injector can produce.  The FM kinds join the pool
-#: only when ``allow_fm_kill`` is set (the default injector never
-#: touches the manager, so every pre-existing schedule is unchanged).
+#: Fault kinds the log can record.  The random schedule draws only the
+#: first four; the FM kinds are logged by :meth:`FaultInjector.kill_fm_now`
+#: and :meth:`FaultInjector.restore_fm_now`, which a harness calls at a
+#: chosen instant.
 KINDS = ("remove_switch", "restore_switch", "fail_link", "restore_link",
          "kill_fm", "restart_fm")
-
-#: Default fault budget for the protocol-level ``start()``: large
-#: enough that an open-ended session never exhausts it, small enough
-#: to bound the fault log.
-DEFAULT_FAULT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -79,21 +75,6 @@ class FaultInjector:
     max_hold:
         Longest a fault is held waiting for a discovery (default:
         ``20 * mean_interval``).
-    allow_fm_kill:
-        Opt-in: add ``kill_fm`` (hot-remove the FM's host endpoint) to
-        the fault pool.  Needs ``fm``.  Off by default so the RNG draw
-        sequence — and therefore every existing seeded schedule and
-        golden — is bit-identical to an injector without the feature.
-    fm_restart_delay:
-        With ``allow_fm_kill``: resurrect a killed FM this many seconds
-        after the kill, deterministically (no RNG draw).  When ``None``,
-        ``restart_fm`` instead joins the random fault pool while the FM
-        is down, so the schedule itself decides if/when the old primary
-        comes back — the dueling-managers case fencing exists for.
-    fault_budget:
-        How many faults the protocol-level :meth:`start` injects
-        before the schedule ends on its own.  :meth:`run` takes the
-        budget explicitly and ignores this.
     """
 
     def __init__(self, fabric: Fabric, mean_interval: float = 30e-3,
@@ -101,18 +82,11 @@ class FaultInjector:
                  seed: int = 0, fm=None,
                  during_discovery: bool = False,
                  poll_interval: Optional[float] = None,
-                 max_hold: Optional[float] = None,
-                 allow_fm_kill: bool = False,
-                 fm_restart_delay: Optional[float] = None,
-                 fault_budget: int = DEFAULT_FAULT_BUDGET):
+                 max_hold: Optional[float] = None):
         if mean_interval <= 0:
             raise ValueError("mean interval must be positive")
         if during_discovery and fm is None:
             raise ValueError("during_discovery mode needs an fm to observe")
-        if allow_fm_kill and fm is None:
-            raise ValueError("allow_fm_kill needs the fm reference")
-        if fm_restart_delay is not None and fm_restart_delay <= 0:
-            raise ValueError("fm restart delay must be positive")
         self.fabric = fabric
         self.env = fabric.env
         self.mean_interval = mean_interval
@@ -129,11 +103,6 @@ class FaultInjector:
         )
         if self.poll_interval <= 0:
             raise ValueError("poll interval must be positive")
-        self.allow_fm_kill = allow_fm_kill
-        self.fm_restart_delay = fm_restart_delay
-        if fault_budget < 1:
-            raise ValueError("fault budget must be at least 1")
-        self.fault_budget = fault_budget
         #: Whether the FM host is currently hot-removed by this injector.
         self.fm_down = False
         #: Called with each :class:`FaultEvent` as it lands — the
@@ -150,8 +119,6 @@ class FaultInjector:
         self._done: Optional[Event] = None
         #: The Timeout the injector loop is currently sleeping on.
         self._wait = None
-        #: Pending auto-restore of a killed FM (``fm_restart_delay``).
-        self._restore_handle = None
 
     @staticmethod
     def _expand_protection(fabric: Fabric,
@@ -175,15 +142,6 @@ class FaultInjector:
         return expanded
 
     # -- schedule -----------------------------------------------------------
-    def start(self) -> None:
-        """The workload lifecycle's entry point (:mod:`repro.workloads`).
-
-        Equivalent to ``run(self.fault_budget)`` with the completion
-        event ignored — for callers that manage lifecycles uniformly
-        and will ``stop()`` the injector themselves.
-        """
-        self.run(self.fault_budget)
-
     def run(self, faults: int) -> Event:
         """Inject ``faults`` changes; the event triggers when done."""
         if self._proc is not None:
@@ -238,9 +196,6 @@ class FaultInjector:
             # resources and schedules nothing further.
             self.env.cancel(self._wait)
             self._wait = None
-        if self._restore_handle is not None:
-            self.env.cancel(self._restore_handle)
-            self._restore_handle = None
         if self._done is not None and not self._done.triggered:
             self._done.succeed(list(self.log))
 
@@ -281,26 +236,9 @@ class FaultInjector:
             actions.append("fail_link")
         if self._failed_links:
             actions.append("restore_link")
-        # The FM kinds append *after* the baseline four, and only when
-        # opted in — with ``allow_fm_kill`` off, the candidate list (and
-        # therefore the RNG draw sequence) is bit-identical to before
-        # the feature existed.
-        if self.allow_fm_kill:
-            if not self.fm_down:
-                actions.append("kill_fm")
-            elif self.fm_restart_delay is None:
-                # With an automatic restart delay the resurrection is
-                # scheduled deterministically at kill time instead.
-                actions.append("restart_fm")
         if not actions:
             return
         kind = self.rng.choice(actions)
-        if kind == "kill_fm":
-            self.kill_fm_now()
-            return
-        if kind == "restart_fm":
-            self.restore_fm_now()
-            return
         if kind == "remove_switch":
             target = self.rng.choice(self._eligible_switches())
             self.fabric.remove_device(target)
@@ -321,7 +259,7 @@ class FaultInjector:
             )
             self.fabric.restore_link(a, b)
             target = f"{a}<->{b}"
-        self._log(kind, target if isinstance(target, str) else str(target))
+        self._log(kind, target)
 
     def _log(self, kind: str, target: str) -> None:
         mid = self.fm is not None and not self.fm_down and self.fm.busy
@@ -336,10 +274,9 @@ class FaultInjector:
     def kill_fm_now(self) -> None:
         """Hot-remove the FM's host endpoint, deterministically.
 
-        Usable directly (no RNG draw) by harnesses that want the kill
-        at a precise point in the schedule; the random ``kill_fm``
-        fault routes through here too.  With ``fm_restart_delay`` set,
-        the resurrection is scheduled now, at a fixed offset.
+        For harnesses that want the kill at a precise point in the
+        schedule (no RNG draw); a second call while the FM is down is a
+        no-op.
         """
         if self.fm is None:
             raise ValueError("no fm to kill")
@@ -357,10 +294,6 @@ class FaultInjector:
         self.log.append(event)
         if self.on_fault is not None:
             self.on_fault(event)
-        if self.fm_restart_delay is not None:
-            self._restore_handle = self.env.schedule_callback(
-                self.fm_restart_delay, lambda _ev: self.restore_fm_now()
-            )
 
     def restore_fm_now(self) -> None:
         """Resurrect a killed FM host (the split-brain provocation).
@@ -373,7 +306,6 @@ class FaultInjector:
         if not self.fm_down:
             return
         self.fm_down = False
-        self._restore_handle = None
         self.fabric.restore_device(self._fm_host())
         # A rebooted manager walks the fabric on startup — it cannot
         # know it was deposed while dark (its own database still calls
@@ -390,22 +322,3 @@ class FaultInjector:
         for event in self.log:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
-
-    def stats(self) -> dict:
-        """Per-kind fault counts plus totals (workload lifecycle)."""
-        result = dict(self.summary())
-        result["faults_injected"] = len(self.log)
-        result["mid_discovery_faults"] = self.mid_discovery_faults
-        result["fm_down"] = self.fm_down
-        return result
-
-    def describe(self) -> dict:
-        return {
-            "workload": "faults",
-            "mean_interval": self.mean_interval,
-            "protect": sorted(self.protect),
-            "during_discovery": self.during_discovery,
-            "allow_fm_kill": self.allow_fm_kill,
-            "fault_budget": self.fault_budget,
-            "running": self._proc is not None and not self._stopping,
-        }

@@ -165,29 +165,16 @@ class TestEventRouteCapability:
 
 
 class TestPathTableCapability:
-    def test_set_lookup_roundtrip(self):
-        table = PathTableCapability(max_entries=4)
-        table.set_entry(0, dsn=0xAA, turn_pool=0x123, turn_pointer=8)
-        table.set_entry(2, dsn=0xBB, turn_pool=0x456, turn_pointer=12)
-        assert table.lookup(0xAA) == (0x123, 8)
-        assert table.lookup(0xBB) == (0x456, 12)
-        assert table.lookup(0xCC) is None
-
-    def test_entries_lists_only_valid(self):
-        table = PathTableCapability(max_entries=4)
-        table.set_entry(1, dsn=0x1, turn_pool=0x2, turn_pointer=3)
-        assert table.entries() == {0x1: (0x2, 3)}
-
-    def test_clear(self):
+    def test_raw_dwords_round_trip(self):
         table = PathTableCapability(max_entries=2)
-        table.set_entry(0, 1, 2, 3)
-        table.clear()
-        assert table.entries() == {}
+        assert len(table) == 10
+        table.write(5, [1 << 31, 0, 0xBB])
+        assert table.read(4, 4) == [0, 1 << 31, 0, 0xBB]
 
     def test_index_bounds(self):
         table = PathTableCapability(max_entries=2)
         with pytest.raises(RegisterError):
-            table.set_entry(2, 1, 2, 3)
+            table.write(8, [1, 2, 3])
 
     def test_validation(self):
         with pytest.raises(ValueError):

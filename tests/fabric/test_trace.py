@@ -17,10 +17,9 @@ def setup():
                             auto_start=False)
 
 
-def send_one(setup, hops, payload=b"x"):
+def send_one(setup, hops, payload=b"x", pi=PI_DEVICE_MANAGEMENT):
     pool = build_turn_pool(hops)
-    header = make_management_header(pool.pool, pool.bits,
-                                    pi=PI_DEVICE_MANAGEMENT)
+    header = make_management_header(pool.pool, pool.bits, pi=pi)
     packet = Packet(header=header, payload=payload)
     setup.fabric.device("ep_0_0").inject(packet)
     setup.env.run(until=setup.env.now + 1e-4)
@@ -50,12 +49,6 @@ class TestTracer:
         assert tracer.events_for(packet.pkt_id) == []
         assert tracer.dropped_by_filter > 0
 
-    def test_device_filter(self, setup):
-        tracer = PacketTracer(device_filter={"sw_0_0"}).attach(setup.fabric)
-        packet = send_one(setup, [Hop(16, 4, 1)])
-        devices = {e.device for e in tracer.events_for(packet.pkt_id)}
-        assert devices == {"sw_0_0"}
-
     def test_ring_buffer_bounded(self, setup):
         full = PacketTracer().attach(setup.fabric)
         send_one(setup, [Hop(16, 4, 1)])
@@ -74,15 +67,17 @@ class TestTracer:
     def test_filtered_hops_are_counted_not_kept(self, setup):
         everything = PacketTracer().attach(setup.fabric)
         send_one(setup, [Hop(16, 4, 1)])
-        total = len(everything)
+        per_packet = len(everything)
         tracer = PacketTracer(
-            device_filter={"sw_0_0"}, limit=2).attach(setup.fabric)
+            pi_filter={PI_EVENT}, limit=2).attach(setup.fabric)
         send_one(setup, [Hop(16, 4, 1)])
-        at_switch = sum(hop.device == "sw_0_0" for hop in everything.hops)
+        event = send_one(setup, [Hop(16, 4, 1)], pi=PI_EVENT)
         # A filtered hop takes no sequence number and no room.
-        assert tracer.dropped_by_filter == total - at_switch
-        assert len(tracer) + tracer.overflowed == at_switch
-        assert tracer.devices() == ["sw_0_0"]
+        assert tracer.dropped_by_filter == per_packet
+        assert len(tracer) + tracer.overflowed == per_packet
+        assert [hop.seq for hop in tracer.hops] == [per_packet - 2,
+                                                    per_packet - 1]
+        assert {hop.packet_id for hop in tracer.hops} == {event.pkt_id}
 
     def test_drop_recorded(self, setup):
         tracer = PacketTracer().attach(setup.fabric)

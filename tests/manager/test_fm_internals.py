@@ -281,16 +281,6 @@ class TestEventRouteProgramming:
         setup.env.run(until=setup.env.now + 1e-3)
         assert fm.counters["pi5_received"] - received_before == reporters
 
-    def test_disable_event_route_programming(self):
-        alt = build_simulation(make_mesh(2, 2), algorithm=PARALLEL,
-                               auto_start=False,
-                               program_event_routes=False)
-        alt.fm.start_discovery()
-        run_until_ready(alt)
-        sw = alt.fabric.device("sw_0_0")
-        cap = sw.config_space.capability(EVENT_ROUTE_CAP_ID)
-        assert cap.get_route() is None
-
 
 class TestHistoryAndStats:
     def test_history_accumulates_in_order(self, setup):

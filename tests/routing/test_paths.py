@@ -8,7 +8,6 @@ from repro.fabric.packet import PI_DEVICE_MANAGEMENT
 from repro.manager import PARALLEL
 from repro.routing.paths import (
     PathError,
-    db_endpoint_routes,
     db_route,
     fabric_endpoint_routes,
     fabric_route,
@@ -65,12 +64,6 @@ class TestDbRoutes:
         pool, out_port = db_route(db, dsn, dsn)
         assert pool.bits == 0
 
-    def test_endpoint_routes_cover_all_others(self, discovered):
-        db = discovered.fm.database
-        src = discovered.fabric.device("ep_0_0")
-        routes = db_endpoint_routes(db, src.dsn)
-        assert len(routes) == 8  # 9 endpoints minus self
-
     def test_unknown_destination_raises(self, discovered):
         db = discovered.fm.database
         src = discovered.fabric.device("ep_0_0")
@@ -122,10 +115,6 @@ class TestOneWiringLookup:
         with pytest.raises(PathError, match="no up link between 0x2 and"):
             db_route(db, 11, 10)
 
-    def test_endpoint_routes_raise_at_the_first_unroutable_pair(self):
-        with pytest.raises(PathError, match="far port of 0x1->0x2 unknown"):
-            db_endpoint_routes(self.one_sided_database(), 10)
-
 
 class TestFabricRoutes:
     def test_ground_truth_route_delivers(self, discovered):
@@ -159,10 +148,10 @@ class TestFabricRoutes:
 
 
 class TestOneGraphPerSource:
-    """All-destination route sets build their graph once (they used to
+    """The all-destination route set builds its graph once (it used to
     build it once per destination: 4,032 graphs and 2.8 s before the
     first simulated event of a load run on the 8x8 mesh) and still
-    return, pair by pair, what the single-pair functions return."""
+    returns, pair by pair, what the single-pair function returns."""
 
     @staticmethod
     def counting(monkeypatch, owner):
@@ -187,13 +176,3 @@ class TestOneGraphPerSource:
             assert len(calls) == 1
             assert routes == {dst: fabric_route(fabric, src, dst)
                               for dst in names if dst != src}
-
-    def test_db_routes(self, discovered, monkeypatch):
-        db = discovered.fm.database
-        calls = self.counting(monkeypatch, db)
-        for src in db.endpoints():
-            del calls[:]
-            routes = db_endpoint_routes(db, src.dsn)
-            assert len(calls) == 1
-            assert routes == {dst.dsn: db_route(db, src.dsn, dst.dsn)
-                              for dst in db.endpoints() if dst is not src}

@@ -7,6 +7,7 @@ reconverged afterwards.
 """
 
 import json
+import socket
 import threading
 import time
 
@@ -51,6 +52,54 @@ class TestHandshake:
             with handle.client() as client:
                 result = client.request("topologies")
                 assert result["catalog"] == topology_catalog()
+
+
+class TestInputGuards:
+    """Malformed request lines are answered on the same connection,
+    which then serves the next request."""
+
+    BAD_LINES = [
+        (b"{not json", None, "bad-json", ""),
+        (b"[1,2]", None, "bad-request", "must be a JSON object"),
+        (b'"str"', None, "bad-request", "must be a JSON object"),
+        (b'{"id":3,"op":5}', 3, "bad-request", "string 'op'"),
+        (b'{"id":4}', 4, "bad-request", "string 'op'"),
+    ]
+
+    def test_each_bad_line_is_answered_and_the_connection_serves_on(self):
+        with start_service("mesh9") as handle:
+            with socket.create_connection((handle.host, handle.port),
+                                          timeout=60) as sock:
+                wire = sock.makefile("rwb")
+                wire.readline()  # hello
+                for ping, (line, request_id, code, message) in enumerate(
+                        self.BAD_LINES, start=100):
+                    wire.write(line + b"\n")
+                    wire.write(b'{"id":%d,"op":"ping"}\n' % ping)
+                    wire.flush()
+                    answer = json.loads(wire.readline())
+                    assert answer["id"] == request_id, line
+                    assert answer["ok"] is False, line
+                    assert answer["error"]["code"] == code, line
+                    assert message in answer["error"]["message"], line
+                    after = json.loads(wire.readline())
+                    assert after["id"] == ping and after["ok"] is True
+            summary = handle.stop()
+            assert summary["errors"] == len(self.BAD_LINES)
+            assert summary["requests"] == len(self.BAD_LINES)
+
+    def test_unsubscribe_without_a_subscription(self):
+        with start_service("mesh9") as handle:
+            with socket.create_connection((handle.host, handle.port),
+                                          timeout=60) as sock:
+                wire = sock.makefile("rwb")
+                wire.readline()  # hello
+                wire.write(b'{"op":"unsubscribe"}\n')
+                wire.flush()
+                answer = json.loads(wire.readline())
+                assert answer == {"id": None, "ok": True,
+                                  "result": {"subscribed": False}}
+            assert handle.stop()["errors"] == 0
 
 
 class TestConcurrentClients:

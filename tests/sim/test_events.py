@@ -10,6 +10,12 @@ def env():
     return Environment()
 
 
+def _raising(env, message):
+    """A process body that fails one simulated second in."""
+    yield env.timeout(1.0)
+    raise RuntimeError(message)
+
+
 class TestEvent:
     def test_value_unavailable_until_triggered(self, env):
         ev = env.event()
@@ -31,34 +37,27 @@ class TestEvent:
         with pytest.raises(SimulationError):
             ev.succeed()
 
-    def test_fail_requires_exception(self, env):
-        ev = env.event()
-        with pytest.raises(TypeError):
-            ev.fail("not an exception")
-
     def test_fail_propagates_to_waiter(self, env):
-        ev = env.event()
+        failing = env.process(_raising(env, "boom"))
 
-        def proc(env, ev):
+        def proc(env):
             with pytest.raises(RuntimeError, match="boom"):
-                yield ev
+                yield failing
             return "handled"
 
-        p = env.process(proc(env, ev))
-        ev.fail(RuntimeError("boom"))
-        assert env.run(until=p) == "handled"
+        assert env.run(until=env.process(proc(env))) == "handled"
 
     def test_unhandled_failure_crashes_run(self, env):
-        ev = env.event()
-        ev.fail(RuntimeError("nobody catches me"))
+        env.process(_raising(env, "nobody catches me"))
         with pytest.raises(RuntimeError, match="nobody catches me"):
             env.run()
 
     def test_defused_failure_does_not_crash(self, env):
-        ev = env.event()
-        ev.fail(RuntimeError("defused"))
-        ev.defused = True
+        failing = env.process(_raising(env, "defused"))
+        failing.callbacks.append(lambda ev: setattr(ev, "defused", True))
         env.run()  # no exception
+        assert not failing.ok
+        assert isinstance(failing.value, RuntimeError)
 
 
 class TestTimeout:

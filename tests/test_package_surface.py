@@ -21,7 +21,10 @@ SRC = REPO / "src"
 #: ``sorted(__all__)`` of every package with a table, at the commit
 #: before the tables (PR 22), less the partial-assimilation manager class,
 #: ``PathDistributor`` and ``DistributionStats`` (deleted since: partial
-#: assimilation is ``FabricManager(assimilation="partial")``).
+#: assimilation is ``FabricManager(assimilation="partial")``) and the
+#: experiments' file helpers ``load_results`` / ``load_spec`` /
+#: ``save_results`` / ``save_spec`` (deleted since: no user path wrote
+#: or read a file through them).
 SURFACE_AT_PARENT = {
     "repro": [
         "ALGORITHMS", "CollaborativeDiscovery", "DiscoveryStats",
@@ -44,14 +47,14 @@ SURFACE_AT_PARENT = {
         "SimulationSetup", "SweepError", "SweepReport", "TC_MAPPINGS",
         "build_failover_pair", "build_simulation",
         "database_matches_fabric", "evaluate_scenario",
-        "fig4_measurements", "load_results", "load_spec", "plan",
+        "fig4_measurements", "plan",
         "render", "render_kv", "render_phase_breakdown", "render_plot",
         "render_series", "render_table", "replay_corpus",
         "run_churn_experiment", "run_failover_experiment", "run_fuzz",
         "run_load_experiment", "run_many", "run_reliability_experiment",
         "run_scenario", "run_sweep", "run_until_discovery_count",
         "run_until_quiescent", "run_until_ready", "sample_scenario",
-        "save_results", "save_spec", "shrink_candidates",
+        "shrink_candidates",
         "shrink_scenario", "summarize", "sweep_change_experiments",
         "sweep_device_factor", "sweep_family", "sweep_fm_factor",
         "write_corpus",

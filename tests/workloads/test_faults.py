@@ -74,9 +74,10 @@ class TestMaxHoldDeadline:
 
 class TestFmKillPlane:
     def test_gating_off_keeps_the_schedule_bit_identical(self):
-        # With allow_fm_kill off the candidate-kind list never grows,
-        # so the RNG draw sequence — and the whole seeded schedule —
-        # matches an injector that has no fm at all.
+        # The random schedule draws from the four topology kinds only,
+        # so an fm reference changes neither the candidate list nor the
+        # RNG draw sequence: the seeded schedule matches an injector
+        # that has no fm at all.
         logs = []
         for fm in (None, _QuietFM()):
             setup = build_simulation(make_mesh(3, 3), auto_start=False)
@@ -88,23 +89,13 @@ class TestFmKillPlane:
             logs.append([(e.time, e.kind, e.target) for e in log])
         assert logs[0] == logs[1]
 
-    def test_validation(self):
-        import pytest
-        setup = build_simulation(make_mesh(3, 3), auto_start=False)
-        with pytest.raises(ValueError):
-            FaultInjector(setup.fabric, allow_fm_kill=True)
-        with pytest.raises(ValueError):
-            FaultInjector(setup.fabric, fm=_QuietFM(),
-                          allow_fm_kill=True, fm_restart_delay=0.0)
-
-    def test_kill_then_scheduled_restart_rewalks_the_fabric(self):
+    def test_kill_then_restore_rewalks_the_fabric(self):
         from repro.experiments.runner import run_until_ready
         setup = build_simulation(make_mesh(3, 3))
         run_until_ready(setup)
         walks = len(setup.fm.history)
         injector = FaultInjector(
             setup.fabric, mean_interval=1e-3, seed=0, fm=setup.fm,
-            allow_fm_kill=True, fm_restart_delay=2e-3,
         )
         events = []
         injector.on_fault = events.append
@@ -112,21 +103,12 @@ class TestFmKillPlane:
         assert injector.fm_down
         injector.kill_fm_now()  # idempotent: no second event
         assert [e.kind for e in events] == ["kill_fm"]
+        setup.env.run(until=setup.env.now + 2e-3)
+        injector.restore_fm_now()
+        injector.restore_fm_now()  # idempotent too
         setup.env.run(until=setup.env.now + 30e-3)
         assert not injector.fm_down
         assert [e.kind for e in events] == ["kill_fm", "restart_fm"]
+        assert injector.summary() == {"kill_fm": 1, "restart_fm": 1}
         # A rebooted manager walks the fabric on startup.
         assert len(setup.fm.history) > walks
-
-    def test_stop_cancels_a_pending_restart(self):
-        from repro.experiments.runner import run_until_ready
-        setup = build_simulation(make_mesh(3, 3))
-        run_until_ready(setup)
-        injector = FaultInjector(
-            setup.fabric, mean_interval=1e-3, seed=0, fm=setup.fm,
-            allow_fm_kill=True, fm_restart_delay=5e-3,
-        )
-        injector.kill_fm_now()
-        injector.stop()
-        setup.env.run(until=setup.env.now + 20e-3)
-        assert injector.fm_down  # the resurrection never fired

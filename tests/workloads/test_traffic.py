@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.failover import build_failover_pair
 from repro.experiments.runner import build_simulation, run_until_ready
 from repro.fabric import PI_APPLICATION, Packet, RouteHeader
 from repro.fabric.params import DEFAULT_PARAMS
@@ -15,7 +14,6 @@ from repro.topology import make_mesh
 from repro.workloads import (
     ARRIVALS,
     PATTERNS,
-    FaultInjector,
     TrafficGenerator,
     TrafficSpec,
 )
@@ -213,27 +211,14 @@ class TestArrivalsAndPatterns:
 
 
 class TestWorkloadProtocol:
-    """The lifecycle is a convention (``repro.workloads``): each of the
-    three workloads names its kind and reports JSON-ready stats."""
+    """The traffic generator names its kind and reports JSON-ready
+    stats: the service and the load family read both."""
 
     def test_traffic_generator_conforms(self):
         setup = build_simulation(make_mesh(2, 2), auto_start=False)
         gen = TrafficGenerator(setup.fabric, load=0.2)
         assert "offered_load" in gen.stats()
         assert gen.describe()["workload"] == "traffic"
-
-    def test_fault_injector_conforms(self):
-        setup = build_simulation(make_mesh(2, 2), auto_start=False)
-        injector = FaultInjector(setup.fabric, seed=0, fm=setup.fm)
-        desc = injector.describe()
-        assert desc["workload"] == "faults"
-        assert desc["fault_budget"] >= 1
-        assert "faults_injected" in injector.stats()
-
-    def test_standby_manager_conforms(self):
-        setup, standby = build_failover_pair(make_mesh(2, 2))
-        assert standby.describe()["workload"] == "standby"
-        assert "heartbeats_sent" in standby.stats()
 
 
 def _delivery_order(tc_vc_map):
