@@ -39,6 +39,8 @@ class Fabric:
         self.links: List[Link] = []
         self._dsn_counter = count(0x0100_0000)
         self._by_dsn: Dict[int, Device] = {}
+        #: Every device's ports, flat (a device's ports are fixed).
+        self._ports: list = []
 
     # -- construction ------------------------------------------------------
     def _register(self, device: Device) -> Device:
@@ -46,6 +48,7 @@ class Fabric:
             raise FabricError(f"duplicate device name {device.name!r}")
         self.devices[device.name] = device
         self._by_dsn[device.dsn] = device
+        self._ports += device.ports
         return device
 
     def add_switch(self, name: str, nports: Optional[int] = None) -> Switch:
@@ -184,15 +187,8 @@ class Fabric:
 
     def port_stats(self) -> Counter:
         """Every port's counters summed key by key, without a snapshot
-        per port.  Most ports of a large fabric never counted anything
-        and are passed over at the cost of three loads each (a port
-        transmits only what it queued and counts bytes only with their
-        packet, so two of its five slots tell whether any moved)."""
-        return read_counters(
-            (port for device in self.devices.values()
-             for port in device.ports
-             if port.tx_queued or port.rx_packets
-             or port._stats is not None), HOT_COUNTERS)
+        per port (see ``read_counters``)."""
+        return read_counters(self._ports, HOT_COUNTERS)
 
     def reachable_devices(self, origin: str) -> List[str]:
         """Active devices reachable from ``origin`` over up links."""

@@ -34,6 +34,7 @@ held, which keeps every run bit-identical:
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 from typing import Optional, Tuple
 
 from ..sim.core import Environment, Infinity
@@ -71,23 +72,19 @@ HOT_COUNTERS = ("tx_queued", "tx_packets", "tx_bytes", "rx_packets",
 
 
 def read_counters(owners, keys: Tuple[str, ...]) -> Counter:
-    """The counters of ``owners`` summed key by key: those of their
-    integer slots ``keys`` that have counted, beside their rare
-    bundles ``_stats``.
+    """The counters of the sequence ``owners`` summed key by key: those
+    of their integer slots ``keys`` that have counted (one C-level sum
+    per slot), beside their rare bundles ``_stats``.
 
     Every counter has one home and this only reads it — nothing is
     written to or created on an owner, so no copy exists that could go
     stale, and changing the result changes nothing.
     """
-    stats = Counter()
-    for owner in owners:
-        for key in keys:
-            value = getattr(owner, key)
-            if value:
-                stats[key] += value
-        if owner._stats is not None:
-            for key, value in owner._stats.items():
-                stats[key] += value
+    stats = Counter((key, total) for key in keys
+                    if (total := sum(map(attrgetter(key), owners))))
+    for bundle in filter(None, map(attrgetter("_stats"), owners)):
+        for key, value in bundle.items():
+            stats[key] += value
     return stats
 
 

@@ -87,6 +87,12 @@ class SpanTracer:
     The tracer is purely passive: ``begin``/``end``/``instant`` append
     to in-memory lists and return.  It holds no reference to the
     environment and cannot perturb a run.
+
+    This is also the protocol instrumented code speaks to any tracer,
+    and another tracer may record less: ``begin`` may return ``None``
+    (that span is untraced — callers test the handle before ``end``
+    and pass it on as a ``parent`` as is), and nobody uses what
+    ``instant`` returns.
     """
 
     def __init__(self):

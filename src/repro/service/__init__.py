@@ -10,13 +10,15 @@ core:
   deterministic event kernel on a dedicated thread and executes
   queries/mutations *between* events, so the sim state is never read
   or written mid-step;
-* :class:`~repro.service.tap.EventTap` — a passive
-  :class:`~repro.obs.span.SpanTracer` that additionally forwards PI-5
-  notifications and FM span summaries to the live event feed;
+* :class:`~repro.service.tap.EventTap` — a passive tracer (the
+  :class:`~repro.obs.span.SpanTracer` protocol) that forwards PI-5
+  notifications and FM span summaries to the live event feed and
+  keeps nothing;
 * :mod:`~repro.service.api` — the JSON operation handlers (topology
   snapshots, path lookup, FM status, metrics scrape, mutation verbs);
 * :class:`~repro.service.server.FabricService` — an asyncio front-end
-  speaking line-delimited JSON to many concurrent clients;
+  (one protocol object per connection) speaking line-delimited JSON to
+  many concurrent clients;
 * :class:`~repro.service.client.ServiceClient` — the small blocking
   client used by tests and :mod:`benchmarks.bench_service`;
 * :func:`~repro.service.harness.start_service` — an in-process

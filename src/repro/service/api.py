@@ -196,6 +196,9 @@ def op_metrics(setup, driver, params) -> dict:
     gauges["service.events_stepped"] = driver.events_stepped
     # Commands executed on the sim thread.
     gauges["service.commands_run"] = driver.commands_at_version
+    # CPU seconds of the sim thread and of the process, at this version.
+    (gauges["service.cpu_s.driver"],
+     gauges["service.cpu_s.process"]) = driver.cpu_at_version
     # The event kernel's own counters (Environment.vitals).
     for key, value in setup.env.vitals().items():
         gauges[f"kernel.{key}"] = value

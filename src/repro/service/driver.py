@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import queue
 import threading
+import time
 from concurrent.futures import Future
 from typing import Callable, Optional
 
@@ -96,7 +97,11 @@ class SimulationDriver:
         #: ``(version, {key: value})`` of the reads computed at that
         #: version; written on the sim thread only, and replaced (never
         #: cleared in place) once the version has moved.
-        self._memo: tuple = (0, {})
+        self._memo: tuple = (-1, {})
+        #: ``(thread_time, process_time)`` read on the sim thread when
+        #: the memo was last replaced: the CPU seconds ``metrics``
+        #: reports, one value per version like every read document.
+        self.cpu_at_version = (0.0, 0.0)
         self._commands: "queue.SimpleQueue" = queue.SimpleQueue()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -250,6 +255,7 @@ class SimulationDriver:
         if version != self.version:
             values = {}
             self._memo = (self.version, values)
+            self.cpu_at_version = (time.thread_time(), time.process_time())
         value = values.get(key, _ABSENT)
         if value is _ABSENT:
             value = fn(self.setup)

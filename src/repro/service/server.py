@@ -16,12 +16,14 @@ TCP and exchange newline-terminated JSON documents:
   ...}``) as they happen; responses and events never interleave
   within a line.
 
-Requests from many clients are serviced concurrently by the asyncio
-loop; the ones that touch simulation state await their turn on the
-driver's command queue, so the kernel itself stays single-threaded.
-A read (:data:`~repro.service.api.READS`) whose snapshot is of the
-driver's current ``version`` skips the queue: it is answered here, on
-the loop's thread, from bytes encoded once per version.
+Each connection is one :class:`asyncio.Protocol`; its requests are
+answered strictly in order.  A read (:data:`~repro.service.api.READS`)
+whose snapshot is of the driver's current ``version`` is answered
+inside the loop's receive callback, from bytes encoded once per
+version.  Anything else — a read miss, a mutation, a registry op —
+parks the connection until the driver (or the executor) is done, so
+the kernel itself stays single-threaded; other connections are served
+meanwhile.
 """
 
 from __future__ import annotations
@@ -29,13 +31,12 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+from contextlib import suppress
+from functools import partial
 from typing import Dict, Optional, Set, Tuple
 
 from . import api
 from .driver import SimulationDriver
-
-#: Feed events buffered per subscriber before drops are counted.
-FEED_QUEUE_LIMIT = 4096
 
 #: Longest request line, in bytes (asyncio's default stream limit).
 FRAME_LIMIT = 2 ** 16
@@ -46,13 +47,15 @@ class FeedHub:
 
     ``publish`` is the only thread-safe entry point: it stamps a
     sequence number and — if anybody is subscribed — hops onto the
-    asyncio loop, which distributes the event to every subscriber
-    queue.  A slow subscriber loses events (counted in ``dropped``)
-    rather than stalling the feed.
+    asyncio loop, which writes the event to every subscribed
+    connection.  A subscriber that does not read loses events (counted
+    in ``dropped``) rather than stalling the feed: while its transport
+    has paused writing, events for it are dropped.
     """
 
     def __init__(self):
-        self._subscribers: Set[asyncio.Queue] = set()
+        #: Subscribed connections; the loop's thread adds and removes.
+        self.subscribers: Set[_Connection] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._lock = threading.Lock()
         self._seq = 0
@@ -71,7 +74,7 @@ class FeedHub:
             self._seq += 1
             seq = self._seq
             self.published += 1
-        if not self._subscribers:
+        if not self.subscribers:
             # The hop is a self-pipe write and a wake-up of the loop
             # thread: one more GIL hand-over, for nobody.
             return
@@ -81,19 +84,12 @@ class FeedHub:
             pass
 
     def _fan_out(self, event: dict) -> None:
-        for queue in list(self._subscribers):
-            try:
-                queue.put_nowait(event)
-            except asyncio.QueueFull:
+        line = _encode(event)
+        for connection in self.subscribers:
+            if connection.paused:
                 self.dropped += 1
-
-    def subscribe(self) -> asyncio.Queue:
-        queue: asyncio.Queue = asyncio.Queue(maxsize=FEED_QUEUE_LIMIT)
-        self._subscribers.add(queue)
-        return queue
-
-    def unsubscribe(self, queue: asyncio.Queue) -> None:
-        self._subscribers.discard(queue)
+            else:
+                connection.transport.write(line)
 
 
 def _dumps(value) -> bytes:
@@ -104,20 +100,19 @@ def _encode(document: dict) -> bytes:
     return _dumps(document) + b"\n"
 
 
-async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """The next request line (``b""`` at end of stream), or None once a
-    line longer than the stream limit has been discarded whole."""
-    oversized = False
-    while True:
-        try:
-            line = await reader.readuntil(b"\n")
-        except asyncio.IncompleteReadError as exc:
-            line = exc.partial
-        except asyncio.LimitOverrunError as exc:
-            await reader.readexactly(exc.consumed)
-            oversized = True
-            continue
-        return None if oversized else line
+def _wire(snapshot: api.Snapshot) -> bytes:
+    """A read's encoded result, encoded once per snapshot."""
+    if snapshot.wire is None:
+        snapshot.wire = _dumps(snapshot.unwrap())
+    return snapshot.wire
+
+
+def _call_soon(loop, callback, future) -> None:
+    """Done callback of a request's future, on whichever thread
+    completed it: ``callback(future)`` on the loop, one iteration
+    later (``asyncio.wrap_future`` takes two)."""
+    with suppress(RuntimeError):  # the loop has closed meanwhile
+        loop.call_soon_threadsafe(callback, future)
 
 
 def _error_of(exc: Exception) -> dict:
@@ -146,22 +141,21 @@ class FabricService:
         self.by_op: Dict[str, int] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
-        self._connections: Set[asyncio.Task] = set()
+        self._connections: Set[_Connection] = set()
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
         """Bind and start accepting; returns the bound ``(host, port)``."""
-        self.hub.bind(asyncio.get_running_loop())
+        loop = asyncio.get_running_loop()
+        self.hub.bind(loop)
         # Handlers publish mutations/audits through the same feed the
         # tap uses (see api._feed).
         self.driver.feed = self.hub.publish
         tap = getattr(self.driver, "tap", None)
         if tap is not None:
             tap.sink = self.hub.publish
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
-            limit=FRAME_LIMIT,
-        )
+        self._server = await loop.create_server(
+            partial(_Connection, self), self.host, self.port)
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
@@ -170,9 +164,8 @@ class FabricService:
         await self._shutdown.wait()
         self._server.close()
         await self._server.wait_closed()
-        for task in list(self._connections):
-            task.cancel()
-        await asyncio.gather(*self._connections, return_exceptions=True)
+        for connection in list(self._connections):
+            connection.close()
 
     def request_shutdown(self) -> None:
         """Ask the serve loop to stop (safe from the loop's thread)."""
@@ -194,124 +187,181 @@ class FabricService:
             "memo_misses": self.driver.memo_misses,
         }
 
-    # -- per-connection ------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self.connections_accepted += 1
-        task = asyncio.current_task()
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
+
+class _Connection(asyncio.Protocol):
+    """One client: splits request lines, answers them in order.
+
+    A request that cannot be answered inside the receive callback
+    (read miss, mutation, registry op) makes the connection *busy*:
+    later lines stay buffered until its answer is written, from the
+    future's done callback.  While the transport has paused writing
+    (the peer does not read) the connection answers nothing more and
+    stops reading, so neither buffer grows without bound.
+    """
+
+    def __init__(self, service: FabricService):
+        self.service = service
+        #: Set while the transport has paused writing; read by the hub.
+        self.paused = False
+        self._buffer = bytearray()
+        #: ``_oversized``: discarding a line longer than FRAME_LIMIT up
+        #: to its newline; ``_busy``: a request awaits its future.
+        self._oversized = self._busy = self._eof = False
+
+    # -- transport callbacks -------------------------------------------------
+    def connection_made(self, transport: asyncio.Transport) -> None:
         # The selector transport reads with recv(max_size), 256 KiB by
         # default: one fresh bytes object that size per request, above
         # glibc's mmap threshold, so each read pays mmap + page faults
         # + munmap under the GIL unless something else happened to
         # raise the threshold (docs/SERVICE.md).  No frame is longer
         # than FRAME_LIMIT, so no read needs to be either.
-        writer.transport.max_size = FRAME_LIMIT
-        write_lock = asyncio.Lock()
-        pump_task: Optional[asyncio.Task] = None
+        transport.max_size = FRAME_LIMIT
+        self.transport = transport
+        service = self.service
+        service.connections_accepted += 1
+        service._connections.add(self)
+        setup = service.driver.setup
+        transport.write(_encode({"event": "hello", "schema": api.SCHEMA,
+                                 "topology": setup.spec.name,
+                                 "algorithm": setup.fm.algorithm_key}))
 
-        async def send(line: bytes) -> None:
-            async with write_lock:
-                writer.write(line)
-                await writer.drain()
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.service.hub.subscribers.discard(self)
+        self.service._connections.discard(self)
 
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._serve()
+        if len(self._buffer) > FRAME_LIMIT:
+            # Busy or paused with a backlog: let TCP hold the rest.
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        # An unterminated last line is a request too.
+        self._buffer += b"\n"
+        self._eof = True
+        self._serve()
+        return True  # half-open: the last requests are still answered
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._serve()
+
+    def close(self) -> None:
+        self.service.hub.subscribers.discard(self)
+        self.transport.close()
+
+    # -- requests ------------------------------------------------------------
+    def _serve(self) -> None:
+        """Answer buffered lines in order until one has to wait, the
+        buffer holds no complete line, or the peer stops reading."""
+        buffer = self._buffer
+        while not (self._busy or self.paused
+                   or self.transport.is_closing()):
+            end = buffer.find(b"\n") + 1
+            if not end:
+                if len(buffer) > FRAME_LIMIT:
+                    buffer.clear()
+                    self._oversized = True
+                # At end of stream every line has been answered.
+                return (self.close() if self._eof
+                        else self.transport.resume_reading())
+            line = buffer[:end]
+            del buffer[:end]
+            if self._oversized or end > FRAME_LIMIT + 1:
+                self._oversized = False
+                self._request(None)
+            elif not line.isspace():
+                self._request(line)
+
+    def _request(self, line: Optional[bytearray]) -> None:
+        """Answer one request line (``None``: one over the limit), or
+        leave the connection busy until its future is done."""
+        driver = self.service.driver
+        request_id = op = future = None
         try:
-            await send(_encode({
-                "event": "hello",
-                "schema": api.SCHEMA,
-                "topology": self.driver.setup.spec.name,
-                "algorithm": self.driver.setup.fm.algorithm_key,
-            }))
-            while True:
-                line = await _read_line(reader)
-                if line == b"":
-                    break
-                if line is not None and not line.strip():
-                    continue
-                request_id = op = None
-                try:
-                    if line is None:
-                        raise api.ApiError(
-                            "frame-too-large",
-                            f"request line over {FRAME_LIMIT} bytes")
-                    document = json.loads(line)
-                    if not isinstance(document, dict):
-                        raise api.ApiError(
-                            "bad-request", "request must be a JSON object"
-                        )
-                    request_id = document.get("id")
-                    op = document.get("op")
-                    if not isinstance(op, str):
-                        raise api.ApiError(
-                            "bad-request", "request needs a string 'op'"
-                        )
-                    if op == "subscribe":
-                        if pump_task is None:
-                            pump_task = asyncio.ensure_future(
-                                self._pump(send))
-                            # Its first step subscribes; only then
-                            # answer, so no event published after the
-                            # answer finds the hub without subscriber.
-                            await asyncio.sleep(0)
-                        result = b'{"subscribed":true}'
-                    elif op == "unsubscribe":
-                        if pump_task is not None:
-                            pump_task.cancel()
-                            pump_task = None
-                        result = b'{"subscribed":false}'
-                    elif op == "shutdown":
-                        result = b'{"stopping":true}'
-                    else:
-                        result = await self._dispatch(op, document)
-                    self.requests += 1
-                    self.by_op[op] = self.by_op.get(op, 0) + 1
-                    # The key order sort_keys emits, around bytes that
-                    # are encoded once per snapshot.
-                    response = (b'{"id":' + _dumps(request_id)
-                                + b',"ok":true,"result":' + result + b"}\n")
-                except Exception as exc:
-                    self.errors += 1
-                    response = _encode({"id": request_id, "ok": False,
-                                        "error": _error_of(exc)})
-                await send(response)
-                if op == "shutdown":
-                    self.request_shutdown()
-                    break
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.IncompleteReadError, asyncio.CancelledError):
-            pass
-        finally:
-            if pump_task is not None:
-                pump_task.cancel()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            if line is None:
+                raise api.ApiError(
+                    "frame-too-large", f"request line over {FRAME_LIMIT} bytes")
+            document = json.loads(line)
+            if not isinstance(document, dict):
+                raise api.ApiError(
+                    "bad-request", "request must be a JSON object")
+            request_id, op = document.get("id"), document.get("op")
+            if not isinstance(op, str):
+                raise api.ApiError(
+                    "bad-request", "request needs a string 'op'")
+            if op == "subscribe":
+                # The hub knows a subscriber before its answer goes
+                # out: no event published after the answer misses it.
+                self.service.hub.subscribers.add(self)
+                result = b'{"subscribed":true}'
+            elif op == "unsubscribe":
+                self.service.hub.subscribers.discard(self)
+                result = b'{"subscribed":false}'
+            elif op == "shutdown":
+                result = b'{"stopping":true}'
+            elif op in api.READS:
+                future, encode = api.read_op(driver, op, document), _wire
+            else:
+                fn, needs_sim = api.handler_for(op)
+                encode = _dumps
+                if needs_sim:
+                    future = driver.submit(
+                        lambda setup: fn(setup, driver, document))
+                else:
+                    # Registry-only ops may still build large specs;
+                    # keep them off the event loop.
+                    future = asyncio.get_running_loop().run_in_executor(
+                        None, fn, None, driver, document)
+        except Exception as exc:
+            result = exc
+        if future is None:
+            self._reply(request_id, op, result)
+        elif future.done():  # a memo hit, or a driver that stopped
+            self._finish(request_id, op, encode, future)
+        else:
+            self._busy = True
+            future.add_done_callback(partial(
+                _call_soon, asyncio.get_running_loop(),
+                partial(self._resume, request_id, op, encode)))
 
-    async def _dispatch(self, op: str, params: dict) -> bytes:
-        """The encoded ``result`` of one request."""
-        if op in api.READS:
-            future = api.read_op(self.driver, op, params)
-            snapshot = (future.result() if future.done()
-                        else await asyncio.wrap_future(future))
-            if snapshot.wire is None:
-                snapshot.wire = _dumps(snapshot.unwrap())
-            return snapshot.wire
-        fn, needs_sim = api.handler_for(op)
-        if needs_sim:
-            return _dumps(await asyncio.wrap_future(self.driver.submit(
-                lambda setup: fn(setup, self.driver, params))))
-        # Registry-only ops may still build large specs; keep them off
-        # the event loop.
-        return _dumps(await asyncio.to_thread(fn, None, self.driver, params))
+    def _resume(self, *request) -> None:
+        self._busy = False
+        self._finish(*request)
+        self._serve()
 
-    async def _pump(self, send) -> None:
-        """Subscribed for as long as it runs; cancel to unsubscribe."""
-        queue = self.hub.subscribe()
+    def _finish(self, request_id, op: str, encode, future) -> None:
         try:
-            while True:
-                await send(_encode(await queue.get()))
-        finally:
-            self.hub.unsubscribe(queue)
+            result = encode(future.result())
+        except Exception as exc:
+            result = exc
+        self._reply(request_id, op, result)
+
+    def _reply(self, request_id, op: Optional[str], result) -> None:
+        """Write the response to one request: ``result`` is its encoded
+        result, or the exception it failed with."""
+        service = self.service
+        if isinstance(result, Exception):
+            service.errors += 1
+            response = _encode({"id": request_id, "ok": False,
+                                "error": _error_of(result)})
+        else:
+            service.requests += 1
+            service.by_op[op] = service.by_op.get(op, 0) + 1
+            # The key order sort_keys emits, around bytes that are
+            # encoded once per snapshot.
+            response = (
+                b'{"id":' + (b"%d" % request_id if type(request_id) is int
+                             else _dumps(request_id))
+                + b',"ok":true,"result":' + result + b"}\n")
+        # A peer gone meanwhile: the transport drops the bytes.
+        self.transport.write(response)
+        if op == "shutdown":
+            self.close()
+            service.request_shutdown()

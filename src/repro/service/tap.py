@@ -3,9 +3,9 @@
 The FM already narrates its life through the tracer protocol
 (:class:`~repro.obs.span.SpanTracer`): PI-5 arrivals become instants,
 discovery runs / assimilation bursts / route distribution become spans
-on the ``"fm"`` track.  :class:`EventTap` subclasses the tracer so
+on the ``"fm"`` track.  :class:`EventTap` speaks that protocol, so
 attaching it is exactly as non-perturbing as tracing (no events
-scheduled, no randomness consumed) and forwards the feed-worthy subset
+scheduled, no randomness consumed), and forwards the feed-worthy subset
 to a sink callback as JSON-ready documents:
 
 * ``{"event": "pi5", ...}`` — every PI-5 notification (and local port
@@ -14,79 +14,58 @@ to a sink callback as JSON-ready documents:
   discovery runs, partial-assimilation and repair bursts,
   restart-backoff episodes, route distribution.
 
-Per-claim discovery spans and PI-4 transaction spans (tracks
-``"discovery"``/``"pi4"``) are recorded but not forwarded — at service
-rates they would swamp the feed.  Long-running daemons cannot keep
-every span forever, so the tap trims closed spans once the in-memory
-lists grow past a bound; it is a feed source, not an exporter.
+It keeps only what it forwards, and only until it forwards it: a span
+off the FM track (per-claim discovery spans, PI-4 transactions) is
+never opened — ``begin`` returns ``None``, which instrumented code
+treats as untraced — and an FM-track span or a PI-5 instant is handed
+to the sink, not stored.  A long-running daemon's tap holds nothing.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..obs.span import Instant, Span, SpanTracer
+from ..obs.span import Span
 
 #: Spans on these tracks are forwarded as feed summaries.
 FEED_TRACKS = frozenset({"fm"})
 
-#: Keep at most this many record objects before trimming closed ones.
-TRIM_THRESHOLD = 4096
 
-
-class EventTap(SpanTracer):
-    """A :class:`SpanTracer` that forwards FM activity to ``sink``.
+class EventTap:
+    """A tracer that forwards FM activity to ``sink``.
 
     ``sink`` receives one JSON-ready dict per feed event and must be
     cheap and non-raising (the server wraps a thread-safe queue
-    handoff).  Passing ``sink=None`` makes the tap a plain bounded
-    tracer.
+    handoff).  With ``sink=None`` the tap forwards nothing.
     """
 
     def __init__(self, sink: Optional[Callable[[dict], None]] = None):
-        super().__init__()
         self.sink = sink
         #: Forwarded feed events, by kind (service metrics).
         self.forwarded = {"pi5": 0, "span": 0}
 
     # -- tracer protocol -----------------------------------------------------
+    def begin(self, name: str, cat: str, t: float, *,
+              parent: Optional[Span] = None, track: str = "fm",
+              **args: Any) -> Optional[Span]:
+        # Off the forwarded tracks: untraced.
+        return (Span(0, name, cat, t, None, track, args, 0)
+                if track in FEED_TRACKS else None)
+
+    def end(self, span: Span, t: float, **args: Any) -> None:
+        if span.end is not None:
+            return
+        span.end = t
+        span.args.update(args)
+        if self.sink is not None:
+            self.forwarded["span"] += 1
+            self.sink({"event": "span", "name": span.name, "kind": span.cat,
+                       "sim_time": t, "start": span.start,
+                       "duration": t - span.start, "args": dict(span.args)})
+
     def instant(self, name: str, cat: str, t: float, *,
                 parent: Optional[Span] = None, track: str = "fm",
-                **args: Any) -> Instant:
-        event = super().instant(name, cat, t, parent=parent,
-                                track=track, **args)
+                **args: Any) -> None:
         if cat == "pi5" and self.sink is not None:
             self.forwarded["pi5"] += 1
             self.sink({"event": "pi5", "sim_time": t, **args})
-        self._trim()
-        return event
-
-    def end(self, span: Span, t: float, **args: Any) -> None:
-        already_closed = span.end is not None
-        super().end(span, t, **args)
-        if (not already_closed and span.track in FEED_TRACKS
-                and self.sink is not None):
-            self.forwarded["span"] += 1
-            self.sink({
-                "event": "span",
-                "name": span.name,
-                "kind": span.cat,
-                "sim_time": t,
-                "start": span.start,
-                "duration": t - span.start,
-                "args": dict(span.args),
-            })
-        self._trim()
-
-    # -- memory bound --------------------------------------------------------
-    def _trim(self) -> None:
-        """Drop closed spans / old instants once the lists grow large.
-
-        Open spans must survive (their handles are still held by the
-        FM), so only closed ones are dropped; instants are pure
-        history and can always go.
-        """
-        if len(self.spans) > TRIM_THRESHOLD:
-            self.spans = [s for s in self.spans if s.end is None]
-        if len(self.instants) > TRIM_THRESHOLD:
-            del self.instants[:-64]

@@ -126,6 +126,29 @@ class TestMetrics:
                 if name.startswith("kernel.")} == {
             f"kernel.{key}": value for key, value in vitals.items()}
 
+    def test_cpu_seconds_are_sampled_once_per_version(self):
+        setup = build_simulation(resolve_topology("mesh9"))
+        run_until_ready(setup)
+        driver = SimulationDriver(setup).start()
+
+        def cpu():
+            result = api.call_op(driver, "metrics")
+            return result["version"], tuple(
+                result["metrics"][name]["value"] for name in
+                ("service.cpu_s.driver", "service.cpu_s.process"))
+
+        try:
+            # The discovered fabric is idle: the version stays put.
+            version, first = cpu()
+            assert cpu() == (version, first)
+            assert all(value > 0 for value in first)
+            api.call_op(driver, "start_traffic", {"load": 0.1})
+            later_version, later = cpu()
+        finally:
+            driver.stop()
+        assert later_version > version
+        assert all(b >= a for a, b in zip(first, later))
+
 
 class TestTopologies:
     def test_catalog_and_describe(self, driver):

@@ -206,6 +206,16 @@ class RecordingLoop:
         self.scheduled.append((callback, args))
 
 
+class RecordingSubscriber:
+    """Stands in for a subscribed connection whose peer reads."""
+
+    paused = False
+
+    def __init__(self):
+        self.written = []
+        self.transport = SimpleNamespace(write=self.written.append)
+
+
 class TestFeedWithoutSubscribers:
     def test_no_loop_callback_is_scheduled_for_nobody(self):
         hub, loop = FeedHub(), RecordingLoop()
@@ -216,13 +226,14 @@ class TestFeedWithoutSubscribers:
         # Still stamped and counted: ``seq`` has no holes for the
         # subscriber that comes later.
         assert hub.published == 3
-        queue = hub.subscribe()
+        subscriber = RecordingSubscriber()
+        hub.subscribers.add(subscriber)
         hub.publish({"event": "pi5", "n": 3})
         (callback, (event,)), = loop.scheduled
         assert event == {"event": "pi5", "n": 3, "seq": 4}
         callback(event)
-        assert queue.get_nowait() == event
-        hub.unsubscribe(queue)
+        assert subscriber.written == [b'{"event":"pi5","n":3,"seq":4}\n']
+        hub.subscribers.discard(subscriber)
         hub.publish({"event": "pi5", "n": 4})
         assert len(loop.scheduled) == 1
 

@@ -6,10 +6,13 @@ the event stream, and the consistency auditor confirming the FM
 reconverged afterwards.
 """
 
+import gc
 import json
 import socket
 import threading
 import time
+from asyncio.selector_events import _SelectorSocketTransport
+from concurrent.futures import Future
 
 import pytest
 
@@ -100,6 +103,181 @@ class TestInputGuards:
                 assert answer == {"id": None, "ok": True,
                                   "result": {"subscribed": False}}
             assert handle.stop()["errors"] == 0
+
+
+def _raw(handle, rcvbuf=None):
+    """A socket past the hello banner (``rcvbuf``: its receive buffer,
+    set before connecting so the window stays that small)."""
+    sock = socket.socket()
+    if rcvbuf is not None:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    sock.settimeout(60)
+    sock.connect((handle.host, handle.port))
+    wire = sock.makefile("rb")
+    assert json.loads(wire.readline())["event"] == "hello"
+    return sock, wire
+
+
+def _write_buffers(handle):
+    """Bytes each open server-side connection holds for its peer, read
+    on the loop's thread."""
+    done = Future()
+
+    def read():
+        gc.collect()
+        done.set_result([
+            transport.get_write_buffer_size()
+            for transport in gc.get_objects()
+            if isinstance(transport, _SelectorSocketTransport)
+            and not transport.is_closing()])
+
+    handle._loop.call_soon_threadsafe(read)
+    return done.result(60)
+
+
+def _until_still(read, seconds=0.3, timeout=60.0):
+    """``read()`` once it has not changed for ``seconds``."""
+    deadline = time.monotonic() + timeout
+    value = read()
+    while time.monotonic() < deadline:
+        time.sleep(seconds)
+        now = read()
+        if now == value:
+            return value
+        value = now
+    raise AssertionError(f"still moving after {timeout} s: {value}")
+
+
+#: What a connection may hold for a peer that does not read: the
+#: transport's high-water mark (64 KiB) plus the write that crossed it.
+WRITE_BOUND = 2 * 64 * 1024
+
+
+class TestFrontEndEdges:
+    """What the front-end does at the edges of the byte stream and of
+    the peer's behaviour."""
+
+    def test_a_request_one_byte_per_send_gets_one_response(self):
+        with start_service("mesh9") as handle:
+            sock, wire = _raw(handle)
+            with sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for byte in b'{"id":1,"op":"ping"}\n':
+                    sock.send(bytes([byte]))
+                    time.sleep(0.001)
+                sock.sendall(b'{"id":2,"op":"ping"}\n')
+                assert json.loads(wire.readline())["id"] == 1
+                assert json.loads(wire.readline())["id"] == 2
+            assert handle.stop()["requests"] == 2
+
+    def test_a_miss_then_a_hit_in_one_segment_are_answered_in_order(self):
+        from .test_memo import Park, _until, quiesce
+
+        with start_service("mesh9") as handle:
+            quiesce(handle)
+            driver = handle.driver
+            sock, wire = _raw(handle)
+            with sock:
+                sock.sendall(b'{"id":1,"op":"status"}\n')
+                assert json.loads(wire.readline())["id"] == 1
+                hits = driver.memo_hits
+                with Park(driver):
+                    # topology: queued behind the park; status: a hit.
+                    sock.sendall(b'{"id":2,"op":"topology"}\n'
+                                 b'{"id":3,"op":"status"}\n')
+                    _until(lambda: driver._commands.qsize() == 1,
+                           "the miss to queue")
+                    sock.settimeout(0.2)
+                    with pytest.raises(socket.timeout):
+                        sock.recv(1)
+                    sock.settimeout(60)
+                answers = [json.loads(wire.readline()) for _ in range(2)]
+                assert [a["id"] for a in answers] == [2, 3]
+                assert all(a["ok"] for a in answers)
+                assert driver.memo_hits == hits + 1
+
+    def test_an_unterminated_last_line_is_answered_at_end_of_stream(self):
+        with start_service("mesh9") as handle:
+            sock, wire = _raw(handle)
+            with sock:
+                sock.sendall(b'{"id":1,"op":"ping"}\n{"id":2,"op":"ping"}')
+                sock.shutdown(socket.SHUT_WR)
+                assert json.loads(wire.readline())["id"] == 1
+                last = json.loads(wire.readline())
+                assert last["id"] == 2 and last["ok"]
+                assert wire.readline() == b""  # then the server closes
+            assert handle.stop()["requests"] == 2
+
+    @pytest.mark.parametrize("reset", [False, True])
+    def test_a_client_gone_while_its_request_is_in_flight(self, reset):
+        from .test_memo import Park, _until, quiesce
+
+        with start_service("mesh9") as handle:
+            quiesce(handle)
+            driver, service = handle.driver, handle.service
+            reported = []
+            handle._loop.set_exception_handler(
+                lambda loop, context: reported.append(context))
+            before = service.requests + service.errors
+            with Park(driver):
+                # A read miss, then a mutation.
+                for queued, op in enumerate(("metrics", "rediscover"), 1):
+                    sock, _ = _raw(handle)
+                    sock.sendall(b'{"id":1,"op":"%s"}\n' % op.encode())
+                    _until(lambda: driver._commands.qsize() == queued,
+                           "the request to queue")
+                    if reset:
+                        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                        b"\1\0\0\0\0\0\0\0")
+                    sock.close()
+            _until(lambda: service.requests + service.errors == before + 2,
+                   "both requests to be answered")
+            with handle.client() as client:
+                assert "sim_time" in client.request("status")
+            handle.stop()
+            assert reported == []
+
+    def test_a_subscriber_that_never_reads_loses_events_not_memory(self):
+        """Mutations, and a publisher as busy as a storm on a large
+        fabric would keep the sim thread: more events than any
+        buffer on the way holds (the socket's own included)."""
+        pairs, bulk, pad = 20, 8000, "x" * 1500
+        with start_service("mesh9") as handle:
+            publish = handle.service.hub.publish
+            sock, wire = _raw(handle, rcvbuf=4096)
+            with sock, handle.client() as mutator, \
+                    handle.client() as reader:
+                sock.sendall(b'{"id":1,"op":"subscribe"}\n')
+                assert json.loads(wire.readline())["result"] == {
+                    "subscribed": True}
+                largest = 0
+                for i in range(pairs):
+                    mutator.request("remove_device", name="sw_1_1")
+                    mutator.request("restore_device", name="sw_1_1")
+                    for n in range(bulk // pairs):
+                        publish({"event": "storm", "n": n, "pad": pad})
+                    assert "sim_time" in reader.request("status")
+                    largest = max(largest, *_write_buffers(handle))
+                _until_still(lambda: handle.service.hub.published)
+                largest = max(largest, *_write_buffers(handle))
+                assert handle.service.summary()["events_dropped"] > 0
+                assert largest <= WRITE_BOUND
+                assert "sim_time" in reader.request("topology")
+
+    def test_a_pipelining_client_that_does_not_read_is_held_back(self):
+        count = 2000
+        with start_service("mesh9") as handle:
+            sock, wire = _raw(handle, rcvbuf=4096)
+            with sock:
+                sock.sendall(b"".join(b'{"id":%d,"op":"topology"}\n' % i
+                                      for i in range(1, count + 1)))
+                served = _until_still(lambda: handle.service.requests)
+                assert served < count
+                assert max(_write_buffers(handle)) <= WRITE_BOUND
+                ids = [json.loads(wire.readline())["id"]
+                       for _ in range(count)]
+                assert ids == list(range(1, count + 1))
+            assert handle.stop()["requests"] == count
 
 
 class TestConcurrentClients:
