@@ -20,7 +20,6 @@ from .baseline import (
 from .claim import CLAIM_CAP_ID, ClaimCapability
 from .config_space import MAX_READ_DWORDS, ConfigSpace, ConfigSpaceError
 from .event_route import EVENT_ROUTE_CAP_ID, EventRouteCapability
-from .multicast import MULTICAST_CAP_ID, MulticastCapability, encode_op
 from .path_table import PATH_TABLE_CAP_ID, PathTableCapability
 from .registers import (
     RegisterBlock,
@@ -42,9 +41,6 @@ __all__ = [
     "DEVICE_TYPE_SWITCH",
     "EVENT_ROUTE_CAP_ID",
     "EventRouteCapability",
-    "MULTICAST_CAP_ID",
-    "MulticastCapability",
-    "encode_op",
     "GENERAL_INFO_DWORDS",
     "MAX_READ_DWORDS",
     "PATH_TABLE_CAP_ID",

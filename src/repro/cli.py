@@ -166,17 +166,6 @@ def _trace_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _profile_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--profile", type=int, nargs="?", const=20, default=None,
-        metavar="N",
-        help="run under cProfile and dump the top N functions by "
-             "internal time to stderr (default 20)",
-    )
-    return parent
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -193,13 +182,13 @@ def _build_parser() -> argparse.ArgumentParser:
             family.kind, help=family.help,
             parents=[_topology_parent(family.topology),
                      _axes_parent(*family.axes), _sweep_parent(),
-                     _trace_parent(), _profile_parent()],
+                     _trace_parent()],
         )
 
     trace = sub.add_parser(
         "trace", help="run one traced scenario, export its timeline",
         parents=[_topology_parent("4x4 mesh"),
-                 _axes_parent(ALGORITHM, MANAGER), _profile_parent()],
+                 _axes_parent(ALGORITHM, MANAGER)],
     )
     trace.add_argument("--kind", default="discover",
                        choices=tuple(FAMILIES))
@@ -214,8 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     figure = sub.add_parser(
         "figure", help="regenerate a paper figure",
-        parents=[_axes_parent(MANAGER), _trace_parent(),
-                 _profile_parent()],
+        parents=[_axes_parent(MANAGER), _trace_parent()],
     )
     figure.add_argument("number", choices=("4", "6", "7", "8", "9"))
     figure.add_argument("--quick", action="store_true",
@@ -229,7 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser(
         "fuzz", help="fuzz scenarios, auto-shrink failures",
-        parents=[_profile_parent()],
     )
     fuzz.add_argument("--runs", type=int, default=50, metavar="N",
                       help="scenarios to sample (default 50)")
@@ -258,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser(
         "replay", help="replay the regression corpus",
-        parents=[_profile_parent()],
     )
     replay.add_argument("--corpus", metavar="DIR", default="tests/corpus",
                         help="corpus directory (default tests/corpus)")
@@ -296,25 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="a topology name, alias, or generator "
                                "spec to describe; omit to list all")
     return parser
-
-
-def _run_profiled(fn, top: int) -> int:
-    """Run ``fn`` under cProfile; dump the hot functions to stderr."""
-    import cProfile
-    import io
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        code = fn()
-    finally:
-        profiler.disable()
-        stream = io.StringIO()
-        stats = pstats.Stats(profiler, stream=stream)
-        stats.sort_stats("tottime").print_stats(top)
-        print(stream.getvalue(), file=sys.stderr)
-    return code
 
 
 # -- trace export -------------------------------------------------------------
@@ -601,8 +568,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     command = commands.get(args.command)
     if command is None:
         raise AssertionError(f"unhandled command {args.command!r}")
-    if getattr(args, "profile", None) is not None:
-        return _run_profiled(lambda: command(args), args.profile)
     if args.command in INTERRUPTIBLE:
         try:
             return command(args)

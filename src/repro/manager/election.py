@@ -14,7 +14,10 @@ a controlled flood, the standard technique for leaderless topologies
   after a small per-device jitter;
 * every device forwards announcements out of all other active ports,
   suppressing duplicates by ``(candidate DSN, sequence)`` — the flood
-  terminates even on cyclic fabrics;
+  terminates even on cyclic fabrics.  Switches have no multicast
+  forwarding hardware in this model: a PI-0 packet always goes to the
+  device's management entity, whose ``flood_handler`` re-floods it
+  with ``send_multicast``;
 * after a settle period every endpoint ranks the candidates it has
   seen: the best becomes primary, the runner-up secondary.
 

@@ -141,12 +141,11 @@ class StandbyManager:
         #: converged (routes reprogrammed, claims stamped).
         self.takeover_event: Event = self.env.event()
         self._proc = None
-        self._sync_proc = None
         self._detected_at: Optional[float] = None
         self._stopping = False
-        #: The interval Timeout the monitor is currently sleeping on.
+        #: The interval Timeouts the heartbeat and sync probes are
+        #: currently sleeping on.
         self._wait = None
-        #: The interval Timeout the sync loop is currently sleeping on.
         self._sync_wait = None
         if mode == "warm":
             primary.pi5_listeners.append(self._on_primary_event)
@@ -156,21 +155,25 @@ class StandbyManager:
         if self._proc is not None:
             raise RuntimeError("standby already started")
         self._proc = self.env.process(
-            self._monitor(), name=f"standby:{self.fm.endpoint.name}"
+            self._probe(self.heartbeat_interval, "_wait", "heartbeats_sent",
+                        self._on_heartbeat),
+            name=f"standby:{self.fm.endpoint.name}",
         )
         if self.mode == "warm":
             # Bootstrap the mirror from the primary's current database
             # (the pair is wired up while the primary is healthy).
             self._clone_primary()
-            self._sync_proc = self.env.process(
-                self._sync(), name=f"standby-sync:{self.fm.endpoint.name}"
+            self.env.process(
+                self._probe(self.sync_interval, "_sync_wait", "sync_reads",
+                            self._on_sync),
+                name=f"standby-sync:{self.fm.endpoint.name}",
             )
 
     def stop(self) -> None:
         """Shut the standby down *now*.
 
         The pending heartbeat-interval and sync timeouts are cancelled,
-        so the monitor stops immediately instead of waking once more
+        so both probes stop immediately instead of waking once more
         (and possibly sending one last heartbeat) up to a full interval
         later.  A heartbeat already in flight is left to complete; its
         reply is ignored (it can no longer touch the miss/answer
@@ -208,19 +211,30 @@ class StandbyManager:
             self._take_over()
         return self.takeover_event
 
-    # -- monitoring loop ------------------------------------------------------
-    def _monitor(self):
+    # -- probes of the primary ------------------------------------------------
+    def _probe(self, interval: float, wait: str, counter: str, on_reply):
+        """Every ``interval``, read one baseline dword of the primary and
+        hand the completion (``None`` on timeout) to ``on_reply``; ends
+        once the standby is stopped or promoted.
+
+        The heartbeat and the warm mirror's sync are both this loop.
+        The pending interval Timeout sits in the attribute named
+        ``wait`` (so :meth:`stop`, :meth:`promote` and
+        :meth:`_take_over` can cancel it), and each read counts in the
+        attribute named ``counter``.
+        """
         while not self.active and not self._stopping:
-            self._wait = self.env.timeout(self.heartbeat_interval)
-            yield self._wait
-            self._wait = None
+            timeout = self.env.timeout(interval)
+            setattr(self, wait, timeout)
+            yield timeout
+            setattr(self, wait, None)
             if self.active or self._stopping:
                 return
             reply_event = self.env.event()
             message = pi4.ReadRequest(
                 cap_id=BASELINE_CAP_ID, offset=0, tag=0, count=1,
             )
-            self.heartbeats_sent += 1
+            setattr(self, counter, getattr(self, counter) + 1)
             self.fm.send_request(
                 message, self.primary_pool, self.primary_out_port,
                 callback=lambda completion, _ctx: reply_event.succeed(
@@ -228,20 +242,27 @@ class StandbyManager:
                 ),
             )
             completion = yield reply_event
-            if self._stopping or self.active:
+            if self.active or self._stopping:
                 # Stopped or promoted (e.g. via :meth:`promote`) while
-                # the heartbeat was in flight: the late reply must not
-                # touch the miss/answer accounting.
+                # the read was in flight: the late reply must not touch
+                # the miss/answer accounting or the mirror.
                 return
-            if completion is None or not isinstance(completion,
-                                                    pi4.ReadCompletion):
-                self.misses += 1
-                if self.misses >= self.miss_threshold:
-                    self._take_over()
-                    return
-            else:
-                self.heartbeats_answered += 1
-                self.misses = 0
+            on_reply(completion)
+
+    def _on_heartbeat(self, completion) -> None:
+        if isinstance(completion, pi4.ReadCompletion):
+            self.heartbeats_answered += 1
+            self.misses = 0
+            return
+        self.misses += 1
+        if self.misses >= self.miss_threshold:
+            self._take_over()
+
+    def _on_sync(self, completion) -> None:
+        # A failed sync read is not a miss: the heartbeat owns failure
+        # detection; the mirror just stays a beat staler.
+        if isinstance(completion, pi4.ReadCompletion):
+            self._clone_primary()
 
     # -- warm mirror ----------------------------------------------------------
     def _unsubscribe(self) -> None:
@@ -271,32 +292,6 @@ class StandbyManager:
                 self.mirror.mark_port_down(event.reporter_dsn, event.port)
             except DatabaseError:
                 pass
-
-    def _sync(self):
-        while not self.active and not self._stopping:
-            self._sync_wait = self.env.timeout(self.sync_interval)
-            yield self._sync_wait
-            self._sync_wait = None
-            if self.active or self._stopping:
-                return
-            reply_event = self.env.event()
-            message = pi4.ReadRequest(
-                cap_id=BASELINE_CAP_ID, offset=0, tag=0, count=1,
-            )
-            self.sync_reads += 1
-            self.fm.send_request(
-                message, self.primary_pool, self.primary_out_port,
-                callback=lambda completion, _ctx: reply_event.succeed(
-                    completion
-                ),
-            )
-            completion = yield reply_event
-            if self.active or self._stopping:
-                return
-            if isinstance(completion, pi4.ReadCompletion):
-                self._clone_primary()
-            # A failed sync read is not a miss: the heartbeat loop owns
-            # failure detection; the mirror just stays a beat staler.
 
     def _clone_primary(self) -> None:
         """Snapshot the primary's database into the mirror."""

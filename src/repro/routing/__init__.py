@@ -1,6 +1,4 @@
-"""Source-route construction, path computation, multicast tables."""
-
-from .tables import MulticastForwardingTable, MulticastTableError
+"""Source-route construction and path computation."""
 
 from .turnpool import (
     Hop,
@@ -15,8 +13,6 @@ from .turnpool import (
 
 __all__ = [
     "Hop",
-    "MulticastForwardingTable",
-    "MulticastTableError",
     "TurnPool",
     "TurnPoolError",
     "build_turn_pool",

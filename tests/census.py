@@ -40,6 +40,12 @@ Usage::
 Groups of one ``--data`` directory can run in separate invocations (in
 parallel, too); ``--report`` classifies whatever groups it finds.  The
 whole census takes the better part of an hour on one core.
+
+The exit code is non-zero when a ``user``, ``examples`` or ``bench``
+command exits non-zero: those are what users run, so a failure is a
+broken path, not a census artefact.  A failing ``tests`` command is
+only reported — tier-1 gates itself, and a test may fail under the
+tracer alone, which slows every traced line.
 """
 
 from __future__ import annotations
@@ -363,16 +369,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--report and --group need --data")
     with tempfile.TemporaryDirectory(prefix="census-data-") as default:
         data = args.data or Path(default)
-        failed = 0
+        failed = {}
         if not args.report:
             for group in args.group or GROUPS:
-                failed += run_group(group, data)
+                failed[group] = run_group(group, data)
         if args.report or not args.group:
             args.out.write_text(render(classify(data)))
             print(f"wrote {args.out}")
-        if failed:
-            print(f"{failed} command(s) exited non-zero under the tracer")
-    return 0
+        for group, count in failed.items():
+            if count:
+                print(f"[{group}] {count} command(s) exited non-zero "
+                      "under the tracer")
+    return int(any(failed.get(group)
+                   for group in ("user", "examples", "bench")))
 
 
 if __name__ == "__main__":

@@ -60,8 +60,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: ``server.py``), and the CPU-seconds gauges of ``metrics`` cost 5
 #: more; the tap, which no longer keeps what it forwards, pays back 12,
 #: and the port counters, summed one slot at a time over a flat port
-#: list, 5.
-TOTAL_CEILING = 11_322
+#: list, 5; 11,039 once no switch carries a multicast forwarding table
+#: or capability and the FM no group manager (no user path sent a
+#: multicast packet a table could replicate: every PI-0 packet is the
+#: management entity's software flood, −238), the standby's heartbeat
+#: and mirror sync became one probe loop (−16) and ``--profile``, a
+#: copy of ``python -m cProfile``, went (−29).
+TOTAL_CEILING = 11_039
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; what is left is the callback kernel plus
 #: ``Process``/``Timeout`` for the five loop-shaped workloads; 442
@@ -73,8 +78,9 @@ SIM_CEILING = 369
 #: before PR 13, 3,071 after it; 3,064 before PR 22 shared the change
 #: protocol and the reliability totals; 3,048 before PR 24 made
 #: ``experiments/__init__.py`` a table; 2,997 while ``experiments/io.py``
-#: also saved and loaded files).
-EXPERIMENTS_AND_CLI_CEILING = 2_961
+#: also saved and loaded files; 2,961 while ``cli.py`` had its own
+#: ``--profile``).
+EXPERIMENTS_AND_CLI_CEILING = 2_932
 
 #: Code lines in ``repro/routing/graph.py``: the whole graph library
 #: of this code base, and meant to stay one screen of code.
