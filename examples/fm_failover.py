@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Election and failover: the fabric's availability story.
+"""Failover: the fabric's availability story.
 
-1. The fabric powers up and runs the distributed FM election: every
-   FM-capable endpoint floods its candidacy; priority (then DSN)
-   decides.  The winner becomes primary, the runner-up secondary.
+1. The primary FM and its standby are placed by rule: the primary on
+   the topology's FM host, the standby on the far-corner endpoint (the
+   model's stand-in for the specification's election; the same rule
+   ``repro failover`` and ``repro serve --standby`` use).
 2. The primary discovers the fabric; the secondary heartbeats it.
 3. The primary's endpoint dies.  The secondary detects the missed
    heartbeats, promotes itself, and rediscovers the fabric from its
@@ -12,54 +13,26 @@
 Run:  python examples/fm_failover.py
 """
 
-from repro import (
-    Election,
-    Environment,
-    FabricManager,
-    ManagementEntity,
-    StandbyManager,
-    make_mesh,
-    run_until_ready,
-)
-from repro.routing.paths import fabric_route
+from repro import make_mesh, run_until_ready
+from repro.experiments import build_failover_pair
 
 
 def main() -> None:
-    env = Environment()
-    spec = make_mesh(3, 3)
-    fabric = spec.build(env)
-
-    # Give two endpoints elevated election priority.
-    fabric.device("ep_0_0").fm_priority = 10
-    fabric.device("ep_2_2").fm_priority = 5
-    entities = {n: ManagementEntity(d) for n, d in fabric.devices.items()}
-    fabric.power_up()
-
-    # --- 1. election ------------------------------------------------------
-    election = Election(entities, seed=42)
-    result = env.run(until=election.run())
-    primary = fabric.device_by_dsn(result.primary_dsn)
-    secondary = fabric.device_by_dsn(result.secondary_dsn)
-    print(f"Election (consensus={result.consensus}):")
-    print(f"  primary   = {primary.name} (priority {primary.fm_priority})")
-    print(f"  secondary = {secondary.name} (priority {secondary.fm_priority})")
-
-    # --- 2. primary discovers, secondary stands by -------------------------
-    fm = FabricManager(primary, entities[primary.name], auto_start=False)
-    fm.start_discovery()
-    env.run(until=fm.ready_event)
-    print(f"\nPrimary discovery: {fm.last_stats().discovery_time * 1e3:.3f} "
-          f"ms, {len(fm.database)} devices")
-
-    standby_fm = FabricManager(
-        secondary, entities[secondary.name],
-        auto_start=False, request_timeout=0.5e-3, max_retries=0,
-    )
-    standby = StandbyManager(
-        standby_fm,
-        primary_route=fabric_route(fabric, secondary.name, primary.name),
+    # --- 1. placement -------------------------------------------------------
+    setup, standby = build_failover_pair(
+        make_mesh(3, 3), mode="cold",
         heartbeat_interval=2e-3, miss_threshold=3,
     )
+    env, fabric, primary = setup.env, setup.fabric, setup.fm.endpoint
+    print("Placement:")
+    print(f"  primary   = {primary.name} (the topology's FM host)")
+    print(f"  secondary = {standby.fm.endpoint.name} (the far-corner "
+          f"endpoint)")
+
+    # --- 2. primary discovers, secondary stands by -------------------------
+    stats = run_until_ready(setup)
+    print(f"\nPrimary discovery: {stats.discovery_time * 1e3:.3f} ms, "
+          f"{len(setup.fm.database)} devices")
     standby.start()
     env.run(until=env.now + 20e-3)
     print(f"Standby after 20 ms: {standby.heartbeats_answered} heartbeats "

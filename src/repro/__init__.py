@@ -7,7 +7,7 @@ credit-based flow control, cut-through switches, turn-pool source
 routing, device configuration spaces, and the PI-4/PI-5 management
 protocols — plus the fabric-management layer the paper studies: three
 discovery implementations (Serial Packet, Serial Device, Parallel),
-PI-5-driven change assimilation, FM election and failover, and the
+PI-5-driven change assimilation, FM failover, and the
 paper's future-work extensions (partial assimilation and collaborative
 discovery).
 
@@ -62,7 +62,6 @@ __getattr__, __dir__, __all__ = _surface(globals(), {
     "ALGORITHMS": "manager.timing",
     "CollaborativeDiscovery": "manager.discovery.distributed",
     "DiscoveryStats": "manager.discovery.base",
-    "Election": "manager.election",
     "Environment": "sim.core",
     "ExperimentResult": "experiments.runner",
     "Fabric": "fabric.fabric",

@@ -68,12 +68,13 @@ traced representative scenario in-process and exports its timeline.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Tuple
 
-from .experiments.churn import DEFAULT_MEAN_INTERVAL
+from .experiments.churn import MEAN_INTERVAL
 from .experiments.executor import run_sweep
-from .experiments.family import ALGORITHM, MANAGER, Axis, Family, report
+from .experiments.family import ALGORITHM, COUNT, MANAGER, Axis, Family, report
 from .experiments.figures import (
     figure4,
     figure6,
@@ -108,6 +109,14 @@ def _topology_arg(value: str) -> str:
         return canonical_topology_name(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _output_path(value: str) -> str:
+    """Argparse type: a file path in a directory that exists, so a
+    bad output path fails before the run instead of after it."""
+    if not os.path.isdir(os.path.dirname(value) or "."):
+        raise argparse.ArgumentTypeError(f"no directory for {value!r}")
+    return value
 
 
 # -- shared parent parsers ----------------------------------------------------
@@ -149,9 +158,9 @@ def _axes_parent(*axes: Axis) -> argparse.ArgumentParser:
 def _sweep_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--seed", type=int, default=0)
-    parent.add_argument("--seeds", type=int, default=1, metavar="N",
+    parent.add_argument("--seeds", type=COUNT, default=1, metavar="N",
                         help="run seeds seed..seed+N-1 (default 1)")
-    parent.add_argument("--jobs", type=int, default=1, metavar="N",
+    parent.add_argument("--jobs", type=COUNT, default=1, metavar="N",
                         help="worker processes (1 = in-process)")
     return parent
 
@@ -159,7 +168,7 @@ def _sweep_parent() -> argparse.ArgumentParser:
 def _trace_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
-        "--trace", metavar="PATH", default=None,
+        "--trace", type=_output_path, metavar="PATH", default=None,
         help="additionally run one traced representative scenario "
              "in-process and export its timeline as Chrome-trace JSON",
     )
@@ -194,8 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=tuple(FAMILIES))
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument("--out", metavar="PATH", required=True,
-                       help="Chrome-trace JSON output path")
-    trace.add_argument("--jsonl", metavar="PATH", default=None,
+                       type=_output_path, help="Chrome-trace JSON output path")
+    trace.add_argument("--jsonl", metavar="PATH", type=_output_path,
                        help="additionally export a JSONL event stream")
     trace.add_argument("--no-packets", action="store_true",
                        help="skip per-hop packet capture (spans and "
@@ -208,22 +217,22 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument("number", choices=("4", "6", "7", "8", "9"))
     figure.add_argument("--quick", action="store_true",
                         help="use reduced topology suites")
-    figure.add_argument("--seeds", type=int, default=1, metavar="N",
+    figure.add_argument("--seeds", type=COUNT, default=1, metavar="N",
                         help="seeds per topology for figures 6/9 "
                              "(default 1)")
-    figure.add_argument("--jobs", type=int, default=1, metavar="N",
+    figure.add_argument("--jobs", type=COUNT, default=1, metavar="N",
                         help="worker processes for the underlying sweep "
                              "(1 = in-process; figure 7 is always serial)")
 
     fuzz = sub.add_parser(
         "fuzz", help="fuzz scenarios, auto-shrink failures",
     )
-    fuzz.add_argument("--runs", type=int, default=50, metavar="N",
+    fuzz.add_argument("--runs", type=COUNT, default=50, metavar="N",
                       help="scenarios to sample (default 50)")
     fuzz.add_argument("--seed", type=int, default=0,
                       help="master seed every sampled scenario derives "
                            "from (default 0)")
-    fuzz.add_argument("--jobs", type=int, default=1, metavar="N",
+    fuzz.add_argument("--jobs", type=COUNT, default=1, metavar="N",
                       help="worker processes (1 = in-process)")
     fuzz.add_argument("--corpus", metavar="DIR", default=None,
                       help="write each failure's minimal scenario as a "
@@ -248,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument("--corpus", metavar="DIR", default="tests/corpus",
                         help="corpus directory (default tests/corpus)")
-    replay.add_argument("--jobs", type=int, default=1, metavar="N",
+    replay.add_argument("--jobs", type=COUNT, default=1, metavar="N",
                         help="worker processes (1 = in-process)")
 
     serve = sub.add_parser(
@@ -266,10 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--churn", action="store_true",
                        help="keep a fault injector disturbing the "
                             "fabric while serving")
-    serve.add_argument("--mean-interval", type=float,
-                       default=DEFAULT_MEAN_INTERVAL, metavar="SECONDS",
-                       help="mean sim-seconds between churn faults "
-                            f"(default {DEFAULT_MEAN_INTERVAL:g})")
+    _add_axis(serve, MEAN_INTERVAL)
     serve.add_argument("--standby", default=None,
                        choices=("warm", "cold"),
                        help="run a standby FM on a second endpoint so "

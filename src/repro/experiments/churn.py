@@ -29,6 +29,8 @@ from ..manager.fm import DiscoveryAborted
 from ..workloads.faults import FaultInjector
 from .family import (
     MANAGER,
+    NATURAL,
+    POSITIVE,
     Axis,
     Column,
     Family,
@@ -236,11 +238,11 @@ def churn_verdict(result):
     return None
 
 
-FAULTS = Axis("faults", "--faults", DEFAULT_FAULTS, "faults", type=int,
+FAULTS = Axis("faults", "--faults", DEFAULT_FAULTS, "faults", type=NATURAL,
               help=f"faults injected per run (default {DEFAULT_FAULTS})")
 MEAN_INTERVAL = Axis(
     "mean_interval", "--mean-interval", DEFAULT_MEAN_INTERVAL,
-    "mean_interval", type=float, metavar="SECONDS",
+    "mean_interval", type=POSITIVE, metavar="SECONDS",
     help=f"mean seconds between faults (default {DEFAULT_MEAN_INTERVAL:g})",
 )
 

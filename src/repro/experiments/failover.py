@@ -42,6 +42,8 @@ from .churn import (
 )
 from .family import (
     ALGORITHM,
+    COUNT,
+    POSITIVE,
     Axis,
     Column,
     Family,
@@ -312,11 +314,11 @@ FAMILY = Family(
                 help="mean seconds between churn faults (default "
                      f"{DEFAULT_MEAN_INTERVAL:g})"),
         Axis("heartbeat_interval", "--heartbeat", DEFAULT_HEARTBEAT,
-             "heartbeat_interval", type=float, metavar="SECONDS",
+             "heartbeat_interval", type=POSITIVE, metavar="SECONDS",
              help="standby heartbeat probe interval (default "
                   f"{DEFAULT_HEARTBEAT:g})"),
         Axis("miss_threshold", "--miss-threshold", DEFAULT_MISS_THRESHOLD,
-             "miss_threshold", type=int,
+             "miss_threshold", type=COUNT,
              help="consecutive missed heartbeats before takeover "
                   f"(default {DEFAULT_MISS_THRESHOLD})"),
         Axis("restart_primary", "--restart-primary", False,

@@ -32,6 +32,26 @@ def first(values: Sequence):
     return values[0]
 
 
+def checked(kind: Callable, ok: Callable, what: str) -> Callable:
+    """An argparse ``type=``: ``kind(text)``, refused unless ``ok`` of
+    it, so an out-of-range number is a usage error naming its flag
+    before anything runs."""
+    def number(text: str):
+        if ok(value := kind(text)):
+            return value
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"{text} is not {what}")
+    return number
+
+
+#: The ranges of the CLI's numeric flags (a NaN is in none of them).
+FRACTION = checked(float, lambda x: 0 <= x <= 1, "in [0, 1]")
+PROBABILITY = checked(float, lambda x: 0 <= x < 1, "in [0, 1)")
+POSITIVE = checked(float, lambda x: x > 0, "positive")
+COUNT = checked(int, lambda n: n >= 1, "at least 1")
+NATURAL = checked(int, lambda n: n >= 0, "at least 0")
+
+
 @dataclass(frozen=True)
 class Axis:
     """One setting of a family: a CLI flag, its default, and the

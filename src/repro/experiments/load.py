@@ -41,6 +41,7 @@ from ..workloads.traffic import (
     TrafficSpec,
 )
 from .family import (
+    FRACTION,
     MANAGER,
     Axis,
     Column,
@@ -251,7 +252,7 @@ FAMILY = Family(
                   "strict-priority bypass VC, mixed = everything on one "
                   "VC (repeatable; default both)"),
         Axis("loads", "--load", DEFAULT_LOADS, None, swept=True,
-             type=float, metavar="FRACTION", pick=max,
+             type=FRACTION, metavar="FRACTION", pick=max,
              help="offered load per endpoint to sweep, in [0, 1] "
                   "(repeatable; default: %s; keep 0 in the list — it is "
                   "the inflation baseline)"

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from ..fabric.params import DEFAULT_PARAMS
 from .family import (
     MANAGER,
+    PROBABILITY,
     Axis,
     Column,
     Family,
@@ -135,7 +136,7 @@ FAMILY = Family(
     title="Discovery under loss on {topology} ({runs} runs)",
     axes=(
         Axis("bit_error_rates", "--ber", DEFAULT_BIT_ERROR_RATES, None,
-             swept=True, type=float, metavar="RATE", pick=max,
+             swept=True, type=PROBABILITY, metavar="RATE", pick=max,
              help="bit error rate to sweep (repeatable; default: %s)"
                   % ", ".join(f"{r:g}" for r in DEFAULT_BIT_ERROR_RATES)),
         algorithms_swept(),

@@ -37,7 +37,7 @@ from ..fabric.params import DEFAULT_PARAMS, FabricParams
 from ..manager.fm import MANAGER_KINDS
 from ..manager.timing import ALGORITHMS, PARALLEL, ProcessingTimeModel
 from ..topology.spec import TopologySpec
-from .family import ALGORITHM, MANAGER, Axis, Family
+from .family import ALGORITHM, MANAGER, POSITIVE, Axis, Family
 from .runner import (
     ExperimentResult,
     SimulationSetup,
@@ -408,9 +408,9 @@ FAMILIES = _Families(
         axes=(
             ALGORITHM,
             MANAGER,
-            Axis("fm_factor", "--fm-factor", 1.0, None, type=float),
+            Axis("fm_factor", "--fm-factor", 1.0, None, type=POSITIVE),
             Axis("device_factor", "--device-factor", 1.0, None,
-                 type=float),
+                 type=POSITIVE),
         ),
         compose=_discover_timing,
         record=_discover_record,

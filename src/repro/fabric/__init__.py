@@ -14,7 +14,6 @@ from .packet import (
     PI_APPLICATION,
     PI_DEVICE_MANAGEMENT,
     PI_EVENT,
-    PI_MULTICAST,
     Packet,
     make_management_header,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "PI_APPLICATION",
     "PI_DEVICE_MANAGEMENT",
     "PI_EVENT",
-    "PI_MULTICAST",
     "Packet",
     "PacketHop",
     "PacketTracer",

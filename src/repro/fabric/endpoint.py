@@ -19,15 +19,13 @@ class Endpoint(Device):
     type_code = DEVICE_TYPE_ENDPOINT
     kind = "endpoint"
 
-    __slots__ = ("fm_capable", "fm_priority")
+    __slots__ = ("fm_capable",)
 
     def __init__(self, env, name, dsn, nports, params,
-                 fm_capable: bool = True, fm_priority: int = 0):
+                 fm_capable: bool = True):
         super().__init__(env, name, dsn, nports, params)
-        #: Whether this endpoint may be elected fabric manager.
+        #: Whether this endpoint may host a fabric manager.
         self.fm_capable = fm_capable
-        #: Election priority advertised in the baseline capability.
-        self.fm_priority = fm_priority
         self.config_space.add(PathTableCapability())
 
     def handle_rx(self, packet: Packet, port: Port, vc_index: int,

@@ -60,14 +60,12 @@ class Fabric:
         )
 
     def add_endpoint(self, name: str, nports: Optional[int] = None,
-                     fm_capable: bool = True,
-                     fm_priority: int = 0) -> Endpoint:
+                     fm_capable: bool = True) -> Endpoint:
         """Create an endpoint."""
         nports = self.params.endpoint_ports if nports is None else nports
         return self._register(
             Endpoint(self.env, name, next(self._dsn_counter), nports,
-                     self.params, fm_capable=fm_capable,
-                     fm_priority=fm_priority)
+                     self.params, fm_capable=fm_capable)
         )
 
     def connect(self, a: str, a_port: int, b: str, b_port: int) -> Link:

@@ -18,8 +18,6 @@ from .crc import crc32
 from .header import HEADER_BYTES, HeaderError, RouteHeader
 
 # -- Protocol Interface numbers ---------------------------------------------
-#: Multicast / path-building protocol (PI-0).
-PI_MULTICAST = 0
 #: Device configuration and control protocol (PI-4): the read/write
 #: requests and completions the discovery process is built from.
 PI_DEVICE_MANAGEMENT = 4

@@ -1,13 +1,10 @@
 """Fabric switch elements: multiplexed virtual cut-through switches.
 
-A switch routes unicast packets by turn pool (forward or backward, see
+A switch routes every packet by turn pool (forward or backward, see
 :mod:`repro.routing.turnpool`) after a fixed routing latency, acting on
 the packet head (virtual cut-through).  Packets whose forward turn
 pointer has reached zero are addressed *to* the switch itself — that is
-how the fabric manager reads a switch's configuration space.  Multicast
-packets (PI-0) have no hardware path: every one is delivered to the
-switch's management entity, whose software flood replicates it (the FM
-election's announcements are the only multicast traffic).
+how the fabric manager reads a switch's configuration space.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ from __future__ import annotations
 from ..capability import DEVICE_TYPE_SWITCH
 from ..routing.turnpool import TurnPoolError, route_step
 from .device import Device
-from .packet import PI_MULTICAST, Packet
+from .packet import Packet
 from .port import Port
 
 
@@ -34,11 +31,9 @@ class Switch(Device):
             Port.release_input(packet)
             return
         header = packet.header
-        if header.pi == PI_MULTICAST or (header.direction == 0
-                                         and header.turn_pointer == 0):
-            # A multicast packet goes to the management entity's
-            # software flood; a unicast one whose forward route is
-            # exhausted is for this switch.
+        if header.direction == 0 and header.turn_pointer == 0:
+            # The forward route is exhausted: the packet is for this
+            # switch.
             self.consume(packet, port, tail_lag)
             return
         self.env.call_later(self.params.routing_latency, self._route,

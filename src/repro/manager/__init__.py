@@ -2,7 +2,7 @@
 
 Provides the fabric manager, its topology database, the processing
 time model of Fig. 4, the three discovery implementations of section 3,
-and the availability machinery (election, failover), plus the
+the standby that takes over when the primary fails, and the
 future-work collaborative discovery extension.  Partial assimilation
 is a value the fabric manager is built with
 (``FabricManager(assimilation="partial")``).
@@ -13,7 +13,6 @@ from .. import _surface
 __getattr__, __dir__, __all__ = _surface(globals(), {
     "ALGORITHMS": "timing",
     "ALGORITHM_CLASSES": "discovery",
-    "Candidacy": "election",
     "ClaimingParallelDiscovery": "discovery.distributed",
     "CollaborativeDiscovery": "discovery.distributed",
     "CollaborativeStats": "discovery.distributed",
@@ -23,9 +22,6 @@ __getattr__, __dir__, __all__ = _surface(globals(), {
     "Difference": "consistency",
     "DiscoveryAborted": "fm",
     "DiscoveryStats": "discovery.base",
-    "Election": "election",
-    "ElectionAgent": "election",
-    "ElectionResult": "election",
     "FabricManager": "fm",
     "FailoverReport": "failover",
     "PARALLEL": "timing",

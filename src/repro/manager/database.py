@@ -41,7 +41,6 @@ class DeviceRecord:
     type_code: int
     nports: int
     fm_capable: bool = False
-    fm_priority: int = 0
     #: Port of this device on which FM requests arrive (None for the
     #: FM's own endpoint).
     ingress_port: Optional[int] = None

@@ -307,7 +307,6 @@ class DiscoveryAlgorithm:
             type_code=info["type_code"],
             nports=info["nports"],
             fm_capable=info["fm_capable"],
-            fm_priority=info["fm_priority"],
             ingress_port=arrival,
             route_hops=target.hops,
             out_port=target.out_port if target.out_port is not None else 0,

@@ -21,9 +21,8 @@ Protocol implemented here:
   into the primary's endpoint, modelling the merge traffic), and the
   primary assembles the union.
 
-Routes between the collaborators are assumed to have been established
-during the election phase (the election flood gives every endpoint a
-path to every candidate); the coordinator provides them explicitly.
+Routes between the collaborators are assumed known before the walk
+starts; the coordinator provides them explicitly.
 """
 
 from __future__ import annotations

@@ -1,7 +1,11 @@
 """Fabric-manager failover.
 
 "If the primary FM fails, the secondary one takes over" (paper,
-section 2).  The secondary runs in standby: it periodically reads one
+section 2).  Where the spec runs an election to pick the pair, this
+model places them by rule: the primary on the topology's FM host, the
+standby on the far-corner endpoint
+(:func:`repro.experiments.failover.build_failover_pair`).  The
+secondary runs in standby: it periodically reads one
 dword of the primary's baseline capability (a heartbeat built from the
 same PI-4 machinery as discovery).  After ``miss_threshold``
 consecutive heartbeats time out, the standby promotes itself.

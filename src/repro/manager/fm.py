@@ -184,12 +184,12 @@ class FabricManager:
         self._enabled = auto_start
         #: Ownership epoch (the claim-capability generation this FM
         #: stamps when fencing is on).  A promoted standby runs at the
-        #: old primary's epoch + 1; see :mod:`repro.manager.election`.
+        #: old primary's epoch + 1; see :mod:`repro.manager.failover`.
         self.epoch = 1
         #: Split-brain fencing: after every clean full discovery, read
         #: each device's claim capability and stamp it with this FM's
-        #: epoch.  Observing a *newer* epoch means a later election was
-        #: won by someone else — this FM demotes itself instead of
+        #: epoch.  Observing a *newer* epoch means another FM took
+        #: over since — this FM demotes itself instead of
         #: reprogramming event routes.  Off by default (fencing costs
         #: packets and would perturb the paper-faithful measurements).
         self.fence_ownership = fence_ownership
@@ -222,8 +222,8 @@ class FabricManager:
         self.processing_packets = 0
 
         #: The retrying transaction layer.  Tags are salted with the
-        #: endpoint's serial number so concurrent FMs (failover,
-        #: election) never collide in the responders' duplicate caches.
+        #: endpoint's serial number so concurrent FMs (a primary and
+        #: its standby) never collide in the responders' duplicate caches.
         self.engine = TransactionEngine(
             self.env, entity, self.counters,
             max_retries=max_retries,
@@ -956,7 +956,7 @@ class FabricManager:
         """Fence this FM off: it stops acting as a manager for good.
 
         Called when the FM observes a claim from a newer ownership
-        epoch (it lost an election round it never saw — the classic
+        epoch (a standby took over while it was gone — the classic
         resurrected-old-primary case) or loses a same-epoch duel to a
         higher-ranked candidate.  Outstanding transactions are
         cancelled, further PI-5 events are ignored, and a pending
@@ -999,9 +999,8 @@ class FabricManager:
         written, so a resurrected old primary discovers it was deposed
         (some device carries a newer generation) before it can clobber
         a single claim of the new primary.  A same-epoch foreign claim
-        is a duel: the election tie-break (higher DSN wins) decides —
-        the loser demotes, the winner advances one epoch (an implicit
-        new election round) and re-stamps, which overwrites the loser's
+        is a duel: the higher DSN wins — the loser demotes, the winner
+        advances one epoch and re-stamps, which overwrites the loser's
         claims everywhere.
         """
         finish = then if then is not None else self._program_event_routes

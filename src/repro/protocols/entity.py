@@ -17,8 +17,7 @@ quantity scaled by the *FM processing factor*.
 
 The entity also implements PI-5 emission: when a local port changes
 state it sends an event to the FM along the route stored in the
-event-route capability, and it exposes a multicast hook used by the
-election protocol's controlled flood.
+event-route capability.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from ..fabric.packet import (
     PI_APPLICATION,
     PI_DEVICE_MANAGEMENT,
     PI_EVENT,
-    PI_MULTICAST,
     Packet,
     make_management_header,
 )
@@ -72,8 +70,6 @@ class ManagementEntity:
         #: ``packet_cost(packet) -> float`` and
         #: ``handle_management_packet(packet, port) -> None``.
         self.manager = None
-        #: Handler for multicast packets: ``handler(packet, port)``.
-        self.flood_handler: Optional[Callable[[Packet, Optional[Port]], None]] = None
         #: Handler for encapsulated application data.  Application
         #: packets cost the management entity nothing — they are
         #: consumed by the host, not the management firmware.
@@ -222,11 +218,6 @@ class ManagementEntity:
                 self.stats.incr("unexpected_completions"
                                 if pi == PI_DEVICE_MANAGEMENT
                                 else "events_without_manager")
-        elif pi == PI_MULTICAST:
-            if self.flood_handler is not None:
-                self.flood_handler(packet, port)
-            else:
-                self.stats.incr("multicast_without_handler")
         elif pi == PI_APPLICATION:
             self.stats.incr("app_packets")
             if self.app_handler is not None:
@@ -363,27 +354,3 @@ class ManagementEntity:
             return
         if self._emit_event(event):
             self.stats.incr("pi5_repeats")
-
-    # -- multicast emission -----------------------------------------------
-    def send_multicast(self, payload: bytes, tc: int = MANAGEMENT_TC,
-                       exclude_port: Optional[int] = None) -> int:
-        """Flood a multicast packet out of every up port.
-
-        Returns the number of copies sent.  Used by the election
-        protocol; loop suppression is the flood handler's job.
-        """
-        sent = 0
-        for port in self.device.ports:
-            if exclude_port is not None and port.index == exclude_port:
-                continue
-            if not port.is_up:
-                continue
-            header = make_management_header(
-                0, 0, pi=PI_MULTICAST, tc=tc,
-            )
-            packet = Packet(header=header, payload=payload,
-                            src=self.device.name, created_at=self.env.now)
-            self.device.inject(packet, port.index)
-            sent += 1
-        self.stats.incr("multicast_sent", sent)
-        return sent

@@ -11,9 +11,9 @@ This module owns the requester side of that recovery:
 
 * **Transaction IDs** — every outstanding request gets a unique tag
   (the PI-4 ``tag`` dword).  Tags are salted per requester so that two
-  fabric managers alive at once (failover, election) never reuse each
-  other's tags, which would defeat duplicate suppression at the
-  responders.
+  fabric managers alive at once (a primary and its standby) never
+  reuse each other's tags, which would defeat duplicate suppression at
+  the responders.
 * **Adaptive timeouts** — :class:`TimeoutPolicy` derives a per-request
   timeout from the route length encoded in the turn pool and the
   Fig. 4 processing-time model, floored at the requester's configured

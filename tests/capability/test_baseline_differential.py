@@ -37,8 +37,7 @@ def outcome(call, *args):
 
 def device(kind="switch", nports=16, **fields):
     """A device as the capability sees one: attributes, nothing else.
-    A switch has no ``fm_capable`` / ``fm_priority`` at all, like the
-    real one."""
+    A switch has no ``fm_capable`` at all, like the real one."""
     state = dict(
         type_code=2 if kind == "switch" else 1,
         ports=[SimpleNamespace(is_up=False, error_count=0)
@@ -47,7 +46,7 @@ def device(kind="switch", nports=16, **fields):
         vendor_id=0xA51, device_id=1, capability_version=0x0100,
     )
     if kind == "endpoint":
-        state.update(fm_capable=True, fm_priority=0)
+        state.update(fm_capable=True)
     state.update(fields)
     return SimpleNamespace(**state)
 
@@ -59,8 +58,7 @@ def devices(draw):
     fields = dict(active=draw(st.booleans()),
                   dsn=draw(st.integers(0, (1 << 64) - 1)))
     if kind == "endpoint":
-        fields.update(fm_capable=draw(st.booleans()),
-                      fm_priority=draw(st.integers(0, 0xFFFFFFFF)))
+        fields.update(fm_capable=draw(st.booleans()))
     state = device(kind, nports, **fields)
     for port in state.ports:
         port.is_up = draw(st.booleans())
@@ -181,12 +179,11 @@ class TestDecodersAgree:
             reference.decode_port_status(dword)
 
     def test_a_rendered_block_decodes_to_the_device(self):
-        state = device("endpoint", 4, dsn=0xFEED_0000_BEEF, fm_priority=9,
-                       active=False)
+        state = device("endpoint", 4, dsn=0xFEED_0000_BEEF, active=False)
         state.ports[2].is_up = True
         block = BaselineCapability(state).read(0, 8)
         info = decode_general_info(block)
         assert info == reference.decode_general_info(block)
-        assert (info["dsn"], info["nports"], info["fm_priority"],
-                info["active"], info["fm_capable"]) == (
-            0xFEED_0000_BEEF, 4, 9, False, True)
+        assert (info["dsn"], info["nports"], info["active"],
+                info["fm_capable"]) == (0xFEED_0000_BEEF, 4, False, True)
+        assert block[5] == 0  # reserved

@@ -82,6 +82,40 @@ class TestCli:
             main([])
 
 
+#: Each out-of-range input a command once ran on — with a traceback,
+#: after the run, or on a silently substituted value — and the flag
+#: its usage error must name.
+BAD_INPUTS = [
+    (["load", "--load", "1.5"], "--load"),
+    (["load", "--load", "-0.1"], "--load"),
+    (["load", "--seeds", "0"], "--seeds"),
+    (["load", "--seeds", "-3"], "--seeds"),
+    (["load", "--jobs", "0"], "--jobs"),
+    (["reliability", "--ber", "2"], "--ber"),
+    (["failover", "--heartbeat", "-1"], "--heartbeat"),
+    (["failover", "--miss-threshold", "0"], "--miss-threshold"),
+    (["discover", "--fm-factor", "0"], "--fm-factor"),
+    (["discover", "--device-factor", "-1"], "--device-factor"),
+    (["churn", "--faults", "-2"], "--faults"),
+    (["fuzz", "--runs", "-1"], "--runs"),
+    (["trace", "--out", "/nonexistent/x.json"], "--out"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_INPUTS,
+                         ids=[" ".join(argv) for argv, _ in BAD_INPUTS])
+def test_out_of_range_input_is_a_usage_error(argv, flag, capsys):
+    """Refused at parse time: exit 2, an ``error:`` naming the flag,
+    nothing run and nothing printed to stdout."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: argument {flag}: " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 class TestFuzzCli:
     def test_fuzz_clean_run_exits_zero(self, capsys):
         assert main(["fuzz", "--runs", "4", "--seed", "0"]) == 0

@@ -63,7 +63,7 @@ class TestRecords:
 
     def test_copy_is_deep_ports_included(self):
         rec = switch_record(1, route_hops=[Hop(16, 0, 5)], ingress_port=0,
-                            out_port=2, fm_capable=True, fm_priority=3)
+                            out_port=2, fm_capable=True)
         rec.port(3).up = True
         rec.port(3).neighbor_dsn = 9
         clone = rec.copy()

@@ -1,6 +1,6 @@
 """The same-epoch fencing duel: two FMs that both believe they own the
-fabric at one epoch meet in each other's claims, and the election
-tie-break (higher DSN wins) decides."""
+fabric at one epoch meet in each other's claims, and the higher DSN
+wins."""
 
 import dataclasses
 

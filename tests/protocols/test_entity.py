@@ -242,17 +242,6 @@ def test_fm_endpoint_sees_its_own_port_events(rig):
     assert manager.local_events[0].up is False
 
 
-def test_multicast_flood_reaches_neighbor(rig):
-    env, fabric, entities = rig
-    got = []
-    entities["sw"].flood_handler = lambda packet, port: got.append(
-        (packet.payload, port.index if port else None)
-    )
-    entities["ep"].send_multicast(b"HELLO")
-    env.run()
-    assert got == [(b"HELLO", 3)]
-
-
 def test_manager_cost_serializes_completions(rig):
     """FM processing time is charged per completion, serially."""
     env, fabric, entities = rig
@@ -280,14 +269,17 @@ class TestEntityEdgeCases:
         assert entities["sw"].stats["pi4_decode_errors"] == 1
 
     def test_unknown_pi_counted(self, rig):
+        """No PI the entity does not serve has a handler — PI 0 included,
+        since nothing in the model speaks the multicast protocol."""
         env, fabric, entities = rig
         from repro.fabric.header import RouteHeader
         from repro.fabric.packet import Packet
 
-        header = RouteHeader(pi=0x77, tc=7, ts=1, turn_pointer=0)
-        fabric.device("ep").inject(Packet(header=header, payload=b"?"))
-        env.run()
-        assert entities["sw"].stats["unknown_pi"] == 1
+        for count, pi in enumerate((0x77, 0), start=1):
+            header = RouteHeader(pi=pi, tc=7, ts=1, turn_pointer=0)
+            fabric.device("ep").inject(Packet(header=header, payload=b"?"))
+            env.run()
+            assert entities["sw"].stats["unknown_pi"] == count
 
     def test_completion_without_manager_counted(self, rig):
         env, fabric, entities = rig
@@ -300,14 +292,6 @@ class TestEntityEdgeCases:
         fabric.device("ep").inject(Packet(header=header, payload=payload))
         env.run()
         assert entities["sw"].stats["unexpected_completions"] == 1
-
-    def test_multicast_exclude_port(self, rig):
-        env, fabric, entities = rig
-        # The switch has one up port (3, to ep); excluding it sends 0.
-        sent = entities["sw"].send_multicast(b"x", exclude_port=3)
-        assert sent == 0
-        sent = entities["sw"].send_multicast(b"x")
-        assert sent == 1
 
     def test_app_packets_cost_nothing(self, rig):
         env, fabric, entities = rig

@@ -20,7 +20,7 @@ Layout used by this model::
     dword 1-2 : device serial number (DSN), high/low
     dword 3   : vendor id (16) | device id (16)
     dword 4   : capability version
-    dword 5   : FM election priority (endpoints only; 0 otherwise)
+    dword 5   : reserved, reads 0
     dword 6 + 2*p : port p status  [state:2][width:6][speed:8][rsvd:16]
     dword 7 + 2*p : port p error counter
 
@@ -107,7 +107,7 @@ class BaselineCapability:
         if offset == 4:
             return device.capability_version
         if offset == 5:
-            return getattr(device, "fm_priority", 0)
+            return 0
         # Port blocks.
         rel = offset - GENERAL_INFO_DWORDS
         port_index, word = divmod(rel, PORT_BLOCK_DWORDS)
@@ -160,7 +160,6 @@ def decode_general_info(dwords: List[int]) -> dict:
         "vendor_id": get_field(dwords[3], 16, 16),
         "device_id": get_field(dwords[3], 0, 16),
         "capability_version": dwords[4],
-        "fm_priority": dwords[5],
     }
 
 

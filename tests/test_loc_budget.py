@@ -65,8 +65,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: multicast packet a table could replicate: every PI-0 packet is the
 #: management entity's software flood, −238), the standby's heartbeat
 #: and mirror sync became one probe loop (−16) and ``--profile``, a
-#: copy of ``python -m cProfile``, went (−29).
-TOTAL_CEILING = 11_039
+#: copy of ``python -m cProfile``, went (−29); 10,869 once the FM
+#: election went with the PI-0 path only it used — the candidacy flood,
+#: ``PI_MULTICAST`` and the election priority (−190; the primary and
+#: the standby are placed by rule, as every user path already did) —
+#: and the CLI's numeric flags gained their range checks (+20).
+TOTAL_CEILING = 10_869
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; what is left is the callback kernel plus
 #: ``Process``/``Timeout`` for the five loop-shaped workloads; 442
@@ -79,8 +83,11 @@ SIM_CEILING = 369
 #: protocol and the reliability totals; 3,048 before PR 24 made
 #: ``experiments/__init__.py`` a table; 2,997 while ``experiments/io.py``
 #: also saved and loaded files; 2,961 while ``cli.py`` had its own
-#: ``--profile``).
-EXPERIMENTS_AND_CLI_CEILING = 2_932
+#: ``--profile``; 2,932 before the numeric flags were range-checked at
+#: parse time — ``family.checked`` and its five ranges, the output-path
+#: check and their imports, less ``serve``'s second ``--mean-interval``
+#: declaration, now the churn family's axis).
+EXPERIMENTS_AND_CLI_CEILING = 2_952
 
 #: Code lines in ``repro/routing/graph.py``: the whole graph library
 #: of this code base, and meant to stay one screen of code.

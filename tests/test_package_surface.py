@@ -24,11 +24,13 @@ SRC = REPO / "src"
 #: assimilation is ``FabricManager(assimilation="partial")``) and the
 #: experiments' file helpers ``load_results`` / ``load_spec`` /
 #: ``save_results`` / ``save_spec`` (deleted since: no user path wrote
-#: or read a file through them).
+#: or read a file through them), less the election's ``Election`` /
+#: ``ElectionAgent`` / ``ElectionResult`` / ``Candidacy`` (deleted since:
+#: the primary and the standby are placed by rule, not elected).
 SURFACE_AT_PARENT = {
     "repro": [
         "ALGORITHMS", "CollaborativeDiscovery", "DiscoveryStats",
-        "Election", "Environment", "ExperimentResult", "Fabric",
+        "Environment", "ExperimentResult", "Fabric",
         "FabricManager", "FabricParams", "FaultInjector",
         "ManagementEntity", "PARALLEL", "PacketTracer",
         "ProcessingTimeModel", "RunFailure", "SERIAL_DEVICE",
@@ -60,12 +62,11 @@ SURFACE_AT_PARENT = {
         "write_corpus",
     ],
     "repro.manager": [
-        "ALGORITHMS", "ALGORITHM_CLASSES", "Candidacy",
+        "ALGORITHMS", "ALGORITHM_CLASSES",
         "ClaimingParallelDiscovery", "CollaborativeDiscovery",
         "CollaborativeStats", "ConsistencyReport", "DatabaseError",
         "DeviceRecord", "Difference", "DiscoveryAborted",
-        "DiscoveryStats", "Election",
-        "ElectionAgent", "ElectionResult", "FabricManager",
+        "DiscoveryStats", "FabricManager",
         "FailoverReport", "PARALLEL", "ParallelDiscovery",
         "PortRecord",
         "ProcessingTimeModel", "SERIAL_DEVICE", "SERIAL_PACKET",
