@@ -90,8 +90,10 @@ class FailoverResult:
     #: mirror falls back to "cold").
     takeover_mode: str
     missed_heartbeats: int
-    #: Seconds from the kill to the standby noticing (heartbeats).
-    detection_latency: float
+    #: Seconds from the kill to the standby noticing (heartbeats);
+    #: ``None`` when the standby took over before the kill, so there
+    #: was no kill to detect.
+    detection_latency: Optional[float]
     #: Seconds from detection to a converged topology under the new FM.
     recovery_time: float
     #: Port-state differences the warm verify pass repaired.
@@ -243,7 +245,6 @@ def run_failover_experiment(scenario, tracer=None) -> FailoverResult:
     if tracer is not None:
         tracer.finalize(setup)
     audit = audit_topology(setup.fabric, standby.fm)
-    detection = report.detection_latency
     return FailoverResult(
         topology=spec.name,
         family=spec.family,
@@ -256,7 +257,7 @@ def run_failover_experiment(scenario, tracer=None) -> FailoverResult:
         faults=churn_faults,
         takeover_mode=report.mode,
         missed_heartbeats=report.missed_heartbeats,
-        detection_latency=detection if detection is not None else 0.0,
+        detection_latency=report.detection_latency,
         recovery_time=report.recovery_time,
         repairs=report.repairs,
         mirror_syncs=standby.mirror_syncs,

@@ -3,7 +3,8 @@
 One function per table/figure of the paper's evaluation section; each
 returns ``(data, text)`` where ``data`` is plain Python (dicts/lists,
 ready for any plotting front end) and ``text`` is the rendered ASCII
-reproduction printed by the corresponding bench.
+reproduction ``repro figure`` prints.  ``tests/claims.py`` checks the
+paper's statements against ``data``.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..analysis.model import PipelineModel, expected_packets
+from ..analysis.model import PipelineModel
 from ..manager.timing import ALGORITHMS, ProcessingTimeModel
 from ..topology.spec import TopologySpec
-from ..topology.table1 import table1_rows, table1_suite, table1_topology
+from ..topology.table1 import table1_rows, table1_topology
 from .report import render_kv, render_series, render_table
 from .runner import ExperimentResult
 from .scenario import Scenario
@@ -239,47 +240,3 @@ def figure9(topologies: Optional[Sequence[TopologySpec]] = None,
             )
         )
     return data, "\n\n".join(texts)
-
-
-# -- section 4.1 statements ---------------------------------------------------
-
-def overhead_comparison(
-    topologies: Optional[Sequence[TopologySpec]] = None,
-) -> Tuple[dict, str]:
-    """S1: management packets/bytes are (near) identical across the
-    algorithms — the paper omits the plot for this reason."""
-    topologies = list(topologies) if topologies else [
-        table1_topology(n) for n in ("3x3 mesh", "4x4 torus",
-                                     "4-port 3-tree", "8-port 2-tree")
-    ]
-    rows = []
-    data = []
-    for spec in topologies:
-        per_algo = {}
-        for algorithm in ALGORITHMS:
-            stats = Scenario(kind="discover", topology=spec,
-                             algorithm=algorithm).run()
-            per_algo[algorithm] = stats
-        expected = expected_packets(spec)
-        rows.append([
-            spec.name,
-            expected,
-            *[per_algo[a].requests_sent for a in ALGORITHMS],
-            *[per_algo[a].total_bytes for a in ALGORITHMS],
-        ])
-        data.append({
-            "topology": spec.name,
-            "expected_requests": expected,
-            "requests": {a: per_algo[a].requests_sent for a in ALGORITHMS},
-            "bytes": {a: per_algo[a].total_bytes for a in ALGORITHMS},
-        })
-    text = render_table(
-        ["Topology", "model",
-         "req(SP)", "req(SD)", "req(P)",
-         "bytes(SP)", "bytes(SD)", "bytes(P)"],
-        rows,
-    )
-    return data, (
-        "S1. Management packets/bytes per discovery "
-        "(identical across algorithms)\n" + text
-    )

@@ -1,7 +1,8 @@
 """Plain-text rendering of experiment tables and series.
 
-The benches regenerate the paper's tables and figures as ASCII; these
-helpers keep the formatting consistent and dependency-free.
+``repro table1`` and ``repro figure`` print the paper's tables and
+figures as ASCII; these helpers keep the formatting consistent and
+dependency-free.
 """
 
 from __future__ import annotations

@@ -130,8 +130,8 @@ class Scenario:
         ``kind="load"``.  ``None`` means idle — a load scenario with
         no traffic runs the plain change protocol bit-identically.
     fm_options:
-        Extra keyword arguments for the FM constructor (ablation
-        switches such as ``arrival_clears_timeout``).
+        Extra keyword arguments for the FM constructor (such as
+        ``parallel_window``).
     """
 
     kind: str = "discover"

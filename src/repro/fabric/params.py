@@ -38,8 +38,9 @@ class FabricParams:
     vc_count: int = 2
     #: Virtual-channel types per VC index ("bvc", "ovc", or "mvc").
     #: Empty tuple = all BVCs (the default; management packets rely on
-    #: BVC bypass queues for their priority).  Used by the ablation
-    #: benches to study what the VC design buys.
+    #: BVC bypass queues for their priority).  The single-OVC ablation
+    #: (A1 of ``tests/claims.py``) uses it to study what the VC design
+    #: buys.
     vc_types: Tuple[str, ...] = ()
     #: TC -> VC mapping table (indexed by the 3-bit traffic class).
     #: Default: application classes 0-3 on VC0, management classes on

@@ -124,7 +124,6 @@ class FabricManager:
                  request_timeout: float = 1e-3,
                  max_retries: int = 3,
                  auto_start: bool = True,
-                 arrival_clears_timeout: bool = True,
                  parallel_window: Optional[int] = None,
                  max_discovery_restarts: int = 8,
                  restart_backoff: float = 0.0,
@@ -146,12 +145,6 @@ class FabricManager:
         self.algorithm_key = algorithm
         #: ``"full"`` or ``"partial"`` (see :data:`MANAGER_KINDS`).
         self.assimilation = assimilation
-        #: Whether a completion reaching the FM endpoint clears its
-        #: request timer even while it waits in the FM's serial
-        #: processing queue.  Disabling this reproduces a retry storm
-        #: under the Parallel algorithm on large fabrics (the FM's own
-        #: backlog exceeds the timeout) — kept as an ablation switch.
-        self.arrival_clears_timeout = arrival_clears_timeout
         #: Optional bound on the Parallel algorithm's outstanding
         #: requests (None = unbounded, the paper's Fig. 3).
         self.parallel_window = parallel_window
@@ -364,9 +357,13 @@ class FabricManager:
     def note_packet_arrival(self, packet: Packet) -> None:
         """Called by the entity when a management packet is enqueued at
         the FM endpoint (before the FM's serial processing), decoded:
-        an undecodable one names no request and clears no timer."""
+        an undecodable one names no request and clears no timer.  The
+        timer is cleared here, at arrival, not once the FM has
+        processed the completion: under the Parallel algorithm the FM's
+        own backlog on a large fabric outlasts the timeout, and timing
+        it would retry requests already answered."""
         message = packet.message
-        if message is not None and self.arrival_clears_timeout:
+        if message is not None:
             self.engine.note_arrival(message.tag)
 
     def _active_stats(self) -> Optional[DiscoveryStats]:

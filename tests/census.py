@@ -1,6 +1,6 @@
 """Line census: which lines of ``src/`` does anything but a test reach?
 
-Runs four groups of commands in a scratch copy of the repository, each
+Runs three groups of commands in a scratch copy of the repository, each
 child interpreter under a standard-library line tracer, and classifies
 every code line of ``src/repro`` (the rule of ``test_loc_budget.py``:
 a line carrying a non-comment token, docstrings excluded) by the first
@@ -14,11 +14,10 @@ group that reaches it:
     workloads;
 ``examples``
     every script in ``examples/``;
-``bench``
-    ``pytest benchmarks/`` with ``REPRO_BENCH_QUICK=1``;
 ``tests``
     the tier-1 suite (``pytest tests/``, without ``-x``: a test that
-    fails under the tracer still reports what it reached).
+    fails under the tracer still reports what it reached), which
+    includes the paper's claims (``tests/test_claims.py``).
 
 A line no group reaches is reached by *nothing*.  A statement spread
 over several lines is owned by its first line: all of its code lines
@@ -41,8 +40,8 @@ Groups of one ``--data`` directory can run in separate invocations (in
 parallel, too); ``--report`` classifies whatever groups it finds.  The
 whole census takes the better part of an hour on one core.
 
-The exit code is non-zero when a ``user``, ``examples`` or ``bench``
-command exits non-zero: those are what users run, so a failure is a
+The exit code is non-zero when a ``user`` or ``examples`` command
+exits non-zero: those are what users run, so a failure is a
 broken path, not a census artefact.  A failing ``tests`` command is
 only reported — tier-1 gates itself, and a test may fail under the
 tracer alone, which slows every traced line.
@@ -66,7 +65,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO))
 from tests.test_loc_budget import code_line_numbers  # noqa: E402
 
-GROUPS = ("user", "examples", "bench", "tests")
+GROUPS = ("user", "examples", "tests")
 
 #: The tracer every child interpreter loads.  ``CENSUS_SRC`` is the
 #: ``src/`` directory whose files count; ``CENSUS_OUT`` the directory
@@ -245,9 +244,6 @@ def commands(group: str, work: Path) -> List[List[str]]:
     if group == "examples":
         return [[sys.executable, str(path)]
                 for path in sorted((work / "examples").glob("*.py"))]
-    if group == "bench":
-        return [[sys.executable, "-m", "pytest", "-q", "-p",
-                 "no:cacheprovider", "benchmarks", "--benchmark-disable"]]
     if group == "tests":
         return [[sys.executable, "-m", "pytest", "-q", "-p",
                  "no:cacheprovider", "tests"]]
@@ -274,8 +270,6 @@ def run_group(group: str, data: Path) -> int:
             PYTHONPATH=os.pathsep.join([str(site), str(work / "src")]),
             CENSUS_SRC=str(work / "src"), CENSUS_OUT=str(out),
         )
-        if group == "bench":
-            env["REPRO_BENCH_QUICK"] = "1"
         for argv in commands(group, work):
             print(f"[{group}] {' '.join(argv[1:])}", flush=True)
             code = subprocess.run(argv, cwd=work, env=env,
@@ -320,8 +314,8 @@ def classify(data: Path) -> Dict[str, Dict[str, int]]:
 
 def render(table: Dict[str, Dict[str, int]]) -> str:
     columns = ("code",) + GROUPS + ("none",)
-    heads = ("module", "code", "user", "+examples", "+bench",
-             "tests only", "none", "user %")
+    heads = ("module", "code", "user", "+examples", "tests only", "none",
+             "user %")
     total = {c: sum(row[c] for row in table.values()) for c in columns}
 
     def line(name, row):
@@ -338,8 +332,8 @@ def render(table: Dict[str, Dict[str, int]]) -> str:
         "A line is counted under the first group that reaches it:",
         "`user` (every CLI command incl. the CI smokes, the two CI",
         "service smokes, the five `perf/run.py` workloads), then",
-        "`examples/`, then quick `benchmarks/`, then tier-1 (`tests",
-        "only`); `none` is reached by nothing.  Code lines follow",
+        "`examples/`, then tier-1 (`tests only`, the paper's claims",
+        "included); `none` is reached by nothing.  Code lines follow",
         "`tests/test_loc_budget.py`; a multi-line statement is owned by",
         "its first line.",
         "",
@@ -380,8 +374,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if count:
                 print(f"[{group}] {count} command(s) exited non-zero "
                       "under the tracer")
-    return int(any(failed.get(group)
-                   for group in ("user", "examples", "bench")))
+    return int(any(failed.get(group) for group in ("user", "examples")))
 
 
 if __name__ == "__main__":

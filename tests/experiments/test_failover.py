@@ -34,6 +34,22 @@ class TestColdTakeover:
         assert result.audit_ok
 
 
+class TestTakeoverBeforeTheKill:
+    def test_no_kill_to_detect_is_no_detection_latency(self):
+        # Churn on the standby's heartbeat route promotes it while the
+        # primary still lives on seeds 0-2; seeds 3 and 4 detect the
+        # kill.  The mean averages the detections that happened.
+        results = sweep_family(FAMILY, resolve_topology("3x3 mesh"),
+                               modes=("cold",), seeds=range(5))
+        latency = {r.seed: r.detection_latency for r in results}
+        assert latency[1] is None
+        measured = [t for t in latency.values() if t is not None]
+        assert len(measured) == 2 and min(measured) > 0
+        row, = summarize(FAMILY, results)
+        assert row["mean_detection_latency"] == pytest.approx(
+            sum(measured) / len(measured))
+
+
 class TestWarmTakeover:
     def test_uses_the_mirror_and_converges_on_mesh16(self):
         result = run_failover(

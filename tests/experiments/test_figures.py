@@ -9,7 +9,6 @@ from repro.experiments.figures import (
     figure8,
     figure9,
     figure_table1,
-    overhead_comparison,
 )
 from repro.experiments.io import spec_to_dict
 from repro.experiments.scenario import Scenario
@@ -168,10 +167,3 @@ class TestFigureBuilders:
         assert data["c"]["fm_factor"] == 4.0
         assert "Fig. 9(c)" in text
 
-    def test_overhead_comparison_small(self):
-        data, text = overhead_comparison(topologies=SMALL)
-        for row in data:
-            requests = set(row["requests"].values())
-            assert len(requests) == 1  # identical across algorithms
-            assert row["expected_requests"] in requests
-        assert "S1." in text

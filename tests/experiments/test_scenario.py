@@ -30,7 +30,7 @@ def _full_scenario() -> Scenario:
         verify_sample=1,
         max_discovery_restarts=4,
         restart_backoff=1e-4,
-        fm_options={"arrival_clears_timeout": True},
+        fm_options={"parallel_window": 4},
     )
 
 
@@ -206,7 +206,7 @@ class TestDocumentIsolation:
         from repro.topology import make_irregular
         topology = spec_to_dict(make_irregular(4, extra_links=1,
                                                switch_ports=8, seed=2))
-        options = {"arrival_clears_timeout": True}
+        options = {"parallel_window": 4}
         scenario = Scenario(kind="discover", topology=topology,
                             fm_options=options)
         before = scenario.to_dict()
@@ -331,6 +331,6 @@ class TestFmOptionsRouting:
 
     def test_reliability_accepts_real_fm_option(self):
         scenario = Scenario(kind="reliability", topology="4-port 2-tree",
-                            fm_options={"arrival_clears_timeout": True})
+                            fm_options={"parallel_window": 4})
         result = scenario.run()
         assert result.database_correct

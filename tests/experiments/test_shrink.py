@@ -25,7 +25,7 @@ FULL = Scenario(
     manager="partial", seed=17, faults=6, mean_interval=2e-3,
     verify_sample=3,
     timing=ProcessingTimeModel(fm_factor=2.0, device_factor=0.5),
-    fm_options={"arrival_clears_timeout": False},
+    fm_options={"parallel_window": 4},
 )
 
 

@@ -50,7 +50,7 @@ SURFACE_AT_PARENT = {
         "build_failover_pair", "build_simulation",
         "database_matches_fabric", "evaluate_scenario",
         "fig4_measurements", "plan",
-        "render", "render_kv", "render_phase_breakdown", "render_plot",
+        "render", "render_kv", "render_phase_breakdown",
         "render_series", "render_table", "replay_corpus",
         "run_churn_experiment", "run_failover_experiment", "run_fuzz",
         "run_load_experiment", "run_many", "run_reliability_experiment",
