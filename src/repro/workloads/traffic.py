@@ -9,8 +9,9 @@ through the fabric." (section 4.1)
 This workload lets us *test* that claim instead of assuming it.  A
 :class:`TrafficSpec` describes one fabric-wide application workload —
 offered load, packet size, traffic class, arrival process, destination
-pattern — and :class:`TrafficGenerator` realizes it as one flow process
-per active endpoint:
+pattern — and :class:`TrafficGenerator` realizes it as one arrival
+chain per active endpoint: a callback that injects one packet and
+re-arms itself with ``env.call_later`` for the next arrival:
 
 * **arrival processes** — ``poisson`` (memoryless, the classic open
   model), ``constant`` (a fixed inter-arrival clock), ``bursty``
@@ -29,12 +30,19 @@ An offered load of 0 is a valid spec meaning "idle": the generator
 schedules nothing and draws no random numbers, so a load-0 run is
 bit-identical to one without a generator at all — the property the
 golden determinism tests pin.
+
+``stop()`` ends every chain at its next arrival, and ``start()`` after
+a ``stop()`` begins a fresh set of chains (new routes, a new pattern
+draw) at the generator's original load: a chain started before the
+restart never injects again.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields, replace
+from functools import partial
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from ..fabric.fabric import Fabric
@@ -42,6 +50,7 @@ from ..fabric.header import RouteHeader
 from ..fabric.packet import PI_APPLICATION, Packet
 from ..fabric.params import APPLICATION_TC
 from ..routing.paths import fabric_endpoint_routes
+from ..sim.events import URGENT
 from ..sim.monitor import Counter
 
 #: Supported arrival processes.
@@ -52,6 +61,12 @@ PATTERNS = ("uniform", "permutation", "hotspot")
 
 #: Schema tag embedded in every serialized spec.
 TRAFFIC_SCHEMA = "repro/traffic/v1"
+
+#: The generator's tallies: integer attributes of the same names,
+#: bumped inline per packet by the sources and the sinks, and read as
+#: one ``Counter`` through :attr:`TrafficGenerator.counters`.
+TALLIES = ("packets_injected", "bytes_injected", "packets_delivered",
+           "bytes_delivered", "latency_ns_total")
 
 
 @dataclass(frozen=True)
@@ -145,7 +160,7 @@ class TrafficSpec:
 
 
 class TrafficGenerator:
-    """Realize a :class:`TrafficSpec` as per-endpoint flow processes.
+    """Realize a :class:`TrafficSpec` as per-endpoint arrival chains.
 
     Implements the workload lifecycle of :mod:`repro.workloads`
     (``start``/``stop``/``stats``/``describe``).  Legacy keyword
@@ -167,11 +182,17 @@ class TrafficGenerator:
         self.env = fabric.env
         self.seed = seed
         self.rng = random.Random(seed)
-        self.counters = Counter()
+        self.packets_injected = self.bytes_injected = 0
+        self.packets_delivered = self.bytes_delivered = 0
+        #: Delivery latency in integer nanoseconds, so every tally
+        #: stays integral (``Counter``'s contract) without losing
+        #: resolution.
+        self.latency_ns_total = 0
         self.started_at: Optional[float] = None
         self.stopped_at: Optional[float] = None
-        self._running = False
-        self._procs = []
+        #: The token of the current ``start()``'s chains (``None`` while
+        #: stopped): an arrival carrying any other ends its chain.
+        self._chain: Optional[object] = None
         #: Per-source route tables computed from ground truth.
         self._routes: Dict[str, Dict[str, Tuple]] = {}
         #: pattern="permutation": fixed partner per source.
@@ -209,21 +230,32 @@ class TrafficGenerator:
     @property
     def running(self) -> bool:
         """Whether sources are currently injecting packets."""
-        return self._running
+        return self._chain is not None
+
+    @property
+    def counters(self) -> Counter:
+        """Snapshot of the tallies that have counted: built on read
+        from the integer attributes, so changing it changes nothing."""
+        return Counter((key, value) for key in TALLIES
+                       if (value := getattr(self, key)))
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
         """Begin injecting traffic from every active endpoint.
 
-        With ``load=0`` this is a no-op: no process is scheduled and no
+        With ``load=0`` this is a no-op: nothing is scheduled and no
         random number is drawn, so the simulation's event stream is
-        bit-identical to a run without a generator.
+        bit-identical to a run without a generator.  After a
+        :meth:`stop` it starts new chains under a new token; the
+        stopped ones stay ended, so a restart offers the spec's load,
+        not twice it.  Each chain's first arrival is drawn by a
+        zero-delay URGENT callback, the slot a process's start took.
         """
-        if self._running:
+        if self._chain is not None:
             raise RuntimeError("traffic generator already running")
         if not self.spec.enabled:
             return
-        self._running = True
+        chain = self._chain = object()
         self.started_at = self.env.now
         sources: List = []
         for endpoint in self.fabric.endpoints():
@@ -236,22 +268,20 @@ class TrafficGenerator:
             sources.append(endpoint)
         self._assign_pattern([ep.name for ep in sources])
         for endpoint in sources:
-            self._procs.append(
-                self.env.process(
-                    self._source(endpoint),
-                    name=f"traffic:{endpoint.name}",
-                )
-            )
+            self.env.schedule_callback(
+                0.0, self._source(endpoint, chain), URGENT)
 
     def stop(self) -> None:
-        """Stop all sources (takes effect at their next arrival)."""
-        if self._running:
+        """Stop all sources: each chain ends at its next arrival,
+        injecting nothing more, so the heap drains.  A later
+        :meth:`start` begins new chains; these never resume."""
+        if self._chain is not None:
             self.stopped_at = self.env.now
-        self._running = False
+        self._chain = None
 
     def stats(self) -> dict:
         """Counters plus derived offered/delivered rates."""
-        result = dict(self.counters.asdict())
+        result = self.counters.asdict()
         result["offered_load"] = self.spec.load
         until = (self.stopped_at if self.stopped_at is not None
                  else self.env.now)
@@ -269,12 +299,13 @@ class TrafficGenerator:
             "workload": "traffic",
             "spec": self.spec.to_dict(),
             "seed": self.seed,
-            "running": self._running,
+            "running": self.running,
         }
 
     # -- pattern wiring ------------------------------------------------------
     def _assign_pattern(self, sources: List[str]) -> None:
         """Draw the pattern's fixed randomness once, at start time."""
+        self._partners.clear()  # a restart's sources and routes are new
         pattern = self.spec.pattern
         if pattern == "permutation" and len(sources) >= 2:
             # A single random cycle over the sources: shuffle, then
@@ -292,68 +323,76 @@ class TrafficGenerator:
         elif pattern == "hotspot" and sources:
             self._hotspot = self.rng.choice(sorted(sources))
 
-    def _pick_destination(self, source: str, destinations) -> str:
-        pattern = self.spec.pattern
-        if pattern == "permutation":
-            partner = self._partners.get(source)
-            if partner is not None:
-                return partner
-        elif pattern == "hotspot":
-            hotspot = self._hotspot
-            if (hotspot is not None and hotspot != source
-                    and hotspot in self._routes[source]
-                    and self.rng.random() < self.spec.hotspot_fraction):
-                return hotspot
-        return self.rng.choice(destinations)
+    def _picker(self, source: str, destinations):
+        """The destination draw of one source, as a callable: its fixed
+        partner, a hotspot-or-uniform draw, or a uniform draw."""
+        partner = self._partners.get(source)
+        if partner is not None:
+            return lambda: partner
+        choice = partial(self.rng.choice, destinations)
+        hotspot = self._hotspot
+        if (hotspot is None or hotspot == source
+                or hotspot not in self._routes[source]):
+            return choice
+        fraction, draw = self.spec.hotspot_fraction, self.rng.random
+        return lambda: hotspot if draw() < fraction else choice()
 
     # -- arrival processes ---------------------------------------------------
     def _gaps(self):
-        """Generator of inter-arrival gaps for one source."""
-        arrival = self.spec.arrival
+        """Iterator of inter-arrival gaps for one source."""
         mean = self.mean_interarrival
-        if arrival == "constant":
-            while True:
-                yield mean
-        elif arrival == "poisson":
-            expovariate = self.rng.expovariate
-            rate = 1.0 / mean
-            while True:
-                yield expovariate(rate)
-        else:  # bursty: geometric on/off with the same long-run load
-            packet_time = self.packet_time
-            burst_mean = self.spec.burst_length
-            # Mean silence balancing `burst_mean` back-to-back packets
-            # so the long-run average stays `load`.
-            off_mean = max(burst_mean * (mean - packet_time), 1e-12)
-            continue_p = 1.0 - 1.0 / burst_mean
-            while True:
-                yield self.rng.expovariate(1.0 / off_mean)
-                # The burst's remaining packets follow at line rate.
-                while self.rng.random() < continue_p:
-                    yield packet_time
+        if self.spec.arrival == "constant":
+            return repeat(mean)
+        if self.spec.arrival == "poisson":
+            # Endless: ``expovariate`` never returns the ``None`` sentinel.
+            return iter(partial(self.rng.expovariate, 1.0 / mean), None)
+        return self._bursty_gaps(mean)
 
-    # -- the flow process ----------------------------------------------------
-    def _source(self, endpoint):
+    def _bursty_gaps(self, mean: float):
+        """Geometric on/off gaps with the same long-run load."""
+        packet_time = self.packet_time
+        burst_mean = self.spec.burst_length
+        # Mean silence balancing `burst_mean` back-to-back packets
+        # so the long-run average stays `load`.
+        off_mean = max(burst_mean * (mean - packet_time), 1e-12)
+        continue_p = 1.0 - 1.0 / burst_mean
+        while True:
+            yield self.rng.expovariate(1.0 / off_mean)
+            # The burst's remaining packets follow at line rate.
+            while self.rng.random() < continue_p:
+                yield packet_time
+
+    # -- the arrival chain ---------------------------------------------------
+    def _source(self, endpoint, chain):
+        """The start callback of one source's arrival chain.
+
+        Each arrival injects one packet and re-arms itself with the
+        next gap, in the slot (time, NORMAL, sequence number) a process
+        sleeping on ``env.timeout(gap)`` would have taken, and the
+        random draws come in the order the process made them.
+        """
+        call_later = self.env.call_later
         routes = self._routes[endpoint.name]
-        destinations = sorted(routes)
-        incr = self.counters.incr
-        packet_bytes = self.spec.packet_bytes
-        tc = self.spec.tc
-        for gap in self._gaps():
-            yield self.env.timeout(gap)
-            if not self._running or not endpoint.active:
+        pick = self._picker(endpoint.name, sorted(routes))
+        gaps = self._gaps()
+        # Immutable, so every packet of the source carries the one copy.
+        payload = bytes(self.spec.packet_bytes)
+        size, tc = len(payload), self.spec.tc
+
+        def arrive():
+            if self._chain is not chain or not endpoint.active:
                 return
-            dst = self._pick_destination(endpoint.name, destinations)
-            pool, out_port = routes[dst]
-            header = RouteHeader(
-                pi=PI_APPLICATION, tc=tc,
-                turn_pointer=pool.bits, turn_pool=pool.pool,
-            )
-            packet = Packet(header=header, payload=bytes(packet_bytes),
-                            src=endpoint.name, created_at=self.env.now)
-            endpoint.inject(packet, port_index=out_port)
-            incr("packets_injected")
-            incr("bytes_injected", packet_bytes)
+            pool, out_port = routes[pick()]
+            header = RouteHeader(pi=PI_APPLICATION, tc=tc,
+                                 turn_pointer=pool.bits, turn_pool=pool.pool)
+            # ``inject`` stamps the source and the creation time.
+            endpoint.inject(Packet(header=header, payload=payload),
+                            port_index=out_port)
+            self.packets_injected += 1
+            self.bytes_injected += size
+            call_later(next(gaps), arrive)
+
+        return lambda handle: call_later(next(gaps), arrive)
 
     # -- delivery accounting -------------------------------------------------
     def attach_sinks(self, entities) -> None:
@@ -364,16 +403,14 @@ class TrafficGenerator:
         Delivery latency is accumulated from each packet's
         ``created_at`` stamp.
         """
-        incr = self.counters.incr
         env = self.env
         packet_bytes = self.spec.packet_bytes
-        # Latency is tallied in integer nanoseconds so the Counter
-        # stays integral (its contract) without losing resolution.
+
         def sink(packet, port):
-            incr("packets_delivered")
-            incr("bytes_delivered", packet_bytes)
-            incr("latency_ns_total",
-                 int((env.now - packet.created_at) * 1e9))
+            self.packets_delivered += 1
+            self.bytes_delivered += packet_bytes
+            self.latency_ns_total += int(
+                (env.now - packet.created_at) * 1e9)
 
         for endpoint in self.fabric.endpoints():
             entity = entities.get(endpoint.name)

@@ -158,6 +158,17 @@ class TestGoldenLoadScenario:
         assert first["database_correct"] is True
 
 
+class _SetupCapture:
+    """A tracer that only keeps the simulation the run builds (through
+    the ``install`` hook), so a test can read its kernel afterwards."""
+
+    def install(self, setup):
+        self.setup = setup
+
+    def finalize(self, setup):
+        pass
+
+
 class TestContendedOrderExactness:
     """Runs whose ports are contended — queues non-empty, credits
     blocking, same-instant ties everywhere — pinned to the values the
@@ -167,13 +178,20 @@ class TestContendedOrderExactness:
     timestamp but reorders one tie moves these."""
 
     def test_loaded_mesh_bit_identical(self):
+        """Also pins the kernel's own counts: each application arrival
+        takes exactly the heap slot — and draws exactly the sequence
+        number — that a generator process's ``Timeout`` held."""
+        capture = _SetupCapture()
         result = Scenario(kind="load", topology="4x4 mesh",
-                          traffic={"load": 0.6}, seed=0).run()
+                          traffic={"load": 0.6}, seed=0).run(tracer=capture)
         assert result.discovery_time == 0.004340286862069136
         assert result.assimilation_time == 0.004051717059895854
         assert result.packets_injected == 78254
         assert result.packets_delivered == 66934
         assert result.database_correct is True
+        vitals = capture.setup.env.vitals()
+        assert vitals["events_executed"] == 988_193
+        assert vitals["sequence_numbers_drawn"] == 1_409_654
 
     def test_bursty_hotspot_on_mixed_mapping_bit_identical(self):
         """Management queues behind application packets on one VC."""

@@ -12,17 +12,20 @@ benchmark workload, so the selection has a number on each side.  The
 same count, taken over the files a packet passes through *off* the
 wire and divided by the requests opened, is what a PI-4 transaction
 costs the host — with its two exact companions: one decode per
-delivered packet, four message objects per transaction.
+delivered packet, four message objects per transaction.  The same count
+over a whole loaded change run, divided by the application packets its
+sources injected, is what the traffic plane costs per packet.
 
 ``python tests/experiments/test_scale.py`` prints the calls per
-transmission and per transaction function by function and the
-direct-send shares (CI does, so the trajectory is readable from the
-logs).
+transmission, per transaction and per application packet function by
+function and the direct-send shares (CI does, so the trajectory is
+readable from the logs).
 """
 
 import os
 import sys
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -73,6 +76,14 @@ OFF_WIRE = tuple(name.replace("/", os.sep) for name in (
 #: and the FM asked once), plus 5%.
 PYTHON_CALLS_PER_TRANSACTION_CEILING = 61.5
 
+#: Python calls inside ``repro`` per application packet injected on a
+#: loaded 3x3-mesh change run (load 0.4, seed 0), the whole run counted
+#: — discovery, fault and reassimilation included: measured 60.92
+#: (935,982 calls for 15,363 packets; 69.57 while each traffic source
+#: was a generator process woken by a ``Timeout`` per packet and the
+#: generator's tallies went through ``Counter.incr``), plus 5%.
+PYTHON_CALLS_PER_APPLICATION_PACKET_CEILING = 64.0
+
 #: Share of ``Port.send`` calls transmitted directly (not pushed onto a
 #: VC queue), as ``(at least, at most)`` per benchmark workload:
 #: measured 99.4 / 95.4 / 95.3% on the three ``fig6_change`` algorithms,
@@ -85,10 +96,9 @@ DIRECT_SHARE = {
 }
 
 
-def mesh_discovery_calls():
-    """``(calls by (file, function), transmissions)`` of the 8x8-mesh
-    parallel discovery, counting calls inside ``repro`` only."""
-    setup = build_simulation(make_mesh(8, 8), algorithm="parallel")
+def repro_calls(run) -> tuple:
+    """``(calls by (file, function), result)`` of ``run()``, counting
+    calls inside ``repro`` only."""
     package = os.path.dirname(repro.__file__) + os.sep
     calls = Counter()
 
@@ -101,15 +111,32 @@ def mesh_discovery_calls():
     previous = sys.getprofile()
     sys.setprofile(count_repro_calls)
     try:
-        run_until_ready(setup)
+        result = run()
     finally:
         sys.setprofile(previous)
+    return calls, result
+
+
+def mesh_discovery_calls():
+    """``(calls by (file, function), transmissions)`` of the 8x8-mesh
+    parallel discovery, counting calls inside ``repro`` only."""
+    setup = build_simulation(make_mesh(8, 8), algorithm="parallel")
+    calls, _ = repro_calls(partial(run_until_ready, setup))
     transmissions = sum(
         port.tx_packets
         for device in setup.fabric.devices.values()
         for port in device.ports
     )
     return calls, transmissions
+
+
+def application_packet_calls():
+    """``(calls by (file, function), application packets injected)``
+    of a whole loaded 3x3-mesh change run, inside ``repro`` only."""
+    calls, result = repro_calls(Scenario(
+        kind="load", topology="3x3 mesh", traffic={"load": 0.4},
+        seed=0).run)
+    return calls, result.packets_injected
 
 
 def off_wire_calls(calls) -> tuple:
@@ -258,6 +285,16 @@ class TestTransactionCost:
         assert messages == 4 * transactions
 
 
+class TestApplicationPacketCost:
+    def test_loaded_mesh_stays_under_the_per_packet_ceiling(self):
+        calls, injected = application_packet_calls()
+        assert injected == 15_363
+        per_packet = sum(calls.values()) / injected
+        assert per_packet <= PYTHON_CALLS_PER_APPLICATION_PACKET_CEILING, (
+            f"{per_packet:.2f} Python calls inside repro per application "
+            f"packet (ceiling {PYTHON_CALLS_PER_APPLICATION_PACKET_CEILING})")
+
+
 class TestDirectSendShare:
     @pytest.mark.parametrize("workload", sorted(DIRECT_SHARE))
     def test_share_of_sends_that_never_queue(self, workload):
@@ -286,6 +323,14 @@ if __name__ == "__main__":
             print(f"{count / opened:7.2f}  {filename}:{function}")
     print(f"{sum(off_wire.values()) / opened:7.2f}  total "
           f"(ceiling {PYTHON_CALLS_PER_TRANSACTION_CEILING})")
+    table, injected = application_packet_calls()
+    print(f"Python calls inside repro per application packet, loaded "
+          f"3x3-mesh change run ({injected:,} packets)")
+    for (filename, function), count in table.most_common():
+        if count * 100 >= injected:  # 0.01 per packet and up
+            print(f"{count / injected:7.2f}  {filename}:{function}")
+    print(f"{sum(table.values()) / injected:7.2f}  total "
+          f"(ceiling {PYTHON_CALLS_PER_APPLICATION_PACKET_CEILING})")
     print("Sends transmitted directly, per benchmark workload (seed 0)")
     for name in DIRECT_SHARE:
         sends, queued = direct_send_share(name)

@@ -77,7 +77,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 TOTAL_CEILING = 10_759
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; what is left is the callback kernel plus
-#: ``Process``/``Timeout`` for the five loop-shaped workloads; 442
+#: ``Process``/``Timeout`` for the four loop-shaped workloads; 442
 #: while ``Environment.now`` was a property; 439 while ``Counter``
 #: built closures and ``Tally`` lived here; 379 while ``Event.fail``
 #: did).

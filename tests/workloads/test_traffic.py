@@ -112,6 +112,32 @@ class TestTrafficGenerator:
         with pytest.raises(RuntimeError):
             gen.start()
 
+    def test_restart_offers_the_load_once(self):
+        """``stop()`` then ``start()`` replaces the sources instead of
+        adding to them: the stopped chains never inject again, so the
+        restarted generator offers the spec's load, not twice it (the
+        bug this pins measured 959 packets against 619)."""
+        def injected(restart_at):
+            setup = build_simulation(make_mesh(3, 3), auto_start=False)
+            gen = TrafficGenerator(setup.fabric, load=0.2, seed=1)
+            gen.start()
+            if restart_at is not None:
+                setup.env.run(until=restart_at)
+                gen.stop()
+                gen.start()
+                assert gen.running
+            setup.env.run(until=0.4e-3)
+            gen.stop()
+            stopped = gen.counters["packets_injected"]
+            setup.env.run()  # every chain ends: the heap drains
+            assert setup.env.peek() == float("inf")
+            assert gen.counters["packets_injected"] == stopped
+            return stopped
+
+        plain = injected(None)
+        assert plain == 619
+        assert abs(injected(0.2e-3) - plain) <= 0.1 * plain
+
     def test_idle_generator_is_a_true_noop(self):
         """load=0 schedules nothing and draws no random numbers, so the
         event stream is bit-identical to a run without a generator."""
@@ -193,6 +219,26 @@ class TestArrivalsAndPatterns:
         # A cycle: every source has a distinct partner, never itself.
         assert len(set(partners)) == len(sources)
         assert all(p != s for s, p in zip(sources, partners))
+
+    def test_restart_draws_partners_for_the_new_routes(self):
+        """A restart after a partition keeps no partner of the old
+        cycle: a source whose new successor is out of reach falls back
+        to uniform draws instead of sending to a stale partner that its
+        new routes no longer hold."""
+        setup = build_simulation(make_mesh(1, 4), auto_start=False)
+        gen = TrafficGenerator(setup.fabric, load=0.3,
+                               pattern="permutation", seed=1)
+        gen.start()
+        assert gen._partners["ep_0_0"] == "ep_0_2"
+        setup.env.run(until=1e-5)
+        gen.stop()
+        setup.fabric.fail_link("sw_0_1", "sw_0_2")
+        gen.start()
+        assert "ep_0_0" not in gen._partners
+        assert all(partner in gen._routes[source]
+                   for source, partner in gen._partners.items())
+        setup.env.run(until=1e-4)
+        assert gen.counters["packets_injected"] > 0
 
     def test_hotspot_concentrates_on_one_victim(self):
         setup = build_simulation(make_mesh(3, 3), auto_start=False)
