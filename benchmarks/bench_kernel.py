@@ -4,8 +4,9 @@
 Four measurements, from the inside out:
 
 * ``events_per_s`` — raw kernel throughput: processes yielding timers,
-  nothing else.  Exercises ``Environment.step``/``schedule`` and
-  ``Timeout`` construction.
+  nothing else.  Exercises the ``Environment.run`` dispatch loop,
+  ``Environment.timeout`` (a plain ``Event`` pushed on the heap) and
+  the ``Environment.process`` callback trampoline.
 * ``cancel_churn_per_s`` — schedule/cancel pairs against a deep heap of
   pending timers.  Exercises ``Environment.cancel`` (the lazy-tombstone
   path) and tombstone compaction.

@@ -10,6 +10,17 @@ dword of the primary's baseline capability (a heartbeat built from the
 same PI-4 machinery as discovery).  After ``miss_threshold``
 consecutive heartbeats time out, the standby promotes itself.
 
+The heartbeat (and the warm mirror's sync read) follows a source route
+to the primary computed when the pair is built.  A warm standby
+re-resolves it from its mirror once the primary's PI-5 tee marks a
+port on it down, so churn on the route does not read as a dead
+primary; otherwise the route never changes.  A cold standby has no
+mirror to re-resolve from and keeps the route it was built with, so
+churn that cuts it still promotes a cold standby early.
+
+Both probes, the warm takeover and its convergence and fencing polls
+are chains of callbacks and timers.
+
 Two takeover modes:
 
 ``cold``
@@ -43,7 +54,7 @@ fabric (see :meth:`~repro.manager.fm.FabricManager.demote`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..capability import (
     BASELINE_CAP_ID,
@@ -53,8 +64,9 @@ from ..capability import (
     port_block_offset,
 )
 from ..protocols import pi4, pi5
-from ..routing.turnpool import TurnPool
-from ..sim.events import Event
+from ..routing.paths import PathError, db_route
+from ..routing.turnpool import TurnPool, TurnPoolError, route_step
+from ..sim.events import URGENT, Event
 from .database import DatabaseError, TopologyDatabase
 from .discovery.base import DiscoveryStats
 from .fm import FabricManager
@@ -144,11 +156,10 @@ class StandbyManager:
         #: Triggers with a :class:`FailoverReport` once a takeover has
         #: converged (routes reprogrammed, claims stamped).
         self.takeover_event: Event = self.env.event()
-        self._proc = None
+        self._started = False
         self._detected_at: Optional[float] = None
         self._stopping = False
-        #: The interval Timeouts the heartbeat and sync probes are
-        #: currently sleeping on.
+        #: The heartbeat and sync probes' latest interval timers.
         self._wait = None
         self._sync_wait = None
         if mode == "warm":
@@ -156,22 +167,17 @@ class StandbyManager:
 
     def start(self) -> None:
         """Begin monitoring the primary."""
-        if self._proc is not None:
+        if self._started:
             raise RuntimeError("standby already started")
-        self._proc = self.env.process(
-            self._probe(self.heartbeat_interval, "_wait", "heartbeats_sent",
-                        self._on_heartbeat),
-            name=f"standby:{self.fm.endpoint.name}",
-        )
+        self._started = True
+        self._probe(self.heartbeat_interval, "_wait", "heartbeats_sent",
+                    self._on_heartbeat)
         if self.mode == "warm":
             # Bootstrap the mirror from the primary's current database
             # (the pair is wired up while the primary is healthy).
             self._clone_primary()
-            self.env.process(
-                self._probe(self.sync_interval, "_sync_wait", "sync_reads",
-                            self._on_sync),
-                name=f"standby-sync:{self.fm.endpoint.name}",
-            )
+            self._probe(self.sync_interval, "_sync_wait", "sync_reads",
+                        self._on_sync)
 
     def stop(self) -> None:
         """Shut the standby down *now*.
@@ -187,14 +193,8 @@ class StandbyManager:
         takeover leaves ``takeover_event`` untriggered forever.
         """
         self._stopping = True
-        for attr in ("_wait", "_sync_wait"):
-            wait = getattr(self, attr)
-            if wait is not None and not wait.triggered:
-                # The generator stays suspended on the cancelled event
-                # forever; it holds no simulation resources and
-                # schedules nothing further.
-                self.env.cancel(wait)
-                setattr(self, attr, None)
+        self._cancel("_wait")
+        self._cancel("_sync_wait")
         self._unsubscribe()
 
     def note_primary_failure(self, time: Optional[float] = None) -> None:
@@ -209,49 +209,54 @@ class StandbyManager:
         returns ``takeover_event``.  A no-op if already active.
         """
         if not self.active and not self._stopping:
-            if self._wait is not None and not self._wait.triggered:
-                self.env.cancel(self._wait)
-                self._wait = None
+            self._cancel("_wait")
             self._take_over()
         return self.takeover_event
 
     # -- probes of the primary ------------------------------------------------
-    def _probe(self, interval: float, wait: str, counter: str, on_reply):
+    def _probe(self, interval: float, wait: str, counter: str,
+               on_reply) -> None:
         """Every ``interval``, read one baseline dword of the primary and
         hand the completion (``None`` on timeout) to ``on_reply``; ends
         once the standby is stopped or promoted.
 
-        The heartbeat and the warm mirror's sync are both this loop.
-        The pending interval Timeout sits in the attribute named
-        ``wait`` (so :meth:`stop`, :meth:`promote` and
-        :meth:`_take_over` can cancel it), and each read counts in the
-        attribute named ``counter``.
+        The heartbeat and the warm mirror's sync are both this chain of
+        callbacks, started in an URGENT slot now.  The pending interval
+        timer sits in the attribute named ``wait`` (so :meth:`stop`,
+        :meth:`promote` and :meth:`_take_over` can cancel it), and
+        each read counts in the attribute named ``counter``.
         """
-        while not self.active and not self._stopping:
-            timeout = self.env.timeout(interval)
-            setattr(self, wait, timeout)
-            yield timeout
-            setattr(self, wait, None)
-            if self.active or self._stopping:
-                return
-            reply_event = self.env.event()
+        def sleep(_handle=None) -> None:
+            if not (self.active or self._stopping):
+                setattr(self, wait, self.env.schedule_callback(interval, read))
+
+        def read(_handle) -> None:
+            reply = self.env.event()
+            reply.callbacks.append(replied)
             message = pi4.ReadRequest(
                 cap_id=BASELINE_CAP_ID, offset=0, tag=0, count=1,
             )
             setattr(self, counter, getattr(self, counter) + 1)
             self.fm.send_request(
                 message, self.primary_pool, self.primary_out_port,
-                callback=lambda completion, _ctx: reply_event.succeed(
-                    completion
-                ),
+                callback=lambda completion, _ctx: reply.succeed(completion),
             )
-            completion = yield reply_event
-            if self.active or self._stopping:
-                # Stopped or promoted (e.g. via :meth:`promote`) while
-                # the read was in flight: the late reply must not touch
-                # the miss/answer accounting or the mirror.
-                return
-            on_reply(completion)
+
+        def replied(reply: Event) -> None:
+            # Stopped or promoted (e.g. via :meth:`promote`) while the
+            # read was in flight: the late reply must not touch the
+            # miss/answer accounting or the mirror.
+            if not (self.active or self._stopping):
+                on_reply(reply.value)
+                sleep()
+
+        self.env.schedule_callback(0.0, sleep, URGENT)
+
+    def _cancel(self, wait: str) -> None:
+        """Cancel the interval timer in the attribute named ``wait``."""
+        handle = getattr(self, wait)
+        if handle is not None:
+            self.env.cancel(handle)
 
     def _on_heartbeat(self, completion) -> None:
         if isinstance(completion, pi4.ReadCompletion):
@@ -295,7 +300,41 @@ class StandbyManager:
             try:
                 self.mirror.mark_port_down(event.reporter_dsn, event.port)
             except DatabaseError:
-                pass
+                return
+            if self._route_cut():
+                self._reroute()
+
+    def _route_cut(self) -> bool:
+        """Whether the route to the primary crosses a port the mirror
+        holds down.  Walks the route hop by hop through the mirror; a
+        hop the mirror cannot follow counts as intact."""
+        mirror, pool = self.mirror, self.primary_pool
+        dsn, egress = self.fm.endpoint.dsn, self.primary_out_port
+        pointer = pool.bits
+        try:
+            while True:
+                port = mirror.device(dsn).ports.get(egress)
+                if port is None or not port.up or port.neighbor_port is None:
+                    return port is not None and port.up is False
+                record = mirror.device(port.neighbor_dsn)
+                if not record.is_switch:
+                    return False
+                dsn = record.dsn
+                egress, pointer = route_step(0, pool.pool, pointer,
+                                             port.neighbor_port,
+                                             record.nports)
+        except (DatabaseError, TurnPoolError):
+            return False
+
+    def _reroute(self) -> None:
+        """Heartbeat (and sync) along the mirror's shortest route to
+        the primary from now on; keep the old one if there is none."""
+        try:
+            route = db_route(self.mirror, self.fm.endpoint.dsn,
+                             self.primary.endpoint.dsn)
+        except PathError:
+            return
+        self.primary_pool, self.primary_out_port = route
 
     def _clone_primary(self) -> None:
         """Snapshot the primary's database into the mirror."""
@@ -318,9 +357,7 @@ class StandbyManager:
         """Promote this standby to active fabric manager."""
         self.active = True
         self._detected_at = self.env.now
-        if self._sync_wait is not None and not self._sync_wait.triggered:
-            self.env.cancel(self._sync_wait)
-            self._sync_wait = None
+        self._cancel("_sync_wait")
         self._unsubscribe()
         fm = self.fm
         # Fencing: the new reign runs one epoch past the old one, so
@@ -334,10 +371,7 @@ class StandbyManager:
             and fm.endpoint.dsn in self.mirror
         )
         if warm_ready:
-            self.env.process(
-                self._warm_takeover(),
-                name=f"standby-promote:{fm.endpoint.name}",
-            )
+            self.env.schedule_callback(0.0, self._warm_takeover, URGENT)
         else:
             self._cold_takeover()
 
@@ -364,8 +398,9 @@ class StandbyManager:
             lambda _event: self._finish_takeover("cold")
         )
 
-    def _warm_takeover(self):
-        """Mirror-install + verify/repair promotion pipeline."""
+    def _warm_takeover(self, _handle) -> None:
+        """Mirror-install + verify/repair promotion pipeline: install,
+        then :meth:`_repair` once the verify reads settle."""
         fm = self.fm
         fm._enabled = True
         self._install_mirror()
@@ -379,8 +414,13 @@ class StandbyManager:
         )
         fm.history.append(stats)
         fm._arm_ready()
+        self._verify_ports().callbacks.append(
+            lambda verified: self._repair(stats, *verified.value)
+        )
 
-        mismatches, dead = yield self._verify_ports()
+    def _repair(self, stats: DiscoveryStats, mismatches: Set[tuple],
+                dead: Set[int]) -> None:
+        fm = self.fm
         for dsn in sorted(dead):
             if dsn not in fm.database:
                 continue
@@ -407,34 +447,42 @@ class StandbyManager:
                 reporter_dsn=dsn, port=port, up=up, seq=0,
             ))
         fm.counters.incr("warm_takeover_repairs", repairs)
-        if repairs:
-            # The repair burst (or its escalation) reprograms the event
-            # routes and resolves ready_event when it converges.
-            yield from self._wait_converged()
-        else:
+        if not repairs:
             fm._program_event_routes()
-            yield from self._wait_converged()
+        # A repair burst (or its escalation) reprograms the event
+        # routes and resolves ready_event when it converges.
+        self._when(self._converged, self._fence, stats, repairs)
 
-        if fm.fence_ownership and not fm.demoted and len(fm.database) > 1:
-            state = {"done": False}
-            fm._stamp_ownership(
-                stats, then=lambda: state.__setitem__("done", True),
-            )
-            while not state["done"] and not fm.demoted:
-                yield self.env.timeout(self.heartbeat_interval / 4)
-
-        stats.finished_at = self.env.now
-        stats.devices_found = len(fm.database)
-        self._finish_takeover("warm", repairs=repairs)
-
-    def _wait_converged(self):
-        """Poll until the FM is quiet and its ready_event resolved."""
+    def _converged(self) -> bool:
+        """The FM is quiet and its ready_event resolved (or demoted)."""
         fm = self.fm
-        while True:
-            ready = fm.ready_event is not None and fm.ready_event.triggered
-            if (not fm.busy and ready) or fm.demoted:
-                return
-            yield self.env.timeout(self.heartbeat_interval / 4)
+        ready = fm.ready_event is not None and fm.ready_event.triggered
+        return (not fm.busy and ready) or fm.demoted
+
+    def _when(self, condition, then, *args) -> None:
+        """``then(*args)`` once ``condition()`` holds: now if it does,
+        else at the first quarter-heartbeat poll that finds it."""
+        if condition():
+            then(*args)
+        else:
+            self.env.call_later(self.heartbeat_interval / 4, self._when,
+                                condition, then, *args)
+
+    def _fence(self, stats: DiscoveryStats, repairs: int) -> None:
+        """Stamp every claim with the new epoch, then finish."""
+        fm = self.fm
+        if fm.fence_ownership and not fm.demoted and len(fm.database) > 1:
+            stamped = []
+            fm._stamp_ownership(stats, then=lambda: stamped.append(True))
+            self._when(lambda: stamped or fm.demoted,
+                       self._finish_warm, stats, repairs)
+        else:
+            self._finish_warm(stats, repairs)
+
+    def _finish_warm(self, stats: DiscoveryStats, repairs: int) -> None:
+        stats.finished_at = self.env.now
+        stats.devices_found = len(self.fm.database)
+        self._finish_takeover("warm", repairs=repairs)
 
     def _install_mirror(self) -> None:
         """Make the mirror the live database (already rebased)."""

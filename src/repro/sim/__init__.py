@@ -3,8 +3,9 @@
 This subpackage replaces the OPNET Modeler kernel used by the paper
 (and the ``simpy`` library, unavailable offline) with the minimum the
 models need: an event heap with argument-carrying and cancellable
-timers, one-shot events, and generator processes for loop-shaped
-workloads.
+timers and one-shot events.  Every model is a chain of callbacks;
+``Environment.process``/``timeout`` drive generators only for the
+kernel's benchmark probes.
 
 Quick example::
 
@@ -22,9 +23,8 @@ Quick example::
 
 from .core import Environment, Infinity
 from .errors import EmptySchedule, SimulationError
-from .events import Deferred, Event, Timeout
+from .events import Deferred, Event
 from .monitor import Counter
-from .process import Process
 
 __all__ = [
     "Counter",
@@ -33,7 +33,5 @@ __all__ = [
     "Environment",
     "Event",
     "Infinity",
-    "Process",
     "SimulationError",
-    "Timeout",
 ]

@@ -5,11 +5,10 @@ from __future__ import annotations
 import heapq
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Callable, Generator, List, Optional, Union
+from typing import Any, Callable, Generator, List, Union
 
 from .errors import EmptySchedule, SimulationError, StopSimulation
-from .events import Deferred, Event, NORMAL, PENDING, Timeout, URGENT
-from .process import Process
+from .events import Deferred, Event, NORMAL, PENDING, URGENT
 
 Infinity = float("inf")
 
@@ -25,8 +24,9 @@ class Environment:
     Maintains the simulation clock and a priority heap of triggered
     events.  Entities interact with the environment through
     :meth:`call_later`, :meth:`schedule_callback`, :meth:`event` and
-    :meth:`run`; loop-shaped workloads through :meth:`process` and
-    :meth:`timeout`.
+    :meth:`run`: every model is a chain of callbacks.  :meth:`process`
+    and :meth:`timeout` remain for the kernel's benchmark probes, which
+    drive generators; no model uses them.
 
     Parameters
     ----------
@@ -74,31 +74,56 @@ class Environment:
         """Create a new, untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that triggers ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float, value: Any = None) -> Event:
+        """An event that succeeds with ``value`` ``delay`` seconds from now."""
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        event = Event(self)
+        event._value = value
+        heappush(self._queue,
+                 (self.now + delay, NORMAL, next(self._eid), event, None))
+        return event
 
-    def process(self, generator: Generator, name: Optional[str] = None) -> Process:
-        """Start a new process executing ``generator``."""
-        return Process(self, generator, name=name)
+    def process(self, generator: Generator) -> Event:
+        """Drive ``generator`` from callbacks: it starts in an URGENT slot
+        now, each ``yield <event>`` resumes it with that event's value
+        once the event is processed, and the returned event succeeds
+        with its return value.  An exception it raises propagates out
+        of :meth:`run` at once; yielding a non-event raises
+        :class:`SimulationError`.
+        """
+        if not hasattr(generator, "send"):
+            raise ValueError(f"{generator!r} is not a generator")
+        done, send = Event(self), generator.send
+
+        def resume(event) -> None:
+            value = event._value
+            while True:
+                try:
+                    event = send(value)
+                except StopIteration as stop:
+                    done.succeed(stop.value)
+                    return
+                if not isinstance(event, Event):
+                    raise SimulationError(
+                        f"process yielded non-event {event!r}")
+                if event.callbacks is not None:
+                    event.callbacks.append(resume)
+                    return
+                value = event._value
+
+        self.schedule_callback(0.0, resume, URGENT)
+        return done
 
     # -- scheduling ----------------------------------------------------
-    def schedule(self, event: Event, delay: float = 0.0,
-                 priority: int = NORMAL) -> None:
-        """Place a triggered event onto the heap ``delay`` from now."""
-        heappush(
-            self._queue,
-            (self.now + delay, priority, next(self._eid), event, None),
-        )
-
     def call_later(self, delay: float, fn: Callable[..., None],
                    *args) -> None:
         """Run ``fn(*args)`` after ``delay``: the per-packet timer.
 
         The heap entry carries the arguments itself — no event object,
-        no callbacks list, nothing to cancel or to fail — and occupies
-        the slot a ``Timeout`` created at this point would (NORMAL
-        priority, same sequence number).
+        no callbacks list, nothing to cancel — and occupies the slot a
+        :meth:`timeout` created at this point would (NORMAL priority,
+        same sequence number).
         """
         heappush(
             self._queue,
@@ -110,13 +135,13 @@ class Environment:
         """A cancellable timer: run ``fn(handle)`` after ``delay``.
 
         Equivalent to ``self.timeout(delay).callbacks.append(fn)`` but
-        skips full :class:`~repro.sim.events.Timeout` construction — the
+        skips :class:`~repro.sim.events.Event` construction — the
         returned :class:`~repro.sim.events.Deferred` carries exactly the
         state :meth:`step` needs.  It occupies the same scheduling slot
-        a ``Timeout`` created at this point would (same priority, same
-        sequence number), so event ordering is unchanged.  The handle
-        can be passed to :meth:`cancel`; it cannot be yielded on by a
-        process.  A timer nobody cancels is a :meth:`call_later`.
+        that timeout would (same priority, same sequence number), so
+        event ordering is unchanged.  The handle can be passed to
+        :meth:`cancel`; it cannot be yielded on by a process.  A timer
+        nobody cancels is a :meth:`call_later`.
         """
         handle = Deferred(fn)
         heappush(
@@ -275,10 +300,6 @@ class Environment:
         finally:
             self._dispatching = False
 
-        if not event._ok and not event._defused:
-            # An unhandled failure crashes the run.
-            raise event._value
-
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
 
@@ -295,9 +316,11 @@ class Environment:
             if at <= self.now:
                 raise ValueError(f"until ({at}) must be in the future")
             until = Event(self)
-            until._ok = True
             until._value = None
-            self.schedule(until, delay=at - self.now, priority=URGENT)
+            # ``now + (at - now)``, not ``at``: the two can differ in
+            # the last bit, and every pinned run stops at the former.
+            heappush(self._queue, (self.now + (at - self.now), URGENT,
+                                   next(self._eid), until, None))
 
         if isinstance(until, Event):
             if until.callbacks is None:
@@ -346,9 +369,6 @@ class Environment:
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
                     callback(event)
-
-                if not event._ok and not event._defused:
-                    raise event._value
         except StopSimulation as exc:
             return exc.value
         except EmptySchedule:

@@ -10,11 +10,11 @@ converging to the true topology change after change.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set
 
 from ..fabric.fabric import Fabric
-from ..sim.events import Event
+from ..sim.events import URGENT, Event
 
 #: Fault kinds the log can record.  The random schedule draws only the
 #: first four; the FM kinds are logged by :meth:`FaultInjector.kill_fm_now`
@@ -114,10 +114,11 @@ class FaultInjector:
         self.mid_discovery_faults = 0
         self._removed: List[str] = []
         self._failed_links: List[tuple] = []
-        self._proc = None
-        self._stopping = False
         self._done: Optional[Event] = None
-        #: The Timeout the injector loop is currently sleeping on.
+        #: Faults still to inject, and the end of the current hold.
+        self._left = 0
+        self._deadline = 0.0
+        #: The pending interval (or hold poll) timer, for :meth:`stop`.
         self._wait = None
 
     @staticmethod
@@ -142,60 +143,64 @@ class FaultInjector:
         return expanded
 
     # -- schedule -----------------------------------------------------------
+    # One fault is a chain of timers: an exponential interval, then (in
+    # ``during_discovery`` mode, if the FM is idle) hold polls until it
+    # is mid-walk or ``max_hold`` has passed, then the fault itself.
     def run(self, faults: int) -> Event:
         """Inject ``faults`` changes; the event triggers when done."""
-        if self._proc is not None:
+        if self._done is not None:
             raise RuntimeError("fault injector already running")
         self._done = self.env.event()
-        self._proc = self.env.process(self._loop(faults, self._done),
-                                      name="fault-injector")
+        self._left = faults
+        self.env.schedule_callback(0.0, self._next_interval, URGENT)
         return self._done
 
-    def _loop(self, faults: int, done: Event):
-        for _ in range(faults):
-            self._wait = self.env.timeout(
-                self.rng.expovariate(1.0 / self.mean_interval)
+    def _next_interval(self, _handle=None) -> None:
+        if not self._left:
+            if not self._done.triggered:
+                self._done.succeed(list(self.log))
+            return
+        self._left -= 1
+        self._wait = self.env.schedule_callback(
+            self.rng.expovariate(1.0 / self.mean_interval),
+            self._interval_over,
+        )
+
+    def _interval_over(self, _handle) -> None:
+        if self.during_discovery and not self.fm.busy:
+            # Hold the fault until the FM is mid-walk, bounded by an
+            # env-time deadline so a quiet fabric cannot stall the
+            # schedule forever.  Measuring against env.now (rather
+            # than tallying poll_interval per wait) honors max_hold
+            # exactly even when a wait completes early.
+            self._deadline = self.env.now + self.max_hold
+            self._hold()
+        else:
+            self._fire()
+
+    def _hold(self, _handle=None) -> None:
+        now = self.env.now
+        if now < self._deadline and not self.fm.busy:
+            self._wait = self.env.schedule_callback(
+                min(self.poll_interval, self._deadline - now), self._hold,
             )
-            yield self._wait
-            self._wait = None
-            if self._stopping:
-                break
-            if self.during_discovery and not self.fm.busy:
-                # Hold the fault until the FM is mid-walk, bounded by
-                # an env-time deadline so a quiet fabric cannot stall
-                # the schedule forever.  Measuring against env.now
-                # (rather than tallying poll_interval per wait) honors
-                # max_hold exactly even when a wait completes early or
-                # is interrupted.
-                deadline = self.env.now + self.max_hold
-                while self.env.now < deadline and not self.fm.busy:
-                    self._wait = self.env.timeout(
-                        min(self.poll_interval, deadline - self.env.now)
-                    )
-                    yield self._wait
-                    self._wait = None
-                    if self._stopping:
-                        break
-                if self._stopping:
-                    break
-            self._inject_one()
-        if not done.triggered:
-            done.succeed(list(self.log))
+        else:
+            self._fire()
+
+    def _fire(self) -> None:
+        self._inject_one()
+        self._next_interval()
 
     def stop(self) -> None:
         """Stop injecting *now*.
 
-        The pending inter-fault timeout is cancelled (the loop would
-        otherwise sleep through one more interval before noticing) and
-        the ``run`` event succeeds immediately with the partial log.
+        The pending interval or hold timer is cancelled (the schedule
+        would otherwise sleep through it before noticing) and the
+        ``run`` event succeeds immediately with the partial log.
         """
-        self._stopping = True
-        if self._wait is not None and not self._wait.triggered:
-            # The loop generator stays suspended on the cancelled
-            # event forever; that is fine — it holds no simulation
-            # resources and schedules nothing further.
+        self._left = 0
+        if self._wait is not None:
             self.env.cancel(self._wait)
-            self._wait = None
         if self._done is not None and not self._done.triggered:
             self._done.succeed(list(self.log))
 

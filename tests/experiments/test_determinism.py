@@ -231,3 +231,43 @@ class TestContendedOrderExactness:
         assert result.packets_injected == 23947
         assert result.packets_delivered == 22429
         assert result.database_correct is True
+
+
+class TestGoldenFaultModels:
+    """The fault injector and the warm standby are callback chains;
+    these runs are pinned to the values they gave as generator
+    processes (detection, recovery, the fault schedule and the audit),
+    so a conversion that moves one heap slot shows here."""
+
+    def test_warm_failover_with_restarted_primary_bit_identical(self):
+        info = Scenario(kind="failover", topology="4x4 mesh", seed=0,
+                        manager="partial", mode="warm",
+                        restart_primary=True).run().asdict()
+        assert info == {
+            "algorithm": "parallel", "audit_differences": 0,
+            "audit_ok": True, "converged": True,
+            "detection_latency": 0.0038204790031825253,
+            "devices_recovered": 31, "family": "mesh", "faults": 3,
+            "heartbeat_interval": 0.001, "manager": "partial",
+            "mirror_syncs": 30, "miss_threshold": 3,
+            "missed_heartbeats": 3, "mode": "warm",
+            "old_primary_demoted": True,
+            "recovery_time": 0.0025812580000007523, "repairs": 0,
+            "restart_primary": True, "seed": 0, "takeover_mode": "warm",
+            "topology": "4x4 mesh",
+        }
+
+    def test_churn_soak_bit_identical(self):
+        info = Scenario(kind="churn", topology="4x4 mesh",
+                        seed=0).run().asdict()
+        assert info == {
+            "aborted_runs": 0, "algorithm": "parallel",
+            "audit_differences": 0, "audit_ok": True, "converged": True,
+            "devices_found": 32, "discoveries": 3, "family": "mesh",
+            "faults": 6, "full_rediscoveries": 2, "guard_mismatches": 0,
+            "guard_probes": 6, "manager": "full",
+            "mid_discovery_faults": 5, "partial_bursts": 0, "repairs": 0,
+            "restarts": 1, "seed": 0,
+            "time_to_converge": 0.0040966246026045705,
+            "topology": "4x4 mesh",
+        }

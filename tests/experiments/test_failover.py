@@ -72,6 +72,19 @@ class TestWarmTakeover:
         assert warm.recovery_time < cold.recovery_time
 
 
+class TestWarmStandbyReroutes:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_churn_on_the_heartbeat_route_does_not_promote(self, seed):
+        # On these seeds the churn cuts the route the standby was built
+        # with.  A warm standby learns that from the PI-5 tee and moves
+        # its heartbeat onto the mirror's route.  So it detects the real
+        # kill instead of promoting while the primary is alive.
+        result = run_failover("4x4 mesh", mode="warm", seed=seed)
+        assert result.detection_latency is not None
+        assert result.detection_latency > 0
+        assert result.converged and result.audit_ok
+
+
 class TestFencing:
     @pytest.mark.parametrize("mode", ("warm", "cold"))
     def test_resurrected_primary_demotes_itself(self, mode):

@@ -102,7 +102,7 @@ class TestStandbyShutdown:
         setup, standby = primary_and_standby(make_mesh(3, 3))
         standby.stop()  # never started: no-op
         standby.stop()
-        assert standby._proc is None
+        assert not standby._started
         setup2, standby2 = primary_and_standby(make_mesh(3, 3))
         setup2.fm.start_discovery()
         run_until_ready(setup2)

@@ -21,14 +21,11 @@ class TestEvent:
         ev = env.event()
         with pytest.raises(SimulationError):
             _ = ev.value
-        with pytest.raises(SimulationError):
-            _ = ev.ok
 
     def test_succeed_sets_value(self, env):
         ev = env.event()
         ev.succeed("payload")
         assert ev.triggered
-        assert ev.ok
         assert ev.value == "payload"
 
     def test_double_succeed_rejected(self, env):
@@ -37,27 +34,10 @@ class TestEvent:
         with pytest.raises(SimulationError):
             ev.succeed()
 
-    def test_fail_propagates_to_waiter(self, env):
-        failing = env.process(_raising(env, "boom"))
-
-        def proc(env):
-            with pytest.raises(RuntimeError, match="boom"):
-                yield failing
-            return "handled"
-
-        assert env.run(until=env.process(proc(env))) == "handled"
-
     def test_unhandled_failure_crashes_run(self, env):
         env.process(_raising(env, "nobody catches me"))
         with pytest.raises(RuntimeError, match="nobody catches me"):
             env.run()
-
-    def test_defused_failure_does_not_crash(self, env):
-        failing = env.process(_raising(env, "defused"))
-        failing.callbacks.append(lambda ev: setattr(ev, "defused", True))
-        env.run()  # no exception
-        assert not failing.ok
-        assert isinstance(failing.value, RuntimeError)
 
 
 class TestTimeout:

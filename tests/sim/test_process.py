@@ -1,4 +1,5 @@
-"""Unit tests for generator-based processes."""
+"""Unit tests for generator processes: the callback trampoline
+``Environment.process`` that the kernel's benchmark probes drive."""
 
 import pytest
 
@@ -23,16 +24,6 @@ def test_process_return_value(env):
     assert env.run(until=env.process(proc(env))) == 123
 
 
-def test_process_is_alive_lifecycle(env):
-    def proc(env):
-        yield env.timeout(1)
-
-    p = env.process(proc(env))
-    assert p.is_alive
-    env.run()
-    assert not p.is_alive
-
-
 def test_wait_for_another_process(env):
     def worker(env):
         yield env.timeout(3)
@@ -46,37 +37,26 @@ def test_wait_for_another_process(env):
     assert env.run(until=env.process(waiter(env))) == (3.0, "result")
 
 
-def test_exception_in_process_propagates_to_waiter(env):
-    def bad(env):
-        yield env.timeout(1)
-        raise KeyError("oops")
-
-    def waiter(env):
-        with pytest.raises(KeyError):
-            yield env.process(bad(env))
-        return "caught"
-
-    assert env.run(until=env.process(waiter(env))) == "caught"
-
-
 def test_unhandled_process_exception_crashes_run(env):
     def bad(env):
         yield env.timeout(1)
         raise KeyError("unhandled")
 
     env.process(bad(env))
+    env.timeout(5)
     with pytest.raises(KeyError):
         env.run()
+    # At the instant the generator raised, not when a later event ran.
+    assert env.now == 1.0
 
 
 def test_yield_non_event_fails_process(env):
     def bad(env):
         yield 42
 
-    p = env.process(bad(env))
+    env.process(bad(env))
     with pytest.raises(SimulationError, match="non-event"):
         env.run()
-    assert not p.is_alive
 
 
 def test_many_concurrent_processes(env):
@@ -104,3 +84,40 @@ def test_process_chain_same_timestep(env):
 
     assert env.run(until=env.process(relay(env, 50))) == 50
     assert env.now == 0.0
+
+
+def test_yielding_a_processed_event_continues_at_once(env):
+    ready = env.timeout(0, value="early")
+
+    def late(env):
+        yield env.timeout(1)
+        got = yield ready  # processed a second ago
+        return (env.now, got)
+
+    assert env.run(until=env.process(late(env))) == (1.0, "early")
+
+
+def test_kernel_counts_of_a_process_driven_run(env):
+    """Each process takes one URGENT start slot and one exit slot (its
+    done event), each timeout one slot: the counts the generator
+    ``Process``/``Initialize``/``Timeout`` classes produced."""
+
+    def ticker(env, delay, k):
+        for _ in range(k):
+            yield env.timeout(delay)
+        return k
+
+    def waiter(env):
+        total = 0
+        for i in range(3):
+            total += yield env.process(ticker(env, 0.5 * (i + 1), 4))
+        env.cancel(env.timeout(100))
+        return total
+
+    for i in range(3):
+        env.process(ticker(env, 1.0 + i, 5))
+    assert env.run(until=env.process(waiter(env))) == 12
+    env.run()
+    vitals = env.vitals()
+    assert vitals["events_executed"] == 41
+    assert vitals["sequence_numbers_drawn"] == 42

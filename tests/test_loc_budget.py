@@ -73,15 +73,21 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: once the figure scripts became the claims table
 #: (``tests/claims.py``) and what only they reached went: the ASCII
 #: scatter plots, the S1 overhead builder and the FM's switch that
-#: timed requests against its own backlog (−110).
-TOTAL_CEILING = 10_759
+#: timed requests against its own backlog (−110); 10,702 once the
+#: fault injector and the standby became callback chains and
+#: ``Process``, ``Initialize``, ``Timeout`` and the event-failure path
+#: left the kernel (−81 in ``sim/``; +2 in ``workloads/``; +24 in
+#: ``manager/``, most of it the warm standby re-resolving a heartbeat
+#: route that churn cut).
+TOTAL_CEILING = 10_702
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
-#: (804 before PR 16; what is left is the callback kernel plus
-#: ``Process``/``Timeout`` for the four loop-shaped workloads; 442
-#: while ``Environment.now`` was a property; 439 while ``Counter``
-#: built closures and ``Tally`` lived here; 379 while ``Event.fail``
-#: did).
-SIM_CEILING = 369
+#: (804 before PR 16; 442 while ``Environment.now`` was a property;
+#: 439 while ``Counter`` built closures and ``Tally`` lived here; 379
+#: while ``Event.fail`` did; 369 while generator ``Process``/``Timeout``
+#: classes, event failure and ``Environment.schedule`` did — what is
+#: left is the callback kernel, with ``Environment.process``/``timeout``
+#: as a callback trampoline for the benchmark's kernel probes).
+SIM_CEILING = 288
 #: Code lines in ``repro/experiments/`` + ``repro/cli.py`` (3,666
 #: before PR 13, 3,071 after it; 3,064 before PR 22 shared the change
 #: protocol and the reliability totals; 3,048 before PR 24 made
