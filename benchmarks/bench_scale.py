@@ -18,7 +18,8 @@ full parallel discovery to completion, and records:
   built, so what the build holds and what the run adds read apart;
 * ``<point>_peak_rss_mb``  — peak resident set of the whole run;
 * ``<point>_heap_high_water`` — deepest the kernel's event heap got
-  (attached ports + 2 on an idle discovery: the attach kicks at t = 0).
+  (a few dozen on an idle discovery of any size: attach kicks and
+  retry timers are heap entries only when they can act).
 
 Every point runs in its own spawned child process so peak-RSS numbers
 are not polluted by earlier points, and an out-of-memory point cannot

@@ -113,10 +113,6 @@ class Device:
         """Encoded max payload size for the baseline capability."""
         return max(1, self.params.max_payload.bit_length() - 7)
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        state = "active" if self.active else "inactive"
-        return f"<{type(self).__name__} {self.name!r} {state}>"
-
     # -- lifecycle -----------------------------------------------------------
     def power_on(self) -> None:
         self.active = True

@@ -237,9 +237,3 @@ class Fabric:
             raise FabricError(f"no link between {a!r} and {b!r}")
         link.bring_up()
         return link
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (
-            f"<Fabric {len(self.switches())} switches, "
-            f"{len(self.endpoints())} endpoints, {len(self.links)} links>"
-        )

@@ -134,13 +134,6 @@ class Packet:
             payload = b""
         return cls(header=header, payload=payload)
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (
-            f"<Packet #{self.pkt_id} pi={self.header.pi} "
-            f"tc={self.header.tc} d={self.header.direction} "
-            f"len={len(self.payload)} from {self.src!r}>"
-        )
-
 
 def make_management_header(
     turn_pool: int,

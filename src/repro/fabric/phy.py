@@ -141,13 +141,6 @@ class LinkErrorModel:
             corrupted[bit >> 3] ^= 1 << (bit & 0x7)
         return bytes(corrupted), flips
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (
-            f"<LinkErrorModel ber={self.bit_error_rate:g} "
-            f"loss={self.packet_loss_rate:g} dup={self.duplicate_rate:g} "
-            f"corrupted={self.corrupted} lost={self.lost}>"
-        )
-
 
 class Link:
     """A bidirectional x1 serial link between two ports.

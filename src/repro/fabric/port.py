@@ -26,6 +26,10 @@ held, which keeps every run bit-identical:
   next arbitrates (:meth:`Port.release_input`, :meth:`Port._settle`);
 * a zero-delay kick that would be the very next pop runs inline, and
   one that would find nothing queued is not scheduled at all;
+* the URGENT kick a port takes when its link is attached matters only
+  if a packet is queued before it would have run: its slot is
+  reserved, and :meth:`Port.send` pushes it on demand
+  (:meth:`Port.attach_link`, :meth:`Port._claim_kick`);
 * a packet that inline kick would find alone — nothing queued, lane
   free, credits in hand — is transmitted by :meth:`Port.send` itself
   and never enters a queue.
@@ -38,7 +42,6 @@ from operator import attrgetter
 from typing import Optional, Tuple
 
 from ..sim.core import Environment, Infinity
-from ..sim.events import URGENT
 from ..sim.monitor import Counter
 from .header import HeaderError
 from .packet import Packet, PacketError
@@ -102,7 +105,7 @@ class Port:
     __slots__ = (
         "device", "index", "params", "env", "link", "error_count",
         *HOT_COUNTERS, "_stats", "_tx_vcs", "_rx_use", "_tx_busy",
-        "_tx_kick_scheduled", "_queued", "_free_at", "_done_seq",
+        "_tx_kick_scheduled", "_kick", "_queued", "_free_at", "_done_seq",
         "_ledger", "_blocked", "_trace", "_vc_detail", "_credit_unit",
         "_framing", "_pcrc", "_prop", "_byte_time", "_rx_cap",
         "_tc_vc_map", "_pick_order", "_head_latency", "_remote",
@@ -137,6 +140,9 @@ class Port:
         self._tx_busy = False
         self._tx_kick_scheduled = False
         self._queued = 0
+        #: The attach kick's reserved URGENT slot until a packet claims
+        #: it (``None``: none reserved, or it was claimed).
+        self._kick = None
         #: While busy with nothing queued, the serialization-done timer
         #: is not pushed: the lane is free at ``_free_at`` and
         #: ``_done_seq`` is the timer's reserved sequence number (-1
@@ -247,14 +253,17 @@ class Port:
         self._error_model = link.error_model
         # Prime the transmit engine.  The urgent zero-delay kick is what
         # transmits packets queued before the run starts — ahead of
-        # every process, ports in attach order — so it stays a real
-        # event: one per port at build time, none per hop.
-        self._tx_kick_scheduled = True
-        self.env.schedule_callback(0.0, self._attach_kick, URGENT)
+        # every callback, ports in attach order.  With nothing queued it
+        # would find nothing, so only its slot is reserved.
+        self._kick = self.env.reserve_urgent()
 
-    def _attach_kick(self, _handle) -> None:
-        """The URGENT kick: an argument entry is always NORMAL."""
-        self._tx_kick()
+    def _claim_kick(self) -> None:
+        """A packet meets a reserved attach kick: push the kick into its
+        slot, unless it has passed — it found nothing then."""
+        slot, self._kick = self._kick, None
+        if not self.env.has_passed(*slot):
+            self._tx_kick_scheduled = True
+            self.env.schedule_urgent(slot, self._tx_kick)
 
     def on_link_state(self, up: bool) -> None:
         """Called by the link on up/down transitions."""
@@ -327,6 +336,8 @@ class Port:
         if self._trace is not None:
             self._trace("enqueue", self.device, self.index, packet,
                         f"vc{vc_index}")
+        if self._kick is not None:
+            self._claim_kick()
         # The uncontended packet: nothing queued, no kick pending, the
         # lane free and nothing else due at this instant.  The kick
         # ``_wake`` would run inline finds this packet alone, so it is
@@ -383,7 +394,7 @@ class Port:
             self._tx_kick_scheduled = True
             env.call_later(0.0, self._tx_kick)
 
-    def _tx_kick(self) -> None:
+    def _tx_kick(self, _handle=None) -> None:
         self._tx_kick_scheduled = False
         self._tx_start()
 

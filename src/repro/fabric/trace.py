@@ -63,12 +63,6 @@ class PacketHop:
             f"{self.device}{port}{detail}"
         )
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (
-            f"<PacketHop {self.kind} pkt#{self.packet_id} "
-            f"@{self.device} t={self.time:.3g}>"
-        )
-
 
 class PacketTracer:
     """Device trace hook recording packet hops.

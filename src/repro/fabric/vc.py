@@ -125,11 +125,3 @@ class VirtualChannel:
     def in_use(self) -> int:
         """Credits currently held by in-flight packets."""
         return self.capacity - self.available
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (
-            f"<VC{self.index} {self.vc_type.value} "
-            f"bypass={len(self.bypass or ())} "
-            f"ordered={len(self.ordered or ())} "
-            f"credits={self.available}/{self.capacity}>"
-        )

@@ -552,8 +552,3 @@ class StandbyManager:
             on_status, settled,
         )
         return done
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        state = "ACTIVE" if self.active else "standby"
-        return f"<StandbyManager {self.fm.endpoint.name} {state} " \
-               f"[{self.mode}]>"

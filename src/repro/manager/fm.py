@@ -1159,11 +1159,3 @@ class FabricManager:
         if not self.history:
             raise RuntimeError("no discovery has completed yet")
         return self.history[-1]
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        state = "discovering" if self.is_discovering else "idle"
-        return (
-            f"<FabricManager on {self.endpoint.name} "
-            f"[{self.algorithm_key}] {state}, "
-            f"{len(self.database)} devices known>"
-        )

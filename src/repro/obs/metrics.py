@@ -165,6 +165,3 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self.counters) + len(self.gauges) + len(self.histograms)
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"<MetricsRegistry {len(self)} metrics>"

@@ -57,10 +57,3 @@ class TraceSession:
         self.meta["unfinished_spans"] = self.spans.finish(setup.env.now)
         self.metrics.scrape_setup(setup)
         return self
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        packets = len(self.packets) if self.packets is not None else 0
-        return (
-            f"<TraceSession {len(self.spans)} spans, {packets} packet "
-            f"hops, {len(self.metrics)} metrics>"
-        )

@@ -56,10 +56,6 @@ class Span:
             raise ValueError(f"span {self.name!r} (#{self.sid}) is open")
         return self.end - self.start
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        state = "open" if self.end is None else f"{self.duration:.3g}s"
-        return f"<Span #{self.sid} {self.name} [{self.cat}] {state}>"
-
 
 class Instant:
     """A zero-duration marker (a retry, a PI-5 event arrival)."""
@@ -76,9 +72,6 @@ class Instant:
         self.track = track
         self.args = args
         self.seq = seq
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"<Instant {self.name} [{self.cat}] @{self.time:.3g}>"
 
 
 class SpanTracer:
@@ -232,10 +225,3 @@ class SpanTracer:
 
     def __len__(self) -> int:
         return len(self.spans)
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (
-            f"<SpanTracer {len(self.spans)} spans "
-            f"({len(self._open)} open), "
-            f"{len(self.instants)} instants>"
-        )

@@ -24,6 +24,23 @@ This module owns the requester side of that recovery:
   fabric is not hammered at a fixed cadence.  Requests with an
   explicitly chosen timeout keep a fixed cadence (they are liveness
   probes whose give-up time the caller computed).
+* **Timers that almost never fire** — the Parallel algorithm keeps
+  hundreds of reads outstanding, and nearly every retry timer would
+  pop to find its transaction closed.  The engine keeps one FIFO of
+  ``(deadline, reserved seq, tag)`` per distinct timeout period: within
+  a period the deadlines already come in heap order, so only the head
+  is a heap entry.  When it fires, the entries behind it whose
+  transaction has closed or arrived are dropped (their timers would
+  have done nothing) and the next live one is pushed into the heap
+  slot its eager timer would have held.  The last entry is never
+  dropped: while a timer is due the heap is not empty, so whoever asks
+  ``env.peek()`` whether the simulation has gone idle hears what the
+  eager timers told it, and a bare ``env.run()`` stops at the same
+  instant.  A drained FIFO is deleted.
+  The next entry is pushed first, live or not, when it falls due at
+  the very instant the head fires and the head acts (or anything else
+  is due then): its eager timer would stand on the heap while those
+  handlers run, and ``env.quiet()`` must see it.
 
 The responder side — duplicate-request suppression — lives in
 :class:`repro.protocols.entity.ManagementEntity`, which caches served
@@ -33,6 +50,7 @@ configuration-space access.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import count
 from typing import Any, Callable, Dict, Optional
@@ -177,6 +195,9 @@ class TransactionEngine:
         self.known_devices = known_devices
         #: Outstanding transactions by tag (``cancel_all`` clears it).
         self.pending: Dict[int, Transaction] = {}
+        #: Retry timers by period: a FIFO of ``(deadline, reserved seq,
+        #: tag)`` whose head alone is on the heap (module docstring).
+        self._timers: Dict[float, deque] = {}
         self._tags = count((tag_salt << TAG_SALT_SHIFT) + 1)
         #: Optional :class:`repro.obs.span.SpanTracer`.  ``None`` (the
         #: default) keeps every hot path at a single ``is not None``
@@ -265,7 +286,38 @@ class TransactionEngine:
         self.counters.incr("requests_sent")
         if self.on_transmit is not None:
             self.on_transmit(entry, packet)
-        self.env.call_later(entry.timeout, self._on_timeout, entry.tag)
+        env, period = self.env, entry.timeout
+        slot = (env.now + period, env.reserve(), entry.tag)
+        fifo = self._timers.get(period)
+        if fifo is None:
+            self._timers[period] = deque((slot,))
+            env.schedule_at(slot[0], slot[1], self._expire, period)
+        else:
+            fifo.append(slot)
+
+    def _expire(self, period: float) -> None:
+        """The head timer of ``period`` fires; push the next live one."""
+        env, fifo, pending = self.env, self._timers[period], self.pending
+        tag = fifo.popleft()[2]
+        entry = pending.get(tag)
+        acts = entry is not None and not entry.arrived
+        if fifo and fifo[0][0] == env.now and (acts or not env.quiet()):
+            # The next timer is due at this very instant: while this one
+            # acts, or while anything else is due now, its eager entry
+            # would be on the heap, and a handler may ask ``quiet()``.
+            # Push it first, live or not.
+            env.schedule_at(env.now, fifo[0][1], self._expire, period)
+            return self._on_timeout(tag)
+        self._on_timeout(tag)
+        while len(fifo) > 1:
+            entry = pending.get(fifo[0][2])
+            if entry is not None and not entry.arrived:
+                break
+            fifo.popleft()
+        if fifo:
+            env.schedule_at(fifo[0][0], fifo[0][1], self._expire, period)
+        else:
+            del self._timers[period]
 
     def _on_timeout(self, tag: int) -> None:
         entry = self.pending.get(tag)
@@ -296,9 +348,3 @@ class TransactionEngine:
             self.tracer.end(entry.span, self.env.now,
                             outcome="timeout", attempts=entry.attempts)
         entry.callback(None, entry.ctx)
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (
-            f"<TransactionEngine {len(self.pending)} outstanding, "
-            f"max_retries={self.max_retries}>"
-        )

@@ -106,9 +106,6 @@ class TurnPool:
     def __hash__(self) -> int:
         return hash((self.pool, self.bits))
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"TurnPool(pool={self.pool:#x}, bits={self.bits})"
-
 
 def build_turn_pool(hops: Sequence[Hop]) -> TurnPool:
     """Pack a hop sequence into a turn pool.

@@ -34,9 +34,9 @@ class Environment:
         Starting value of the simulation clock (seconds).
     """
 
-    __slots__ = ("now", "_queue", "_eid", "_tombstones", "_seq",
-                 "_dispatching", "_executed", "_high_water", "_compactions",
-                 "reserve")
+    __slots__ = ("now", "_queue", "_eid", "_tombstones", "_seq", "_urgent",
+                 "_slot", "_dispatching", "_executed", "_high_water",
+                 "_compactions", "reserve")
 
     def __init__(self, initial_time: float = 0.0):
         #: Current simulation time in seconds: a plain slot, read on
@@ -58,16 +58,19 @@ class Environment:
         #: Sequence number of the last NORMAL entry popped at the
         #: current instant (-1: none yet) — see :meth:`has_passed`.
         self._seq: int = -1
+        #: ``(time, seq)`` of the last URGENT event entry popped, or of
+        #: the drain (its time and the last number drawn): no URGENT
+        #: slot up to it is still due — see :meth:`has_passed`.
+        self._urgent: tuple = (-Infinity, -1)
+        #: The last slot :meth:`reserve_urgent` handed out (see
+        #: :meth:`quiet`).
+        self._slot: tuple = (-Infinity, -1, -1)
         #: True while :meth:`run` / :meth:`step` is executing callbacks.
         self._dispatching: bool = False
         #: Vitals (see :meth:`vitals`).
         self._executed: int = 0
         self._high_water: int = 0
         self._compactions: int = 0
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        pending = len(self._queue) - self._tombstones
-        return f"<Environment t={self.now:.9f} pending={pending}>"
 
     # -- event creation ----------------------------------------------------
     def event(self) -> Event:
@@ -156,8 +159,10 @@ class Environment:
     # queue, a credit return to a sender with nothing to send) can
     # *reserve* the timer's heap slot instead of pushing it, and push
     # it later only if it turns out to matter.  ``reserve()`` and the
-    # three methods below make that order-exact: the late push lands exactly where the
-    # eager one would have, ties at equal timestamps included.
+    # methods below make that order-exact: the late push lands exactly
+    # where the eager one would have, ties at equal timestamps included.
+    # A zero-delay URGENT slot is reserved with ``reserve_urgent()``
+    # and pushed with ``schedule_urgent``.
 
     def schedule_at(self, time: float, seq: int, fn: Callable[..., None],
                     *args) -> None:
@@ -173,26 +178,51 @@ class Environment:
             )
         heappush(self._queue, (time, NORMAL, seq, fn, args))
 
-    def has_passed(self, time: float, seq: int) -> bool:
-        """Whether a NORMAL entry ``(time, seq)`` would already have run.
+    def reserve_urgent(self) -> tuple:
+        """Reserve a zero-delay URGENT slot without pushing it: the
+        ``(time, seq, mark)`` that :meth:`has_passed` and
+        :meth:`schedule_urgent` take (``mark`` notes which NORMAL entry
+        had run last when the slot was drawn)."""
+        slot = self._slot = (self.now, next(self._eid), self._seq)
+        return slot
 
-        Exact at equal timestamps: among same-instant NORMAL entries
+    def schedule_urgent(self, slot: tuple,
+                        fn: Callable[[Deferred], None]) -> None:
+        """Push ``fn(handle)`` into a slot :meth:`reserve_urgent` drew;
+        :class:`SimulationError` once it has passed."""
+        if self.has_passed(*slot):
+            raise SimulationError(f"slot {slot} has already passed")
+        heappush(self._queue, (slot[0], URGENT, slot[1], Deferred(fn), None))
+
+    def has_passed(self, time: float, seq: int, mark: int = None) -> bool:
+        """Whether a NORMAL entry ``(time, seq)`` — or, given the
+        ``mark`` of :meth:`reserve_urgent`, the URGENT one — would
+        already have run.
+
+        Exact at equal timestamps.  Among same-instant NORMAL entries
         the heap pops in sequence order, so the entry has run iff a
-        later-numbered one has been popped at this instant.
+        later-numbered one has been popped at this instant.  An URGENT
+        slot drawn at this instant sorts ahead of every NORMAL entry
+        still due, so it has run once a NORMAL entry has been popped
+        since it was drawn (the last one popped is no longer ``mark``),
+        once a later-numbered URGENT one has, or once the heap drained.
         """
-        return time < self.now or (time == self.now and seq < self._seq)
+        if mark is None:
+            return time < self.now or (time == self.now and seq < self._seq)
+        return time < self.now or (time == self.now and (
+            mark != self._seq or self._urgent >= (time, seq)))
 
     def quiet(self) -> bool:
         """True when a zero-delay callback scheduled now would be the
-        very next pop — no other heap entry at the current instant — so
-        a handler may run it inline instead.  Never true outside event
-        dispatch: code between runs is not a handler, and what it
-        schedules must wait for the run.
+        very next pop — no other heap entry at the current instant, nor
+        a reserved URGENT slot still due — so a handler may run it
+        inline instead.  Never true outside event dispatch: code
+        between runs is not a handler, and what it schedules must wait
+        for the run.
         """
-        queue = self._queue
-        return self._dispatching and (
-            not queue or queue[0][0] > self.now
-        )
+        queue, now, slot = self._queue, self.now, self._slot
+        return self._dispatching and (not queue or queue[0][0] > now) and (
+            slot[0] != now or self.has_passed(*slot))
 
     def vitals(self) -> dict:
         """Snapshot of the kernel's own counters.
@@ -216,6 +246,10 @@ class Environment:
             "tombstones": self._tombstones,
             "compactions": self._compactions,
         }
+
+    def _drained(self) -> None:
+        """The heap ran dry: every slot drawn so far has passed."""
+        self._urgent = (self.now, int(repr(self._eid)[6:-1]) - 1)
 
     def cancel(self, event: Event) -> bool:
         """Cancel a scheduled-but-unprocessed event.
@@ -276,6 +310,7 @@ class Environment:
             self._high_water = len(queue)
         while True:
             if not queue:
+                self._drained()
                 raise EmptySchedule("no scheduled events")
             now, priority, seq, event, args = heappop(queue)
             if args is not None or not event._cancelled:
@@ -284,8 +319,10 @@ class Environment:
             self._tombstones -= 1
         if priority:
             self._seq = seq
-        elif now != self.now:
-            self._seq = -1
+        else:
+            if now != self.now:
+                self._seq = -1
+            self._urgent = (now, seq)
         self.now = now
         self._executed += 1
 
@@ -361,8 +398,10 @@ class Environment:
                     continue
                 if priority:
                     self._seq = seq
-                elif now != self.now:
-                    self._seq = -1
+                else:
+                    if now != self.now:
+                        self._seq = -1
+                    self._urgent = (now, seq)
                 self.now = now
                 executed += 1
 
@@ -372,6 +411,7 @@ class Environment:
         except StopSimulation as exc:
             return exc.value
         except EmptySchedule:
+            self._drained()
             if isinstance(until, Event) and until._value is PENDING:
                 raise SimulationError(
                     "no scheduled events left but 'until' event was not triggered"

@@ -107,7 +107,3 @@ class Deferred:
     def __init__(self, fn: Callable[["Deferred"], None]):
         self.callbacks: Optional[List[Callable]] = [fn]
         self._cancelled = False
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        state = "processed" if self.callbacks is None else "scheduled"
-        return f"<Deferred {state} at {id(self):#x}>"

@@ -95,9 +95,3 @@ class TopologySpec:
         for a, ap, b, bp in self.links:
             fabric.connect(a, ap, b, bp)
         return fabric
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (
-            f"<TopologySpec {self.name!r}: {self.num_switches} switches, "
-            f"{self.num_endpoints} endpoints>"
-        )

@@ -71,8 +71,19 @@ class TestSingleRun:
         assert setup.fm.counters["retries"] == 23
         assert (stats.stale_completions, stats.retries) == (46, 22)
         vitals = setup.env.vitals()
+        # (4,149, 6,988) while every retry timer and URGENT attach kick
+        # was a heap entry.  Gone: the 42 kicks (one per attached port,
+        # none found a packet) and 119 of the 215 timer pops, 192 of
+        # which found their transaction closed.  Still popping: the 23
+        # retransmissions and 73 closed timers — FIFO heads that closed
+        # before they fired, each FIFO's last timer (kept so the heap
+        # empties when the eager one did), and 76 pushed because they
+        # fell due at an instant where a timer of their period acted or
+        # other work was due: their eager entries stood on the heap
+        # then, so pushing them keeps ``quiet()`` what it was.  No
+        # number is drawn differently.
         assert (vitals["events_executed"],
-                vitals["sequence_numbers_drawn"]) == (4_149, 6_988)
+                vitals["sequence_numbers_drawn"]) == (3_988, 6_988)
 
     def test_asdict_round_trip(self):
         result = run_reliability(MESH, "parallel")

@@ -6,11 +6,21 @@ waits in a ledger instead of becoming an event.  Both must be invisible:
 whatever can observe them sees exactly what the always-schedule chain
 produced, same-instant ties included.  The expected orders and instants
 below are those of the always-schedule chain (PR 11's tree).
+
+The attach kick and the PI-4 retry timers are elided too; their cases
+(:class:`TestAttachKicks`, :class:`TestRetryTimers`) run each rig both
+ways — inside :func:`tests.reference.eager.eager`, which pushes every
+kick and timer, and as ``src/`` stands — and compare.
 """
 
+from contextlib import nullcontext
+from types import SimpleNamespace
+
 from repro.fabric import Fabric, FabricParams
+from repro.protocols.transaction import TransactionEngine
 from repro.routing.turnpool import Hop, build_turn_pool
-from repro.sim import Environment
+from repro.sim import Counter, Environment
+from tests.reference.eager import eager
 
 from .test_port_flow import data_packet
 
@@ -445,3 +455,232 @@ class TestDirectTransmit:
         assert port.stats["tx_dropped_no_link"] == 1
         assert (port.tx_queued, port.tx_packets) == (0, 0)
         assert port.credits == () and port.queued_packets() == 0
+
+
+def both_ways(case):
+    """``case()`` inside :func:`eager` and as ``src/`` stands; the two
+    logs must match (packet ids renumbered by first sighting, since
+    every packet of a process draws from one counter)."""
+    logs = []
+    for mode in (eager, nullcontext):
+        with mode():
+            log = case()
+        numbers = {}
+        logs.append([entry[:-1] + (numbers.setdefault(entry[-1],
+                                                      len(numbers)),)
+                     for entry in log])
+    assert logs[0] == logs[1]
+    return logs[1]
+
+
+class TestAttachKicks:
+    """A port's URGENT attach kick is only reserved, and pushed into its
+    slot when a packet is queued before the kick would have run."""
+
+    def test_a_send_before_the_run_pushes_its_port_kick_alone(self):
+        seen = []
+
+        def case():
+            env, fabric = star(sources=("ep2", "ep0"))
+            log = log_port_events(fabric)
+            ep0, ep2 = fabric.device("ep0"), fabric.device("ep2")
+            ep0.inject(data_packet(FROM_EP0))
+            seen.append((len(env._queue), ep0.ports[0]._tx_kick_scheduled,
+                         ep2.ports[0]._tx_kick_scheduled))
+            env.run()
+            return log
+        both_ways(case)
+        # Eager: one kick per attached port (six); the diet pushes ep0's.
+        assert seen == [(6, True, True), (1, True, False)]
+
+    def test_a_send_in_the_attaching_handlers_own_instant(self):
+        """Wired mid-run, then sent on in the same handler: the packet
+        waits for the kick, which runs right after the handler — and
+        the kick, due at this instant, keeps ``quiet()`` false for a
+        send on another port in between."""
+        def case():
+            env, fabric = star()
+            log = log_port_events(fabric)
+            ep0 = fabric.device("ep0")
+
+            def attach_and_send(_handle):
+                ep2 = fabric.add_endpoint("ep2")
+                ep2.trace_hook = ep0.trace_hook
+                fabric.connect("ep2", 0, "sw", 2)
+                ep2.power_on()
+                fabric.links[-1].bring_up()
+                ep0.inject(data_packet(FROM_EP0))
+                ep2.inject(data_packet(FROM_EP2))
+                log.append(("queued", ep0.ports[0].queued_packets(),
+                            ep2.ports[0].queued_packets(), env.now, None,
+                            -1))
+            env.schedule_callback(1e-6, attach_and_send)
+            env.run()
+            return log
+        log = both_ways(case)
+        assert log[2][:3] == ("queued", 1, 1)
+        assert [entry[:2] for entry in log[3:5]] == [("tx", "ep2"),
+                                                     ("tx", "ep0")]
+
+    def test_a_mid_run_reattach_under_churn(self):
+        """A device hot-added mid-run, its link flapped, and traffic on
+        it long after its kick's instant: the kick has passed by then
+        and the sends go direct, as after the eager kick."""
+        def case():
+            env, fabric = star()
+            log = log_port_events(fabric)
+            ep0 = fabric.device("ep0")
+            state = []
+
+            def hot_add(_handle):
+                ep2 = fabric.add_endpoint("ep2")
+                ep2.trace_hook = ep0.trace_hook
+                fabric.connect("ep2", 0, "sw", 2)
+                ep2.power_on()
+                fabric.links[-1].bring_up()
+
+            def flap(_handle):
+                fabric.links[-1].take_down()
+                fabric.links[-1].bring_up()
+
+            def send(_handle):
+                ep2 = fabric.device("ep2")
+                ep2.inject(data_packet(FROM_EP2))
+                ep0.inject(data_packet(FROM_EP0))
+                port = ep2.ports[0]
+                state.append((port._kick, port.queued_packets()))
+            env.schedule_callback(1e-6, hot_add)
+            env.schedule_callback(2e-6, flap)
+            env.schedule_callback(3e-6, send)
+            env.schedule_callback(5e-6, send)
+            env.run()
+            assert state == [(None, 0), (None, 0)]  # claimed; sent direct
+            return log
+        log = both_ways(case)
+        assert [entry[0] for entry in log].count("tx") == 8  # 4 x 2 hops
+
+
+class _Requester:
+    """What :class:`TransactionEngine` needs of an entity, logging."""
+
+    def __init__(self, env, log):
+        self.env, self.log = env, log
+
+    def send_pi4(self, message, pool, bits, out_port, tag):
+        self.log.append((self.env.now, "send", tag))
+
+
+class _CountingEnvironment(Environment):
+    """Counts the heap entries a retry timer takes."""
+
+    def __init__(self):
+        super().__init__()
+        self.timer_pushes = 0
+
+    def call_later(self, delay, fn, *args):
+        self.timer_pushes += fn.__name__ == "_on_timeout"
+        super().call_later(delay, fn, *args)
+
+    def schedule_at(self, time, seq, fn, *args):
+        self.timer_pushes += fn.__name__ == "_expire"
+        super().schedule_at(time, seq, fn, *args)
+
+
+class TestRetryTimers:
+    """Only the head of a timeout period's FIFO is a heap entry."""
+
+    POOL = SimpleNamespace(pool=0, bits=0)
+
+    def rig(self, script, **engine_options):
+        """``script(env, engine, open, complete)`` both ways; the log,
+        and the timer pushes eager and diet."""
+        pushes = []
+
+        def case():
+            env = _CountingEnvironment()
+            log = []
+            engine = TransactionEngine(env, _Requester(env, log), Counter(),
+                                       **engine_options)
+
+            def open_(at, timeout=None, name="r"):
+                def go(_handle=None):
+                    engine.open(name, self.POOL, 0, lambda reply, ctx:
+                                log.append((env.now, "gave up", ctx)),
+                                ctx=name, timeout=timeout)
+                env.schedule_callback(at, go)
+
+            def complete(at, tag):
+                env.schedule_callback(at, lambda _handle: engine.complete(
+                    SimpleNamespace(tag=tag)))
+            script(env, engine, open_, complete)
+            env.run()
+            log.append((env.now, "drained"))  # where a bare run stops
+            assert engine._timers == {}  # drained FIFOs are deleted
+            pushes.append(env.timer_pushes)
+            return [entry + (0,) for entry in log]
+        return both_ways(case), pushes
+
+    def test_a_retry_with_backoff_opens_a_new_period(self):
+        def script(env, engine, open_, complete):
+            open_(0.0)
+        log, pushes = self.rig(script, max_retries=3)
+        assert [entry[:2] for entry in log] == [
+            (0.0, "send"), (1e-3, "send"), (3e-3, "send"), (7e-3, "send"),
+            (15e-3, "gave up"), (15e-3, "drained")]
+        assert pushes == [4, 4]
+
+    def test_a_fixed_cadence_retry_stays_in_its_fifo(self):
+        def script(env, engine, open_, complete):
+            for i in range(6):
+                open_(i * 1e-4, timeout=1e-3, name=f"r{i}")
+            for tag in (1, 2, 4):
+                complete(5e-4, tag)
+        log, pushes = self.rig(script, max_retries=2)
+        assert sum(1 for entry in log if entry[1] == "gave up") == 3
+        assert pushes[1] < pushes[0]
+
+    def test_the_last_timer_keeps_the_heap_busy_until_it_is_due(self):
+        """Closed timers behind the head are dropped, but never the last
+        one: a bare ``run()`` stops, and ``peek()`` reads idle, when the
+        eager timers' would."""
+        def script(env, engine, open_, complete):
+            for i in range(3):
+                open_(i * 1e-4, timeout=1e-3, name=f"r{i}")
+            for tag in (1, 2, 3):
+                complete(5e-4, tag)
+        log, pushes = self.rig(script)
+        assert log[-1][:2] == (2e-4 + 1e-3, "drained")
+        assert pushes == [3, 2]
+
+    def test_cancel_all_mid_flight(self):
+        def script(env, engine, open_, complete):
+            for i in range(4):
+                open_(i * 1e-4, name=f"r{i}")
+            env.schedule_callback(1.5e-3, lambda _h: engine.cancel_all())
+        log, pushes = self.rig(script)
+        assert [entry[1] for entry in log] == ["send"] * 8 + ["drained"]
+        assert pushes[1] < pushes[0]
+
+    def test_a_deadline_tied_with_another_entry(self):
+        def script(env, engine, open_, complete):
+            note = engine.entity.log.append
+            env.schedule_callback(1e-3, lambda _h: note((env.now, "before")))
+            for name in "rs":  # drawn between the two notes, at t=0
+                engine.open(name, self.POOL, 0, lambda reply, ctx: note(
+                    (env.now, "gave up", ctx)), ctx=name, timeout=1e-3)
+            complete(5e-4, 2)
+            env.schedule_callback(1e-3, lambda _h: note((env.now, "after")))
+        log, _pushes = self.rig(script, max_retries=1)
+        assert [entry[1] for entry in log] == [
+            "send", "send", "before", "send", "after", "gave up", "drained"]
+
+    def test_distinct_periods_push_no_more_than_eager(self):
+        """Policy-derived periods differ per route; each gets a FIFO."""
+        def script(env, engine, open_, complete):
+            for i, timeout in enumerate((1e-3, 2e-3, 1e-3, 3e-3, 2e-3, 1e-3)):
+                open_(i * 1e-4, timeout=timeout, name=f"r{i}")
+            for tag in (2, 4, 5):  # the three still open at t=4 ms
+                complete(4e-3, tag)
+        log, pushes = self.rig(script, max_retries=1)
+        assert sum(1 for entry in log if entry[1] == "gave up") == 3
+        assert pushes[1] <= pushes[0]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.events import URGENT
 from repro.sim import (
     EmptySchedule,
     Environment,
@@ -359,3 +360,174 @@ def test_exception_from_an_argument_entry_leaves_the_kernel_consistent():
         env.call_later(1.0, boom, "again")
         env.step()
     assert not env.quiet() and env.vitals()["events_executed"] == 4
+
+
+# -- URGENT slots: reserve_urgent / has_passed(time, seq, mark) -----------------
+#
+# Each case runs twice: once with the slot pushed at its draw as a real
+# zero-delay URGENT entry (eager), once only reserved.  A probe asks
+# "has the slot run?" — of the eager entry, whether it popped; of the
+# reservation, ``has_passed`` — and the two runs must answer alike.
+
+class _Slot:
+    def __init__(self, env, eager):
+        self.env, self.popped, self.slot = env, False, None
+        if eager:
+            env.schedule_callback(0.0, self._pop, URGENT)
+        else:
+            self.slot = env.reserve_urgent()
+
+    def _pop(self, _handle):
+        self.popped = True
+
+    def ran(self):
+        return self.popped if self.slot is None else \
+            self.env.has_passed(*self.slot)
+
+
+def _probes(case):
+    """``case(env, eager, probe, draw) -> None`` both ways; the answers."""
+    answers = []
+    for eager in (True, False):
+        env, seen, box = Environment(), [], {}
+
+        def probe(label, env=env, seen=seen, box=box):
+            return lambda _handle=None: seen.append(
+                (label, box["slot"].ran() if "slot" in box else None))
+
+        def draw(env=env, eager=eager, box=box):
+            box["slot"] = _Slot(env, eager)
+
+        case(env, probe, draw)
+        answers.append(seen)
+    assert answers[0] == answers[1]
+    return answers[1]
+
+
+def test_urgent_slot_drawn_in_an_urgent_handler():
+    def case(env, probe, draw):
+        def drawer(_handle):
+            draw()
+            probe("drawer")()
+            env.schedule_callback(0.0, probe("urgent after"), URGENT)
+        env.schedule_callback(1.0, drawer, URGENT)
+        env.schedule_callback(1.0, probe("urgent before"), URGENT)
+        env.schedule_callback(1.0, probe("normal"))
+        env.run()
+    assert _probes(case) == [("drawer", False), ("urgent before", False),
+                             ("urgent after", True), ("normal", True)]
+
+
+def test_urgent_slot_drawn_in_a_normal_handler_runs_right_after_it():
+    """The probe was numbered before the slot, yet pops after it: an
+    URGENT slot drawn at this instant passes with the next pop."""
+    def case(env, probe, draw):
+        def drawer(_handle):
+            draw()
+            probe("drawer")()
+            env.schedule_callback(0.0, probe("urgent after"), URGENT)
+        env.schedule_callback(1.0, drawer)
+        env.schedule_callback(1.0, probe("normal, numbered before"))
+        env.run()
+    assert _probes(case) == [("drawer", False), ("urgent after", True),
+                             ("normal, numbered before", True)]
+
+
+def test_urgent_slot_passes_with_the_next_normal_pop_alone():
+    """No URGENT entry pops after the slot: only the NORMAL entry that
+    was last popped when it was drawn (its ``mark``) tells the pops
+    apart — the probe's number is below the slot's."""
+    def case(env, probe, draw):
+        env.schedule_callback(1.0, lambda _handle: draw())
+        env.schedule_callback(1.0, probe("normal, numbered before"))
+        env.schedule_callback(2.0, probe("later"))
+        env.run()
+    assert _probes(case) == [("normal, numbered before", True),
+                             ("later", True)]
+
+
+def test_urgent_slot_drawn_before_the_run():
+    def case(env, probe, draw):
+        env.schedule_callback(0.0, probe("urgent before"), URGENT)
+        env.schedule_callback(0.0, probe("normal before"))
+        draw()
+        probe("drawn")()
+        env.schedule_callback(0.0, probe("urgent after"), URGENT)
+        env.schedule_callback(1.0, probe("later"))
+        env.run()
+    assert _probes(case) == [
+        ("drawn", False), ("urgent before", False), ("urgent after", True),
+        ("normal before", True), ("later", True)]
+
+
+def test_urgent_slot_drawn_between_runs():
+    def case(env, probe, draw):
+        env.schedule_callback(1.0, probe("normal at the stop"))
+        env.run(until=1.0)      # stops on an URGENT marker at t=1
+        env.schedule_callback(0.0, probe("urgent before"), URGENT)
+        draw()
+        probe("drawn")()
+        env.schedule_callback(0.0, probe("urgent after"), URGENT)
+        env.run()
+    assert _probes(case) == [
+        ("drawn", False), ("urgent before", False), ("urgent after", True),
+        ("normal at the stop", True)]
+
+
+def test_a_drain_passes_every_urgent_slot_drawn_before_it():
+    def case(env, probe, draw):
+        env.schedule_callback(1.0, lambda _handle: draw())
+        env.run()               # drains at t=1
+        probe("after the drain")()
+        draw()
+        probe("drawn between runs")()
+        env.run()
+        probe("after the second drain")()
+    assert _probes(case) == [("after the drain", True),
+                             ("drawn between runs", False),
+                             ("after the second drain", True)]
+
+
+def test_a_reserved_urgent_slot_still_due_keeps_the_instant_busy():
+    """``quiet()`` answers as if the slot were on the heap."""
+    seen = []
+    for eager in (True, False):
+        env = Environment()
+
+        def handler(_handle, env=env, eager=eager):
+            seen.append((eager, env.quiet()))
+            slot = _Slot(env, eager)
+            seen.append((eager, env.quiet(), slot.ran()))
+        env.schedule_callback(1.0, handler)
+        env.run()
+    assert seen == [(True, True), (True, False, False),
+                    (False, True), (False, False, False)]
+
+
+def test_schedule_urgent_runs_where_the_eager_push_would():
+    """Reserved in one handler, pushed from a later one of the same
+    instant: it runs between the entries drawn around it."""
+    env = Environment()
+    order, slots = [], []
+
+    def drawer(_handle):
+        order.append("drawer")
+        slots.append(env.reserve_urgent())
+        env.schedule_callback(0.0, lambda _h: order.append("after it"),
+                              URGENT)
+
+    def pusher(_handle):
+        order.append("pusher")
+        env.schedule_urgent(slots[-1], lambda _h: order.append("slot"))
+    env.schedule_callback(1.0, drawer, URGENT)
+    env.schedule_callback(1.0, pusher, URGENT)
+    env.schedule_callback(1.0, lambda _h: order.append("normal"))
+    env.run()
+    assert order == ["drawer", "pusher", "slot", "after it", "normal"]
+    # A slot whose turn has come and gone cannot be pushed any more.
+    with pytest.raises(SimulationError, match="already passed"):
+        env.schedule_urgent(slots[0], lambda _h: None)
+    env.schedule_callback(1.0, drawer, URGENT)
+    env.run()
+    with pytest.raises(SimulationError, match="already passed"):
+        env.schedule_urgent(slots[1], lambda _h: None)

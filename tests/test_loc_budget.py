@@ -78,16 +78,28 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: ``Process``, ``Initialize``, ``Timeout`` and the event-failure path
 #: left the kernel (−81 in ``sim/``; +2 in ``workloads/``; +24 in
 #: ``manager/``, most of it the warm standby re-resolving a heartbeat
-#: route that churn cut).
-TOTAL_CEILING = 10_702
+#: route that churn cut); 10,673 once the heap held only entries that
+#: can act — the retry timers' per-period FIFOs and ``_expire`` (+27 in
+#: ``protocols/transaction.py``), the reserved attach kick (+4 in
+#: ``fabric/port.py``) and the kernel's URGENT slots (+20 in ``sim/``)
+#: paid for by the 18 debugging ``__repr__`` methods the line census
+#: showed nothing reaching (−80 across ``sim/``, ``fabric/``,
+#: ``manager/``, ``obs/``, ``protocols/``, ``routing/``, ``topology/``;
+#: ``Port``'s and ``Link``'s stay: error messages and tests print them).
+TOTAL_CEILING = 10_673
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; 442 while ``Environment.now`` was a property;
 #: 439 while ``Counter`` built closures and ``Tally`` lived here; 379
 #: while ``Event.fail`` did; 369 while generator ``Process``/``Timeout``
 #: classes, event failure and ``Environment.schedule`` did — what is
 #: left is the callback kernel, with ``Environment.process``/``timeout``
-#: as a callback trampoline for the benchmark's kernel probes).
-SIM_CEILING = 288
+#: as a callback trampoline for the benchmark's kernel probes; 288
+#: before the exact URGENT ``has_passed``: its form and its state — the
+#: last URGENT pop and the drain, kept in the event branch of ``run``/
+#: ``step`` and at the drain exit — plus ``reserve_urgent``,
+#: ``schedule_urgent`` and ``quiet()``'s look at the last reserved
+#: slot, +20, less the two debugging ``__repr__`` nothing reached, −6).
+SIM_CEILING = 302
 #: Code lines in ``repro/experiments/`` + ``repro/cli.py`` (3,666
 #: before PR 13, 3,071 after it; 3,064 before PR 22 shared the change
 #: protocol and the reliability totals; 3,048 before PR 24 made
