@@ -20,7 +20,8 @@ core:
   (one protocol object per connection) speaking line-delimited JSON to
   many concurrent clients;
 * :class:`~repro.service.client.ServiceClient` — the small blocking
-  client used by tests and :mod:`benchmarks.bench_service`;
+  client used by tests and the benchmark's ``serve_churn`` workload
+  (``perf/workloads.py``);
 * :func:`~repro.service.harness.start_service` — an in-process
   service for tests and benchmarks.
 

@@ -5,7 +5,8 @@ This subpackage replaces the OPNET Modeler kernel used by the paper
 models need: an event heap with argument-carrying and cancellable
 timers and one-shot events.  Every model is a chain of callbacks;
 ``Environment.process``/``timeout`` drive generators only for the
-kernel's benchmark probes.
+kernel probes of the benchmark's ``layer_probes`` workload
+(``perf/workloads.py``), their one driver outside the tests.
 
 Quick example::
 

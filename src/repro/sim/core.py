@@ -25,8 +25,9 @@ class Environment:
     events.  Entities interact with the environment through
     :meth:`call_later`, :meth:`schedule_callback`, :meth:`event` and
     :meth:`run`: every model is a chain of callbacks.  :meth:`process`
-    and :meth:`timeout` remain for the kernel's benchmark probes, which
-    drive generators; no model uses them.
+    and :meth:`timeout` remain for the kernel probes of the benchmark's
+    ``layer_probes`` workload (``perf/workloads.py``), which drive
+    generators; no model uses them.
 
     Parameters
     ----------

@@ -337,35 +337,50 @@ class TestChurnBeyondTheTurnPool:
                 assert metrics["fm.targets_out_of_reach"]["value"] > 0
 
 
-class TestServiceBenchNoticesADeadKernel:
-    def test_run_bench_raises_when_the_kernel_died_in_the_window(
+class TestServeChurnNoticesADeadKernel:
+    def test_measure_counts_a_failure_when_the_driver_died(
             self, monkeypatch):
-        """``benchmarks/bench_service.py`` used to report throughput
-        for a window in which the driver thread had ended: reads keep
-        being answered from the last snapshot, so no client errs."""
+        """The benchmark's ``serve_churn`` workload (``perf/``) must not
+        report a clean window in which the driver thread had ended:
+        reads keep being answered from the last snapshot, so no client
+        errs, and only the workload's own check sees the dead kernel."""
         import importlib.util
+        import sys
         from pathlib import Path
-        path = (Path(__file__).resolve().parents[2]
-                / "benchmarks" / "bench_service.py")
-        spec = importlib.util.spec_from_file_location("bench_service", path)
-        bench = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
+
+        import repro.service
+        perf = Path(__file__).resolve().parents[2] / "perf"
+        monkeypatch.syspath_prepend(str(perf))  # its ``layers`` import
+        spec = importlib.util.spec_from_file_location(
+            "perf_workloads", perf / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "perf_workloads", workloads)
+        spec.loader.exec_module(workloads)
+
+        handles = []
+
+        def recorded_service(topology, **kwargs):
+            handles.append(start_service(topology, **kwargs))
+            return handles[-1]
 
         def boom():
             raise RuntimeError("boom")
 
-        def doomed_service(topology, **kwargs):
-            handle = start_service(topology, **kwargs)
-            handle.driver.call(
-                lambda setup: setup.env.call_later(1e-6, boom))
-            return handle
+        class DoomedChurn(workloads.ServeChurn):
+            def prepare(self):
+                super().prepare()
+                self.handle.driver.call(
+                    lambda setup: setup.env.call_later(1e-6, boom))
 
-        monkeypatch.setattr(bench, "start_service", doomed_service)
-        with pytest.raises(RuntimeError, match="kernel died.*boom"):
-            bench.run_bench("mesh9", clients=2, duration=0.5, seed=0)
-        monkeypatch.setattr(bench, "start_service", start_service)
-        assert bench.run_bench(
-            "mesh9", clients=2, duration=0.5, seed=0)["queries"] > 0
+        monkeypatch.setattr(repro.service, "start_service",
+                            recorded_service)
+        workload = DoomedChurn(0, "mesh9", requests=25, mutate_every=10,
+                               direct_cycles=3)
+        report = workloads.measure(workload, seconds=0.0, trace=False)
+        assert [h.driver.crashed is not None for h in handles] == [True]
+        assert report["failed"] > 0
+        assert any(line.startswith("driver crashed: RuntimeError('boom')")
+                   for line in report["failures"]), report["failures"]
 
 
 class TestMutationRoundTrip:
