@@ -8,8 +8,7 @@ routing, device configuration spaces, and the PI-4/PI-5 management
 protocols — plus the fabric-management layer the paper studies: three
 discovery implementations (Serial Packet, Serial Device, Parallel),
 PI-5-driven change assimilation, FM failover, and the
-paper's future-work extensions (partial assimilation and collaborative
-discovery).
+paper's future-work extension of partial assimilation.
 
 Quick start::
 
@@ -60,7 +59,6 @@ def _surface(namespace: dict, table: dict):
 
 __getattr__, __dir__, __all__ = _surface(globals(), {
     "ALGORITHMS": "manager.timing",
-    "CollaborativeDiscovery": "manager.discovery.distributed",
     "DiscoveryStats": "manager.discovery.base",
     "Environment": "sim.core",
     "ExperimentResult": "experiments.runner",

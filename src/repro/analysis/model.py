@@ -28,6 +28,18 @@ from ..manager.timing import (
 )
 from ..topology.spec import TopologySpec
 
+#: Mean path length of a discovery packet, in hops.  A guess: ROADMAP
+#: item 3 derives it per request from the topology's spec.
+HOPS = 3.0
+
+#: Mean wire size of a discovery packet, in bytes.  A guess, to be
+#: derived from the spec as :data:`HOPS` is.
+PACKET_BYTES = 48.0
+
+#: Mean port reads per device in the Serial Device prediction.  A
+#: guess, to be derived from the spec as :data:`HOPS` is.
+MEAN_PORTS = 8.0
+
 
 @dataclass
 class PipelineModel:
@@ -42,17 +54,15 @@ class PipelineModel:
                         algorithm: str,
                         known_devices: int = 0,
                         params: FabricParams = DEFAULT_PARAMS,
-                        hops: float = 3.0,
-                        packet_bytes: float = 48.0) -> "PipelineModel":
+                        ) -> "PipelineModel":
         """Build the model from simulation parameters.
 
-        ``hops`` is the mean path length of a discovery packet and
-        ``packet_bytes`` the mean wire size; together they give the
-        one-way propagation term (serialization + per-hop latency).
+        The one-way propagation term is the serialization of a
+        :data:`PACKET_BYTES` packet plus :data:`HOPS` hops of latency.
         """
         t_prop = (
-            params.tx_time(packet_bytes)
-            + hops * (params.routing_latency + params.propagation_delay)
+            params.tx_time(PACKET_BYTES)
+            + HOPS * (params.routing_latency + params.propagation_delay)
         )
         return cls(
             t_fm=timing.fm_time(algorithm, known_devices),
@@ -87,10 +97,10 @@ class PipelineModel:
             return self.predict_serial_device(n_packets)
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
-    def predict_serial_device(self, n_packets: int,
-                              mean_ports: float = 8.0) -> float:
-        """Serial Device prediction with ``mean_ports`` reads per device."""
-        serial_fraction = 1.0 / (mean_ports + 1.0)
+    def predict_serial_device(self, n_packets: int) -> float:
+        """Serial Device prediction with :data:`MEAN_PORTS` reads per
+        device."""
+        serial_fraction = 1.0 / (MEAN_PORTS + 1.0)
         period = (
             serial_fraction * self.serial_period
             + (1 - serial_fraction) * self.parallel_period

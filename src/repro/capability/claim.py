@@ -1,9 +1,9 @@
-"""The discovery-claim capability (collaborative discovery support).
+"""The claim capability: which fabric manager owns a device.
 
-Used by the distributed-discovery extension (paper future work,
-section 5: "distribute the entire process through several collaborative
-fabric managers").  Each collaborating FM, before exploring a freshly
-found device, writes a *claim* naming itself.  The device accepts the
+Serves ownership fencing: an FM that takes over (or comes back)
+stamps every device it manages with a *claim* naming itself and its
+epoch (``FabricManager._stamp_ownership``), so two FMs that both
+believe they are primary find each other.  The device accepts the
 first claim of a generation and rejects later ones with a PI-4
 completion status of ``STATUS_CONFLICT`` — the device's serial
 management-packet processing makes the test-and-set atomic for free.

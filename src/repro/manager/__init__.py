@@ -2,10 +2,9 @@
 
 Provides the fabric manager, its topology database, the processing
 time model of Fig. 4, the three discovery implementations of section 3,
-the standby that takes over when the primary fails, and the
-future-work collaborative discovery extension.  Partial assimilation
-is a value the fabric manager is built with
-(``FabricManager(assimilation="partial")``).
+and the standby that takes over when the primary fails.  Partial
+assimilation, the paper's future work, is a value the fabric manager
+is built with (``FabricManager(assimilation="partial")``).
 """
 
 from .. import _surface
@@ -13,9 +12,6 @@ from .. import _surface
 __getattr__, __dir__, __all__ = _surface(globals(), {
     "ALGORITHMS": "timing",
     "ALGORITHM_CLASSES": "discovery",
-    "ClaimingParallelDiscovery": "discovery.distributed",
-    "CollaborativeDiscovery": "discovery.distributed",
-    "CollaborativeStats": "discovery.distributed",
     "ConsistencyReport": "consistency",
     "DatabaseError": "database",
     "DeviceRecord": "database",

@@ -34,14 +34,14 @@ Two takeover modes:
     the primary's PI-5 tee (``pi5_listeners`` — the control-plane
     replication channel every real redundant manager pair maintains)
     and refreshes the mirror on periodic sync reads over the same PI-4
-    transaction engine the heartbeat uses.  As with collaborative
-    discovery, one modelled read per sync carries the transfer cost
-    while the record content rides out-of-band.  On promotion the
-    mirror becomes the live database (rebased to the standby's vantage
-    point), a verify pass re-reads every device's port-status blocks,
-    and only the *differences* are repaired — fed as synthesized PI-5
-    events through the partial-assimilation repair-burst machinery —
-    instead of rediscovering the fabric from scratch.
+    transaction engine the heartbeat uses.  One modelled read per sync
+    carries the transfer cost while the record content rides
+    out-of-band.  On promotion the mirror becomes the live database
+    (rebased to the standby's vantage point), a verify pass re-reads
+    every device's port-status blocks, and only the *differences* are
+    repaired — fed as synthesized PI-5 events through the
+    partial-assimilation repair-burst machinery — instead of
+    rediscovering the fabric from scratch.
 
 Fencing: on takeover the standby advances the ownership epoch past the
 primary's and (when the wrapped FM has ``fence_ownership`` on) stamps

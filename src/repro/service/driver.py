@@ -73,7 +73,10 @@ class SimulationDriver:
         self.setup = setup
         self.env = setup.env
         self.injector = injector
-        #: Exception that killed the kernel, if any (queries still run).
+        #: Exception that killed the kernel, if any.  Reads are still
+        #: answered; any other command then fails with
+        #: :class:`DriverStopped`, since nothing it changes would ever
+        #: be simulated.
         self.crashed: Optional[BaseException] = None
         #: Kernel events stepped by this driver (service metric), and
         #: the batches they ran in: events per batch falls below
@@ -236,8 +239,10 @@ class SimulationDriver:
         fn, future, key = item
         if not future.set_running_or_notify_cancel():
             return
-        self.commands_run += 1
         try:
+            if key is None and self.crashed is not None:
+                raise DriverStopped(f"kernel crashed: {self.crashed!r}")
+            self.commands_run += 1
             if key is None:
                 self._bump()
                 value = fn(self.setup)

@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from repro.capability import (
     BASELINE_CAP_ID,
+    CLAIM_CAP_ID,
     EVENT_ROUTE_CAP_ID,
     PATH_TABLE_CAP_ID,
+    ClaimCapability,
     ConfigSpace,
     ConfigSpaceError,
     EventRouteCapability,
@@ -24,7 +26,9 @@ from repro.capability.baseline import (
     DEVICE_TYPE_SWITCH,
     GENERAL_INFO_DWORDS,
 )
+from repro.capability.claim import STATUS_CONFLICT
 from repro.fabric import Fabric
+from repro.protocols import pi4
 from repro.sim import Environment
 
 
@@ -179,3 +183,38 @@ class TestPathTableCapability:
     def test_validation(self):
         with pytest.raises(ValueError):
             PathTableCapability(max_entries=0)
+
+
+class TestClaimCapability:
+    """First writer of a generation wins: the rule ownership fencing
+    (``FabricManager._stamp_ownership``) relies on."""
+
+    def test_first_claim_wins_and_a_newer_generation_replaces_it(self):
+        cap = ClaimCapability()
+        assert cap.cap_id == CLAIM_CAP_ID and len(cap) == 3
+        assert cap.get_claim() is None
+        cap.write(0, ClaimCapability.encode(0xA1, 5))
+        assert cap.get_claim() == (0xA1, 5)
+        first = cap.read(0, 3)
+
+        with pytest.raises(ConfigSpaceError) as lost:
+            cap.write(0, ClaimCapability.encode(0xB2, 5))
+        assert lost.value.status == STATUS_CONFLICT == pi4.STATUS_CONFLICT
+        assert cap.read(0, 3) == first
+        assert cap.get_claim() == (0xA1, 5)
+
+        cap.write(0, ClaimCapability.encode(0xB2, 6))
+        assert cap.get_claim() == (0xB2, 6)
+
+    def test_encode_decode_round_trip(self):
+        owner = 0x0123_4567_89AB_CDEF
+        values = ClaimCapability.encode(owner, 0x1_0007)
+        assert ClaimCapability.decode(values) == (owner, 7)
+        assert ClaimCapability.decode([0, 0, 0]) is None
+        assert ClaimCapability.decode(values[:2]) is None
+
+    def test_a_partial_write_is_refused(self):
+        cap = ClaimCapability()
+        with pytest.raises(RegisterError):
+            cap.write(1, [0, 0])
+        assert cap.get_claim() is None

@@ -1,10 +1,9 @@
-"""Tests for the future-work extensions: partial and distributed discovery."""
+"""Tests for the future-work extension: partial assimilation."""
 
 import hashlib
 
 import pytest
 
-from repro.capability import CLAIM_CAP_ID
 from repro.experiments.runner import (
     build_simulation,
     database_matches_fabric,
@@ -12,14 +11,9 @@ from repro.experiments.runner import (
     run_until_ready,
 )
 from repro.manager import PARALLEL, FabricManager
-from repro.manager.discovery.distributed import (
-    ClaimingParallelDiscovery,
-    CollaborativeDiscovery,
-)
 from repro.manager.fm import MANAGER_KINDS
 from repro.protocols.entity import ManagementEntity
-from repro.routing.paths import fabric_route
-from repro.topology import make_mesh, make_torus
+from repro.topology import make_mesh
 
 
 def build_partial(spec, **kwargs):
@@ -168,117 +162,6 @@ class TestPartialAssimilation:
                               (276, 0.024515792999999963)]
         assert hashlib.sha256(repr(list(times)).encode()).hexdigest() == (
             "81a21fd929844a1670b497b7904755d740d0f22fdc3c937e8ec0f27d37cddd17")
-
-
-class TestCollaborativeDiscovery:
-    def build_pair(self, spec):
-        setup = build_simulation(spec, algorithm=PARALLEL,
-                                 auto_start=False)
-        helper_host = sorted(
-            ep for ep in spec.endpoints if ep != spec.fm_host
-        )[-1]
-        helper_fm = FabricManager(
-            setup.fabric.device(helper_host),
-            setup.entities[helper_host],
-            algorithm=PARALLEL, auto_start=False,
-        )
-        route = fabric_route(setup.fabric, helper_host, spec.fm_host)
-        return setup, helper_fm, route
-
-    def test_union_covers_entire_fabric(self):
-        spec = make_mesh(4, 4)
-        setup, helper_fm, route = self.build_pair(spec)
-        collab = CollaborativeDiscovery(
-            setup.fm, [(helper_fm, route)], generation=1
-        )
-        stats = setup.env.run(until=collab.run())
-        assert database_matches_fabric(setup)
-        assert stats.merge_writes == stats.region_sizes[
-            helper_fm.endpoint.name
-        ]
-
-    def test_regions_partition_devices(self):
-        spec = make_mesh(4, 4)
-        setup, helper_fm, route = self.build_pair(spec)
-        collab = CollaborativeDiscovery(
-            setup.fm, [(helper_fm, route)], generation=1
-        )
-        setup.env.run(until=collab.run())
-        primary_exp = setup.fm.discovery
-        helper_exp = helper_fm.discovery
-        assert isinstance(primary_exp, ClaimingParallelDiscovery)
-        # Every device owned by exactly one FM.
-        assert primary_exp.owned.isdisjoint(helper_exp.owned)
-        total = len(primary_exp.owned | helper_exp.owned)
-        assert total == spec.total_devices
-
-    def test_claims_visible_on_devices(self):
-        spec = make_mesh(3, 3)
-        setup, helper_fm, route = self.build_pair(spec)
-        collab = CollaborativeDiscovery(
-            setup.fm, [(helper_fm, route)], generation=7
-        )
-        setup.env.run(until=collab.run())
-        owners = {setup.fm.endpoint.dsn, helper_fm.endpoint.dsn}
-        claimed = 0
-        for device in setup.fabric.devices.values():
-            claim = device.config_space.capability(CLAIM_CAP_ID).get_claim()
-            if claim is not None:
-                owner, generation = claim
-                # Merge writes bump the generation; exploration claims
-                # carry the round's generation.
-                assert generation in (7, 8)
-                if generation == 7:
-                    assert owner in owners
-                claimed += 1
-        assert claimed == spec.total_devices
-
-    def test_collaboration_beats_single_fm_on_large_fabric(self):
-        spec = make_torus(6, 6)
-        # Single-FM parallel baseline.
-        solo = build_simulation(spec, algorithm=PARALLEL, auto_start=False)
-        solo.fm.start_discovery()
-        solo_stats = run_until_ready(solo)
-
-        setup, helper_fm, route = self.build_pair(spec)
-        collab = CollaborativeDiscovery(
-            setup.fm, [(helper_fm, route)], generation=1
-        )
-        stats = setup.env.run(until=collab.run())
-        assert stats.total_time < solo_stats.discovery_time
-
-    def test_requires_helpers(self):
-        spec = make_mesh(2, 2)
-        setup, helper_fm, route = self.build_pair(spec)
-        with pytest.raises(ValueError):
-            CollaborativeDiscovery(setup.fm, [])
-
-
-class TestThreeWayCollaboration:
-    def test_three_fms_partition_and_merge(self):
-        spec = make_torus(4, 4)
-        setup = build_simulation(spec, algorithm=PARALLEL,
-                                 auto_start=False)
-        helpers = []
-        for host in ("ep_2_2", "ep_0_3"):
-            fm = FabricManager(
-                setup.fabric.device(host), setup.entities[host],
-                algorithm=PARALLEL, auto_start=False,
-            )
-            route = fabric_route(setup.fabric, host, spec.fm_host)
-            helpers.append((fm, route))
-        collab = CollaborativeDiscovery(setup.fm, helpers, generation=3)
-        stats = setup.env.run(until=collab.run())
-
-        assert database_matches_fabric(setup)
-        regions = list(stats.region_sizes.values())
-        assert sum(regions) == spec.total_devices
-        assert all(size > 0 for size in regions)
-        # Merge writes: one per helper-owned device.
-        helper_devices = sum(
-            stats.region_sizes[fm.endpoint.name] for fm, _r in helpers
-        )
-        assert stats.merge_writes == helper_devices
 
 
 class TestOneManagerClass:

@@ -4,8 +4,10 @@ import pytest
 
 from repro.capability import (
     BASELINE_CAP_ID,
+    CLAIM_CAP_ID,
     EVENT_ROUTE_CAP_ID,
     GENERAL_INFO_DWORDS,
+    ClaimCapability,
     decode_general_info,
 )
 from repro.fabric import Fabric
@@ -102,6 +104,26 @@ def test_write_request_modifies_capability(rig):
     assert completion.status == pi4.STATUS_OK
     cap = fabric.device("sw").config_space.capability(EVENT_ROUTE_CAP_ID)
     assert cap.get_route() == (0xBEEF, 12, 3)
+
+
+def test_a_losing_claim_write_completes_with_conflict(rig):
+    """The second claim of a generation is answered ``STATUS_CONFLICT``
+    and leaves the first in place: what ownership fencing's write phase
+    reads as a lost race."""
+    env, fabric, entities = rig
+    manager = Recorder()
+    entities["ep"].manager = manager
+    for tag, owner in ((1, 0xA1), (2, 0xB2)):
+        req = pi4.WriteRequest(cap_id=CLAIM_CAP_ID, offset=0, tag=tag,
+                               data=tuple(ClaimCapability.encode(owner, 4)))
+        entities["ep"].send_pi4(req, turn_pool=0, turn_pointer=0)
+    env.run()
+    statuses = [pi4.decode(p.payload).status for p in manager.packets]
+    assert statuses == [pi4.STATUS_OK, pi4.STATUS_CONFLICT]
+    cap = fabric.device("sw").config_space.capability(CLAIM_CAP_ID)
+    assert cap.get_claim() == (0xA1, 4)
+    stats = entities["sw"].stats
+    assert (stats["writes_served"], stats["write_errors"]) == (1, 1)
 
 
 def test_local_loopback_read(rig):

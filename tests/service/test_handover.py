@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.service import start_service
-from repro.service.driver import BATCH, SimulationDriver
+from repro.service.driver import BATCH, DriverStopped, SimulationDriver
 from repro.service.harness import SWITCH_INTERVAL
 from repro.service.server import FRAME_LIMIT, FeedHub
 
@@ -53,14 +53,20 @@ def _drive(total, hooks):
     """Run a driver over a stub kernel until the kernel is exhausted
     (or dead) and everything the hooks queued has run; returns the
     stopped driver.  The barrier command this queues last moves the
-    version once more (bump rule 2)."""
+    version once more (bump rule 2) — unless the kernel died: then it is
+    refused and moves nothing."""
     kernel = StubKernel(total, hooks)
     driver = kernel.driver = SimulationDriver(SimpleNamespace(env=kernel))
     driver.start()
     try:
         _until(lambda: kernel.peek() == math.inf or driver.crashed,
                "kernel neither exhausted nor dead")
-        driver.call(lambda setup: None, timeout=WAIT)
+        barrier = driver.submit(lambda setup: None)
+        if driver.crashed is None:
+            barrier.result(WAIT)
+        else:
+            with pytest.raises(DriverStopped, match="kernel crashed"):
+                barrier.result(WAIT)
     finally:
         driver.stop(timeout=WAIT)
     assert not driver.running
@@ -131,9 +137,9 @@ class TestInterruptibleBatch:
         driver = _drive(10, {3: boom})
         assert isinstance(driver.crashed, RuntimeError)
         # Events 1 and 2 completed: rule 3 for the crash, rule 1 for
-        # the batch it ended, rule 2 for the barrier.
+        # the batch it ended; the barrier, refused, bumps nothing.
         assert driver.events_stepped == 2
-        assert driver.version == 3
+        assert driver.version == 2
 
 
 class TestSwitchInterval:

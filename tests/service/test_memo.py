@@ -34,7 +34,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.service import api, start_service
-from repro.service.driver import MEMO_CAP
+from repro.service.driver import MEMO_CAP, DriverStopped
 
 #: Seconds any single wait in this file may take.
 WAIT = 30.0
@@ -425,6 +425,28 @@ class TestStaleness:
             assert wire.result("metrics")["version"] >= after["version"]
             assert wire.result("status")["driver"]["crashed"] == after[
                 "driver"]["crashed"]
+
+    def test_a_mutation_after_a_kernel_crash_fails(self):
+        """Once the kernel has died nothing a command changes will ever
+        be simulated, so a mutation verb fails instead of answering
+        success with a frozen ``sim_time``; reads are still answered."""
+        with start_service("mesh9") as handle:
+            quiesce(handle)
+            driver = handle.driver
+
+            def bomb(_event):
+                raise RuntimeError("kernel bomb")
+
+            on_sim_thread(driver, lambda setup: setup.env.schedule_callback(
+                0.0, bomb)).result(WAIT)
+            _until(lambda: driver.crashed is not None, "the crash")
+            with pytest.raises(DriverStopped, match="kernel crashed: "
+                               "RuntimeError\\('kernel bomb'\\)"):
+                api.call_op(driver, "remove_device", {"name": "sw_1_1"})
+            assert on_sim_thread(driver, lambda setup: setup.fabric.device(
+                "sw_1_1").active).result(WAIT)
+            status = api.call_op(driver, "status")
+            assert "kernel bomb" in status["driver"]["crashed"]
 
     def test_memo_is_capped_and_written_on_the_sim_thread_only(self):
         with start_service("mesh9") as handle, wires(handle, 1) as (wire,):

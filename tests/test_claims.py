@@ -20,8 +20,8 @@ def test_every_reproduced_artifact_has_a_row():
     ids = {claim.id for claim in CLAIMS}
     assert len(ids) == len(CLAIMS)
     assert {claim_id.split("-")[0] for claim_id in ids} == {
-        "T1", "F4", "F6", "F7", "F8a", "F8b", "F9", "S1", "S2", "X1",
-        "X2", "X3", "X4", "A1", "A3", "A4"}
+        "T1", "F4", "F6", "F7", "F8a", "F8b", "F9", "S1", "S2", "X2",
+        "X3", "X4", "A1", "A3", "A4"}
 
 
 def test_only_the_single_vc_starvation_runs_nightly_only():

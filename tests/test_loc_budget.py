@@ -89,8 +89,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: 10,614 once the experiments' bench-trajectory writer, which only
 #: the bench scripts imported, went with the kernel and service bench
 #: scripts ``perf/`` already measures (−59; the scale sweep writes its
-#: own rows).
-TOTAL_CEILING = 10_614
+#: own rows); 10,469 once collaborative discovery went — the claiming
+#: Parallel walk, the coordinator and its merge, which only
+#: ``examples/`` and claims row X1 ran (−148) — the model's three
+#: guessed knobs became constants (±0) and a crashed driver refused
+#: mutations (+2).
+TOTAL_CEILING = 10_469
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; 442 while ``Environment.now`` was a property;
 #: 439 while ``Counter`` built closures and ``Tally`` lived here; 379

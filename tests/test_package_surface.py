@@ -26,10 +26,12 @@ SRC = REPO / "src"
 #: ``save_results`` / ``save_spec`` (deleted since: no user path wrote
 #: or read a file through them), less the election's ``Election`` /
 #: ``ElectionAgent`` / ``ElectionResult`` / ``Candidacy`` (deleted since:
-#: the primary and the standby are placed by rule, not elected).
+#: the primary and the standby are placed by rule, not elected), less
+#: collaborative discovery's coordinator, claiming exploration and
+#: stats classes (deleted since: no user path ran two fabric managers).
 SURFACE_AT_PARENT = {
     "repro": [
-        "ALGORITHMS", "CollaborativeDiscovery", "DiscoveryStats",
+        "ALGORITHMS", "DiscoveryStats",
         "Environment", "ExperimentResult", "Fabric",
         "FabricManager", "FabricParams", "FaultInjector",
         "ManagementEntity", "PARALLEL", "PacketTracer",
@@ -63,8 +65,7 @@ SURFACE_AT_PARENT = {
     ],
     "repro.manager": [
         "ALGORITHMS", "ALGORITHM_CLASSES",
-        "ClaimingParallelDiscovery", "CollaborativeDiscovery",
-        "CollaborativeStats", "ConsistencyReport", "DatabaseError",
+        "ConsistencyReport", "DatabaseError",
         "DeviceRecord", "Difference", "DiscoveryAborted",
         "DiscoveryStats", "FabricManager",
         "FailoverReport", "PARALLEL", "ParallelDiscovery",
