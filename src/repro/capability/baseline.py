@@ -95,7 +95,9 @@ class BaselineCapability:
             )
         if offset >= GENERAL_INFO_DWORDS:
             dwords = []
+            rel = offset - GENERAL_INFO_DWORDS
         else:
+            rel = 0
             type_code = device.type_code
             payload_code = device.max_payload_code
             dsn = device.dsn
@@ -117,16 +119,17 @@ class BaselineCapability:
                 (device.vendor_id << 16) | device.device_id,
                 device.capability_version,
                 0,
-            ][offset:end]
+            ]
+            if offset or end < GENERAL_INFO_DWORDS:
+                dwords = dwords[offset:end]
         # Port blocks: status dword, then error counter, per port —
         # read from the port as it is now.
-        for rel in range(max(offset - GENERAL_INFO_DWORDS, 0),
-                         end - GENERAL_INFO_DWORDS):
+        stop = end - GENERAL_INFO_DWORDS
+        while rel < stop:
             port = ports[rel >> 1]
-            if rel & 1:
-                dwords.append(port.error_count & DWORD_MASK)
-            else:
-                dwords.append(_PORT_UP if port.is_up else _PORT_DOWN)
+            dwords.append(port.error_count & DWORD_MASK if rel & 1
+                          else _PORT_UP if port.is_up else _PORT_DOWN)
+            rel += 1
         return dwords
 
     def write(self, offset: int, values) -> None:

@@ -34,7 +34,7 @@ class PacketError(ValueError):
     """Raised when a packet cannot be decoded from bytes."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A packet in flight through the simulated fabric.
 

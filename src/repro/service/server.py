@@ -36,7 +36,7 @@ from functools import partial
 from typing import Dict, Optional, Set, Tuple
 
 from . import api
-from .driver import SimulationDriver
+from .driver import DriverStopped, SimulationDriver
 
 #: Longest request line, in bytes (asyncio's default stream limit).
 FRAME_LIMIT = 2 ** 16
@@ -121,8 +121,9 @@ def _error_of(exc: Exception) -> dict:
         return {"code": exc.code, "message": exc.message}
     if isinstance(exc, json.JSONDecodeError):
         return {"code": "bad-json", "message": str(exc)}
-    # Handler bug: report, stay up.
-    return {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}
+    # A stopped driver's refusal, or a handler bug: report, stay up.
+    code = "driver-stopped" if isinstance(exc, DriverStopped) else "internal"
+    return {"code": code, "message": f"{type(exc).__name__}: {exc}"}
 
 
 class FabricService:

@@ -44,7 +44,10 @@ The exit code is non-zero when a ``user`` or ``examples`` command
 exits non-zero: those are what users run, so a failure is a
 broken path, not a census artefact.  A failing ``tests`` command is
 only reported — tier-1 gates itself, and a test may fail under the
-tracer alone, which slows every traced line.
+tracer alone, which slows every traced line.  Each command's stdout and
+stderr are kept beside the group's dumps (``DIR/<group>/command-NNN.log``),
+and the last 30 lines of a command that exits non-zero are printed, so
+a failure names its test.
 """
 
 from __future__ import annotations
@@ -270,13 +273,17 @@ def run_group(group: str, data: Path) -> int:
             PYTHONPATH=os.pathsep.join([str(site), str(work / "src")]),
             CENSUS_SRC=str(work / "src"), CENSUS_OUT=str(out),
         )
-        for argv in commands(group, work):
+        for index, argv in enumerate(commands(group, work)):
             print(f"[{group}] {' '.join(argv[1:])}", flush=True)
-            code = subprocess.run(argv, cwd=work, env=env,
-                                  stdout=subprocess.DEVNULL).returncode
+            log = out / f"command-{index:03d}.log"
+            with log.open("wb") as sink:
+                code = subprocess.run(argv, cwd=work, env=env, stdout=sink,
+                                      stderr=subprocess.STDOUT).returncode
             if code:
                 failed += 1
-                print(f"[{group}]   exit {code}", flush=True)
+                tail = log.read_text(errors="replace").splitlines()[-30:]
+                print(f"[{group}]   exit {code}; the last {len(tail)} lines "
+                      f"of {log}:", *tail, sep="\n", flush=True)
     return failed
 
 

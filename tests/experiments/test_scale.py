@@ -55,15 +55,16 @@ EVENTS_PER_TRANSMISSION_CEILING = 2.23
 
 #: Python function calls inside ``repro`` per port transmission on the
 #: same discovery — what a hop costs the host, in a unit no host
-#: changes: measured 16.59 (393,741 calls for 23,738 transmissions with
-#: every memo cold; 18.70 while a PI-4 transaction decoded every
-#: completion twice and rendered every config dword by its own call
-#: chain, which no hop saw; 31.39 before the uncontended packet got its
+#: changes: measured 16.45 (390,536 calls for 23,738 transmissions with
+#: every memo cold; 16.59 while the turn pool's width was summed by a
+#: generator before the pack; 18.70 while a PI-4 transaction decoded
+#: every completion twice and rendered every config dword by its own
+#: call chain, which no hop saw; 31.39 before the uncontended packet got its
 #: direct path and the per-hop helpers were folded into their callers;
 #: 54.60 before the argument-carrying heap entries, integer port
 #: counters and the hook-free header), plus 5%.  One more call per hop
 #: — a lambda around the receive, a ``Counter.incr`` — costs 1-2 here.
-PYTHON_CALLS_PER_TRANSMISSION_CEILING = 17.4
+PYTHON_CALLS_PER_TRANSMISSION_CEILING = 17.3
 
 #: Where a management packet is between leaving its last port and
 #: entering its first: codec, configuration space, entity, transaction
@@ -81,11 +82,12 @@ PYTHON_CALLS_PER_TRANSACTION_CEILING = 61.5
 
 #: Python calls inside ``repro`` per application packet injected on a
 #: loaded 3x3-mesh change run (load 0.4, seed 0), the whole run counted
-#: — discovery, fault and reassimilation included: measured 60.92
-#: (935,982 calls for 15,363 packets; 69.57 while each traffic source
-#: was a generator process woken by a ``Timeout`` per packet and the
-#: generator's tallies went through ``Counter.incr``), plus 5%.
-PYTHON_CALLS_PER_APPLICATION_PACKET_CEILING = 64.0
+#: — discovery, fault and reassimilation included: measured 60.83
+#: (934,537 calls for 15,363 packets; 60.92 before the one-pass turn
+#: pool; 69.57 while each traffic source was a generator process
+#: woken by a ``Timeout`` per packet and the generator's tallies went
+#: through ``Counter.incr``), plus 5%.
+PYTHON_CALLS_PER_APPLICATION_PACKET_CEILING = 63.9
 
 #: Share of ``Port.send`` calls transmitted directly (not pushed onto a
 #: VC queue), as ``(at least, at most)`` per benchmark workload:

@@ -156,7 +156,7 @@ class TestRouteHeader:
         before = header.pack()
         header.turn_pointer = 8
         hop = header.pack()
-        vars(header)["turn_pointer"] = 4
+        RouteHeader.turn_pointer.__set__(header, 4)  # the slot itself
         assert len({before, hop, header.pack()}) == 3
         assert RouteHeader.unpack(header.pack()).turn_pointer == 4
 

@@ -4,8 +4,11 @@ wins."""
 
 import dataclasses
 
+from repro.capability.claim import CLAIM_CAP_ID, ClaimCapability
+from repro.experiments.failover import build_failover_pair
 from repro.experiments.runner import build_simulation, run_until_ready
 from repro.manager import FabricManager
+from repro.protocols import pi4
 from repro.topology import make_mesh
 
 
@@ -62,3 +65,79 @@ class TestSameEpochDuel:
         assert rival.counters["fence_epoch_bumps"] == 0
         assert rival.counters["fm_demotions"] == 1
         assert not setup.fm.demoted
+
+
+def race_the_first_claim_write(fm, fabric, rival_owner):
+    """Plant ``(rival_owner, fm.epoch)`` in the claim capability of the
+    device the FM's first claim write goes to, as that write is sent:
+    the read phase saw the device unclaimed, and the write lands on a
+    claim of the FM's own generation.  Returns the device."""
+    sent = fm.send_request
+    raced = []
+
+    def send_request(message, pool, out_port, callback, ctx=None, **kw):
+        if (not raced and isinstance(message, pi4.WriteRequest)
+                and message.cap_id == CLAIM_CAP_ID):
+            device = next(d for d in fabric.devices.values()
+                          if d.dsn == ctx)
+            device.config_space.capability(CLAIM_CAP_ID).write(
+                0, ClaimCapability.encode(rival_owner, fm.epoch))
+            raced.append(device)
+        return sent(message, pool, out_port, callback, ctx, **kw)
+
+    fm.send_request = send_request
+    return raced
+
+
+def claim_on(device):
+    return device.config_space.capability(CLAIM_CAP_ID).get_claim()
+
+
+class TestLostWriteRace:
+    """The write phase's same-epoch race: a claim of the FM's own
+    generation lands between its read and its write, the write is
+    refused with ``STATUS_CONFLICT`` and a serial re-read decides."""
+
+    def test_a_rival_above_the_fm_demotes_it(self):
+        setup, _standby = build_failover_pair(make_mesh(2, 2))
+        fm = setup.fm
+        me = fm.endpoint.dsn
+        raced = race_the_first_claim_write(fm, setup.fabric, me + 1)
+        run_until_ready(setup)
+        assert len(raced) == 1
+        assert fm.counters["fence_conflicts"] == 1
+        assert fm.demoted
+        assert fm.counters["fm_demotions"] == 1
+        assert fm.counters["fence_deposed_observations"] == 0
+        assert fm.epoch == 1
+        assert claim_on(raced[0]) == (me + 1, 1)
+
+    def test_a_rival_below_the_fm_settles_and_the_next_pass_re_writes(self):
+        setup, _standby = build_failover_pair(make_mesh(2, 2))
+        fm = setup.fm
+        me = fm.endpoint.dsn
+        raced = race_the_first_claim_write(fm, setup.fabric, me - 1)
+        run_until_ready(setup)
+        # The re-read names a lower owner: the write settles, the FM
+        # stays primary, and every other device carries its claim.
+        assert len(raced) == 1
+        assert fm.counters["fence_conflicts"] == 1
+        assert not fm.demoted
+        fenced = len(fm.database) - 1
+        assert fm.counters["devices_fenced"] == fenced - 1
+        # A known gap, not the intended behaviour: `on_conflict_read`
+        # does not re-stamp a device whose claim names a lower owner,
+        # so it keeps the loser's claim until the next pass (the
+        # `FOUND:` line on `_stamp_ownership` in CHANGES.md).  A fix
+        # that re-stamps at once changes this assertion.
+        assert claim_on(raced[0]) == (me - 1, 1)
+        # The next pass observes the same-epoch claimant it outranks,
+        # bumps the epoch and re-writes every claim, that one too.
+        fm.start_discovery(force=True)
+        setup.env.run(until=fm.ready_event)
+        assert not fm.demoted
+        assert fm.counters["fence_conflicts"] == 1
+        assert fm.counters["fence_epoch_bumps"] == 1
+        assert fm.epoch == 2
+        assert fm.counters["devices_fenced"] == 2 * fenced - 1
+        assert claim_on(raced[0]) == (me, 2)

@@ -34,6 +34,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.service import api, start_service
+from repro.service.client import ServiceError
 from repro.service.driver import MEMO_CAP, DriverStopped
 
 #: Seconds any single wait in this file may take.
@@ -447,6 +448,33 @@ class TestStaleness:
                 "sw_1_1").active).result(WAIT)
             status = api.call_op(driver, "status")
             assert "kernel bomb" in status["driver"]["crashed"]
+
+    def test_a_refused_command_is_answered_driver_stopped(self):
+        """On the wire a command the dead kernel refuses carries its
+        own code, not ``internal`` (the code of a handler bug), and
+        the message keeps the crash; reads are still answered."""
+        with start_service("mesh9") as handle:
+            quiesce(handle)
+            driver = handle.driver
+
+            def bomb(_event):
+                raise RuntimeError("kernel bomb")
+
+            on_sim_thread(driver, lambda setup: setup.env.schedule_callback(
+                0.0, bomb)).result(WAIT)
+            _until(lambda: driver.crashed is not None, "the crash")
+            client = handle.client()
+            try:
+                with pytest.raises(ServiceError) as refused:
+                    client.request("remove_device", name="sw_1_1")
+                assert refused.value.code == "driver-stopped"
+                assert str(refused.value) == (
+                    "driver-stopped: DriverStopped: kernel crashed: "
+                    "RuntimeError('kernel bomb')")
+                status = client.request("status")
+                assert "kernel bomb" in status["driver"]["crashed"]
+            finally:
+                client.close()
 
     def test_memo_is_capped_and_written_on_the_sim_thread_only(self):
         with start_service("mesh9") as handle, wires(handle, 1) as (wire,):

@@ -93,8 +93,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: Parallel walk, the coordinator and its merge, which only
 #: ``examples/`` and claims row X1 ran (−148) — the model's three
 #: guessed knobs became constants (±0) and a crashed driver refused
-#: mutations (+2).
-TOTAL_CEILING = 10_469
+#: mutations (+2); 10,460 once each wire codec took one pass — the
+#: header's ``_pack_words`` and ``_fields`` went (−18), paying for the
+#: one-pass turn pool's deferred port error (+5), the baseline read's
+#: single render (+3) and the ``driver-stopped`` error code (+1).
+TOTAL_CEILING = 10_460
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; 442 while ``Environment.now`` was a property;
 #: 439 while ``Counter`` built closures and ``Tally`` lived here; 379
