@@ -3,10 +3,14 @@
 Serves ownership fencing: an FM that takes over (or comes back)
 stamps every device it manages with a *claim* naming itself and its
 epoch (``FabricManager._stamp_ownership``), so two FMs that both
-believe they are primary find each other.  The device accepts the
-first claim of a generation and rejects later ones with a PI-4
-completion status of ``STATUS_CONFLICT`` — the device's serial
-management-packet processing makes the test-and-set atomic for free.
+believe they are primary find each other.  Two rules decide:
+
+* the register's (:meth:`ClaimCapability.write`): the device accepts
+  the first claim of a generation and rejects later ones with a PI-4
+  completion status of ``STATUS_CONFLICT`` — the device's serial
+  management-packet processing makes the test-and-set atomic for free;
+* the managers' claim order (:func:`contest`): a newer generation
+  wins, and within one generation the higher owner DSN.
 
 Layout::
 
@@ -17,7 +21,7 @@ Layout::
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .config_space import ConfigSpaceError
 from .registers import RegisterBlock, RegisterError, get_field, set_field
@@ -29,6 +33,9 @@ CLAIM_CAP_ID = 0x07
 STATUS_CONFLICT = 0x04
 
 _SIZE = 3
+
+#: What a manager does about the claims it read (see :func:`contest`).
+STAMP, ADVANCE, YIELD = "stamp", "advance", "yield"
 
 
 class ClaimCapability:
@@ -82,3 +89,28 @@ class ClaimCapability:
 
     def clear(self) -> None:
         self._block.write(0, [0, 0, 0])
+
+
+def contest(claims: Iterable[Optional[Tuple[int, int]]], owner: int,
+            generation: int) -> str:
+    """The claim order, applied by the manager ``(owner, generation)``
+    to the ``(owner_dsn, generation)`` claims it read (``None``:
+    unclaimed or unreadable): a newer generation wins, and within one
+    generation the higher owner DSN.
+
+    ``YIELD`` when any claim outranks the manager: it was deposed.
+    Else ``ADVANCE`` when a rival holds a claim of the manager's own
+    generation: the manager wins, but the register takes one claim per
+    generation, so it moves to the next and re-stamps.  Else ``STAMP``:
+    every claim is older or its own, and its writes will be accepted.
+    """
+    verdict = STAMP
+    for claim in claims:
+        if claim is None:
+            continue
+        rival, rival_generation = claim
+        if (rival_generation, rival) > (generation, owner):
+            return YIELD
+        if rival_generation == generation and rival != owner:
+            verdict = ADVANCE
+    return verdict

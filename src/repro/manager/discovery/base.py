@@ -21,6 +21,10 @@ They differ only in *scheduling* — how many requests may be in flight:
 * :class:`~repro.manager.discovery.parallel.ParallelDiscovery` —
   propagation-order exploration, unconstrained.
 
+A partial manager's burst
+(:class:`~repro.manager.discovery.partial.PartialAssimilation`) is a
+fourth walk: Parallel's, rooted at the ports PI-5 events report.
+
 Subclasses implement the four scheduling hooks at the bottom of
 :class:`DiscoveryAlgorithm`.
 """
@@ -150,11 +154,8 @@ class DiscoveryAlgorithm:
         #: Set once, when the run has nothing outstanding or deferred.
         self.done = False
         self._outstanding = 0
-        #: Top-level span covering this run.  Owned (begun/ended) by
-        #: this instance unless a surrounding burst supplied it (see
-        #: the partial-assimilation region explorations).
+        #: Top-level span covering this run (tracing only).
         self.span = None
-        self._span_owned = True
         self._port_spans = {}
         #: DSNs whose subtree may be incompletely explored because a
         #: request into it died mid-walk (retries exhausted on a
@@ -164,8 +165,18 @@ class DiscoveryAlgorithm:
         self.suspect_roots: set = set()
 
     # -- lifecycle ------------------------------------------------------
+    @property
+    def span_name(self) -> str:
+        """Name of this run's top-level span."""
+        return f"discovery:{self.key}"
+
     def start(self, trigger: str = "initial") -> None:
         """Begin discovery at the FM's own endpoint."""
+        self._open(trigger)
+        self._send_general(Target(hops=[], out_port=None))
+
+    def _open(self, trigger: str) -> None:
+        """Stamp the start of the run and open its span."""
         self.stats.trigger = trigger
         self.stats.started_at = self.env.now
         # Observability is ``self.fm.tracer`` (``None`` = disabled, the
@@ -176,23 +187,42 @@ class DiscoveryAlgorithm:
         # setup, and the session must still capture that run.
         tracer = self.fm.tracer
         if tracer is not None:
-            self.span = tracer.begin(
-                f"discovery:{self.key}", "discovery", self.env.now,
-                track="fm", algorithm=self.key, trigger=trigger,
-            )
-        self._send_general(Target(hops=[], out_port=None))
+            self._begin_span(tracer, self.env.now)
+
+    def _begin_span(self, tracer, at: float) -> None:
+        self.span = tracer.begin(
+            self.span_name, "discovery", at, track="fm",
+            algorithm=self.key, trigger=self.stats.trigger,
+        )
+
+    def trace_from_start(self, tracer) -> None:
+        """Open the top-level span of a run in progress that started
+        untraced, back-dated to its start (a tracer attached late)."""
+        if (not self.done and self.span is None
+                and self.stats.started_at is not None):
+            self._begin_span(tracer, self.stats.started_at)
+
+    def abort(self) -> None:
+        """Abandon the run: it is done, and its span closes marked
+        aborted.  The FM cancels what the run has in flight."""
+        self._close(aborted=True)
+
+    def _close(self, **outcome) -> None:
+        self.done = True
+        tracer = self.fm.tracer
+        if self.span is not None and tracer is not None:
+            tracer.end(self.span, self.env.now, **outcome)
+
+    def _conclude(self) -> None:
+        """Stamp the end of the run on its stats and close it."""
+        self.stats.finished_at = self.env.now
+        self.stats.devices_found = len(self.db)
+        self._close(devices=self.stats.devices_found)
 
     def _maybe_finish(self) -> None:
         if self.done or self._outstanding > 0 or self._has_backlog():
             return
-        self.done = True
-        self.stats.finished_at = self.env.now
-        self.stats.devices_found = len(self.db)
-        tracer = self.fm.tracer
-        if (self.span is not None and self._span_owned
-                and tracer is not None):
-            tracer.end(self.span, self.stats.finished_at,
-                       devices=self.stats.devices_found)
+        self._conclude()
         self.done_event.succeed(self.stats)
 
     # -- request plumbing ---------------------------------------------------

@@ -13,36 +13,19 @@ This class implements the management behaviour the paper studies:
   information (the paper's stated assumption), or, built with
   ``assimilation="partial"``, a *burst* that explores only the portion
   of the network affected by the change (section 5, future work; see
-  "Partial assimilation" below);
+  :mod:`repro.manager.discovery.partial`);
 * after a discovery it programs every device's event-route capability
   so future PI-5 notifications can reach it;
+* with ``fence_ownership`` on, it stamps every device's claim
+  capability first, and yields to a claim that outranks its own
+  (:func:`repro.capability.claim.contest`);
 * it retries requests that time out, so discovery terminates even if a
   device dies mid-discovery.
 
-Partial assimilation
---------------------
-"Another possibility is to explore only the portion of the network
-affected by the change [2], instead of the entire fabric" (section 5;
-reference [2] is the authors' InfiniBand subnet-discovery study).  A
-partial FM keeps the database across changes.  Its initial discovery
-runs the configured full algorithm; on a later PI-5 event it:
-
-1. confirms the reported port's state with a single PI-4 read of that
-   port's status block;
-2. on a *down* transition, removes the link, prunes any region that
-   became unreachable, and recomputes the routes of surviving devices
-   (their discovered paths may have crossed the removed region) — no
-   further packets;
-3. on an *up* transition, runs a propagation-order exploration rooted
-   at the reported port only, merging new devices into the database.
-
-A burst of events (every neighbour of a hot-removed switch reports its
-own port) is processed sequentially and accounted as *one* assimilation
-in the FM history (algorithm ``"partial"``), so its cost is directly
-comparable to one full rediscovery; its packets cost the FM what
-Parallel's do.  Events naming unknown reporters, and bursts whose
-reporter has vanished, fall back to a full rediscovery.  The same
-machinery repairs suspect subtrees (:meth:`FabricManager._attempt_repair`).
+The discovery in progress — a full walk or a burst — is the one
+:attr:`FabricManager.discovery` holds; the FM keeps the policy around
+it: deferred events, the bounded restart/repair budget, the
+convergence guard, fencing and the event routes.
 """
 
 from __future__ import annotations
@@ -58,9 +41,8 @@ from ..capability import (
     ClaimCapability,
     EventRouteCapability,
     decode_general_info,
-    decode_port_status,
-    port_block_offset,
 )
+from ..capability.claim import ADVANCE, YIELD, contest
 from ..fabric.endpoint import Endpoint
 from ..fabric.packet import PI_DEVICE_MANAGEMENT, PI_EVENT, Packet
 from ..protocols import pi4, pi5
@@ -72,19 +54,15 @@ from ..protocols.transaction import (
 )
 from ..routing.turnpool import TurnPool
 from ..sim.monitor import Counter
-from .database import DatabaseError, TopologyDatabase
+from .database import TopologyDatabase
 from .discovery import make_algorithm
-from .discovery.base import DiscoveryAlgorithm, DiscoveryStats, Target
-from .discovery.parallel import ParallelDiscovery
-from .timing import PARALLEL, ProcessingTimeModel
+from .discovery.base import DiscoveryAlgorithm, DiscoveryStats
+from .timing import PARALLEL, PARTIAL, ProcessingTimeModel
 
 #: What an FM does with a change (``FabricManager(assimilation=...)``,
 #: the ``manager`` value of the experiments): ``"full"`` rediscovers
 #: the fabric, ``"partial"`` assimilates it in a burst.
-MANAGER_KINDS = ("full", "partial")
-
-#: Algorithm label of a partial-assimilation burst in the FM history.
-PARTIAL = "partial"
+MANAGER_KINDS = ("full", PARTIAL)
 
 
 class DiscoveryAborted(RuntimeError):
@@ -200,7 +178,12 @@ class FabricManager:
         #: path at a single ``is not None`` test.
         self.tracer = None
         self.database = TopologyDatabase()
+        #: The walk in progress or last run: a full discovery, or a
+        #: partial FM's burst (:mod:`repro.manager.discovery.partial`).
         self.discovery: Optional[DiscoveryAlgorithm] = None
+        #: The timing key each packet is charged at: the configured
+        #: algorithm's, or Parallel's while a burst runs.
+        self._cost_key = algorithm
         #: Stats of every completed discovery, in order (the Fig. 7(a)
         #: timeline of the newest only, see :meth:`_record`).
         self.history: List[DiscoveryStats] = []
@@ -240,24 +223,6 @@ class FabricManager:
         #: otherwise be lost forever).
         self._deferred_events: List[pi5.PortEvent] = []
 
-        # -- the partial-assimilation burst (idle on a full FM) ------------
-        #: Stats of the burst in progress; ``None`` between bursts.
-        self._burst_stats: Optional[DiscoveryStats] = None
-        #: Events the burst has still to confirm, in order (a list: a
-        #: full FM holds no deque).
-        self._event_queue: List[pi5.PortEvent] = []
-        #: ``(reporter_dsn, port)`` pairs confirmed (or queued) in the
-        #: current burst, synthesized repair events included.
-        self._burst_seen: set = set()
-        #: Suspect roots found by this burst's region explorations; fed
-        #: to the bounded restart/repair policy when the burst finishes.
-        self._burst_suspects: set = set()
-        #: Open span covering the current burst (tracing only; region
-        #: explorations share it instead of opening their own).
-        self._burst_span = None
-        #: The region exploration in flight, if any.
-        self._region: Optional[ParallelDiscovery] = None
-
         entity.manager = self
 
     # -- observability -------------------------------------------------------
@@ -275,16 +240,8 @@ class FabricManager:
         # construction, before a trace session can install itself.
         # Open that run's top-level span retroactively so its claim /
         # port-read children don't end up parentless.
-        discovery = self.discovery
-        if (tracer is not None and discovery is not None
-                and not discovery.done and discovery.span is None
-                and discovery.stats.started_at is not None):
-            discovery.span = tracer.begin(
-                f"discovery:{discovery.key}", "discovery",
-                discovery.stats.started_at, track="fm",
-                algorithm=discovery.key,
-                trigger=discovery.stats.trigger,
-            )
+        if tracer is not None and self.discovery is not None:
+            self.discovery.trace_from_start(tracer)
 
     # -- cost model (paper Fig. 4) -----------------------------------------
     def packet_cost(self, packet: Packet) -> float:
@@ -292,8 +249,7 @@ class FabricManager:
         FM busy time (the measured Fig. 4 quantity): a burst's packets
         cost what Parallel's do, every other one what the configured
         algorithm's do."""
-        key = self.algorithm_key if self._burst_stats is None else PARALLEL
-        cost = self.timing.fm_time(key, len(self.database))
+        cost = self.timing.fm_time(self._cost_key, len(self.database))
         self.processing_time_total += cost
         self.processing_packets += 1
         return cost
@@ -367,11 +323,11 @@ class FabricManager:
             self.engine.note_arrival(message.tag)
 
     def _active_stats(self) -> Optional[DiscoveryStats]:
-        """The stats of the walk or burst in progress (never both)."""
+        """The stats of the walk or burst in progress, if any."""
         discovery = self.discovery
         if discovery is not None and not discovery.done:
             return discovery.stats
-        return self._burst_stats
+        return None
 
     # -- inbound management packets ---------------------------------------
     def handle_management_packet(self, packet: Packet,
@@ -449,26 +405,15 @@ class FabricManager:
         # An external change signal: the restart budget guards against
         # *silent* divergence loops, not against real event streams.
         self._restart_streak = 0
-        if self.discovery is not None and not self.discovery.done:
+        if self.is_discovering:
             # The running discovery reads live port state, so it *may*
             # observe this change — unless it already passed through
             # that region.  Defer and re-check when it finishes.
             self.counters.incr("events_during_discovery")
             self._deferred_events.append(event)
             return
-        key = (event.reporter_dsn, event.port)
-        if self._burst_stats is not None:
-            # A burst is already assimilating: queue everything into it
-            # — even events from reporters the database does not (yet)
-            # know.  The in-flight region exploration may discover
-            # them; if not, they are safely skippable (any reachable
-            # change is also reported by a known boundary device, and
-            # an unreachable one is invisible to the FM regardless).
-            if key in self._burst_seen:
-                self.counters.incr("events_stale")
-                return
-            self._burst_seen.add(key)
-            self._event_queue.append(event)
+        if self.is_assimilating:
+            self.discovery.add(event)
             return
         known = event.reporter_dsn in self.database
         if known and self._event_assimilated(event):
@@ -490,19 +435,20 @@ class FabricManager:
     # -- discovery ------------------------------------------------------------
     @property
     def is_discovering(self) -> bool:
-        return self.discovery is not None and not self.discovery.done
+        """Whether a full discovery is in progress."""
+        return self.busy and self.discovery.key != PARTIAL
 
     @property
     def is_assimilating(self) -> bool:
         """Whether a partial-assimilation burst is in progress."""
-        return self._burst_stats is not None
+        return self.busy and self.discovery.key == PARTIAL
 
     @property
     def busy(self) -> bool:
         """Whether a walk that owns the database is in progress — a
         discovery or a burst: what a caller tests before starting
         another."""
-        return self.is_discovering or self._burst_stats is not None
+        return self.discovery is not None and not self.discovery.done
 
     def start_discovery(self, trigger: str = "initial",
                         force: bool = False) -> DiscoveryAlgorithm:
@@ -517,24 +463,25 @@ class FabricManager:
         self._enabled = True
         if self.busy and not force:
             raise RuntimeError("discovery already in progress")
-        if self._burst_stats is not None:
-            self._drop_burst()
-        if self.is_discovering:
-            old = self.discovery
-            if (self.tracer is not None and old is not None
-                    and old.span is not None and old._span_owned):
-                self.tracer.end(old.span, self.env.now, aborted=True)
-                old.span = None
-            # cancel_all == the historical ``_pending.clear()`` (no
-            # callbacks fire) plus closure of the orphaned spans.
-            self.engine.cancel_all()
+        self._abandon()
         self.database.clear()
         self._arm_ready()
         algorithm = make_algorithm(self.algorithm_key, self)
         self.discovery = algorithm
-        algorithm.done_event.callbacks.append(self._discovery_finished)
+        algorithm.done_event.callbacks.append(
+            lambda _event: self._discovery_finished(algorithm))
         algorithm.start(trigger=trigger)
         return algorithm
+
+    def _abandon(self) -> None:
+        """Abort the walk or burst in progress, if any, and cancel
+        what it has in flight."""
+        if self.busy:
+            self.discovery.abort()
+            self._cost_key = self.algorithm_key
+            # cancel_all == the historical ``_pending.clear()`` (no
+            # callbacks fire) plus closure of the orphaned spans.
+            self.engine.cancel_all()
 
     def _event_assimilated(self, event: pi5.PortEvent) -> bool:
         """Whether the (fresh) database already reflects ``event``."""
@@ -560,17 +507,14 @@ class FabricManager:
         for callback in list(self.on_discovery_complete):
             callback(stats)
 
-    def _discovery_finished(self, event) -> None:
-        stats: DiscoveryStats = event.value
+    def _discovery_finished(self, walk: DiscoveryAlgorithm) -> None:
+        stats = walk.stats
         self._record(stats)
         deferred, self._deferred_events = self._deferred_events, []
         stale_deferred = any(
             not self._event_assimilated(e) for e in deferred
         )
-        suspects = (
-            set(self.discovery.suspect_roots)
-            if self.discovery is not None else set()
-        )
+        suspects = set(walk.suspect_roots)
         if stale_deferred or suspects:
             # A change arrived mid-run in a region the run had already
             # covered, or a branch died under the walker: the database
@@ -661,167 +605,27 @@ class FabricManager:
 
     # -- partial assimilation: the burst ---------------------------------------
     def _begin_burst(self, events: List[pi5.PortEvent], trigger: str) -> None:
-        """Open a burst that confirms ``events`` one after another."""
-        self._burst_seen = {(e.reporter_dsn, e.port) for e in events}
-        self._event_queue.extend(events)
-        self._burst_stats = DiscoveryStats(
-            algorithm=PARTIAL, trigger=trigger, started_at=self.env.now,
-        )
-        if self.tracer is not None:
-            name = "assimilation" if trigger == "change" else trigger
-            self._burst_span = self.tracer.begin(
-                f"{name}:partial", "discovery", self.env.now,
-                track="fm", algorithm=PARTIAL, trigger=trigger,
-            )
-        self._next_event()
+        """Run a burst that confirms ``events`` one after another."""
+        # Imported by the first burst, not with this module: a full FM
+        # never needs it, and a discovery's imports are pinned
+        # (tests/test_import_budget.py).
+        from .discovery.partial import PartialAssimilation
 
-    def _next_event(self) -> None:
-        queue = self._event_queue
-        while queue and queue[0].reporter_dsn not in self.database:
-            # The reporter itself was pruned by an earlier step of this
-            # burst; nothing left to confirm there.
-            queue.pop(0)
-        if not queue:
-            self._finish_burst()
-            return
-        event = queue.pop(0)
-        record = self.database.device(event.reporter_dsn)
-        # Step 1: confirm the reported port state with one read.
-        message = pi4.ReadRequest(
-            cap_id=0, offset=port_block_offset(event.port), tag=0, count=1,
-        )
-        out = record.out_port if record.ingress_port is not None else None
-        self.send_request(
-            message, record.route(), out,
-            callback=self._on_confirm, ctx=(event, record),
-            span_parent=self._burst_span,
-        )
-
-    def _on_confirm(self, completion, ctx) -> None:
-        event, record = ctx
-        if not isinstance(completion, pi4.ReadCompletion):
-            # The reporter itself is unreachable: the change is bigger
-            # than the event suggests.  Full rediscovery.
-            self.counters.incr("partial_fallbacks")
-            self._abort_burst_to_full()
-        elif decode_port_status(completion.data[0])["up"]:
-            self._assimilate_up(event, record)
-        else:
-            self._assimilate_down(event, record)
-
-    def _assimilate_down(self, event: pi5.PortEvent, record) -> None:
-        port = record.ports.get(event.port)
-        suspect = port.neighbor_dsn if port is not None else None
-        self.database.mark_port_down(record.dsn, event.port)
-
-        # A down port could be a single link failure (the far device is
-        # still alive) or the visible edge of a device removal whose
-        # other PI-5 events were lost (their event routes may cross the
-        # failed region).  Distinguish with one liveness probe of the
-        # far device over an alternate route — the affected-region
-        # strategy of the paper's reference [2].
-        if suspect is not None and suspect in self.database:
-            from ..routing.paths import PathError, db_route
-
-            try:
-                pool, out_port = db_route(
-                    self.database, self.endpoint.dsn, suspect
-                )
-            except PathError:
-                # No alternate route: the suspect region hangs off the
-                # failed link and pruning below removes it.
-                pool = None
-            if pool is not None:
-                probe = pi4.ReadRequest(cap_id=0, offset=0, tag=0, count=1)
-                self.send_request(
-                    probe, pool, out_port,
-                    callback=self._on_liveness_probe, ctx=suspect,
-                    retries=0, span_parent=self._burst_span,
-                )
-                return  # continue in the probe callback
-
-        self._settle_down_event()
-
-    def _on_liveness_probe(self, completion, suspect: int) -> None:
-        if completion is None and suspect in self.database:
-            # The device is gone: take all its links down so pruning
-            # removes its region in one step.
-            suspect_record = self.database.device(suspect)
-            for index, far_port in list(suspect_record.ports.items()):
-                if far_port.up:
-                    self.database.mark_port_down(suspect, index)
-        self._settle_down_event()
-
-    def _settle_down_event(self) -> None:
-        self.database.prune_unreachable(self.endpoint.dsn)
-        self._burst_stats.devices_found = len(self.database)
-        try:
-            self.database.recompute_routes(self.endpoint.dsn,
-                                           incremental=True)
-        except DatabaseError:
-            self.counters.incr("partial_fallbacks")
-            self._abort_burst_to_full()
-            return
-        self._next_event()
-
-    def _assimilate_up(self, event: pi5.PortEvent, record) -> None:
-        if event.port == record.ingress_port:
-            # The reported port is the one the FM's own route enters
-            # the reporter through — the confirm read just traversed
-            # it, so the link is alive and its far side is the already
-            # known path parent (a restored-link flap).  Re-record the
-            # link; exploring "through" it would be a U-turn.
-            port = record.port(event.port)
-            port.up = True
-            self.database.touch(record.dsn)
-            if port.neighbor_dsn is not None and \
-                    port.neighbor_dsn in self.database:
-                self.database.add_link(record.dsn, event.port,
-                                       port.neighbor_dsn,
-                                       port.neighbor_port)
-            self._next_event()
-            return
-        try:
-            hops, out_port = self.database.extend_route(record, event.port)
-        except DatabaseError:
-            self.counters.incr("partial_fallbacks")
-            self._abort_burst_to_full()
-            return
-        # A propagation-order exploration rooted at the reported port,
-        # aggregating into the burst's stats; its claim/port-read spans
-        # nest under the burst's span, which the burst closes.
-        region = ParallelDiscovery(self)
-        region.stats = self._burst_stats
-        region.span = self._burst_span
-        region._span_owned = False
-        region.done_event.callbacks.append(self._region_done)
-        self._region = region
-        region._send_general(Target(hops=hops, out_port=out_port,
-                                    via_dsn=record.dsn, via_port=event.port))
-        region._maybe_finish()  # the target may have been out of reach
-
-    def _region_done(self, _event) -> None:
-        if self._region is not None:
-            # Mid-walk failures inside the region re-read leave the
-            # same silent holes a full walk can suffer; carry them to
-            # the burst-level repair policy.
-            self._burst_suspects |= self._region.suspect_roots
-        self._region = None
-        self._next_event()
+        self._cost_key = PARALLEL
+        burst = PartialAssimilation(self, events, self._finish_burst,
+                                    self._abort_burst_to_full)
+        self.discovery = burst
+        burst.start(trigger)
 
     def _finish_burst(self) -> None:
-        stats = self._burst_stats
-        self._burst_stats = None
-        stats.finished_at = self.env.now
-        stats.devices_found = len(self.database)
-        if self._burst_span is not None and self.tracer is not None:
-            self.tracer.end(self._burst_span, stats.finished_at,
-                            devices=stats.devices_found)
-        self._burst_span = None
+        self._cost_key = self.algorithm_key
+        burst = self.discovery
+        stats = burst.stats
         self._record(stats)
-        suspects, self._burst_suspects = self._burst_suspects, set()
-        if suspects:
-            if self._resolve_inconsistency(suspects, stats):
+        if burst.suspect_roots:
+            # Mid-walk failures inside a region leave the same silent
+            # holes a full walk can suffer.
+            if self._resolve_inconsistency(burst.suspect_roots, stats):
                 # A follow-up repair burst or full rediscovery will
                 # program the event routes once it converges.
                 return
@@ -832,23 +636,10 @@ class FabricManager:
         self._arm_ready()
         self._program_event_routes()
 
-    def _drop_burst(self) -> DiscoveryStats:
-        """Forget the burst in progress and whatever it has in flight;
-        returns its ledger."""
-        self._event_queue.clear()
-        self._burst_suspects = set()
-        stats, self._burst_stats = self._burst_stats, None
-        self._region = None
-        if self._burst_span is not None and self.tracer is not None:
-            self.tracer.end(self._burst_span, self.env.now,
-                            aborted_to_full=True)
-        self._burst_span = None
-        self.engine.cancel_all()
-        return stats
-
     def _abort_burst_to_full(self) -> None:
         """Give up on partial assimilation; run a full discovery."""
-        stats = self._drop_burst()
+        stats = self.discovery.stats
+        self._abandon()
         if stats.trigger == "repair":
             # A failed *repair* escalation is an automatic recovery
             # action like any other: past the budget, surface the
@@ -990,123 +781,91 @@ class FabricManager:
     def _stamp_ownership(self, stats: DiscoveryStats,
                          attempt: int = 0,
                          then: Optional[Callable[[], None]] = None) -> None:
-        """Serially re-read every device's claim, then stamp our epoch.
+        """Re-read every device's claim, then stamp our epoch.
 
         Two phases, on purpose: *all* claims are read before *any* is
         written, so a resurrected old primary discovers it was deposed
         (some device carries a newer generation) before it can clobber
-        a single claim of the new primary.  A same-epoch foreign claim
-        is a duel: the higher DSN wins — the loser demotes, the winner
-        advances one epoch and re-stamps, which overwrites the loser's
-        claims everywhere.
+        a single claim of the new primary.  The claim order
+        (:func:`~repro.capability.claim.contest`) then decides: a claim
+        that outranks ours demotes this FM; a lower rival of our own
+        generation makes us advance one epoch and re-stamp, which
+        overwrites its claims everywhere.  A write that loses a race to
+        a claim of our generation is re-read once the writes are in,
+        and the same order decides.
         """
         finish = then if then is not None else self._program_event_routes
-        records = [
-            r for r in self.database.devices() if r.ingress_port is not None
-        ]
         token = object()
         self._fence_token = token
         self.counters.incr("fence_passes")
-        observed: Dict[int, Optional[Tuple[int, int]]] = {}
         me = self.endpoint.dsn
+        observed: Dict[int, Optional[Tuple[int, int]]] = {}
+        refused: Dict[int, Optional[Tuple[int, int]]] = {}
 
-        def claim_of(completion) -> Optional[Tuple[int, int]]:
-            if isinstance(completion, pi4.ReadCompletion):
-                return ClaimCapability.decode(completion.data)
-            return None
-
-        def on_read(completion, dsn: int) -> None:
-            observed[dsn] = claim_of(completion)
-
-        def write_phase() -> None:
+        def current() -> bool:
             # A pass that was superseded (or whose FM was demoted)
-            # while its reads were in flight is abandoned.
-            if self._fence_token is not token or self.demoted:
+            # while its requests were in flight is abandoned.
+            return self._fence_token is token and not self.demoted
+
+        def to_each(dsns: Iterable[int], message: Callable[[], Any]):
+            for dsn in dsns:
+                record = self.database.device(dsn)
+                yield message(), record.route(), record.out_port, dsn
+
+        def read(dsns: Iterable[int], into: dict,
+                 after: Callable[[], None]) -> None:
+            def on_read(completion, dsn: int) -> None:
+                into[dsn] = (ClaimCapability.decode(completion.data)
+                             if isinstance(completion, pi4.ReadCompletion)
+                             else None)
+
+            self.send_all(to_each(dsns, lambda: pi4.ReadRequest(
+                cap_id=CLAIM_CAP_ID, offset=0, tag=0, count=3)),
+                on_read, after)
+
+        def judge(claims: dict, proceed: Callable[[], None],
+                  deposed: bool) -> None:
+            if not current():
                 return
-            override = False
-            for dsn in sorted(observed):
-                claim = observed[dsn]
-                if claim is None:
-                    continue
-                owner, generation = claim
-                if generation > self.epoch or (
-                        generation == self.epoch and owner > me):
+            verdict = contest(claims.values(), me, self.epoch)
+            if verdict == YIELD:
+                if deposed:
                     self.counters.incr("fence_deposed_observations")
-                    self.demote(stats)
-                    return
-                if generation == self.epoch and owner < me:
-                    override = True
-            if override and attempt < 2:
-                # We outrank the same-epoch claimant: advance an epoch
-                # and re-stamp — the new generation overwrites theirs.
+                self.demote(stats)
+            elif verdict == ADVANCE and attempt < 2:
                 self.epoch += 1
                 self.counters.incr("fence_epoch_bumps")
                 self._stamp_ownership(stats, attempt + 1, then=then)
+            else:
+                proceed()
+
+        def on_write(completion, dsn: int) -> None:
+            if not current():
                 return
-            need = [
-                dsn for dsn in sorted(observed)
-                if observed[dsn] != (me, self.epoch)
-            ]
-            if not need:
-                finish()
-                return
-            wstate = {"outstanding": len(need)}
+            if completion is None:
+                self.counters.incr("fence_write_failures")
+            elif completion.status == pi4.STATUS_CONFLICT:
+                self.counters.incr("fence_conflicts")
+                refused[dsn] = None
+            else:
+                self.counters.incr("devices_fenced")
 
-            def settle() -> None:
-                wstate["outstanding"] -= 1
-                if wstate["outstanding"] == 0:
-                    finish()
+        def written() -> None:
+            if current():
+                read(list(refused), refused,
+                     lambda: judge(refused, finish, deposed=False))
 
-            def on_conflict_read(completion, dsn: int) -> None:
-                if self._fence_token is not token or self.demoted:
-                    return
-                claim = claim_of(completion)
-                if claim is not None:
-                    owner, generation = claim
-                    if generation > self.epoch or (
-                            generation == self.epoch and owner > me):
-                        self.demote(stats)
-                        return
-                settle()
-
-            def on_write(completion, dsn: int) -> None:
-                if self._fence_token is not token or self.demoted:
-                    return
-                if completion is None:
-                    self.counters.incr("fence_write_failures")
-                elif completion.status == pi4.STATUS_CONFLICT:
-                    # Lost a same-epoch write race: a serial re-read
-                    # tells us to whom, and the tie-break decides.
-                    self.counters.incr("fence_conflicts")
-                    record = self.database.device(dsn)
-                    self.send_request(
-                        pi4.ReadRequest(cap_id=CLAIM_CAP_ID, offset=0,
-                                        tag=0, count=3),
-                        record.route(), record.out_port,
-                        callback=on_conflict_read, ctx=dsn,
-                    )
-                    return
-                else:
-                    self.counters.incr("devices_fenced")
-                settle()
-
+        def write() -> None:
             values = tuple(ClaimCapability.encode(me, self.epoch))
-            for dsn in need:
-                record = self.database.device(dsn)
-                self.send_request(
-                    pi4.WriteRequest(cap_id=CLAIM_CAP_ID, offset=0,
-                                     tag=0, data=values),
-                    record.route(), record.out_port,
-                    callback=on_write, ctx=dsn,
-                )
+            need = [dsn for dsn in sorted(observed)
+                    if observed[dsn] != (me, self.epoch)]
+            self.send_all(to_each(need, lambda: pi4.WriteRequest(
+                cap_id=CLAIM_CAP_ID, offset=0, tag=0, data=values)),
+                on_write, written)
 
-        self.send_all(
-            ((pi4.ReadRequest(cap_id=CLAIM_CAP_ID, offset=0, tag=0,
-                              count=3),
-              record.route(), record.out_port, record.dsn)
-             for record in records),
-            on_read, write_phase,
-        )
+        read([r.dsn for r in self.database.devices()
+              if r.ingress_port is not None], observed,
+             lambda: judge(observed, write, deposed=True))
 
     def _program_event_routes(self) -> None:
         """Write every device's route back to the FM (PI-4 writes);

@@ -29,6 +29,10 @@ PARALLEL = "parallel"
 
 ALGORITHMS = (SERIAL_PACKET, SERIAL_DEVICE, PARALLEL)
 
+#: History label of a partial-assimilation burst, which has no timing
+#: of its own: its packets cost the FM what Parallel's do.
+PARTIAL = "partial"
+
 #: Default per-packet FM processing times (seconds) calibrated to the
 #: shape and magnitude of Fig. 4 (roughly 13-25 microseconds).
 DEFAULT_FM_BASE: Dict[str, float] = {

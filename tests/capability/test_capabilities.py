@@ -26,7 +26,13 @@ from repro.capability.baseline import (
     DEVICE_TYPE_SWITCH,
     GENERAL_INFO_DWORDS,
 )
-from repro.capability.claim import STATUS_CONFLICT
+from repro.capability.claim import (
+    ADVANCE,
+    STAMP,
+    STATUS_CONFLICT,
+    YIELD,
+    contest,
+)
 from repro.fabric import Fabric
 from repro.protocols import pi4
 from repro.sim import Environment
@@ -218,3 +224,51 @@ class TestClaimCapability:
         with pytest.raises(RegisterError):
             cap.write(1, [0, 0])
         assert cap.get_claim() is None
+
+
+class TestClaimOrder:
+    """The managers' claim order (``contest``), with no fabric: a newer
+    generation wins, then the higher owner DSN."""
+
+    ME, EPOCH = 0x50, 3
+
+    def verdict(self, *claims):
+        return contest(claims, self.ME, self.EPOCH)
+
+    def test_nothing_to_contest_is_a_stamp(self):
+        assert contest([], self.ME, self.EPOCH) == STAMP
+        assert self.verdict(None, None) == STAMP
+
+    def test_older_generations_and_its_own_claim_are_stamped_over(self):
+        assert self.verdict((self.ME, self.EPOCH)) == STAMP
+        assert self.verdict((self.ME + 1, self.EPOCH - 1)) == STAMP
+        assert self.verdict((self.ME - 1, self.EPOCH - 1), None) == STAMP
+
+    def test_a_newer_generation_deposes_whoever_owns_it(self):
+        assert self.verdict((self.ME - 1, self.EPOCH + 1)) == YIELD
+        assert self.verdict((self.ME, self.EPOCH + 1)) == YIELD
+
+    def test_within_a_generation_the_higher_owner_wins(self):
+        assert self.verdict((self.ME + 1, self.EPOCH)) == YIELD
+        # The FM outranks the rival, but the register accepts one claim
+        # per generation: it must advance to overwrite.
+        assert self.verdict((self.ME - 1, self.EPOCH)) == ADVANCE
+
+    def test_one_claim_that_outranks_decides_the_pass(self):
+        lower, higher = (self.ME - 1, self.EPOCH), (self.ME + 1, self.EPOCH)
+        assert self.verdict(lower, higher) == YIELD
+        assert self.verdict(higher, lower) == YIELD
+        assert self.verdict(None, lower, (self.ME, self.EPOCH)) == ADVANCE
+
+    def test_the_order_is_the_registers_order(self):
+        """Advancing is what makes the winner's write stick: the new
+        generation replaces the rival's claim in the register."""
+        cap = ClaimCapability()
+        cap.write(0, ClaimCapability.encode(self.ME - 1, self.EPOCH))
+        assert self.verdict(cap.get_claim()) == ADVANCE
+        with pytest.raises(ConfigSpaceError):
+            cap.write(0, ClaimCapability.encode(self.ME, self.EPOCH))
+        cap.write(0, ClaimCapability.encode(self.ME, self.EPOCH + 1))
+        assert contest([cap.get_claim()], self.ME, self.EPOCH + 1) == STAMP
+        # The deposed rival, on its next pass, yields.
+        assert contest([cap.get_claim()], self.ME - 1, self.EPOCH) == YIELD

@@ -35,6 +35,8 @@ Usage::
     python tests/census.py                    # all groups -> docs/CENSUS.md
     python tests/census.py --group user --data DIR    # one group, keep data
     python tests/census.py --report --data DIR        # table from kept data
+    python tests/census.py --lines manager/fm.py --data DIR
+                        # the module's lines no user command reaches
 
 Groups of one ``--data`` directory can run in separate invocations (in
 parallel, too); ``--report`` classifies whatever groups it finds.  The
@@ -287,6 +289,44 @@ def run_group(group: str, data: Path) -> int:
     return failed
 
 
+def unreached_runs(source: str,
+                   executed: Iterable[int]) -> List[Tuple[int, int]]:
+    """The code lines of ``source`` not reached when the tracer reported
+    ``executed``, as ``(first, last)`` runs: a run ends only at a code
+    line that was reached, not at a comment, blank or docstring."""
+    reached = reached_lines(source, executed)
+    runs: List[Tuple[int, int]] = []
+    start = last = None
+    for line in sorted(code_line_numbers(source)):
+        if line in reached:
+            if start is not None:
+                runs.append((start, last))
+            start = None
+        else:
+            start = line if start is None else start
+            last = line
+    if start is not None:
+        runs.append((start, last))
+    return runs
+
+
+def print_unreached(module: str, data: Path) -> None:
+    """Print ``module``'s code lines (``manager/fm.py``, below
+    ``src/repro``) that no ``user`` command of ``data`` reached."""
+    if not (data / "user").is_dir():
+        raise SystemExit(f"no user group under {data}: run --group user")
+    name = "repro/" + module.removeprefix("repro/")
+    source = (REPO / "src" / name).read_text()
+    executed = load_group(data, "user").get(name, ())
+    runs = unreached_runs(source, executed)
+    code = code_line_numbers(source)
+    missed = len(code - reached_lines(source, executed))
+    print(f"{name}: {missed} of {len(code)} code lines no user command "
+          f"reaches, in {len(runs)} runs")
+    for first, last in runs:
+        print(f"  {first}" if first == last else f"  {first}-{last}")
+
+
 # -- the table ----------------------------------------------------------------
 
 def load_group(data: Path, group: str) -> Dict[str, Set[int]]:
@@ -362,12 +402,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default: a temporary one)")
     parser.add_argument("--report", action="store_true",
                         help="run nothing; classify what --data holds")
+    parser.add_argument("--lines", metavar="MODULE",
+                        help="run nothing; print the code lines of MODULE "
+                             "(below src/repro) no user command of --data "
+                             "reaches")
     parser.add_argument("--out", type=Path,
                         default=REPO / "docs" / "CENSUS.md",
                         help="where to write the table")
     args = parser.parse_args(argv)
-    if (args.report or args.group) and args.data is None:
-        parser.error("--report and --group need --data")
+    if (args.report or args.group or args.lines) and args.data is None:
+        parser.error("--report, --group and --lines need --data")
+    if args.lines:
+        print_unreached(args.lines, args.data)
+        return 0
     with tempfile.TemporaryDirectory(prefix="census-data-") as default:
         data = args.data or Path(default)
         failed = {}

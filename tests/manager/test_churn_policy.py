@@ -158,10 +158,11 @@ class TestPartialMidAssimilation:
         # repair or fall back to a full rediscovery — never hang.
         fabric.restore_device(victim)
         guard = 0
-        while fm._region is None and guard < 200_000:
+        while not (fm.is_assimilating and fm.discovery.exploring) \
+                and guard < 200_000:
             env.step()
             guard += 1
-        assert fm._region is not None, "region exploration never started"
+        assert fm.discovery.exploring, "region exploration never started"
         fabric.remove_device(victim)
 
         stats = run_until_quiescent(setup)
@@ -208,9 +209,10 @@ class TestPartialMidAssimilation:
     def test_forced_rediscover_mid_burst_drops_the_burst(self):
         setup = self._mid_burst()
         fm = setup.fm
+        burst = fm.discovery
         fm.start_discovery(trigger="change", force=True)
         assert fm.is_discovering and not fm.is_assimilating
-        assert not fm._event_queue and fm._region is None
+        assert burst.done and fm.discovery is not burst
         stats = run_until_quiescent(setup)
         assert stats.algorithm != "partial" and not stats.aborted
         assert database_matches_fabric(setup)

@@ -96,7 +96,8 @@ def claim_on(device):
 class TestLostWriteRace:
     """The write phase's same-epoch race: a claim of the FM's own
     generation lands between its read and its write, the write is
-    refused with ``STATUS_CONFLICT`` and a serial re-read decides."""
+    refused with ``STATUS_CONFLICT``, the claim is re-read once the
+    writes are in, and the claim order decides as in the read phase."""
 
     def test_a_rival_above_the_fm_demotes_it(self):
         setup, _standby = build_failover_pair(make_mesh(2, 2))
@@ -112,32 +113,27 @@ class TestLostWriteRace:
         assert fm.epoch == 1
         assert claim_on(raced[0]) == (me + 1, 1)
 
-    def test_a_rival_below_the_fm_settles_and_the_next_pass_re_writes(self):
+    def test_a_rival_below_the_fm_is_re_stamped_at_once(self):
         setup, _standby = build_failover_pair(make_mesh(2, 2))
         fm = setup.fm
         me = fm.endpoint.dsn
         raced = race_the_first_claim_write(fm, setup.fabric, me - 1)
         run_until_ready(setup)
-        # The re-read names a lower owner: the write settles, the FM
-        # stays primary, and every other device carries its claim.
+        # The re-read names a lower owner of the FM's own generation:
+        # the FM outranks it, advances one epoch and re-stamps every
+        # claim, that one too, before it declares ready.
         assert len(raced) == 1
         assert fm.counters["fence_conflicts"] == 1
         assert not fm.demoted
+        assert fm.epoch == 2
+        assert fm.counters["fence_epoch_bumps"] == 1
+        assert claim_on(raced[0]) == (me, 2)
         fenced = len(fm.database) - 1
-        assert fm.counters["devices_fenced"] == fenced - 1
-        # A known gap, not the intended behaviour: `on_conflict_read`
-        # does not re-stamp a device whose claim names a lower owner,
-        # so it keeps the loser's claim until the next pass (the
-        # `FOUND:` line on `_stamp_ownership` in CHANGES.md).  A fix
-        # that re-stamps at once changes this assertion.
-        assert claim_on(raced[0]) == (me - 1, 1)
-        # The next pass observes the same-epoch claimant it outranks,
-        # bumps the epoch and re-writes every claim, that one too.
+        assert fm.counters["devices_fenced"] == 2 * fenced - 1
+        # The next pass finds its own claim everywhere: nothing to do.
         fm.start_discovery(force=True)
         setup.env.run(until=fm.ready_event)
         assert not fm.demoted
-        assert fm.counters["fence_conflicts"] == 1
-        assert fm.counters["fence_epoch_bumps"] == 1
         assert fm.epoch == 2
+        assert fm.counters["fence_epoch_bumps"] == 1
         assert fm.counters["devices_fenced"] == 2 * fenced - 1
-        assert claim_on(raced[0]) == (me, 2)

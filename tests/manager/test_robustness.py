@@ -167,7 +167,7 @@ class TestRouteBeyondTheTurnPool:
         env.run(until=env.now + 5e-3)
         assert fm.counters["targets_out_of_reach"] == 3
         assert len(fm.history) == bursts + 1
-        assert fm._region is None and not fm._event_queue
+        assert not fm.busy and not fm.discovery.exploring
 
     def test_churn_that_stretches_a_route_past_the_pool(self):
         """The service's churn on the 8x8 mesh, seed 1: after 11

@@ -135,6 +135,29 @@ def _write_buffers(handle):
     return done.result(60)
 
 
+def _shrink_send_buffer(handle, sock, size=4096):
+    """Give the server side of ``sock``'s connection a ``size``-byte
+    kernel send buffer, set on the loop's thread.  A set size also stops
+    the kernel autotuning it (up to the ``tcp_wmem`` maximum, 4 MiB by
+    default, enough for thousands of answers), so what the server holds
+    back for a peer that does not read is its own doing."""
+    done = Future()
+    peer = sock.getsockname()
+
+    def shrink():
+        for transport in gc.get_objects():
+            if (isinstance(transport, _SelectorSocketTransport)
+                    and transport.get_extra_info("peername") == peer):
+                transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, size)
+                done.set_result(True)
+                return
+        done.set_result(False)
+
+    handle._loop.call_soon_threadsafe(shrink)
+    assert done.result(60), "no server-side transport for that socket"
+
+
 def _until_still(read, seconds=0.3, timeout=60.0):
     """``read()`` once it has not changed for ``seconds``."""
     deadline = time.monotonic() + timeout
@@ -268,6 +291,9 @@ class TestFrontEndEdges:
         count = 2000
         with start_service("mesh9") as handle:
             sock, wire = _raw(handle, rcvbuf=4096)
+            # Without it the kernel, not the transport's bound, would
+            # decide whether all the answers fit.
+            _shrink_send_buffer(handle, sock)
             with sock:
                 sock.sendall(b"".join(b'{"id":%d,"op":"topology"}\n' % i
                                       for i in range(1, count + 1)))

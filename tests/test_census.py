@@ -1,7 +1,9 @@
 """The line census's classifier (``tests/census.py``) on a synthetic
 module: what counts as a code line, and who owns it."""
 
-from tests.census import ownership, reached_lines
+import json
+
+from tests.census import main, ownership, reached_lines, unreached_runs
 
 SOURCE = '''\
 """Module docstring,
@@ -53,3 +55,28 @@ def test_a_nested_statement_reaches_what_encloses_it():
     assert reached_lines(SOURCE, [10]) == {5, 9, 10, 11}
     # ``else:`` (line 11) belongs to its ``if``.
     assert reached_lines(SOURCE, [12]) == {5, 9, 11, 12}
+
+
+def test_unreached_lines_come_in_runs_that_comments_do_not_split():
+    # Only ``return total`` ran: the statement before the ``if`` (7-8)
+    # is one run; the other branch's ``return 0`` (12; ``else:`` is the
+    # ``if``'s) and all of ``g`` (15-21) are another, as the blank lines
+    # between them hold no code line that ran.
+    assert unreached_runs(SOURCE, [10]) == [(7, 8), (12, 21)]
+    assert unreached_runs(SOURCE, range(1, 25)) == []
+    assert unreached_runs(SOURCE, []) == [(5, 21)]
+
+
+def test_lines_prints_what_no_user_command_reaches(tmp_path, capsys):
+    (tmp_path / "user").mkdir()
+    (tmp_path / "user" / "1.json").write_text(
+        json.dumps({"repro/__main__.py": [3, 5]}))
+    assert main(["--lines", "__main__.py", "--data", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "repro/__main__.py: 1 of 3 code lines no user command reaches, "
+        "in 1 runs",
+        "  7",
+    ]
+    # A module no dump names was reached by nothing.
+    main(["--lines", "repro/_limits.py", "--data", str(tmp_path)])
+    assert capsys.readouterr().out.splitlines()[1:] == ["  11"]

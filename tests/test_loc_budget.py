@@ -96,8 +96,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: mutations (+2); 10,460 once each wire codec took one pass — the
 #: header's ``_pack_words`` and ``_fields`` went (−18), paying for the
 #: one-pass turn pool's deferred port error (+5), the baseline read's
-#: single render (+3) and the ``driver-stopped`` error code (+1).
-TOTAL_CEILING = 10_460
+#: single render (+3) and the ``driver-stopped`` error code (+1);
+#: 10,437 once a partial-assimilation burst became a discovery walk
+#: (``manager/discovery/partial.py``): the FM's six burst fields, the
+#: nested region walk and its wiring, the walk's borrowed span and the
+#: fencing pass's second claim-order test and hand-rolled barrier went
+#: (fm.py 736 → 557, −179), paying for the walk module (+128), the
+#: walk lifecycle the FM no longer reaches into (+14 in ``base.py``)
+#: and the one claim-order rule (+13 in ``capability/claim.py``);
+#: the ``PARTIAL`` label moved to ``manager/timing.py`` (±0).
+TOTAL_CEILING = 10_437
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; 442 while ``Environment.now`` was a property;
 #: 439 while ``Counter`` built closures and ``Tally`` lived here; 379
