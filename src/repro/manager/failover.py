@@ -226,9 +226,18 @@ class StandbyManager:
         :meth:`promote` and :meth:`_take_over` can cancel it), and
         each read counts in the attribute named ``counter``.
         """
-        def sleep(_handle=None) -> None:
-            if not (self.active or self._stopping):
-                setattr(self, wait, self.env.schedule_callback(interval, read))
+        self.env.schedule_callback(0.0, lambda _handle: self._sleep(
+            interval, wait, counter, on_reply), URGENT)
+
+    def _sleep(self, interval: float, wait: str, counter: str,
+               on_reply) -> None:
+        """One link of :meth:`_probe`'s chain.  Each link's closures
+        reach the next only through this method, never each other's
+        cells, so an ended chain leaves no reference cycle behind for
+        the cyclic collector (which :meth:`Environment.run` holds
+        off)."""
+        if self.active or self._stopping:
+            return
 
         def read(_handle) -> None:
             reply = self.env.event()
@@ -248,9 +257,9 @@ class StandbyManager:
             # miss/answer accounting or the mirror.
             if not (self.active or self._stopping):
                 on_reply(reply.value)
-                sleep()
+                self._sleep(interval, wait, counter, on_reply)
 
-        self.env.schedule_callback(0.0, sleep, URGENT)
+        setattr(self, wait, self.env.schedule_callback(interval, read))
 
     def _cancel(self, wait: str) -> None:
         """Cancel the interval timer in the attribute named ``wait``."""

@@ -674,9 +674,9 @@ class FabricManager:
             )
 
         def fire() -> None:
-            # A PI-5 event may have kicked off a discovery during the
-            # backoff window; do not stack a second one.
-            superseded = self.is_discovering or not self._enabled
+            # A PI-5 event may have kicked off a discovery or a burst
+            # during the backoff window; do not stack a second walk.
+            superseded = self.busy or not self._enabled
             if span is not None:
                 self.tracer.end(span, self.env.now, superseded=superseded)
             if superseded:
@@ -761,7 +761,8 @@ class FabricManager:
                 "demoted", "failover", self.env.now, track="fm",
                 reason=reason, epoch=self.epoch,
             )
-        self.engine.cancel_all()
+        self._abandon()
+        self.engine.cancel_all()  # the fencing pass's, outside a walk
         self._deferred_events.clear()
         ready = self.ready_event
         if ready is not None and not ready.triggered:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..experiments.runner import SimulationSetup, build_simulation
+from ..sim.core import Hold
 from ..topology.registry import resolve_topology
 from .client import ServiceClient
 from .driver import SimulationDriver
@@ -43,10 +44,9 @@ CHURN_FAULT_BUDGET = 1_000_000
 #: interpreter's default is 5 ms); derivation in docs/SERVICE.md.
 SWITCH_INTERVAL = 0.001
 
-#: The interval each running service of this process found, oldest
-#: first; the lock makes read-append-set and pop-restore one step.
-_found_intervals: list = []
-_interval_lock = threading.Lock()
+#: The switch interval while any service of this process runs.
+_SWITCH = Hold(sys.getswitchinterval, sys.setswitchinterval,
+               lambda _found: SWITCH_INTERVAL)
 
 
 @dataclass
@@ -80,12 +80,7 @@ class ServiceHandle:
         if self._thread is not None:
             self._thread.join(timeout)
         self.driver.stop(timeout=timeout)
-        with _interval_lock:
-            # Services stop in any order; whichever is last pops the
-            # oldest entry, the interval before any of them started.
-            found = _found_intervals.pop()
-            if not _found_intervals:
-                sys.setswitchinterval(found)
+        _SWITCH.exit()
         return self.service.summary()
 
     def __enter__(self) -> "ServiceHandle":
@@ -216,9 +211,7 @@ def start_service(
         service=service, tap=tap, injector=injector,
         standby=standby_mgr, _loop=loop, _thread=thread,
     )
-    with _interval_lock:
-        _found_intervals.append(sys.getswitchinterval())
-        sys.setswitchinterval(SWITCH_INTERVAL)
+    _SWITCH.enter()
     driver.start()
     thread.start()
     try:

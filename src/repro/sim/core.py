@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import heapq
-from heapq import heappop, heappush
+import gc
+from _thread import allocate_lock  # ``threading``'s Lock, minus its import
+from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, List, Union
 
@@ -16,6 +17,56 @@ Infinity = float("inf")
 #: many accumulate *and* they outnumber live entries, the heap is
 #: rebuilt without them so its size stays bounded under churn.
 COMPACT_THRESHOLD = 64
+
+#: CPython's cyclic collector runs a young collection every this many
+#: net tracked allocations while :meth:`Environment.run` dispatches
+#: (the interpreter's default is 700).  A run makes no reference
+#: cycles: the collections during runs of every scenario kind found
+#: nothing to free (``tests/test_cost_ledger.py`` checks each run), yet
+#: at 700 the collector took 11.9% of a fattree2-1024 discovery and 19%
+#: of a 10k Swapped Dragonfly one, mostly in the middle and full
+#: collections that re-walk the whole fabric.  In alternating reps of
+#: the former, 100,000 removed 9.9% of its wall time and 20,000 only
+#: 7.2%; switching the collector off removed 10.7% but would leave a
+#: leak unbounded.
+GC_YOUNG_THRESHOLD = 100_000
+
+
+class Hold:
+    """A process-wide interpreter setting, changed while at least one
+    holder runs and given back when the last one ends.
+
+    ``Hold(read, write, held)``: :meth:`enter` writes ``held(found)``,
+    where ``found`` is what ``read()`` returned before any holder
+    began; the :meth:`exit` that ends the last holder writes ``found``
+    back.  Holders may nest and overlap across threads: the lock makes
+    read-note-write and pop-restore one step each.
+    """
+
+    def __init__(self, read, write, held):
+        self._read, self._write, self._held = read, write, held
+        #: What each holder found, oldest first.
+        self._found: list = []
+        self._lock = allocate_lock()
+
+    def enter(self) -> None:
+        with self._lock:
+            self._found.append(self._read())
+            self._write(self._held(self._found[0]))
+
+    def exit(self) -> None:
+        with self._lock:
+            found = self._found.pop()
+            if not self._found:
+                self._write(found)
+
+
+#: The collector's thresholds while any :meth:`Environment.run` runs:
+#: the young trigger raised to :data:`GC_YOUNG_THRESHOLD`, never
+#: lowered; a disabled collector's are left as they are.
+_COLLECTOR = Hold(gc.get_threshold, lambda held: gc.set_threshold(*held),
+                  lambda found: (max(found[0], GC_YOUNG_THRESHOLD),)
+                  + found[1:] if gc.isenabled() else found)
 
 
 class Environment:
@@ -282,7 +333,7 @@ class Environment:
                 entry for entry in self._queue
                 if entry[4] is not None or not entry[3]._cancelled
             ]
-            heapq.heapify(self._queue)
+            heapify(self._queue)
             self._tombstones = 0
             self._compactions += 1
         return True
@@ -348,6 +399,10 @@ class Environment:
             a number — run until that simulation time;
             an :class:`Event` — run until that event is processed and
             return its value.
+
+        While it dispatches, the cyclic collector's young trigger is
+        :data:`GC_YOUNG_THRESHOLD`; the caller's thresholds are back
+        when the outermost run in the process returns or raises.
         """
         if until is not None and not isinstance(until, Event):
             at = float(until)
@@ -377,6 +432,7 @@ class Environment:
         pop = heappop
         executed = 0
         high = self._high_water
+        _COLLECTOR.enter()
         self._dispatching = True
         try:
             while True:
@@ -418,6 +474,7 @@ class Environment:
                     "no scheduled events left but 'until' event was not triggered"
                 ) from None
         finally:
+            _COLLECTOR.exit()
             self._dispatching = False
             self._executed += executed
             self._high_water = high

@@ -243,3 +243,52 @@ class TestPartialMidAssimilation:
             s for s in fm.history if s.trigger == "repair"
         )
         assert repair.algorithm == "partial"
+
+    @pytest.mark.parametrize("backoff", [1e-4, 5e-4, 1e-3])
+    def test_a_restart_backoff_that_fires_mid_burst_stands_down(
+            self, backoff):
+        """The backoff used to test only for a full walk: one that
+        fired while the burst ran started an unforced discovery, which
+        raised ``discovery already in progress`` out of ``env.run``."""
+        setup = build_simulation(make_mesh(4, 4), manager="partial",
+                                 restart_backoff=backoff)
+        run_until_ready(setup)
+        fm = setup.fm
+        assert fm._resolve_inconsistency(set(), fm.history[-1])
+        setup.fabric.remove_device("sw_2_2")  # the burst outlasts it
+        stats = run_until_quiescent(setup)
+        assert stats.algorithm == "partial" and not stats.aborted
+        # The first walk and the burst; the restart stood down.
+        assert [s.algorithm for s in fm.history] == ["parallel", "partial"]
+        assert database_matches_fabric(setup)
+
+    def test_demotion_mid_burst_ends_the_burst(self):
+        setup = self._mid_burst()
+        fm = setup.fm
+        burst = fm.discovery
+        fm.demote()
+        assert burst.done and not fm.busy and not fm.is_assimilating
+        assert fm._cost_key == fm.algorithm_key
+        run_until_quiescent(setup, horizon=0.5)
+        assert fm.demoted and fm.discovery is burst
+
+
+class TestDemotionMidWalk:
+    """A demotion abandons the walk in progress: it used to cancel the
+    walk's transactions and leave it running for good, so ``busy``
+    stayed true and ``run_until_quiescent`` could only time out."""
+
+    def test_demotion_mid_discovery_ends_the_walk(self):
+        setup = build_simulation(make_mesh(4, 4))
+        run_until_ready(setup)
+        fm, env = setup.fm, setup.env
+        walk = fm.start_discovery(trigger="change")
+        while len(fm.database) < 4:
+            env.step()
+        assert fm.is_discovering
+        fm.demote()
+        assert walk.done and not fm.busy and not fm.is_discovering
+        assert not fm.engine.pending
+        assert fm.ready_event.triggered
+        run_until_quiescent(setup, horizon=0.5)
+        assert fm.demoted and fm.discovery is walk

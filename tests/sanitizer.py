@@ -14,7 +14,11 @@ while the run proceeds, what the end-of-run property tests
     or a link replay) is delivered, dropped or still in flight — on the
     heap, in a queue — and none is delivered twice;
 (iii) **time** never goes backwards, and the heap's tombstones are the
-    ones ``vitals()`` counts.
+    ones ``vitals()`` counts;
+(iv) **claim epochs** only increase: the generation in a device's claim
+    capability never falls below one seen there before (ownership
+    fencing rests on it — a deposed manager's epoch must never
+    overwrite its successor's).
 
 Nothing in ``src/`` knows it is watched: :func:`sanitized` swaps the
 environment class ``build_simulation`` constructs and makes every
@@ -35,6 +39,7 @@ from collections import Counter
 from contextlib import contextmanager
 from heapq import heappush
 
+from repro.capability.claim import CLAIM_CAP_ID
 from repro.experiments import runner
 from repro.fabric.device import Device
 from repro.fabric.packet import Packet
@@ -69,6 +74,8 @@ class Sanitizer:
         self.delivered = set()
         self.steps = 0
         self.last_now = env.now
+        #: The highest claim generation seen, per device name.
+        self.generations = {}
         #: Full checks made, per invariant.
         self.checks = Counter()
 
@@ -130,6 +137,7 @@ class Sanitizer:
                 returning[id(owner), vc, epoch] += units
         self._check_credits(receiving, returning)
         self._check_packets(on_heap)
+        self._check_claims()
 
     def _check_credits(self, receiving, returning) -> None:
         for device in self.devices:
@@ -183,6 +191,20 @@ class Sanitizer:
                 f"(traced) + {untraced} (counted), {on_heap} on the heap, "
                 f"{queued} queued")
         self.checks["packets"] += 1
+
+
+    def _check_claims(self) -> None:
+        for device in self.devices:
+            claim = device.config_space.capability(CLAIM_CAP_ID).get_claim()
+            if claim is None:
+                continue
+            seen = self.generations.get(device.name, claim[1])
+            if claim[1] < seen:
+                raise InvariantViolation(
+                    f"t={self.env.now}: the claim epoch of {device.name} "
+                    f"went back from {seen} to {claim[1]}")
+            self.generations[device.name] = claim[1]
+        self.checks["claims"] += 1
 
 
 class SanitizedEnvironment(Environment):

@@ -104,8 +104,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: (fm.py 736 → 557, −179), paying for the walk module (+128), the
 #: walk lifecycle the FM no longer reaches into (+14 in ``base.py``)
 #: and the one claim-order rule (+13 in ``capability/claim.py``);
-#: the ``PARTIAL`` label moved to ``manager/timing.py`` (±0).
-TOTAL_CEILING = 10_437
+#: the ``PARTIAL`` label moved to ``manager/timing.py`` (±0); 10,458
+#: once ``Environment.run`` held the cyclic collector's young trigger
+#: up while it dispatches — the process-wide ``Hold`` the service
+#: harness's switch interval now shares (+21 in ``sim/``, −4 in
+#: ``service/``) — the standby's probe chain stopped leaving a
+#: reference cycle behind (+3) and a demotion ended the walk in
+#: progress (+1).
+TOTAL_CEILING = 10_458
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; 442 while ``Environment.now`` was a property;
 #: 439 while ``Counter`` built closures and ``Tally`` lived here; 379
@@ -118,8 +124,10 @@ TOTAL_CEILING = 10_437
 #: last URGENT pop and the drain, kept in the event branch of ``run``/
 #: ``step`` and at the drain exit — plus ``reserve_urgent``,
 #: ``schedule_urgent`` and ``quiet()``'s look at the last reserved
-#: slot, +20, less the two debugging ``__repr__`` nothing reached, −6).
-SIM_CEILING = 302
+#: slot, +20, less the two debugging ``__repr__`` nothing reached, −6;
+#: 302 before ``run`` held the collector's young trigger up with
+#: ``Hold``, the one process-wide-setting helper, +21).
+SIM_CEILING = 323
 #: Code lines in ``repro/experiments/`` + ``repro/cli.py`` (3,666
 #: before PR 13, 3,071 after it; 3,064 before PR 22 shared the change
 #: protocol and the reliability totals; 3,048 before PR 24 made

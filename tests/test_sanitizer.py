@@ -7,6 +7,7 @@ breaks is a small discovery; the sanitizer must stop it with an
 
 import pytest
 
+from repro.capability.claim import CLAIM_CAP_ID, ClaimCapability
 from repro.experiments.runner import build_simulation, run_until_ready
 from repro.fabric.device import Device
 from repro.fabric.port import Port
@@ -82,3 +83,20 @@ def test_a_miscounted_tombstone_is_caught():
         setup.env.call_later(1e-6, miscount)
         with pytest.raises(InvariantViolation, match="tombstones"):
             run_until_ready(setup)
+
+
+def test_a_claim_epoch_stepped_back_is_caught():
+    with sanitized(stride=1) as sanitizers:
+        setup = build_simulation(make_mesh(2, 2), fence_ownership=True)
+        run_until_ready(setup)
+        (sanitizer,) = sanitizers
+        assert sanitizer.generations and sanitizer.checks["claims"]
+        device = next(iter(setup.fabric.devices.values()))
+        claims = device.config_space.capability(CLAIM_CAP_ID)
+        owner, epoch = claims.get_claim()
+
+        def step_back():
+            claims.write(0, ClaimCapability.encode(owner, epoch - 1))
+        setup.env.call_later(1e-6, step_back)
+        with pytest.raises(InvariantViolation, match="claim epoch"):
+            setup.env.run()
