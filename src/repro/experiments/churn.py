@@ -25,7 +25,6 @@ import dataclasses
 from dataclasses import dataclass
 
 from ..manager.consistency import audit_topology
-from ..manager.fm import DiscoveryAborted
 from ..workloads.faults import FaultInjector
 from .family import (
     MANAGER,
@@ -61,39 +60,42 @@ DEFAULT_MEAN_INTERVAL = 2e-3
 DEFAULT_VERIFY_SAMPLE = 3
 
 
-def run_until_quiescent(
-    setup: SimulationSetup,
-    horizon: float = MAX_SIM_TIME,
-    poll: float = 5e-3,
-    settle: float = 20e-3,
-    raise_on_abort: bool = True,
-):
+#: Simulated seconds :func:`run_until_quiescent` runs between looks at
+#: the FM, and how long an idle FM must stay idle to count as quiescent
+#: (an idle-looking FM may still have a PI-5 event packet in flight
+#: toward it).
+QUIESCENCE_POLL = 5e-3
+QUIESCENCE_SETTLE = 20e-3
+
+
+def run_until_quiescent(setup: SimulationSetup,
+                        horizon: float = MAX_SIM_TIME):
     """Run until the FM is idle with its event routes programmed.
 
     Unlike :func:`~repro.experiments.runner.run_until_ready` this keeps
     going through *chains* of automatic restarts/repairs: it returns
     only when no discovery or assimilation burst is in flight and the
     current ``ready_event`` has triggered — and that state has held
-    for ``settle`` seconds (an idle-looking FM may have a PI-5 event
-    packet still in flight toward it) or the event heap has drained
-    entirely.  The bounded restart policy guarantees that state is
-    reached; ``raise_on_abort`` controls whether exhausting the budget
-    surfaces as :class:`~repro.manager.fm.DiscoveryAborted` or is left
-    to the caller to read from the returned stats.
+    for :data:`QUIESCENCE_SETTLE` seconds or the event heap has
+    drained entirely.  A demoted FM counts as soon as it is idle, its
+    first walk finished or not.  The bounded restart policy
+    guarantees that state is reached; a run that exhausted the budget
+    carries ``aborted`` in its stats.
 
-    Returns the stats of the last completed discovery.
+    Returns the stats of the last completed discovery (``None`` for an
+    FM demoted before any completed).
     """
     env, fm = setup.env, setup.fm
     deadline = env.now + horizon
     quiet_since = None
     while True:
         ready = fm.ready_event is not None and fm.ready_event.triggered
-        if not fm.busy and ready and fm.history:
+        if not fm.busy and ready and (fm.history or fm.demoted):
             if env.peek() == float("inf"):
                 break
             if quiet_since is None:
                 quiet_since = env.now
-            elif env.now - quiet_since >= settle:
+            elif env.now - quiet_since >= QUIESCENCE_SETTLE:
                 break
         else:
             quiet_since = None
@@ -102,14 +104,8 @@ def run_until_quiescent(
                 f"fabric not quiescent within {horizon} s of simulated "
                 f"time"
             )
-        env.run(until=min(env.now + poll, deadline))
-    stats = fm.history[-1]
-    if raise_on_abort and stats.aborted:
-        raise DiscoveryAborted(
-            f"restart budget ({fm.max_discovery_restarts}) exhausted "
-            f"after {len(fm.history)} discoveries"
-        )
-    return stats
+        env.run(until=min(env.now + QUIESCENCE_POLL, deadline))
+    return fm.history[-1] if fm.history else None
 
 
 @dataclass
@@ -166,8 +162,6 @@ def run_churn_experiment(scenario, tracer=None) -> ChurnResult:
     mean_interval = scenario.get("mean_interval", DEFAULT_MEAN_INTERVAL)
     setup = scenario.build(
         spec, tracer,
-        max_discovery_restarts=scenario.get("max_discovery_restarts", 8),
-        restart_backoff=scenario.get("restart_backoff", 0.0),
         verify_sample=scenario.get("verify_sample", DEFAULT_VERIFY_SAMPLE),
         verify_seed=seed,
     )
@@ -180,13 +174,10 @@ def run_churn_experiment(scenario, tracer=None) -> ChurnResult:
         setup.fabric, mean_interval=mean_interval,
         protect={setup.fm.endpoint.name}, seed=seed,
         fm=setup.fm, during_discovery=True,
-        # Partial-assimilation bursts are much shorter than a full
-        # walk; a fine hold-poll is needed to catch one in flight.
-        poll_interval=mean_interval / 40,
     )
     done = injector.run(faults=scenario.get("faults", DEFAULT_FAULTS))
     setup.env.run(until=done)
-    run_until_quiescent(setup, raise_on_abort=False)
+    run_until_quiescent(setup)
 
     fm = setup.fm
     if tracer is not None:

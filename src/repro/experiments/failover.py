@@ -52,7 +52,6 @@ from .family import (
     share_of,
 )
 from .runner import (
-    MAX_SIM_TIME,
     build_simulation,
     database_matches_fabric,
     run_until_ready,
@@ -203,7 +202,6 @@ def run_failover_experiment(scenario, tracer=None) -> FailoverResult:
         setup.fabric, mean_interval=mean_interval,
         protect={primary.endpoint.name, standby.fm.endpoint.name},
         seed=seed, fm=primary, during_discovery=True,
-        poll_interval=mean_interval / 40,
     )
 
     def on_fault(event):
@@ -216,7 +214,7 @@ def run_failover_experiment(scenario, tracer=None) -> FailoverResult:
     if faults > 0:
         done = injector.run(faults=faults)
         setup.env.run(until=done)
-        run_until_quiescent(setup, raise_on_abort=False)
+        run_until_quiescent(setup)
         # Let the standby's next periodic sync fold the churned
         # topology into the mirror before the lights go out.
         setup.env.run(until=setup.env.now + 2 * standby.sync_interval)
@@ -227,20 +225,19 @@ def run_failover_experiment(scenario, tracer=None) -> FailoverResult:
 
     # From here the promoted standby *is* the fabric manager.
     setup.fm = standby.fm
-    run_until_quiescent(setup, raise_on_abort=False)
+    run_until_quiescent(setup)
 
     if restart_primary:
         injector.restore_fm_now()
         # The resurrected region's port-up events reach the new FM (its
         # takeover reprogrammed the event routes) and the old primary's
         # own entity wakes it; fencing decides who survives.
-        run_until_quiescent(setup, horizon=MAX_SIM_TIME,
-                            raise_on_abort=False)
+        run_until_quiescent(setup)
         deadline = setup.env.now + 50e-3
         while (not primary.demoted and setup.env.now < deadline
                and setup.env.peek() != float("inf")):
             setup.env.run(until=setup.env.now + 5e-3)
-        run_until_quiescent(setup, raise_on_abort=False)
+        run_until_quiescent(setup)
 
     if tracer is not None:
         tracer.finalize(setup)

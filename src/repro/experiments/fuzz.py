@@ -14,9 +14,9 @@ module close the loop and *generate* validation scenarios instead:
   timing perturbations;
 * :func:`run_fuzz` fans the sampled scenarios out through the
   process-parallel executor and classifies every outcome: a raised
-  exception (:class:`~repro.manager.fm.DiscoveryAborted`, timeouts),
-  a database that does not match the reachable ground truth, or a
-  dirty consistency audit are failures;
+  exception (a timeout, say), an exhausted restart budget, a database
+  that does not match the reachable ground truth, or a dirty
+  consistency audit are failures;
 * each failure is handed to
   :func:`~repro.experiments.shrink.shrink_scenario`, which reduces it
   to a minimal scenario still failing for the same reason;
@@ -219,7 +219,7 @@ def evaluate_scenario(scenario: Scenario) -> Optional[Tuple[str, str]]:
 
     This is the shrinker's evaluator: exceptions become
     ``error:<ExceptionName>`` reasons, so a shrink can preserve "this
-    scenario raises DiscoveryAborted" as faithfully as "this scenario
+    scenario raises TimeoutError" as faithfully as "this scenario
     converges to a wrong database".
     """
     try:

@@ -123,17 +123,16 @@ def run_until_discovery_count(setup: SimulationSetup, n: int,
 
 
 def database_matches_fabric(setup: SimulationSetup) -> bool:
-    """Whether the FM database equals the reachable ground truth."""
-    fabric, fm = setup.fabric, setup.fm
-    dsn = {name: fabric.device(name).dsn
-           for name in fabric.reachable_devices(fm.endpoint.name)}
-    found = fm.database.graph()
-    return (
-        set(found.nodes) == set(dsn.values())
-        and {frozenset(e) for e in found.edges}
-        == {frozenset((dsn[a], dsn[b])) for a, b in fabric.graph().edges
-            if a in dsn and b in dsn}
-    )
+    """Whether the FM database's devices and links equal the reachable
+    ground truth (the auditor's graph comparison, without its port and
+    route replay)."""
+    # Imported by the first check, not with this module: a discovery's
+    # imports are pinned (tests/test_import_budget.py).
+    from ..manager.consistency import ConsistencyReport, TopologyAuditor
+
+    report = ConsistencyReport()
+    TopologyAuditor(setup.fabric, setup.fm).audit_graph(report)
+    return report.ok
 
 
 @dataclass

@@ -113,10 +113,9 @@ class Scenario:
     max_retries:
         Per-request retry budget (reliability runs default to the
         reliability module's higher budget).
-    faults / mean_interval / verify_sample / max_discovery_restarts /
-    restart_backoff:
-        Churn fault plan and hardening knobs (``None`` = the churn
-        module's defaults).
+    faults / mean_interval / verify_sample:
+        Churn fault plan and convergence-guard sample size (``None`` =
+        the churn module's defaults).
     mode / heartbeat_interval / miss_threshold / restart_primary:
         Failover plan for ``kind="failover"``: takeover mode (``None``
         = ``"warm"``), standby heartbeat tuning, and whether the dead
@@ -146,8 +145,6 @@ class Scenario:
     faults: Optional[int] = None
     mean_interval: Optional[float] = None
     verify_sample: Optional[int] = None
-    max_discovery_restarts: Optional[int] = None
-    restart_backoff: Optional[float] = None
     mode: Optional[str] = None
     heartbeat_interval: Optional[float] = None
     miss_threshold: Optional[int] = None

@@ -184,7 +184,6 @@ def shrink_candidates(scenario: Scenario) -> Iterator[Scenario]:
                            if k != key}
                 candidates.append(attempt(fm_options=trimmed))
     for knob in ("max_retries", "mean_interval", "verify_sample",
-                 "max_discovery_restarts", "restart_backoff",
                  "heartbeat_interval", "miss_threshold",
                  "restart_primary"):
         if getattr(scenario, knob) is not None:

@@ -16,7 +16,6 @@ __getattr__, __dir__, __all__ = _surface(globals(), {
     "DatabaseError": "database",
     "DeviceRecord": "database",
     "Difference": "consistency",
-    "DiscoveryAborted": "fm",
     "DiscoveryStats": "discovery.base",
     "FabricManager": "fm",
     "FailoverReport": "failover",

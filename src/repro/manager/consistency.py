@@ -159,8 +159,18 @@ class TopologyAuditor:
     # -- the audit -----------------------------------------------------------
     def audit(self) -> ConsistencyReport:
         """Compare the database with the fabric right now."""
-        db = self.fm.database
         report = ConsistencyReport(audited_at=self.fm.env.now)
+        names_by_dsn = self.audit_graph(report)
+        self._audit_ports(report, names_by_dsn)
+        self._audit_routes(report, names_by_dsn)
+        return report
+
+    def audit_graph(self, report: ConsistencyReport) -> Dict[int, str]:
+        """The audit's device and link half: add to ``report`` every
+        missing or phantom device and link, and return the reachable
+        ground truth's ``dsn -> name``.  Building the fabric graph
+        twice, it replays no port and no route."""
+        db = self.fm.database
         names_by_dsn, truth_edges = self._truth()
         truth_dsns = set(names_by_dsn)
         db_dsns = {record.dsn for record in db.devices()}
@@ -204,10 +214,7 @@ class TopologyAuditor:
                 f"<->{self._label(b, names_by_dsn)}",
                 "link in the database but down in the fabric",
             ))
-
-        self._audit_ports(report, names_by_dsn)
-        self._audit_routes(report, names_by_dsn)
-        return report
+        return names_by_dsn
 
     # -- port-level staleness ------------------------------------------------
     def _audit_ports(self, report: ConsistencyReport,

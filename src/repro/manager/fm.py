@@ -65,16 +65,6 @@ from .timing import PARALLEL, PARTIAL, ProcessingTimeModel
 MANAGER_KINDS = ("full", PARTIAL)
 
 
-class DiscoveryAborted(RuntimeError):
-    """The FM exhausted its restart budget without converging.
-
-    The discovery still *terminated* — its stats carry
-    ``aborted=True`` — so nothing hangs on the horizon timeout; this
-    exception exists for callers that want budget exhaustion to be
-    loud (see :func:`repro.experiments.churn.run_until_quiescent`).
-    """
-
-
 def barrier(count: int, each: Callable[[Any, Any], None],
             then: Callable[[], None]) -> Callable[[Any, Any], None]:
     """A callback that joins ``count`` arrivals: ``each(value, ctx)``
@@ -96,6 +86,14 @@ def barrier(count: int, each: Callable[[Any, Any], None],
 class FabricManager:
     """The primary fabric manager, hosted on ``endpoint``."""
 
+    #: Bounded restart/repair policy: at most this many consecutive
+    #: automatic recovery actions (suspect subtrees, unassimilated
+    #: deferred events, convergence-guard mismatches) before the FM
+    #: gives up and surfaces ``aborted`` in the run's stats.  A PI-5
+    #: event or an explicit :meth:`start_discovery` resets the streak.
+    #: A restart starts at once: the paper's FM starts discovery over.
+    max_discovery_restarts = 8
+
     def __init__(self, endpoint: Endpoint, entity: ManagementEntity,
                  timing: Optional[ProcessingTimeModel] = None,
                  algorithm: str = PARALLEL,
@@ -103,8 +101,6 @@ class FabricManager:
                  max_retries: int = 3,
                  auto_start: bool = True,
                  parallel_window: Optional[int] = None,
-                 max_discovery_restarts: int = 8,
-                 restart_backoff: float = 0.0,
                  verify_sample: int = 0,
                  verify_seed: int = 0,
                  fence_ownership: bool = False,
@@ -126,16 +122,6 @@ class FabricManager:
         #: Optional bound on the Parallel algorithm's outstanding
         #: requests (None = unbounded, the paper's Fig. 3).
         self.parallel_window = parallel_window
-        #: Bounded restart/repair policy: at most this many consecutive
-        #: automatic restarts (suspect subtrees, unassimilated deferred
-        #: events, convergence-guard mismatches) before the FM gives up
-        #: and surfaces ``aborted`` in the run's stats.  A PI-5 event
-        #: or an explicit :meth:`start_discovery` resets the streak.
-        self.max_discovery_restarts = max_discovery_restarts
-        #: Base delay before an automatic restart; doubles with each
-        #: consecutive restart (0 = restart immediately, the historical
-        #: behaviour).
-        self.restart_backoff = restart_backoff
         #: Post-discovery convergence guard: after a clean run, re-read
         #: the general information of this many discovered devices (a
         #: seeded sample) and trigger repair on any mismatch.  0
@@ -561,7 +547,7 @@ class FabricManager:
             self.counters.incr("subtree_repairs")
             return True
         self.counters.incr("discovery_restarts")
-        self._schedule_restart("restart")
+        self.start_discovery(trigger="restart")
         return True
 
     def _spend_restart(self, stats: DiscoveryStats) -> bool:
@@ -659,31 +645,6 @@ class FabricManager:
         full.stats.bytes_sent += stats.bytes_sent
         full.stats.bytes_received += stats.bytes_received
         full.stats.started_at = stats.started_at
-
-    def _schedule_restart(self, trigger: str) -> None:
-        """Start the next automatic rediscovery, after optional backoff."""
-        if self.restart_backoff <= 0:
-            self.start_discovery(trigger=trigger)
-            return
-        delay = self.restart_backoff * (2 ** (self._restart_streak - 1))
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.begin(
-                "backoff", "restart", self.env.now, track="fm",
-                trigger=trigger, streak=self._restart_streak,
-            )
-
-        def fire() -> None:
-            # A PI-5 event may have kicked off a discovery or a burst
-            # during the backoff window; do not stack a second walk.
-            superseded = self.busy or not self._enabled
-            if span is not None:
-                self.tracer.end(span, self.env.now, superseded=superseded)
-            if superseded:
-                return
-            self.start_discovery(trigger=trigger)
-
-        self.env.call_later(delay, fire)
 
     # -- post-discovery convergence guard -----------------------------------
     def _start_convergence_guard(self, stats: DiscoveryStats) -> None:

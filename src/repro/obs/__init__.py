@@ -7,7 +7,7 @@ Parallel walk.  This package records that structure:
 
 * :class:`~repro.obs.span.SpanTracer` — nested spans for every PI-4
   transaction, discovery phase (claim, port read, assimilation burst,
-  repair), restart/backoff episode, and route-distribution pass;
+  repair) and route-distribution pass;
 * :class:`~repro.fabric.trace.PacketTracer` (installed by the
   session) — per-hop packet lifecycle events
   (enqueue/tx/rx/drop/deliver) with sim timestamps;

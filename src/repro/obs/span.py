@@ -2,7 +2,7 @@
 
 A span is one interval of logical work — a PI-4 transaction waiting
 for its completion, one device claim of a discovery walk, a whole
-discovery run, a restart-backoff episode.  Spans nest by parent id,
+discovery run, a route-distribution pass.  Spans nest by parent id,
 forming a tree per run, and live on named *tracks* (the Chrome-trace
 "thread" a viewer draws them on).
 

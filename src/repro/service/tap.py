@@ -11,8 +11,8 @@ to a sink callback as JSON-ready documents:
 * ``{"event": "pi5", ...}`` — every PI-5 notification (and local port
   event) the FM processes;
 * ``{"event": "span", ...}`` — summaries of completed FM-track spans:
-  discovery runs, partial-assimilation and repair bursts,
-  restart-backoff episodes, route distribution.
+  discovery runs, partial-assimilation and repair bursts, route
+  distribution.
 
 It keeps only what it forwards, and only until it forwards it: a span
 off the FM track (per-claim discovery spans, PI-4 transactions) is

@@ -63,26 +63,20 @@ class FaultInjector:
     during_discovery:
         Chaos mode: after each inter-fault interval elapses, hold the
         fault until the observed FM is mid-walk (checked every
-        ``poll_interval``), so changes land *while* discovery runs —
-        the overlap case the paper's one-change protocol never
-        exercises.  If no discovery starts within ``max_hold`` the
-        fault fires anyway (a fault is itself what provokes the next
-        discovery, so the first one may have to land on a quiet
-        fabric).
-    poll_interval:
-        Busy-poll granularity of ``during_discovery`` (default:
-        ``mean_interval / 8``).
-    max_hold:
-        Longest a fault is held waiting for a discovery (default:
-        ``20 * mean_interval``).
+        ``poll_interval``, ``mean_interval / 40``: partial-assimilation
+        bursts are much shorter than a full walk, so a fine poll is
+        needed to catch one in flight), so changes land *while*
+        discovery runs — the overlap case the paper's one-change
+        protocol never exercises.  If no discovery starts within
+        ``max_hold`` (``20 * mean_interval``) the fault fires anyway
+        (a fault is itself what provokes the next discovery, so the
+        first one may have to land on a quiet fabric).
     """
 
     def __init__(self, fabric: Fabric, mean_interval: float = 30e-3,
                  protect: Optional[Sequence[str]] = None,
                  seed: int = 0, fm=None,
-                 during_discovery: bool = False,
-                 poll_interval: Optional[float] = None,
-                 max_hold: Optional[float] = None):
+                 during_discovery: bool = False):
         if mean_interval <= 0:
             raise ValueError("mean interval must be positive")
         if during_discovery and fm is None:
@@ -94,15 +88,8 @@ class FaultInjector:
         self.rng = random.Random(seed)
         self.fm = fm
         self.during_discovery = during_discovery
-        self.poll_interval = (
-            poll_interval if poll_interval is not None
-            else mean_interval / 8
-        )
-        self.max_hold = (
-            max_hold if max_hold is not None else 20 * mean_interval
-        )
-        if self.poll_interval <= 0:
-            raise ValueError("poll interval must be positive")
+        self.poll_interval = mean_interval / 40
+        self.max_hold = 20 * mean_interval
         #: Whether the FM host is currently hot-removed by this injector.
         self.fm_down = False
         #: Called with each :class:`FaultEvent` as it lands — the

@@ -58,8 +58,8 @@ class TestClassification:
     def test_executor_error_string_maps_to_reason(self):
         assert _classify_error("TypeError: bad kwarg") == \
             ("error:TypeError", "bad kwarg")
-        assert _classify_error("DiscoveryAborted") == \
-            ("error:DiscoveryAborted", "DiscoveryAborted")
+        assert _classify_error("TimeoutError") == \
+            ("error:TimeoutError", "TimeoutError")
 
     def test_evaluate_scenario_passes_clean_run(self):
         scenario = Scenario(kind="discover", topology="4-port 2-tree")

@@ -28,8 +28,6 @@ def _full_scenario() -> Scenario:
         faults=2,
         mean_interval=1e-3,
         verify_sample=1,
-        max_discovery_restarts=4,
-        restart_backoff=1e-4,
         fm_options={"parallel_window": 4},
     )
 

@@ -8,7 +8,7 @@ from repro.experiments.runner import (
     database_matches_fabric,
     run_until_ready,
 )
-from repro.manager import PARALLEL, DiscoveryAborted
+from repro.manager import PARALLEL
 from repro.topology import make_mesh
 
 
@@ -34,7 +34,7 @@ class TestSuspectClassification:
     def test_mid_walk_death_marks_subtree_suspect(self):
         setup = build_simulation(make_mesh(4, 4), algorithm=PARALLEL)
         remove_mid_walk(setup, "sw_2_2")
-        run_until_quiescent(setup)
+        assert not run_until_quiescent(setup).aborted
         first = setup.fm.history[0]
         assert first.suspect_subtrees >= 1
         assert not first.aborted
@@ -59,50 +59,36 @@ class TestSuspectClassification:
 
 class TestBoundedRestarts:
     def test_zero_budget_surfaces_abort_instead_of_hanging(self):
-        setup = build_simulation(make_mesh(4, 4), algorithm=PARALLEL,
-                                 max_discovery_restarts=0)
+        setup = build_simulation(make_mesh(4, 4), algorithm=PARALLEL)
+        setup.fm.max_discovery_restarts = 0
         remove_mid_walk(setup, "sw_2_2")
-        with pytest.raises(DiscoveryAborted):
-            run_until_quiescent(setup)
-        stats = setup.fm.history[-1]
-        assert stats.aborted
+        stats = run_until_quiescent(setup)
+        assert stats.aborted and stats is setup.fm.history[-1]
         assert setup.fm.counters["discovery_aborted"] == 1
         # The run still terminated: ready fired, nothing is in flight.
         assert setup.fm.ready_event.triggered
         assert not setup.fm.is_discovering
 
     def test_raise_on_abort_false_returns_the_stats(self):
-        setup = build_simulation(make_mesh(4, 4), algorithm=PARALLEL,
-                                 max_discovery_restarts=0)
+        """Returning the aborted stats, once opted into with
+        ``raise_on_abort=False``, is now the only behaviour: an
+        exhausted budget never raises out of ``run_until_quiescent``."""
+        setup = build_simulation(make_mesh(4, 4), algorithm=PARALLEL)
+        setup.fm.max_discovery_restarts = 0
         remove_mid_walk(setup, "sw_2_2")
-        stats = run_until_quiescent(setup, raise_on_abort=False)
+        stats = run_until_quiescent(setup)
         assert stats.aborted
 
     def test_external_event_resets_the_streak(self):
         setup = build_simulation(make_mesh(4, 4), algorithm=PARALLEL)
         remove_mid_walk(setup, "sw_2_2")
-        run_until_quiescent(setup)
+        assert not run_until_quiescent(setup).aborted
         assert setup.fm._restart_streak == 0
         # A later, clean change assimilation starts from a full budget.
         setup.fabric.restore_device("sw_2_2")
-        run_until_quiescent(setup)
+        assert not run_until_quiescent(setup).aborted
         assert database_matches_fabric(setup)
         assert setup.fm._restart_streak == 0
-
-
-class TestRestartBackoff:
-    def test_backoff_delays_the_automatic_restart(self):
-        delay = 5e-3
-        setup = build_simulation(make_mesh(4, 4), algorithm=PARALLEL,
-                                 restart_backoff=delay)
-        remove_mid_walk(setup, "sw_2_2")
-        run_until_quiescent(setup)
-        fm = setup.fm
-        assert len(fm.history) >= 2
-        # First automatic restart waits the base backoff (2**0 * delay).
-        gap = fm.history[1].started_at - fm.history[0].finished_at
-        assert gap >= delay
-        assert database_matches_fabric(setup)
 
 
 class TestConvergenceGuard:
@@ -128,11 +114,10 @@ class TestConvergenceGuard:
         )
         fm._guard_settled(stats, {victim})
         assert fm.counters["guard_mismatches"] == 1
-        # The mismatch consumed one budget slot and relaunched at once
-        # (no backoff configured).
+        # The mismatch consumed one budget slot and relaunched at once.
         assert fm._restart_streak == 1
         assert fm.is_discovering
-        run_until_quiescent(setup)
+        assert not run_until_quiescent(setup).aborted
         assert database_matches_fabric(setup)
 
     def test_guard_disabled_by_default(self):
@@ -149,7 +134,7 @@ class TestPartialMidAssimilation:
         victim = "sw_2_2"
 
         fabric.remove_device(victim)
-        run_until_quiescent(setup)
+        assert not run_until_quiescent(setup).aborted
         assert database_matches_fabric(setup)
 
         # Hot-add the switch back; step until the up-burst's region
@@ -237,30 +222,12 @@ class TestPartialMidAssimilation:
         assert fm._resolve_inconsistency({suspect}, fm.history[-1])
         assert fm.is_assimilating  # a repair burst, not a full walk
         assert fm.counters["subtree_repairs"] == 1
-        run_until_quiescent(setup)
+        assert not run_until_quiescent(setup).aborted
         assert database_matches_fabric(setup)
         repair = next(
             s for s in fm.history if s.trigger == "repair"
         )
         assert repair.algorithm == "partial"
-
-    @pytest.mark.parametrize("backoff", [1e-4, 5e-4, 1e-3])
-    def test_a_restart_backoff_that_fires_mid_burst_stands_down(
-            self, backoff):
-        """The backoff used to test only for a full walk: one that
-        fired while the burst ran started an unforced discovery, which
-        raised ``discovery already in progress`` out of ``env.run``."""
-        setup = build_simulation(make_mesh(4, 4), manager="partial",
-                                 restart_backoff=backoff)
-        run_until_ready(setup)
-        fm = setup.fm
-        assert fm._resolve_inconsistency(set(), fm.history[-1])
-        setup.fabric.remove_device("sw_2_2")  # the burst outlasts it
-        stats = run_until_quiescent(setup)
-        assert stats.algorithm == "partial" and not stats.aborted
-        # The first walk and the burst; the restart stood down.
-        assert [s.algorithm for s in fm.history] == ["parallel", "partial"]
-        assert database_matches_fabric(setup)
 
     def test_demotion_mid_burst_ends_the_burst(self):
         setup = self._mid_burst()
@@ -276,19 +243,19 @@ class TestPartialMidAssimilation:
 class TestDemotionMidWalk:
     """A demotion abandons the walk in progress: it used to cancel the
     walk's transactions and leave it running for good, so ``busy``
-    stayed true and ``run_until_quiescent`` could only time out."""
+    stayed true and ``run_until_quiescent`` could only time out — as
+    it also did for an FM demoted before its first walk finished."""
 
     def test_demotion_mid_discovery_ends_the_walk(self):
         setup = build_simulation(make_mesh(4, 4))
-        run_until_ready(setup)
         fm, env = setup.fm, setup.env
-        walk = fm.start_discovery(trigger="change")
         while len(fm.database) < 4:
             env.step()
-        assert fm.is_discovering
+        walk = fm.discovery
+        assert fm.is_discovering and not fm.history
         fm.demote()
         assert walk.done and not fm.busy and not fm.is_discovering
         assert not fm.engine.pending
         assert fm.ready_event.triggered
-        run_until_quiescent(setup, horizon=0.5)
-        assert fm.demoted and fm.discovery is walk
+        assert run_until_quiescent(setup, horizon=0.5) is None
+        assert fm.demoted and fm.discovery is walk and not fm.history

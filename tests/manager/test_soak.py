@@ -243,8 +243,9 @@ class TestDuringDiscoveryMode:
         injector = FaultInjector(
             setup.fabric, mean_interval=1e-3,
             protect={setup.fm.endpoint.name}, seed=1,
-            fm=setup.fm, during_discovery=True, max_hold=4e-3,
+            fm=setup.fm, during_discovery=True,
         )
+        injector.max_hold = 4e-3
         done = injector.run(faults=3)
         setup.env.run(until=done)
         assert len(injector.log) == 3

@@ -66,7 +66,7 @@ SURFACE_AT_PARENT = {
     "repro.manager": [
         "ALGORITHMS", "ALGORITHM_CLASSES",
         "ConsistencyReport", "DatabaseError",
-        "DeviceRecord", "Difference", "DiscoveryAborted",
+        "DeviceRecord", "Difference",
         "DiscoveryStats", "FabricManager",
         "FailoverReport", "PARALLEL", "ParallelDiscovery",
         "PortRecord",

@@ -1,5 +1,6 @@
 """FaultInjector hold-until-busy timing: ``max_hold`` is an env-time
-deadline, honored exactly."""
+deadline, honored exactly (the tests set the hold poll and limit on
+the instance: the injector derives both from ``mean_interval``)."""
 
 import random
 
@@ -35,8 +36,9 @@ class TestMaxHoldDeadline:
         setup = build_simulation(make_mesh(3, 3), auto_start=False)
         injector = FaultInjector(
             setup.fabric, mean_interval=mean, seed=5, fm=_QuietFM(),
-            during_discovery=True, poll_interval=poll, max_hold=hold,
+            during_discovery=True,
         )
+        injector.poll_interval, injector.max_hold = poll, hold
         done = injector.run(faults=1)
         log = setup.env.run(until=done)
         assert len(log) == 1
@@ -49,7 +51,7 @@ class TestMaxHoldDeadline:
         setup = build_simulation(make_mesh(3, 3), auto_start=False)
         injector = FaultInjector(
             setup.fabric, mean_interval=mean, seed=5, fm=_BusyFM(),
-            during_discovery=True, poll_interval=0.4e-3, max_hold=1.0e-3,
+            during_discovery=True,
         )
         done = injector.run(faults=1)
         log = setup.env.run(until=done)
@@ -64,8 +66,9 @@ class TestMaxHoldDeadline:
         setup = build_simulation(make_mesh(3, 3), auto_start=False)
         injector = FaultInjector(
             setup.fabric, mean_interval=mean, seed=5, fm=_QuietFM(),
-            during_discovery=True, poll_interval=poll, max_hold=hold,
+            during_discovery=True,
         )
+        injector.poll_interval, injector.max_hold = poll, hold
         done = injector.run(faults=1)
         log = setup.env.run(until=done)
         expected = _first_interval(5, mean) + hold
