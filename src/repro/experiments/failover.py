@@ -129,9 +129,9 @@ def build_failover_pair(
     """Primary on the spec's FM host, standby on the far corner.
 
     Both managers run with ``fence_ownership`` on (the primary stamps
-    epoch 1; a takeover bumps past it).  The standby's request timeout
-    is tightened so a heartbeat into a dead fabric fails within one
-    interval.  Returns ``(setup, standby)``; the standby is built but
+    epoch 1; a takeover bumps past it) and the same transaction
+    policy, so a heartbeat read times out and retries like any other
+    request.  Returns ``(setup, standby)``; the standby is built but
     not started.
     """
     if mode not in MODES:
@@ -153,17 +153,14 @@ def build_failover_pair(
         setup.entities[standby_host],
         timing=setup.fm.timing, algorithm=algorithm,
         auto_start=False,
-        request_timeout=min(0.3e-3, heartbeat_interval / 2),
-        max_retries=0,
         assimilation=setup.fm.assimilation if mode == "warm" else "full",
         **options,
     )
     route = fabric_route(setup.fabric, standby_host, setup.fm.endpoint.name)
     standby = StandbyManager(
-        standby_fm, primary_route=route,
+        standby_fm, setup.fm, route,
         heartbeat_interval=heartbeat_interval,
-        miss_threshold=miss_threshold,
-        mode=mode, primary=setup.fm,
+        miss_threshold=miss_threshold, mode=mode,
     )
     return setup, standby
 

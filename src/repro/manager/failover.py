@@ -10,13 +10,15 @@ dword of the primary's baseline capability (a heartbeat built from the
 same PI-4 machinery as discovery).  After ``miss_threshold``
 consecutive heartbeats time out, the standby promotes itself.
 
-The heartbeat (and the warm mirror's sync read) follows a source route
-to the primary computed when the pair is built.  A warm standby
-re-resolves it from its mirror once the primary's PI-5 tee marks a
-port on it down, so churn on the route does not read as a dead
-primary; otherwise the route never changes.  A cold standby has no
-mirror to re-resolve from and keeps the route it was built with, so
-churn that cuts it still promotes a cold standby early.
+Both takeover modes watch the primary the same way.  The standby
+subscribes to the primary's PI-5 tee and keeps a mirror of its
+database (cloned at start, refreshed by periodic sync reads).  The
+heartbeat and the sync read follow a source route to the primary
+computed when the pair is built; once the tee marks a port on it down,
+the standby re-resolves the route from its mirror, so churn on the
+route does not read as a dead primary.  A heartbeat read is an
+ordinary PI-4 request: it times out, retries and backs off under the
+wrapped FM's transaction policy like every other request.
 
 Both probes, the warm takeover and its convergence and fencing polls
 are chains of callbacks and timers.
@@ -29,13 +31,13 @@ Two takeover modes:
     Simple, but recovery time scales with the whole fabric.
 
 ``warm``
-    While the primary is healthy, the standby passively mirrors its
-    :class:`~repro.manager.database.TopologyDatabase`: it subscribes to
-    the primary's PI-5 tee (``pi5_listeners`` — the control-plane
-    replication channel every real redundant manager pair maintains)
-    and refreshes the mirror on periodic sync reads over the same PI-4
-    transaction engine the heartbeat uses.  One modelled read per sync
-    carries the transfer cost while the record content rides
+    The standby installs its mirror of the primary's
+    :class:`~repro.manager.database.TopologyDatabase`.  The mirror is
+    fed by the primary's PI-5 tee (``pi5_listeners`` — the
+    control-plane replication channel every real redundant manager
+    pair maintains) and refreshed on periodic sync reads over the same
+    PI-4 transaction engine the heartbeat uses.  One modelled read per
+    sync carries the transfer cost while the record content rides
     out-of-band.  On promotion the mirror becomes the live database
     (rebased to the standby's vantage point), a verify pass re-reads
     every device's port-status blocks, and only the *differences* are
@@ -101,8 +103,9 @@ class FailoverReport:
 
     @property
     def detection_latency(self) -> Optional[float]:
-        """Seconds from the primary's death to detection (if known)."""
-        if self.failed_at is None:
+        """Seconds from the primary's death to detection; ``None``
+        when the death is unknown or came after the promotion."""
+        if self.failed_at is None or self.failed_at > self.detected_at:
             return None
         return self.detected_at - self.failed_at
 
@@ -110,12 +113,11 @@ class FailoverReport:
 class StandbyManager:
     """A secondary FM in standby, monitoring the primary."""
 
-    def __init__(self, fm: FabricManager,
+    def __init__(self, fm: FabricManager, primary: FabricManager,
                  primary_route: Tuple[TurnPool, int],
                  heartbeat_interval: float = 2e-3,
                  miss_threshold: int = 3,
-                 mode: str = "cold",
-                 primary: Optional[FabricManager] = None):
+                 mode: str = "cold"):
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat interval must be positive")
         if miss_threshold < 1:
@@ -123,9 +125,6 @@ class StandbyManager:
         if mode not in MODES:
             raise ValueError(f"unknown takeover mode {mode!r} "
                              f"(choose from {MODES})")
-        if mode == "warm" and primary is None:
-            raise ValueError("warm standby needs the primary FM reference "
-                             "(its PI-5 tee feeds the mirror)")
         #: The wrapped manager (construct it with ``auto_start=False``
         #: so it stays passive until promoted).
         self.fm = fm
@@ -141,8 +140,8 @@ class StandbyManager:
         self.misses = 0
         self.heartbeats_sent = 0
         self.heartbeats_answered = 0
-        #: Passive replica of the primary's database (warm mode),
-        #: rebased to this standby's vantage point at every sync.
+        #: Passive replica of the primary's database, rebased to this
+        #: standby's vantage point at every sync.
         self.mirror = TopologyDatabase()
         self.sync_reads = 0
         self.mirror_syncs = 0
@@ -162,8 +161,7 @@ class StandbyManager:
         #: The heartbeat and sync probes' latest interval timers.
         self._wait = None
         self._sync_wait = None
-        if mode == "warm":
-            primary.pi5_listeners.append(self._on_primary_event)
+        primary.pi5_listeners.append(self._on_primary_event)
 
     def start(self) -> None:
         """Begin monitoring the primary."""
@@ -172,12 +170,10 @@ class StandbyManager:
         self._started = True
         self._probe(self.heartbeat_interval, "_wait", "heartbeats_sent",
                     self._on_heartbeat)
-        if self.mode == "warm":
-            # Bootstrap the mirror from the primary's current database
-            # (the pair is wired up while the primary is healthy).
-            self._clone_primary()
-            self._probe(self.sync_interval, "_sync_wait", "sync_reads",
-                        self._on_sync)
+        # Bootstrap the mirror from the primary's current database.
+        self._clone_primary()
+        self._probe(self.sync_interval, "_sync_wait", "sync_reads",
+                    self._on_sync)
 
     def stop(self) -> None:
         """Shut the standby down *now*.
@@ -220,7 +216,7 @@ class StandbyManager:
         hand the completion (``None`` on timeout) to ``on_reply``; ends
         once the standby is stopped or promoted.
 
-        The heartbeat and the warm mirror's sync are both this chain of
+        The heartbeat and the mirror's sync are both this chain of
         callbacks, started in an URGENT slot now.  The pending interval
         timer sits in the attribute named ``wait`` (so :meth:`stop`,
         :meth:`promote` and :meth:`_take_over` can cancel it), and
@@ -282,13 +278,12 @@ class StandbyManager:
         if isinstance(completion, pi4.ReadCompletion):
             self._clone_primary()
 
-    # -- warm mirror ----------------------------------------------------------
+    # -- mirror ---------------------------------------------------------------
     def _unsubscribe(self) -> None:
-        if self.primary is not None:
-            try:
-                self.primary.pi5_listeners.remove(self._on_primary_event)
-            except ValueError:
-                pass
+        try:
+            self.primary.pi5_listeners.remove(self._on_primary_event)
+        except ValueError:
+            pass
 
     def _on_primary_event(self, event: pi5.PortEvent) -> None:
         """PI-5 tee from the primary: keep the mirror's ports current."""
@@ -372,8 +367,7 @@ class StandbyManager:
         # Fencing: the new reign runs one epoch past the old one, so
         # stamped claims override the dead primary's everywhere and a
         # resurrected old primary sees it was deposed.
-        base = self.primary.epoch if self.primary is not None else fm.epoch
-        fm.epoch = max(fm.epoch, base) + 1
+        fm.epoch = max(fm.epoch, self.primary.epoch) + 1
         warm_ready = (
             self.mode == "warm"
             and len(self.mirror) > 1
@@ -507,14 +501,17 @@ class StandbyManager:
         The returned event resolves, once all chunked reads settle,
         with ``(mismatches, dead)`` where mismatches are ``(dsn, port,
         live_up)`` triples the mirror disagrees on and ``dead`` is the
-        set of devices that answered nothing.
+        set of devices that answered nothing.  A primary whose
+        heartbeats went unanswered is dead without another read: each
+        of them already waited out the request's retries.
         """
         fm = self.fm
-        records = [
-            r for r in fm.database.devices() if r.ingress_port is not None
-        ]
-        mismatches: Set[tuple] = set()
         dead: Set[int] = set()
+        if self.misses >= self.miss_threshold:
+            dead.add(self.primary.endpoint.dsn)
+        records = [r for r in fm.database.devices()
+                   if r.ingress_port is not None and r.dsn not in dead]
+        mismatches: Set[tuple] = set()
         done = self.env.event()
         ports_per_read = MAX_READ_DWORDS // PORT_BLOCK_DWORDS
 

@@ -147,22 +147,13 @@ def start_service(
             seed=seed, fm=setup.fm,
         )
         injector.run(faults=CHURN_FAULT_BUDGET)
-    if standby_mgr is not None:
-        # Start monitoring only once the primary's initial discovery
-        # has finished: during the walk the fabric is congested enough
-        # that the standby's tight heartbeat timeout misses, and three
-        # early misses would promote it before the service is even up.
-        ready = setup.fm.ready_event
-        if (ready is not None and not ready.triggered
-                and ready.callbacks is not None):
-            ready.callbacks.append(lambda _ev: standby_mgr.start())
-        else:
-            standby_mgr.start()
 
     driver = SimulationDriver(setup, injector)
     driver.tap = tap
     driver.standby = standby_mgr
     if standby_mgr is not None:
+        standby_mgr.start()
+
         # Fires for verb-driven *and* heartbeat-driven promotions:
         # swap the served FM and publish the outcome on the feed.
         def _takeover_done(event) -> None:

@@ -253,13 +253,13 @@ class TestGoldenFaultModels:
         assert info == {
             "algorithm": "parallel", "audit_differences": 0,
             "audit_ok": True, "converged": True,
-            "detection_latency": 0.0038204790031825253,
+            "detection_latency": 0.047009984000004834,
             "devices_recovered": 31, "family": "mesh", "faults": 3,
             "heartbeat_interval": 0.001, "manager": "partial",
-            "mirror_syncs": 30, "miss_threshold": 3,
+            "mirror_syncs": 31, "miss_threshold": 3,
             "missed_heartbeats": 3, "mode": "warm",
             "old_primary_demoted": True,
-            "recovery_time": 0.0025812580000007523, "repairs": 0,
+            "recovery_time": 0.0025810820000007617, "repairs": 0,
             "restart_primary": True, "seed": 0, "takeover_mode": "warm",
             "topology": "4x4 mesh",
         }

@@ -2,12 +2,14 @@
 everything that used to be spelt out per family derived from it."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
 import repro.cli as cli
 import repro.experiments.scenario as scenario_module
 from repro.experiments.churn import ChurnResult
+from repro.experiments.family import mean_of
 from repro.experiments.fuzz import classify_result
 from repro.experiments.scenario import FAMILIES, KINDS, Scenario
 from repro.experiments.sweep import plan, representative, sweep_family
@@ -138,3 +140,14 @@ def test_results_render_through_dataclass_fields():
     # forgotten in a hand-written mapping.
     fields = [f.name for f in dataclasses.fields(ChurnResult)]
     assert list(ChurnResult(**GOLDEN_SEED0).asdict()) == fields
+
+
+def test_mean_is_taken_over_the_runs_that_measured():
+    # A run with nothing to measure (a failover whose kill was never
+    # detected reports ``None``) neither counts nor pulls the mean to 0.
+    mean = mean_of("detection_latency")
+    bucket = [SimpleNamespace(detection_latency=t)
+              for t in (None, 2e-3, None, 4e-3)]
+    assert mean(bucket) == pytest.approx(3e-3)
+    assert mean(bucket[:1]) is None
+    assert mean([]) is None

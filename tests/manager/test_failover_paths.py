@@ -8,7 +8,7 @@ from repro.experiments.runner import (
     run_until_ready,
 )
 from repro.manager import PARALLEL, FabricManager
-from repro.manager.failover import StandbyManager
+from repro.manager.failover import FailoverReport, StandbyManager
 from repro.routing.paths import fabric_route
 from repro.topology import make_mesh
 
@@ -24,12 +24,10 @@ def primary_and_standby(spec):
         setup.entities[standby_host],
         algorithm=PARALLEL,
         auto_start=False,
-        request_timeout=0.3e-3,
-        max_retries=0,
     )
     route = fabric_route(setup.fabric, standby_host, spec.fm_host)
     standby = StandbyManager(
-        standby_fm, primary_route=route,
+        standby_fm, setup.fm, route,
         heartbeat_interval=1e-3, miss_threshold=2,
     )
     return setup, standby
@@ -71,12 +69,23 @@ class TestFailover:
     def test_validation(self):
         setup, standby = primary_and_standby(make_mesh(2, 2))
         with pytest.raises(ValueError):
-            StandbyManager(standby.fm, (None, 0), heartbeat_interval=0)
+            StandbyManager(standby.fm, setup.fm, (None, 0),
+                           heartbeat_interval=0)
         with pytest.raises(ValueError):
-            StandbyManager(standby.fm, (None, 0), miss_threshold=0)
+            StandbyManager(standby.fm, setup.fm, (None, 0),
+                           miss_threshold=0)
         standby.start()
         with pytest.raises(RuntimeError):
             standby.start()
+
+    def test_a_death_after_the_promotion_is_not_detected(self):
+        # Promoted at 1 s, primary killed at 1.5 s: there was no death
+        # to detect, so no latency either (not -0.5 s).
+        report = FailoverReport(detected_at=1.0, discovery_done_at=2.0,
+                                missed_heartbeats=3, failed_at=1.5)
+        assert report.detection_latency is None
+        report.failed_at = 0.5
+        assert report.detection_latency == 0.5
 
 
 class TestStandbyShutdown:

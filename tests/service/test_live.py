@@ -600,3 +600,26 @@ class TestFailoverVerbs:
                     event = client.next_event(timeout=60)
                 assert event["mode"] == "cold"
                 _wait_for(client, lambda s: s["ready"])
+
+
+class TestStandbyStartedMidWalk:
+    @pytest.mark.parametrize("mode", ("warm", "cold"))
+    @pytest.mark.parametrize("manager", ("full", "partial"))
+    def test_does_not_promote_while_the_primary_lives(self, manager, mode):
+        # The service starts the standby before the primary's initial
+        # walk has run: its first heartbeats queue behind the walk's
+        # completions at the primary.  Slow is not silent.
+        with start_service("mesh16", manager=manager,
+                           standby=mode) as handle:
+            standby = handle.standby
+            with handle.client() as client:
+                status = _wait_for(client, lambda s: s["ready"])
+                # Both started at time 0: the first heartbeat went out
+                # mid-walk.
+                walk_end = status["last_discovery"]["discovery_time"]
+                assert walk_end > standby.heartbeat_interval
+                # Twice the time three missed heartbeats take.
+                _wait_for(client,
+                          lambda s: s["sim_time"] > walk_end + 0.1)
+                assert not standby.active
+                assert standby.heartbeats_answered > 0

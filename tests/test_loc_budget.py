@@ -119,8 +119,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: budget, ``run_until_quiescent``'s poll, settle and raise switch with
 #: ``DiscoveryAborted``, the injector's hold poll and limit, the two
 #: ``Scenario`` fields and their plumbing — and the runner's
-#: ground-truth check became the auditor's graph comparison (−55).
-TOTAL_CEILING = 10_403
+#: ground-truth check became the auditor's graph comparison (−55);
+#: 10,387 once the standby watched the primary one way in both
+#: takeover modes — its private heartbeat timeout, the warm-only
+#: monitoring branches and the service's start-after-ready wait went,
+#: paying for the verify pass that takes a silent primary as dead
+#: (−16).
+TOTAL_CEILING = 10_387
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; 442 while ``Environment.now`` was a property;
 #: 439 while ``Counter`` built closures and ``Tally`` lived here; 379
@@ -150,8 +155,9 @@ SIM_CEILING = 323
 #: 2,844 while ``experiments/`` wrote the bench scripts' trajectory
 #: files; 2,785 while ``run_until_quiescent`` took a poll, a settle
 #: time and a raise switch, ``Scenario`` carried the restart budget and
-#: backoff, and the runner diffed the graphs itself).
-EXPERIMENTS_AND_CLI_CEILING = 2_760
+#: backoff, and the runner diffed the graphs itself; 2,760 while the
+#: failover pair gave the standby its own request timeout).
+EXPERIMENTS_AND_CLI_CEILING = 2_757
 
 #: Code lines in ``repro/routing/graph.py``: the whole graph library
 #: of this code base, and meant to stay one screen of code.
@@ -161,12 +167,15 @@ GRAPH_CEILING = 60
 #: with a default, a dataclass's fields.  12, 20, 4 and 7 before the
 #: restart backoff and budget, the quiescence loop's poll, settle and
 #: raise switch and the injector's hold poll and limit became
-#: constants — no caller outside the tests set another value.
+#: constants — no caller outside the tests set another value.  The
+#: standby's 4 counted ``primary``, optional while only a warm standby
+#: read the primary's PI-5 tee.
 OPTION_CEILINGS = {
     "manager/fm.py:FabricManager": 10,
     "experiments/scenario.py:Scenario": 18,
     "experiments/churn.py:run_until_quiescent": 1,
     "workloads/faults.py:FaultInjector": 5,
+    "manager/failover.py:StandbyManager": 3,
 }
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
