@@ -571,9 +571,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "topology": _cmd_topology,
         **dict.fromkeys(FAMILIES, _cmd_family),
     }
-    command = commands.get(args.command)
-    if command is None:
-        raise AssertionError(f"unhandled command {args.command!r}")
+    command = commands[args.command]
     if args.command in INTERRUPTIBLE:
         try:
             return command(args)

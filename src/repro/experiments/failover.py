@@ -14,7 +14,9 @@ latency and recovery time come from the extended
 Optionally the old primary is then resurrected: its neighbours'
 port-up events wake it, it rediscovers, and the ownership-epoch
 fencing must make it demote itself instead of split-braining the
-fabric — the run records whether it did.
+fabric — the run records whether it did, and whether churn had cut the
+old primary's switch off from the new manager (a partition: the old
+primary never sees the new epoch, and that is no split brain).
 
 Every run is seeded end-to-end (fault schedule, guard sampling), so
 sweep results are bit-identical regardless of worker scheduling.
@@ -28,7 +30,7 @@ from typing import Optional
 
 from ..fabric.params import DEFAULT_PARAMS, FabricParams
 from ..manager.consistency import audit_topology
-from ..manager.failover import MODES, StandbyManager
+from ..manager.failover import StandbyManager
 from ..manager.fm import FabricManager
 from ..manager.timing import PARALLEL, ProcessingTimeModel
 from ..routing.paths import fabric_route
@@ -110,6 +112,12 @@ class FailoverResult:
     #: Fencing verdict: did the resurrected old primary demote itself?
     #: (``None`` when ``restart_primary`` is off.)
     old_primary_demoted: Optional[bool] = None
+    #: Churn left no up path from the promoted manager to the switch
+    #: the old primary hangs off (churn never removes that switch): the
+    #: standby rightly promoted without waiting for the kill, and a
+    #: resurrected primary, alone in its component, never sees the new
+    #: epoch, so it has nothing to demote itself for.
+    partitioned: bool = False
 
     asdict = dataclasses.asdict
 
@@ -134,8 +142,6 @@ def build_failover_pair(
     request.  Returns ``(setup, standby)``; the standby is built but
     not started.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown takeover mode {mode!r}")
     candidates = [ep for ep in spec.endpoints if ep != (spec.fm_host or "")]
     if not candidates:
         raise ValueError(
@@ -201,13 +207,6 @@ def run_failover_experiment(scenario, tracer=None) -> FailoverResult:
         seed=seed, fm=primary, during_discovery=True,
     )
 
-    def on_fault(event):
-        # Stamp the standby's detection-latency clock at the instant
-        # the primary dies.
-        if event.kind == "kill_fm":
-            standby.note_primary_failure(event.time)
-
-    injector.on_fault = on_fault
     if faults > 0:
         done = injector.run(faults=faults)
         setup.env.run(until=done)
@@ -218,6 +217,8 @@ def run_failover_experiment(scenario, tracer=None) -> FailoverResult:
 
     churn_faults = len(injector.log)
     injector.kill_fm_now()
+    # The standby's detection-latency clock starts as the primary dies.
+    standby.note_primary_failure()
     report = setup.env.run(until=standby.takeover_event)
 
     # From here the promoted standby *is* the fabric manager.
@@ -239,6 +240,7 @@ def run_failover_experiment(scenario, tracer=None) -> FailoverResult:
     if tracer is not None:
         tracer.finalize(setup)
     audit = audit_topology(setup.fabric, standby.fm)
+    switch, = setup.fabric.graph(active_only=False).adj[primary.endpoint.name]
     return FailoverResult(
         topology=spec.name,
         family=spec.family,
@@ -261,7 +263,15 @@ def run_failover_experiment(scenario, tracer=None) -> FailoverResult:
         audit_differences=len(audit.differences),
         restart_primary=restart_primary,
         old_primary_demoted=primary.demoted if restart_primary else None,
+        partitioned=switch not in setup.fabric.reachable_devices(
+            standby.fm.endpoint.name),
     )
+
+
+def fenced(result):
+    """No split brain: a resurrected old primary demoted itself, or sat
+    in another partition where the new epoch never reached it."""
+    return result.partitioned or result.old_primary_demoted is not False
 
 
 def failover_verdict(result):
@@ -274,7 +284,7 @@ def failover_verdict(result):
         return ("audit_dirty",
                 f"{result.audit_differences} auditor difference(s) "
                 f"after takeover")
-    if result.old_primary_demoted is False:
+    if not fenced(result):
         return ("split_brain",
                 "resurrected old primary did not demote itself")
     return None
@@ -331,8 +341,7 @@ FAMILY = Family(
         Column("cold_fallbacks", "cold_fb", _cold_fallbacks),
         Column("audit_pass_rate", "audit", share_of("audit_ok")),
         Column("all_converged", "converged", all_of("converged")),
-        Column("all_fenced", "fenced", lambda bucket: all(
-            r.old_primary_demoted is not False for r in bucket)),
+        Column("all_fenced", "fenced", lambda b: all(map(fenced, b))),
     ),
     verdict=failover_verdict,
     label=lambda s: (f"mode={s.get('mode', DEFAULT_MODE)}",

@@ -382,7 +382,7 @@ class Port:
             self._done_seq = -1
             free_at = self._free_at
             if free_at > env.now or not env.has_passed(free_at, seq):
-                env.schedule_at(free_at, seq, self._tx_done)
+                env.schedule_at(free_at, seq, self._tx_start)
                 return
             # The elided timer would have fired and found nothing.
             self._tx_busy = False
@@ -398,10 +398,6 @@ class Port:
         self._tx_kick_scheduled = False
         self._tx_start()
 
-    def _tx_done(self) -> None:
-        self._tx_busy = False
-        self._tx_start()
-
     def _tx_start(self, inline: bool = False,
                   packet: Optional[Packet] = None,
                   vc: Optional[VirtualChannel] = None) -> None:
@@ -409,18 +405,20 @@ class Port:
 
         The transmit engine is a callback-driven state machine rather
         than a generator process.  It is idle until :meth:`_wake` kicks
-        it; while serializing it is *busy* and re-arbitrates from
-        :meth:`_tx_done`.  ``inline`` says the call stands in for a
-        zero-delay kick that would have been the next pop: it ranks
-        after every sequence number drawn so far.  :meth:`send` passes
-        the ``packet`` it found uncontended and its ``vc`` record —
-        the ledger settled, the credits seen — and there is nothing to
-        arbitrate.
+        it; while serializing it is *busy*, and its serialization-done
+        timer calls this method to free the lane and re-arbitrate
+        (every other caller finds the lane free).  ``inline`` says the
+        call stands in for a zero-delay kick that would have been the
+        next pop: it ranks after every sequence number drawn so far.
+        :meth:`send` passes the ``packet`` it found uncontended and its
+        ``vc`` record — the ledger settled, the credits seen — and
+        there is nothing to arbitrate.
         """
         link = self.link
         env = self.env
         now = env.now
         if packet is None:
+            self._tx_busy = False
             if link is None or not link.up or not self._queued:
                 return
             if self._ledger:
@@ -501,7 +499,7 @@ class Port:
         # ``_wake`` push it on demand.
         self._tx_busy = True
         if self._queued:
-            call_later(busy_time, self._tx_done)
+            call_later(busy_time, self._tx_start)
         else:
             self._free_at = now + busy_time
             self._done_seq = env.reserve()

@@ -133,7 +133,7 @@ class Environment:
         """An event that succeeds with ``value`` ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        event = Event(self)
+        event = Event(None)  # triggered already: it needs no env
         event._value = value
         heappush(self._queue,
                  (self.now + delay, NORMAL, next(self._eid), event, None))
@@ -408,7 +408,7 @@ class Environment:
             at = float(until)
             if at <= self.now:
                 raise ValueError(f"until ({at}) must be in the future")
-            until = Event(self)
+            until = Event(None)
             until._value = None
             # ``now + (at - now)``, not ``at``: the two can differ in
             # the last bit, and every pinned run stops at the former.

@@ -11,6 +11,13 @@ through three states:
 An event only ever succeeds: there is no failure state.  Code that
 raises inside a callback crashes :meth:`Environment.run
 <repro.sim.core.Environment.run>` at that instant.
+
+An event on the heap holds no reference to its environment: ``env`` is
+only what :meth:`Event.succeed` needs to push the event, and it lets go
+of it as it does (the kernel builds the events it pushes triggered,
+``timeout`` and ``run``'s ``until``, with no ``env`` at all).  So an
+environment dropped with events still pending is freed by reference
+counting alone, not left to the cyclic collector.
 """
 
 from __future__ import annotations
@@ -34,7 +41,9 @@ class Event:
     Parameters
     ----------
     env:
-        The :class:`~repro.sim.core.Environment` the event belongs to.
+        The :class:`~repro.sim.core.Environment` the event will be
+        pushed on; ``None`` once it is (or for an event built
+        triggered).
     """
 
     __slots__ = ("env", "callbacks", "_value", "_cancelled")
@@ -80,8 +89,9 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._value = value
         # Pushed in place: succeed() is the kernel's hottest trigger
-        # path.
-        env = self.env
+        # path.  A triggered event never succeeds again, so it lets go
+        # of its environment here: no heap entry leads back to it.
+        env, self.env = self.env, None
         heappush(env._queue, (env.now, NORMAL, next(env._eid), self, None))
         return self
 

@@ -92,10 +92,6 @@ class FaultInjector:
         self.max_hold = 20 * mean_interval
         #: Whether the FM host is currently hot-removed by this injector.
         self.fm_down = False
-        #: Called with each :class:`FaultEvent` as it lands — the
-        #: failover harness hooks this to stamp the standby's
-        #: detection-latency clock the instant the primary dies.
-        self.on_fault: Optional[callable] = None
         self.log: List[FaultEvent] = []
         #: Faults that fired while the FM was mid-walk.
         self.mid_discovery_faults = 0
@@ -257,10 +253,8 @@ class FaultInjector:
         mid = self.fm is not None and not self.fm_down and self.fm.busy
         if mid:
             self.mid_discovery_faults += 1
-        event = FaultEvent(self.env.now, kind, target, mid_discovery=mid)
-        self.log.append(event)
-        if self.on_fault is not None:
-            self.on_fault(event)
+        self.log.append(
+            FaultEvent(self.env.now, kind, target, mid_discovery=mid))
 
     # -- FM faults --------------------------------------------------------------
     def kill_fm_now(self) -> None:
@@ -281,11 +275,8 @@ class FaultInjector:
         self.fabric.remove_device(self._fm_host())
         if mid:
             self.mid_discovery_faults += 1
-        event = FaultEvent(self.env.now, "kill_fm", self._fm_host(),
-                           mid_discovery=mid)
-        self.log.append(event)
-        if self.on_fault is not None:
-            self.on_fault(event)
+        self.log.append(FaultEvent(self.env.now, "kill_fm", self._fm_host(),
+                                   mid_discovery=mid))
 
     def restore_fm_now(self) -> None:
         """Resurrect a killed FM host (the split-brain provocation).

@@ -43,6 +43,7 @@ from itertools import product
 from typing import Callable, Dict, Optional
 
 from repro.analysis.model import expected_packets
+from repro.experiments.failover import failover_verdict
 from repro.experiments.figures import (
     figure4,
     figure6,
@@ -417,21 +418,6 @@ GIVE_UP = sum(DEFAULT_TIMEOUT * DEFAULT_BACKOFF ** attempt
               for attempt in range(DEFAULT_MAX_RETRIES + 1))
 
 
-def _failover(topology, manager, mode, faults, seed):
-    """``(result, partitioned)`` of one failover run that resurrects
-    the old primary.  ``partitioned``: no up link joins the promoted
-    standby to the switch the primary hangs off, as the run left the
-    fabric (churn never removes that switch)."""
-    keep = _Keep()
-    result = Scenario(kind="failover", topology=topology, manager=manager,
-                      mode=mode, faults=faults, seed=seed,
-                      restart_primary=True).run(tracer=keep)
-    fabric = keep.setup.fabric
-    switch, = fabric.graph(active_only=False).adj[keep.setup.spec.fm_host]
-    reachable = fabric.reachable_devices(keep.setup.fm.endpoint.name)
-    return result, switch not in reachable
-
-
 def x3(grid):
     cells = defaultdict(list)
     partitions = []
@@ -440,11 +426,15 @@ def x3(grid):
             grid["faults"], range(grid["seeds"])):
         cell = f"{name} {manager}/{mode} f{faults}"
         run = f"{cell} seed {seed}"
-        result, partitioned = _failover(name, manager, mode, faults, seed)
+        result = Scenario(kind="failover", topology=name, manager=manager,
+                          mode=mode, faults=faults, seed=seed,
+                          restart_primary=True).run()
         if result.detection_latency is None:
             # Promoted before the kill: right only when churn cut every
             # path to the primary.
-            assert partitioned, f"{run}: promoted while the primary lived"
+            assert result.partitioned, (
+                f"{run}: promoted while the primary lived")
+            assert failover_verdict(result) is None, run
             partitions.append(run)
             continue
         assert result.converged and result.audit_ok, run

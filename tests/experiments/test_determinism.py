@@ -258,7 +258,7 @@ class TestGoldenFaultModels:
             "heartbeat_interval": 0.001, "manager": "partial",
             "mirror_syncs": 31, "miss_threshold": 3,
             "missed_heartbeats": 3, "mode": "warm",
-            "old_primary_demoted": True,
+            "old_primary_demoted": True, "partitioned": False,
             "recovery_time": 0.0025810820000007617, "repairs": 0,
             "restart_primary": True, "seed": 0, "takeover_mode": "warm",
             "topology": "4x4 mesh",

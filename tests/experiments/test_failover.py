@@ -82,8 +82,25 @@ class TestFencing:
         )
         assert result.restart_primary
         assert result.old_primary_demoted is True
+        assert not result.partitioned
         assert result.converged
         assert result.audit_ok
+
+    @pytest.mark.parametrize("mode", ("warm", "cold"))
+    def test_a_partitioned_old_primary_is_no_split_brain(self, mode):
+        # Churn leaves no path between the standby and the primary's
+        # switch: the standby rightly promotes before the kill, and the
+        # resurrected primary, alone in its component, never sees the
+        # new epoch.  That is a partition, and the run passes.
+        result = Scenario(kind="failover", topology="3x3 mesh",
+                          manager="full", mode=mode, faults=3, seed=6,
+                          restart_primary=True).run()
+        assert result.detection_latency is None
+        assert result.partitioned
+        assert result.old_primary_demoted is False
+        assert FAMILY.verdict(result) is None
+        row, = summarize(FAMILY, [result])
+        assert row["all_fenced"]
 
 
 class TestSweep:

@@ -382,7 +382,7 @@ class TestDirectTransmit:
             ep0.inject(second)
             assert port.queued_packets() == 1 and port._done_seq == -1
             assert [entry[3] for entry in env._queue
-                    if entry[:3] == (free_at, 1, reserved)] == [port._tx_done]
+                    if entry[:3] == (free_at, 1, reserved)] == [port._tx_start]
         env.schedule_callback(1e-6, lambda _event: ep0.inject(first))
         env.schedule_callback(1e-6 + serialization / 4, rival)
         env.schedule_callback(1e-6 + serialization / 2, send_second)

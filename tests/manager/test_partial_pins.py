@@ -53,7 +53,7 @@ PINS = {
     "churn-6x6-f6-s2":
         "a9b5c4574f51f03a4bacb19ac39753a47c9c42ddd0fff99c876ec53b5c53be6b",
     "failover-6x6-f3-s2":
-        "dfc5009e5396c6b1d8465695e09df8c7ef8725068ad3096f7747ab9e448fdef5",
+        "f2b6d1410d36a87ac482e949ad41f6a513e6a9da7bbc7b777beb30ae9c80b172",
     "change-4x4-s0":
         "5a2fefbb319d931e63ab265ff53260f0438beceaa470fb9d547a387771ffcbb3",
     "repair-3x3":

@@ -2,7 +2,10 @@
 ``GC_YOUNG_THRESHOLD`` while it dispatches, and gives the caller's
 thresholds back: after a return, a raise, nested runs and two runs that
 overlap in two threads.  A caller's higher trigger and a disabled
-collector are left as they are."""
+collector are left as they are.
+
+An environment dropped with events still on its heap leaves nothing for
+the collector: no heap entry leads back to the environment."""
 
 import gc
 import threading
@@ -125,3 +128,56 @@ def test_step_leaves_the_collector_as_it_is():
     env.call_later(1.0, lambda: seen.append(gc.get_threshold()))
     env.step()
     assert seen == [DEFAULT]
+
+
+def garbage_after(build):
+    """What the collector finds after ``build()`` made an environment,
+    with the collector off, and dropped it."""
+    gc.collect()
+    gc.disable()
+    build()
+    return gc.collect()
+
+
+def test_a_dropped_environment_with_pending_timeouts_is_not_garbage():
+    def build():
+        env = Environment()
+        for _ in range(100):
+            env.timeout(10.0)
+        env.run(until=1.0)
+
+    assert garbage_after(build) == 0
+
+
+def test_a_dropped_environment_with_a_succeeded_event_is_not_garbage():
+    def build():
+        env = Environment()
+        env.event().succeed("unprocessed")
+
+    assert garbage_after(build) == 0
+
+
+def test_a_run_a_callback_ended_early_leaves_no_garbage():
+    """The ``until`` event of ``run(until=<time>)`` is still on the heap
+    when a callback's exception ends the run."""
+    def boom():
+        raise RuntimeError("model bug")
+
+    def build():
+        env = Environment()
+        env.call_later(0.5, boom)
+        try:
+            env.run(until=1.0)
+        except RuntimeError:
+            pass
+
+    assert garbage_after(build) == 0
+
+
+def test_a_pending_call_later_is_not_garbage():
+    """Control: an argument entry never held its environment."""
+    def build():
+        env = Environment()
+        env.call_later(10.0, print, "never")
+
+    assert garbage_after(build) == 0

@@ -71,8 +71,8 @@ LEDGER = {
             "ManagementEntity._complete": 17_148,
             "ManagementEntity._serve": 3,
             "Port._receive": 140_364,
-            "Port._tx_done": 4_577,
             "Port._tx_kick": 42,
+            "Port._tx_start": 4_577,
             "Switch._route": 123_240,
             "TransactionEngine._expire": 174,
             "_stop_simulate": 9,
@@ -92,7 +92,7 @@ LEDGER = {
             "ManagementEntity._complete": 16_386,
             "ManagementEntity._serve": 1,
             "Port._receive": 54_394,
-            "Port._tx_done": 4_919,
+            "Port._tx_start": 4_919,
             "Switch._route": 38_012,
             "TransactionEngine._expire": 112,
             "_stop_simulate": 1,
@@ -113,8 +113,8 @@ LEDGER = {
             "ManagementEntity._serve": 15_987,
             "Port._credit_event": 39_663,
             "Port._receive": 323_549,
-            "Port._tx_done": 185_996,
             "Port._tx_kick": 19_108,
+            "Port._tx_start": 185_996,
             "Switch._route": 255_062,
             "TrafficGenerator._source.<locals>.<lambda>": 16,
             "TrafficGenerator._source.<locals>.arrive": 78_254,

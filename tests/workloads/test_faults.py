@@ -100,18 +100,16 @@ class TestFmKillPlane:
         injector = FaultInjector(
             setup.fabric, mean_interval=1e-3, seed=0, fm=setup.fm,
         )
-        events = []
-        injector.on_fault = events.append
         injector.kill_fm_now()
         assert injector.fm_down
         injector.kill_fm_now()  # idempotent: no second event
-        assert [e.kind for e in events] == ["kill_fm"]
+        assert [e.kind for e in injector.log] == ["kill_fm"]
         setup.env.run(until=setup.env.now + 2e-3)
         injector.restore_fm_now()
         injector.restore_fm_now()  # idempotent too
         setup.env.run(until=setup.env.now + 30e-3)
         assert not injector.fm_down
-        assert [e.kind for e in events] == ["kill_fm", "restart_fm"]
+        assert [e.kind for e in injector.log] == ["kill_fm", "restart_fm"]
         assert injector.summary() == {"kill_fm": 1, "restart_fm": 1}
         # A rebooted manager walks the fabric on startup.
         assert len(setup.fm.history) > walks
