@@ -87,9 +87,6 @@ class ClaimCapability:
         """Return ``(owner_dsn, generation)`` or None if unclaimed."""
         return self.decode(self._block.read(0, _SIZE))
 
-    def clear(self) -> None:
-        self._block.write(0, [0, 0, 0])
-
 
 def contest(claims: Iterable[Optional[Tuple[int, int]]], owner: int,
             generation: int) -> str:

@@ -53,9 +53,6 @@ class ConfigSpace:
     def capability_ids(self) -> List[int]:
         return sorted(self._caps)
 
-    def __contains__(self, cap_id: int) -> bool:
-        return cap_id in self._caps
-
     def read(self, cap_id: int, offset: int, count: int) -> List[int]:
         """Read ``count`` dwords from a capability.
 

@@ -104,19 +104,19 @@ class Fabric:
         if stagger <= 0:
             raise FabricError("stagger must be positive")
         rng = random.Random(seed)
-
-        def activate(device):
-            device.power_on()
-            for port in device.ports:
-                if port.link is not None:
-                    port.link.bring_up()
-
         for device in self.devices.values():
             delay = 0.0 if device.name == first else rng.uniform(0, stagger)
             if delay == 0.0:
-                activate(device)
+                self._activate(device)
             else:
-                self.env.call_later(delay, activate, device)
+                self.env.call_later(delay, self._activate, device)
+
+    def _activate(self, device: Device) -> None:
+        """Power ``device`` on and train each of its links."""
+        device.power_on()
+        for port in device.ports:
+            if port.link is not None:
+                port.link.bring_up()
 
     # -- lookup ------------------------------------------------------------
     def device(self, name: str) -> Device:
@@ -216,10 +216,7 @@ class Fabric:
         device = self.device(name)
         if device.active:
             raise FabricError(f"{name!r} is already active")
-        device.power_on()
-        for port in device.ports:
-            if port.link is not None:
-                port.link.bring_up()
+        self._activate(device)
         return device
 
     def fail_link(self, a: str, b: str) -> Link:

@@ -186,10 +186,6 @@ class Link:
         raise LinkError(f"{port!r} is not attached to link {self.name!r}")
 
     # -- timing -------------------------------------------------------------
-    def tx_time(self, nbytes: int) -> float:
-        """Serialization time of a packet of ``nbytes``."""
-        return self.params.tx_time(nbytes)
-
     def head_latency(self) -> float:
         """Time from transmission start until the header has arrived."""
         return (

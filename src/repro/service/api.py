@@ -209,14 +209,11 @@ def op_metrics(setup, driver, params) -> dict:
     traffic = getattr(driver, "traffic", None)
     if traffic is not None:
         stats = traffic.stats()
-        # The requested per-endpoint load fraction.
-        gauges["traffic.offered_load"] = stats["offered_load"]
-        gauges["traffic.packets_injected"] = stats.get("packets_injected", 0)
-        gauges["traffic.packets_delivered"] = stats.get(
-            "packets_delivered", 0)
-        # Application goodput since the generator started.
-        gauges["traffic.delivered_bytes_per_s"] = stats.get(
-            "delivered_bytes_per_s", 0.0)
+        # The requested per-endpoint load fraction, the packets so far
+        # and the application goodput since the generator started.
+        for key in ("offered_load", "packets_injected", "packets_delivered",
+                    "delivered_bytes_per_s"):
+            gauges[f"traffic.{key}"] = stats.get(key, 0)
     return {"sim_time": setup.env.now, "metrics": registry.collect()}
 
 
@@ -293,6 +290,11 @@ def _standby_for(driver):
     return standby
 
 
+def _outcome(standby, setup) -> dict:
+    return {"standby": standby.fm.endpoint.name, "mode": standby.mode,
+            "sim_time": setup.env.now}
+
+
 def op_kill_fm(setup, driver, params) -> dict:
     standby = _standby_for(driver)
     if standby.active:
@@ -305,11 +307,7 @@ def op_kill_fm(setup, driver, params) -> dict:
     except FabricError as exc:
         raise ApiError("bad-mutation", str(exc)) from None
     standby.note_primary_failure(setup.env.now)
-    outcome = {
-        "standby": standby.fm.endpoint.name,
-        "mode": standby.mode,
-        "sim_time": setup.env.now,
-    }
+    outcome = _outcome(standby, setup)
     _feed(driver, {"event": "failover", "phase": "primary_killed",
                    "host": host, **outcome})
     return {"killed": host, **outcome}
@@ -324,12 +322,7 @@ def op_promote_standby(setup, driver, params) -> dict:
     # fires for heartbeat-triggered promotions too — not just this
     # verb.
     standby.promote()
-    return {
-        "promoting": True,
-        "standby": standby.fm.endpoint.name,
-        "mode": standby.mode,
-        "sim_time": setup.env.now,
-    }
+    return {"promoting": True, **_outcome(standby, setup)}
 
 
 def op_start_traffic(setup, driver, params) -> dict:

@@ -55,10 +55,6 @@ class ServiceClient:
             raise ConnectionError("service closed the connection")
         return json.loads(line)
 
-    def _write_document(self, document: dict) -> None:
-        self._file.write(json.dumps(document).encode() + b"\n")
-        self._file.flush()
-
     # -- requests -----------------------------------------------------------
     def request(self, op: str, **params: Any) -> Dict[str, Any]:
         """Send ``op`` and return its result (raises :class:`ServiceError`).
@@ -68,7 +64,9 @@ class ServiceClient:
         """
         self._next_id += 1
         request_id = self._next_id
-        self._write_document({"id": request_id, "op": op, **params})
+        self._file.write(json.dumps(
+            {"id": request_id, "op": op, **params}).encode() + b"\n")
+        self._file.flush()
         while True:
             document = self._read_document()
             if "event" in document:

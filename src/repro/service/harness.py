@@ -1,11 +1,12 @@
 """In-process service bring-up for tests, benchmarks, and the CLI.
 
 :func:`start_service` builds a simulation, wires the tap and optional
-churn injector, starts the driver thread and the asyncio server on a
-background thread, and hands back a :class:`ServiceHandle` that knows
-how to mint clients and how to tear everything down in the right
-order (server first, then driver — the driver stops the injector via
-``Environment.cancel`` before the kernel thread exits).
+churn injector, binds the service's socket, starts the driver thread
+and the service's selector loop on a background thread, and hands
+back a :class:`ServiceHandle` that knows how to mint clients and how
+to tear everything down in the right order (server first, then
+driver — the driver stops the injector via ``Environment.cancel``
+before the kernel thread exits).
 
 While a service runs, the interpreter's thread switch interval is
 :data:`SWITCH_INTERVAL`: a request is handed client → loop → driver →
@@ -17,10 +18,8 @@ daemon pays nothing for it, and the batch simulator never sets it.
 
 from __future__ import annotations
 
-import asyncio
 import sys
 import threading
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -61,7 +60,6 @@ class ServiceHandle:
     tap: EventTap
     injector: Optional[FaultInjector] = None
     standby: Optional[StandbyManager] = None
-    _loop: Optional[asyncio.AbstractEventLoop] = None
     _thread: Optional[threading.Thread] = None
     _stopped: bool = field(default=False, repr=False)
 
@@ -72,15 +70,12 @@ class ServiceHandle:
     def stop(self, timeout: float = 10.0) -> dict:
         """Stop server then driver, give the switch interval back if
         this was the last service; returns the service summary."""
-        if self._stopped:
-            return self.service.summary()
-        self._stopped = True
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self.service.request_shutdown)
-        if self._thread is not None:
+        if not self._stopped:
+            self._stopped = True
+            self.service.request_shutdown()
             self._thread.join(timeout)
-        self.driver.stop(timeout=timeout)
-        _SWITCH.exit()
+            self.driver.stop(timeout=timeout)
+            _SWITCH.exit()
         return self.service.summary()
 
     def __enter__(self) -> "ServiceHandle":
@@ -117,12 +112,8 @@ def start_service(
     tap = EventTap()
     standby_mgr = None
     if standby is not None:
+        # StandbyManager rejects a mode it does not know.
         from ..experiments.failover import build_failover_pair
-        from ..manager.failover import MODES
-        if standby not in MODES:
-            raise ValueError(
-                f"standby must be one of {MODES}, got {standby!r}"
-            )
         setup, standby_mgr = build_failover_pair(
             spec, algorithm=algorithm, mode=standby, manager=manager,
             fm_options=fm_kwargs or None,
@@ -136,14 +127,12 @@ def start_service(
     setup.fm.attach_tracer(tap)
     injector = None
     if churn:
-        protect = [spec.fm_host or (spec.endpoints[0]
-                                    if spec.endpoints else None)]
+        protect = [setup.fm.endpoint.name]
         if standby_mgr is not None:
             protect.append(standby_mgr.fm.endpoint.name)
         from ..workloads.faults import FaultInjector
         injector = FaultInjector(
-            setup.fabric, mean_interval=mean_interval,
-            protect=[p for p in protect if p],
+            setup.fabric, mean_interval=mean_interval, protect=protect,
             seed=seed, fm=setup.fm,
         )
         injector.run(faults=CHURN_FAULT_BUDGET)
@@ -155,59 +144,36 @@ def start_service(
         standby_mgr.start()
 
         # Fires for verb-driven *and* heartbeat-driven promotions:
-        # swap the served FM and publish the outcome on the feed.
+        # swap the served FM and publish the outcome on the feed (the
+        # service wires ``driver.feed`` before the driver starts).
         def _takeover_done(event) -> None:
             report = event.value
             setup.fm = standby_mgr.fm
             standby_mgr.fm.attach_tracer(tap)
-            sink = getattr(driver, "feed", None)
-            if sink is not None:
-                sink({
-                    "event": "failover",
-                    "phase": "takeover_complete",
-                    "fm": standby_mgr.fm.endpoint.name,
-                    "mode": report.mode,
-                    "detection_latency": report.detection_latency,
-                    "recovery_time": report.recovery_time,
-                    "repairs": report.repairs,
-                    "devices_recovered": report.devices_recovered,
-                    "sim_time": setup.env.now,
-                })
+            driver.feed({
+                "event": "failover",
+                "phase": "takeover_complete",
+                "fm": standby_mgr.fm.endpoint.name,
+                "mode": report.mode,
+                "detection_latency": report.detection_latency,
+                "recovery_time": report.recovery_time,
+                "repairs": report.repairs,
+                "devices_recovered": report.devices_recovered,
+                "sim_time": setup.env.now,
+            })
 
         standby_mgr.takeover_event.callbacks.append(_takeover_done)
     service = FabricService(driver, host=host, port=port)
-
-    loop = asyncio.new_event_loop()
-    started: Future = Future()
-
-    async def _serve():
-        try:
-            started.set_result(await service.start())
-        except Exception as exc:
-            started.set_exception(exc)
-            return
-        await service.serve_until_shutdown()
-
-    def _run_loop():
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(_serve())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=_run_loop, name="service-loop",
-                              daemon=True)
+    host, port = service.start()  # nothing runs yet if it cannot bind
+    tap.sink = service.hub.publish
     handle = ServiceHandle(
         host=host, port=port, setup=setup, driver=driver,
         service=service, tap=tap, injector=injector,
-        standby=standby_mgr, _loop=loop, _thread=thread,
+        standby=standby_mgr, _thread=threading.Thread(
+            target=service.serve_until_shutdown, name="service-loop",
+            daemon=True),
     )
     _SWITCH.enter()
     driver.start()
-    thread.start()
-    try:
-        handle.host, handle.port = started.result(timeout=30.0)
-    except BaseException:  # could not bind, or did not within 30 s
-        handle.stop()
-        raise
+    handle._thread.start()
     return handle

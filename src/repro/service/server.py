@@ -1,4 +1,4 @@
-"""Asyncio front-end: line-delimited JSON over TCP, many clients.
+"""Selector front-end: line-delimited JSON over TCP, many clients.
 
 One :class:`FabricService` wraps one
 :class:`~repro.service.driver.SimulationDriver`.  Clients connect over
@@ -16,21 +16,28 @@ TCP and exchange newline-terminated JSON documents:
   ...}``) as they happen; responses and events never interleave
   within a line.
 
-Each connection is one :class:`asyncio.Protocol`; its requests are
-answered strictly in order.  A read (:data:`~repro.service.api.READS`)
-whose snapshot is of the driver's current ``version`` is answered
-inside the loop's receive callback, from bytes encoded once per
-version.  Anything else — a read miss, a mutation, a registry op —
-parks the connection until the driver (or the executor) is done, so
-the kernel itself stays single-threaded; other connections are served
-meanwhile.
+The service runs its own event loop on one thread: a
+:class:`selectors.DefaultSelector`, and a queue of callbacks that other
+threads hand it with :meth:`FabricService.call_soon_threadsafe`.  Each
+connection is one :class:`_Connection` over a :class:`_Transport`, its
+non-blocking socket; its requests are answered strictly in order.  A
+read (:data:`~repro.service.api.READS`) whose snapshot is of the
+driver's current ``version`` is answered inside the loop's receive
+callback, from bytes encoded once per version.  Anything else — a read miss, a mutation, a registry op —
+parks the connection until the driver (or the registry thread) is
+done, so the kernel itself stays single-threaded; other connections
+are served meanwhile.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import selectors
+import socket
+import sys
 import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from functools import partial
 from typing import Dict, Optional, Set, Tuple
@@ -38,8 +45,100 @@ from typing import Dict, Optional, Set, Tuple
 from . import api
 from .driver import DriverStopped, SimulationDriver
 
-#: Longest request line, in bytes (asyncio's default stream limit).
+#: Longest request line, in bytes, and the most a connection reads at
+#: once.
 FRAME_LIMIT = 2 ** 16
+
+#: Unsent bytes above which a connection stops answering and reading,
+#: and at or below which it starts again.
+HIGH_WATER, LOW_WATER = 64 * 1024, 16 * 1024
+
+READ, WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+
+
+class _Transport:
+    """A connection's non-blocking socket on the service's loop.
+
+    It reads at most :data:`FRAME_LIMIT` bytes at a time and keeps what
+    the kernel does not take at once: above :data:`HIGH_WATER` unsent
+    bytes it pauses its connection's writing, at :data:`LOW_WATER` it
+    resumes it.  An error on the socket means the peer went: the
+    transport closes, and later writes are dropped.
+    """
+
+    def __init__(self, service: FabricService, sock: socket.socket,
+                 protocol: _Connection):
+        self.service, self.sock, self.protocol = service, sock, protocol
+        self.buffer = bytearray()
+        self.reading, self.closing, self._events = True, False, 0
+        self._watch()
+
+    def _watch(self) -> None:
+        """Ask the selector for the events the socket waits on now."""
+        events = (READ * (self.reading and not self.closing)
+                  | WRITE * bool(self.buffer))
+        if events != self._events:
+            if self._events:
+                self.service.selector.unregister(self.sock)
+            if events:
+                self.service.selector.register(self.sock, events, self._ready)
+            self._events = events
+
+    def read(self, on: bool) -> None:
+        """Resume (``True``) or pause reading."""
+        self.reading = on
+        self._watch()
+
+    def write(self, data: bytes) -> None:
+        if self.sock.fileno() >= 0:
+            self.buffer += data
+            self._flush()
+
+    def close(self) -> None:
+        """Stop reading; close once every buffered byte is sent."""
+        self.closing = True
+        self._flush()
+
+    def abort(self) -> None:
+        """Close now, dropping unsent bytes, and tell the connection."""
+        if self.sock.fileno() >= 0:
+            self.closing = True
+            self.buffer.clear()
+            self._watch()
+            self.sock.close()
+            self.protocol.connection_lost(None)
+
+    def _ready(self, events: int) -> None:
+        """Selector callback: the socket can be written or read."""
+        if events & WRITE:
+            self._flush()
+        if not (events & READ and self.reading and not self.closing):
+            return
+        try:
+            data = self.sock.recv(FRAME_LIMIT)
+        except BlockingIOError:
+            return
+        except OSError:
+            return self.abort()
+        if not data:
+            self.read(False)
+        self.protocol.data_received(data)
+
+    def _flush(self) -> None:
+        try:
+            del self.buffer[:self.sock.send(self.buffer)]
+        except BlockingIOError:
+            pass
+        except OSError:
+            return self.abort()
+        if self.closing and not self.buffer:
+            return self.abort()
+        self._watch()
+        paused = self.protocol.paused
+        if not paused and len(self.buffer) > HIGH_WATER:
+            self.protocol.pause_writing()
+        elif paused and len(self.buffer) <= LOW_WATER:
+            self.protocol.resume_writing()
 
 
 class FeedHub:
@@ -47,7 +146,7 @@ class FeedHub:
 
     ``publish`` is the only thread-safe entry point: it stamps a
     sequence number and — if anybody is subscribed — hops onto the
-    asyncio loop, which writes the event to every subscribed
+    service's loop, which writes the event to every subscribed
     connection.  A subscriber that does not read loses events (counted
     in ``dropped``) rather than stalling the feed: while its transport
     has paused writing, events for it are dropped.
@@ -56,36 +155,34 @@ class FeedHub:
     def __init__(self):
         #: Subscribed connections; the loop's thread adds and removes.
         self.subscribers: Set[_Connection] = set()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: The service whose loop writes to them, while it runs.
+        self._loop: Optional[FabricService] = None
         self._lock = threading.Lock()
         self._seq = 0
         self.published = 0
         self.dropped = 0
 
-    def bind(self, loop: asyncio.AbstractEventLoop) -> None:
+    def bind(self, loop: Optional[FabricService]) -> None:
         self._loop = loop
 
     def publish(self, event: dict) -> None:
         """Thread-safe: forward ``event`` to every subscriber."""
         with self._lock:
             loop = self._loop
-            if loop is None or loop.is_closed():
+            if loop is None:
                 return
             self._seq += 1
             seq = self._seq
             self.published += 1
-        if not self.subscribers:
-            # The hop is a self-pipe write and a wake-up of the loop
-            # thread: one more GIL hand-over, for nobody.
-            return
-        try:
+        # The hop is a socket write and a wake-up of the loop thread:
+        # one more GIL hand-over, which nobody needs without subscribers.
+        if self.subscribers:
             loop.call_soon_threadsafe(self._fan_out, dict(event, seq=seq))
-        except RuntimeError:  # loop shut down mid-publish
-            pass
 
     def _fan_out(self, event: dict) -> None:
         line = _encode(event)
-        for connection in self.subscribers:
+        # A write that finds its peer gone unsubscribes that connection.
+        for connection in tuple(self.subscribers):
             if connection.paused:
                 self.dropped += 1
             else:
@@ -105,14 +202,6 @@ def _wire(snapshot: api.Snapshot) -> bytes:
     if snapshot.wire is None:
         snapshot.wire = _dumps(snapshot.unwrap())
     return snapshot.wire
-
-
-def _call_soon(loop, callback, future) -> None:
-    """Done callback of a request's future, on whichever thread
-    completed it: ``callback(future)`` on the loop, one iteration
-    later (``asyncio.wrap_future`` takes two)."""
-    with suppress(RuntimeError):  # the loop has closed meanwhile
-        loop.call_soon_threadsafe(callback, future)
 
 
 def _error_of(exc: Exception) -> dict:
@@ -140,37 +229,82 @@ class FabricService:
         self.errors = 0
         self.connections_accepted = 0
         self.by_op: Dict[str, int] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._shutdown = asyncio.Event()
+        #: Loop callbacks that raised (each closed its connection).
+        self.failures = 0
         self._connections: Set[_Connection] = set()
+        #: ``(callback, *args)`` queued for the loop by any thread.
+        self._calls: deque = deque()
+        self._running = True
+        #: Runs the registry-only ops: off the loop and off the driver.
+        self._registry = ThreadPoolExecutor(1, "service-registry")
 
     # -- lifecycle -----------------------------------------------------------
-    async def start(self) -> Tuple[str, int]:
+    def start(self) -> Tuple[str, int]:
         """Bind and start accepting; returns the bound ``(host, port)``."""
-        loop = asyncio.get_running_loop()
-        self.hub.bind(loop)
+        self._listener = socket.create_server((self.host, self.port), family=(
+            socket.AF_INET6 if ":" in self.host else socket.AF_INET))
+        # The loop's wake-up: a byte on this pair.
+        self._wake, self._waker = socket.socketpair()
+        for sock in (self._listener, self._wake, self._waker):
+            sock.setblocking(False)
+        self.selector = selectors.DefaultSelector()
+        self.selector.register(self._listener, READ, self._accept)
+        self.selector.register(self._wake, READ,
+                               lambda _events: self._wake.recv(4096))
+        self.hub.bind(self)
         # Handlers publish mutations/audits through the same feed the
         # tap uses (see api._feed).
         self.driver.feed = self.hub.publish
-        tap = getattr(self.driver, "tap", None)
-        if tap is not None:
-            tap.sink = self.hub.publish
-        self._server = await loop.create_server(
-            partial(_Connection, self), self.host, self.port)
-        sockname = self._server.sockets[0].getsockname()
-        return sockname[0], sockname[1]
+        return self._listener.getsockname()[:2]
 
-    async def serve_until_shutdown(self) -> None:
-        """Block until a ``shutdown`` op (or :meth:`request_shutdown`)."""
-        await self._shutdown.wait()
-        self._server.close()
-        await self._server.wait_closed()
+    def serve_until_shutdown(self) -> None:
+        """Run the loop until a ``shutdown`` op (or
+        :meth:`request_shutdown`), then close every connection."""
+        while self._running:
+            for key, events in self.selector.select():
+                self._call(key.data, events)
+            while self._calls:
+                self._call(*self._calls.popleft())
+        self._registry.shutdown(wait=False)
+        self.hub.bind(None)
         for connection in list(self._connections):
-            connection.close()
+            connection.transport.abort()
+        for closable in (self._listener, self._wake, self._waker,
+                         self.selector):
+            closable.close()
 
     def request_shutdown(self) -> None:
-        """Ask the serve loop to stop (safe from the loop's thread)."""
-        self._shutdown.set()
+        """Ask the serve loop to stop (safe from any thread)."""
+        self.call_soon_threadsafe(setattr, self, "_running", False)
+
+    # -- the loop ------------------------------------------------------------
+    def call_soon_threadsafe(self, callback, *args) -> None:
+        """Run ``callback(*args)`` on the loop's thread, from any
+        thread; once the loop has stopped, nothing runs it."""
+        self._calls.append((callback, *args))
+        # Full: a wake-up is pending anyway.  Closed: nobody listens.
+        with suppress(OSError):
+            self._waker.send(b"\0")
+
+    def _call(self, callback, *args) -> None:
+        """Run one loop callback: one that raises is counted and
+        closes the connection it belongs to; the loop carries on."""
+        try:
+            callback(*args)
+        except Exception:
+            self.failures += 1
+            sys.excepthook(*sys.exc_info())  # the traceback, on stderr
+            # A transport's callback, or a connection's: abort it.
+            owner = getattr(callback, "__self__", None)
+            transport = getattr(owner, "transport", owner)
+            if isinstance(transport, _Transport):
+                transport.abort()
+
+    def _accept(self, _events) -> None:
+        sock, _ = self._listener.accept()
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        _Connection(self, sock)
 
     def summary(self) -> dict:
         """One-line-able account of what the daemon did."""
@@ -189,7 +323,7 @@ class FabricService:
         }
 
 
-class _Connection(asyncio.Protocol):
+class _Connection:
     """One client: splits request lines, answers them in order.
 
     A request that cannot be answered inside the receive callback
@@ -200,7 +334,7 @@ class _Connection(asyncio.Protocol):
     stops reading, so neither buffer grows without bound.
     """
 
-    def __init__(self, service: FabricService):
+    def __init__(self, service: FabricService, sock: socket.socket):
         self.service = service
         #: Set while the transport has paused writing; read by the hub.
         self.paused = False
@@ -208,46 +342,34 @@ class _Connection(asyncio.Protocol):
         #: ``_oversized``: discarding a line longer than FRAME_LIMIT up
         #: to its newline; ``_busy``: a request awaits its future.
         self._oversized = self._busy = self._eof = False
-
-    # -- transport callbacks -------------------------------------------------
-    def connection_made(self, transport: asyncio.Transport) -> None:
-        # The selector transport reads with recv(max_size), 256 KiB by
-        # default: one fresh bytes object that size per request, above
-        # glibc's mmap threshold, so each read pays mmap + page faults
-        # + munmap under the GIL unless something else happened to
-        # raise the threshold (docs/SERVICE.md).  No frame is longer
-        # than FRAME_LIMIT, so no read needs to be either.
-        transport.max_size = FRAME_LIMIT
-        self.transport = transport
-        service = self.service
+        self.transport = _Transport(service, sock, self)
         service.connections_accepted += 1
         service._connections.add(self)
         setup = service.driver.setup
-        transport.write(_encode({"event": "hello", "schema": api.SCHEMA,
-                                 "topology": setup.spec.name,
-                                 "algorithm": setup.fm.algorithm_key}))
+        self.transport.write(_encode({"event": "hello", "schema": api.SCHEMA,
+                                      "topology": setup.spec.name,
+                                      "algorithm": setup.fm.algorithm_key}))
 
+    # -- transport callbacks -------------------------------------------------
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.service.hub.subscribers.discard(self)
         self.service._connections.discard(self)
 
     def data_received(self, data: bytes) -> None:
+        """Bytes from the peer; ``b""`` at end of stream, where an
+        unterminated last line is a request too and the requests before
+        it are still answered (half-open)."""
+        if not data:
+            data, self._eof = b"\n", True
         self._buffer += data
         self._serve()
         if len(self._buffer) > FRAME_LIMIT:
             # Busy or paused with a backlog: let TCP hold the rest.
-            self.transport.pause_reading()
-
-    def eof_received(self) -> bool:
-        # An unterminated last line is a request too.
-        self._buffer += b"\n"
-        self._eof = True
-        self._serve()
-        return True  # half-open: the last requests are still answered
+            self.transport.read(False)
 
     def pause_writing(self) -> None:
         self.paused = True
-        self.transport.pause_reading()
+        self.transport.read(False)
 
     def resume_writing(self) -> None:
         self.paused = False
@@ -263,7 +385,7 @@ class _Connection(asyncio.Protocol):
         buffer holds no complete line, or the peer stops reading."""
         buffer = self._buffer
         while not (self._busy or self.paused
-                   or self.transport.is_closing()):
+                   or self.transport.closing):
             end = buffer.find(b"\n") + 1
             if not end:
                 if len(buffer) > FRAME_LIMIT:
@@ -271,7 +393,7 @@ class _Connection(asyncio.Protocol):
                     self._oversized = True
                 # At end of stream every line has been answered.
                 return (self.close() if self._eof
-                        else self.transport.resume_reading())
+                        else self.transport.read(True))
             line = buffer[:end]
             del buffer[:end]
             if self._oversized or end > FRAME_LIMIT + 1:
@@ -316,10 +438,9 @@ class _Connection(asyncio.Protocol):
                     future = driver.submit(
                         lambda setup: fn(setup, driver, document))
                 else:
-                    # Registry-only ops may still build large specs;
-                    # keep them off the event loop.
-                    future = asyncio.get_running_loop().run_in_executor(
-                        None, fn, None, driver, document)
+                    # Registry-only ops may still build large specs.
+                    future = self.service._registry.submit(
+                        fn, None, driver, document)
         except Exception as exc:
             result = exc
         if future is None:
@@ -327,10 +448,12 @@ class _Connection(asyncio.Protocol):
         elif future.done():  # a memo hit, or a driver that stopped
             self._finish(request_id, op, encode, future)
         else:
+            # Done on whichever thread completed it: resume on the
+            # loop, one iteration later.
             self._busy = True
             future.add_done_callback(partial(
-                _call_soon, asyncio.get_running_loop(),
-                partial(self._resume, request_id, op, encode)))
+                self.service.call_soon_threadsafe, self._resume,
+                request_id, op, encode))
 
     def _resume(self, *request) -> None:
         self._busy = False

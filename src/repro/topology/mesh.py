@@ -31,9 +31,16 @@ def make_mesh(rows: int, cols: int, switch_ports: int = 16) -> TopologySpec:
     """Build a ``rows x cols`` mesh specification."""
     if rows < 1 or cols < 1:
         raise ValueError("mesh dimensions must be positive")
+    return grid(rows, cols, switch_ports, "mesh", wrap=False)
+
+
+def grid(rows: int, cols: int, switch_ports: int, family: str,
+         wrap: bool) -> TopologySpec:
+    """A ``rows x cols`` grid of switches with one endpoint each; with
+    ``wrap`` every row and column closes into a ring (a torus)."""
     if switch_ports < 5:
-        raise ValueError("mesh switches need at least 5 ports")
-    spec = TopologySpec(name=f"{rows}x{cols} mesh", family="mesh")
+        raise ValueError(f"{family} switches need at least 5 ports")
+    spec = TopologySpec(name=f"{rows}x{cols} {family}", family=family)
     for r in range(rows):
         for c in range(cols):
             spec.switches.append((switch_name(r, c), switch_ports))
@@ -43,15 +50,15 @@ def make_mesh(rows: int, cols: int, switch_ports: int = 16) -> TopologySpec:
             )
     for r in range(rows):
         for c in range(cols):
-            if c + 1 < cols:  # east neighbour
+            if wrap or c + 1 < cols:  # east neighbour
                 spec.links.append(
                     (switch_name(r, c), PORT_EAST,
-                     switch_name(r, c + 1), PORT_WEST)
+                     switch_name(r, (c + 1) % cols), PORT_WEST)
                 )
-            if r + 1 < rows:  # south neighbour
+            if wrap or r + 1 < rows:  # south neighbour
                 spec.links.append(
                     (switch_name(r, c), PORT_SOUTH,
-                     switch_name(r + 1, c), PORT_NORTH)
+                     switch_name((r + 1) % rows, c), PORT_NORTH)
                 )
     spec.fm_host = endpoint_name(0, 0)
     spec.validate()

@@ -7,15 +7,7 @@ column into rings.
 
 from __future__ import annotations
 
-from .mesh import (
-    PORT_EAST,
-    PORT_ENDPOINT,
-    PORT_NORTH,
-    PORT_SOUTH,
-    PORT_WEST,
-    endpoint_name,
-    switch_name,
-)
+from .mesh import grid
 from .spec import TopologySpec
 
 
@@ -29,28 +21,4 @@ def make_torus(rows: int, cols: int, switch_ports: int = 16) -> TopologySpec:
     """
     if rows < 2 or cols < 2:
         raise ValueError("torus dimensions must be at least 2")
-    if switch_ports < 5:
-        raise ValueError("torus switches need at least 5 ports")
-    spec = TopologySpec(name=f"{rows}x{cols} torus", family="torus")
-    for r in range(rows):
-        for c in range(cols):
-            spec.switches.append((switch_name(r, c), switch_ports))
-            spec.endpoints.append(endpoint_name(r, c))
-            spec.links.append(
-                (endpoint_name(r, c), 0, switch_name(r, c), PORT_ENDPOINT)
-            )
-    for r in range(rows):
-        for c in range(cols):
-            # East links close each row into a ring.
-            spec.links.append(
-                (switch_name(r, c), PORT_EAST,
-                 switch_name(r, (c + 1) % cols), PORT_WEST)
-            )
-            # South links close each column into a ring.
-            spec.links.append(
-                (switch_name(r, c), PORT_SOUTH,
-                 switch_name((r + 1) % rows, c), PORT_NORTH)
-            )
-    spec.fm_host = endpoint_name(0, 0)
-    spec.validate()
-    return spec
+    return grid(rows, cols, switch_ports, "torus", wrap=True)

@@ -206,14 +206,6 @@ class TrafficGenerator:
         return self.spec.load
 
     @property
-    def packet_bytes(self) -> int:
-        return self.spec.packet_bytes
-
-    @property
-    def tc(self) -> int:
-        return self.spec.tc
-
-    @property
     def packet_time(self) -> float:
         """Serialization time of one application packet on the wire."""
         wire = self.spec.packet_bytes + self.fabric.params.framing_overhead \

@@ -15,6 +15,7 @@ as times, so the pins hold on any host.
 
 import json
 import math
+import selectors
 import socket
 import sys
 import threading
@@ -26,7 +27,7 @@ import pytest
 from repro.service import start_service
 from repro.service.driver import BATCH, DriverStopped, SimulationDriver
 from repro.service.harness import SWITCH_INTERVAL
-from repro.service.server import FRAME_LIMIT, FeedHub
+from repro.service.server import FRAME_LIMIT, READ, FeedHub, _Transport
 
 from .test_memo import WAIT, _until, quiesce, settle
 
@@ -200,7 +201,7 @@ class TestSwitchInterval:
 
 
 class RecordingLoop:
-    """Stands in for the asyncio loop a hub is bound to."""
+    """Stands in for the service loop a hub is bound to."""
 
     def __init__(self):
         self.scheduled = []
@@ -263,19 +264,49 @@ class TestFeedWithoutSubscribers:
             assert handle.service.hub.dropped == 0
 
 
+class TestFanOut:
+    def test_a_subscriber_gone_mid_fan_out_costs_nobody_the_event(self):
+        """A write that finds its peer gone closes that connection,
+        which unsubscribes it while the hub is writing to the rest."""
+        hub = FeedHub()
+        staying = [RecordingSubscriber() for _ in range(3)]
+        leaving = RecordingSubscriber()
+        leaving.transport = SimpleNamespace(
+            write=lambda line: hub.subscribers.discard(leaving))
+        hub.subscribers.update([*staying, leaving])
+        hub._fan_out({"event": "pi5"})
+        assert all(s.written == [b'{"event":"pi5"}\n'] for s in staying)
+        assert hub.subscribers == set(staying)
+
+
 class TestReceiveBuffer:
-    """asyncio's selector transport reads with ``recv(max_size)`` —
-    256 KiB unless told otherwise, a fresh ``bytes`` that size per
-    request.  Above the allocator's 128 KiB mmap threshold that is an
-    mmap, its page faults and an munmap under the GIL every time; the
-    server bounds the read by the frame limit it enforces anyway."""
+    """A read with ``recv(n)`` allocates a fresh ``bytes`` of ``n``
+    bytes first.  Above the allocator's 128 KiB mmap threshold that is
+    an mmap, its page faults and an munmap under the GIL every time (as
+    asyncio's selector transport did with its 256 KiB default); the
+    transport bounds the read by the frame limit it enforces anyway."""
 
     #: glibc's default M_MMAP_THRESHOLD.
     MMAP_THRESHOLD = 128 * 1024
 
-    def test_the_transport_has_the_attribute_the_server_sets(self):
-        from asyncio.selector_events import _SelectorSocketTransport
-        assert _SelectorSocketTransport.max_size > self.MMAP_THRESHOLD
+    def test_the_transport_reads_at_most_a_frame(self):
+        asked = []
+
+        class Recording(socket.socket):
+            def recv(self, size):
+                asked.append(size)
+                return super().recv(size)
+
+        ours, peer = socket.socketpair()
+        service = SimpleNamespace(selector=selectors.DefaultSelector())
+        with service.selector, peer, Recording(fileno=ours.detach()) as sock:
+            received = []
+            transport = _Transport(service, sock, SimpleNamespace(
+                data_received=received.append))
+            peer.sendall(b'{"op":"ping"}\n')
+            transport._ready(READ)
+            assert received == [b'{"op":"ping"}\n']
+        assert asked == [FRAME_LIMIT]
         assert FRAME_LIMIT < self.MMAP_THRESHOLD
 
     def test_fifty_requests_allocate_nothing_near_the_threshold(self):

@@ -6,12 +6,10 @@ the event stream, and the consistency auditor confirming the FM
 reconverged afterwards.
 """
 
-import gc
 import json
 import socket
 import threading
 import time
-from asyncio.selector_events import _SelectorSocketTransport
 from concurrent.futures import Future
 
 import pytest
@@ -118,21 +116,27 @@ def _raw(handle, rcvbuf=None):
     return sock, wire
 
 
+def _on_loop(handle, fn):
+    """``fn()``, run on the service loop's thread."""
+    done = Future()
+
+    def run():
+        try:
+            done.set_result(fn())
+        except Exception as exc:
+            done.set_exception(exc)
+
+    handle.service.call_soon_threadsafe(run)
+    return done.result(60)
+
+
 def _write_buffers(handle):
     """Bytes each open server-side connection holds for its peer, read
     on the loop's thread."""
-    done = Future()
-
-    def read():
-        gc.collect()
-        done.set_result([
-            transport.get_write_buffer_size()
-            for transport in gc.get_objects()
-            if isinstance(transport, _SelectorSocketTransport)
-            and not transport.is_closing()])
-
-    handle._loop.call_soon_threadsafe(read)
-    return done.result(60)
+    return _on_loop(handle, lambda: [
+        len(connection.transport.buffer)
+        for connection in handle.service._connections
+        if not connection.transport.closing])
 
 
 def _shrink_send_buffer(handle, sock, size=4096):
@@ -141,21 +145,18 @@ def _shrink_send_buffer(handle, sock, size=4096):
     the kernel autotuning it (up to the ``tcp_wmem`` maximum, 4 MiB by
     default, enough for thousands of answers), so what the server holds
     back for a peer that does not read is its own doing."""
-    done = Future()
     peer = sock.getsockname()
 
     def shrink():
-        for transport in gc.get_objects():
-            if (isinstance(transport, _SelectorSocketTransport)
-                    and transport.get_extra_info("peername") == peer):
-                transport.get_extra_info("socket").setsockopt(
+        for connection in handle.service._connections:
+            server_side = connection.transport.sock
+            if server_side.getpeername() == peer:
+                server_side.setsockopt(
                     socket.SOL_SOCKET, socket.SO_SNDBUF, size)
-                done.set_result(True)
-                return
-        done.set_result(False)
+                return True
+        return False
 
-    handle._loop.call_soon_threadsafe(shrink)
-    assert done.result(60), "no server-side transport for that socket"
+    assert _on_loop(handle, shrink), "no server-side transport for that socket"
 
 
 def _until_still(read, seconds=0.3, timeout=60.0):
@@ -238,9 +239,6 @@ class TestFrontEndEdges:
         with start_service("mesh9") as handle:
             quiesce(handle)
             driver, service = handle.driver, handle.service
-            reported = []
-            handle._loop.set_exception_handler(
-                lambda loop, context: reported.append(context))
             before = service.requests + service.errors
             with Park(driver):
                 # A read miss, then a mutation.
@@ -258,7 +256,29 @@ class TestFrontEndEdges:
             with handle.client() as client:
                 assert "sim_time" in client.request("status")
             handle.stop()
-            assert reported == []
+            # No callback of the loop raised on the way.
+            assert service.failures == 0
+
+    def test_a_callback_that_raises_closes_its_connection_only(
+            self, monkeypatch):
+        from repro.service import server
+
+        def request(connection, line):
+            raise RuntimeError("a handler bug")
+
+        with start_service("mesh9") as handle:
+            sock, wire = _raw(handle)
+            with sock, handle.client() as bystander:
+                monkeypatch.setattr(server._Connection, "_request", request)
+                sock.sendall(b'{"id":1,"op":"ping"}\n')
+                assert wire.readline() == b""  # closed, not answered
+                monkeypatch.undo()
+                assert bystander.request("ping")["schema"]
+                with handle.client() as newcomer:
+                    assert newcomer.request("ping")["schema"]
+            summary = handle.stop()
+        assert handle.service.failures == 1
+        assert summary["requests"] == 2
 
     def test_a_subscriber_that_never_reads_loses_events_not_memory(self):
         """Mutations, and a publisher as busy as a storm on a large

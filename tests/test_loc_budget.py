@@ -130,7 +130,18 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: once (+8, paid for by the standby's detection clock started after
 #: the kill, −3, the pair builder's second takeover-mode check, −2, and
 #: the CLI's check for a command its parser cannot yield, −2), which
-#: left the fault injector's ``on_fault`` hook without a user (−6).
+#: left the fault injector's ``on_fault`` hook without a user (−6);
+#: 10,377 still once the service's front-end ran on a ``selectors``
+#: loop of its own instead of asyncio (``server.py`` +85: the loop,
+#: the transport with its watermarks, the registry thread), paid for
+#: inside ``service/`` by the harness's asyncio bring-up and its second
+#: takeover-mode check (−33), the kill/promote outcome and traffic
+#: gauges written once each (−9) and the client's one-use write helper
+#: (−1), and outside it by the torus sharing the mesh's grid builder
+#: (−27), the fabric's one activation routine (−3) and five accessors
+#: the line census showed nothing reaching (−12: the traffic
+#: generator's ``packet_bytes``/``tc``, ``Link.tx_time``,
+#: ``ConfigSpace.__contains__``, ``ClaimCapability.clear``).
 TOTAL_CEILING = 10_377
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; 442 while ``Environment.now`` was a property;
