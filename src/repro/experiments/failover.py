@@ -99,7 +99,8 @@ class FailoverResult:
     recovery_time: float
     #: Port-state differences the warm verify pass repaired.
     repairs: int
-    #: Mirror refreshes completed before the kill (warm only).
+    #: Mirror refreshes completed before the kill: the bootstrap clone
+    #: and one per ``SYNC_EVERY`` answered heartbeats (both modes).
     mirror_syncs: int
     devices_recovered: int
     #: Database equals the reachable ground truth (graph comparison).
@@ -125,7 +126,7 @@ class FailoverResult:
 def build_failover_pair(
     spec: TopologySpec,
     algorithm: str = PARALLEL,
-    mode: str = "warm",
+    mode: str = DEFAULT_MODE,
     heartbeat_interval: float = DEFAULT_HEARTBEAT,
     miss_threshold: int = DEFAULT_MISS_THRESHOLD,
     manager: str = "partial",
@@ -211,8 +212,9 @@ def run_failover_experiment(scenario, tracer=None) -> FailoverResult:
         done = injector.run(faults=faults)
         setup.env.run(until=done)
         run_until_quiescent(setup)
-        # Let the standby's next periodic sync fold the churned
-        # topology into the mirror before the lights go out.
+        # Let the standby's next mirror sync (every fifth answered
+        # heartbeat) fold the churned topology into the mirror before
+        # the lights go out.
         setup.env.run(until=setup.env.now + 2 * standby.sync_interval)
 
     churn_faults = len(injector.log)

@@ -12,15 +12,17 @@ consecutive heartbeats time out, the standby promotes itself.
 
 Both takeover modes watch the primary the same way.  The standby
 subscribes to the primary's PI-5 tee and keeps a mirror of its
-database (cloned at start, refreshed by periodic sync reads).  The
-heartbeat and the sync read follow a source route to the primary
-computed when the pair is built; once the tee marks a port on it down,
-the standby re-resolves the route from its mirror, so churn on the
-route does not read as a dead primary.  A heartbeat read is an
-ordinary PI-4 request: it times out, retries and backs off under the
-wrapped FM's transaction policy like every other request.
+database, cloned at start and again on every :data:`SYNC_EVERY`-th
+answered heartbeat (skipped while the primary is mid-walk): one
+periodic read is both the liveness probe and the mirror's sync.  The
+heartbeat follows a source route to the primary computed when the pair
+is built; once the tee marks a port on it down, the standby re-resolves
+the route from its mirror, so churn on the route does not read as a
+dead primary.  A heartbeat read is an ordinary PI-4 request: it times
+out, retries and backs off under the wrapped FM's transaction policy
+like every other request.
 
-Both probes, the warm takeover and its convergence and fencing polls
+The heartbeat, the warm takeover and its convergence and fencing polls
 are chains of callbacks and timers.
 
 Two takeover modes:
@@ -35,15 +37,14 @@ Two takeover modes:
     :class:`~repro.manager.database.TopologyDatabase`.  The mirror is
     fed by the primary's PI-5 tee (``pi5_listeners`` — the
     control-plane replication channel every real redundant manager
-    pair maintains) and refreshed on periodic sync reads over the same
-    PI-4 transaction engine the heartbeat uses.  One modelled read per
-    sync carries the transfer cost while the record content rides
-    out-of-band.  On promotion the mirror becomes the live database
-    (rebased to the standby's vantage point), a verify pass re-reads
-    every device's port-status blocks, and only the *differences* are
-    repaired — fed as synthesized PI-5 events through the
-    partial-assimilation repair-burst machinery — instead of
-    rediscovering the fabric from scratch.
+    pair maintains) and refreshed on every :data:`SYNC_EVERY`-th
+    answered heartbeat.  The heartbeat read carries the transfer cost
+    while the record content rides out-of-band.  On promotion the
+    mirror becomes the live database (rebased to the standby's vantage
+    point), a verify pass re-reads every device's port-status blocks,
+    and only the *differences* are repaired — fed as synthesized PI-5
+    events through the partial-assimilation repair-burst machinery —
+    instead of rediscovering the fabric from scratch.
 
 Fencing: on takeover the standby advances the ownership epoch past the
 primary's and (when the wrapped FM has ``fence_ownership`` on) stamps
@@ -75,6 +76,9 @@ from .fm import FabricManager
 
 #: Supported takeover modes.
 MODES = ("cold", "warm")
+
+#: Every this many answered heartbeats, the standby refreshes its mirror.
+SYNC_EVERY = 5
 
 
 @dataclass
@@ -115,9 +119,8 @@ class StandbyManager:
 
     def __init__(self, fm: FabricManager, primary: FabricManager,
                  primary_route: Tuple[TurnPool, int],
-                 heartbeat_interval: float = 2e-3,
-                 miss_threshold: int = 3,
-                 mode: str = "cold"):
+                 heartbeat_interval: float, miss_threshold: int,
+                 mode: str):
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat interval must be positive")
         if miss_threshold < 1:
@@ -134,7 +137,8 @@ class StandbyManager:
         self.miss_threshold = miss_threshold
         self.mode = mode
         self.primary = primary
-        self.sync_interval = 5 * heartbeat_interval
+        #: Heartbeat time between two mirror syncs of a live primary.
+        self.sync_interval = SYNC_EVERY * heartbeat_interval
 
         self.active = False
         self.misses = 0
@@ -143,7 +147,6 @@ class StandbyManager:
         #: Passive replica of the primary's database, rebased to this
         #: standby's vantage point at every sync.
         self.mirror = TopologyDatabase()
-        self.sync_reads = 0
         self.mirror_syncs = 0
         self.mirror_events = 0
         #: Sim time the primary died, when the fault plane tells us
@@ -158,9 +161,8 @@ class StandbyManager:
         self._started = False
         self._detected_at: Optional[float] = None
         self._stopping = False
-        #: The heartbeat and sync probes' latest interval timers.
+        #: The heartbeat's latest interval timer.
         self._wait = None
-        self._sync_wait = None
         primary.pi5_listeners.append(self._on_primary_event)
 
     def start(self) -> None:
@@ -168,19 +170,17 @@ class StandbyManager:
         if self._started:
             raise RuntimeError("standby already started")
         self._started = True
-        self._probe(self.heartbeat_interval, "_wait", "heartbeats_sent",
-                    self._on_heartbeat)
+        self.env.schedule_callback(0.0, lambda _handle: self._sleep(),
+                                   URGENT)
         # Bootstrap the mirror from the primary's current database.
         self._clone_primary()
-        self._probe(self.sync_interval, "_sync_wait", "sync_reads",
-                    self._on_sync)
 
     def stop(self) -> None:
         """Shut the standby down *now*.
 
-        The pending heartbeat-interval and sync timeouts are cancelled,
-        so both probes stop immediately instead of waking once more
-        (and possibly sending one last heartbeat) up to a full interval
+        The pending heartbeat-interval timeout is cancelled, so the
+        heartbeat stops immediately instead of waking once more (and
+        possibly sending one last heartbeat) up to a full interval
         later.  A heartbeat already in flight is left to complete; its
         reply is ignored (it can no longer touch the miss/answer
         counters).  Safe to call repeatedly, or after a takeover — a
@@ -189,8 +189,7 @@ class StandbyManager:
         takeover leaves ``takeover_event`` untriggered forever.
         """
         self._stopping = True
-        self._cancel("_wait")
-        self._cancel("_sync_wait")
+        self._cancel()
         self._unsubscribe()
 
     def note_primary_failure(self, time: Optional[float] = None) -> None:
@@ -205,29 +204,18 @@ class StandbyManager:
         returns ``takeover_event``.  A no-op if already active.
         """
         if not self.active and not self._stopping:
-            self._cancel("_wait")
             self._take_over()
         return self.takeover_event
 
-    # -- probes of the primary ------------------------------------------------
-    def _probe(self, interval: float, wait: str, counter: str,
-               on_reply) -> None:
-        """Every ``interval``, read one baseline dword of the primary and
-        hand the completion (``None`` on timeout) to ``on_reply``; ends
-        once the standby is stopped or promoted.
+    # -- heartbeat ------------------------------------------------------------
+    def _sleep(self) -> None:
+        """One link of the heartbeat chain: after ``heartbeat_interval``
+        read one baseline dword of the primary, hand the completion
+        (``None`` on timeout) to :meth:`_on_heartbeat` and sleep again;
+        ends once the standby is stopped or promoted.
 
-        The heartbeat and the mirror's sync are both this chain of
-        callbacks, started in an URGENT slot now.  The pending interval
-        timer sits in the attribute named ``wait`` (so :meth:`stop`,
-        :meth:`promote` and :meth:`_take_over` can cancel it), and
-        each read counts in the attribute named ``counter``.
-        """
-        self.env.schedule_callback(0.0, lambda _handle: self._sleep(
-            interval, wait, counter, on_reply), URGENT)
-
-    def _sleep(self, interval: float, wait: str, counter: str,
-               on_reply) -> None:
-        """One link of :meth:`_probe`'s chain.  Each link's closures
+        The pending interval timer sits in ``_wait`` (so :meth:`stop`
+        and :meth:`_take_over` can cancel it).  Each link's closures
         reach the next only through this method, never each other's
         cells, so an ended chain leaves no reference cycle behind for
         the cyclic collector (which :meth:`Environment.run` holds
@@ -241,7 +229,7 @@ class StandbyManager:
             message = pi4.ReadRequest(
                 cap_id=BASELINE_CAP_ID, offset=0, tag=0, count=1,
             )
-            setattr(self, counter, getattr(self, counter) + 1)
+            self.heartbeats_sent += 1
             self.fm.send_request(
                 message, self.primary_pool, self.primary_out_port,
                 callback=lambda completion, _ctx: reply.succeed(completion),
@@ -252,31 +240,28 @@ class StandbyManager:
             # read was in flight: the late reply must not touch the
             # miss/answer accounting or the mirror.
             if not (self.active or self._stopping):
-                on_reply(reply.value)
-                self._sleep(interval, wait, counter, on_reply)
+                self._on_heartbeat(reply.value)
+                self._sleep()
 
-        setattr(self, wait, self.env.schedule_callback(interval, read))
+        self._wait = self.env.schedule_callback(self.heartbeat_interval,
+                                                read)
 
-    def _cancel(self, wait: str) -> None:
-        """Cancel the interval timer in the attribute named ``wait``."""
-        handle = getattr(self, wait)
-        if handle is not None:
-            self.env.cancel(handle)
+    def _cancel(self) -> None:
+        """Cancel the heartbeat's pending interval timer."""
+        if self._wait is not None:
+            self.env.cancel(self._wait)
 
     def _on_heartbeat(self, completion) -> None:
         if isinstance(completion, pi4.ReadCompletion):
             self.heartbeats_answered += 1
             self.misses = 0
+            # A read that timed out never refreshes the mirror.
+            if self.heartbeats_answered % SYNC_EVERY == 0:
+                self._clone_primary()
             return
         self.misses += 1
         if self.misses >= self.miss_threshold:
             self._take_over()
-
-    def _on_sync(self, completion) -> None:
-        # A failed sync read is not a miss: the heartbeat owns failure
-        # detection; the mirror just stays a beat staler.
-        if isinstance(completion, pi4.ReadCompletion):
-            self._clone_primary()
 
     # -- mirror ---------------------------------------------------------------
     def _unsubscribe(self) -> None:
@@ -287,8 +272,6 @@ class StandbyManager:
 
     def _on_primary_event(self, event: pi5.PortEvent) -> None:
         """PI-5 tee from the primary: keep the mirror's ports current."""
-        if self.active or self._stopping:
-            return
         self.mirror_events += 1
         if event.reporter_dsn not in self.mirror:
             return
@@ -331,8 +314,8 @@ class StandbyManager:
             return False
 
     def _reroute(self) -> None:
-        """Heartbeat (and sync) along the mirror's shortest route to
-        the primary from now on; keep the old one if there is none."""
+        """Heartbeat along the mirror's shortest route to the primary
+        from now on; keep the old one if there is none."""
         try:
             route = db_route(self.mirror, self.fm.endpoint.dsn,
                              self.primary.endpoint.dsn)
@@ -341,9 +324,12 @@ class StandbyManager:
         self.primary_pool, self.primary_out_port = route
 
     def _clone_primary(self) -> None:
-        """Snapshot the primary's database into the mirror."""
+        """Snapshot the primary's database into the mirror, unless the
+        primary is mid-walk: then the tee is ahead of its database (a
+        burst's queued events, a half-walked rediscovery) and a copy
+        would forget port states the mirror already holds."""
         source = self.primary.database
-        if self.fm.endpoint.dsn not in source:
+        if self.primary.busy or self.fm.endpoint.dsn not in source:
             return
         mirror = source.copy()
         try:
@@ -361,7 +347,7 @@ class StandbyManager:
         """Promote this standby to active fabric manager."""
         self.active = True
         self._detected_at = self.env.now
-        self._cancel("_sync_wait")
+        self._cancel()
         self._unsubscribe()
         fm = self.fm
         # Fencing: the new reign runs one epoch past the old one, so

@@ -16,9 +16,9 @@ core:
   keeps nothing;
 * :mod:`~repro.service.api` — the JSON operation handlers (topology
   snapshots, path lookup, FM status, metrics scrape, mutation verbs);
-* :class:`~repro.service.server.FabricService` — an asyncio front-end
-  (one protocol object per connection) speaking line-delimited JSON to
-  many concurrent clients;
+* :class:`~repro.service.server.FabricService` — a front-end on a
+  ``selectors`` loop of its own (one connection object per client)
+  speaking line-delimited JSON to many concurrent clients;
 * :class:`~repro.service.client.ServiceClient` — the small blocking
   client used by tests and the benchmark's ``serve_churn`` workload
   (``perf/workloads.py``);

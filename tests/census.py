@@ -9,7 +9,7 @@ group that reaches it:
 ``user``
     every CLI command, including the CI smokes (the family sweeps,
     fuzz, corpus replay, trace export, all five figures with
-    ``--quick``), the two CI service smokes as they stand in
+    ``--quick``), the three CI service smokes as they stand in
     ``.github/workflows/ci.yml``, and the five ``perf/run.py``
     workloads;
 ``examples``
@@ -212,7 +212,7 @@ def _service_smokes(work: Path) -> List[List[str]]:
         path = work / f"service_smoke_{len(commands)}.py"
         path.write_text(script + "\n")
         commands.append([sys.executable, str(path)])
-    assert len(commands) == 2, "expected the two CI service smokes"
+    assert len(commands) == 3, "expected the three CI service smokes"
     return commands
 
 
@@ -377,7 +377,7 @@ def render(table: Dict[str, Dict[str, int]]) -> str:
         "reaches.  Generated by `python tests/census.py` (see its",
         "docstring for the commands of each group); do not edit by hand.",
         "A line is counted under the first group that reaches it:",
-        "`user` (every CLI command incl. the CI smokes, the two CI",
+        "`user` (every CLI command incl. the CI smokes, the three CI",
         "service smokes, the five `perf/run.py` workloads), then",
         "`examples/`, then tier-1 (`tests only`, the paper's claims",
         "included); `none` is reached by nothing.  Code lines follow",

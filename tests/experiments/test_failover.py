@@ -72,6 +72,20 @@ class TestWarmStandbyReroutes:
         assert result.detection_latency > 0
         assert result.converged and result.audit_ok
 
+    def test_a_sync_during_a_burst_keeps_the_tee_s_marks(self):
+        # Here churn cuts the heartbeat route while the primary is in a
+        # repair burst whose queued events its database has not applied
+        # yet.  A mirror copied from that database forgets a port the
+        # tee marked down, and the next re-route runs the heartbeat
+        # into it: two misses before the kill, detection in 12 ms, and
+        # a warm takeover that does not converge.
+        result = Scenario(kind="failover", topology="8x8 mesh",
+                          manager="partial", mode="warm", faults=3,
+                          seed=4).run()
+        # Three misses after the kill take 46-48 ms.
+        assert result.detection_latency > 0.046
+        assert result.converged and result.audit_ok
+
 
 class TestFencing:
     @pytest.mark.parametrize("mode", ("warm", "cold"))

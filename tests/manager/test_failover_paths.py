@@ -28,7 +28,7 @@ def primary_and_standby(spec):
     route = fabric_route(setup.fabric, standby_host, spec.fm_host)
     standby = StandbyManager(
         standby_fm, setup.fm, route,
-        heartbeat_interval=1e-3, miss_threshold=2,
+        heartbeat_interval=1e-3, miss_threshold=2, mode="cold",
     )
     return setup, standby
 
@@ -70,10 +70,16 @@ class TestFailover:
         setup, standby = primary_and_standby(make_mesh(2, 2))
         with pytest.raises(ValueError):
             StandbyManager(standby.fm, setup.fm, (None, 0),
-                           heartbeat_interval=0)
+                           heartbeat_interval=0, miss_threshold=2,
+                           mode="cold")
         with pytest.raises(ValueError):
             StandbyManager(standby.fm, setup.fm, (None, 0),
-                           miss_threshold=0)
+                           heartbeat_interval=1e-3, miss_threshold=0,
+                           mode="cold")
+        with pytest.raises(ValueError):
+            StandbyManager(standby.fm, setup.fm, (None, 0),
+                           heartbeat_interval=1e-3, miss_threshold=2,
+                           mode="lukewarm")
         standby.start()
         with pytest.raises(RuntimeError):
             standby.start()
