@@ -7,8 +7,8 @@
    ``repro failover`` and ``repro serve --standby`` use).
 2. The primary discovers the fabric; the secondary heartbeats it.
 3. The primary's endpoint dies.  The secondary detects the missed
-   heartbeats, promotes itself, and rediscovers the fabric from its
-   own vantage point.
+   heartbeats, promotes itself, installs its mirror of the primary's
+   database and re-reads every device's ports to repair what changed.
 
 Run:  python examples/fm_failover.py
 """
@@ -20,7 +20,7 @@ from repro.experiments import build_failover_pair
 def main() -> None:
     # --- 1. placement -------------------------------------------------------
     setup, standby = build_failover_pair(
-        make_mesh(3, 3), mode="cold",
+        make_mesh(3, 3),
         heartbeat_interval=2e-3, miss_threshold=3,
     )
     env, fabric, primary = setup.env, setup.fabric, setup.fm.endpoint
@@ -42,9 +42,10 @@ def main() -> None:
     print(f"\nKilling the primary ({primary.name})...")
     fabric.remove_device(primary.name)
     report = env.run(until=standby.takeover_event)
-    print(f"Takeover: detected after {report.missed_heartbeats} missed "
-          f"heartbeats; rediscovery took "
-          f"{report.recovery_time * 1e3:.3f} ms")
+    print(f"Takeover ({report.mode}): detected after "
+          f"{report.missed_heartbeats} missed heartbeats; recovery took "
+          f"{report.recovery_time * 1e3:.3f} ms, {report.repairs} "
+          f"repairs")
     print(f"New manager {standby.fm.endpoint.name} knows "
           f"{len(standby.fm.database)} devices "
           f"(old primary and its endpoint are gone)")

@@ -20,9 +20,10 @@ Commands
     time to converge, and the consistency auditor's verdict.
 ``failover``
     Kill the fabric manager under churn and hand the fabric to a
-    standby: cold rediscovery vs warm mirror takeover, detection and
-    recovery latency, and (with ``--restart-primary``) the ownership-
-    epoch fencing duel with the resurrected old primary.
+    standby that installs its mirror of the primary's database and
+    repairs the differences: detection and recovery latency, and
+    (with ``--restart-primary``) the ownership-epoch fencing duel
+    with the resurrected old primary.
 ``load``
     Run the change-assimilation protocol while application traffic
     saturates the fabric, sweeping offered load x TC->VC mapping
@@ -140,10 +141,7 @@ def _add_axis(parser: argparse.ArgumentParser, axis: Axis) -> None:
     kwargs = dict(dest=axis.name, help=axis.help, type=axis.type,
                   choices=axis.choices, metavar=axis.metavar,
                   default=axis.default)
-    if axis.every is not None:
-        kwargs.update(choices=(axis.every, *axis.default),
-                      default=axis.every)
-    elif axis.swept:
+    if axis.swept:
         kwargs.update(action="append", default=None)
     parser.add_argument(axis.flag, **kwargs)
 
@@ -276,8 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="keep a fault injector disturbing the "
                             "fabric while serving")
     _add_axis(serve, MEAN_INTERVAL)
-    serve.add_argument("--standby", default=None,
-                       choices=("warm", "cold"),
+    serve.add_argument("--standby", action="store_true",
                        help="run a standby FM on a second endpoint so "
                             "the kill_fm / promote_standby verbs work")
 
@@ -372,9 +369,7 @@ def _axis_values(family: Family, args) -> dict:
     values = {}
     for axis in family.axes:
         value = getattr(args, axis.name)
-        if axis.every is not None:
-            value = axis.default if value == axis.every else (value,)
-        elif axis.swept:
+        if axis.swept:
             value = axis.default if value is None else tuple(value)
         values[axis.name] = value
     values["manager"], algorithm = resolve_variant(values["manager"], None)

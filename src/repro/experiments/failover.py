@@ -5,10 +5,9 @@ section 2) — this family measures *how fast* and *how safely*.  One
 run: settle, churn the fabric for a while (so the standby's mirror is
 genuinely exercised, not a copy of a static topology), kill the
 primary's host endpoint mid-operation, and let the standby detect the
-silence and promote itself.  Warm takeovers (mirror + verify/repair,
-see :class:`repro.manager.failover.StandbyManager`) are compared
-against cold full rediscoveries on the same schedule; detection
-latency and recovery time come from the extended
+silence and promote itself (mirror install + verify/repair, see
+:class:`repro.manager.failover.StandbyManager`); detection latency and
+recovery time come from its
 :class:`~repro.manager.failover.FailoverReport`.
 
 Optionally the old primary is then resurrected: its neighbours'
@@ -59,9 +58,6 @@ from .runner import (
     run_until_ready,
 )
 
-#: Takeover mode of a scenario that names none.
-DEFAULT_MODE = "warm"
-
 #: Churn faults injected before the kill (they dirty the mirror).
 DEFAULT_FAULTS = 3
 
@@ -80,15 +76,13 @@ class FailoverResult:
     family: str
     algorithm: str
     manager: str
-    #: Takeover mode *requested* ("warm"/"cold").
-    mode: str
     seed: int
     heartbeat_interval: float
     miss_threshold: int
     #: Churn faults injected before the kill.
     faults: int
-    #: Takeover mode actually taken (a warm standby with an unusable
-    #: mirror falls back to "cold").
+    #: Takeover path taken: "warm" (mirror install + repair), or
+    #: "cold" when the mirror was unusable and the standby rediscovered.
     takeover_mode: str
     missed_heartbeats: int
     #: Seconds from the kill to the standby noticing (heartbeats);
@@ -97,10 +91,10 @@ class FailoverResult:
     detection_latency: Optional[float]
     #: Seconds from detection to a converged topology under the new FM.
     recovery_time: float
-    #: Port-state differences the warm verify pass repaired.
+    #: Port-state differences the verify pass repaired.
     repairs: int
     #: Mirror refreshes completed before the kill: the bootstrap clone
-    #: and one per ``SYNC_EVERY`` answered heartbeats (both modes).
+    #: and one per ``SYNC_EVERY`` answered heartbeats.
     mirror_syncs: int
     devices_recovered: int
     #: Database equals the reachable ground truth (graph comparison).
@@ -126,7 +120,6 @@ class FailoverResult:
 def build_failover_pair(
     spec: TopologySpec,
     algorithm: str = PARALLEL,
-    mode: str = DEFAULT_MODE,
     heartbeat_interval: float = DEFAULT_HEARTBEAT,
     miss_threshold: int = DEFAULT_MISS_THRESHOLD,
     manager: str = "partial",
@@ -140,8 +133,8 @@ def build_failover_pair(
     Both managers run with ``fence_ownership`` on (the primary stamps
     epoch 1; a takeover bumps past it) and the same transaction
     policy, so a heartbeat read times out and retries like any other
-    request.  Returns ``(setup, standby)``; the standby is built but
-    not started.
+    request; the standby assimilates like the primary.  Returns
+    ``(setup, standby)``; the standby is built but not started.
     """
     candidates = [ep for ep in spec.endpoints if ep != (spec.fm_host or "")]
     if not candidates:
@@ -160,14 +153,14 @@ def build_failover_pair(
         setup.entities[standby_host],
         timing=setup.fm.timing, algorithm=algorithm,
         auto_start=False,
-        assimilation=setup.fm.assimilation if mode == "warm" else "full",
+        assimilation=setup.fm.assimilation,
         **options,
     )
     route = fabric_route(setup.fabric, standby_host, setup.fm.endpoint.name)
     standby = StandbyManager(
         standby_fm, setup.fm, route,
         heartbeat_interval=heartbeat_interval,
-        miss_threshold=miss_threshold, mode=mode,
+        miss_threshold=miss_threshold,
     )
     return setup, standby
 
@@ -182,7 +175,6 @@ def run_failover_experiment(scenario, tracer=None) -> FailoverResult:
     """
     spec = scenario.spec()
     seed = scenario.seed
-    mode = scenario.get("mode", DEFAULT_MODE)
     heartbeat_interval = scenario.get("heartbeat_interval",
                                       DEFAULT_HEARTBEAT)
     miss_threshold = scenario.get("miss_threshold", DEFAULT_MISS_THRESHOLD)
@@ -190,7 +182,7 @@ def run_failover_experiment(scenario, tracer=None) -> FailoverResult:
     mean_interval = scenario.get("mean_interval", DEFAULT_MEAN_INTERVAL)
     restart_primary = bool(scenario.restart_primary)
     setup, standby = build_failover_pair(
-        spec, algorithm=scenario.algorithm, mode=mode,
+        spec, algorithm=scenario.algorithm,
         heartbeat_interval=heartbeat_interval,
         miss_threshold=miss_threshold, manager=scenario.manager,
         timing=scenario.timing_model(), params=scenario.fabric_params(),
@@ -248,7 +240,6 @@ def run_failover_experiment(scenario, tracer=None) -> FailoverResult:
         family=spec.family,
         algorithm=scenario.algorithm,
         manager=scenario.manager,
-        mode=mode,
         seed=seed,
         heartbeat_interval=heartbeat_interval,
         miss_threshold=miss_threshold,
@@ -293,8 +284,7 @@ def failover_verdict(result):
 
 
 def _cold_fallbacks(bucket) -> int:
-    return sum(1 for r in bucket
-               if r.mode == "warm" and r.takeover_mode == "cold")
+    return sum(1 for r in bucket if r.takeover_mode == "cold")
 
 
 FAMILY = Family(
@@ -306,13 +296,10 @@ FAMILY = Family(
           "faults before each kill)",
     axes=(
         ALGORITHM,
-        Axis("modes", "--mode", ("warm", "cold"), "mode", swept=True,
-             every="both",
-             help="standby takeover mode(s) to sweep (default both)"),
         Axis("manager", "--manager", "partial", "manager",
              choices=("full", "partial"),
              help="FM flavour for primary and standby (default partial; "
-                  "warm takeover repairs via the partial manager's burst "
+                  "the takeover repairs via the partial manager's burst "
                   "machinery)"),
         replace(FAULTS, default=DEFAULT_FAULTS,
                 help="churn faults injected before the kill "
@@ -333,7 +320,7 @@ FAMILY = Family(
              help="resurrect the old primary after takeover and verify "
                   "the ownership-epoch fence demotes it"),
     ),
-    group_by=(Column("mode", "mode"), Column("manager", "manager")),
+    group_by=(Column("manager", "manager"),),
     columns=(
         Column("mean_detection_latency", "t_detect",
                mean_of("detection_latency")),
@@ -346,6 +333,5 @@ FAMILY = Family(
         Column("all_fenced", "fenced", lambda b: all(map(fenced, b))),
     ),
     verdict=failover_verdict,
-    label=lambda s: (f"mode={s.get('mode', DEFAULT_MODE)}",
-                     f"seed={s.seed}"),
+    label=lambda s: (f"seed={s.seed}",),
 )

@@ -72,9 +72,6 @@ class Axis:
         reaches the scenario through :attr:`Family.compose` instead.
     swept:
         Whether the flag is repeatable and its values are crossed.
-    every:
-        For a swept axis spelt as one choice on the CLI: the word that
-        stands for all of ``default`` (``--mode both``).
     pick:
         Which of the swept values the ``--trace`` representative runs.
     """
@@ -88,7 +85,6 @@ class Axis:
     type: Optional[Callable] = None
     choices: Optional[Sequence] = None
     metavar: Optional[str] = None
-    every: Optional[str] = None
     pick: Callable = first
 
 

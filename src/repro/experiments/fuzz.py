@@ -179,10 +179,9 @@ def sample_scenario(seed: int, index: int,
                 "tc_vc_map": list(TC_MAPPINGS["mixed"]),
             }
     if kind == "failover":
-        # Warm takeover leans on the partial manager's repair bursts;
-        # keep a cold/full tail so both promotion paths stay fuzzed.
+        # The takeover leans on the partial manager's repair bursts;
+        # keep a full-manager tail so both repair paths stay fuzzed.
         kwargs["manager"] = rng.choice(("partial", "partial", "full"))
-        kwargs["mode"] = rng.choice(("warm", "warm", "cold"))
         kwargs["faults"] = rng.choice(FAILOVER_FAULTS)
         kwargs["mean_interval"] = rng.choice(CHURN_MEAN_INTERVALS)
         kwargs["heartbeat_interval"] = rng.choice(FAILOVER_HEARTBEATS)

@@ -116,12 +116,11 @@ class Scenario:
     faults / mean_interval / verify_sample:
         Churn fault plan and convergence-guard sample size (``None`` =
         the churn module's defaults).
-    mode / heartbeat_interval / miss_threshold / restart_primary:
-        Failover plan for ``kind="failover"``: takeover mode (``None``
-        = ``"warm"``), standby heartbeat tuning, and whether the dead
-        primary is resurrected afterwards (the fencing duel).  The
-        ``faults``/``mean_interval`` knobs double as the pre-kill
-        churn schedule.
+    heartbeat_interval / miss_threshold / restart_primary:
+        Failover plan for ``kind="failover"``: standby heartbeat
+        tuning, and whether the dead primary is resurrected afterwards
+        (the fencing duel).  The ``faults``/``mean_interval`` knobs
+        double as the pre-kill churn schedule.
     traffic:
         A :meth:`~repro.workloads.traffic.TrafficSpec.to_dict`
         document (or a ``TrafficSpec`` instance, normalized on
@@ -145,7 +144,6 @@ class Scenario:
     faults: Optional[int] = None
     mean_interval: Optional[float] = None
     verify_sample: Optional[int] = None
-    mode: Optional[str] = None
     heartbeat_interval: Optional[float] = None
     miss_threshold: Optional[int] = None
     restart_primary: Optional[bool] = None
@@ -173,13 +171,6 @@ class Scenario:
                 f"unknown change kind {self.change!r} "
                 f"(expected one of {CHANGE_KINDS})"
             )
-        if self.mode is not None:
-            from ..manager.failover import MODES
-            if self.mode not in MODES:
-                raise ValueError(
-                    f"unknown takeover mode {self.mode!r} "
-                    f"(expected one of {MODES})"
-                )
         if (self.heartbeat_interval is not None
                 and self.heartbeat_interval <= 0):
             raise ValueError("heartbeat interval must be positive")

@@ -10,9 +10,8 @@ dword of the primary's baseline capability (a heartbeat built from the
 same PI-4 machinery as discovery).  After ``miss_threshold``
 consecutive heartbeats time out, the standby promotes itself.
 
-Both takeover modes watch the primary the same way.  The standby
-subscribes to the primary's PI-5 tee and keeps a mirror of its
-database, cloned at start and again on every :data:`SYNC_EVERY`-th
+The standby subscribes to the primary's PI-5 tee and keeps a mirror of
+its database, cloned at start and again on every :data:`SYNC_EVERY`-th
 answered heartbeat (skipped while the primary is mid-walk): one
 periodic read is both the liveness probe and the mirror's sync.  The
 heartbeat follows a source route to the primary computed when the pair
@@ -22,29 +21,24 @@ dead primary.  A heartbeat read is an ordinary PI-4 request: it times
 out, retries and backs off under the wrapped FM's transaction policy
 like every other request.
 
-The heartbeat, the warm takeover and its convergence and fencing polls
-are chains of callbacks and timers.
+The heartbeat, the takeover and its convergence and fencing polls are
+chains of callbacks and timers.
 
-Two takeover modes:
-
-``cold``
-    The promoted standby runs a full discovery from its own vantage
-    point, so all routes are recomputed relative to the new manager.
-    Simple, but recovery time scales with the whole fabric.
-
-``warm``
-    The standby installs its mirror of the primary's
-    :class:`~repro.manager.database.TopologyDatabase`.  The mirror is
-    fed by the primary's PI-5 tee (``pi5_listeners`` — the
-    control-plane replication channel every real redundant manager
-    pair maintains) and refreshed on every :data:`SYNC_EVERY`-th
-    answered heartbeat.  The heartbeat read carries the transfer cost
-    while the record content rides out-of-band.  On promotion the
-    mirror becomes the live database (rebased to the standby's vantage
-    point), a verify pass re-reads every device's port-status blocks,
-    and only the *differences* are repaired — fed as synthesized PI-5
-    events through the partial-assimilation repair-burst machinery —
-    instead of rediscovering the fabric from scratch.
+One takeover.  The standby installs its mirror of the primary's
+:class:`~repro.manager.database.TopologyDatabase`.  The mirror is fed
+by the primary's PI-5 tee (``pi5_listeners`` — the control-plane
+replication channel every real redundant manager pair maintains) and
+refreshed on every :data:`SYNC_EVERY`-th answered heartbeat.  The
+heartbeat read carries the transfer cost while the record content
+rides out-of-band.  On promotion the mirror becomes the live database
+(rebased to the standby's vantage point), a verify pass re-reads every
+device's port-status blocks, and only the *differences* are repaired —
+fed as synthesized PI-5 events through the partial-assimilation
+repair-burst machinery — instead of rediscovering the fabric from
+scratch (the report's ``mode`` is ``"warm"``).  Only a mirror that
+cannot be installed — no clone ever landed (the primary was mid-walk
+at every sync), or the standby is not in it — sends the promoted
+standby on a full discovery from its own vantage point (``"cold"``).
 
 Fencing: on takeover the standby advances the ownership epoch past the
 primary's and (when the wrapped FM has ``fence_ownership`` on) stamps
@@ -74,9 +68,6 @@ from .database import DatabaseError, TopologyDatabase
 from .discovery.base import DiscoveryStats
 from .fm import FabricManager
 
-#: Supported takeover modes.
-MODES = ("cold", "warm")
-
 #: Every this many answered heartbeats, the standby refreshes its mirror.
 SYNC_EVERY = 5
 
@@ -88,9 +79,8 @@ class FailoverReport:
     detected_at: float
     discovery_done_at: float
     missed_heartbeats: int
-    #: ``"warm"`` when the mirror-and-repair path ran; ``"cold"`` for a
-    #: full rediscovery (including a warm standby falling back on an
-    #: empty mirror).
+    #: ``"warm"`` when the mirror-and-repair path ran; ``"cold"`` for
+    #: the full rediscovery of a standby whose mirror was unusable.
     mode: str = "cold"
     #: Sim time the primary actually died, when known (stamped by the
     #: fault plane via :meth:`StandbyManager.note_primary_failure`).
@@ -119,15 +109,11 @@ class StandbyManager:
 
     def __init__(self, fm: FabricManager, primary: FabricManager,
                  primary_route: Tuple[TurnPool, int],
-                 heartbeat_interval: float, miss_threshold: int,
-                 mode: str):
+                 heartbeat_interval: float, miss_threshold: int):
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat interval must be positive")
         if miss_threshold < 1:
             raise ValueError("miss threshold must be at least 1")
-        if mode not in MODES:
-            raise ValueError(f"unknown takeover mode {mode!r} "
-                             f"(choose from {MODES})")
         #: The wrapped manager (construct it with ``auto_start=False``
         #: so it stays passive until promoted).
         self.fm = fm
@@ -135,7 +121,6 @@ class StandbyManager:
         self.primary_pool, self.primary_out_port = primary_route
         self.heartbeat_interval = heartbeat_interval
         self.miss_threshold = miss_threshold
-        self.mode = mode
         self.primary = primary
         #: Heartbeat time between two mirror syncs of a live primary.
         self.sync_interval = SYNC_EVERY * heartbeat_interval
@@ -354,12 +339,8 @@ class StandbyManager:
         # stamped claims override the dead primary's everywhere and a
         # resurrected old primary sees it was deposed.
         fm.epoch = max(fm.epoch, self.primary.epoch) + 1
-        warm_ready = (
-            self.mode == "warm"
-            and len(self.mirror) > 1
-            and fm.endpoint.dsn in self.mirror
-        )
-        if warm_ready:
+        # Rediscover only when there is no usable mirror to install.
+        if len(self.mirror) > 1 and fm.endpoint.dsn in self.mirror:
             self.env.schedule_callback(0.0, self._warm_takeover, URGENT)
         else:
             self._cold_takeover()

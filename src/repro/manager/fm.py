@@ -154,7 +154,7 @@ class FabricManager:
         self.demoted = False
         #: Passive observers called with every accepted PI-5 event
         #: (after duplicate suppression, before assimilation).  This is
-        #: the control-plane replication tee a warm standby subscribes
+        #: the control-plane replication tee a standby subscribes
         #: to; an empty list costs nothing and listeners must not
         #: schedule simulation events.
         self.pi5_listeners: List[Callable[[pi5.PortEvent], None]] = []

@@ -285,14 +285,13 @@ def _standby_for(driver):
         raise ApiError(
             "no-standby",
             "service was started without a standby FM "
-            "(serve --standby warm|cold)",
+            "(serve --standby)",
         )
     return standby
 
 
 def _outcome(standby, setup) -> dict:
-    return {"standby": standby.fm.endpoint.name, "mode": standby.mode,
-            "sim_time": setup.env.now}
+    return {"standby": standby.fm.endpoint.name, "sim_time": setup.env.now}
 
 
 def op_kill_fm(setup, driver, params) -> dict:

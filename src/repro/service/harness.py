@@ -94,7 +94,7 @@ def start_service(
     seed: int = 0,
     churn: bool = False,
     mean_interval: float = 2e-3,
-    standby: Optional[str] = None,
+    standby: bool = False,
     **fm_kwargs,
 ) -> ServiceHandle:
     """Build, wire, and start a fabric service; returns its handle.
@@ -102,20 +102,18 @@ def start_service(
     With ``churn=True`` a :class:`~repro.workloads.faults.FaultInjector`
     keeps disturbing the fabric (FM host protected, effectively
     unlimited fault budget) so clients query a moving target.  With
-    ``standby="warm"`` (or ``"cold"``) a
-    :class:`~repro.manager.failover.StandbyManager` heartbeats the
-    primary from a second endpoint, ready for the ``kill_fm`` /
-    ``promote_standby`` verbs.  The returned handle's ``port`` is the
+    ``standby=True`` a :class:`~repro.manager.failover.StandbyManager`
+    heartbeats the primary from a second endpoint, ready for the
+    ``kill_fm`` / ``promote_standby`` verbs.  The returned handle's ``port`` is the
     actual bound port (pass ``port=0`` for an ephemeral one).
     """
     spec = resolve_topology(topology)
     tap = EventTap()
     standby_mgr = None
-    if standby is not None:
-        # StandbyManager rejects a mode it does not know.
+    if standby:
         from ..experiments.failover import build_failover_pair
         setup, standby_mgr = build_failover_pair(
-            spec, algorithm=algorithm, mode=standby, manager=manager,
+            spec, algorithm=algorithm, manager=manager,
             fm_options=fm_kwargs or None,
         )
     else:

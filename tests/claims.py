@@ -418,16 +418,21 @@ GIVE_UP = sum(DEFAULT_TIMEOUT * DEFAULT_BACKOFF ** attempt
               for attempt in range(DEFAULT_MAX_RETRIES + 1))
 
 
+def _median_ms(results, field) -> str:
+    median = statistics.median(getattr(r, field) for r in results)
+    return f"{median * 1e3:.2f}"
+
+
 def x3(grid):
     cells = defaultdict(list)
     partitions = []
-    for name, manager, mode, faults, seed in product(
-            grid["topologies"], ("full", "partial"), ("warm", "cold"),
-            grid["faults"], range(grid["seeds"])):
-        cell = f"{name} {manager}/{mode} f{faults}"
+    for name, manager, faults, seed in product(
+            grid["topologies"], ("full", "partial"), grid["faults"],
+            range(grid["seeds"])):
+        cell = f"{name} {manager} f{faults}"
         run = f"{cell} seed {seed}"
         result = Scenario(kind="failover", topology=name, manager=manager,
-                          mode=mode, faults=faults, seed=seed,
+                          faults=faults, seed=seed,
                           restart_primary=True).run()
         if result.detection_latency is None:
             # Promoted before the kill: right only when churn cut every
@@ -448,12 +453,17 @@ def x3(grid):
         _within(f"{run} detection (s)", result.detection_latency,
                 (budget - result.heartbeat_interval - DEFAULT_TIMEOUT,
                  budget))
-        cells[cell].append(result.detection_latency)
-    latencies = [t for v in cells.values() for t in v]
+        cells[cell].append(result)
+    latencies = [r.detection_latency for v in cells.values() for r in v]
+    fallbacks = sum(r.takeover_mode == "cold"
+                    for v in cells.values() for r in v)
     seen = [f"detection {min(latencies) * 1e3:.3f}-"
-            f"{max(latencies) * 1e3:.3f} ms, median " + ", ".join(
-                f"{cell} {statistics.median(v) * 1e3:.2f}"
-                for cell, v in cells.items())]
+            f"{max(latencies) * 1e3:.3f} ms; median detection/recovery "
+            "(ms) " + ", ".join(
+                f"{cell} {_median_ms(v, 'detection_latency')}/"
+                f"{_median_ms(v, 'recovery_time')}"
+                for cell, v in cells.items()),
+            f"{fallbacks} rediscovery fallback(s)"]
     if partitions:
         seen.append(f"partitioned: {'; '.join(partitions)}")
     return "; ".join(seen)

@@ -246,11 +246,13 @@ class TestGoldenFaultModels:
     processes (detection, recovery, the fault schedule and the audit),
     so a conversion that moves one heap slot shows here.  Detection
     moved once since, by −13 µs, when the mirror sync stopped sending
-    a read of its own and rode on the heartbeat."""
+    a read of its own and rode on the heartbeat; the failover document
+    lost its requested ``mode`` key when the takeover stopped being a
+    setting (``takeover_mode`` is the path taken)."""
 
     def test_warm_failover_with_restarted_primary_bit_identical(self):
         info = Scenario(kind="failover", topology="4x4 mesh", seed=0,
-                        manager="partial", mode="warm",
+                        manager="partial",
                         restart_primary=True).run().asdict()
         assert info == {
             "algorithm": "parallel", "audit_differences": 0,
@@ -259,7 +261,7 @@ class TestGoldenFaultModels:
             "devices_recovered": 31, "family": "mesh", "faults": 3,
             "heartbeat_interval": 0.001, "manager": "partial",
             "mirror_syncs": 31, "miss_threshold": 3,
-            "missed_heartbeats": 3, "mode": "warm",
+            "missed_heartbeats": 3,
             "old_primary_demoted": True, "partitioned": False,
             "recovery_time": 0.0025810820000007617, "repairs": 0,
             "restart_primary": True, "seed": 0, "takeover_mode": "warm",

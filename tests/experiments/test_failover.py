@@ -1,18 +1,23 @@
 """Failover experiment family: kill the primary FM, measure takeover.
 
-Covers the acceptance bar for the failover work: warm takeover on a
-churned mesh64 is measurably faster than a cold rediscovery on the
-same schedule, both converge with a clean audit, and a resurrected
-old primary demotes itself instead of split-braining the fabric.
+Covers the acceptance bar for the failover work: the takeover on a
+churned mesh64 (mirror install + verify/repair) is measurably faster
+than the promoted manager's own full rediscovery of the same fabric,
+an unusable mirror falls back to that rediscovery, both converge with
+a clean audit, and a resurrected old primary demotes itself instead of
+split-braining the fabric.
 """
 
 import pytest
 
-from repro.experiments.failover import FAMILY
+from repro.experiments.churn import run_until_quiescent
+from repro.experiments.failover import FAMILY, build_failover_pair
 from repro.experiments.family import render, summarize
+from repro.experiments.runner import database_matches_fabric, run_until_ready
 from repro.experiments.scenario import Scenario
 from repro.experiments.sweep import sweep_family
-from repro.manager.failover import MODES
+from repro.manager.consistency import audit_topology
+from repro.manager.failover import SYNC_EVERY
 from repro.topology.registry import resolve_topology
 
 
@@ -22,52 +27,80 @@ def run_failover(spec, **fields):
                     **fields).run()
 
 
-class TestColdTakeover:
-    def test_converges_with_clean_audit_on_mesh16(self):
-        result = run_failover(
-            resolve_topology("mesh16"), mode="cold", seed=0,
-        )
-        assert result.takeover_mode == "cold"
-        assert result.missed_heartbeats >= result.miss_threshold
-        assert result.detection_latency > 0
-        assert result.recovery_time > 0
-        assert result.converged
-        assert result.audit_ok
+class _Capture:
+    """A tracer that keeps the simulation a run builds."""
+
+    setup = None
+
+    def install(self, setup):
+        self.setup = setup
+
+    def finalize(self, setup):
+        pass
+
+
+class TestRediscoveryFallback:
+    def test_an_unusable_mirror_falls_back_to_rediscovery(self):
+        # The standby starts with the primary's first walk: the primary
+        # is busy at every sync, so no clone lands, and the kill comes
+        # before the fifth answered heartbeat.  With no mirror to
+        # install the promoted standby rediscovers the fabric.
+        setup, standby = build_failover_pair(resolve_topology("mesh16"))
+        primary = setup.fm
+        standby.start()
+        run_until_ready(setup)
+        assert standby.heartbeats_answered < SYNC_EVERY
+        assert standby.mirror_syncs == 0
+        setup.fabric.remove_device(primary.endpoint.name)
+        standby.note_primary_failure()
+        report = setup.env.run(until=standby.takeover_event)
+        setup.fm = standby.fm
+        run_until_quiescent(setup)
+        assert report.mode == "cold"
+        assert report.detection_latency > 0
+        assert report.recovery_time > 0
+        assert database_matches_fabric(setup)
+        assert audit_topology(setup.fabric, standby.fm).ok
+        assert standby.fm.assimilation == primary.assimilation == "partial"
 
 
 class TestWarmTakeover:
     def test_uses_the_mirror_and_converges_on_mesh16(self):
-        result = run_failover(
-            resolve_topology("mesh16"), mode="warm", seed=0,
-        )
+        result = run_failover(resolve_topology("mesh16"), seed=0)
         assert result.takeover_mode == "warm"
         assert result.mirror_syncs > 0
         assert result.converged
         assert result.audit_ok
 
     def test_warm_recovery_beats_cold_on_churned_mesh64(self):
-        spec = resolve_topology("mesh64")
-        cold = run_failover(spec, mode="cold", seed=3)
-        warm = run_failover(spec, mode="warm", seed=3)
-        assert cold.converged and cold.audit_ok
+        # What a cold takeover paid: the promoted manager's own full
+        # rediscovery of the same post-kill fabric, run once the
+        # takeover has converged.
+        capture = _Capture()
+        warm = Scenario(kind="failover", topology="8x8 mesh",
+                        manager="partial", seed=3).run(tracer=capture)
         assert warm.converged and warm.audit_ok
         assert warm.takeover_mode == "warm"
+        setup = capture.setup
+        started = setup.env.now
+        setup.fm.start_discovery(trigger="failover")
+        run_until_ready(setup)
+        cold = setup.env.now - started
+        assert len(setup.fm.database) == warm.devices_recovered
         # The acceptance bar: verify/repair from a live mirror is
-        # measurably faster than rediscovering 112 devices cold.
-        assert warm.recovery_time < cold.recovery_time
+        # measurably faster than rediscovering 127 devices (11.7 ms
+        # against 23.3 ms).
+        assert warm.recovery_time < 0.6 * cold
 
 
 class TestWarmStandbyReroutes:
     @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("mode", MODES)
-    def test_churn_on_the_heartbeat_route_does_not_promote(self, mode,
-                                                          seed):
+    def test_churn_on_the_heartbeat_route_does_not_promote(self, seed):
         # On these seeds the churn cuts the route the standby was built
-        # with.  A standby of either mode learns that from the PI-5 tee
-        # and moves its heartbeat onto the mirror's route.  So it
-        # detects the real kill instead of promoting while the primary
-        # is alive.
-        result = run_failover("4x4 mesh", mode=mode, seed=seed)
+        # with.  The standby learns that from the PI-5 tee and moves its
+        # heartbeat onto the mirror's route.  So it detects the real
+        # kill instead of promoting while the primary is alive.
+        result = run_failover("4x4 mesh", seed=seed)
         assert result.detection_latency is not None
         assert result.detection_latency > 0
         assert result.converged and result.audit_ok
@@ -80,19 +113,16 @@ class TestWarmStandbyReroutes:
         # into it: two misses before the kill, detection in 12 ms, and
         # a warm takeover that does not converge.
         result = Scenario(kind="failover", topology="8x8 mesh",
-                          manager="partial", mode="warm", faults=3,
-                          seed=4).run()
+                          manager="partial", faults=3, seed=4).run()
         # Three misses after the kill take 46-48 ms.
         assert result.detection_latency > 0.046
         assert result.converged and result.audit_ok
 
 
 class TestFencing:
-    @pytest.mark.parametrize("mode", ("warm", "cold"))
-    def test_resurrected_primary_demotes_itself(self, mode):
+    def test_resurrected_primary_demotes_itself(self):
         result = run_failover(
-            resolve_topology("mesh16"), mode=mode, seed=1,
-            restart_primary=True,
+            resolve_topology("mesh16"), seed=1, restart_primary=True,
         )
         assert result.restart_primary
         assert result.old_primary_demoted is True
@@ -100,14 +130,13 @@ class TestFencing:
         assert result.converged
         assert result.audit_ok
 
-    @pytest.mark.parametrize("mode", ("warm", "cold"))
-    def test_a_partitioned_old_primary_is_no_split_brain(self, mode):
+    def test_a_partitioned_old_primary_is_no_split_brain(self):
         # Churn leaves no path between the standby and the primary's
         # switch: the standby rightly promotes before the kill, and the
         # resurrected primary, alone in its component, never sees the
         # new epoch.  That is a partition, and the run passes.
         result = Scenario(kind="failover", topology="3x3 mesh",
-                          manager="full", mode=mode, faults=3, seed=6,
+                          manager="full", faults=3, seed=6,
                           restart_primary=True).run()
         assert result.detection_latency is None
         assert result.partitioned
@@ -120,14 +149,13 @@ class TestFencing:
 class TestSweep:
     def test_sweep_summarize_render(self):
         spec = resolve_topology("mesh9")
-        results = sweep_family(
-            FAMILY, spec, modes=("warm", "cold"), seeds=(0, 1), faults=1,
-        )
+        results = sweep_family(FAMILY, spec, seeds=(0, 1, 2, 3), faults=1)
         assert len(results) == 4
         rows = summarize(FAMILY, results)
-        assert {row["mode"] for row in rows} == {"warm", "cold"}
+        assert [row["manager"] for row in rows] == ["partial"]
         for row in rows:
-            assert row["runs"] == 2
+            assert row["cold_fallbacks"] == 0
+            assert row["runs"] == 4
             assert row["all_converged"]
             assert row["audit_pass_rate"] == 1.0
         text = render(FAMILY, rows, title="failover")
@@ -138,18 +166,16 @@ class TestScenarioIntegration:
     def test_failover_scenario_runs_and_roundtrips(self):
         scenario = Scenario(
             kind="failover", topology="mesh9", manager="partial",
-            mode="warm", faults=1, heartbeat_interval=1e-3,
+            faults=1, heartbeat_interval=1e-3,
             miss_threshold=2, seed=0,
         )
         assert Scenario.from_dict(scenario.to_dict()) == scenario
         result = scenario.run()
-        assert result.mode == "warm"
+        assert result.takeover_mode == "warm"
         assert result.converged
         assert result.audit_ok
 
     def test_failover_scenario_validation(self):
-        with pytest.raises(ValueError):
-            Scenario(kind="failover", topology="mesh9", mode="tepid")
         with pytest.raises(ValueError):
             Scenario(kind="failover", topology="mesh9",
                      heartbeat_interval=0.0)

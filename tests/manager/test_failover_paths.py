@@ -28,7 +28,7 @@ def primary_and_standby(spec):
     route = fabric_route(setup.fabric, standby_host, spec.fm_host)
     standby = StandbyManager(
         standby_fm, setup.fm, route,
-        heartbeat_interval=1e-3, miss_threshold=2, mode="cold",
+        heartbeat_interval=1e-3, miss_threshold=2,
     )
     return setup, standby
 
@@ -58,8 +58,10 @@ class TestFailover:
         assert standby.active
         assert report.missed_heartbeats >= 2
         assert report.recovery_time > 0
-        # The standby discovered the post-failure topology from its own
-        # endpoint: everything reachable except the dead primary.
+        assert report.mode == "warm"
+        # The standby installed its mirror and repaired it to the
+        # post-failure topology: everything reachable except the dead
+        # primary.
         found = len(standby.fm.database)
         reachable = len(
             setup.fabric.reachable_devices(standby.fm.endpoint.name)
@@ -70,16 +72,10 @@ class TestFailover:
         setup, standby = primary_and_standby(make_mesh(2, 2))
         with pytest.raises(ValueError):
             StandbyManager(standby.fm, setup.fm, (None, 0),
-                           heartbeat_interval=0, miss_threshold=2,
-                           mode="cold")
+                           heartbeat_interval=0, miss_threshold=2)
         with pytest.raises(ValueError):
             StandbyManager(standby.fm, setup.fm, (None, 0),
-                           heartbeat_interval=1e-3, miss_threshold=0,
-                           mode="cold")
-        with pytest.raises(ValueError):
-            StandbyManager(standby.fm, setup.fm, (None, 0),
-                           heartbeat_interval=1e-3, miss_threshold=2,
-                           mode="lukewarm")
+                           heartbeat_interval=1e-3, miss_threshold=0)
         standby.start()
         with pytest.raises(RuntimeError):
             standby.start()

@@ -1,7 +1,7 @@
 """Warm standby mechanics: mirror upkeep, promotion, and fencing.
 
-The experiment-level behaviour (warm beats cold, fencing duel after a
-resurrection) lives in ``tests/experiments/test_failover.py``; these
+The experiment-level behaviour (the takeover beats a rediscovery,
+fencing duel after a resurrection) lives in ``tests/experiments/test_failover.py``; these
 tests poke the :class:`~repro.manager.failover.StandbyManager` and the
 FM's ownership fencing directly.
 """
@@ -16,7 +16,7 @@ from repro.topology.registry import resolve_topology
 
 def warm_pair(name="mesh9", **kwargs):
     setup, standby = build_failover_pair(
-        resolve_topology(name), mode="warm", **kwargs,
+        resolve_topology(name), **kwargs,
     )
     run_until_ready(setup)
     standby.start()

@@ -34,7 +34,7 @@ SCENARIOS = {
     "churn-6x6-f6-s2": dict(kind="churn", topology="6x6 mesh", faults=6,
                             seed=2),
     "failover-6x6-f3-s2": dict(kind="failover", topology="6x6 mesh",
-                               mode="warm", faults=3, seed=2),
+                               faults=3, seed=2),
     "change-4x4-s0": dict(kind="change", topology="4x4 mesh", seed=0),
 }
 
@@ -55,8 +55,11 @@ PINS = {
     # Re-recorded when the mirror sync rode on the heartbeat: with no
     # sync read at the primary's entity its fallback walk ends 5 µs
     # sooner, detection is 5 µs shorter and mirror syncs go 20 → 17.
+    # Re-recorded again when the takeover mode stopped being a setting:
+    # the result document lost its ``mode`` key and nothing else (the
+    # old pin's document with ``mode`` popped gives this digest).
     "failover-6x6-f3-s2":
-        "f56b2ec878e5b3bc794af5c5dce0ae4d5c19c3611ca4c2ce8108de3dd116f35f",
+        "5ff33dc076e459e855f4ef536a66423377bba8652a256c8b9ced86121eec2c69",
     "change-4x4-s0":
         "5a2fefbb319d931e63ab265ff53260f0438beceaa470fb9d547a387771ffcbb3",
     "repair-3x3":

@@ -576,18 +576,21 @@ class TestFailoverVerbs:
 
     def test_kill_fm_triggers_takeover_and_streams_the_outcome(self):
         with start_service("mesh16", manager="partial",
-                           standby="warm") as handle:
+                           standby=True) as handle:
             with handle.client() as client:
                 client.subscribe()
-                _wait_for(client, lambda s: s["ready"])
+                # Ready, and the mirror holds a copy to install.
+                _wait_for(client, lambda s: s["ready"]
+                          and handle.standby.mirror_syncs > 0)
                 out = client.kill_fm()
                 assert out["killed"]
-                assert out["mode"] == "warm"
+                assert "mode" not in out
                 event = client.next_event(timeout=60)
                 while not (event.get("event") == "failover"
                            and event.get("phase") == "takeover_complete"):
                     event = client.next_event(timeout=60)
                 assert event["fm"] == out["standby"]
+                assert event["mode"] == "warm"
                 assert event["recovery_time"] > 0
                 # The served FM is now the promoted standby; the fabric
                 # it sees (minus the dead primary host) audits clean.
@@ -608,29 +611,30 @@ class TestFailoverVerbs:
 
     def test_explicit_promote_without_a_kill(self):
         with start_service("mesh9", manager="partial",
-                           standby="cold") as handle:
+                           standby=True) as handle:
             with handle.client() as client:
                 client.subscribe()
-                _wait_for(client, lambda s: s["ready"])
+                _wait_for(client, lambda s: s["ready"]
+                          and handle.standby.mirror_syncs > 0)
                 out = client.promote_standby()
                 assert out["promoting"] is True
+                assert "mode" not in out
                 event = client.next_event(timeout=60)
                 while not (event.get("event") == "failover"
                            and event.get("phase") == "takeover_complete"):
                     event = client.next_event(timeout=60)
-                assert event["mode"] == "cold"
+                assert event["mode"] == "warm"
                 _wait_for(client, lambda s: s["ready"])
 
 
 class TestStandbyStartedMidWalk:
-    @pytest.mark.parametrize("mode", ("warm", "cold"))
     @pytest.mark.parametrize("manager", ("full", "partial"))
-    def test_does_not_promote_while_the_primary_lives(self, manager, mode):
+    def test_does_not_promote_while_the_primary_lives(self, manager):
         # The service starts the standby before the primary's initial
         # walk has run: its first heartbeats queue behind the walk's
         # completions at the primary.  Slow is not silent.
         with start_service("mesh16", manager=manager,
-                           standby=mode) as handle:
+                           standby=True) as handle:
             standby = handle.standby
             with handle.client() as client:
                 status = _wait_for(client, lambda s: s["ready"])

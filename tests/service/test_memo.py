@@ -299,7 +299,7 @@ class TestDifferential:
 
     def test_through_a_takeover(self):
         with start_service("mesh9", manager="partial",
-                           standby="warm") as handle:
+                           standby=True) as handle:
             queries = _queries(handle)
             with wires(handle, len(queries) + 1) as conns:
                 control, conns = conns[0], conns[1:]

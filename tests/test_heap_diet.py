@@ -40,16 +40,14 @@ CORPUS = Path(__file__).resolve().parent / "corpus"
 FUZZ_RUNS = int(os.environ.get("HEAP_DIET_FUZZ_RUNS", "20"))
 
 #: What the CLI smokes of ``.github/workflows/ci.yml`` run, one
-#: scenario per family (failover in both takeover modes).
+#: scenario per family.
 SMOKES = {
     "change": Scenario(kind="change", topology="3x3 mesh", seed=0),
     "reliability": Scenario(kind="reliability", topology="3x3 mesh",
                             params={"bit_error_rate": 5e-5}),
     "churn": Scenario(kind="churn", topology="4x4 mesh", seed=1),
     "failover-warm": Scenario(kind="failover", topology="mesh16",
-                              mode="warm", restart_primary=True),
-    "failover-cold": Scenario(kind="failover", topology="mesh16",
-                              mode="cold", restart_primary=True),
+                              restart_primary=True),
     "load": Scenario(kind="load", topology="3x3 mesh",
                      traffic={"load": 0.9}),
 }

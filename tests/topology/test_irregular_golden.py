@@ -4,7 +4,7 @@
 incremental port cursor; its output must be byte-identical for every
 ``(num_switches, extra_links, seed)``.  The fuzz corpus recorded the
 exact pre-rewrite output of one spec (``irregular-6+2 (seed=7)``)
-inside ``tests/corpus/change-a8b745a2e56a.json`` — regenerating and
+inside ``tests/corpus/change-4084250f81ec.json`` — regenerating and
 comparing pins the identity against history, not against ourselves.
 (The corpus filename is content-addressed over the whole scenario
 dict, so it changes whenever ``Scenario`` gains or loses fields; the
@@ -18,7 +18,7 @@ from repro.experiments.io import spec_to_dict
 from repro.topology import make_irregular
 
 CORPUS_ENTRY = (
-    Path(__file__).parent.parent / "corpus" / "change-a8b745a2e56a.json"
+    Path(__file__).parent.parent / "corpus" / "change-4084250f81ec.json"
 )
 
 
