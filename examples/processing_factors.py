@@ -10,21 +10,22 @@ Run:  python examples/processing_factors.py
 """
 
 from repro import make_mesh
+from repro.experiments.figures import figure8
 from repro.experiments.report import render_series
-from repro.experiments.sweep import sweep_device_factor, sweep_fm_factor
 
 
 def main() -> None:
     spec = make_mesh(4, 4)
     print(f"Topology: {spec.name} (all devices active)\n")
 
-    fm_series = sweep_fm_factor(spec, factors=(0.25, 0.5, 1.0, 2.0, 4.0))
+    data, _text = figure8(spec, fm_factors=(0.25, 0.5, 1.0, 2.0, 4.0),
+                          device_factors=(0.1, 0.2, 0.5, 1.0, 2.0))
+    fm_series, dev_series = data["fm_factor"], data["device_factor"]
     print(render_series(
         "Discovery time vs FM processing factor (device factor = 1)",
         "fm_factor", "seconds", fm_series,
     ))
 
-    dev_series = sweep_device_factor(spec, factors=(0.1, 0.2, 0.5, 1.0, 2.0))
     print()
     print(render_series(
         "Discovery time vs device processing factor (FM factor = 1)",

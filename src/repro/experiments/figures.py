@@ -15,18 +15,18 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..analysis.model import PipelineModel
 from ..manager.timing import ALGORITHMS, ProcessingTimeModel
 from ..topology.spec import TopologySpec
-from ..topology.table1 import table1_rows, table1_topology
+from ..topology.table1 import table1_rows, table1_suite, table1_topology
+from .executor import run_sweep
 from .report import render_kv, render_series, render_table
 from .runner import ExperimentResult
 from .scenario import Scenario
-from .sweep import (
-    DEVICE_FACTORS,
-    FM_FACTORS,
-    fig4_measurements,
-    sweep_change_experiments,
-    sweep_device_factor,
-    sweep_fm_factor,
-)
+
+#: Default FM processing factors swept in Fig. 8(a).
+FM_FACTORS = (0.25, 1 / 3, 0.5, 1.0, 2.0, 3.0, 4.0)
+#: Default device processing factors swept in Fig. 8(b).
+DEVICE_FACTORS = (0.05, 0.1, 0.2, 1 / 3, 0.5, 1.0, 2.0, 4.0)
+
+Series = Dict[str, List[Tuple[float, float]]]
 
 #: Display names matching the paper's legends.
 ALGO_LABELS = {
@@ -38,6 +38,44 @@ ALGO_LABELS = {
 
 def _label(series: Dict[str, list]) -> Dict[str, list]:
     return {ALGO_LABELS.get(k, k): v for k, v in series.items()}
+
+
+def _series(cells: Iterable[Tuple[str, float, float]]) -> Series:
+    """``(algorithm, x, y)`` cells as ``{algorithm: [(x, y)]}``, each
+    series sorted; algorithms in the order their first cell came."""
+    series: Series = defaultdict(list)
+    for algorithm, x, y in cells:
+        series[algorithm].append((x, y))
+    for points in series.values():
+        points.sort()
+    return dict(series)
+
+
+def _change_grid(topologies: Optional[Sequence[TopologySpec]],
+                 seeds: Iterable[int],
+                 timing: Optional[ProcessingTimeModel] = None,
+                 ) -> List[Scenario]:
+    """The Fig. 6 / Fig. 9 protocol over a topology suite (Table 1's by
+    default).
+
+    Each seed alternates removal and addition changes, mirroring the
+    paper's "addition or removal of a randomly chosen fabric switch...
+    repeated several times for each topology".
+    """
+    return [
+        Scenario(kind="change", topology=spec, algorithm=algorithm,
+                 seed=seed, timing=timing,
+                 change="remove_switch" if seed % 2 == 0 else "add_switch")
+        for spec in topologies or table1_suite()
+        for algorithm in ALGORITHMS
+        for seed in seeds
+    ]
+
+
+def _per_run(results: Iterable[ExperimentResult]) -> Series:
+    """Fig. 6(a)'s series: discovery time against active devices."""
+    return _series((result.algorithm, result.active_devices,
+                    result.discovery_time) for result in results)
 
 
 # -- Table 1 -----------------------------------------------------------------
@@ -56,16 +94,23 @@ def figure_table1() -> Tuple[List[dict], str]:
 # -- Fig. 4 ------------------------------------------------------------------
 
 def figure4(topologies: Optional[Sequence[TopologySpec]] = None,
-            algorithms: Sequence[str] = ALGORITHMS,
             jobs: int = 1) -> Tuple[dict, str]:
-    """Fig. 4: mean PI-4 processing time at the FM vs network size."""
-    if topologies is None:
-        topologies = [
-            table1_topology(n)
-            for n in ("3x3 mesh", "4x4 mesh", "6x6 mesh", "8x8 mesh",
-                      "10x10 torus")
-        ]
-    series = fig4_measurements(topologies, algorithms, jobs=jobs)
+    """Fig. 4: mean PI-4 processing time at the FM vs network size.
+
+    The x axis is the switch count, as in the paper.
+    """
+    topologies = topologies or [
+        table1_topology(n) for n in ("3x3 mesh", "4x4 mesh", "6x6 mesh",
+                                     "8x8 mesh", "10x10 torus")]
+    cells = [(spec, algorithm)
+             for spec in topologies for algorithm in ALGORITHMS]
+    results = run_sweep([
+        Scenario(kind="discover", topology=spec, algorithm=algorithm)
+        for spec, algorithm in cells
+    ], workers=jobs)
+    series = _series(
+        (algorithm, spec.num_switches, stats.mean_fm_time)
+        for (spec, algorithm), stats in zip(cells, results))
     data = {"series": series}
     display = {
         name: [(x, y * 1e6) for x, y in points]
@@ -80,35 +125,23 @@ def figure4(topologies: Optional[Sequence[TopologySpec]] = None,
 
 # -- Fig. 6 ------------------------------------------------------------------
 
-def figure6(results: Optional[List[ExperimentResult]] = None,
-            seeds: Iterable[int] = range(2),
+def figure6(seeds: Iterable[int] = range(2),
             topologies: Optional[Sequence[TopologySpec]] = None,
             jobs: int = 1) -> Tuple[dict, str]:
     """Fig. 6: discovery time per run (a) and per-topology means (b)."""
-    if results is None:
-        results = sweep_change_experiments(topologies=topologies,
-                                           seeds=seeds, jobs=jobs)
-    points_a: Dict[str, List[Tuple[int, float]]] = defaultdict(list)
-    for result in results:
-        points_a[result.algorithm].append(
-            (result.active_devices, result.discovery_time)
-        )
-    for points in points_a.values():
-        points.sort()
-
+    results = run_sweep(_change_grid(topologies, seeds), workers=jobs)
+    points_a = _per_run(results)
     sums: Dict[Tuple[str, str, int], List[float]] = defaultdict(list)
     for result in results:
         sums[(result.algorithm, result.topology,
               result.total_devices)].append(result.discovery_time)
-    points_b: Dict[str, List[Tuple[int, float]]] = defaultdict(list)
-    for (algorithm, _topology, total), times in sorted(sums.items()):
-        points_b[algorithm].append((total, sum(times) / len(times)))
-    for points in points_b.values():
-        points.sort()
+    points_b = _series(
+        (algorithm, total, sum(times) / len(times))
+        for (algorithm, _topology, total), times in sorted(sums.items()))
 
     data = {
-        "per_run": dict(points_a),
-        "per_topology_mean": dict(points_b),
+        "per_run": points_a,
+        "per_topology_mean": points_b,
         "runs": [r.asdict() for r in results],
     }
     text_a = render_series(
@@ -124,12 +157,14 @@ def figure6(results: Optional[List[ExperimentResult]] = None,
 
 # -- Fig. 7 ------------------------------------------------------------------
 
-def figure7(spec: Optional[TopologySpec] = None,
-            timing: Optional[ProcessingTimeModel] = None,
-            sample_every: int = 20) -> Tuple[dict, str]:
+#: Fig. 7(a) plots every this-many-th packet, and the last.
+SAMPLE_EVERY = 20
+
+
+def figure7(spec: Optional[TopologySpec] = None) -> Tuple[dict, str]:
     """Fig. 7: per-packet FM timeline (a) and ideal pipelines (b)."""
     spec = spec or table1_topology("3x3 mesh")
-    timing = timing or ProcessingTimeModel()
+    timing = ProcessingTimeModel()
     timelines: Dict[str, List[Tuple[int, float]]] = {}
     slopes: Dict[str, float] = {}
     for algorithm in ALGORITHMS:
@@ -142,7 +177,7 @@ def figure7(spec: Optional[TopologySpec] = None,
 
     sampled = {
         name: [p for i, p in enumerate(points)
-               if i % sample_every == 0 or i == len(points) - 1]
+               if i % SAMPLE_EVERY == 0 or i == len(points) - 1]
         for name, points in timelines.items()
     }
     text_a = render_series(
@@ -182,19 +217,31 @@ def figure8(spec: Optional[TopologySpec] = None,
             jobs: int = 1) -> Tuple[dict, str]:
     """Fig. 8: discovery time vs FM factor (a) and device factor (b)."""
     spec = spec or table1_topology("8x8 mesh")
-    series_a = sweep_fm_factor(spec, fm_factors, jobs=jobs)
-    series_b = sweep_device_factor(spec, device_factors, jobs=jobs)
+    runs = [(which, algorithm, factor)
+            for which, factors in (("fm_factor", fm_factors),
+                                   ("device_factor", device_factors))
+            for algorithm in ALGORITHMS for factor in factors]
+    results = run_sweep([
+        Scenario(kind="discover", topology=spec, algorithm=algorithm,
+                 timing=ProcessingTimeModel(**{which: factor}))
+        for which, algorithm, factor in runs
+    ], workers=jobs)
+    data = {
+        panel: _series((algorithm, factor, stats.discovery_time)
+                       for (which, algorithm, factor), stats
+                       in zip(runs, results) if which == panel)
+        for panel in ("fm_factor", "device_factor")
+    }
     text_a = render_series(
         f"Fig. 8(a). Discovery time vs FM processing factor "
         f"({spec.name}, device factor = 1)",
-        "fm_factor", "discovery time (s)", _label(series_a),
+        "fm_factor", "discovery time (s)", _label(data["fm_factor"]),
     )
     text_b = render_series(
         f"Fig. 8(b). Discovery time vs device processing factor "
         f"({spec.name}, FM factor = 1)",
-        "device_factor", "discovery time (s)", _label(series_b),
+        "device_factor", "discovery time (s)", _label(data["device_factor"]),
     )
-    data = {"fm_factor": series_a, "device_factor": series_b}
     return data, text_a + "\n\n" + text_b
 
 
@@ -212,31 +259,19 @@ def figure9(topologies: Optional[Sequence[TopologySpec]] = None,
             seeds: Iterable[int] = range(2),
             jobs: int = 1) -> Tuple[dict, str]:
     """Fig. 9: the Fig. 6(a) study at three processing-factor corners."""
-    data = {}
-    texts = []
-    for panel, fm_factor, device_factor in FIG9_PANELS:
-        timing = ProcessingTimeModel(fm_factor=fm_factor,
-                                     device_factor=device_factor)
-        results = sweep_change_experiments(
-            topologies=topologies, seeds=seeds, timing=timing, jobs=jobs,
-        )
-        points: Dict[str, List[Tuple[int, float]]] = defaultdict(list)
-        for result in results:
-            points[result.algorithm].append(
-                (result.active_devices, result.discovery_time)
-            )
-        for series in points.values():
-            series.sort()
-        data[panel] = {
-            "fm_factor": fm_factor,
-            "device_factor": device_factor,
-            "series": dict(points),
-        }
-        texts.append(
-            render_series(
-                f"Fig. 9({panel}). FM factor={fm_factor}; "
-                f"Device factor={device_factor}",
-                "active_nodes", "discovery time (s)", _label(points),
-            )
-        )
+    results = run_sweep([
+        scenario for _panel, fm_factor, device_factor in FIG9_PANELS
+        for scenario in _change_grid(topologies, seeds, ProcessingTimeModel(
+            fm_factor=fm_factor, device_factor=device_factor))
+    ], workers=jobs)
+    size = len(results) // len(FIG9_PANELS)
+    data, texts = {}, []
+    for i, (panel, fm_factor, device_factor) in enumerate(FIG9_PANELS):
+        points = _per_run(results[i * size:(i + 1) * size])
+        data[panel] = {"fm_factor": fm_factor,
+                       "device_factor": device_factor, "series": points}
+        texts.append(render_series(
+            f"Fig. 9({panel}). FM factor={fm_factor}; "
+            f"Device factor={device_factor}",
+            "active_nodes", "discovery time (s)", _label(points)))
     return data, "\n\n".join(texts)

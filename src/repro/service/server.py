@@ -19,8 +19,8 @@ TCP and exchange newline-terminated JSON documents:
 The service runs its own event loop on one thread: a
 :class:`selectors.DefaultSelector`, and a queue of callbacks that other
 threads hand it with :meth:`FabricService.call_soon_threadsafe`.  Each
-connection is one :class:`_Connection` over a :class:`_Transport`, its
-non-blocking socket; its requests are answered strictly in order.  A
+connection is one :class:`_Connection`, which owns its non-blocking
+socket and its buffers; its requests are answered strictly in order.  A
 read (:data:`~repro.service.api.READS`) whose snapshot is of the
 driver's current ``version`` is answered inside the loop's receive
 callback, from bytes encoded once per version.  Anything else — a read miss, a mutation, a registry op —
@@ -56,91 +56,6 @@ HIGH_WATER, LOW_WATER = 64 * 1024, 16 * 1024
 READ, WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
 
-class _Transport:
-    """A connection's non-blocking socket on the service's loop.
-
-    It reads at most :data:`FRAME_LIMIT` bytes at a time and keeps what
-    the kernel does not take at once: above :data:`HIGH_WATER` unsent
-    bytes it pauses its connection's writing, at :data:`LOW_WATER` it
-    resumes it.  An error on the socket means the peer went: the
-    transport closes, and later writes are dropped.
-    """
-
-    def __init__(self, service: FabricService, sock: socket.socket,
-                 protocol: _Connection):
-        self.service, self.sock, self.protocol = service, sock, protocol
-        self.buffer = bytearray()
-        self.reading, self.closing, self._events = True, False, 0
-        self._watch()
-
-    def _watch(self) -> None:
-        """Ask the selector for the events the socket waits on now."""
-        events = (READ * (self.reading and not self.closing)
-                  | WRITE * bool(self.buffer))
-        if events != self._events:
-            if self._events:
-                self.service.selector.unregister(self.sock)
-            if events:
-                self.service.selector.register(self.sock, events, self._ready)
-            self._events = events
-
-    def read(self, on: bool) -> None:
-        """Resume (``True``) or pause reading."""
-        self.reading = on
-        self._watch()
-
-    def write(self, data: bytes) -> None:
-        if self.sock.fileno() >= 0:
-            self.buffer += data
-            self._flush()
-
-    def close(self) -> None:
-        """Stop reading; close once every buffered byte is sent."""
-        self.closing = True
-        self._flush()
-
-    def abort(self) -> None:
-        """Close now, dropping unsent bytes, and tell the connection."""
-        if self.sock.fileno() >= 0:
-            self.closing = True
-            self.buffer.clear()
-            self._watch()
-            self.sock.close()
-            self.protocol.connection_lost(None)
-
-    def _ready(self, events: int) -> None:
-        """Selector callback: the socket can be written or read."""
-        if events & WRITE:
-            self._flush()
-        if not (events & READ and self.reading and not self.closing):
-            return
-        try:
-            data = self.sock.recv(FRAME_LIMIT)
-        except BlockingIOError:
-            return
-        except OSError:
-            return self.abort()
-        if not data:
-            self.read(False)
-        self.protocol.data_received(data)
-
-    def _flush(self) -> None:
-        try:
-            del self.buffer[:self.sock.send(self.buffer)]
-        except BlockingIOError:
-            pass
-        except OSError:
-            return self.abort()
-        if self.closing and not self.buffer:
-            return self.abort()
-        self._watch()
-        paused = self.protocol.paused
-        if not paused and len(self.buffer) > HIGH_WATER:
-            self.protocol.pause_writing()
-        elif paused and len(self.buffer) <= LOW_WATER:
-            self.protocol.resume_writing()
-
-
 class FeedHub:
     """Fan-out point between the sim thread and subscribed clients.
 
@@ -148,8 +63,8 @@ class FeedHub:
     sequence number and — if anybody is subscribed — hops onto the
     service's loop, which writes the event to every subscribed
     connection.  A subscriber that does not read loses events (counted
-    in ``dropped``) rather than stalling the feed: while its transport
-    has paused writing, events for it are dropped.
+    in ``dropped``) rather than stalling the feed: while its connection
+    has paused, events for it are dropped.
     """
 
     def __init__(self):
@@ -186,7 +101,7 @@ class FeedHub:
             if connection.paused:
                 self.dropped += 1
             else:
-                connection.transport.write(line)
+                connection.write(line)
 
 
 def _dumps(value) -> bytes:
@@ -268,7 +183,7 @@ class FabricService:
         self._registry.shutdown(wait=False)
         self.hub.bind(None)
         for connection in list(self._connections):
-            connection.transport.abort()
+            connection.abort()
         for closable in (self._listener, self._wake, self._waker,
                          self.selector):
             closable.close()
@@ -294,11 +209,10 @@ class FabricService:
         except Exception:
             self.failures += 1
             sys.excepthook(*sys.exc_info())  # the traceback, on stderr
-            # A transport's callback, or a connection's: abort it.
+            # A connection's callback: close that connection.
             owner = getattr(callback, "__self__", None)
-            transport = getattr(owner, "transport", owner)
-            if isinstance(transport, _Transport):
-                transport.abort()
+            if isinstance(owner, _Connection):
+                owner.abort()
 
     def _accept(self, _events) -> None:
         sock, _ = self._listener.accept()
@@ -324,76 +238,135 @@ class FabricService:
 
 
 class _Connection:
-    """One client: splits request lines, answers them in order.
+    """One client on the service's loop: its non-blocking socket, the
+    request lines it has not answered and the bytes its peer has not
+    taken.
 
-    A request that cannot be answered inside the receive callback
-    (read miss, mutation, registry op) makes the connection *busy*:
-    later lines stay buffered until its answer is written, from the
-    future's done callback.  While the transport has paused writing
-    (the peer does not read) the connection answers nothing more and
-    stops reading, so neither buffer grows without bound.
+    It reads at most :data:`FRAME_LIMIT` bytes at a time, splits request
+    lines and answers them in order.  A request that cannot be answered
+    inside the receive callback (read miss, mutation, registry op) makes
+    the connection *busy*: later lines stay buffered until its answer is
+    written, from the future's done callback.  What the kernel does not
+    take at once it keeps: above :data:`HIGH_WATER` unsent bytes the
+    connection *pauses* — answers nothing more and stops reading, so
+    neither buffer grows without bound — and at :data:`LOW_WATER` it
+    resumes.  An error on the socket means the peer went: the
+    connection closes, and later writes are dropped.
     """
 
     def __init__(self, service: FabricService, sock: socket.socket):
-        self.service = service
-        #: Set while the transport has paused writing; read by the hub.
+        self.service, self.sock = service, sock
+        #: Set above HIGH_WATER unsent bytes; read by the hub.
         self.paused = False
-        self._buffer = bytearray()
+        #: Request bytes not yet answered; answer bytes not yet sent.
+        self._in, self._out = bytearray(), bytearray()
+        self._reading, self.closing, self._events = True, False, 0
         #: ``_oversized``: discarding a line longer than FRAME_LIMIT up
         #: to its newline; ``_busy``: a request awaits its future.
         self._oversized = self._busy = self._eof = False
-        self.transport = _Transport(service, sock, self)
         service.connections_accepted += 1
         service._connections.add(self)
         setup = service.driver.setup
-        self.transport.write(_encode({"event": "hello", "schema": api.SCHEMA,
-                                      "topology": setup.spec.name,
-                                      "algorithm": setup.fm.algorithm_key}))
+        self.write(_encode({"event": "hello", "schema": api.SCHEMA,
+                            "topology": setup.spec.name,
+                            "algorithm": setup.fm.algorithm_key}))
 
-    # -- transport callbacks -------------------------------------------------
-    def connection_lost(self, exc: Optional[Exception]) -> None:
+    # -- the socket ----------------------------------------------------------
+    def _watch(self) -> None:
+        """Ask the selector for the events the socket waits on now."""
+        events = (READ * (self._reading and not self.closing)
+                  | WRITE * bool(self._out))
+        if events != self._events:
+            if self._events:
+                self.service.selector.unregister(self.sock)
+            if events:
+                self.service.selector.register(self.sock, events, self._ready)
+            self._events = events
+
+    def _read(self, on: bool) -> None:
+        """Resume (``True``) or pause reading."""
+        self._reading = on
+        self._watch()
+
+    def write(self, data: bytes) -> None:
+        if self.sock.fileno() >= 0:
+            self._out += data
+            self._flush()
+
+    def close(self) -> None:
+        """Stop reading; close once every buffered byte is sent."""
         self.service.hub.subscribers.discard(self)
-        self.service._connections.discard(self)
+        self.closing = True
+        self._flush()
 
-    def data_received(self, data: bytes) -> None:
+    def abort(self) -> None:
+        """Close now, dropping unsent bytes."""
+        if self.sock.fileno() >= 0:
+            self.closing = True
+            self._out.clear()
+            self._watch()
+            self.sock.close()
+            self.service.hub.subscribers.discard(self)
+            self.service._connections.discard(self)
+
+    def _ready(self, events: int) -> None:
+        """Selector callback: the socket can be written or read."""
+        if events & WRITE:
+            self._flush()
+        if not (events & READ and self._reading and not self.closing):
+            return
+        try:
+            data = self.sock.recv(FRAME_LIMIT)
+        except BlockingIOError:
+            return
+        except OSError:
+            return self.abort()
+        if not data:
+            self._read(False)
+        self._received(data)
+
+    def _flush(self) -> None:
+        try:
+            del self._out[:self.sock.send(self._out)]
+        except BlockingIOError:
+            pass
+        except OSError:
+            return self.abort()
+        if self.closing and not self._out:
+            return self.abort()
+        self._watch()
+        if not self.paused and len(self._out) > HIGH_WATER:
+            self.paused = True
+            self._read(False)
+        elif self.paused and len(self._out) <= LOW_WATER:
+            self.paused = False
+            self._serve()
+
+    def _received(self, data: bytes) -> None:
         """Bytes from the peer; ``b""`` at end of stream, where an
         unterminated last line is a request too and the requests before
         it are still answered (half-open)."""
         if not data:
             data, self._eof = b"\n", True
-        self._buffer += data
+        self._in += data
         self._serve()
-        if len(self._buffer) > FRAME_LIMIT:
+        if len(self._in) > FRAME_LIMIT:
             # Busy or paused with a backlog: let TCP hold the rest.
-            self.transport.read(False)
-
-    def pause_writing(self) -> None:
-        self.paused = True
-        self.transport.read(False)
-
-    def resume_writing(self) -> None:
-        self.paused = False
-        self._serve()
-
-    def close(self) -> None:
-        self.service.hub.subscribers.discard(self)
-        self.transport.close()
+            self._read(False)
 
     # -- requests ------------------------------------------------------------
     def _serve(self) -> None:
         """Answer buffered lines in order until one has to wait, the
         buffer holds no complete line, or the peer stops reading."""
-        buffer = self._buffer
-        while not (self._busy or self.paused
-                   or self.transport.closing):
+        buffer = self._in
+        while not (self._busy or self.paused or self.closing):
             end = buffer.find(b"\n") + 1
             if not end:
                 if len(buffer) > FRAME_LIMIT:
                     buffer.clear()
                     self._oversized = True
                 # At end of stream every line has been answered.
-                return (self.close() if self._eof
-                        else self.transport.read(True))
+                return self.close() if self._eof else self._read(True)
             line = buffer[:end]
             del buffer[:end]
             if self._oversized or end > FRAME_LIMIT + 1:
@@ -484,8 +457,8 @@ class _Connection:
                 b'{"id":' + (b"%d" % request_id if type(request_id) is int
                              else _dumps(request_id))
                 + b',"ok":true,"result":' + result + b"}\n")
-        # A peer gone meanwhile: the transport drops the bytes.
-        self.transport.write(response)
+        # A peer gone meanwhile: ``write`` drops the bytes.
+        self.write(response)
         if op == "shutdown":
             self.close()
             service.request_shutdown()

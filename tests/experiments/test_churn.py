@@ -11,7 +11,8 @@ from repro.cli import main
 from repro.experiments.churn import FAMILY
 from repro.experiments.family import summarize
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import sweep_family
+from repro.experiments.executor import run_sweep
+from repro.experiments.sweep import plan
 from repro.manager import PARALLEL
 from repro.topology import make_mesh
 
@@ -89,17 +90,16 @@ class TestAcceptance:
 class TestSweep:
     def test_workers_do_not_change_results(self):
         spec = make_mesh(3, 3)
-        serial = sweep_family(FAMILY, spec, algorithms=(PARALLEL,),
-                              seeds=(0, 1), workers=1, progress=False)
-        forked = sweep_family(FAMILY, spec, algorithms=(PARALLEL,),
-                              seeds=(0, 1), workers=2, progress=False)
+        sweep = plan(FAMILY, spec, algorithms=(PARALLEL,), seeds=(0, 1))
+        serial = run_sweep(sweep, workers=1, progress=False)
+        forked = run_sweep(sweep, workers=2, progress=False)
         assert serial == forked
         assert [r.seed for r in serial] == [0, 1]
 
     def test_summary_aggregates_by_manager_and_algorithm(self):
         spec = make_mesh(3, 3)
-        results = sweep_family(FAMILY, spec, algorithms=(PARALLEL,),
-                               seeds=(0, 1), progress=False)
+        results = run_sweep(plan(FAMILY, spec, algorithms=(PARALLEL,),
+                                 seeds=(0, 1)), progress=False)
         rows = summarize(FAMILY, results)
         assert len(rows) == 1
         row = rows[0]

@@ -5,7 +5,7 @@ import pytest
 import repro.experiments.executor as executor_module
 from repro.experiments.executor import SweepError, run_many, run_sweep
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import sweep_change_experiments, sweep_fm_factor
+from repro.experiments.figures import figure6, figure8
 from repro.manager.timing import ProcessingTimeModel
 from repro.topology import make_mesh, make_torus
 
@@ -64,21 +64,16 @@ class TestDeterminism:
 
     def test_sweep_jobs_parameter_is_transparent(self):
         topologies = [make_mesh(2, 2)]
-        serial = sweep_change_experiments(
-            topologies=topologies, algorithms=("parallel",), seeds=range(2),
-        )
-        parallel = sweep_change_experiments(
-            topologies=topologies, algorithms=("parallel",), seeds=range(2),
-            jobs=2,
-        )
-        assert [r.asdict() for r in serial] == [r.asdict() for r in parallel]
+        serial = figure6(topologies=topologies, seeds=range(2))
+        parallel = figure6(topologies=topologies, seeds=range(2), jobs=2)
+        assert serial == parallel
 
     def test_factor_sweep_jobs_parameter_is_transparent(self):
         spec = make_mesh(2, 2)
-        serial = sweep_fm_factor(spec, factors=(0.5, 2.0),
-                                 algorithms=("parallel",))
-        parallel = sweep_fm_factor(spec, factors=(0.5, 2.0),
-                                   algorithms=("parallel",), jobs=2)
+        serial = figure8(spec, fm_factors=(0.5, 2.0),
+                         device_factors=(0.2, 1.0))
+        parallel = figure8(spec, fm_factors=(0.5, 2.0),
+                           device_factors=(0.2, 1.0), jobs=2)
         assert serial == parallel
 
 

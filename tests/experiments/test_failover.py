@@ -15,7 +15,8 @@ from repro.experiments.failover import FAMILY, build_failover_pair
 from repro.experiments.family import render, summarize
 from repro.experiments.runner import database_matches_fabric, run_until_ready
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import sweep_family
+from repro.experiments.executor import run_sweep
+from repro.experiments.sweep import plan
 from repro.manager.consistency import audit_topology
 from repro.manager.failover import SYNC_EVERY
 from repro.topology.registry import resolve_topology
@@ -149,7 +150,8 @@ class TestFencing:
 class TestSweep:
     def test_sweep_summarize_render(self):
         spec = resolve_topology("mesh9")
-        results = sweep_family(FAMILY, spec, seeds=(0, 1, 2, 3), faults=1)
+        results = run_sweep(plan(FAMILY, spec, seeds=(0, 1, 2, 3),
+                                 faults=1))
         assert len(results) == 4
         rows = summarize(FAMILY, results)
         assert [row["manager"] for row in rows] == ["partial"]

@@ -12,7 +12,8 @@ from repro.experiments.churn import ChurnResult
 from repro.experiments.family import mean_of
 from repro.experiments.fuzz import classify_result
 from repro.experiments.scenario import FAMILIES, KINDS, Scenario
-from repro.experiments.sweep import plan, representative, sweep_family
+from repro.experiments.executor import run_sweep
+from repro.experiments.sweep import plan, representative
 from repro.topology import make_mesh
 
 from .test_churn import GOLDEN_SEED0
@@ -30,8 +31,8 @@ def test_every_scenario_kind_has_a_family():
 @EVERY_FAMILY
 def test_default_sweep_is_independent_of_workers(family):
     spec = make_mesh(2, 2)
-    serial = sweep_family(family, spec, workers=1, progress=False)
-    forked = sweep_family(family, spec, workers=2, progress=False)
+    serial = run_sweep(plan(family, spec), workers=1, progress=False)
+    forked = run_sweep(plan(family, spec), workers=2, progress=False)
     assert [r.asdict() for r in serial] == [r.asdict() for r in forked]
     assert len(serial) == len(plan(family, spec))
 

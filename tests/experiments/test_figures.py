@@ -1,5 +1,7 @@
 """Tests for the experiment sweeps and figure builders (small scale)."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments.figures import (
@@ -12,11 +14,6 @@ from repro.experiments.figures import (
 )
 from repro.experiments.io import spec_to_dict
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import (
-    sweep_change_experiments,
-    sweep_device_factor,
-    sweep_fm_factor,
-)
 from repro.manager import ALGORITHMS, PARALLEL, SERIAL_PACKET
 from repro.topology import make_mesh, table1_topology
 
@@ -55,27 +52,29 @@ class TestRunner:
 
 class TestSweeps:
     def test_change_sweep_shape(self):
-        results = sweep_change_experiments(
-            topologies=SMALL, algorithms=(PARALLEL,), seeds=range(2)
-        )
-        assert len(results) == len(SMALL) * 2
-        assert all(r.database_correct for r in results)
+        runs = figure6(topologies=SMALL, seeds=range(2))[0]["runs"]
+        assert len(runs) == len(SMALL) * len(ALGORITHMS) * 2
+        # Spec-major, then algorithm, then seed; seeds alternate changes.
+        assert [(r["topology"], r["algorithm"], r["seed"], r["change"])
+                for r in runs[:2]] == [
+            ("2x2 mesh", SERIAL_PACKET, 0, "remove_switch"),
+            ("2x2 mesh", SERIAL_PACKET, 1, "add_switch")]
+        assert all(r["database_correct"] for r in runs)
 
     def test_fm_factor_sweep_monotone(self):
-        series = sweep_fm_factor(
-            make_mesh(2, 2), factors=(0.5, 1.0, 2.0),
-            algorithms=(SERIAL_PACKET,),
-        )
-        times = [t for _f, t in series[SERIAL_PACKET]]
+        data, _ = figure8(make_mesh(2, 2), fm_factors=(0.5, 1.0, 2.0),
+                          device_factors=(1.0,))
+        times = [t for _f, t in data["fm_factor"][SERIAL_PACKET]]
         assert times[0] > times[1] > times[2]
 
     def test_device_factor_sweep_monotone_for_serial(self):
-        series = sweep_device_factor(
-            make_mesh(2, 2), factors=(0.2, 1.0),
-            algorithms=(SERIAL_PACKET,),
-        )
-        times = dict(series[SERIAL_PACKET])
+        data, _ = figure8(make_mesh(2, 2), fm_factors=(1.0,),
+                          device_factors=(0.2, 1.0))
+        times = dict(data["device_factor"][SERIAL_PACKET])
         assert times[0.2] > times[1.0]
+        # Each panel holds the other factor at 1: the two meet there.
+        assert data["fm_factor"][SERIAL_PACKET] == [
+            (1.0, times[1.0])]
 
     def test_measure_attaches_mean_fm_time(self):
         stats = Scenario(kind="discover", topology=make_mesh(2, 2),
@@ -167,3 +166,25 @@ class TestFigureBuilders:
         assert data["c"]["fm_factor"] == 4.0
         assert "Fig. 9(c)" in text
 
+
+#: The suite the pins below run on: small enough for tier-1, large
+#: enough that every algorithm, seed parity and panel shows.
+PINNED = [make_mesh(2, 2), make_mesh(2, 3), make_mesh(3, 3)]
+
+
+class TestPins:
+    """sha256 of ``repr((data, text))``: key order, tuple-vs-list and
+    every float digit of the builders' output, pinned byte for byte."""
+
+    @pytest.mark.parametrize("build, digest", [
+        (lambda: figure4(topologies=PINNED),
+         "62f5d60a98a19bcce0b6fa429dfd6a1613883623b3607fc5a057926d8891206d"),
+        (lambda: figure6(topologies=PINNED),
+         "26ac59140afc60b16e2a9c3702b097cfb563121dc03f03a4cebc6a21e8947e43"),
+        (lambda: figure8(spec=make_mesh(3, 3)),
+         "67bf29d965116d11ad638121eed46c8e8819920b6b85ac563c29c9275af6b500"),
+        (lambda: figure9(topologies=PINNED),
+         "f553ad30aec28ddee91e1f3290a2ae2d3ac17b7299f3ae1cfd83a33de8ff9e1a"),
+    ], ids=["figure4", "figure6", "figure8", "figure9"])
+    def test_output_is_pinned(self, build, digest):
+        assert hashlib.sha256(repr(build()).encode()).hexdigest() == digest

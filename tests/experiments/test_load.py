@@ -12,7 +12,8 @@ from repro.experiments.load import (
     mapping_label,
 )
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import sweep_family
+from repro.experiments.executor import run_sweep
+from repro.experiments.sweep import plan
 from repro.fabric.params import DEFAULT_PARAMS
 from repro.manager import PARALLEL, SERIAL_PACKET
 from repro.topology import make_mesh
@@ -75,10 +76,10 @@ class TestRunLoadExperiment:
 
 class TestSweepLoad:
     def test_sweep_shape_and_order(self):
-        results = sweep_family(
+        results = run_sweep(plan(
             FAMILY, make_mesh(3, 3), loads=(0.0, 0.6),
-            mappings=("bvc", "mixed"), workers=2,
-        )
+            mappings=("bvc", "mixed"),
+        ), workers=2)
         assert len(results) == 4
         # Submission order: mapping-major, then load.
         assert [(r.mapping, r.offered_load) for r in results] == [
@@ -89,15 +90,16 @@ class TestSweepLoad:
         assert len({r.changed_device for r in results}) == 1
 
     def test_parallel_matches_serial(self):
-        kwargs = dict(loads=(0.0, 0.5), mappings=("bvc",))
-        serial = sweep_family(FAMILY, make_mesh(2, 2), workers=1, **kwargs)
-        parallel = sweep_family(FAMILY, make_mesh(2, 2), workers=2, **kwargs)
+        sweep = plan(FAMILY, make_mesh(2, 2), loads=(0.0, 0.5),
+                     mappings=("bvc",))
+        serial = run_sweep(sweep, workers=1)
+        parallel = run_sweep(sweep, workers=2)
         assert [r.asdict() for r in serial] == \
             [r.asdict() for r in parallel]
 
     def test_unknown_mapping_rejected(self):
         with pytest.raises(ValueError, match="unknown TC mapping"):
-            sweep_family(FAMILY, make_mesh(2, 2), mappings=("warp",))
+            run_sweep(plan(FAMILY, make_mesh(2, 2), mappings=("warp",)))
 
 
 class TestSummarizeLoad:

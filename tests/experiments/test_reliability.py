@@ -11,7 +11,8 @@ from repro.experiments.reliability import (
     ReliabilityResult,
 )
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import sweep_family
+from repro.experiments.executor import run_sweep
+from repro.experiments.sweep import plan
 from repro.fabric.params import DEFAULT_PARAMS
 from repro.topology.table1 import table1_topology
 
@@ -94,9 +95,9 @@ class TestSingleRun:
 class TestSweep:
     @pytest.fixture(scope="class")
     def results(self):
-        return sweep_family(
+        return run_sweep(plan(
             FAMILY, MESH, bit_error_rates=RATES, algorithms=("parallel",),
-        )
+        ))
 
     def test_one_result_per_rate_in_submission_order(self, results):
         assert [r.bit_error_rate for r in results] == list(RATES)
@@ -110,10 +111,9 @@ class TestSweep:
         assert times[-1] > times[0]
 
     def test_parallel_workers_match_serial(self, results):
-        fanned = sweep_family(
+        fanned = run_sweep(plan(
             FAMILY, MESH, bit_error_rates=RATES, algorithms=("parallel",),
-            workers=2, progress=False,
-        )
+        ), workers=2, progress=False)
         assert fanned == results
 
 

@@ -27,7 +27,7 @@ import pytest
 from repro.service import start_service
 from repro.service.driver import BATCH, DriverStopped, SimulationDriver
 from repro.service.harness import SWITCH_INTERVAL
-from repro.service.server import FRAME_LIMIT, READ, FeedHub, _Transport
+from repro.service.server import FRAME_LIMIT, READ, FeedHub, _Connection
 
 from .test_memo import WAIT, _until, quiesce, settle
 
@@ -206,9 +206,6 @@ class RecordingLoop:
     def __init__(self):
         self.scheduled = []
 
-    def is_closed(self):
-        return False
-
     def call_soon_threadsafe(self, callback, *args):
         self.scheduled.append((callback, args))
 
@@ -220,7 +217,7 @@ class RecordingSubscriber:
 
     def __init__(self):
         self.written = []
-        self.transport = SimpleNamespace(write=self.written.append)
+        self.write = self.written.append
 
 
 class TestFeedWithoutSubscribers:
@@ -271,8 +268,7 @@ class TestFanOut:
         hub = FeedHub()
         staying = [RecordingSubscriber() for _ in range(3)]
         leaving = RecordingSubscriber()
-        leaving.transport = SimpleNamespace(
-            write=lambda line: hub.subscribers.discard(leaving))
+        leaving.write = lambda line: hub.subscribers.discard(leaving)
         hub.subscribers.update([*staying, leaving])
         hub._fan_out({"event": "pi5"})
         assert all(s.written == [b'{"event":"pi5"}\n'] for s in staying)
@@ -284,7 +280,7 @@ class TestReceiveBuffer:
     bytes first.  Above the allocator's 128 KiB mmap threshold that is
     an mmap, its page faults and an munmap under the GIL every time (as
     asyncio's selector transport did with its 256 KiB default); the
-    transport bounds the read by the frame limit it enforces anyway."""
+    connection bounds the read by the frame limit it enforces anyway."""
 
     #: glibc's default M_MMAP_THRESHOLD.
     MMAP_THRESHOLD = 128 * 1024
@@ -298,13 +294,17 @@ class TestReceiveBuffer:
                 return super().recv(size)
 
         ours, peer = socket.socketpair()
-        service = SimpleNamespace(selector=selectors.DefaultSelector())
+        setup = SimpleNamespace(spec=SimpleNamespace(name="stub"),
+                                fm=SimpleNamespace(algorithm_key="stub"))
+        service = SimpleNamespace(
+            selector=selectors.DefaultSelector(), connections_accepted=0,
+            _connections=set(), driver=SimpleNamespace(setup=setup))
         with service.selector, peer, Recording(fileno=ours.detach()) as sock:
             received = []
-            transport = _Transport(service, sock, SimpleNamespace(
-                data_received=received.append))
+            connection = _Connection(service, sock)
+            connection._received = received.append
             peer.sendall(b'{"op":"ping"}\n')
-            transport._ready(READ)
+            connection._ready(READ)
             assert received == [b'{"op":"ping"}\n']
         assert asked == [FRAME_LIMIT]
         assert FRAME_LIMIT < self.MMAP_THRESHOLD

@@ -134,9 +134,9 @@ def _write_buffers(handle):
     """Bytes each open server-side connection holds for its peer, read
     on the loop's thread."""
     return _on_loop(handle, lambda: [
-        len(connection.transport.buffer)
+        len(connection._out)
         for connection in handle.service._connections
-        if not connection.transport.closing])
+        if not connection.closing])
 
 
 def _shrink_send_buffer(handle, sock, size=4096):
@@ -149,14 +149,14 @@ def _shrink_send_buffer(handle, sock, size=4096):
 
     def shrink():
         for connection in handle.service._connections:
-            server_side = connection.transport.sock
+            server_side = connection.sock
             if server_side.getpeername() == peer:
                 server_side.setsockopt(
                     socket.SOL_SOCKET, socket.SO_SNDBUF, size)
                 return True
         return False
 
-    assert _on_loop(handle, shrink), "no server-side transport for that socket"
+    assert _on_loop(handle, shrink), "no server-side connection for that socket"
 
 
 def _until_still(read, seconds=0.3, timeout=60.0):
@@ -173,7 +173,7 @@ def _until_still(read, seconds=0.3, timeout=60.0):
 
 
 #: What a connection may hold for a peer that does not read: the
-#: transport's high-water mark (64 KiB) plus the write that crossed it.
+#: connection's high-water mark (64 KiB) plus the write that crossed it.
 WRITE_BOUND = 2 * 64 * 1024
 
 
@@ -311,7 +311,7 @@ class TestFrontEndEdges:
         count = 2000
         with start_service("mesh9") as handle:
             sock, wire = _raw(handle, rcvbuf=4096)
-            # Without it the kernel, not the transport's bound, would
+            # Without it the kernel, not the connection's bound, would
             # decide whether all the answers fit.
             _shrink_send_buffer(handle, sock)
             with sock:

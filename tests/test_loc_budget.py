@@ -151,8 +151,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: the takeover mode stopped being a setting: the standby installs its
 #: mirror and rediscovers only when the mirror is unusable, so the
 #: mode's tuple, checks, field, flag, column, fuzz draw and the CLI's
-#: one-word-for-every-value axis spelling went (−38).
-TOTAL_CEILING = 10_325
+#: one-word-for-every-value axis spelling went (−38); 10,213 once the
+#: figure builders built their own ``Scenario`` grids — the per-figure
+#: sweeps ``sweep.py`` kept beside ``plan``, their options no user
+#: path set and ``sweep_family``, which only tests called, went, and
+#: Fig. 6 and Fig. 9 share one per-run aggregation (−93) — and a
+#: service connection became one object owning its socket, buffers
+#: and watermarks instead of a protocol over a transport (−19).
+TOTAL_CEILING = 10_213
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; 442 while ``Environment.now`` was a property;
 #: 439 while ``Counter`` built closures and ``Tally`` lived here; 379
@@ -185,8 +191,9 @@ SIM_CEILING = 323
 #: backoff, and the runner diffed the graphs itself; 2,760 while the
 #: failover pair gave the standby its own request timeout; 2,757 before
 #: a failover run recorded a churn partition itself; 2,755 while a
-#: failover scenario chose its takeover mode).
-EXPERIMENTS_AND_CLI_CEILING = 2_729
+#: failover scenario chose its takeover mode; 2,729 while ``sweep.py``
+#: kept a grid builder per figure and ``sweep_family``).
+EXPERIMENTS_AND_CLI_CEILING = 2_636
 
 #: Code lines in ``repro/routing/graph.py``: the whole graph library
 #: of this code base, and meant to stay one screen of code.

@@ -28,7 +28,11 @@ SRC = REPO / "src"
 #: ``ElectionAgent`` / ``ElectionResult`` / ``Candidacy`` (deleted since:
 #: the primary and the standby are placed by rule, not elected), less
 #: collaborative discovery's coordinator, claiming exploration and
-#: stats classes (deleted since: no user path ran two fabric managers).
+#: stats classes (deleted since: no user path ran two fabric managers),
+#: less the per-figure sweeps ``sweep_change_experiments`` /
+#: ``sweep_fm_factor`` / ``sweep_device_factor`` / ``fig4_measurements``
+#: and ``sweep_family`` (deleted since: the figure builders build their
+#: own grids, and a family sweep is ``run_sweep(plan(...))``).
 SURFACE_AT_PARENT = {
     "repro": [
         "ALGORITHMS", "DiscoveryStats",
@@ -51,7 +55,7 @@ SURFACE_AT_PARENT = {
         "SimulationSetup", "SweepError", "SweepReport", "TC_MAPPINGS",
         "build_failover_pair", "build_simulation",
         "database_matches_fabric", "evaluate_scenario",
-        "fig4_measurements", "plan",
+        "plan",
         "render", "render_kv", "render_phase_breakdown",
         "render_series", "render_table", "replay_corpus",
         "run_churn_experiment", "run_failover_experiment", "run_fuzz",
@@ -59,9 +63,7 @@ SURFACE_AT_PARENT = {
         "run_scenario", "run_sweep", "run_until_discovery_count",
         "run_until_quiescent", "run_until_ready", "sample_scenario",
         "shrink_candidates",
-        "shrink_scenario", "summarize", "sweep_change_experiments",
-        "sweep_device_factor", "sweep_family", "sweep_fm_factor",
-        "write_corpus",
+        "shrink_scenario", "summarize", "write_corpus",
     ],
     "repro.manager": [
         "ALGORITHMS", "ALGORITHM_CLASSES",
