@@ -53,19 +53,22 @@ def _series(cells: Iterable[Tuple[str, float, float]]) -> Series:
 
 def _change_grid(topologies: Optional[Sequence[TopologySpec]],
                  seeds: Iterable[int],
-                 timing: Optional[ProcessingTimeModel] = None,
+                 timings: Sequence[Optional[ProcessingTimeModel]] = (None,),
                  ) -> List[Scenario]:
     """The Fig. 6 / Fig. 9 protocol over a topology suite (Table 1's by
-    default).
+    default), once per timing model (the default one by default).
 
     Each seed alternates removal and addition changes, mirroring the
     paper's "addition or removal of a randomly chosen fabric switch...
-    repeated several times for each topology".
+    repeated several times for each topology".  ``seeds`` is read
+    once, so any iterable serves every cell.
     """
+    seeds = tuple(seeds)
     return [
         Scenario(kind="change", topology=spec, algorithm=algorithm,
                  seed=seed, timing=timing,
                  change="remove_switch" if seed % 2 == 0 else "add_switch")
+        for timing in timings
         for spec in topologies or table1_suite()
         for algorithm in ALGORITHMS
         for seed in seeds
@@ -259,11 +262,9 @@ def figure9(topologies: Optional[Sequence[TopologySpec]] = None,
             seeds: Iterable[int] = range(2),
             jobs: int = 1) -> Tuple[dict, str]:
     """Fig. 9: the Fig. 6(a) study at three processing-factor corners."""
-    results = run_sweep([
-        scenario for _panel, fm_factor, device_factor in FIG9_PANELS
-        for scenario in _change_grid(topologies, seeds, ProcessingTimeModel(
-            fm_factor=fm_factor, device_factor=device_factor))
-    ], workers=jobs)
+    results = run_sweep(_change_grid(topologies, seeds, [
+        ProcessingTimeModel(fm_factor=fm_factor, device_factor=device_factor)
+        for _panel, fm_factor, device_factor in FIG9_PANELS]), workers=jobs)
     size = len(results) // len(FIG9_PANELS)
     data, texts = {}, []
     for i, (panel, fm_factor, device_factor) in enumerate(FIG9_PANELS):

@@ -11,7 +11,6 @@ from .. import _surface
 
 __getattr__, __dir__, __all__ = _surface(globals(), {
     "ALGORITHMS": "timing",
-    "ALGORITHM_CLASSES": "discovery",
     "ConsistencyReport": "consistency",
     "DatabaseError": "database",
     "DeviceRecord": "database",
@@ -20,13 +19,10 @@ __getattr__, __dir__, __all__ = _surface(globals(), {
     "FabricManager": "fm",
     "FailoverReport": "failover",
     "PARALLEL": "timing",
-    "ParallelDiscovery": "discovery.parallel",
     "PortRecord": "database",
     "ProcessingTimeModel": "timing",
     "SERIAL_DEVICE": "timing",
     "SERIAL_PACKET": "timing",
-    "SerialDeviceDiscovery": "discovery.serial_device",
-    "SerialPacketDiscovery": "discovery.serial_packet",
     "StandbyManager": "failover",
     "TopologyAuditor": "consistency",
     "TopologyDatabase": "database",

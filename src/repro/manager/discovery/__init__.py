@@ -1,40 +1,23 @@
-"""The three discovery implementations compared by the paper."""
+"""The three discovery implementations compared by the paper: one
+exploration, paced by one row of :data:`~.base.PACING` each."""
 
-from typing import Dict, Type
-
-from ..timing import PARALLEL, SERIAL_DEVICE, SERIAL_PACKET
+from ..timing import ALGORITHMS
 from .base import DiscoveryAlgorithm, DiscoveryStats, Target
-from .parallel import ParallelDiscovery
-from .serial_device import SerialDeviceDiscovery
-from .serial_packet import SerialPacketDiscovery
-
-#: Registry of algorithm key -> implementation class.
-ALGORITHM_CLASSES: Dict[str, Type[DiscoveryAlgorithm]] = {
-    SERIAL_PACKET: SerialPacketDiscovery,
-    SERIAL_DEVICE: SerialDeviceDiscovery,
-    PARALLEL: ParallelDiscovery,
-}
 
 
 def make_algorithm(key: str, fm) -> DiscoveryAlgorithm:
     """Instantiate the discovery algorithm named ``key`` for ``fm``."""
-    try:
-        cls = ALGORITHM_CLASSES[key]
-    except KeyError:
+    if key not in ALGORITHMS:
         raise ValueError(
             f"unknown discovery algorithm {key!r}; "
-            f"choose from {sorted(ALGORITHM_CLASSES)}"
-        ) from None
-    return cls(fm)
+            f"choose from {sorted(ALGORITHMS)}"
+        )
+    return DiscoveryAlgorithm(fm, key)
 
 
 __all__ = [
-    "ALGORITHM_CLASSES",
     "DiscoveryAlgorithm",
     "DiscoveryStats",
-    "ParallelDiscovery",
-    "SerialDeviceDiscovery",
-    "SerialPacketDiscovery",
     "Target",
     "make_algorithm",
 ]

@@ -1,6 +1,6 @@
-"""Shared machinery of the three discovery implementations.
+"""Discovery: one exploration, paced by one row of limits per algorithm.
 
-All three algorithms (paper, section 3) perform the same *work*:
+The paper's three algorithms (section 3) perform the same *work*:
 
 1. discover the endpoint hosting the FM (a local configuration-space
    read);
@@ -12,26 +12,28 @@ All three algorithms (paper, section 3) perform the same *work*:
    create an exploration target for each active port;
 4. finish when no work is outstanding.
 
-They differ only in *scheduling* — how many requests may be in flight:
+They differ only in how many requests may be in flight, which is one
+row of :data:`PACING` each:
 
-* :class:`~repro.manager.discovery.serial_packet.SerialPacketDiscovery`
-  — one packet in the fabric at any time (the ASI-SIG proposal);
-* :class:`~repro.manager.discovery.serial_device.SerialDeviceDiscovery`
-  — devices serial, port reads of the current device in parallel;
-* :class:`~repro.manager.discovery.parallel.ParallelDiscovery` —
-  propagation-order exploration, unconstrained.
+* Serial Packet — one packet in the fabric at any time (the ASI-SIG
+  proposal, Fig. 2);
+* Serial Device — devices one at a time, the port reads of the current
+  device all at once (the authors' improvement, section 3.2);
+* Parallel — propagation-order exploration (Fig. 3, the classic walk of
+  Autonet's reconfiguration, paper reference [9]): unconstrained, or
+  bounded by ``FabricManager(parallel_window=...)``.  No window short
+  of full serialization moves the Fig. 8(b) device-speed knee to
+  factor 1/3 in this timing regime; see EXPERIMENTS.md.
 
 A partial manager's burst
-(:class:`~repro.manager.discovery.partial.PartialAssimilation`) is a
-fourth walk: Parallel's, rooted at the ports PI-5 events report.
-
-Subclasses implement the four scheduling hooks at the bottom of
-:class:`DiscoveryAlgorithm`.
+(:class:`~repro.manager.discovery.partial.PartialAssimilation`) is the
+same walk on Parallel's row, rooted at the ports PI-5 events report.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,6 +47,7 @@ from ...capability import (
 from ...protocols import pi4
 from ...routing.turnpool import Hop, TurnPoolError, build_turn_pool
 from ..database import DeviceRecord
+from ..timing import PARALLEL, PARTIAL, SERIAL_DEVICE, SERIAL_PACKET
 
 
 @dataclass
@@ -139,17 +142,46 @@ class Target:
     span: object = None
 
 
+#: Algorithm key -> (most requests outstanding when a general read is
+#: sent, most when a port read is sent, in order); ``None`` is no limit.
+#: An out-of-order row's limits are ``FabricManager(parallel_window=...)``.
+PACING = {
+    SERIAL_PACKET: (1, 1, True),
+    SERIAL_DEVICE: (1, None, True),
+    PARALLEL: (None, None, False),
+}
+#: A partial burst walks on Parallel's row.
+PACING[PARTIAL] = PACING[PARALLEL]
+
+
 class DiscoveryAlgorithm:
-    """Base class: shared exploration logic, abstract scheduling."""
+    """One discovery run of the algorithm ``key`` (a :data:`PACING` row).
 
-    #: Algorithm key matching :mod:`repro.manager.timing`.
-    key = "abstract"
+    A send goes out at once if its limit allows it, and otherwise waits
+    in the backlog.  An in-order row's sends all wait there, a new
+    device's port reads at the front (Fig. 2's device queue comes after
+    the device being read); every completion drains the backlog from
+    its front while the head's limit allows.  Parallel's sends skip the
+    backlog, so new work takes a freed slot first.
+    """
 
-    def __init__(self, fm):
+    def __init__(self, fm, key: str):
         self.fm = fm
         self.db = fm.database
         self.env = fm.env
-        self.stats = DiscoveryStats(algorithm=self.key)
+        self.key = key
+        self.stats = DiscoveryStats(algorithm=key)
+        general, port, self._in_order = PACING[key]
+        if not self._in_order:
+            window = fm.parallel_window
+            if window is not None and window < 1:
+                raise ValueError("parallel window must be at least 1")
+            general = port = window
+        self._general_limit, self._port_limit = general, port
+        #: Sends waiting for their limit, as ``(limit, send, args)``; a
+        #: row with no limit never waits, and owns no deque.
+        self._backlog = (None if general is None and port is None
+                         else deque())
         self.done_event = self.env.event()
         #: Set once, when the run has nothing outstanding or deferred.
         self.done = False
@@ -220,7 +252,10 @@ class DiscoveryAlgorithm:
         self._close(devices=self.stats.devices_found)
 
     def _maybe_finish(self) -> None:
-        if self.done or self._outstanding > 0 or self._has_backlog():
+        """Send what the backlog's limits allow; finish the run once
+        nothing is outstanding or waiting."""
+        self._drain()
+        if self.done or self._outstanding > 0 or self._backlog:
             return
         self._conclude()
         self.done_event.succeed(self.stats)
@@ -234,7 +269,6 @@ class DiscoveryAlgorithm:
             # The route does not fit the header's turn pool: the device
             # is beyond this FM's reach.  Skipped, and counted.
             self.fm.counters.incr("targets_out_of_reach")
-            self.on_device_done()
             return
         message = pi4.ReadRequest(
             cap_id=BASELINE_CAP_ID, offset=0, tag=0,
@@ -298,7 +332,6 @@ class DiscoveryAlgorithm:
                 # this branch is now suspect.
                 self.stats.suspect_subtrees += 1
                 self.suspect_roots.add(target.via_dsn)
-            self.on_device_done()
             self._maybe_finish()
             return
 
@@ -328,7 +361,6 @@ class DiscoveryAlgorithm:
             if target.via_dsn is not None:
                 self.db.add_link(target.via_dsn, target.via_port, dsn,
                                  arrival)
-            self.on_device_done()
             self._maybe_finish()
             return
 
@@ -347,7 +379,10 @@ class DiscoveryAlgorithm:
 
         # Fig. 2: "read the additional attributes from the device's
         # configuration space" — one read per port block.
-        self.on_new_device(record)
+        for index in range(record.nports):
+            self._pace(self._port_limit, self._send_port_read, record, index)
+        if self._in_order:  # the device's ports go before the device queue
+            self._backlog.rotate(record.nports)
         self._maybe_finish()
 
     def _on_port(self, completion, ctx) -> None:
@@ -376,31 +411,26 @@ class DiscoveryAlgorithm:
                 # "An active port indicates that there is a live device
                 # attached to the other end" — explore it.
                 hops, out_port = self.db.extend_route(record, index)
-                self.on_new_target(
-                    Target(hops=hops, out_port=out_port,
-                           via_dsn=record.dsn, via_port=index)
-                )
-        self.on_port_done(record, index)
+                self._pace(self._general_limit, self._send_general,
+                           Target(hops=hops, out_port=out_port,
+                                  via_dsn=record.dsn, via_port=index))
         self._maybe_finish()
 
-    # -- scheduling hooks (implemented by subclasses) ------------------------
-    def on_new_device(self, record: DeviceRecord) -> None:
-        """A new device's general info arrived; schedule its port reads."""
-        raise NotImplementedError
+    # -- pacing ---------------------------------------------------------------
+    def _pace(self, limit, send, *args) -> None:
+        """Call ``send(*args)`` now if the row is out of order and
+        ``limit`` allows it; else queue it for :meth:`_drain`."""
+        if not self._in_order and (limit is None or self._outstanding < limit):
+            send(*args)
+        else:
+            self._backlog.append((limit, send, args))
 
-    def on_new_target(self, target: Target) -> None:
-        """An active port revealed a device to explore; schedule it."""
-        raise NotImplementedError
-
-    def on_port_done(self, record: DeviceRecord, index: int) -> None:
-        """A port read finished (hook for serial pacing)."""
-        raise NotImplementedError
-
-    def on_device_done(self) -> None:
-        """A general read finished without port reads (duplicate or
-        abandoned target); hook for serial pacing."""
-        raise NotImplementedError
-
-    def _has_backlog(self) -> bool:
-        """Whether scheduling state still holds deferred work."""
-        raise NotImplementedError
+    def _drain(self) -> None:
+        """Send from the backlog's front while the head's limit allows."""
+        backlog = self._backlog
+        while backlog:
+            limit, send, args = backlog[0]
+            if limit is not None and self._outstanding >= limit:
+                return
+            backlog.popleft()
+            send(*args)

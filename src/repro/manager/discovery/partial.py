@@ -26,11 +26,13 @@ reporter has vanished, fall back to a full rediscovery.  The same
 machinery repairs suspect subtrees
 (:meth:`~repro.manager.fm.FabricManager._attempt_repair`).
 
-:class:`PartialAssimilation` is the Parallel walk with an event queue
-in front of it: each up-event's exploration runs on the burst itself,
-sharing its stats, span, window and suspect roots.  The FM keeps the
-policy — what a finished burst leads to, and the fall-back to a full
-rediscovery — and hands both to the burst as callbacks.
+:class:`PartialAssimilation` is the discovery walk on Parallel's
+:data:`~repro.manager.discovery.base.PACING` row with an event queue
+in front of it (kept apart from the walk's backlog): each up-event's
+exploration runs on the burst itself, sharing its stats, span, window
+and suspect roots.  The FM keeps the policy — what a finished burst
+leads to, and the fall-back to a full rediscovery — and hands both to
+the burst as callbacks.
 """
 
 from __future__ import annotations
@@ -43,19 +45,16 @@ from ...protocols import pi4, pi5
 from ...routing.paths import PathError, db_route
 from ..database import DatabaseError
 from ..timing import PARTIAL
-from .base import Target
-from .parallel import ParallelDiscovery
+from .base import DiscoveryAlgorithm, Target
 
 
-class PartialAssimilation(ParallelDiscovery):
+class PartialAssimilation(DiscoveryAlgorithm):
     """One burst: confirm and assimilate queued PI-5 events in order."""
-
-    key = PARTIAL
 
     def __init__(self, fm, events: Iterable[pi5.PortEvent],
                  finished: Callable[[], None],
                  fall_back: Callable[[], None]):
-        super().__init__(fm)
+        super().__init__(fm, PARTIAL)
         self._queue = deque(events)
         #: ``(reporter_dsn, port)`` pairs confirmed (or queued) in this
         #: burst, synthesized repair events included.
@@ -212,11 +211,12 @@ class PartialAssimilation(ParallelDiscovery):
         self._maybe_finish()  # the target may have been out of reach
 
     def _maybe_finish(self) -> None:
-        """Once the region is explored, go on to the next event one
-        event hop later (a zero-delay timer), not at once: whatever
-        else is due at this instant runs first, an order the pinned
-        runs hold."""
+        """Send what the backlog's limits allow; once the region is
+        explored, go on to the next event one event hop later (a
+        zero-delay timer), not at once: whatever else is due at this
+        instant runs first, an order the pinned runs hold."""
+        self._drain()
         if self.exploring and self._outstanding == 0 \
-                and not self._has_backlog():
+                and not self._backlog:
             self.exploring = False
             self.env.call_later(0, self._next)

@@ -20,7 +20,7 @@ factor 0.2 = five times slower).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 #: Algorithm keys used throughout the manager package.
 SERIAL_PACKET = "serial_packet"
@@ -97,20 +97,6 @@ class ProcessingTimeModel:
     def device_processing_time(self) -> float:
         """Device time to serve one PI-4 request."""
         return self.device_time / self.device_factor
-
-    def with_factors(self, fm_factor: Optional[float] = None,
-                     device_factor: Optional[float] = None,
-                     ) -> "ProcessingTimeModel":
-        """Copy of the model with different processing factors."""
-        return ProcessingTimeModel(
-            fm_base=dict(self.fm_base),
-            fm_slope=self.fm_slope,
-            device_time=self.device_time,
-            fm_factor=self.fm_factor if fm_factor is None else fm_factor,
-            device_factor=(
-                self.device_factor if device_factor is None else device_factor
-            ),
-        )
 
     def to_dict(self) -> dict:
         """JSON/pickle-ready rendering (for spawn-safe job descriptions)."""

@@ -61,6 +61,18 @@ class TestSweeps:
             ("2x2 mesh", SERIAL_PACKET, 1, "add_switch")]
         assert all(r["database_correct"] for r in runs)
 
+    def test_seeds_may_be_any_iterable(self):
+        """The seeds were once iterated per (topology, algorithm) cell,
+        so an iterator fed only the first cell: 2 runs, not 6."""
+        runs = figure6(topologies=[make_mesh(2, 2)],
+                       seeds=iter(range(2)))[0]["runs"]
+        assert [(r["algorithm"], r["seed"]) for r in runs] == [
+            (algorithm, seed) for algorithm in ALGORITHMS
+            for seed in range(2)]
+        data, _ = figure9(topologies=[make_mesh(2, 2)], seeds=iter([0]))
+        assert all(sum(len(points) for points in panel["series"].values())
+                   == len(ALGORITHMS) for panel in data.values())
+
     def test_fm_factor_sweep_monotone(self):
         data, _ = figure8(make_mesh(2, 2), fm_factors=(0.5, 1.0, 2.0),
                           device_factors=(1.0,))

@@ -42,21 +42,16 @@ class TestDefaults:
 
 class TestFactors:
     def test_fm_factor_is_speed_multiplier(self, model):
-        fast = model.with_factors(fm_factor=4)
+        fast = ProcessingTimeModel(fm_factor=4)
         assert fast.fm_time(PARALLEL, 10) == pytest.approx(
             model.fm_time(PARALLEL, 10) / 4
         )
 
     def test_device_factor_is_speed_multiplier(self, model):
-        slow = model.with_factors(device_factor=0.2)
+        slow = ProcessingTimeModel(device_factor=0.2)
         assert slow.device_processing_time() == pytest.approx(
             model.device_processing_time() * 5
         )
-
-    def test_with_factors_preserves_other_fields(self, model):
-        other = model.with_factors(fm_factor=2)
-        assert other.fm_base == model.fm_base
-        assert other.device_factor == model.device_factor
 
     def test_invalid_factors_rejected(self):
         with pytest.raises(ValueError):

@@ -41,13 +41,15 @@ ENTRY_POINTS = (
     EVERYTHING,
 )
 
-#: ``repro.*`` modules / all modules after :data:`DISCOVERY`: 57 / 142
+#: ``repro.*`` modules / all modules after :data:`DISCOVERY`: 53 / 139
 #: measured on CPython 3.11 (82 / 184 while ``repro/__init__.py``
 #: imported every package; 59 / 143 while every switch built a
-#: multicast forwarding table and capability).  The ``repro.*`` count
-#: is the same on every CPython version, so it is pinned exactly.
-DISCOVERY_REPRO_CEILING = 57
-DISCOVERY_CEILING = 150
+#: multicast forwarding table and capability; 56 / 142 while each
+#: discovery algorithm was a module of its own).  The ``repro.*`` count
+#: is the same on every CPython version, so it is pinned exactly; the
+#: module count at that plus 5%, so every CI interpreter fits.
+DISCOVERY_REPRO_CEILING = 53
+DISCOVERY_CEILING = 146
 #: What a discovery has no use for: the fuzz lab and its libcrypto
 #: (``hashlib`` alone maps 3.9 MiB), result archives, the worker pool,
 #: the service's event loop.

@@ -157,8 +157,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: path set and ``sweep_family``, which only tests called, went, and
 #: Fig. 6 and Fig. 9 share one per-run aggregation (−93) — and a
 #: service connection became one object owning its socket, buffers
-#: and watermarks instead of a protocol over a transport (−19).
-TOTAL_CEILING = 10_213
+#: and watermarks instead of a protocol over a transport (−19); 10,091
+#: once the three discovery algorithms became one exploration paced by
+#: a row of limits each (``PACING``): the three subclasses, their
+#: registry and the four scheduling hooks went (−110), and with them
+#: ``ProcessingTimeModel.with_factors``, which only a test called (−12),
+#: while the figures' change grid read its seeds once and took Fig. 9's
+#: timing models itself (±0).
+TOTAL_CEILING = 10_091
 #: Code lines in ``repro/sim/`` — the number ROADMAP item 4 tracks
 #: (804 before PR 16; 442 while ``Environment.now`` was a property;
 #: 439 while ``Counter`` built closures and ``Tally`` lived here; 379

@@ -32,7 +32,11 @@ SRC = REPO / "src"
 #: less the per-figure sweeps ``sweep_change_experiments`` /
 #: ``sweep_fm_factor`` / ``sweep_device_factor`` / ``fig4_measurements``
 #: and ``sweep_family`` (deleted since: the figure builders build their
-#: own grids, and a family sweep is ``run_sweep(plan(...))``).
+#: own grids, and a family sweep is ``run_sweep(plan(...))``), less the
+#: per-algorithm discovery classes ``SerialPacketDiscovery`` /
+#: ``SerialDeviceDiscovery`` / ``ParallelDiscovery`` and their registry
+#: ``ALGORITHM_CLASSES`` (deleted since: one ``DiscoveryAlgorithm`` paces
+#: every algorithm by its row of ``PACING``).
 SURFACE_AT_PARENT = {
     "repro": [
         "ALGORITHMS", "DiscoveryStats",
@@ -66,14 +70,13 @@ SURFACE_AT_PARENT = {
         "shrink_scenario", "summarize", "write_corpus",
     ],
     "repro.manager": [
-        "ALGORITHMS", "ALGORITHM_CLASSES",
+        "ALGORITHMS",
         "ConsistencyReport", "DatabaseError",
         "DeviceRecord", "Difference",
         "DiscoveryStats", "FabricManager",
-        "FailoverReport", "PARALLEL", "ParallelDiscovery",
+        "FailoverReport", "PARALLEL",
         "PortRecord",
         "ProcessingTimeModel", "SERIAL_DEVICE", "SERIAL_PACKET",
-        "SerialDeviceDiscovery", "SerialPacketDiscovery",
         "StandbyManager", "TopologyAuditor", "TopologyDatabase",
         "audit_topology", "make_algorithm",
     ],
