@@ -88,7 +88,7 @@ from .experiments.report import render_kv, render_phase_breakdown
 from .experiments.scenario import FAMILIES, Scenario
 from .experiments.shrink import DEFAULT_MAX_ATTEMPTS
 from .experiments.sweep import plan, representative
-from .manager.timing import ALGORITHMS, PARALLEL
+from .manager.timing import ALGORITHMS
 from .topology.registry import canonical_topology_name, topology_catalog
 
 
@@ -208,10 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="skip per-hop packet capture (spans and "
                             "metrics only; much smaller traces)")
 
-    figure = sub.add_parser(
-        "figure", help="regenerate a paper figure",
-        parents=[_axes_parent(MANAGER), _trace_parent()],
-    )
+    figure = sub.add_parser("figure", help="regenerate a paper figure")
     figure.add_argument("number", choices=("4", "6", "7", "8", "9"))
     figure.add_argument("--quick", action="store_true",
                         help="use reduced topology suites")
@@ -488,14 +485,6 @@ def _cmd_figure(args) -> int:
         _data, text = figure9(topologies=quick_suite, seeds=seeds,
                               jobs=args.jobs)
     print(text)
-    if args.trace:
-        manager, algorithm = resolve_variant(args.manager, PARALLEL)
-        scenario = Scenario(
-            kind="discover",
-            topology="4x4 mesh" if args.quick else "8x8 mesh",
-            algorithm=algorithm, manager=manager,
-        )
-        return _export_trace(scenario, args.trace)
     return 0
 
 

@@ -57,6 +57,11 @@ class Packet:
     #: and on one whose payload would not decode.
     message: Any = field(default=None, init=False, repr=False,
                          compare=False)
+    #: The requester's :class:`~repro.protocols.transaction.Transaction`
+    #: on a PI-4 request it sent where no link replays a packet: how the
+    #: device learns when it may forget the completion it stored.
+    transaction: Any = field(default=None, init=False, repr=False,
+                             compare=False)
     #: Wire size and credit footprint under ``wire_params``, the
     #: ``FabricParams`` object of the port that stamped the packet
     #: (:meth:`Port.send`, for its arbitration and transmission; a

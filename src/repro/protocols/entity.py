@@ -100,7 +100,14 @@ class ManagementEntity:
         #: across requesters (the transaction engine salts them), so a
         #: tag hit really is the same transaction.  A plain dict kept in
         #: LRU order: a hit re-inserts its tag at the end, eviction takes
-        #: the first.
+        #: the first.  A completion is kept only while a copy of its
+        #: request may still arrive: once the requester's transaction
+        #: has closed and every copy it sent has been answered, it goes
+        #: (``Transaction.answer``, ``TransactionEngine._close``).  Until
+        #: then the LRU rule holds — for good when a copy was lost,
+        #: which the device cannot tell from a late one — and it is the
+        #: only rule for a request that carries no transaction (one sent
+        #: by hand, or on a fabric whose links replay packets).
         self._served_replies: "dict[int, bytes]" = {}
         #: Completions remembered for duplicate suppression.
         self.served_cache_limit = 256
@@ -229,7 +236,7 @@ class ManagementEntity:
     def _serve_request(self, packet: Packet, port: Optional[Port]) -> None:
         message = packet.message
         tag = message.tag
-        payload = self._served_replies.get(tag)
+        payload = self._served_replies.pop(tag, None)
         if payload is not None:
             # Duplicate of a request already served (the requester
             # retried while the original completion was in flight, or
@@ -237,9 +244,10 @@ class ManagementEntity:
             # completion; the processing time was charged by ``_serve``
             # exactly as for a first-time request.
             self.stats.incr("duplicate_requests")
-            self._served_replies[tag] = self._served_replies.pop(tag)
         else:
             payload = self._execute_request(port, message).pack()
+        if packet.transaction is None or not packet.transaction.answer(self):
+            # Kept, most recently used, until its transaction lets it go.
             self._served_replies[tag] = payload
             if len(self._served_replies) > self.served_cache_limit:
                 del self._served_replies[next(iter(self._served_replies))]
@@ -281,23 +289,28 @@ class ManagementEntity:
     # -- PI-4 emission (manager side) ----------------------------------------
     def send_pi4(self, message, turn_pool: int, turn_pointer: int,
                  out_port: Optional[int] = 0,
-                 tag: Optional[int] = None) -> Packet:
+                 transaction=None) -> Packet:
         """Send a PI-4 message along an explicit source route.
 
         A zero-turn route (``turn_pointer == 0``) is still a real route:
         it addresses the device directly attached to ``out_port``.  Pass
         ``out_port=None`` to address the *local* device instead — the
         request is looped back through the backlog, modelling the FM
-        reading its own endpoint's configuration space.  The message
-        is packed under ``tag`` instead of its own when one is given
-        (the transaction engine's numbering).
+        reading its own endpoint's configuration space.  With the
+        transaction engine's ``transaction`` the message is packed
+        under its tag instead of its own, and the packet carries the
+        transaction to the device — unless a link may replay the
+        packet, which would make a copy the requester never counted.
         """
         header = make_management_header(
             turn_pool, turn_pointer, pi=PI_DEVICE_MANAGEMENT,
             tc=MANAGEMENT_TC,
         )
+        tag = None if transaction is None else transaction.tag
         packet = Packet(header=header, payload=message.pack(tag),
                         src=self.device.name, created_at=self.env.now)
+        if transaction is not None and not self.device.params.duplicate_rate:
+            packet.transaction = transaction
         self.stats.incr("pi4_sent")
         if out_port is None:
             self._enqueue(packet, None)

@@ -45,7 +45,11 @@ This module owns the requester side of that recovery:
 The responder side — duplicate-request suppression — lives in
 :class:`repro.protocols.entity.ManagementEntity`, which caches served
 completions by tag and replays them without re-executing the
-configuration-space access.
+configuration-space access.  The two sides share the
+:class:`Transaction`: each copy of a request carries it to the device,
+which counts the copies it answers, and the engine marks it closed.
+Once it is closed and every copy sent has been answered, no copy can
+still arrive, so the device lets the stored completion go.
 """
 
 from __future__ import annotations
@@ -109,6 +113,20 @@ class Transaction:
     #: Open observability span (:class:`repro.obs.span.Span`) covering
     #: this transaction, when a tracer is attached.
     span: Any = None
+    #: Copies the device has answered, and its management entity (the
+    #: holder of the stored completion) once it has answered one.
+    answered: int = 0
+    server: Any = None
+    #: Set when the engine is done with it: completed, given up or
+    #: cancelled.  No copy is sent after that.
+    closed: bool = False
+
+    def answer(self, server) -> bool:
+        """``server`` answered one more copy; whether it may forget the
+        completion now (closed, and no copy left that could arrive)."""
+        self.answered += 1
+        self.server = server
+        return self.closed and self.answered == self.attempts
 
 
 class TimeoutPolicy:
@@ -263,25 +281,30 @@ class TransactionEngine:
             self.counters.incr("stale_completions")
             return None
         self.counters.incr("completions_received")
-        if entry.span is not None and self.tracer is not None:
-            self.tracer.end(entry.span, self.env.now,
-                            outcome="completed", attempts=entry.attempts)
+        self._close(entry, "completed", attempts=entry.attempts)
         return entry
 
     def cancel_all(self) -> None:
         """Forget every outstanding transaction (no callbacks fire)."""
-        if self.tracer is not None:
-            now = self.env.now
-            for entry in self.pending.values():
-                if entry.span is not None:
-                    self.tracer.end(entry.span, now, outcome="cancelled")
+        for entry in self.pending.values():
+            self._close(entry, "cancelled")
         self.pending.clear()
 
     # -- internals ---------------------------------------------------------
+    def _close(self, entry: Transaction, outcome: str, **args) -> None:
+        """The requester is done with ``entry``: its span ends, and the
+        device forgets the completion unless a copy it has not answered
+        may still arrive."""
+        entry.closed = True
+        if entry.answered == entry.attempts:
+            entry.server._served_replies.pop(entry.tag, None)
+        if entry.span is not None and self.tracer is not None:
+            self.tracer.end(entry.span, self.env.now, outcome=outcome, **args)
+
     def _transmit(self, entry: Transaction) -> None:
         pool = entry.pool
         packet = self.entity.send_pi4(
-            entry.message, pool.pool, pool.bits, entry.out_port, entry.tag
+            entry.message, pool.pool, pool.bits, entry.out_port, entry
         )
         self.counters.incr("requests_sent")
         if self.on_transmit is not None:
@@ -344,7 +367,5 @@ class TransactionEngine:
         self.counters.incr("timeouts")
         if entry.stats is not None:
             entry.stats.timeouts += 1
-        if entry.span is not None and self.tracer is not None:
-            self.tracer.end(entry.span, self.env.now,
-                            outcome="timeout", attempts=entry.attempts)
+        self._close(entry, "timeout", attempts=entry.attempts)
         entry.callback(None, entry.ctx)

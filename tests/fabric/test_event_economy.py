@@ -566,8 +566,8 @@ class _Requester:
     def __init__(self, env, log):
         self.env, self.log = env, log
 
-    def send_pi4(self, message, pool, bits, out_port, tag):
-        self.log.append((self.env.now, "send", tag))
+    def send_pi4(self, message, pool, bits, out_port, transaction):
+        self.log.append((self.env.now, "send", transaction.tag))
 
 
 class _CountingEnvironment(Environment):

@@ -1,5 +1,8 @@
 """Tests for the retrying PI-4 transaction engine and its policy."""
 
+from dataclasses import replace
+from itertools import count
+
 import pytest
 
 from repro.fabric import Fabric
@@ -25,9 +28,9 @@ class StubEntity:
         self.tags = []
 
     def send_pi4(self, message, turn_pool, turn_pointer, out_port=None,
-                 tag=None):
+                 transaction=None):
         self.sent.append(message)
-        self.tags.append(tag)
+        self.tags.append(transaction.tag)
         return object()
 
 
@@ -273,3 +276,195 @@ class TestPi4DecodeError:
 
     def test_decode_error_is_a_pi4_error(self):
         assert issubclass(pi4.Pi4DecodeError, pi4.Pi4Error)
+
+
+class Requester:
+    """A manager that hands completions to its own engine, as the fabric
+    manager does (arrival clears the timer, processing closes it)."""
+
+    def __init__(self, env, entity, tag_salt=0):
+        self.engine = TransactionEngine(env, entity, Counter(),
+                                        tag_salt=tag_salt)
+        entity.manager = self
+
+    def packet_cost(self, packet):
+        return 0.0
+
+    def note_packet_arrival(self, packet):
+        self.engine.note_arrival(packet.message.tag)
+
+    def handle_management_packet(self, packet, port):
+        entry = self.engine.complete(packet.message)
+        if entry is not None:
+            entry.callback(packet.message, entry.ctx)
+
+    def handle_local_event(self, event):
+        pass
+
+    def open(self, message, **options):
+        """Send ``message`` to the device next to the endpoint; the
+        list its completion (or ``None``) will be appended to."""
+        answers = []
+        self.engine.open(message, build_turn_pool([]), 0,
+                         lambda reply, ctx: answers.append(reply), **options)
+        return answers
+
+
+def pair(params=DEFAULT_PARAMS, endpoints=("ep",)):
+    """Endpoints around one switch ``sw``, with management entities."""
+    env = Environment()
+    fabric = Fabric(env, params)
+    fabric.add_switch("sw")
+    for index, name in enumerate(endpoints):
+        fabric.add_endpoint(name)
+        fabric.connect(name, 0, "sw", index)
+    entities = {name: ManagementEntity(dev)
+                for name, dev in fabric.devices.items()}
+    fabric.power_up()
+    return env, fabric, entities
+
+
+def event_route_write(route):
+    from repro.capability import EVENT_ROUTE_CAP_ID
+    from repro.capability.event_route import EventRouteCapability
+
+    return pi4.WriteRequest(cap_id=EVENT_ROUTE_CAP_ID, offset=0, tag=0,
+                            data=tuple(EventRouteCapability.encode(*route)))
+
+
+def event_route(fabric):
+    from repro.capability import EVENT_ROUTE_CAP_ID
+
+    return fabric.device("sw").config_space.capability(EVENT_ROUTE_CAP_ID)
+
+
+def route_dwords(cap):
+    """The event-route capability's dwords as they stand."""
+    from repro.capability.event_route import EventRouteCapability
+
+    return tuple(EventRouteCapability.encode(*cap.get_route()))
+
+
+class TestServedCompletionLifetime:
+    """A device keeps a completion only while a copy of its request can
+    still arrive: once the transaction has closed and every copy sent
+    has been answered, the completion goes."""
+
+    def test_an_answered_and_closed_transaction_leaves_nothing(self):
+        env, fabric, entities = pair()
+        requester = Requester(env, entities["ep"])
+        answers = requester.open(pi4.ReadRequest(cap_id=0, offset=0, tag=0))
+        env.run()
+        assert isinstance(answers[0], pi4.ReadCompletion)
+        assert entities["sw"]._served_replies == {}
+        assert entities["sw"].stats["reads_served"] == 1
+
+    def test_a_retry_on_the_wire_at_close_is_answered_from_the_store(self):
+        """The first completion comes back after the retry left: the
+        requester closes the transaction while the retry is still on
+        the long link.  The retry is a duplicate — answered from the
+        store, the write not executed again — and then nothing is
+        left to keep."""
+        env, fabric, entities = pair(
+            replace(DEFAULT_PARAMS, propagation_delay=5e-6))
+        requester = Requester(env, entities["ep"])
+        sw = entities["sw"]
+        seen = []
+        serve = sw._serve_request
+
+        def spy(packet, port):
+            tag = packet.message.tag
+            seen.append((tag not in requester.engine.pending,
+                         tag in sw._served_replies))
+            serve(packet, port)
+        sw._serve_request = spy
+        cap = event_route(fabric)
+        # Round trip ≈ 2 × 5 µs of wire + 2.5 µs at the switch.
+        answers = requester.open(event_route_write((0xBEEF, 12, 3)),
+                                 retries=1, timeout=10e-6)
+        env.run(until=13e-6)
+        assert len(answers) == 1 and answers[0].status == pi4.STATUS_OK
+        cap.set_route(0xCAFE, 7, 1)  # the device moves on
+        env.run()
+        assert seen == [(False, False), (True, True)]
+        assert sw.stats["duplicate_requests"] == 1
+        assert sw.stats["writes_served"] == 1
+        assert cap.get_route() == (0xCAFE, 7, 1)
+        counters = requester.engine.counters
+        assert (counters["retries"], counters["completions_received"],
+                counters["stale_completions"]) == (1, 1, 1)
+        assert sw._served_replies == {}
+
+    def test_a_copy_that_never_arrives_keeps_the_completion(self):
+        """The retry is lost before the device sees it: the device
+        cannot tell, so the completion stays under the LRU rule."""
+        env, fabric, entities = pair(
+            replace(DEFAULT_PARAMS, propagation_delay=5e-6))
+        requester = Requester(env, entities["ep"])
+        sw = entities["sw"]
+        serve = sw._serve_request
+        copies = []
+
+        def lose_the_second(packet, port):
+            copies.append(packet)
+            if len(copies) == 1:
+                serve(packet, port)
+        sw._serve_request = lose_the_second
+        answers = requester.open(pi4.ReadRequest(cap_id=0, offset=0, tag=0),
+                                 retries=1, timeout=10e-6)
+        env.run()
+        assert len(copies) == 2 and len(answers) == 1
+        assert list(sw._served_replies) == [copies[0].message.tag]
+
+    def test_a_fabric_that_replays_packets_keeps_today_s_rule(self):
+        """A link replay is a copy the requester never counted, so the
+        requests carry no transaction and the store keeps its LRU."""
+        env, fabric, entities = pair(
+            replace(DEFAULT_PARAMS, duplicate_rate=1 - 1e-9))
+        requester = Requester(env, entities["ep"])
+        answers = requester.open(pi4.ReadRequest(cap_id=0, offset=0, tag=0))
+        env.run()
+        sw = entities["sw"]
+        assert len(answers) == 1
+        assert sw.stats["duplicate_requests"] == 1
+        assert list(sw._served_replies) == [answers[0].tag]
+
+    def test_a_cancelled_transaction_goes_once_its_copy_is_answered(self):
+        env, fabric, entities = pair()
+        requester = Requester(env, entities["ep"])
+        answers = requester.open(pi4.ReadRequest(cap_id=0, offset=0, tag=0))
+        requester.engine.cancel_all()
+        env.run()
+        assert answers == []
+        assert entities["sw"].stats["reads_served"] == 1
+        assert entities["sw"]._served_replies == {}
+        assert requester.engine.counters["stale_completions"] == 1
+
+
+class TestTagReuse:
+    """The 16-bit sequence under the salt: a requester that has sent
+    65,536 requests numbers the next with the following salt's tags."""
+
+    def test_a_reused_tag_runs_afresh_once_the_earlier_one_closed(self):
+        env, fabric, entities = pair(endpoints=("ep0", "ep1"))
+        first = Requester(env, entities["ep0"], tag_salt=1)
+        second = Requester(env, entities["ep1"], tag_salt=2)
+        cap = event_route(fabric)
+        earlier = second.open(event_route_write((0xBEEF, 12, 3)))
+        env.run()
+        assert earlier[0].tag == (2 << 16) + 1
+        cap.set_route(0xCAFE, 7, 1)
+
+        first.engine._tags = count((1 << 16) + 65_537)
+        read = pi4.ReadRequest(cap_id=cap.cap_id, offset=0, tag=0,
+                               count=len(route_dwords(cap)))
+        reused = first.open(read)
+        env.run()
+        (answer,) = reused
+        assert answer.tag == earlier[0].tag
+        assert isinstance(answer, pi4.ReadCompletion)  # not the write's
+        assert answer.data == route_dwords(cap)
+        sw = entities["sw"]
+        assert sw.stats["duplicate_requests"] == 0
+        assert (sw.stats["writes_served"], sw.stats["reads_served"]) == (1, 1)
+

@@ -19,7 +19,7 @@ from repro.sim.events import URGENT
 def _transmit(self, entry) -> None:
     pool = entry.pool
     packet = self.entity.send_pi4(
-        entry.message, pool.pool, pool.bits, entry.out_port, entry.tag
+        entry.message, pool.pool, pool.bits, entry.out_port, entry
     )
     self.counters.incr("requests_sent")
     if self.on_transmit is not None:

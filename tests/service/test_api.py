@@ -7,6 +7,7 @@ carry, without the wire.
 """
 
 import json
+import time
 
 import pytest
 
@@ -203,6 +204,42 @@ class TestDispatch:
         driver.stop()
         with pytest.raises(DriverStopped):
             api.call_op(driver, "status")
+
+
+class TestServedCompletions:
+    def test_stored_completions_do_not_grow_with_churn_cycles(self):
+        """A long-lived fabric's devices hold a completion only while a
+        copy of its request can still arrive, so the store does not
+        grow with the requests served: remove/restore cycles of one
+        switch through the API, each run to quiescence, and the
+        completions stored over every entity after 12 cycles are no
+        more than after 2."""
+        setup = build_simulation(resolve_topology("mesh9"))
+        run_until_ready(setup)
+
+        def quiet(setup):
+            return setup.env.peek() == float("inf") and not setup.fm.busy
+
+        def stored(setup):
+            return sum(len(entity._served_replies)
+                       for entity in setup.entities.values())
+
+        driver = SimulationDriver(setup).start()
+        counts = {}
+        try:
+            for cycle in range(1, 13):
+                for verb in ("remove_device", "restore_device"):
+                    api.call_op(driver, verb, {"name": "sw_1_1"})
+                    deadline = time.monotonic() + 30
+                    while not driver.call(quiet):
+                        assert time.monotonic() < deadline
+                        time.sleep(1e-3)
+                counts[cycle] = driver.call(stored)
+            requests = driver.call(lambda s: s.fm.counters["requests_sent"])
+        finally:
+            driver.stop()
+        assert requests > 12 * 300  # every cycle rediscovers the mesh
+        assert counts[12] <= counts[2]
 
 
 class TestTrafficVerbs:

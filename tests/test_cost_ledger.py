@@ -15,9 +15,12 @@ simulation ``perf/workloads.py`` times, at its benchmark size, seed 0:
 :data:`LEDGER` pins, per workload, the executed events by callback
 (the heap entry's callback, ``+``-joined for an event with several),
 the kernel's ``vitals()`` (executed events, sequence numbers drawn,
-heap high-water), the PI-4 requests and completions of the FM and the
-port transmissions.  A change that moves one re-records it in a diff
-that says why.
+heap high-water), the PI-4 requests and completions of the FM, the
+port transmissions and the completions the devices still store when
+the runs end (``stored_completions``: none, since every transaction
+closed with each copy answered — one per request while the store
+kept every completion up to its LRU bound).  A change that moves one
+re-records it in a diff that says why.
 
 The premise of the kernel's collector policy
 (``repro.sim.core.GC_YOUNG_THRESHOLD``) is checked per
@@ -64,6 +67,7 @@ LEDGER = {
         "fm.requests_sent": 8_571,
         "fm.completions_received": 8_571,
         "port.tx_packets": 140_364,
+        "stored_completions": 0,
         "by_callback": {
             "Device._deliver": 17_124,
             "FabricManager._program_event_routes.<locals>.finish": 6,
@@ -85,6 +89,7 @@ LEDGER = {
         "fm.requests_sent": 8_193,
         "fm.completions_received": 8_193,
         "port.tx_packets": 54_394,
+        "stored_completions": 0,
         "by_callback": {
             "Device._deliver": 16_382,
             "FabricManager._program_event_routes.<locals>.finish": 1,
@@ -105,6 +110,7 @@ LEDGER = {
         "fm.requests_sent": 681,
         "fm.completions_received": 681,
         "port.tx_packets": 323_550,
+        "stored_completions": 0,
         "by_callback": {
             "Device._deliver": 68_477,
             "FabricManager._program_event_routes.<locals>.finish": 2,
@@ -151,6 +157,9 @@ class Ledger:
         for setup in self.setups:
             registry.scrape_setup(setup)
         counts.update((name, registry.value(name)) for name in SCRAPED)
+        counts["stored_completions"] = sum(
+            len(entity._served_replies)
+            for setup in self.setups for entity in setup.entities.values())
         counts["by_callback"] = dict(sorted(self.by_callback.items()))
         self.counts, self.simulations = counts, len(self.setups)
         self.setups.clear()
